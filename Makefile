@@ -23,8 +23,15 @@ build:
 ## The cluster package gets a dedicated chaos smoke: the crash-failover and
 ## trace-determinism tests re-run under -race, pinning the fabric's
 ## zero-loss and byte-replayable guarantees on every gate.
+## The tensor package is tested a second time under the purego tag — the
+## portable Go microkernels are the reference the AVX2 assembly is held to
+## and the only GEMM path off amd64, so they pass the identical suite — and
+## the whole tree is cross-built for arm64 to prove the build tags (offline:
+## the standard library is the only dependency).
 check: fmt-check vet
 	$(GO) test -race ./...
+	$(GO) test -count=1 -tags purego ./internal/tensor/...
+	GOARCH=arm64 $(GO) build ./...
 	$(GO) test -race -count=2 ./internal/obs/...
 	$(GO) test -race -count=2 -run 'TestConcurrentExecuteArena|TestServeSmoke' ./internal/serve/
 	$(GO) test -race -count=1 -run 'TestClusterChaosCrashFailover|TestClusterTraceDeterminism' ./internal/cluster/

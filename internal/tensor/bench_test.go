@@ -38,16 +38,35 @@ func BenchmarkGEMV(b *testing.B) {
 	}
 }
 
+// BenchmarkConv2D covers the ResNet-18 trunk at 224² — the stem, one 3×3
+// per stage (wide-and-shallow K down to narrow-and-deep K, i.e. both split
+// rules), a strided downsample — and the last stage at a 64² input, where
+// four output positions leave only the filter rows to split.
 func BenchmarkConv2D(b *testing.B) {
-	for _, size := range []int{28, 56} {
-		b.Run(fmt.Sprintf("hw=%d", size), func(b *testing.B) {
+	for _, s := range []struct {
+		name                          string
+		cin, hw, cout, k, stride, pad int
+	}{
+		{"stem7x7s2", 3, 224, 64, 7, 2, 3},
+		{"layer1", 64, 56, 64, 3, 1, 1},
+		{"layer2", 128, 28, 128, 3, 1, 1},
+		{"layer2down1x1s2", 64, 56, 128, 1, 2, 0},
+		{"layer3", 256, 14, 256, 3, 1, 1},
+		{"layer4", 512, 7, 512, 3, 1, 1},
+		{"layer4at64", 512, 2, 512, 3, 1, 1},
+	} {
+		b.Run(s.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(3))
-			x := Rand(rng, 1, 1, 64, size, size)
-			w := Rand(rng, 1, 64, 64, 3, 3)
+			x := Rand(rng, 1, 1, s.cin, s.hw, s.hw)
+			w := Rand(rng, 1, s.cout, s.cin, s.k, s.k)
+			ar := NewArena()
+			out := Conv2DInto(nil, x, w, nil, s.stride, s.pad, ar)
+			flops := 2 * float64(out.Numel()) * float64(s.cin*s.k*s.k)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				Conv2D(x, w, nil, 1, 1)
+				Conv2DInto(out, x, w, nil, s.stride, s.pad, ar)
 			}
+			b.ReportMetric(flops*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
 		})
 	}
 }

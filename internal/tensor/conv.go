@@ -9,11 +9,16 @@ func Conv2D(x, w, bias *Tensor, stride, pad int) *Tensor {
 	return Conv2DInto(nil, x, w, bias, stride, pad, nil)
 }
 
-// Conv2DInto computes Conv2D into out (allocated from ar when nil). The
-// image patches are unrolled directly into the packed tile-major B layout
-// (one scratch buffer reused across the batch) and multiplied by the filter
-// matrix through the packed GEMM; the per-channel bias rides on the same
-// output pass.
+// Conv2DInto computes Conv2D into out (allocated from ar when nil) as a
+// blocked implicit GEMM: out[b] (Cout × OH·OW) = w (Cout × K) · patches
+// (K × OH·OW) with K = Cin·KH·KW. The patch matrix is never materialised
+// whole when it is wide: one parallel loop runs over (image, block of column
+// panels); each block unrolls its patches straight into packed panel order
+// in a scratch of at most convScratch elements, multiplies all of w against
+// it while it is cache-hot, and adds the bias to its columns. When the batch
+// has too few column panels to give every worker two blocks (the deep layers
+// of a small image have a handful of output positions), each image's patches
+// are packed once and gemmPacked splits the filter rows instead.
 func Conv2DInto(out *Tensor, x, w, bias *Tensor, stride, pad int, ar *Arena) *Tensor {
 	if len(x.shape) != 4 || len(w.shape) != 4 {
 		panic(fmt.Sprintf("tensor: Conv2D requires 4-D x and w, got %v, %v", x.shape, w.shape))
@@ -38,61 +43,169 @@ func Conv2DInto(out *Tensor, x, w, bias *Tensor, stride, pad int, ar *Arena) *Te
 		clear(out.data)
 	}
 
-	colRows := cin * kh * kw // K of the GEMM
-	colCols := oh * ow       // N of the GEMM
-	col, scratch := ar.grabScratch(packedSize(colRows, colCols))
-	for b := 0; b < n; b++ {
-		im2colPacked(col, x.data[b*cin*h*wd:(b+1)*cin*h*wd], cin, h, wd, kh, kw, stride, pad, oh, ow)
-		// out[b] (Cout × OH*OW) = w (Cout × colRows) · col (colRows × colCols)
-		dst := out.data[b*cout*oh*ow : (b+1)*cout*oh*ow]
-		gemmPacked(dst, w.data, col, cout, colCols, colRows)
-		if bias != nil {
-			for c := 0; c < cout; c++ {
-				bv := bias.data[c]
-				row := dst[c*colCols : (c+1)*colCols]
-				for i := range row {
-					row[i] += bv
+	g := convGeom{cin: cin, h: h, w: wd, kh: kh, kw: kw, stride: stride, pad: pad, oh: oh, ow: ow}
+	if kh == 1 && kw == 1 && stride == 1 && pad == 0 {
+		// A pointwise convolution's patch matrix is the image itself: view
+		// each plane as one long row so every panel is a straight copy.
+		g.h, g.w, g.oh, g.ow = 1, h*wd, 1, oh*ow
+	}
+	k := cin * kh * kw // K of the GEMM
+	cols := oh * ow    // N of the GEMM
+	np := (cols + nr - 1) / nr
+	imgSize, outSize := cin*h*wd, cout*cols
+	var biasData []float32
+	if bias != nil {
+		biasData = bias.data
+	}
+
+	// Panels per block: what fits the scratch bound, cut down further while
+	// that leaves the workers short of two blocks each, never under one 4×16
+	// tile.
+	workers := effectiveWorkers()
+	bw := min(convScratch/(k*nr)/tilePanels1*tilePanels1, n*np/(2*workers)/tilePanels4*tilePanels4)
+	bw = max(bw, tilePanels4)
+	if blocks := (np + bw - 1) / bw; n*blocks >= 2*workers {
+		ParallelForChunked(n*blocks, 1, func(lo, hi int) {
+			for t := lo; t < hi; t++ {
+				b, jt0 := t/blocks, t%blocks*bw
+				pw := min(bw, np-jt0)
+				live := min(pw*nr, cols-jt0*nr)
+				col, scratch := ar.grabScratch(pw * k * nr)
+				g.packPatches(col, x.data[b*imgSize:(b+1)*imgSize], jt0, jt0+pw)
+				dst := out.data[b*outSize+jt0*nr : (b+1)*outSize]
+				for i0 := 0; i0 < cout; i0 += packMC {
+					gemmBlock(dst, cols, w.data, k, col, i0, min(i0+packMC, cout), pw, live, k)
 				}
+				addChannelBias(dst, cols, live, cout, biasData)
+				ar.dropScratch(scratch)
 			}
+		})
+		return out
+	}
+
+	col, scratch := ar.grabScratch(np * k * nr)
+	for b := 0; b < n; b++ {
+		img := x.data[b*imgSize : (b+1)*imgSize]
+		if worthSplitting(np, k*nr) {
+			ParallelForChunked(np, tilePanels1, func(lo, hi int) {
+				g.packPatches(col[lo*k*nr:], img, lo, hi)
+			})
+		} else {
+			g.packPatches(col, img, 0, np)
 		}
+		dst := out.data[b*outSize : (b+1)*outSize]
+		gemmPacked(dst, w.data, col, cout, cols, k)
+		addChannelBias(dst, cols, cols, cout, biasData)
 	}
 	ar.dropScratch(scratch)
 	return out
 }
 
-// im2colPacked unrolls one image (Cin, H, W) straight into the packed
-// tile-major panel layout consumed by gemmPacked, skipping the intermediate
-// row-major column matrix entirely. The buffer is cleared first; only
-// in-bounds pixels are written, so padding stays zero.
-func im2colPacked(bp, img []float32, cin, h, w, kh, kw, stride, pad, oh, ow int) {
-	colRows := cin * kh * kw
-	clear(bp[:packedSize(colRows, oh*ow)])
-	panelStride := colRows * nr
-	ParallelFor(cin, func(clo, chi int) {
-		for c := clo; c < chi; c++ {
-			chImg := img[c*h*w : (c+1)*h*w]
-			for ki := 0; ki < kh; ki++ {
-				for kj := 0; kj < kw; kj++ {
-					kk := (c*kh+ki)*kw + kj
-					for oi := 0; oi < oh; oi++ {
-						ii := oi*stride + ki - pad
-						if ii < 0 || ii >= h {
-							continue // stays zero (padding)
-						}
-						srcRow := chImg[ii*w : (ii+1)*w]
-						for oj := 0; oj < ow; oj++ {
-							jj := oj*stride + kj - pad
-							if jj < 0 || jj >= w {
-								continue
-							}
-							j := oi*ow + oj
-							bp[(j/nr)*panelStride+kk*nr+j%nr] = srcRow[jj]
-						}
-					}
-				}
+// convScratch bounds one block's packed patches, in elements (384 KB):
+// small enough to stay L2-resident while every filter row streams past it,
+// and what each worker holds instead of a whole-image im2col buffer.
+const convScratch = 96 << 10
+
+// addChannelBias adds bias[c] to the first live columns of each of the cout
+// rows of dst (row stride ld). A nil bias is a no-op.
+func addChannelBias(dst []float32, ld, live, cout int, bias []float32) {
+	if bias == nil {
+		return
+	}
+	for c := 0; c < cout; c++ {
+		bv := bias[c]
+		row := dst[c*ld : c*ld+live]
+		for i := range row {
+			row[i] += bv
+		}
+	}
+}
+
+// convGeom is the geometry of one image's patch (im2col) matrix: row
+// kk = (c·kh + ki)·kw + kj, column j = oi·ow + oj, value
+// img[c][oi·stride + ki − pad][oj·stride + kj − pad], zero outside the image.
+type convGeom struct {
+	cin, h, w, kh, kw, stride, pad, oh, ow int
+}
+
+// packPatches writes column panels [jt0, jt1) of the patch matrix into dst
+// in the packed layout gemmBlock consumes (panel jt0 first, each K×nr).
+// Every slot is written exactly once — image data where the patch overlaps
+// the image, zeros on the padding fringe and in the columns past OH·OW — so
+// dst may be stale scratch and is never cleared as a whole.
+func (g *convGeom) packPatches(dst, img []float32, jt0, jt1 int) {
+	k := g.cin * g.kh * g.kw
+	cols := g.oh * g.ow
+	for jt := jt0; jt < jt1; jt++ {
+		panel := dst[(jt-jt0)*k*nr : (jt-jt0+1)*k*nr]
+		j0 := jt * nr
+		live := min(nr, cols-j0)
+		// Cut the panel's positions into runs that share an output row.
+		for s := 0; s < live; {
+			oi, oj := (j0+s)/g.ow, (j0+s)%g.ow
+			run := min(live-s, g.ow-oj)
+			g.packRun(panel[s:], img, oi, oj, run)
+			s += run
+		}
+		if live < nr {
+			for kk := 0; kk < k; kk++ {
+				clear(panel[kk*nr+live : (kk+1)*nr])
 			}
 		}
-	})
+	}
+}
+
+// packRun writes, for every patch row kk, the run ≤ nr horizontally adjacent
+// output positions starting at (oi, oj) into d[kk·nr : kk·nr+run]. The
+// kernel rows ki that fall inside the image are one range [kiLo, kiHi) for
+// the whole run, and for one kernel column kj the positions inside the image
+// are one range [lo, hi), so bounds are decided per run and per kj, never
+// per element; a full run at stride 1 is an 8-float copy per patch row.
+func (g *convGeom) packRun(d, img []float32, oi, oj, run int) {
+	iy0, ix0 := oi*g.stride-g.pad, oj*g.stride-g.pad
+	kiLo := min(max(0, -iy0), g.kh)
+	kiHi := max(kiLo, min(g.kh, g.h-iy0))
+	plane, kiStep := g.h*g.w, g.kw*nr
+	for kj := 0; kj < g.kw; kj++ {
+		ix := ix0 + kj // image column of the run's first position
+		lo, hi := 0, 0
+		if ix < 0 {
+			lo = min(run, (-ix+g.stride-1)/g.stride)
+		}
+		if ix < g.w {
+			hi = min(run, (g.w-ix+g.stride-1)/g.stride)
+		}
+		hi = max(hi, lo)
+		straight := g.stride == 1 && lo == 0 && hi == nr
+		for c := 0; c < g.cin; c++ {
+			src := img[c*plane : (c+1)*plane]
+			dc := d[(c*g.kh*g.kw+kj)*nr:] // patch row (c, ki, kj) starts at dc[ki*kiStep]
+			for ki := 0; ki < kiLo; ki++ {
+				clear(dc[ki*kiStep : ki*kiStep+run])
+			}
+			for ki := kiHi; ki < g.kh; ki++ {
+				clear(dc[ki*kiStep : ki*kiStep+run])
+			}
+			if straight {
+				for ki := kiLo; ki < kiHi; ki++ {
+					// Through a local so neither move can alias: the
+					// compiler inlines both instead of calling memmove.
+					v := *(*[nr]float32)(src[(iy0+ki)*g.w+ix:])
+					*(*[nr]float32)(dc[ki*kiStep:]) = v
+				}
+				continue
+			}
+			for ki := kiLo; ki < kiHi; ki++ {
+				dd := dc[ki*kiStep : ki*kiStep+run]
+				base := (iy0+ki)*g.w + ix
+				clear(dd[:lo])
+				for s := lo; s < hi; s++ {
+					dd[s] = src[base+s*g.stride]
+				}
+				clear(dd[hi:])
+			}
+		}
+	}
 }
 
 // Conv2DBlocked is the previous im2col + blocked-GEMM convolution, kept as
@@ -120,13 +233,7 @@ func Conv2DBlocked(x, w, bias *Tensor, stride, pad int) *Tensor {
 		dst := out.data[b*cout*oh*ow : (b+1)*cout*oh*ow]
 		gemmBlocked(dst, w.data, col, cout, colCols, colRows)
 		if bias != nil {
-			for c := 0; c < cout; c++ {
-				bv := bias.data[c]
-				row := dst[c*colCols : (c+1)*colCols]
-				for i := range row {
-					row[i] += bv
-				}
-			}
+			addChannelBias(dst, colCols, colCols, cout, bias.data)
 		}
 	}
 	return out
@@ -217,34 +324,37 @@ func MaxPool2DInto(out *Tensor, x *Tensor, kernel, stride, pad int, ar *Arena) *
 	} else if !ShapeEq(out.shape, []int{n, c, oh, ow}) {
 		panic(fmt.Sprintf("tensor: MaxPool2DInto destination %v, want %v", out.shape, []int{n, c, oh, ow}))
 	}
-	ParallelFor(n*c, func(lo, hi int) {
-		for nc := lo; nc < hi; nc++ {
-			src := x.data[nc*h*w : (nc+1)*h*w]
-			dst := out.data[nc*oh*ow : (nc+1)*oh*ow]
-			for oi := 0; oi < oh; oi++ {
-				for oj := 0; oj < ow; oj++ {
-					best := float32(-3.4e38)
-					for ki := 0; ki < kernel; ki++ {
-						ii := oi*stride + ki - pad
-						if ii < 0 || ii >= h {
-							continue
-						}
-						for kj := 0; kj < kernel; kj++ {
-							jj := oj*stride + kj - pad
-							if jj < 0 || jj >= w {
-								continue
-							}
-							if v := src[ii*w+jj]; v > best {
-								best = v
-							}
-						}
-					}
-					dst[oi*ow+oj] = best
-				}
-			}
-		}
+	if !worthSplitting(n*c, oh*ow*kernel*kernel) {
+		maxPoolPlanes(out.data, x.data, 0, n*c, h, w, oh, ow, kernel, stride, pad)
+		return out
+	}
+	ParallelForChunked(n*c, planeGrain(n*c), func(lo, hi int) {
+		maxPoolPlanes(out.data, x.data, lo, hi, h, w, oh, ow, kernel, stride, pad)
 	})
 	return out
+}
+
+func maxPoolPlanes(dstAll, srcAll []float32, lo, hi, h, w, oh, ow, kernel, stride, pad int) {
+	for nc := lo; nc < hi; nc++ {
+		src := srcAll[nc*h*w : (nc+1)*h*w]
+		dst := dstAll[nc*oh*ow : (nc+1)*oh*ow]
+		for oi := 0; oi < oh; oi++ {
+			iLo, iHi := max(0, oi*stride-pad), min(h, oi*stride-pad+kernel)
+			for oj := 0; oj < ow; oj++ {
+				jLo := max(0, oj*stride-pad)
+				jHi := max(jLo, min(w, oj*stride-pad+kernel))
+				best := float32(-3.4e38)
+				for ii := iLo; ii < iHi; ii++ {
+					for _, v := range src[ii*w+jLo : ii*w+jHi] {
+						if v > best {
+							best = v
+						}
+					}
+				}
+				dst[oi*ow+oj] = best
+			}
+		}
+	}
 }
 
 // GlobalAvgPool2D averages each channel's spatial plane: (N,C,H,W) → (N,C).
@@ -260,16 +370,24 @@ func GlobalAvgPool2DInto(out *Tensor, x *Tensor, ar *Arena) *Tensor {
 		panic(fmt.Sprintf("tensor: GlobalAvgPool2DInto destination %v, want %v", out.shape, []int{n, c}))
 	}
 	plane := h * w
-	ParallelFor(n*c, func(lo, hi int) {
-		for nc := lo; nc < hi; nc++ {
-			var s float64
-			for _, v := range x.data[nc*plane : (nc+1)*plane] {
-				s += float64(v)
-			}
-			out.data[nc] = float32(s / float64(plane))
-		}
+	if !worthSplitting(n*c, plane) {
+		avgPlanes(out.data, x.data, 0, n*c, plane)
+		return out
+	}
+	ParallelForChunked(n*c, planeGrain(n*c), func(lo, hi int) {
+		avgPlanes(out.data, x.data, lo, hi, plane)
 	})
 	return out
+}
+
+func avgPlanes(dst, src []float32, lo, hi, plane int) {
+	for nc := lo; nc < hi; nc++ {
+		var s float64
+		for _, v := range src[nc*plane : (nc+1)*plane] {
+			s += float64(v)
+		}
+		dst[nc] = float32(s / float64(plane))
+	}
 }
 
 // BatchNorm2D applies inference-mode batch normalisation on NCHW input using
@@ -288,20 +406,28 @@ func BatchNorm2DInto(out *Tensor, x, gamma, beta, mean, variance *Tensor, eps fl
 		panic(fmt.Sprintf("tensor: BatchNorm2DInto destination %v, want %v", out.shape, x.shape))
 	}
 	plane := h * w
-	ParallelFor(n*c, func(lo, hi int) {
-		for nc := lo; nc < hi; nc++ {
-			ch := nc % c
-			g, b := gamma.data[ch], beta.data[ch]
-			m, v := mean.data[ch], variance.data[ch]
-			inv := g / sqrt32(v+eps)
-			src := x.data[nc*plane : (nc+1)*plane]
-			dst := out.data[nc*plane : (nc+1)*plane]
-			for i, xv := range src {
-				dst[i] = (xv-m)*inv + b
-			}
-		}
+	if !worthSplitting(n*c, plane) {
+		batchNormPlanes(out.data, x.data, gamma.data, beta.data, mean.data, variance.data, eps, 0, n*c, c, plane)
+		return out
+	}
+	ParallelForChunked(n*c, planeGrain(n*c), func(lo, hi int) {
+		batchNormPlanes(out.data, x.data, gamma.data, beta.data, mean.data, variance.data, eps, lo, hi, c, plane)
 	})
 	return out
+}
+
+func batchNormPlanes(dstAll, srcAll, gamma, beta, mean, variance []float32, eps float32, lo, hi, c, plane int) {
+	for nc := lo; nc < hi; nc++ {
+		ch := nc % c
+		g, b := gamma[ch], beta[ch]
+		m, v := mean[ch], variance[ch]
+		inv := g / sqrt32(v+eps)
+		src := srcAll[nc*plane : (nc+1)*plane]
+		dst := dstAll[nc*plane : (nc+1)*plane]
+		for i, xv := range src {
+			dst[i] = (xv-m)*inv + b
+		}
+	}
 }
 
 func sqrt32(x float32) float32 {

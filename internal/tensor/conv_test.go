@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -26,6 +27,131 @@ func TestConv2DMatchesNaive(t *testing.T) {
 		if !AllClose(got, want, 1e-4, 1e-4) {
 			t.Fatalf("Conv2D %+v diverges from naive by %g", c, MaxAbsDiff(got, want))
 		}
+	}
+}
+
+// convRef is the convolution the blocked kernel must reproduce bit for bit:
+// an explicit row-major im2col matrix (zeros where the patch leaves the
+// image), MatMulNaive's k-ascending product with the filter matrix, then the
+// bias.
+func convRef(x, w, bias *Tensor, stride, pad int) *Tensor {
+	n, cin, h, wd := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
+	cout, kh, kw := w.shape[0], w.shape[2], w.shape[3]
+	oh := (h+2*pad-kh)/stride + 1
+	ow := (wd+2*pad-kw)/stride + 1
+	k, cols := cin*kh*kw, oh*ow
+	out := New(n, cout, oh, ow)
+	wm := FromSlice(w.data, cout, k)
+	for b := 0; b < n; b++ {
+		col := New(k, cols)
+		for c := 0; c < cin; c++ {
+			for ki := 0; ki < kh; ki++ {
+				for kj := 0; kj < kw; kj++ {
+					row := col.data[((c*kh+ki)*kw+kj)*cols:]
+					plane := x.data[(b*cin+c)*h*wd:]
+					for oi := 0; oi < oh; oi++ {
+						for oj := 0; oj < ow; oj++ {
+							ii, jj := oi*stride+ki-pad, oj*stride+kj-pad
+							if ii >= 0 && ii < h && jj >= 0 && jj < wd {
+								row[oi*ow+oj] = plane[ii*wd+jj]
+							}
+						}
+					}
+				}
+			}
+		}
+		prod := MatMulNaive(wm, col)
+		dst := out.data[b*cout*cols : (b+1)*cout*cols]
+		for i, v := range prod.data {
+			if bias != nil {
+				v += bias.data[i/cols]
+			}
+			dst[i] = v
+		}
+	}
+	return out
+}
+
+// poisonArena fills every pooled buffer the next kernel could be handed
+// with NaN, so a scratch or destination slot that is read before it is
+// written cannot go unnoticed.
+func poisonArena(ar *Arena) {
+	nan := float32(math.NaN())
+	var held []*Tensor
+	for bits := arenaMinClassBits; bits <= 18; bits++ {
+		for i := 0; i < 3; i++ {
+			t := ar.NewNoZero(1 << bits)
+			for j := range t.data {
+				t.data[j] = nan
+			}
+			held = append(held, t)
+		}
+	}
+	for _, t := range held {
+		ar.Release(t)
+	}
+}
+
+// TestConv2DBitExact pins Conv2DInto to convRef over the shapes that select
+// each packing and splitting path: strides 1 and 2, pads 0/1/3, pointwise,
+// 3×3 and 7×7 filters, output widths off the panel width (7, 14, 28) so
+// panels straddle output rows, fewer than nr output positions, wide patch
+// matrices that take the blocked loop and narrow ones that take the row
+// split, batches of 1 and 3 — each from no arena, a cold arena and a
+// recycled one full of stale data, into a fresh and a caller-supplied
+// destination, pooled and serial.
+func TestConv2DBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	cases := []struct {
+		n, cin, h, w, cout, k, stride, pad int
+	}{
+		{1, 2, 4, 4, 3, 3, 1, 0},     // 2×2 output: N < nr
+		{3, 3, 5, 6, 2, 1, 1, 0},     // pointwise, batch 3
+		{1, 5, 9, 9, 6, 1, 2, 0},     // strided pointwise (downsample)
+		{1, 4, 7, 7, 5, 3, 1, 1},     // ow = 7
+		{3, 3, 14, 14, 9, 3, 1, 1},   // ow = 14, batch 3
+		{1, 2, 28, 28, 4, 3, 1, 1},   // ow = 28
+		{1, 3, 29, 27, 4, 3, 2, 1},   // stride 2, ow = 14
+		{1, 3, 30, 30, 7, 7, 2, 3},   // 7×7 stride 2 pad 3
+		{1, 2, 12, 12, 3, 7, 1, 3},   // pad wider than half the image row
+		{1, 128, 28, 28, 6, 3, 1, 1}, // deep K, ow = 28: several blocks of few panels
+		{3, 192, 14, 14, 5, 3, 1, 1}, // deeper K, ow = 14, batch 3
+		{1, 16, 50, 46, 5, 7, 2, 3},  // 7×7 stride 2 over many blocks
+		{1, 400, 40, 40, 4, 1, 1, 0}, // pointwise over many blocks
+		{1, 64, 12, 12, 70, 3, 1, 1}, // cout past one packMC block, off the row tile
+	}
+	for _, c := range cases {
+		x := Rand(rng, 1, c.n, c.cin, c.h, c.w)
+		w := Rand(rng, 1, c.cout, c.cin, c.k, c.k)
+		bias := Rand(rng, 1, c.cout)
+		wantNoBias := convRef(x, w, nil, c.stride, c.pad)
+		want := wantNoBias.Clone() // bias after the sum, as convRef adds it
+		for i := range want.data {
+			want.data[i] += bias.data[i/(want.shape[2]*want.shape[3])%c.cout]
+		}
+		for _, workers := range []int{0, 1} {
+			SetMaxWorkers(workers)
+			if got := Conv2D(x, w, bias, c.stride, c.pad); !bitEqual(got, want) {
+				t.Errorf("Conv2D %+v workers=%d differs from im2col reference (max |Δ| %g)", c, workers, MaxAbsDiff(got, want))
+			}
+			if got := Conv2D(x, w, nil, c.stride, c.pad); !bitEqual(got, wantNoBias) {
+				t.Errorf("Conv2D %+v workers=%d nil bias differs from im2col reference", c, workers)
+			}
+			ar := NewArena()
+			for pass := 0; pass < 3; pass++ {
+				got := Conv2DInto(nil, x, w, bias, c.stride, c.pad, ar)
+				if !bitEqual(got, want) {
+					t.Errorf("Conv2DInto %+v workers=%d arena pass %d differs from im2col reference", c, workers, pass)
+				}
+				ar.Release(got)
+				poisonArena(ar)
+			}
+			dst := ar.NewNoZero(want.shape...)
+			if got := Conv2DInto(dst, x, w, bias, c.stride, c.pad, ar); got != dst || !bitEqual(got, want) {
+				t.Errorf("Conv2DInto %+v workers=%d into a stale destination differs from im2col reference", c, workers)
+			}
+		}
+		SetMaxWorkers(0)
 	}
 }
 
@@ -59,6 +185,45 @@ func TestConv2DEmptyOutputPanics(t *testing.T) {
 	Conv2D(New(1, 1, 2, 2), New(1, 1, 5, 5), nil, 1, 0)
 }
 
+// TestPlaneKernelsSplitByWork pins the serial cut-off of the per-plane and
+// per-row kernels to the work, not the plane or row count — 64 planes of
+// 56×56 must fan out — and the fan-out to the serial bits: planes and rows
+// are independent.
+func TestPlaneKernelsSplitByWork(t *testing.T) {
+	if effectiveWorkers() > 1 && !worthSplitting(64, 56*56) {
+		t.Error("64 planes of 56×56 elements are treated as too little work to split")
+	}
+	if worthSplitting(64, 4) || worthSplitting(1, 1<<20) {
+		t.Error("a few hundred elements, or a single plane, must stay serial")
+	}
+	rng := rand.New(rand.NewSource(18))
+	x := Rand(rng, 1, 2, 33, 28, 30)
+	gamma, beta, mean := Rand(rng, 1, 33), Rand(rng, 1, 33), Rand(rng, 1, 33)
+	variance := Rand(rng, 1, 33).Apply(func(v float32) float32 { return v*v + 0.5 })
+	m := Rand(rng, 1, 130, 70)
+	rowG, rowB := Rand(rng, 1, 70), Rand(rng, 1, 70)
+	run := func() []*Tensor {
+		return []*Tensor{
+			MaxPool2D(x, 3, 2, 1),
+			GlobalAvgPool2D(x),
+			BatchNorm2D(x, gamma, beta, mean, variance, 1e-5),
+			Transpose2D(m),
+			Softmax(m),
+			LayerNorm(m, rowG, rowB, 1e-5),
+			Linear(m, m, Rand(rand.New(rand.NewSource(20)), 1, 130)),
+		}
+	}
+	pooled := run()
+	SetMaxWorkers(1)
+	serial := run()
+	SetMaxWorkers(0)
+	for i, name := range []string{"MaxPool2D", "GlobalAvgPool2D", "BatchNorm2D", "Transpose2D", "Softmax", "LayerNorm", "Linear+bias"} {
+		if !bitEqual(pooled[i], serial[i]) {
+			t.Errorf("%s: pooled and serial results differ", name)
+		}
+	}
+}
+
 func TestMaxPool2D(t *testing.T) {
 	x := FromSlice([]float32{
 		1, 2, 3, 4,
@@ -70,6 +235,33 @@ func TestMaxPool2D(t *testing.T) {
 	want := FromSlice([]float32{6, 8, 14, 16}, 1, 1, 2, 2)
 	if !AllClose(out, want, 0, 0) {
 		t.Fatalf("MaxPool2D = %v, want %v", out, want)
+	}
+}
+
+// TestMaxPool2DMatchesDefinition checks the clipped-window loops against
+// the per-tap definition (padding taps skipped) on odd sizes.
+func TestMaxPool2DMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	x := Rand(rng, 1, 2, 3, 11, 9)
+	for _, p := range [][3]int{{3, 2, 1}, {2, 2, 0}, {3, 1, 1}, {2, 3, 2}} {
+		kernel, stride, pad := p[0], p[1], p[2]
+		got := MaxPool2D(x, kernel, stride, pad)
+		for idx := 0; idx < got.Numel(); idx++ {
+			ow, oh := got.shape[3], got.shape[2]
+			nc, oi, oj := idx/(oh*ow), idx/ow%oh, idx%ow
+			want := float32(-3.4e38)
+			for ki := 0; ki < kernel; ki++ {
+				for kj := 0; kj < kernel; kj++ {
+					ii, jj := oi*stride+ki-pad, oj*stride+kj-pad
+					if ii >= 0 && ii < 11 && jj >= 0 && jj < 9 {
+						want = max(want, x.data[nc*99+ii*9+jj])
+					}
+				}
+			}
+			if got.data[idx] != want {
+				t.Fatalf("MaxPool2D k%d s%d p%d at %d = %g, want %g", kernel, stride, pad, idx, got.data[idx], want)
+			}
+		}
 	}
 }
 

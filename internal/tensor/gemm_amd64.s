@@ -1,0 +1,190 @@
+//go:build !purego
+
+#include "textflag.h"
+
+// AVX2 GEMM microkernels. Every kernel updates one full register tile of C
+// with A[rows, k0:k0+kc] · packed-B panels by load-accumulate-store: the
+// tile is loaded from C, advanced kc steps, and stored back. Vector lanes
+// are independent output columns and each step is a separate VMULPS then
+// VADDPS (two roundings, never FMA), so every C element sees exactly the
+// scalar `c += a*b` sequence in ascending k. All strides are in bytes. The
+// kernels touch nothing outside their tile: the Go wrappers in
+// gemm_amd64.go bounds-check the three operands and route partial tiles
+// through a stack tile. R14, R15 and X15 are left alone (g, GOT and the
+// ABIInternal zero register) and the upper YMM halves are cleared before
+// returning to SSE-encoded Go code.
+
+// STEP multiplies the broadcast A element in Y10 by the two B vectors in
+// Y8/Y9 and accumulates into the row's pair of accumulators.
+#define STEP(acc0, acc1) \
+	VMULPS Y8, Y10, Y11;    \
+	VADDPS Y11, acc0, acc0; \
+	VMULPS Y9, Y10, Y12;    \
+	VADDPS Y12, acc1, acc1
+
+// func kern4x16(c *float32, ldc int, a *float32, lda int, p *float32, pstride int, kc int)
+// 4 rows × 2 adjacent panels: 8 independent accumulators.
+TEXT ·kern4x16(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), SI
+	MOVQ a+16(FP), AX
+	MOVQ lda+24(FP), BX
+	MOVQ p+32(FP), DX
+	MOVQ pstride+40(FP), R8
+	MOVQ kc+48(FP), CX
+	LEAQ (SI)(SI*2), R9  // 3*ldc
+	LEAQ (BX)(BX*2), R10 // 3*lda
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS (DI)(SI*1), Y2
+	VMOVUPS 32(DI)(SI*1), Y3
+	VMOVUPS (DI)(SI*2), Y4
+	VMOVUPS 32(DI)(SI*2), Y5
+	VMOVUPS (DI)(R9*1), Y6
+	VMOVUPS 32(DI)(R9*1), Y7
+
+loop4x16:
+	VMOVUPS (DX), Y8
+	VMOVUPS (DX)(R8*1), Y9
+	VBROADCASTSS (AX), Y10
+	STEP(Y0, Y1)
+	VBROADCASTSS (AX)(BX*1), Y10
+	STEP(Y2, Y3)
+	VBROADCASTSS (AX)(BX*2), Y10
+	STEP(Y4, Y5)
+	VBROADCASTSS (AX)(R10*1), Y10
+	STEP(Y6, Y7)
+	ADDQ $4, AX
+	ADDQ $32, DX
+	DECQ CX
+	JNZ  loop4x16
+
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, (DI)(SI*1)
+	VMOVUPS Y3, 32(DI)(SI*1)
+	VMOVUPS Y4, (DI)(SI*2)
+	VMOVUPS Y5, 32(DI)(SI*2)
+	VMOVUPS Y6, (DI)(R9*1)
+	VMOVUPS Y7, 32(DI)(R9*1)
+	VZEROUPPER
+	RET
+
+// func kern4x8(c *float32, ldc int, a *float32, lda int, p *float32, kc int)
+// 4 rows × 1 panel, for an odd trailing panel.
+TEXT ·kern4x8(SB), NOSPLIT, $0-48
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), SI
+	MOVQ a+16(FP), AX
+	MOVQ lda+24(FP), BX
+	MOVQ p+32(FP), DX
+	MOVQ kc+40(FP), CX
+	LEAQ (SI)(SI*2), R9  // 3*ldc
+	LEAQ (BX)(BX*2), R10 // 3*lda
+	VMOVUPS (DI), Y0
+	VMOVUPS (DI)(SI*1), Y2
+	VMOVUPS (DI)(SI*2), Y4
+	VMOVUPS (DI)(R9*1), Y6
+
+loop4x8:
+	VMOVUPS (DX), Y8
+	VBROADCASTSS (AX), Y10
+	VMULPS  Y8, Y10, Y11
+	VADDPS  Y11, Y0, Y0
+	VBROADCASTSS (AX)(BX*1), Y10
+	VMULPS  Y8, Y10, Y12
+	VADDPS  Y12, Y2, Y2
+	VBROADCASTSS (AX)(BX*2), Y10
+	VMULPS  Y8, Y10, Y13
+	VADDPS  Y13, Y4, Y4
+	VBROADCASTSS (AX)(R10*1), Y10
+	VMULPS  Y8, Y10, Y14
+	VADDPS  Y14, Y6, Y6
+	ADDQ $4, AX
+	ADDQ $32, DX
+	DECQ CX
+	JNZ  loop4x8
+
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y2, (DI)(SI*1)
+	VMOVUPS Y4, (DI)(SI*2)
+	VMOVUPS Y6, (DI)(R9*1)
+	VZEROUPPER
+	RET
+
+// func kern1x32(c *float32, a *float32, p *float32, pstride int, kc int)
+// 1 row × 4 adjacent panels: the GEMV kernel of the M=1 RNN/dense steps.
+TEXT ·kern1x32(SB), NOSPLIT, $0-40
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), AX
+	MOVQ p+16(FP), DX
+	MOVQ pstride+24(FP), R8
+	MOVQ kc+32(FP), CX
+	LEAQ (R8)(R8*2), R9 // 3*pstride
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+
+loop1x32:
+	VBROADCASTSS (AX), Y10
+	VMULPS  (DX), Y10, Y4
+	VADDPS  Y4, Y0, Y0
+	VMULPS  (DX)(R8*1), Y10, Y5
+	VADDPS  Y5, Y1, Y1
+	VMULPS  (DX)(R8*2), Y10, Y6
+	VADDPS  Y6, Y2, Y2
+	VMULPS  (DX)(R9*1), Y10, Y7
+	VADDPS  Y7, Y3, Y3
+	ADDQ $4, AX
+	ADDQ $32, DX
+	DECQ CX
+	JNZ  loop1x32
+
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VZEROUPPER
+	RET
+
+// func kern1x8(c *float32, a *float32, p *float32, kc int)
+// 1 row × 1 panel, for the panels left over after the 1×32 groups.
+TEXT ·kern1x8(SB), NOSPLIT, $0-32
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), AX
+	MOVQ p+16(FP), DX
+	MOVQ kc+24(FP), CX
+	VMOVUPS (DI), Y0
+
+loop1x8:
+	VBROADCASTSS (AX), Y10
+	VMULPS  (DX), Y10, Y4
+	VADDPS  Y4, Y0, Y0
+	ADDQ $4, AX
+	ADDQ $32, DX
+	DECQ CX
+	JNZ  loop1x8
+
+	VMOVUPS Y0, (DI)
+	VZEROUPPER
+	RET
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET

@@ -1,0 +1,13 @@
+//go:build !amd64 || purego
+
+package tensor
+
+// Without the amd64 assembly the portable Go kernels are the only path.
+
+func kern4(c []float32, ldc int, a []float32, lda int, p []float32, pstride, kc, np int) {
+	kern4Go(c, ldc, a, lda, p, pstride, kc, np)
+}
+
+func kern1(c, a, p []float32, pstride, kc, np int) {
+	kern1Go(c, a, p, pstride, kc, np)
+}

@@ -180,11 +180,11 @@ func SoftmaxInto(out *Tensor, t *Tensor, ar *Arena) *Tensor {
 	} else {
 		checkInto(out, t.shape, "SoftmaxInto")
 	}
-	if rows < parallelThreshold || effectiveWorkers() <= 1 {
+	if !worthSplitting(rows, k) {
 		softmaxRows(out.data, t.data, k, 0, rows)
 		return out
 	}
-	ParallelFor(rows, func(lo, hi int) {
+	ParallelForChunked(rows, planeGrain(rows), func(lo, hi int) {
 		softmaxRows(out.data, t.data, k, lo, hi)
 	})
 	return out
@@ -225,11 +225,11 @@ func LayerNormInto(out *Tensor, t, gamma, beta *Tensor, eps float32, ar *Arena) 
 	} else {
 		checkInto(out, t.shape, "LayerNormInto")
 	}
-	if rows < parallelThreshold || effectiveWorkers() <= 1 {
+	if !worthSplitting(rows, k) {
 		layerNormRows(out.data, t.data, gamma.data, beta.data, k, eps, 0, rows)
 		return out
 	}
-	ParallelFor(rows, func(lo, hi int) {
+	ParallelForChunked(rows, planeGrain(rows), func(lo, hi int) {
 		layerNormRows(out.data, t.data, gamma.data, beta.data, k, eps, lo, hi)
 	})
 	return out

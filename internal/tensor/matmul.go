@@ -2,19 +2,6 @@ package tensor
 
 import "fmt"
 
-// Packed-GEMM geometry. The microkernel computes an mr×nr tile of C with
-// explicit scalar accumulators; B is repacked into tile-major panels of nr
-// columns so the innermost loads are contiguous regardless of N. packKC
-// bounds the K-extent touched per panel sweep (keeps the active A rows and
-// B panel L1/L2-resident) and packMC is the row granularity handed to the
-// worker pool, aligned to whole microkernel tiles.
-const (
-	mr     = 4
-	nr     = 8
-	packKC = 256
-	packMC = 64
-)
-
 // Legacy block sizes for the previous cache-blocked kernel, kept as a
 // benchmark baseline (see MatMulBlocked).
 const (
@@ -217,158 +204,14 @@ func packBTransposed(bp, w []float32, k, n int) {
 	}
 }
 
-// gemmPacked computes C += A·B for row-major A (M×K), packed B panels, and
-// row-major C (M×N, pre-zeroed by the caller). Rows are distributed to the
-// worker pool in packMC panels; within a panel the K range is swept in
-// packKC blocks and each nr-wide B panel is streamed through the 4×8
-// microkernel. Each C element accumulates k-ascending via load-accumulate-
-// store, so splitting K across blocks does not change the addition order.
-func gemmPacked(c, a, bp []float32, m, n, k int) {
-	// Single-block or serial execution calls the row worker directly — the
-	// closure below costs a heap allocation per call, which the LSTM's
-	// per-step GEMVs would pay thousands of times per inference.
-	if blocks := (m + packMC - 1) / packMC; blocks <= 1 || effectiveWorkers() <= 1 {
-		gemmRows(c, a, bp, 0, m, n, k)
-		return
-	}
-	ParallelForChunked(m, packMC, func(i0, i1 int) {
-		gemmRows(c, a, bp, i0, i1, n, k)
-	})
-}
-
-// gemmRows computes rows [i0, i1) of C against the packed panels of B. Row
-// blocks are independent, so any partition of [0, m) yields bit-identical
-// results.
-func gemmRows(c, a, bp []float32, i0, i1, n, k int) {
-	nTiles := (n + nr - 1) / nr
-	for k0 := 0; k0 < k; k0 += packKC {
-		k1 := min(k0+packKC, k)
-		for jt := 0; jt < nTiles; jt++ {
-			j0 := jt * nr
-			jw := min(nr, n-j0)
-			panel := bp[jt*k*nr:]
-			i := i0
-			if jw == nr {
-				for ; i+mr <= i1; i += mr {
-					micro4x8(c, a, panel, n, k, i, j0, k0, k1)
-				}
-				for ; i < i1; i++ {
-					micro1x8(c, a, panel, n, k, i, j0, k0, k1)
-				}
-			} else {
-				microEdge(c, a, panel, n, k, i, i1, j0, jw, k0, k1)
-			}
-		}
-	}
-}
-
-// micro4x8 updates the 4×8 tile C[i:i+4, j0:j0+8] with A[i:i+4, k0:k1] ·
-// panel[k0:k1]. The 32 accumulators are loaded from C and stored back, and
-// each advances in strictly ascending k, so the kernel is bit-exact with
-// the naive triple loop.
-func micro4x8(c, a, panel []float32, n, k, i, j0, k0, k1 int) {
-	a0 := a[i*k : i*k+k1]
-	a1 := a[(i+1)*k : (i+1)*k+k1]
-	a2 := a[(i+2)*k : (i+2)*k+k1]
-	a3 := a[(i+3)*k : (i+3)*k+k1]
-	c0 := c[i*n+j0 : i*n+j0+nr]
-	c1 := c[(i+1)*n+j0 : (i+1)*n+j0+nr]
-	c2 := c[(i+2)*n+j0 : (i+2)*n+j0+nr]
-	c3 := c[(i+3)*n+j0 : (i+3)*n+j0+nr]
-	c00, c01, c02, c03, c04, c05, c06, c07 := c0[0], c0[1], c0[2], c0[3], c0[4], c0[5], c0[6], c0[7]
-	c10, c11, c12, c13, c14, c15, c16, c17 := c1[0], c1[1], c1[2], c1[3], c1[4], c1[5], c1[6], c1[7]
-	c20, c21, c22, c23, c24, c25, c26, c27 := c2[0], c2[1], c2[2], c2[3], c2[4], c2[5], c2[6], c2[7]
-	c30, c31, c32, c33, c34, c35, c36, c37 := c3[0], c3[1], c3[2], c3[3], c3[4], c3[5], c3[6], c3[7]
-	for kk := k0; kk < k1; kk++ {
-		p := panel[kk*nr : kk*nr+nr]
-		b0, b1, b2, b3, b4, b5, b6, b7 := p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7]
-		av := a0[kk]
-		c00 += av * b0
-		c01 += av * b1
-		c02 += av * b2
-		c03 += av * b3
-		c04 += av * b4
-		c05 += av * b5
-		c06 += av * b6
-		c07 += av * b7
-		av = a1[kk]
-		c10 += av * b0
-		c11 += av * b1
-		c12 += av * b2
-		c13 += av * b3
-		c14 += av * b4
-		c15 += av * b5
-		c16 += av * b6
-		c17 += av * b7
-		av = a2[kk]
-		c20 += av * b0
-		c21 += av * b1
-		c22 += av * b2
-		c23 += av * b3
-		c24 += av * b4
-		c25 += av * b5
-		c26 += av * b6
-		c27 += av * b7
-		av = a3[kk]
-		c30 += av * b0
-		c31 += av * b1
-		c32 += av * b2
-		c33 += av * b3
-		c34 += av * b4
-		c35 += av * b5
-		c36 += av * b6
-		c37 += av * b7
-	}
-	c0[0], c0[1], c0[2], c0[3], c0[4], c0[5], c0[6], c0[7] = c00, c01, c02, c03, c04, c05, c06, c07
-	c1[0], c1[1], c1[2], c1[3], c1[4], c1[5], c1[6], c1[7] = c10, c11, c12, c13, c14, c15, c16, c17
-	c2[0], c2[1], c2[2], c2[3], c2[4], c2[5], c2[6], c2[7] = c20, c21, c22, c23, c24, c25, c26, c27
-	c3[0], c3[1], c3[2], c3[3], c3[4], c3[5], c3[6], c3[7] = c30, c31, c32, c33, c34, c35, c36, c37
-}
-
-// micro1x8 is the leftover-row variant of micro4x8 (one row, full panel).
-func micro1x8(c, a, panel []float32, n, k, i, j0, k0, k1 int) {
-	a0 := a[i*k : i*k+k1]
-	c0 := c[i*n+j0 : i*n+j0+nr]
-	c00, c01, c02, c03, c04, c05, c06, c07 := c0[0], c0[1], c0[2], c0[3], c0[4], c0[5], c0[6], c0[7]
-	for kk := k0; kk < k1; kk++ {
-		p := panel[kk*nr : kk*nr+nr]
-		av := a0[kk]
-		c00 += av * p[0]
-		c01 += av * p[1]
-		c02 += av * p[2]
-		c03 += av * p[3]
-		c04 += av * p[4]
-		c05 += av * p[5]
-		c06 += av * p[6]
-		c07 += av * p[7]
-	}
-	c0[0], c0[1], c0[2], c0[3], c0[4], c0[5], c0[6], c0[7] = c00, c01, c02, c03, c04, c05, c06, c07
-}
-
-// microEdge handles the right-edge panel whose live width jw is under nr.
-// Padding columns of the panel are zero but never read.
-func microEdge(c, a, panel []float32, n, k, iLo, iHi, j0, jw, k0, k1 int) {
-	for i := iLo; i < iHi; i++ {
-		arow := a[i*k : i*k+k1]
-		crow := c[i*n+j0 : i*n+j0+jw]
-		for jj := range crow {
-			s := crow[jj]
-			for kk := k0; kk < k1; kk++ {
-				s += arow[kk] * panel[kk*nr+jj]
-			}
-			crow[jj] = s
-		}
-	}
-}
-
 // addBias adds the bias row-broadcast to each row of c (bias-after-sum
 // order matches the naive Linear reference).
 func addBias(c []float32, m, n int, bias []float32) {
-	if m < parallelThreshold || effectiveWorkers() <= 1 {
+	if !worthSplitting(m, n) {
 		biasRows(c, 0, m, n, bias)
 		return
 	}
-	ParallelFor(m, func(lo, hi int) {
+	ParallelForChunked(m, planeGrain(m), func(lo, hi int) {
 		biasRows(c, lo, hi, n, bias)
 	})
 }
@@ -501,12 +344,20 @@ func Transpose2DInto(out *Tensor, t *Tensor, ar *Arena) *Tensor {
 	} else if len(out.shape) != 2 || out.shape[0] != n || out.shape[1] != m {
 		panic(fmt.Sprintf("tensor: Transpose2DInto destination %v, want [%d %d]", out.shape, n, m))
 	}
-	ParallelFor(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for j := 0; j < n; j++ {
-				out.data[j*m+i] = t.data[i*n+j]
-			}
-		}
+	if !worthSplitting(m, n) {
+		transposeRows(out.data, t.data, 0, m, m, n)
+		return out
+	}
+	ParallelForChunked(m, planeGrain(m), func(lo, hi int) {
+		transposeRows(out.data, t.data, lo, hi, m, n)
 	})
 	return out
+}
+
+func transposeRows(dst, src []float32, lo, hi, m, n int) {
+	for i := lo; i < hi; i++ {
+		for j := 0; j < n; j++ {
+			dst[j*m+i] = src[i*n+j]
+		}
+	}
 }

@@ -8,22 +8,37 @@ import (
 )
 
 // Edge shapes for the packed-kernel property tests: degenerate rows/cols,
-// prime dims, K past the packKC block boundary, and sizes off the 4×8
-// microkernel grid.
+// prime dims, K on and around the packKC slab boundary, sizes off the 4×16
+// and 1×32 register-tile grid in every dimension, and products large enough
+// to take each split of gemmPacked's block grid.
 var packedShapes = [][3]int{
-	{1, 17, 1},    // 1×N and N×1 territory
-	{1, 1, 1},     // scalar-sized
-	{1, 1024, 7},  // single row, wide K
-	{23, 1, 5},    // single inner dim
-	{5, 3, 1},     // N=1 (single output column)
-	{7, 13, 17},   // all prime
-	{31, 29, 37},  // all prime, larger
-	{4, 8, 8},     // exactly one microkernel tile
-	{8, 16, 16},   // whole tiles only
-	{6, 10, 9},    // off-grid in every dim
-	{5, 300, 9},   // K > packKC
-	{64, 300, 64}, // K > packKC, multiple row panels
-	{130, 5, 12},  // M spans multiple packMC panels with leftovers
+	{1, 17, 1},     // 1×N and N×1 territory
+	{1, 1, 1},      // scalar-sized
+	{1, 1024, 7},   // single row, wide K
+	{23, 1, 5},     // single inner dim
+	{5, 3, 1},      // N=1 (single output column)
+	{7, 13, 17},    // all prime
+	{31, 29, 37},   // all prime, larger
+	{4, 8, 8},      // one row tile, one panel
+	{4, 8, 16},     // exactly one 4×16 tile
+	{1, 8, 32},     // exactly one 1×32 tile
+	{8, 16, 16},    // whole tiles only
+	{6, 10, 9},     // off-grid in every dim
+	{5, 1, 24},     // K=1; N = 16+8: an odd trailing panel
+	{7, 2, 40},     // N = 32+8: 1×32 group plus a single panel
+	{3, 9, 33},     // N one past 32: partial fifth panel for the 1-row tile
+	{9, 9, 49},     // N one past 48: partial panel closing a 4×16 pair
+	{5, 300, 9},    // K > packKC
+	{6, 255, 20},   // K one short of the slab
+	{6, 256, 20},   // K exactly one slab
+	{6, 257, 20},   // K one past the slab
+	{5, 513, 19},   // K straddles two slab boundaries
+	{64, 300, 64},  // K > packKC, multiple row tiles
+	{130, 5, 12},   // M spans multiple packMC blocks with leftovers
+	{3, 300, 1300}, // parallel, M < mr: column blocks of 1×32 sweeps
+	{70, 130, 200}, // parallel, two row blocks × column blocks
+	{330, 70, 60},  // parallel, row blocks only
+	{66, 260, 501}, // parallel grid with ragged edges everywhere
 }
 
 // TestMatMulPackedBitExact bit-compares the packed kernel against the naive

@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 )
 
-// parallelThreshold is the minimum amount of work (loop iterations) below
+// parallelThreshold is the minimum amount of work (elements touched) below
 // which kernels run serially; handing work to the pool costs more than it
 // saves on small tensors, and inference batch sizes are typically 1.
 const parallelThreshold = 1 << 12
@@ -57,6 +57,22 @@ func effectiveWorkers() int {
 		w = runtime.GOMAXPROCS(0)
 	}
 	return w
+}
+
+// worthSplitting reports whether a loop of n independent iterations, each
+// touching about per elements, should be fanned out: the serial cut-off is
+// on the work, not on the iteration count — a pooling or normalisation
+// kernel has a few hundred planes of thousands of elements each. Callers
+// branch on it before building the closure they would hand to
+// ParallelForChunked, which keeps the serial path allocation-free.
+func worthSplitting(n, per int) bool {
+	return n > 1 && n*per >= parallelThreshold && effectiveWorkers() > 1
+}
+
+// planeGrain is the block size for ParallelForChunked over n independent
+// planes or rows: about four blocks per worker, so uneven blocks balance.
+func planeGrain(n int) int {
+	return max(1, n/(4*effectiveWorkers()))
 }
 
 // ParallelFor splits [0, n) into contiguous chunks and runs body on each
