@@ -28,8 +28,13 @@ build:
 ## and the only GEMM path off amd64, so they pass the identical suite — and
 ## the whole tree is cross-built for arm64 to prove the build tags (offline:
 ## the standard library is the only dependency).
+## The host-clock benchmark in bench/ is a nested module that compiles
+## against the exported runtime/schedule/serve API and may not be edited by
+## the PRs it measures, so a rename that breaks the harness has to fail here,
+## not in the pipeline: it is vetted and its own tests run.
 check: fmt-check vet
 	$(GO) test -race ./...
+	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 	$(GO) test -count=1 -tags purego ./internal/tensor/...
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) test -race -count=2 ./internal/obs/...

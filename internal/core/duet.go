@@ -186,10 +186,9 @@ func Build(g *graph.Graph, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	search, err := runtime.New(part, device.NewPlatform(0), cfg.Compiler)
-	if err != nil {
-		return nil, err
-	}
+	// Modules, tuned costs and the dataflow skeleton depend on device
+	// constants, never on the seed: the noiseless search engine shares them.
+	search := noisy.WithPlatform(device.NewPlatform(0))
 
 	// The engine compiled every subgraph already; the profile sources reuse
 	// those modules instead of recompiling (per-device lowering still

@@ -33,6 +33,14 @@ func (k Kind) String() string {
 	return "GPU"
 }
 
+// Other returns the opposite device kind of the coupled pair.
+func (k Kind) Other() Kind {
+	if k == CPU {
+		return GPU
+	}
+	return CPU
+}
+
 // Fault describes an injected event observed at a sample site. When Fail is
 // false, Delay adds to the healthy duration (a slowdown or stall). When Fail
 // is true, the operation aborts after occupying the resource for Delay — the

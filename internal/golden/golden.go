@@ -1,0 +1,117 @@
+// Package golden is the test support behind the repo's recorded-value
+// tables: a flat key → string JSON file that a test either compares against
+// or, under -update, rewrites. Floats are stored as hex so a recorded
+// virtual-clock number round-trips bit for bit.
+package golden
+
+import (
+	"encoding/json"
+	"flag"
+	"math"
+	"os"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite golden files from the current code instead of comparing against them")
+
+// File is one golden table bound to the test that opened it.
+type File struct {
+	t    testing.TB
+	vals map[string]string
+}
+
+// Open loads the table at path. Under -update a missing file starts empty
+// and the table is written back when the test ends.
+func Open(t testing.TB, path string) *File {
+	t.Helper()
+	f := &File{t: t, vals: map[string]string{}}
+	raw, err := os.ReadFile(path)
+	switch {
+	case err == nil:
+		if err := json.Unmarshal(raw, &f.vals); err != nil {
+			t.Fatalf("golden: %s: %v", path, err)
+		}
+	case !*update || !os.IsNotExist(err):
+		t.Fatalf("golden: %v (record it with -update)", err)
+	}
+	if *update {
+		t.Cleanup(func() {
+			out, err := json.MarshalIndent(f.vals, "", " ")
+			if err == nil {
+				err = os.WriteFile(path, append(out, '\n'), 0o644)
+			}
+			if err != nil {
+				t.Errorf("golden: writing %s: %v", path, err)
+			}
+		})
+	}
+	return f
+}
+
+// Get returns the recorded value of key, failing the test when it is absent.
+func (f *File) Get(key string) string {
+	f.t.Helper()
+	v, ok := f.vals[key]
+	if !ok {
+		f.t.Fatalf("golden: no recorded value for %q", key)
+	}
+	return v
+}
+
+// Check compares got with the recorded value of key (recording it instead
+// under -update).
+func (f *File) Check(key, got string) {
+	f.t.Helper()
+	if *update {
+		f.vals[key] = got
+		return
+	}
+	if want := f.Get(key); got != want {
+		f.t.Errorf("golden %s:\n got  %s\n want %s", key, got, want)
+	}
+}
+
+// CheckULP is Check for Floats-encoded values that may sit up to ulps
+// representable steps away from the recording; it returns how many fields
+// were not bit-identical.
+func (f *File) CheckULP(key string, ulps int, got ...float64) (moved int) {
+	f.t.Helper()
+	if *update {
+		f.vals[key] = Floats(got...)
+		return 0
+	}
+	want := strings.Fields(f.Get(key))
+	if len(want) != len(got) {
+		f.t.Errorf("golden %s: %d fields, recorded %d", key, len(got), len(want))
+		return 0
+	}
+	for i, w := range want {
+		wv, err := strconv.ParseFloat(w, 64)
+		if err != nil {
+			f.t.Fatalf("golden %s: %v", key, err)
+		}
+		if got[i] == wv {
+			continue
+		}
+		moved++
+		lo, hi := wv, wv
+		for s := 0; s < ulps; s++ {
+			lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+		}
+		if got[i] < lo || got[i] > hi {
+			f.t.Errorf("golden %s field %d: got %x, want %x ± %d ulp", key, i, got[i], wv, ulps)
+		}
+	}
+	return moved
+}
+
+// Floats renders values as space-separated hex floats.
+func Floats(vs ...float64) string {
+	parts := make([]string, len(vs))
+	for i, v := range vs {
+		parts[i] = strconv.FormatFloat(v, 'x', -1, 64)
+	}
+	return strings.Join(parts, " ")
+}

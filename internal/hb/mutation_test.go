@@ -12,69 +12,14 @@ import (
 	"duet/internal/tensor"
 )
 
-// zooCase is one zoo model at execution-friendly scale with concrete
-// inputs, mirroring the fusion-gate configurations so the mutation suite
-// replays real inference.
-type zooCase struct {
-	name   string
-	g      *graph.Graph
-	inputs map[string]*tensor.Tensor
-}
-
-func zooCases(t *testing.T) []zooCase {
+// zooCases is the zoo at execution-friendly scale with concrete inputs, so
+// the mutation suite replays real inference.
+func zooCases(t *testing.T) []models.ZooCase {
 	t.Helper()
-	var cases []zooCase
-	add := func(name string, g *graph.Graph, err error, inputs map[string]*tensor.Tensor) {
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		cases = append(cases, zooCase{name: name, g: g, inputs: inputs})
+	cases, err := models.SmallZoo()
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	wd := models.DefaultWideDeep()
-	wd.ImageSize, wd.SeqLen, wd.Vocab, wd.EmbedDim = 32, 6, 50, 16
-	wd.RNNHidden, wd.FFNWidth, wd.FFNHidden = 16, 32, 2
-	wd.WideFeatures, wd.DeepFeatures, wd.Classes = 8, 8, 4
-	g, err := models.WideDeep(wd)
-	add("widedeep", g, err, map[string]*tensor.Tensor{
-		"wide.x":    tensor.Full(0.1, 1, wd.WideFeatures),
-		"deep.x":    tensor.Full(0.2, 1, wd.DeepFeatures),
-		"rnn.ids":   tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6}, 1, wd.SeqLen),
-		"cnn.image": tensor.Full(0.5, 1, 3, wd.ImageSize, wd.ImageSize),
-	})
-
-	sc := models.DefaultSiamese()
-	sc.SeqLen, sc.Vocab, sc.EmbedDim, sc.Hidden = 4, 20, 8, 8
-	g, err = models.Siamese(sc)
-	ids := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 4)
-	add("siamese", g, err, map[string]*tensor.Tensor{"query.ids": ids, "passage.ids": ids.Clone()})
-
-	mc := models.DefaultMTDNN()
-	mc.SeqLen, mc.Vocab, mc.ModelDim, mc.Heads = 4, 30, 16, 2
-	mc.Layers, mc.FFNDim, mc.Tasks, mc.TaskRNN, mc.TaskOut = 1, 32, 2, 8, 3
-	g, err = models.MTDNN(mc)
-	add("mtdnn", g, err, map[string]*tensor.Tensor{"tokens": tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 4)})
-
-	rc := models.DefaultResNet(18)
-	rc.ImageSize, rc.Classes = 32, 10
-	g, err = models.ResNet(rc)
-	add("resnet18", g, err, map[string]*tensor.Tensor{"image": tensor.Full(0.3, 1, 3, 32, 32)})
-
-	vc := models.DefaultVGG()
-	vc.ImageSize, vc.Classes = 32, 10
-	g, err = models.VGG(vc)
-	add("vgg16", g, err, map[string]*tensor.Tensor{"image": tensor.Full(0.1, 1, 3, 32, 32)})
-
-	qc := models.DefaultSqueezeNet()
-	qc.ImageSize, qc.Classes = 64, 10
-	g, err = models.SqueezeNet(qc)
-	add("squeezenet", g, err, map[string]*tensor.Tensor{"image": tensor.Full(0.2, 1, 3, 64, 64)})
-
-	gc := models.DefaultGoogLeNet()
-	gc.ImageSize, gc.Classes = 64, 10
-	g, err = models.GoogLeNet(gc)
-	add("googlenet", g, err, map[string]*tensor.Tensor{"image": tensor.Full(0.3, 1, 3, 64, 64)})
-
 	return cases
 }
 
@@ -89,12 +34,12 @@ type compiled struct {
 	plan  []hb.SyncEdge
 }
 
-func compileCase(t *testing.T, c zooCase) compiled {
+func compileCase(t *testing.T, c models.ZooCase) compiled {
 	t.Helper()
-	if err := compiler.InferShapes(c.g); err != nil {
+	if err := compiler.InferShapes(c.Graph); err != nil {
 		t.Fatal(err)
 	}
-	p, err := partition.Build(c.g)
+	p, err := partition.Build(c.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +75,7 @@ func divergenceKey(consumer int, value graph.NodeID) string {
 func TestZooMutationSharpness(t *testing.T) {
 	for _, c := range zooCases(t) {
 		c := c
-		t.Run(c.name, func(t *testing.T) {
+		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
 			cc := compileCase(t, c)
 
@@ -143,25 +88,25 @@ func TestZooMutationSharpness(t *testing.T) {
 			if g0.Cyclic() {
 				t.Fatalf("unmutated schedule must be acyclic: %s", g0.CycleLabels())
 			}
-			if races := hb.Detect(g0, hb.Accesses(cc.subs, c.g, cc.mods, g0)); len(races) != 0 {
+			if races := hb.Detect(g0, hb.Accesses(cc.subs, c.Graph, cc.mods, g0)); len(races) != 0 {
 				t.Fatalf("unmutated schedule must be race-free, got %d: %v", len(races), races[0])
 			}
 			serial := make([]int, len(cc.subs))
 			for i := range serial {
 				serial[i] = i
 			}
-			ref, err := hb.Replay(cc.subs, c.g, cc.mods, c.inputs, serial)
+			ref, err := hb.Replay(cc.subs, c.Graph, cc.mods, c.Inputs, serial)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(ref.PoisonedReads) != 0 {
 				t.Fatalf("serial replay must be poison-free, got %v", ref.PoisonedReads)
 			}
-			whole, err := compiler.Compile(c.g, compiler.DefaultOptions())
+			whole, err := compiler.Compile(c.Graph, compiler.DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := whole.Execute(c.inputs)
+			want, err := whole.Execute(c.Inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +132,7 @@ func TestZooMutationSharpness(t *testing.T) {
 				}
 
 				detected := map[string]bool{}
-				for _, r := range hb.Detect(gm, hb.Accesses(cc.subs, c.g, cc.mods, gm)) {
+				for _, r := range hb.Detect(gm, hb.Accesses(cc.subs, c.Graph, cc.mods, gm)) {
 					if r.Kind != hb.RaceWriteRead {
 						t.Fatalf("dropping %s: unexpected race kind %s: %v", edge, r.Kind, r)
 					}
@@ -203,7 +148,7 @@ func TestZooMutationSharpness(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep, err := hb.Replay(cc.subs, c.g, cc.mods, c.inputs, order)
+				rep, err := hb.Replay(cc.subs, c.Graph, cc.mods, c.Inputs, order)
 				if err != nil {
 					t.Fatal(err)
 				}

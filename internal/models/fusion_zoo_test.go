@@ -4,69 +4,17 @@ import (
 	"testing"
 
 	"duet/internal/compiler"
-	"duet/internal/graph"
 	"duet/internal/tensor"
 )
 
-// zooFusionCase is one zoo model at execution-friendly scale with concrete
-// inputs, so the fusion gate can run real inference per fusion level.
-type zooFusionCase struct {
-	name   string
-	g      *graph.Graph
-	inputs map[string]*tensor.Tensor
-}
-
-func zooFusionCases(t *testing.T) []zooFusionCase {
+// zooFusionCases is SmallZoo, so the fusion gate can run real inference per
+// fusion level.
+func zooFusionCases(t *testing.T) []ZooCase {
 	t.Helper()
-	var cases []zooFusionCase
-	add := func(name string, g *graph.Graph, err error, inputs map[string]*tensor.Tensor) {
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		cases = append(cases, zooFusionCase{name: name, g: g, inputs: inputs})
+	cases, err := SmallZoo()
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	wd := smallWideDeep()
-	g, err := WideDeep(wd)
-	add("widedeep", g, err, map[string]*tensor.Tensor{
-		"wide.x":    tensor.Full(0.1, 1, wd.WideFeatures),
-		"deep.x":    tensor.Full(0.2, 1, wd.DeepFeatures),
-		"rnn.ids":   tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6}, 1, wd.SeqLen),
-		"cnn.image": tensor.Full(0.5, 1, 3, wd.ImageSize, wd.ImageSize),
-	})
-
-	sc := DefaultSiamese()
-	sc.SeqLen, sc.Vocab, sc.EmbedDim, sc.Hidden = 4, 20, 8, 8
-	g, err = Siamese(sc)
-	ids := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 4)
-	add("siamese", g, err, map[string]*tensor.Tensor{"query.ids": ids, "passage.ids": ids.Clone()})
-
-	mc := DefaultMTDNN()
-	mc.SeqLen, mc.Vocab, mc.ModelDim, mc.Heads = 4, 30, 16, 2
-	mc.Layers, mc.FFNDim, mc.Tasks, mc.TaskRNN, mc.TaskOut = 1, 32, 2, 8, 3
-	g, err = MTDNN(mc)
-	add("mtdnn", g, err, map[string]*tensor.Tensor{"tokens": tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 4)})
-
-	rc := DefaultResNet(18)
-	rc.ImageSize, rc.Classes = 32, 10
-	g, err = ResNet(rc)
-	add("resnet18", g, err, map[string]*tensor.Tensor{"image": tensor.Full(0.3, 1, 3, 32, 32)})
-
-	vc := DefaultVGG()
-	vc.ImageSize, vc.Classes = 32, 10
-	g, err = VGG(vc)
-	add("vgg16", g, err, map[string]*tensor.Tensor{"image": tensor.Full(0.1, 1, 3, 32, 32)})
-
-	qc := DefaultSqueezeNet()
-	qc.ImageSize, qc.Classes = 64, 10
-	g, err = SqueezeNet(qc)
-	add("squeezenet", g, err, map[string]*tensor.Tensor{"image": tensor.Full(0.2, 1, 3, 64, 64)})
-
-	gc := DefaultGoogLeNet()
-	gc.ImageSize, gc.Classes = 64, 10
-	g, err = GoogLeNet(gc)
-	add("googlenet", g, err, map[string]*tensor.Tensor{"image": tensor.Full(0.3, 1, 3, 64, 64)})
-
 	return cases
 }
 
@@ -77,18 +25,18 @@ func zooFusionCases(t *testing.T) []zooFusionCase {
 func TestZooUnconstrainedFusionGate(t *testing.T) {
 	levels := []compiler.FusionLevel{compiler.FusionOff, compiler.FusionLegacy, compiler.FusionUnconstrained}
 	for _, c := range zooFusionCases(t) {
-		t.Run(c.name, func(t *testing.T) {
+		t.Run(c.Name, func(t *testing.T) {
 			var want []*tensor.Tensor
 			launches := make([]int, len(levels))
 			for li, level := range levels {
 				opt := compiler.DefaultOptions()
 				opt.Fusion = level
-				m, err := compiler.Compile(c.g, opt)
+				m, err := compiler.Compile(c.Graph, opt)
 				if err != nil {
 					t.Fatalf("%v: %v", level, err)
 				}
 				launches[li] = m.LaunchCount()
-				outs, err := m.Execute(c.inputs)
+				outs, err := m.Execute(c.Inputs)
 				if err != nil {
 					t.Fatalf("%v: %v", level, err)
 				}

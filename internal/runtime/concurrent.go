@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"duet/internal/device"
-	"duet/internal/graph"
 	"duet/internal/vclock"
 )
 
@@ -24,74 +23,46 @@ func (e *Engine) RunConcurrent(place Placement) (*Result, error) {
 	n := len(e.subgraphs)
 	// Service demand per subgraph on its assigned device.
 	demand := make([]vclock.Seconds, n)
-	for i := range e.subgraphs {
-		dev := e.Platform.Device(place[i])
-		for _, c := range e.tuned[i][place[i]] {
-			demand[i] += dev.SampleKernelTime(c)
-		}
+	cost := e.Sampler(e.Platform, false)
+	for i := range demand {
+		demand[i], _ = cost.Kernels(i, int(place[i]), 0)
 		demand[i] += syncQueueOverhead
-	}
-
-	// producerOf maps a parent node to the subgraph index publishing it
-	// (-1 for graph inputs).
-	producerOf := make(map[graph.NodeID]int)
-	for _, id := range e.Parent.InputIDs() {
-		producerOf[id] = -1
-	}
-	for i, sub := range e.subgraphs {
-		for _, pid := range sub.Outputs {
-			producerOf[pid] = i
-		}
 	}
 
 	// waiting counts unresolved boundary inputs per subgraph; readyAt is
 	// the max availability time seen so far.
+	sk := e.Skeleton
 	waiting := make([]int, n)
 	readyAt := make([]vclock.Seconds, n)
 	res := &Result{}
 	link := e.Platform.Link
 
-	// availability returns when a value published by producer p (completed
-	// at t) is usable by consumer i, adding a transfer when devices differ.
-	availability := func(pid graph.NodeID, p int, t vclock.Seconds, i int) vclock.Seconds {
-		src := device.CPU
-		if p >= 0 {
-			src = place[p]
+	// arrive folds in value v — published at t — becoming usable by
+	// consumer i, after a transfer when its home device differs.
+	arrive := func(v int, t vclock.Seconds, i int) {
+		src, dst := device.Kind(sk.home(v, place)), place[i]
+		if src != dst {
+			dur := link.SampleTransferTime(sk.bytes[v])
+			res.Timeline = append(res.Timeline, Span{
+				Label:  fmt.Sprintf("xfer:%s→%s:%s", src, dst, sk.names[v]),
+				Device: link.Name,
+				Start:  t,
+				End:    t + dur,
+			})
+			t += dur
 		}
-		dst := place[i]
-		if src == dst {
-			return t
+		if t > readyAt[i] {
+			readyAt[i] = t
 		}
-		dur := link.SampleTransferTime(e.Parent.DataSize(pid))
-		res.Timeline = append(res.Timeline, Span{
-			Label:  fmt.Sprintf("xfer:%s→%s:%s", src, dst, e.Parent.Node(pid).Name),
-			Device: link.Name,
-			Start:  t,
-			End:    t + dur,
-		})
-		return t + dur
 	}
-
-	type edge struct {
-		pid      graph.NodeID
-		consumer int
-	}
-	edgesOf := make(map[int][]edge) // producer -> deferred edges
-	for i, sub := range e.subgraphs {
-		for _, pid := range sub.BoundaryInputs {
-			p, ok := producerOf[pid]
-			if !ok {
-				return nil, fmt.Errorf("runtime: no producer for %q", e.Parent.Node(pid).Name)
-			}
-			if p == -1 {
+	for i := range e.subgraphs {
+		for _, v := range sk.consumes[i] {
+			if sk.producer[v] < 0 {
 				// Graph input: available on CPU at t=0.
-				if t := availability(pid, -1, 0, i); t > readyAt[i] {
-					readyAt[i] = t
-				}
-				continue
+				arrive(v, 0, i)
+			} else {
+				waiting[i]++
 			}
-			waiting[i]++
-			edgesOf[p] = append(edgesOf[p], edge{pid, i})
 		}
 	}
 
@@ -166,22 +137,27 @@ func (e *Engine) RunConcurrent(place Placement) (*Result, error) {
 			Start:  started[i],
 			End:    clock,
 		})
-		for _, ed := range edgesOf[i] {
-			t := availability(ed.pid, i, clock, ed.consumer)
-			if t > readyAt[ed.consumer] {
-				readyAt[ed.consumer] = t
+		// Publish to every consumer the sync plan signals, value by value
+		// in its boundary-input order.
+		for _, c := range sk.Dependents[i] {
+			for _, v := range sk.consumes[c] {
+				if sk.producer[v] == i {
+					arrive(v, clock, c)
+					waiting[c]--
+				}
 			}
-			waiting[ed.consumer]--
 		}
 	}
 
 	// Results return to the host.
 	finish := vclock.Seconds(0)
-	for _, o := range e.Parent.Outputs() {
-		p := producerOf[o]
-		t := finishAt[p]
-		if place[p] == device.GPU {
-			t += link.SampleTransferTime(e.Parent.DataSize(o))
+	for _, v := range sk.outputs {
+		var t vclock.Seconds
+		if p := sk.producer[v]; p >= 0 {
+			t = finishAt[p]
+		}
+		if sk.home(v, place) != hostLane {
+			t += link.SampleTransferTime(sk.bytes[v])
 		}
 		if t > finish {
 			finish = t
@@ -214,13 +190,5 @@ func advance(active [2]map[int]bool, remaining []vclock.Seconds, dt vclock.Secon
 // MeasureConcurrent samples end-to-end latency under intra-device
 // concurrency.
 func (e *Engine) MeasureConcurrent(place Placement, runs int) ([]vclock.Seconds, error) {
-	samples := make([]vclock.Seconds, 0, runs)
-	for r := 0; r < runs; r++ {
-		res, err := e.RunConcurrent(place)
-		if err != nil {
-			return nil, err
-		}
-		samples = append(samples, res.Latency)
-	}
-	return samples, nil
+	return sampleLatency(runs, func() (*Result, error) { return e.RunConcurrent(place) })
 }

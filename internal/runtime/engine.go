@@ -20,14 +20,6 @@ import (
 	"duet/internal/verify"
 )
 
-// syncQueueOverhead models one push+pop through the shared-memory
-// synchronization queue between the scheduler and a device worker.
-const syncQueueOverhead vclock.Seconds = 2e-6
-
-// SyncQueueOverhead exports the per-dispatch queue overhead for analytic
-// cost models that mirror the engine (schedule's predicted-cost search).
-const SyncQueueOverhead = syncQueueOverhead
-
 // Placement maps each flat subgraph index (partition.Subgraphs() order) to
 // the device kind that executes it.
 type Placement []device.Kind
@@ -102,6 +94,8 @@ type Engine struct {
 	Parent    *graph.Graph
 	Partition *partition.Partition
 	Platform  *device.Platform
+	// Skeleton is the dataflow every walk and executor of the engine reads.
+	Skeleton *Skeleton
 
 	subgraphs []*graph.Subgraph
 	modules   []*compiler.Module
@@ -121,6 +115,10 @@ type Engine struct {
 // engine ready to execute placements.
 func New(p *partition.Partition, plat *device.Platform, opt compiler.Options) (*Engine, error) {
 	e := &Engine{Parent: p.Parent, Partition: p, Platform: plat, subgraphs: p.Subgraphs(), arena: tensor.NewArena()}
+	var err error
+	if e.Skeleton, err = NewSkeleton(p.Parent, e.subgraphs); err != nil {
+		return nil, err
+	}
 	for _, sub := range e.subgraphs {
 		m, err := compiler.Compile(sub.Graph, opt)
 		if err != nil {
@@ -135,10 +133,16 @@ func New(p *partition.Partition, plat *device.Platform, opt compiler.Options) (*
 	return e, nil
 }
 
-// KernelCosts returns subgraph i's kernel costs as lowered for the given
-// device kind.
-func (e *Engine) KernelCosts(i int, kind device.Kind) []ops.Cost {
-	return e.tuned[i][kind]
+// WithPlatform returns an engine over the same compiled modules, tuned costs
+// and skeleton that executes on plat, with its own arena and no metrics
+// attached. plat must have e.Platform's device constants (the tuned costs
+// were selected against them); only its noise seed may differ.
+func (e *Engine) WithPlatform(plat *device.Platform) *Engine {
+	twin := *e
+	twin.Platform = plat
+	twin.m = engineMetrics{}
+	twin.arena = tensor.NewArena()
+	return &twin
 }
 
 // NumSubgraphs returns the number of schedulable subgraphs.
@@ -164,11 +168,9 @@ func (e *Engine) Run(inputs map[string]*tensor.Tensor, place Placement, withValu
 	res, err := e.run(inputs, place, withValues)
 	if err != nil {
 		e.m.runErrors.Inc()
-		return res, err
+		return nil, err
 	}
-	e.m.runs.Inc()
-	e.m.latency.Observe(res.Latency)
-	e.m.recordMemory(e.arena)
+	e.recordRun(res.Latency)
 	return res, nil
 }
 
@@ -176,217 +178,163 @@ func (e *Engine) run(inputs map[string]*tensor.Tensor, place Placement, withValu
 	if err := e.validatePlacement(place); err != nil {
 		return nil, err
 	}
-
-	// Host-resident runtime inputs: available on CPU at t=0, on GPU after a
-	// transfer. readyAt[id][kind] is when the value of parent node id is
-	// usable on that device; -1 marks "not yet there".
-	type avail [2]vclock.Seconds
-	ready := make(map[graph.NodeID]*avail, e.Parent.Len())
-	producedOn := make(map[graph.NodeID]device.Kind)
-	markReady := func(id graph.NodeID, kind device.Kind, t vclock.Seconds) {
-		a, ok := ready[id]
-		if !ok {
-			a = &avail{-1, -1}
-			ready[id] = a
-		}
-		a[kind] = t
-	}
-	for _, id := range e.Parent.InputIDs() {
-		markReady(id, device.CPU, 0)
-		producedOn[id] = device.CPU
-	}
-
-	var values map[graph.NodeID]*tensor.Tensor
-	var boundaryUses map[graph.NodeID]int
-	if withValues {
-		values = make(map[graph.NodeID]*tensor.Tensor)
-		for _, id := range e.Parent.InputIDs() {
-			n := e.Parent.Node(id)
-			v, ok := inputs[n.Name]
-			if !ok {
-				return nil, fmt.Errorf("runtime: missing input %q", n.Name)
-			}
-			if !tensor.ShapeEq(v.Shape(), n.Shape) {
-				return nil, fmt.Errorf("runtime: input %q has shape %v, want %v", n.Name, v.Shape(), n.Shape)
-			}
-			values[id] = v
-		}
-		if e.arena != nil {
-			boundaryUses = e.boundaryUses()
-		}
-	}
-
 	res := &Result{}
-	deviceFree := [2]vclock.Seconds{0, 0}
-	link := e.Platform.Link
-
-	// ensureOn returns when value id becomes usable on kind, scheduling a
-	// transfer if it lives on the other device only.
-	ensureOn := func(id graph.NodeID, kind device.Kind) (vclock.Seconds, error) {
-		a, ok := ready[id]
-		if !ok {
-			return 0, fmt.Errorf("runtime: value of node %q consumed before production", e.Parent.Node(id).Name)
-		}
-		if a[kind] >= 0 {
-			return a[kind], nil
-		}
-		other := device.CPU
-		if kind == device.CPU {
-			other = device.GPU
-		}
-		if a[other] < 0 {
-			return 0, fmt.Errorf("runtime: value of node %q unavailable on both devices", e.Parent.Node(id).Name)
-		}
-		bytes := e.Parent.DataSize(id)
-		dur := link.SampleTransferTime(bytes)
-		start := a[other]
-		end := start + dur
-		a[kind] = end
-		e.m.linkBusy.Add(dur)
-		res.Timeline = append(res.Timeline, Span{
-			Label:  fmt.Sprintf("xfer:%s→%s:%s", other, kind, e.Parent.Node(id).Name),
-			Device: link.Name,
-			Start:  start,
-			End:    end,
-		})
-		return end, nil
-	}
-
-	// Execute subgraphs in partition order; a device runs its assigned
-	// subgraphs serially (footnote 2: sequential execution per device).
-	for i, sub := range e.subgraphs {
-		kind := place[i]
-		dev := e.Platform.Device(kind)
-		start := deviceFree[kind]
-		for _, pid := range sub.BoundaryInputs {
-			t, err := ensureOn(pid, kind)
-			if err != nil {
-				return nil, err
-			}
-			if t > start {
-				start = t
-			}
-		}
-		start += syncQueueOverhead
-
-		dur := vclock.Seconds(0)
-		for _, c := range e.tuned[i][kind] {
-			dur += dev.SampleKernelTime(c)
-		}
-		end := start + dur
-		deviceFree[kind] = end
-		e.m.deviceBusy[kind].Add(dur)
-		res.Timeline = append(res.Timeline, Span{
-			Label:  sub.Graph.Name + " [" + sub.Summary() + "]",
-			Device: dev.Name,
-			Start:  start,
-			End:    end,
-		})
-		for _, pid := range sub.Outputs {
-			markReady(pid, kind, end)
-			producedOn[pid] = kind
-		}
-
-		if withValues {
-			subIn := make(map[string]*tensor.Tensor, len(sub.BoundaryInputs))
-			for _, pid := range sub.BoundaryInputs {
-				subIn["in."+e.Parent.Node(pid).Name] = values[pid]
-			}
-			outs, err := e.modules[i].ExecuteArena(subIn, e.arena)
-			if err != nil {
-				return nil, fmt.Errorf("runtime: executing %s: %w", sub.Graph.Name, err)
-			}
-			for oi, pid := range sub.Outputs {
-				values[pid] = outs[oi]
-			}
-			e.releaseConsumed(sub.BoundaryInputs, boundaryUses, values)
-		}
-	}
-
-	// The result is consumed on the host: outputs produced on the GPU pay a
-	// final transfer back.
-	finish := vclock.Seconds(0)
-	for _, o := range e.Parent.Outputs() {
-		t, err := ensureOn(o, device.CPU)
+	if withValues {
+		values, err := e.bindInputs(inputs)
 		if err != nil {
 			return nil, err
 		}
-		if t > finish {
-			finish = t
+		if res.Outputs, err = e.execute(values); err != nil {
+			return nil, err
 		}
 	}
-	res.Latency = finish
-	if withValues {
-		for _, o := range e.Parent.Outputs() {
-			res.Outputs = append(res.Outputs, values[o])
-		}
-	}
+	w := NewWalk(e.Skeleton, e.Sampler(e.Platform, false), &recorder{e: e, res: res})
+	w.Begin(make([]vclock.Seconds, Lanes), 0)
+	res.Latency = w.Latency(place)
 	return res, nil
 }
 
-// boundaryUses counts, per parent node, how many subgraphs consume its value
-// as a boundary input — the engine-level analogue of the module executor's
-// release plan. Parent inputs and declared outputs get a sentinel use so
-// they always survive the run (they belong to the caller).
-func (e *Engine) boundaryUses() map[graph.NodeID]int {
-	uses := make(map[graph.NodeID]int, e.Parent.Len())
-	for _, sub := range e.subgraphs {
-		for _, pid := range sub.BoundaryInputs {
-			uses[pid]++
+// recordRun counts one completed Run and its latency.
+func (e *Engine) recordRun(latency vclock.Seconds) {
+	e.m.runs.Inc()
+	e.m.latency.Observe(latency)
+	e.m.recordMemory(e.arena)
+}
+
+// recorder is the engine's walk sink: busy seconds into the metrics registry
+// and, when res is non-nil, spans (failed attempts labelled as faults) onto
+// its timeline.
+type recorder struct {
+	e   *Engine
+	res *Result
+}
+
+func (r *recorder) Transferred(v, src, dst int, start, dur vclock.Seconds, f device.Fault) {
+	r.e.m.linkBusy.Add(dur)
+	if r.res == nil {
+		return
+	}
+	label := fmt.Sprintf("xfer:%s→%s:%s", device.Kind(src), device.Kind(dst), r.e.Skeleton.names[v])
+	if f.Fail {
+		label = "fault:" + f.Cause + ":" + label
+	}
+	r.res.Timeline = append(r.res.Timeline, Span{Label: label, Device: r.e.Platform.Link.Name, Start: start, End: start + dur})
+}
+
+func (r *recorder) Dispatched(i, lane int, start, dur vclock.Seconds, f device.Fault) {
+	r.e.m.deviceBusy[lane].Add(dur)
+	if r.res == nil {
+		return
+	}
+	label := r.e.Skeleton.labels[i]
+	if f.Fail {
+		label = "fault:" + f.Cause + ":" + r.e.subgraphs[i].Graph.Name
+	}
+	r.res.Timeline = append(r.res.Timeline, Span{
+		Label: label, Device: r.e.Platform.Device(device.Kind(lane)).Name, Start: start, End: start + dur,
+	})
+}
+
+// bindInputs checks the caller's inputs against the parent graph and returns
+// the run's value table (skeleton value order) with them bound.
+func (e *Engine) bindInputs(inputs map[string]*tensor.Tensor) ([]*tensor.Tensor, error) {
+	values := make([]*tensor.Tensor, len(e.Skeleton.producer))
+	for v, id := range e.Parent.InputIDs() {
+		n := e.Parent.Node(id)
+		t, ok := inputs[n.Name]
+		if !ok {
+			return nil, fmt.Errorf("runtime: missing input %q", n.Name)
+		}
+		if !tensor.ShapeEq(t.Shape(), n.Shape) {
+			return nil, fmt.Errorf("runtime: input %q has shape %v, want %v", n.Name, t.Shape(), n.Shape)
+		}
+		values[v] = t
+	}
+	return values, nil
+}
+
+// subInputs names subgraph i's boundary values as its module's placeholders.
+func (e *Engine) subInputs(i int, values []*tensor.Tensor) map[string]*tensor.Tensor {
+	in := make(map[string]*tensor.Tensor, len(e.Skeleton.consumes[i]))
+	for _, v := range e.Skeleton.consumes[i] {
+		in["in."+e.Skeleton.names[v]] = values[v]
+	}
+	return in
+}
+
+// execute is the serial value executor behind Run and RunWithPolicy: every
+// subgraph's module in partition order, on the host, returning each
+// cross-subgraph intermediate to the arena once its last consumer has run.
+// Timing never depends on values and is not computed here.
+func (e *Engine) execute(values []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	var uses []int
+	if e.arena != nil {
+		uses = append(uses, e.Skeleton.uses...)
+	}
+	for i, sub := range e.subgraphs {
+		outs, err := e.modules[i].ExecuteArena(e.subInputs(i, values), e.arena)
+		if err != nil {
+			return nil, fmt.Errorf("runtime: executing %s: %w", sub.Graph.Name, err)
+		}
+		for oi, v := range e.Skeleton.produces[i] {
+			values[v] = outs[oi]
+		}
+		if uses != nil {
+			e.releaseConsumed(e.Skeleton.consumes[i], uses, values)
 		}
 	}
-	for _, id := range e.Parent.InputIDs() {
-		uses[id]++
+	outputs := make([]*tensor.Tensor, len(e.Skeleton.outputs))
+	for oi, v := range e.Skeleton.outputs {
+		outputs[oi] = values[v]
 	}
-	for _, o := range e.Parent.Outputs() {
-		uses[o]++
-	}
-	return uses
+	return outputs, nil
 }
 
 // releaseConsumed returns cross-subgraph intermediate values to the arena
-// once their last consuming subgraph has executed. A value still referenced
-// by an aliasing view elsewhere in values (a subgraph whose output is a
-// reshape of its input shares storage with it) is left to the garbage
-// collector instead. No-op when the arena is disabled or bookkeeping was
-// not requested.
-func (e *Engine) releaseConsumed(consumed []graph.NodeID, uses map[graph.NodeID]int, values map[graph.NodeID]*tensor.Tensor) {
-	if e.arena == nil || uses == nil {
-		return
-	}
-	for _, pid := range consumed {
-		uses[pid]--
-		if uses[pid] != 0 {
+// once their last consuming subgraph has executed (uses starts as the
+// skeleton's consumer counts). A value still referenced by an aliasing view
+// elsewhere in values (a subgraph whose output is a reshape of its input
+// shares storage with it) is left to the garbage collector instead.
+func (e *Engine) releaseConsumed(consumed []int, uses []int, values []*tensor.Tensor) {
+	for _, v := range consumed {
+		uses[v]--
+		if uses[v] != 0 {
 			continue
 		}
-		v := values[pid]
-		if v == nil || len(v.Data()) == 0 {
+		t := values[v]
+		if t == nil || len(t.Data()) == 0 {
 			continue
 		}
 		shared := false
-		for oid, o := range values {
-			if oid != pid && o != nil && len(o.Data()) > 0 && &o.Data()[0] == &v.Data()[0] {
+		for ov, o := range values {
+			if ov != v && o != nil && len(o.Data()) > 0 && &o.Data()[0] == &t.Data()[0] {
 				shared = true
 				break
 			}
 		}
 		if !shared {
-			e.arena.Release(v)
-			delete(values, pid)
+			e.arena.Release(t)
+			values[v] = nil
 		}
 	}
 }
 
 // MeasureLatency performs runs timing-only executions and returns every
 // sample — the engine-level analogue of the paper's 5000-run measurement.
+// Each sample counts as a Run; no timeline is recorded.
 func (e *Engine) MeasureLatency(place Placement, runs int) ([]vclock.Seconds, error) {
-	samples := make([]vclock.Seconds, 0, runs)
-	for r := 0; r < runs; r++ {
-		res, err := e.Run(nil, place, false)
-		if err != nil {
-			return nil, err
-		}
-		samples = append(samples, res.Latency)
+	if err := e.validatePlacement(place); err != nil {
+		e.m.runErrors.Inc()
+		return nil, err
+	}
+	w := NewWalk(e.Skeleton, e.Sampler(e.Platform, false), &recorder{e: e})
+	clocks := make([]vclock.Seconds, Lanes)
+	samples := make([]vclock.Seconds, runs)
+	for r := range samples {
+		clear(clocks)
+		w.Begin(clocks, 0)
+		samples[r] = w.Latency(place)
+		e.recordRun(samples[r])
 	}
 	return samples, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"duet/internal/device"
-	"duet/internal/graph"
 )
 
 // MemoryReport summarises the per-device memory footprint of a placement:
@@ -43,10 +42,6 @@ func (e *Engine) Memory(place Placement) (MemoryReport, error) {
 	}
 	var rep MemoryReport
 
-	producerKind := make(map[graph.NodeID]device.Kind)
-	for _, id := range e.Parent.InputIDs() {
-		producerKind[id] = device.CPU
-	}
 	for i, sub := range e.subgraphs {
 		kind := place[i]
 		// Weights of this subgraph live on its device.
@@ -61,23 +56,16 @@ func (e *Engine) Memory(place Placement) (MemoryReport, error) {
 			rep.ActivationBytes[kind] = live
 		}
 		// Cross-device input traffic.
-		for _, pid := range sub.BoundaryInputs {
-			src, ok := producerKind[pid]
-			if !ok {
-				return MemoryReport{}, fmt.Errorf("runtime: no producer for %q", e.Parent.Node(pid).Name)
+		for _, v := range e.Skeleton.consumes[i] {
+			if e.Skeleton.home(v, place) != int(kind) {
+				rep.TransferBytes += e.Skeleton.bytes[v]
 			}
-			if src != kind {
-				rep.TransferBytes += e.Parent.DataSize(pid)
-			}
-		}
-		for _, pid := range sub.Outputs {
-			producerKind[pid] = kind
 		}
 	}
 	// Results return to the host.
-	for _, o := range e.Parent.Outputs() {
-		if producerKind[o] == device.GPU {
-			rep.TransferBytes += e.Parent.DataSize(o)
+	for _, v := range e.Skeleton.outputs {
+		if e.Skeleton.home(v, place) != hostLane {
+			rep.TransferBytes += e.Skeleton.bytes[v]
 		}
 	}
 	return rep, nil

@@ -6,8 +6,6 @@ import (
 	"sync"
 
 	"duet/internal/device"
-	"duet/internal/graph"
-	"duet/internal/hb"
 	"duet/internal/queue"
 	"duet/internal/tensor"
 )
@@ -27,30 +25,18 @@ func (e *Engine) RunParallel(inputs map[string]*tensor.Tensor, place Placement) 
 	}
 
 	n := len(e.subgraphs)
-	values := make(map[graph.NodeID]*tensor.Tensor, e.Parent.Len())
-	for _, id := range e.Parent.InputIDs() {
-		node := e.Parent.Node(id)
-		v, ok := inputs[node.Name]
-		if !ok {
-			return nil, fmt.Errorf("runtime: missing input %q", node.Name)
-		}
-		if !tensor.ShapeEq(v.Shape(), node.Shape) {
-			return nil, fmt.Errorf("runtime: input %q has shape %v, want %v", node.Name, v.Shape(), node.Shape)
-		}
-		values[id] = v
+	values, err := e.bindInputs(inputs)
+	if err != nil {
+		return nil, err
 	}
 
 	// Dependency bookkeeping: pending[i] counts unresolved producer
-	// subgraphs; dependents[p] lists consumers of p's outputs. Both derive
-	// from the compiled sync plan — the same artifact the happens-before
-	// verifier proves sufficient (verify.CheckHB), so the executor's firing
-	// rule and the static proof obligation cannot drift apart.
-	pending := make([]int, n)
-	dependents := make([][]int, n)
-	for _, se := range hb.SyncPlanSubgraphs(e.subgraphs) {
-		pending[se.To]++
-		dependents[se.From] = append(dependents[se.From], se.To)
-	}
+	// subgraphs; the skeleton's Dependents[p] lists consumers of p's
+	// outputs. Both derive from the compiled sync plan — the same artifact
+	// the happens-before verifier proves sufficient (verify.CheckHB), so the
+	// executor's firing rule and the static proof obligation cannot drift
+	// apart.
+	pending := append([]int(nil), e.Skeleton.Pending...)
 
 	// One shared-memory synchronization queue per device worker (§IV-D:
 	// "the synchronization queue is implemented as a shared memory queue
@@ -80,10 +66,7 @@ func (e *Engine) RunParallel(inputs map[string]*tensor.Tensor, place Placement) 
 			}
 			sub := e.subgraphs[i]
 			mu.Lock()
-			subIn := make(map[string]*tensor.Tensor, len(sub.BoundaryInputs))
-			for _, pid := range sub.BoundaryInputs {
-				subIn["in."+e.Parent.Node(pid).Name] = values[pid]
-			}
+			subIn := e.subInputs(i, values)
 			mu.Unlock()
 			outs, err := e.modules[i].ExecuteArena(subIn, e.arena)
 			if err != nil {
@@ -98,11 +81,11 @@ func (e *Engine) RunParallel(inputs map[string]*tensor.Tensor, place Placement) 
 				}
 			}
 			mu.Lock()
-			for oi, pid := range sub.Outputs {
-				values[pid] = outs[oi]
+			for oi, v := range e.Skeleton.produces[i] {
+				values[v] = outs[oi]
 			}
 			var nowReady []int
-			for _, c := range dependents[i] {
+			for _, c := range e.Skeleton.Dependents[i] {
 				pending[c]--
 				if pending[c] == 0 {
 					nowReady = append(nowReady, c)
@@ -117,10 +100,8 @@ func (e *Engine) RunParallel(inputs map[string]*tensor.Tensor, place Placement) 
 	}
 	// Seed the queues before the workers start so the initial pending reads
 	// race with nothing (queues are buffered to n, so this cannot block).
-	for i := 0; i < n; i++ {
-		if pending[i] == 0 {
-			enqueue(i)
-		}
+	for _, i := range e.Skeleton.Roots {
+		enqueue(i)
 	}
 	go worker(device.CPU)
 	go worker(device.GPU)
@@ -134,12 +115,8 @@ func (e *Engine) RunParallel(inputs map[string]*tensor.Tensor, place Placement) 
 	}
 
 	res := &Result{Latency: timing.Latency, Timeline: timing.Timeline}
-	for _, o := range e.Parent.Outputs() {
-		v, ok := values[o]
-		if !ok {
-			return nil, fmt.Errorf("runtime: output %q never produced", e.Parent.Node(o).Name)
-		}
-		res.Outputs = append(res.Outputs, v)
+	for _, v := range e.Skeleton.outputs {
+		res.Outputs = append(res.Outputs, values[v])
 	}
 	return res, nil
 }

@@ -1,10 +1,6 @@
 package runtime
 
-import (
-	"duet/internal/device"
-	"duet/internal/graph"
-	"duet/internal/vclock"
-)
+import "duet/internal/vclock"
 
 // PipelineResult summarises a back-to-back multi-request run.
 type PipelineResult struct {
@@ -35,60 +31,13 @@ func (e *Engine) MeasurePipelined(place Placement, requests int) (*PipelineResul
 	if requests < 1 {
 		requests = 1
 	}
-	link := e.Platform.Link
-	deviceFree := [2]vclock.Seconds{}
-	var makespan vclock.Seconds
-	var latencySum vclock.Seconds
-
+	// One walk, begun once per request on clocks that are never reset.
+	w := NewWalk(e.Skeleton, e.Sampler(e.Platform, false), nil)
+	clocks := make([]vclock.Seconds, Lanes)
+	var makespan, latencySum vclock.Seconds
 	for r := 0; r < requests; r++ {
-		type avail [2]vclock.Seconds
-		ready := make(map[graph.NodeID]*avail, e.Parent.Len())
-		for _, id := range e.Parent.InputIDs() {
-			ready[id] = &avail{0, -1}
-		}
-		ensureOn := func(id graph.NodeID, kind device.Kind) vclock.Seconds {
-			a := ready[id]
-			if a[kind] >= 0 {
-				return a[kind]
-			}
-			other := device.CPU
-			if kind == device.CPU {
-				other = device.GPU
-			}
-			a[kind] = a[other] + link.SampleTransferTime(e.Parent.DataSize(id))
-			return a[kind]
-		}
-		for i, sub := range e.subgraphs {
-			kind := place[i]
-			dev := e.Platform.Device(kind)
-			start := deviceFree[kind]
-			for _, pid := range sub.BoundaryInputs {
-				if t := ensureOn(pid, kind); t > start {
-					start = t
-				}
-			}
-			start += syncQueueOverhead
-			var dur vclock.Seconds
-			for _, c := range e.tuned[i][kind] {
-				dur += dev.SampleKernelTime(c)
-			}
-			end := start + dur
-			deviceFree[kind] = end
-			for _, pid := range sub.Outputs {
-				a, ok := ready[pid]
-				if !ok {
-					a = &avail{-1, -1}
-					ready[pid] = a
-				}
-				a[kind] = end
-			}
-		}
-		var finish vclock.Seconds
-		for _, o := range e.Parent.Outputs() {
-			if t := ensureOn(o, device.CPU); t > finish {
-				finish = t
-			}
-		}
+		w.Begin(clocks, 0)
+		finish := w.Latency(place)
 		latencySum += finish
 		if finish > makespan {
 			makespan = finish

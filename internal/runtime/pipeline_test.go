@@ -34,21 +34,28 @@ func TestPipelinedThroughputExceedsInverseLatency(t *testing.T) {
 	}
 }
 
+// TestPipelinedSingleRequestMatchesRun: a one-request pipeline is Run — the
+// same walk from the same zeroed clocks — so the makespan equals the latency
+// exactly, on every zoo model and placement, noiseless and noisy.
 func TestPipelinedSingleRequestMatchesRun(t *testing.T) {
-	p, _ := branchy(t)
-	e := newEngine(t, p, 0)
-	place := Uniform(e.NumSubgraphs(), device.GPU)
-	single, err := e.Run(nil, place, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe, err := e.MeasurePipelined(place, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := pipe.Makespan / single.Latency
-	if rel < 0.99 || rel > 1.01 {
-		t.Fatalf("single-request pipeline %v != Run %v", pipe.Makespan, single.Latency)
+	for _, ze := range zooEngines(t) {
+		for _, seed := range goldenSeeds {
+			for name, place := range ze.places {
+				ze.e.Platform = device.NewPlatform(seed)
+				single, err := ze.e.Run(nil, place, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ze.e.Platform = device.NewPlatform(seed)
+				pipe, err := ze.e.MeasurePipelined(place, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pipe.Makespan != single.Latency {
+					t.Errorf("%s/%s/seed%d: single-request pipeline %x != Run %x", ze.name, name, seed, pipe.Makespan, single.Latency)
+				}
+			}
+		}
 	}
 }
 

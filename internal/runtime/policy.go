@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"math"
 
-	"duet/internal/device"
 	"duet/internal/faults"
-	"duet/internal/graph"
 	"duet/internal/tensor"
 	"duet/internal/vclock"
 )
@@ -102,14 +100,6 @@ func (pol *Policy) backoffAt(retry int) vclock.Seconds {
 // fails the consuming subgraph's attempt rather than the whole run.
 var errTransfer = errors.New("runtime: boundary transfer failed")
 
-// other returns the opposite device kind.
-func other(k device.Kind) device.Kind {
-	if k == device.CPU {
-		return device.GPU
-	}
-	return device.CPU
-}
-
 // RunWithPolicy executes the model under the given placement with fault
 // tolerance: per-subgraph bounded retries with exponential backoff charged
 // to the virtual clock, failover migration of a failed subgraph to the other
@@ -145,7 +135,13 @@ func (e *Engine) runWithPolicy(inputs map[string]*tensor.Tensor, place Placement
 	if err := e.validatePlacement(place); err != nil {
 		return nil, err
 	}
-	withValues := inputs != nil
+	var values []*tensor.Tensor
+	if inputs != nil {
+		var err error
+		if values, err = e.bindInputs(inputs); err != nil {
+			return nil, err
+		}
+	}
 	inj := pol.Injector
 	if !inj.Empty() {
 		inj.Install(e.Platform)
@@ -157,177 +153,65 @@ func (e *Engine) runWithPolicy(inputs map[string]*tensor.Tensor, place Placement
 	}
 	health.Instrument(e.m.reg)
 	rep := &FaultReport{FinalPlacement: place.Clone()}
-
-	type avail [2]vclock.Seconds
-	ready := make(map[graph.NodeID]*avail, e.Parent.Len())
-	markReady := func(id graph.NodeID, kind device.Kind, t vclock.Seconds) {
-		a, ok := ready[id]
-		if !ok {
-			a = &avail{-1, -1}
-			ready[id] = a
-		}
-		a[kind] = t
-	}
-	for _, id := range e.Parent.InputIDs() {
-		markReady(id, device.CPU, 0)
-	}
-
-	var values map[graph.NodeID]*tensor.Tensor
-	if withValues {
-		values = make(map[graph.NodeID]*tensor.Tensor)
-		for _, id := range e.Parent.InputIDs() {
-			n := e.Parent.Node(id)
-			v, ok := inputs[n.Name]
-			if !ok {
-				return nil, fmt.Errorf("runtime: missing input %q", n.Name)
-			}
-			if !tensor.ShapeEq(v.Shape(), n.Shape) {
-				return nil, fmt.Errorf("runtime: input %q has shape %v, want %v", n.Name, v.Shape(), n.Shape)
-			}
-			values[id] = v
-		}
-	}
-
 	res := &Result{Faults: rep}
-	deviceFree := [2]vclock.Seconds{0, 0}
-	link := e.Platform.Link
-	// xferFrom remembers where a value's failed transfer attempts left off,
-	// so a subgraph retry resumes the transfer instead of rewinding time.
-	xferFrom := [2]map[graph.NodeID]vclock.Seconds{{}, {}}
 
-	// ensureOn makes value id usable on kind, retrying failed transfers
-	// under the policy's budget. On exhaustion it returns the give-up time
-	// with errTransfer so the consuming subgraph can fail over.
-	ensureOn := func(id graph.NodeID, kind device.Kind) (vclock.Seconds, error) {
-		a, ok := ready[id]
-		if !ok {
-			return 0, fmt.Errorf("runtime: value of node %q consumed before production", e.Parent.Node(id).Name)
-		}
-		if a[kind] >= 0 {
-			return a[kind], nil
-		}
-		src := other(kind)
-		if a[src] < 0 {
-			return 0, fmt.Errorf("runtime: value of node %q unavailable on both devices", e.Parent.Node(id).Name)
-		}
-		bytes := e.Parent.DataSize(id)
-		name := e.Parent.Node(id).Name
-		start := a[src]
-		if t := xferFrom[kind][id]; t > start {
-			start = t
-		}
+	// The same walk Run takes; only the policy around its steps is added.
+	w := NewWalk(e.Skeleton, e.Sampler(e.Platform, false), &recorder{e: e, res: res})
+	w.Begin(make([]vclock.Seconds, Lanes), 0)
+	// resumeAt (value × lane) remembers where failed transfer attempts left
+	// off, so a subgraph retry resumes the transfer instead of rewinding time.
+	resumeAt := make([]vclock.Seconds, len(e.Skeleton.producer)*Lanes)
+
+	// stage makes value v usable on lane, retrying failed transfers under
+	// the policy's budget; on exhaustion it reports the give-up time and false.
+	stage := func(v, lane int) (vclock.Seconds, bool) {
 		for retry := 0; ; retry++ {
-			dur, f := link.SampleTransferTimeAt(bytes, src, kind, start)
-			end := start + dur
-			e.m.linkBusy.Add(dur)
+			t, f := w.ensure(v, lane, resumeAt[v*Lanes+lane])
 			if !f.Fail {
-				a[kind] = end
-				res.Timeline = append(res.Timeline, Span{
-					Label:  fmt.Sprintf("xfer:%s→%s:%s", src, kind, name),
-					Device: link.Name,
-					Start:  start,
-					End:    end,
-				})
-				return end, nil
+				return t, true
 			}
 			rep.TransferFaults++
-			res.Timeline = append(res.Timeline, Span{
-				Label:  fmt.Sprintf("fault:%s:xfer:%s→%s:%s", f.Cause, src, kind, name),
-				Device: link.Name,
-				Start:  start,
-				End:    end,
-			})
+			t += pol.backoffAt(retry)
+			resumeAt[v*Lanes+lane] = t
 			if retry >= pol.MaxRetries {
-				giveUp := end + pol.backoffAt(retry)
-				xferFrom[kind][id] = giveUp
-				return giveUp, errTransfer
+				return t, false
 			}
 			rep.TransferRetries++
-			start = end + pol.backoffAt(retry)
 		}
-	}
-
-	// now is the run's progress time — the later of the two device clocks.
-	// Availability probes use it rather than the target device's own clock,
-	// which stalls while the device is being avoided.
-	now := func() vclock.Seconds {
-		if deviceFree[0] > deviceFree[1] {
-			return deviceFree[0]
-		}
-		return deviceFree[1]
 	}
 
 	for i, sub := range e.subgraphs {
 		kind := place[i]
 		// An open breaker degrades the subgraph to the surviving device; an
-		// expired probation window admits it back as a probe.
-		if !health.Available(kind, now()) {
-			kind = other(kind)
+		// expired probation window admits it back as a probe. Availability
+		// probes use the run's progress time rather than the target device's
+		// own clock, which stalls while the device is being avoided.
+		if !health.Available(kind, w.now()) {
+			kind = kind.Other()
 			rep.Degraded++
 		}
 		devicesTried := 0
 		retry := 0
 		for {
-			dev := e.Platform.Device(kind)
-			start := deviceFree[kind]
-			failed := false
-			failAt := start
+			failAt := w.clock(int(kind))
 			cause := ""
-			for _, pid := range sub.BoundaryInputs {
-				t, err := ensureOn(pid, kind)
-				if errors.Is(err, errTransfer) {
-					failed = true
+			for _, v := range e.Skeleton.consumes[i] {
+				if t, ok := stage(v, int(kind)); !ok {
 					cause = "transfer"
-					if t > failAt {
-						failAt = t
-					}
-					continue
-				}
-				if err != nil {
-					return res, err
-				}
-				if t > start {
-					start = t
+					failAt = max(failAt, t)
 				}
 			}
-			if !failed {
-				start += syncQueueOverhead
-				cursor := start
-				for _, c := range e.tuned[i][kind] {
-					occ, f := dev.SampleKernelTimeAt(c, cursor)
-					cursor += occ
-					if f.Fail {
-						failed = true
-						cause = f.Cause
-						rep.KernelFaults++
-						break
-					}
-				}
-				e.m.deviceBusy[kind].Add(cursor - start)
-				if !failed {
-					deviceFree[kind] = cursor
-					res.Timeline = append(res.Timeline, Span{
-						Label:  sub.Graph.Name + " [" + sub.Summary() + "]",
-						Device: dev.Name,
-						Start:  start,
-						End:    cursor,
-					})
-					for _, pid := range sub.Outputs {
-						markReady(pid, kind, cursor)
-					}
+			if cause == "" {
+				end, f := w.dispatch(i, int(kind))
+				if !f.Fail {
 					health.Success(kind)
 					rep.Readmissions = health.Readmissions()
 					break
 				}
 				// The device was occupied by the doomed attempt.
-				res.Timeline = append(res.Timeline, Span{
-					Label:  "fault:" + cause + ":" + sub.Graph.Name,
-					Device: dev.Name,
-					Start:  start,
-					End:    cursor,
-				})
-				deviceFree[kind] = cursor
-				failAt = cursor
+				rep.KernelFaults++
+				cause = f.Cause
+				failAt = end
 			}
 			if health.Failure(kind, failAt) {
 				rep.BreakerTrips++
@@ -337,13 +221,11 @@ func (e *Engine) runWithPolicy(inputs map[string]*tensor.Tensor, place Placement
 			if retry < pol.MaxRetries && health.Available(kind, failAt) {
 				b := pol.backoffAt(retry)
 				if cause != "transfer" && b > 0 {
+					start := w.clock(int(kind))
 					res.Timeline = append(res.Timeline, Span{
-						Label:  "backoff:" + sub.Graph.Name,
-						Device: dev.Name,
-						Start:  deviceFree[kind],
-						End:    deviceFree[kind] + b,
+						Label: "backoff:" + sub.Graph.Name, Device: e.Platform.Device(kind).Name, Start: start, End: start + b,
 					})
-					deviceFree[kind] += b
+					w.hold(int(kind), b)
 					e.m.deviceBusy[kind].Add(b)
 				}
 				retry++
@@ -352,51 +234,33 @@ func (e *Engine) runWithPolicy(inputs map[string]*tensor.Tensor, place Placement
 			}
 			if pol.Failover && devicesTried == 0 {
 				devicesTried++
-				kind = other(kind)
+				kind = kind.Other()
 				retry = 0
 				rep.Failovers++
 				continue
 			}
 			res.Latency = failAt
 			return res, fmt.Errorf("%w: subgraph %s failed on %s after %d retries (cause: %s)",
-				ErrExhausted, sub.Graph.Name, dev.Name, retry, cause)
+				ErrExhausted, sub.Graph.Name, e.Platform.Device(kind).Name, retry, cause)
 		}
 		rep.FinalPlacement[i] = kind
-
-		if withValues {
-			subIn := make(map[string]*tensor.Tensor, len(sub.BoundaryInputs))
-			for _, pid := range sub.BoundaryInputs {
-				subIn["in."+e.Parent.Node(pid).Name] = values[pid]
-			}
-			outs, err := e.modules[i].ExecuteArena(subIn, e.arena)
-			if err != nil {
-				return res, fmt.Errorf("runtime: executing %s: %w", sub.Graph.Name, err)
-			}
-			for oi, pid := range sub.Outputs {
-				values[pid] = outs[oi]
-			}
-		}
 	}
 
 	// Results return to the host, with the same transfer-retry budget.
-	finish := vclock.Seconds(0)
-	for _, o := range e.Parent.Outputs() {
-		t, err := ensureOn(o, device.CPU)
-		if errors.Is(err, errTransfer) {
+	for _, v := range e.Skeleton.outputs {
+		if t, ok := stage(v, hostLane); !ok {
 			res.Latency = t
-			return res, fmt.Errorf("%w: output %q could not reach the host", ErrExhausted, e.Parent.Node(o).Name)
-		}
-		if err != nil {
-			return res, err
-		}
-		if t > finish {
-			finish = t
+			return res, fmt.Errorf("%w: output %q could not reach the host", ErrExhausted, e.Skeleton.names[v])
 		}
 	}
-	res.Latency = finish
-	if withValues {
-		for _, o := range e.Parent.Outputs() {
-			res.Outputs = append(res.Outputs, values[o])
+	res.Latency, _ = w.gather()
+
+	// Values are computed once, after the timeline succeeded, so retries and
+	// failovers cannot change them.
+	if values != nil {
+		var err error
+		if res.Outputs, err = e.execute(values); err != nil {
+			return res, err
 		}
 	}
 	return res, nil
@@ -407,9 +271,14 @@ func (e *Engine) runWithPolicy(inputs map[string]*tensor.Tensor, place Placement
 // stream advances across runs, so the sequence of samples is reproducible
 // from the injector seed but individual runs differ.
 func (e *Engine) MeasureWithPolicy(place Placement, pol Policy, runs int) ([]vclock.Seconds, error) {
+	return sampleLatency(runs, func() (*Result, error) { return e.RunWithPolicy(nil, place, pol) })
+}
+
+// sampleLatency collects the latencies of runs calls of run.
+func sampleLatency(runs int, run func() (*Result, error)) ([]vclock.Seconds, error) {
 	samples := make([]vclock.Seconds, 0, runs)
 	for r := 0; r < runs; r++ {
-		res, err := e.RunWithPolicy(nil, place, pol)
+		res, err := run()
 		if err != nil {
 			return nil, err
 		}

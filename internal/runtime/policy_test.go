@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -46,6 +47,30 @@ func TestPolicyNoFaultParity(t *testing.T) {
 	}
 	if got.Faults == nil || got.Faults.Retries != 0 || got.Faults.Failovers != 0 {
 		t.Fatalf("phantom fault activity: %+v", got.Faults)
+	}
+
+	// The same holds span for span on every zoo model and placement, and on
+	// a noisy platform too: both are one walk with one sampler, so equal
+	// seeds draw equal noise in equal order.
+	for _, ze := range zooEngines(t) {
+		for _, seed := range goldenSeeds {
+			for name, place := range ze.places {
+				ze.e.Platform = device.NewPlatform(seed)
+				want, err := ze.e.Run(nil, place, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ze.e.Platform = device.NewPlatform(seed)
+				got, err := ze.e.RunWithPolicy(nil, place, DefaultPolicy())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Latency != want.Latency || !reflect.DeepEqual(got.Timeline, want.Timeline) {
+					t.Errorf("%s/%s/seed%d: RunWithPolicy %x (%d spans) != Run %x (%d spans)", ze.name, name, seed,
+						got.Latency, len(got.Timeline), want.Latency, len(want.Timeline))
+				}
+			}
+		}
 	}
 }
 

@@ -1,0 +1,154 @@
+package runtime
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+
+	"duet/internal/compiler"
+	"duet/internal/device"
+	"duet/internal/faults"
+	"duet/internal/golden"
+	"duet/internal/models"
+	"duet/internal/partition"
+)
+
+// zooEngine is one zoo model compiled into an engine, with the four
+// placements every timeline golden row is recorded under.
+type zooEngine struct {
+	name   string
+	e      *Engine
+	places map[string]Placement
+}
+
+// goldenSeeds are the platform seeds of the timeline goldens: noiseless and
+// noisy.
+var goldenSeeds = []int64{0, 7}
+
+// zooEngines compiles the zoo once per test binary; tests reset e.Platform
+// before every call they compare, so sharing the engines is safe.
+func zooEngines(t *testing.T) []zooEngine {
+	t.Helper()
+	zooOnce.Do(func() { zooCache = buildZooEngines(t) })
+	return zooCache
+}
+
+var (
+	zooOnce  sync.Once
+	zooCache []zooEngine
+)
+
+func buildZooEngines(t *testing.T) []zooEngine {
+	t.Helper()
+	chosen := golden.Open(t, "testdata/zoo_build.json")
+	zoo, err := models.SmallZoo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []zooEngine
+	for _, c := range zoo {
+		if err := compiler.InferShapes(c.Graph); err != nil {
+			t.Fatal(err)
+		}
+		p, err := partition.Build(c.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := newEngine(t, p, 0)
+		n := e.NumSubgraphs()
+		ze := zooEngine{name: c.Name, e: e, places: map[string]Placement{
+			"cpu": Uniform(n, device.CPU), "gpu": Uniform(n, device.GPU),
+			"chosen": make(Placement, n), "alternating": make(Placement, n),
+		}}
+		for i, ch := range chosen.Get(c.Name + "/chosen") {
+			if ch == 'G' {
+				ze.places["chosen"][i] = device.GPU
+			}
+			ze.places["alternating"][i] = device.Kind(i % 2)
+		}
+		out = append(out, ze)
+	}
+	return out
+}
+
+// faultedPolicy is the fixed injector of TestPolicyReproducible under the
+// default policy.
+func faultedPolicy() Policy {
+	pol := DefaultPolicy()
+	pol.Injector = faults.New(5,
+		faults.KernelFailures(device.GPU, 0.3),
+		faults.TransferFailures(0.2),
+		faults.Stalls(device.CPU, 0.2, 1e-4))
+	return pol
+}
+
+// policyFields flattens a RunWithPolicy outcome into golden fields: latency,
+// span count, the fault report's counters, and whether tolerance ran out.
+func policyFields(t *testing.T, res *Result, err error) []float64 {
+	t.Helper()
+	exhausted := 0.0
+	if errors.Is(err, ErrExhausted) {
+		exhausted = 1
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	f := res.Faults
+	return []float64{res.Latency, float64(len(res.Timeline)), exhausted,
+		float64(f.KernelFaults), float64(f.TransferFaults), float64(f.Retries),
+		float64(f.TransferRetries), float64(f.Failovers), float64(f.BreakerTrips), float64(f.Degraded)}
+}
+
+// TestTimelineGolden holds every serial timeline entry point of the engine
+// to the virtual-clock numbers recorded from the six hand-written loops the
+// walker replaced: 7 zoo models × {all-CPU, all-GPU, chosen, alternating} ×
+// seeds {0, 7}, hex floats, compared with ==. Each call starts from a fresh
+// platform so a row does not depend on the rows before it.
+//
+// The RunWithPolicy rows are the one place a last-ulp difference is
+// accepted: the old policy loop advanced a cursor kernel by kernel
+// ((start+k1)+k2), every other loop added the kernel sum to the start
+// (start+(k1+k2)); the walker keeps the latter everywhere, which is what
+// makes Run ≡ RunWithPolicy hold with == (TestPolicyNoFaultParity;
+// at the recording commit 33 of the 56 fault-free policy rows were not equal
+// to Run's). One rounding per subgraph accumulates to at most 4 ulp of the
+// latency over GoogLeNet's 46-subgraph chain; span and fault counts are
+// integers and must match exactly.
+func TestTimelineGolden(t *testing.T) {
+	g := golden.Open(t, "testdata/timeline_runtime.json")
+	moved, rows := 0, 0
+	for _, ze := range zooEngines(t) {
+		for _, seed := range goldenSeeds {
+			for name, place := range ze.places {
+				key := fmt.Sprintf("%s/%s/seed%d/", ze.name, name, seed)
+				fresh := func() { ze.e.Platform = device.NewPlatform(seed) }
+
+				fresh()
+				res, err := ze.e.Run(nil, place, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g.Check(key+"run", golden.Floats(res.Latency, float64(len(res.Timeline))))
+
+				fresh()
+				res, err = ze.e.RunWithPolicy(nil, place, DefaultPolicy())
+				moved += g.CheckULP(key+"policy", 4, policyFields(t, res, err)...)
+
+				fresh()
+				res, err = ze.e.RunWithPolicy(nil, place, faultedPolicy())
+				moved += g.CheckULP(key+"policy_faulted", 4, policyFields(t, res, err)...)
+				rows += 2
+
+				for _, requests := range []int{1, 5} {
+					fresh()
+					pr, err := ze.e.MeasurePipelined(place, requests)
+					if err != nil {
+						t.Fatal(err)
+					}
+					g.Check(fmt.Sprintf("%spipelined%d", key, requests), golden.Floats(pr.Makespan, pr.MeanLatency))
+				}
+			}
+		}
+	}
+	t.Logf("%d latencies of %d RunWithPolicy rows moved in the last ulps", moved, rows)
+}

@@ -104,7 +104,7 @@ func TestAuditReproducesGreedy(t *testing.T) {
 		}
 		for _, i := range order {
 			chosen := place[i]
-			alt := other(chosen)
+			alt := chosen.Other()
 			withChosen, withAlt := load, load
 			withChosen[chosen] += s.Records[i].TimeOn(chosen)
 			withAlt[alt] += s.Records[i].TimeOn(alt)
@@ -194,7 +194,7 @@ func TestAuditSwapSequenceConsistent(t *testing.T) {
 			if sw.J != -1 {
 				t.Fatalf("swap %d: move with J=%d", k, sw.J)
 			}
-			cur[sw.I] = other(cur[sw.I])
+			cur[sw.I] = cur[sw.I].Other()
 		case "swap":
 			if cur[sw.I] == cur[sw.J] {
 				t.Fatalf("swap %d: same-device pair %d,%d", k, sw.I, sw.J)

@@ -233,7 +233,7 @@ func (s *Scheduler) correct(initial runtime.Placement, a *Audit) (runtime.Placem
 			// empty") and pair swaps across devices.
 			for i := lo; i < hi; i++ {
 				cand := place.Clone()
-				cand[i] = other(cand[i])
+				cand[i] = cand[i].Other()
 				if err := try(cand, "move", i, -1); err != nil {
 					return nil, err
 				}
@@ -282,13 +282,6 @@ func marginFrac(a, b vclock.Seconds) float64 {
 		d = -d
 	}
 	return d / float64(hi)
-}
-
-func other(k device.Kind) device.Kind {
-	if k == device.CPU {
-		return device.GPU
-	}
-	return device.CPU
 }
 
 // GreedyCorrection runs the full Algorithm 1.

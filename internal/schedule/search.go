@@ -7,128 +7,53 @@ import (
 	"sort"
 
 	"duet/internal/device"
-	"duet/internal/graph"
 	"duet/internal/partition"
 	"duet/internal/profile"
 	"duet/internal/runtime"
 	"duet/internal/vclock"
 )
 
-// Predictor is the analytic makespan model behind the wide Step-3 search.
-// It mirrors the engine's serial execution loop — per-device serial queues,
-// lazy cross-device value transfers, per-dispatch queue overhead, final
-// host gather — but replaces every measured kernel time with the profile
-// record's per-device time (which in predicted/hybrid mode comes from the
-// learned cost model). One evaluation is O(subgraphs + boundary edges),
-// cheap enough to score thousands of candidate placements per second.
+// Predictor is the analytic makespan model behind the wide Step-3 search:
+// the engine's own timeline walk (runtime.Walk — per-device serial queues,
+// lazy cross-device value transfers, per-dispatch queue overhead, final host
+// gather) priced by the profile records instead of the device models, which
+// in predicted/hybrid mode means by the learned cost model. One evaluation
+// is O(subgraphs + boundary edges) and allocates nothing, cheap enough to
+// score thousands of candidate placements per second. Not safe for
+// concurrent use.
 type Predictor struct {
-	recs []profile.Record
-	link *device.Link
-
-	// Per unique boundary value: producing flat subgraph (-1 for graph
-	// inputs) and payload bytes.
-	valueProducer []int
-	valueBytes    []int
-	// deps[i] lists the value indices subgraph i consumes; produced[i] the
-	// value indices it publishes.
-	deps     [][]int
-	produced [][]int
-	// outputs lists the value indices gathered on the host at the end.
-	outputs []int
-
-	// scratch buffers reused across Cost calls (Predictor is not safe for
-	// concurrent use).
-	avail [][2]vclock.Seconds
-	end   []vclock.Seconds
+	recs   []profile.Record
+	link   *device.Link
+	walk   *runtime.Walk
+	clocks []vclock.Seconds
 }
 
 // NewPredictor builds a predictor for the partition, records, and link.
-func NewPredictor(part *partition.Partition, records []profile.Record, link *device.Link) *Predictor {
-	subs := part.Subgraphs()
-	p := &Predictor{recs: records, link: link, deps: make([][]int, len(subs))}
+func NewPredictor(part *partition.Partition, records []profile.Record, link *device.Link) (*Predictor, error) {
+	sk, err := runtime.NewSkeleton(part.Parent, part.Subgraphs())
+	if err != nil {
+		return nil, err
+	}
+	p := &Predictor{recs: records, link: link, clocks: make([]vclock.Seconds, runtime.Lanes)}
+	p.walk = runtime.NewWalk(sk, p, nil)
+	return p, nil
+}
 
-	producerOf := make(map[graph.NodeID]int)
-	for _, id := range part.Parent.InputIDs() {
-		producerOf[id] = -1
-	}
-	for i, sub := range subs {
-		for _, pid := range sub.Outputs {
-			producerOf[pid] = i
-		}
-	}
-	valueIdx := map[graph.NodeID]int{}
-	intern := func(pid graph.NodeID) int {
-		if vi, ok := valueIdx[pid]; ok {
-			return vi
-		}
-		vi := len(p.valueProducer)
-		valueIdx[pid] = vi
-		p.valueProducer = append(p.valueProducer, producerOf[pid])
-		p.valueBytes = append(p.valueBytes, part.Parent.DataSize(pid))
-		return vi
-	}
-	for i, sub := range subs {
-		for _, pid := range sub.BoundaryInputs {
-			p.deps[i] = append(p.deps[i], intern(pid))
-		}
-	}
-	for _, o := range part.Parent.Outputs() {
-		p.outputs = append(p.outputs, intern(o))
-	}
-	p.produced = make([][]int, len(subs))
-	for vi, prod := range p.valueProducer {
-		if prod >= 0 {
-			p.produced[prod] = append(p.produced[prod], vi)
-		}
-	}
-	p.avail = make([][2]vclock.Seconds, len(p.valueProducer))
-	p.end = make([]vclock.Seconds, len(subs))
-	return p
+// Transfer and Kernels make the predictor its walk's runtime.Sampler: the
+// link model, and each subgraph's profiled time on the lane's device.
+func (p *Predictor) Transfer(bytes, _, _ int, _ vclock.Seconds) (vclock.Seconds, device.Fault) {
+	return p.link.TransferTime(bytes), device.Fault{}
+}
+
+func (p *Predictor) Kernels(i, lane int, _ vclock.Seconds) (vclock.Seconds, device.Fault) {
+	return p.recs[i].TimeOn(device.Kind(lane)), device.Fault{}
 }
 
 // Cost returns the predicted end-to-end latency of the placement.
 func (p *Predictor) Cost(place runtime.Placement) vclock.Seconds {
-	const unavailable = vclock.Seconds(-1)
-	for vi := range p.avail {
-		if p.valueProducer[vi] < 0 {
-			// Graph inputs start resident on the host.
-			p.avail[vi] = [2]vclock.Seconds{device.CPU: 0, device.GPU: unavailable}
-		} else {
-			p.avail[vi] = [2]vclock.Seconds{unavailable, unavailable}
-		}
-	}
-	ensure := func(vi int, kind device.Kind) vclock.Seconds {
-		if t := p.avail[vi][kind]; t >= 0 {
-			return t
-		}
-		t := p.avail[vi][other(kind)] + p.link.TransferTime(p.valueBytes[vi])
-		p.avail[vi][kind] = t
-		return t
-	}
-	var free [2]vclock.Seconds
-	for i := range p.deps {
-		kind := place[i]
-		start := free[kind]
-		for _, vi := range p.deps[i] {
-			if t := ensure(vi, kind); t > start {
-				start = t
-			}
-		}
-		start += runtime.SyncQueueOverhead
-		end := start + p.recs[i].TimeOn(kind)
-		free[kind] = end
-		p.end[i] = end
-		for _, vi := range p.produced[i] {
-			p.avail[vi][kind] = end
-		}
-	}
-	finish := vclock.Seconds(0)
-	for _, vi := range p.outputs {
-		if t := ensure(vi, device.CPU); t > finish {
-			finish = t
-		}
-	}
-	return finish
+	clear(p.clocks)
+	p.walk.Begin(p.clocks, 0)
+	return p.walk.Latency(place)
 }
 
 // SearchOptions tunes the wide Step-3 correction search.
@@ -214,7 +139,10 @@ func (s *Scheduler) SearchCorrect(initial runtime.Placement, opt SearchOptions) 
 		trail.MeasureCalls++
 		return oracle(p)
 	}
-	pred := NewPredictor(s.Partition, s.Records, device.NewPCIe())
+	pred, err := NewPredictor(s.Partition, s.Records, device.NewPCIe())
+	if err != nil {
+		return nil, nil, err
+	}
 
 	// Mutable flat indices: subgraphs inside multi-path phases. Sequential
 	// subgraphs keep their profiled-fastest device (moving one can only
@@ -251,7 +179,7 @@ func (s *Scheduler) SearchCorrect(initial runtime.Placement, opt SearchOptions) 
 	neighbors := func(p runtime.Placement, fn func(runtime.Placement)) {
 		for ai, i := range mutable {
 			cand := p.Clone()
-			cand[i] = other(cand[i])
+			cand[i] = cand[i].Other()
 			fn(cand)
 			for _, j := range mutable[ai+1:] {
 				if p[j] == p[i] || s.Partition.PhaseOf(i) != s.Partition.PhaseOf(j) {
@@ -314,7 +242,7 @@ func (s *Scheduler) SearchCorrect(initial runtime.Placement, opt SearchOptions) 
 				cand[j] != cand[i] && s.Partition.PhaseOf(i) == s.Partition.PhaseOf(j) && rng.Intn(2) == 0 {
 				cand[i], cand[j] = cand[j], cand[i]
 			} else {
-				cand[i] = other(cand[i])
+				cand[i] = cand[i].Other()
 			}
 			var st searchState
 			if key := cand.String(); seen[key] {

@@ -17,7 +17,10 @@ import (
 // arbitrary placements, and must rank the placements the same way.
 func TestPredictorTracksEngineMeasure(t *testing.T) {
 	s, _ := rig(t, nil)
-	pred := NewPredictor(s.Partition, s.Records, device.NewPCIe())
+	pred, err := NewPredictor(s.Partition, s.Records, device.NewPCIe())
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(9))
 	places := []runtime.Placement{s.Greedy(), s.RoundRobin()}
 	for i := 0; i < 6; i++ {

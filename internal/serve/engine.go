@@ -9,17 +9,19 @@ import (
 	"duet/internal/graph"
 	"duet/internal/partition"
 	"duet/internal/runtime"
+	"duet/internal/tensor"
 	"duet/internal/vclock"
 	"duet/internal/verify"
 )
 
 // batchEngine bundles everything the server needs to run one batch size:
 // the compiled modules (shared read-only by every replica — the underlying
-// weight packs additionally dedupe through the process-wide pack cache), a
-// serving placement, and the subgraph dependency skeleton the replica
-// device workers walk. The base batch size reuses the core engine's
-// modules outright; other sizes compile the BatchGraph sibling once, on
-// first use, through the identical optimization pipeline.
+// weight packs additionally dedupe through the process-wide pack cache) and
+// a serving placement. Replica device workers fire subgraphs from the engine
+// skeleton's sync plan, not in partition order, so a replica's two devices
+// genuinely execute concurrently. The base batch size reuses the core
+// engine's modules outright; other sizes compile the BatchGraph sibling
+// once, on first use, through the identical optimization pipeline.
 type batchEngine struct {
 	rows int
 	eng  *runtime.Engine
@@ -30,15 +32,6 @@ type batchEngine struct {
 	// its leading dimension, i.e. a multi-member batch can be split back
 	// per member.
 	splitOK bool
-
-	// Dependency skeleton over flat subgraph indices: deps[j] lists the
-	// subgraphs consuming an output of j (one entry per consumed value),
-	// npred[i] is the matching predecessor count, initial the dependency-free
-	// roots. Workers walk this dataflow instead of partition order so a
-	// replica's two devices genuinely execute concurrently.
-	deps    [][]int
-	npred   []int
-	initial []int
 }
 
 // newBaseEngine wraps the already-built core engine as the base batch size.
@@ -57,7 +50,6 @@ func newBaseEngine(ce *core.Engine, pipelined bool) (*batchEngine, error) {
 	if err := be.checkPlace(); err != nil {
 		return nil, err
 	}
-	be.deps, be.npred, be.initial = depSkeleton(ce.Runtime)
 	return be, nil
 }
 
@@ -106,7 +98,7 @@ func newBatchEngine(cfg Config, rows int, base *batchEngine) (*batchEngine, erro
 		if !ok {
 			return nil, fmt.Errorf("serve: BatchGraph(%d) input %q not in base model", rows, n.Name)
 		}
-		if len(n.Shape) == 0 || n.Shape[0] != rows || !shapeEq(n.Shape[1:], trailing) {
+		if len(n.Shape) == 0 || n.Shape[0] != rows || !tensor.ShapeEq(n.Shape[1:], trailing) {
 			return nil, fmt.Errorf("serve: BatchGraph(%d) input %q has shape %v, want (%d, %v)", rows, n.Name, n.Shape, rows, trailing)
 		}
 	}
@@ -132,7 +124,6 @@ func newBatchEngine(cfg Config, rows int, base *batchEngine) (*batchEngine, erro
 	if err := be.checkPlace(); err != nil {
 		return nil, err
 	}
-	be.deps, be.npred, be.initial = depSkeleton(eng)
 	return be, nil
 }
 
@@ -169,55 +160,10 @@ func outputsSplittable(g *graph.Graph, rows int) bool {
 	return true
 }
 
-func shapeEq(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// depSkeleton derives the cross-subgraph dataflow edges from boundary
-// inputs, mirroring RunParallel's bookkeeping but precomputed once per
-// batch engine instead of per run.
-func depSkeleton(eng *runtime.Engine) (deps [][]int, npred []int, initial []int) {
-	subs := eng.Subgraphs()
-	producer := map[graph.NodeID]int{}
-	for i, sub := range subs {
-		for _, pid := range sub.Outputs {
-			producer[pid] = i
-		}
-	}
-	deps = make([][]int, len(subs))
-	npred = make([]int, len(subs))
-	for i, sub := range subs {
-		for _, pid := range sub.BoundaryInputs {
-			if j, ok := producer[pid]; ok {
-				deps[j] = append(deps[j], i)
-				npred[i]++
-			}
-		}
-	}
-	for i := range subs {
-		if npred[i] == 0 {
-			initial = append(initial, i)
-		}
-	}
-	return deps, npred, initial
-}
-
 // kindCost sums subgraph i's tuned kernel times on the given device kind,
 // noiselessly.
 func kindCost(eng *runtime.Engine, i int, kind device.Kind) vclock.Seconds {
-	dev := eng.Platform.Device(kind)
-	var sum vclock.Seconds
-	for _, c := range eng.KernelCosts(i, kind) {
-		sum += dev.KernelTime(c)
-	}
+	sum, _ := eng.Sampler(eng.Platform, true).Kernels(i, int(kind), 0)
 	return sum
 }
 
@@ -263,10 +209,7 @@ func throughputPlacement(eng *runtime.Engine) runtime.Placement {
 		if busy[device.GPU] > busy[device.CPU] {
 			bottleneck = device.GPU
 		}
-		other := device.CPU
-		if bottleneck == device.CPU {
-			other = device.GPU
-		}
+		other := bottleneck.Other()
 		cur := busy[bottleneck]
 		best := -1
 		bestPeak := cur
@@ -296,52 +239,7 @@ func throughputPlacement(eng *runtime.Engine) runtime.Placement {
 // under its serving placement — the admission controller's minimum-service
 // estimate.
 func (be *batchEngine) criticalPath() vclock.Seconds {
-	eng := be.eng
-	parent := eng.Parent
-	link := eng.Platform.Link
-	type avail [2]vclock.Seconds
-	ready := make(map[graph.NodeID]*avail, parent.Len())
-	for _, id := range parent.InputIDs() {
-		ready[id] = &avail{0, -1}
-	}
-	ensureOn := func(id graph.NodeID, kind device.Kind) vclock.Seconds {
-		a := ready[id]
-		if a[kind] >= 0 {
-			return a[kind]
-		}
-		other := device.CPU
-		if kind == device.CPU {
-			other = device.GPU
-		}
-		a[kind] = a[other] + link.TransferTime(parent.DataSize(id))
-		return a[kind]
-	}
-	var devFree [2]vclock.Seconds
-	for i, sub := range eng.Subgraphs() {
-		kind := be.place[i]
-		start := devFree[kind]
-		for _, pid := range sub.BoundaryInputs {
-			if t := ensureOn(pid, kind); t > start {
-				start = t
-			}
-		}
-		start += syncQueueOverhead
-		end := start + kindCost(eng, i, kind)
-		devFree[kind] = end
-		for _, pid := range sub.Outputs {
-			a, ok := ready[pid]
-			if !ok {
-				a = &avail{-1, -1}
-				ready[pid] = a
-			}
-			a[kind] = end
-		}
-	}
-	var finish vclock.Seconds
-	for _, o := range parent.Outputs() {
-		if t := ensureOn(o, device.CPU); t > finish {
-			finish = t
-		}
-	}
-	return finish
+	w := runtime.NewWalk(be.eng.Skeleton, be.eng.Sampler(be.eng.Platform, true), nil)
+	w.Begin(make([]vclock.Seconds, runtime.Lanes), 0)
+	return w.Latency(be.place)
 }

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"duet/internal/device"
 	"duet/internal/graph"
+	"duet/internal/runtime"
 	"duet/internal/tensor"
 	"duet/internal/vclock"
 )
@@ -24,11 +26,11 @@ type replica struct {
 	ch [2]chan job
 
 	// Event-loop-owned state (never touched by the workers): the per-device
-	// virtual clocks, the in-flight batches ordered by finish time, and the
-	// accumulated busy seconds.
-	devFree  [2]vclock.Seconds
+	// virtual clocks and accumulated busy seconds (one entry per lane), and
+	// the in-flight batches ordered by finish time.
+	clocks   []vclock.Seconds
+	busy     []vclock.Seconds
 	inflight []*batch
-	busy     [2]vclock.Seconds
 }
 
 // job asks a device worker to execute one subgraph of one batch.
@@ -38,12 +40,14 @@ type job struct {
 }
 
 func newReplica(id int, seed int64, maxJobs int) *replica {
-	return &replica{
+	r := &replica{
 		id:    id,
 		plat:  device.NewPlatform(replicaSeed(seed, id)),
 		arena: tensor.NewArena(),
 		ch:    [2]chan job{make(chan job, maxJobs), make(chan job, maxJobs)},
 	}
+	r.reset()
+	return r
 }
 
 // replicaSeed derives independent noise streams per replica; seed 0 keeps
@@ -58,89 +62,39 @@ func replicaSeed(seed int64, id int) int64 {
 // reset clears the per-run scheduling state (the arena stays warm across
 // runs on purpose).
 func (r *replica) reset() {
-	r.devFree = [2]vclock.Seconds{}
+	r.clocks = make([]vclock.Seconds, runtime.Lanes)
+	r.busy = make([]vclock.Seconds, runtime.Lanes)
 	r.inflight = nil
-	r.busy = [2]vclock.Seconds{}
 }
 
-// timeBatch walks the batch's subgraphs in partition order against the
-// replica's virtual device clocks and fixes the batch's finish time. In
-// pipelined mode the clocks carry over from the previous batch — request
-// r+1's CPU phase overlaps request r's GPU phase exactly as in
-// runtime.MeasurePipelined — otherwise both clocks jump to the dispatch
-// instant (one batch at a time). Event-loop thread only.
+// timeBatch walks the batch's subgraphs against the replica's virtual device
+// clocks and fixes the batch's finish time. In pipelined mode the clocks
+// carry over from the previous batch — request r+1's CPU phase overlaps
+// request r's GPU phase exactly as in runtime.MeasurePipelined — otherwise
+// every clock jumps to the dispatch instant (one batch at a time). Timing
+// noise comes from the replica's own platform; the replica is the walk's
+// sink, for busy seconds. Event-loop thread only.
 func (r *replica) timeBatch(b *batch, now vclock.Seconds, pipelined bool) {
+	start := now
 	if !pipelined {
-		start := now
-		for k := range r.devFree {
-			if r.devFree[k] > start {
-				start = r.devFree[k]
-			}
-		}
-		r.devFree[0], r.devFree[1] = start, start
-	} else {
-		for k := range r.devFree {
-			if r.devFree[k] < now {
-				r.devFree[k] = now
-			}
-		}
+		start = max(now, slices.Max(r.clocks))
 	}
-
-	be := b.be
-	eng := be.eng
-	parent := eng.Parent
-	link := r.plat.Link
-	type avail [2]vclock.Seconds
-	ready := make(map[graph.NodeID]*avail, parent.Len())
-	for _, id := range parent.InputIDs() {
-		ready[id] = &avail{now, -1}
+	for k, c := range r.clocks {
+		r.clocks[k] = max(c, start)
 	}
-	ensureOn := func(id graph.NodeID, kind device.Kind) vclock.Seconds {
-		a := ready[id]
-		if a[kind] >= 0 {
-			return a[kind]
-		}
-		other := device.CPU
-		if kind == device.CPU {
-			other = device.GPU
-		}
-		a[kind] = a[other] + link.SampleTransferTime(parent.DataSize(id))
-		return a[kind]
-	}
-	for i, sub := range eng.Subgraphs() {
-		kind := be.place[i]
-		dev := r.plat.Device(kind)
-		start := r.devFree[kind]
-		for _, pid := range sub.BoundaryInputs {
-			if t := ensureOn(pid, kind); t > start {
-				start = t
-			}
-		}
-		start += syncQueueOverhead
-		var dur vclock.Seconds
-		for _, c := range eng.KernelCosts(i, kind) {
-			dur += dev.SampleKernelTime(c)
-		}
-		end := start + dur
-		r.devFree[kind] = end
-		r.busy[kind] += dur
-		for _, pid := range sub.Outputs {
-			a, ok := ready[pid]
-			if !ok {
-				a = &avail{-1, -1}
-				ready[pid] = a
-			}
-			a[kind] = end
-		}
-	}
-	finish := now
-	for _, o := range parent.Outputs() {
-		if t := ensureOn(o, device.CPU); t > finish {
-			finish = t
-		}
-	}
-	b.finish = finish
+	eng := b.be.eng
+	w := runtime.NewWalk(eng.Skeleton, eng.Sampler(r.plat, false), r)
+	w.Begin(r.clocks, now)
+	b.finish = w.Latency(b.be.place)
 }
+
+// Dispatched accumulates the replica's per-device busy seconds.
+func (r *replica) Dispatched(_, lane int, _, dur vclock.Seconds, _ device.Fault) {
+	r.busy[lane] += dur
+}
+
+// Transferred is the other half of runtime.Sink; link time is not reported.
+func (r *replica) Transferred(_, _, _ int, _, _ vclock.Seconds, _ device.Fault) {}
 
 // batch is one dispatched unit of work: the stacked inputs of its member
 // requests flowing through one batchEngine on one replica. Value state is
@@ -174,8 +128,8 @@ func newBatch(be *batchEngine, members []*pending, rows int, ar *tensor.Arena) *
 		members:   members,
 		rows:      rows,
 		values:    make(map[graph.NodeID]*tensor.Tensor),
-		waiting:   append([]int(nil), be.npred...),
-		remaining: len(be.npred),
+		waiting:   append([]int(nil), be.eng.Skeleton.Pending...),
+		remaining: be.eng.NumSubgraphs(),
 		done:      make(chan struct{}),
 	}
 	for _, p := range members {
@@ -236,7 +190,7 @@ func (s *Server) execJob(r *replica, j job) {
 		}
 	}
 	var ready []int
-	for _, c := range be.deps[j.idx] {
+	for _, c := range be.eng.Skeleton.Dependents[j.idx] {
 		b.waiting[c]--
 		if b.waiting[c] == 0 {
 			ready = append(ready, c)

@@ -33,10 +33,6 @@ import (
 	"duet/internal/vclock"
 )
 
-// syncQueueOverhead mirrors the runtime's per-subgraph synchronization-queue
-// cost (one push+pop through the shared-memory queue).
-const syncQueueOverhead vclock.Seconds = 2e-6
-
 // Outcome classifies how the server disposed of a request.
 type Outcome string
 
@@ -453,7 +449,7 @@ func (s *Server) validate(req *Request) (int, error) {
 			return 0, fmt.Errorf("serve: missing input %q", name)
 		}
 		shape := v.Shape()
-		if len(shape) != len(trailing)+1 || !shapeEq(shape[1:], trailing) {
+		if len(shape) != len(trailing)+1 || !tensor.ShapeEq(shape[1:], trailing) {
 			return 0, fmt.Errorf("serve: input %q has shape %v, want (b, %v) — incompatible shapes are never coalesced", name, shape, trailing)
 		}
 		if rows == 0 {
@@ -570,7 +566,7 @@ func (s *Server) dispatch(r *replica, members []*pending, now vclock.Seconds) er
 	s.m.recordBatch(rows)
 
 	// Seed the device workers with the batch's dependency-free subgraphs.
-	for _, i := range be.initial {
+	for _, i := range be.eng.Skeleton.Roots {
 		r.ch[be.place[i]] <- job{b: b, idx: i}
 	}
 	return nil

@@ -44,23 +44,18 @@ func (e *PlacementError) Error() string {
 // device kind. On failure it returns a *PlacementError carrying the subgraph
 // name and phase; nil otherwise.
 func CheckPlacement(place []device.Kind, p *partition.Partition) error {
-	subs := p.Subgraphs()
-	if len(place) != len(subs) {
-		return &PlacementError{Index: -1, Phase: -1, Got: len(place), Want: len(subs)}
+	n := 0
+	for _, ph := range p.Phases {
+		n += len(ph.Subgraphs)
 	}
-	for i, k := range place {
-		if k != device.CPU && k != device.GPU {
-			return &PlacementError{
-				Index:    i,
-				Subgraph: subs[i].Graph.Name,
-				Phase:    p.PhaseOf(i),
-				Device:   k,
-				Got:      len(place),
-				Want:     len(subs),
-			}
-		}
+	// The legal path allocates nothing (every engine timing walk passes
+	// through here); only a bad kind pays for the flattened subgraph list.
+	err := CheckPlacementN(place, n)
+	if pe, ok := err.(*PlacementError); ok && pe.Index >= 0 {
+		pe.Subgraph = p.Subgraphs()[pe.Index].Graph.Name
+		pe.Phase = p.PhaseOf(pe.Index)
 	}
-	return nil
+	return err
 }
 
 // CheckPlacementN is CheckPlacement without partition context, for callers
