@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build check fmt-check vet test test-race test-short bench bench-obs bench-kernels bench-serve bench-cluster bench-sched bench-diff bench-dash costmodel experiments quick-experiments report fuzz clean
+.PHONY: all build check fmt-check vet test test-race test-short bench bench-obs bench-kernels bench-serve bench-cluster bench-sched bench-diff bench-dash bench-host bench-host-compare costmodel experiments quick-experiments report fuzz clean
 
 all: build check
 
@@ -166,6 +166,21 @@ bench-cluster:
 ## `make check` through bench-diff like every other suite.
 bench-sched:
 	$(GO) run ./cmd/duet-bench -quick -sched BENCH_sched.json
+
+## Host-clock benchmark (BENCHMARK.json; bench/README.md): every workload
+## in its own process, traced, collected with the environment stamp into
+## .bench_build/host.json (~3 min). Deliberately not part of `check`: its
+## numbers are wall-clock and only mean something as alternating
+## parent/change pairs on a quiet host (bench/README.md "Noise").
+bench-host:
+	bash bench/run.sh --workload all --out .bench_build/host.json
+
+## Compare two --out files metric by metric and workload by workload
+## (ok / worse / unresolved; refuses differing environment stamps):
+##   make bench-host-compare A=parent.json B=change.json
+bench-host-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-host-compare A=a.json B=b.json"; exit 2; }
+	bash bench/run.sh --compare $(A) $(B)
 
 ## Refit the committed latency-regressor artifact from noiseless zoo
 ## profiles and print its train-set accuracy.

@@ -153,16 +153,23 @@ func TestLSTMSeqStepsEqualSeqLen(t *testing.T) {
 	}
 }
 
-func TestLSTMExecMatchesCellLoop(t *testing.T) {
+func TestLSTMExecMatchesCellLoop(t *testing.T) { testRNNExecMatchesCellLoop(t, "lstm", 4) }
+func TestGRUExecMatchesCellLoop(t *testing.T)  { testRNNExecMatchesCellLoop(t, "gru", 3) }
+
+// testRNNExecMatchesCellLoop holds a recurrent op, with and without
+// last_only and an arena, to a hand-written loop over the tensor package's
+// one-step cell.
+func testRNNExecMatchesCellLoop(t *testing.T, kind string, gates int) {
 	rng := rand.New(rand.NewSource(9))
 	b, seq, inDim, h := 2, 5, 3, 4
 	x := tensor.Rand(rng, 1, b, seq, inDim)
-	wx := tensor.Rand(rng, 1, 4*h, inDim)
-	wh := tensor.Rand(rng, 1, 4*h, h)
-	bias := tensor.Rand(rng, 1, 4*h)
-	d := MustLookup("lstm")
-	full := d.Exec(graph.Attrs{}, []*tensor.Tensor{x, wx, wh, bias})
-	last := d.Exec(graph.Attrs{"last_only": 1}, []*tensor.Tensor{x, wx, wh, bias})
+	wx := tensor.Rand(rng, 1, gates*h, inDim)
+	wh := tensor.Rand(rng, 1, gates*h, h)
+	bias := tensor.Rand(rng, 1, gates*h)
+	d := MustLookup(kind)
+	in := []*tensor.Tensor{x, wx, wh, bias}
+	full := d.Exec(graph.Attrs{}, in)
+	last := d.Exec(graph.Attrs{"last_only": 1}, in)
 	// Reference: manual cell loop.
 	hs := tensor.New(b, h)
 	cs := tensor.New(b, h)
@@ -171,18 +178,26 @@ func TestLSTMExecMatchesCellLoop(t *testing.T) {
 		for r := 0; r < b; r++ {
 			copy(xt.Data()[r*inDim:(r+1)*inDim], x.Data()[(r*seq+s)*inDim:(r*seq+s+1)*inDim])
 		}
-		hs, cs = tensor.LSTMCell(xt, hs, cs, wx, wh, bias)
+		if kind == "lstm" {
+			hs, cs = tensor.LSTMCell(xt, hs, cs, wx, wh, bias)
+		} else {
+			hs = tensor.GRUCell(xt, hs, wx, wh, bias)
+		}
 	}
-	if !tensor.AllClose(last, hs, 1e-5, 1e-5) {
-		t.Fatalf("lstm last state mismatch: %g", tensor.MaxAbsDiff(last, hs))
+	if tensor.MaxAbsDiff(last, hs) != 0 {
+		t.Fatalf("%s last state mismatch: %g", kind, tensor.MaxAbsDiff(last, hs))
 	}
 	// Last timestep of the full sequence must equal the final state.
 	for r := 0; r < b; r++ {
 		for j := 0; j < h; j++ {
 			if full.At(r, seq-1, j) != hs.At(r, j) {
-				t.Fatalf("full[%d,%d,%d] != last state", r, seq-1, j)
+				t.Fatalf("%s full[%d,%d,%d] != last state", kind, r, seq-1, j)
 			}
 		}
+	}
+	ar := tensor.NewArena()
+	if got := d.ExecArena(graph.Attrs{}, in, ar); tensor.MaxAbsDiff(got, full) != 0 {
+		t.Fatalf("%s ExecArena differs from Exec", kind)
 	}
 }
 

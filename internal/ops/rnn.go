@@ -52,10 +52,10 @@ func init() {
 			}
 		},
 		Exec: func(attrs graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			return lstmForward(in[0], in[1], in[2], in[3], attrs.Int("last_only", 0) != 0, nil)
+			return tensor.LSTMSeqInto(nil, in[0], in[1], in[2], in[3], attrs.Int("last_only", 0) != 0, nil)
 		},
 		ExecArena: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-			return lstmForward(in[0], in[1], in[2], in[3], attrs.Int("last_only", 0) != 0, ar)
+			return tensor.LSTMSeqInto(nil, in[0], in[1], in[2], in[3], attrs.Int("last_only", 0) != 0, ar)
 		},
 	})
 
@@ -101,85 +101,10 @@ func init() {
 			}
 		},
 		Exec: func(attrs graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			return gruForward(in[0], in[1], in[2], in[3], attrs.Int("last_only", 0) != 0, nil)
+			return tensor.GRUSeqInto(nil, in[0], in[1], in[2], in[3], attrs.Int("last_only", 0) != 0, nil)
 		},
 		ExecArena: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-			return gruForward(in[0], in[1], in[2], in[3], attrs.Int("last_only", 0) != 0, ar)
+			return tensor.GRUSeqInto(nil, in[0], in[1], in[2], in[3], attrs.Int("last_only", 0) != 0, ar)
 		},
 	})
-}
-
-// lstmForward runs the sequence loop with per-step states and time slices
-// drawn from ar (nil degrades to plain allocation): each step's states are
-// released as soon as the next step supersedes them, so a T-step unroll
-// keeps only two live state buffers regardless of T.
-func lstmForward(x, wx, wh, bias *tensor.Tensor, lastOnly bool, ar *tensor.Arena) *tensor.Tensor {
-	b, t, inDim := x.Dim(0), x.Dim(1), x.Dim(2)
-	h := wx.Dim(0) / 4
-	hState := ar.New(b, h)
-	cState := ar.New(b, h)
-	xt := ar.NewNoZero(b, inDim)
-	var seq *tensor.Tensor
-	if !lastOnly {
-		seq = ar.NewNoZero(b, t, h)
-	}
-	for step := 0; step < t; step++ {
-		timeSlice(xt, x, b, t, inDim, step)
-		hNext, cNext := tensor.LSTMCellArena(xt, hState, cState, wx, wh, bias, ar)
-		ar.Release(hState)
-		ar.Release(cState)
-		hState, cState = hNext, cNext
-		if !lastOnly {
-			storeTimeSlice(seq, hState, b, t, h, step)
-		}
-	}
-	ar.Release(xt)
-	ar.Release(cState)
-	if lastOnly {
-		return hState
-	}
-	ar.Release(hState)
-	return seq
-}
-
-// gruForward mirrors lstmForward for the GRU cell.
-func gruForward(x, wx, wh, bias *tensor.Tensor, lastOnly bool, ar *tensor.Arena) *tensor.Tensor {
-	b, t, inDim := x.Dim(0), x.Dim(1), x.Dim(2)
-	h := wx.Dim(0) / 3
-	hState := ar.New(b, h)
-	xt := ar.NewNoZero(b, inDim)
-	var seq *tensor.Tensor
-	if !lastOnly {
-		seq = ar.NewNoZero(b, t, h)
-	}
-	for step := 0; step < t; step++ {
-		timeSlice(xt, x, b, t, inDim, step)
-		hNext := tensor.GRUCellArena(xt, hState, wx, wh, bias, ar)
-		ar.Release(hState)
-		hState = hNext
-		if !lastOnly {
-			storeTimeSlice(seq, hState, b, t, h, step)
-		}
-	}
-	ar.Release(xt)
-	if lastOnly {
-		return hState
-	}
-	ar.Release(hState)
-	return seq
-}
-
-// timeSlice copies x[:, step, :] of a (B,T,D) tensor into out (B,D).
-func timeSlice(out, x *tensor.Tensor, b, t, d, step int) {
-	for r := 0; r < b; r++ {
-		src := x.Data()[(r*t+step)*d : (r*t+step+1)*d]
-		copy(out.Data()[r*d:(r+1)*d], src)
-	}
-}
-
-// storeTimeSlice writes h (B,D) into seq[:, step, :] of a (B,T,D) tensor.
-func storeTimeSlice(seq, h *tensor.Tensor, b, t, d, step int) {
-	for r := 0; r < b; r++ {
-		copy(seq.Data()[(r*t+step)*d:(r*t+step+1)*d], h.Data()[r*d:(r+1)*d])
-	}
 }

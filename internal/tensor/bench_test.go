@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -71,18 +72,71 @@ func BenchmarkConv2D(b *testing.B) {
 	}
 }
 
-func BenchmarkLSTMCell(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	h := 256
-	x := Rand(rng, 1, 1, h)
-	h0 := Rand(rng, 1, 1, h)
-	c0 := Rand(rng, 1, 1, h)
-	wx := Rand(rng, 1, 4*h, h)
-	wh := Rand(rng, 1, 4*h, h)
-	bias := Rand(rng, 1, 4*h)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LSTMCell(x, h0, c0, wx, wh, bias)
+// BenchmarkRNNSeq covers the recurrent layers of the zoo — both Siamese
+// LSTM layers, Wide&Deep's, MT-DNN's GRU task head — at batch 1 and at the
+// served batch of 8. "seq" is the whole kernel per step (GFLOP/s over both
+// GEMMs); "recur" and "gates" are the two halves of a step that stay in the
+// time loop, the h·whᵀ sweep over the packed panel and the fused gate pass,
+// so what is left of a step after the input projection was hoisted is
+// visible part by part.
+func BenchmarkRNNSeq(b *testing.B) {
+	// perStep replaces ns/op (a whole sequence for "seq", one step for the
+	// parts) by ns/step, so the three rows of a shape read on one scale.
+	perStep := func(b *testing.B, steps int, flops float64) {
+		ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N*steps)
+		b.ReportMetric(ns, "ns/step")
+		b.ReportMetric(0, "ns/op")
+		if flops > 0 {
+			b.ReportMetric(flops/ns, "GFLOP/s")
+		}
+	}
+	for _, s := range []struct {
+		name      string
+		cell      *rnnCell
+		t, in, hd int
+	}{
+		{"siamese_l0", &lstmCell, 80, 256, 320},
+		{"siamese_l1", &lstmCell, 80, 320, 320},
+		{"widedeep", &lstmCell, 100, 256, 256},
+		{"mtdnn_gru", &gruCell, 64, 512, 256},
+	} {
+		for _, bs := range []int{1, 8} {
+			rng := rand.New(rand.NewSource(4))
+			n := s.cell.gates * s.hd
+			x := Rand(rng, 1, bs, s.t, s.in)
+			// Zoo initialisation (bound 1/√fan-in): the transcendentals' cost
+			// depends on the magnitude of the pre-activations.
+			wx := Rand(rng, float32(1/math.Sqrt(float64(s.in))), n, s.in).MarkPinned()
+			wh := Rand(rng, float32(1/math.Sqrt(float64(s.hd))), n, s.hd).MarkPinned()
+			bias := Rand(rng, 1, n)
+			prefix := fmt.Sprintf("%s/B=%d/", s.name, bs)
+			b.Run(prefix+"seq", func(b *testing.B) {
+				ar := NewArena()
+				for i := 0; i < b.N; i++ {
+					ar.Release(rnnSeqInto(nil, s.cell, x, wx, wh, bias, false, ar))
+				}
+				perStep(b, s.t, 2*float64(bs*n*(s.in+s.hd)))
+			})
+			h := Rand(rng, 1, bs, s.hd)
+			c := Rand(rng, 1, bs, s.hd)
+			gx := Rand(rng, 1, bs, n)
+			gh := New(bs, n)
+			b.Run(prefix+"recur", func(b *testing.B) {
+				bp, _ := packedB(wh, s.hd, n, true, nil)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					clear(gh.data)
+					gemmPacked(gh.data, h.data, bp, bs, n, s.hd)
+				}
+				perStep(b, 1, 2*float64(bs*n*s.hd))
+			})
+			b.Run(prefix+"gates", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					s.cell.rows(gx.data, n, gh.data, h.data, c.data, nil, 0, s.hd, 0, bs)
+				}
+				perStep(b, 1, 0)
+			})
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// TestPortableKernelPath re-runs the packed-GEMM, conv and chain suites
+// TestPortableKernelPath re-runs the packed-GEMM, conv, chain and RNN suites
 // with the assembly switched off, so the Go fallback — the reference, and
 // the only path off amd64 — passes the identical tests on this machine too.
 func TestPortableKernelPath(t *testing.T) {
@@ -33,6 +33,7 @@ func TestPortableKernelPath(t *testing.T) {
 		{"ChainMatchesOpByOp", TestChainMatchesOpByOp},
 		{"ChainSerialMatchesParallel", TestChainSerialMatchesParallel},
 		{"LinearChainBitExact", TestLinearChainBitExact},
+		{"RNNSeqBitExact", TestRNNSeqBitExact},
 	} {
 		t.Run(tc.name, tc.fn)
 	}

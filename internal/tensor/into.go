@@ -355,79 +355,3 @@ func CosineSimilarityInto(out *Tensor, a, b *Tensor, ar *Arena) *Tensor {
 	}
 	return out
 }
-
-// LSTMCellArena advances one LSTM timestep with all intermediates drawn
-// from (and returned to) ar; h' and c' are arena tensors the caller owns.
-// Semantics match LSTMCell exactly.
-func LSTMCellArena(x, h, c, wx, wh, bias *Tensor, ar *Arena) (*Tensor, *Tensor) {
-	b := x.shape[0]
-	hd := h.shape[1]
-	gates := LinearInto(nil, x, wx, bias, ar) // (B, 4H)
-	gh := LinearInto(nil, h, wh, nil, ar)     // (B, 4H)
-	AddInto(gates, gates, gh, ar)
-	ar.Release(gh)
-	hOut := ar.NewNoZero(b, hd)
-	cOut := ar.NewNoZero(b, hd)
-	if b < parallelThreshold || effectiveWorkers() <= 1 {
-		lstmRows(gates.data, c.data, hOut.data, cOut.data, hd, 0, b)
-	} else {
-		ParallelFor(b, func(lo, hi int) {
-			lstmRows(gates.data, c.data, hOut.data, cOut.data, hd, lo, hi)
-		})
-	}
-	ar.Release(gates)
-	return hOut, cOut
-}
-
-func lstmRows(gates, c, hOut, cOut []float32, hd, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		g := gates[r*4*hd : (r+1)*4*hd]
-		cRow := c[r*hd : (r+1)*hd]
-		hRow := hOut[r*hd : (r+1)*hd]
-		cNew := cOut[r*hd : (r+1)*hd]
-		for j := 0; j < hd; j++ {
-			in := sigmoid64(g[j])
-			fg := sigmoid64(g[hd+j])
-			cc := math.Tanh(float64(g[2*hd+j]))
-			ot := sigmoid64(g[3*hd+j])
-			cv := fg*float64(cRow[j]) + in*cc
-			cNew[j] = float32(cv)
-			hRow[j] = float32(ot * math.Tanh(cv))
-		}
-	}
-}
-
-// GRUCellArena advances one GRU timestep with intermediates drawn from ar;
-// h' is an arena tensor the caller owns. Semantics match GRUCell exactly.
-func GRUCellArena(x, h, wx, wh, bias *Tensor, ar *Arena) *Tensor {
-	b := x.shape[0]
-	hd := h.shape[1]
-	gx := LinearInto(nil, x, wx, bias, ar) // (B, 3H)
-	gh := LinearInto(nil, h, wh, nil, ar)  // (B, 3H)
-	out := ar.NewNoZero(b, hd)
-	if b < parallelThreshold || effectiveWorkers() <= 1 {
-		gruRows(gx.data, gh.data, h.data, out.data, hd, 0, b)
-	} else {
-		ParallelFor(b, func(lo, hi int) {
-			gruRows(gx.data, gh.data, h.data, out.data, hd, lo, hi)
-		})
-	}
-	ar.Release(gx)
-	ar.Release(gh)
-	return out
-}
-
-func gruRows(gx, gh, h, out []float32, hd, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		xg := gx[r*3*hd : (r+1)*3*hd]
-		hg := gh[r*3*hd : (r+1)*3*hd]
-		hRow := h[r*hd : (r+1)*hd]
-		dst := out[r*hd : (r+1)*hd]
-		for j := 0; j < hd; j++ {
-			rs := sigmoid64(xg[j] + hg[j])
-			zu := sigmoid64(xg[hd+j] + hg[hd+j])
-			nw := math.Tanh(float64(xg[2*hd+j]) + rs*float64(hg[2*hd+j]))
-			dst[j] = float32((1-zu)*nw + zu*float64(hRow[j]))
-		}
-	}
-}

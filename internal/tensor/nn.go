@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Softmax applies a numerically stable softmax along the last dimension.
 func Softmax(t *Tensor) *Tensor { return SoftmaxInto(nil, t, nil) }
@@ -58,22 +55,6 @@ func Split(t *Tensor, axis int, sizes []int) []*Tensor {
 // Embedding gathers rows of table (V×D) by integer ids stored in ids
 // (any shape, values must be valid row indices), producing shape ids×D.
 func Embedding(table *Tensor, ids []int) *Tensor { return EmbeddingInto(nil, table, ids, nil) }
-
-// LSTMCell advances one LSTM timestep.
-// x: (B, In); h, c: (B, H); wx: (4H, In); wh: (4H, H); bias: (4H).
-// Gate order is [input, forget, cell, output]. Returns (h', c').
-func LSTMCell(x, h, c, wx, wh, bias *Tensor) (*Tensor, *Tensor) {
-	return LSTMCellArena(x, h, c, wx, wh, bias, nil)
-}
-
-// GRUCell advances one GRU timestep.
-// x: (B, In); h: (B, H); wx: (3H, In); wh: (3H, H); bias: (3H).
-// Gate order is [reset, update, new]. Returns h'.
-func GRUCell(x, h, wx, wh, bias *Tensor) *Tensor {
-	return GRUCellArena(x, h, wx, wh, bias, nil)
-}
-
-func sigmoid64(x float32) float64 { return 1 / (1 + math.Exp(-float64(x))) }
 
 // CosineSimilarity returns the rowwise cosine similarity of two (B, D)
 // tensors as a (B, 1) tensor — the similarity head of the Siamese network.
