@@ -23,6 +23,10 @@ build:
 ## The cluster package gets a dedicated chaos smoke: the crash-failover and
 ## trace-determinism tests re-run under -race, pinning the fabric's
 ## zero-loss and byte-replayable guarantees on every gate.
+## RunParallel's value-equality test gets 20 iterations under -race: its
+## workers park on the sync queue and publish, recycle and enqueue under one
+## mutex, and a lost wake-up or an early release shows only on some
+## interleavings.
 ## The tensor package is tested a second time under the purego tag — the
 ## portable Go microkernels are the reference the AVX2 assembly is held to
 ## and the only GEMM path off amd64, so they pass the identical suite — and
@@ -40,6 +44,7 @@ check: fmt-check vet
 	$(GO) test -race -count=2 ./internal/obs/...
 	$(GO) test -race -count=2 -run 'TestConcurrentExecuteArena|TestServeSmoke' ./internal/serve/
 	$(GO) test -race -count=1 -run 'TestClusterChaosCrashFailover|TestClusterTraceDeterminism' ./internal/cluster/
+	$(GO) test -race -count=20 -run TestRunParallelMatchesSerialValues ./internal/runtime/
 	$(GO) test -count=1 -run TestArenaCutsSteadyStateAllocs ./internal/runtime/
 	$(MAKE) bench-diff
 	@./bin/duet-vet -summary .

@@ -11,7 +11,7 @@ import (
 func TestInstrumentCounts(t *testing.T) {
 	reg := obs.NewRegistry()
 	q := New(8)
-	q.Instrument(reg, "cpu0")
+	q.Instrument(ResolveInstruments(reg, "cpu0"))
 
 	for i := 0; i < 5; i++ {
 		q.MustPush(i)

@@ -3,6 +3,11 @@
 // buffer (Vyukov's bounded MPMC queue). Each device worker consumes one
 // queue; any worker may produce into any queue when it triggers a
 // dependent subgraph, so the producer side must be multi-writer.
+//
+// The paper's workers poll their queue in a busy loop on dedicated cores.
+// Pop is that poll; PopWait is the same poll for a host that has no core to
+// spare per worker: it spins briefly, then parks until a Push or Close wakes
+// it.
 package queue
 
 import (
@@ -26,13 +31,54 @@ type Queue struct {
 	tail   atomic.Uint64 // next position to push
 	closed atomic.Bool
 
-	// Observability (all nil until Instrument): recording through a nil
-	// instrument is a no-op, so the uninstrumented fast path pays only a
-	// nil check.
+	// Parking (PopWait): waiting is set by the one consumer that is about
+	// to park, and cleared by whoever takes on waking it; wake carries that
+	// wake-up (one slot: there is one parked consumer at most, and a stale
+	// token only costs it a spurious re-poll).
+	waiting    atomic.Bool
+	wake       chan struct{}
+	parks      atomic.Uint64
+	emptyPolls atomic.Uint64
+
+	ins Instruments
+}
+
+// Instruments are a queue's resolved metric handles. The zero value records
+// nothing: recording through a nil instrument is a no-op, so the
+// uninstrumented fast path pays only a nil check.
+type Instruments struct {
 	pushes   *obs.Counter
 	pops     *obs.Counter
 	depth    *obs.Gauge
 	depthMax *obs.Gauge
+}
+
+// ResolveInstruments looks up the per-queue series under the given queue
+// label: duet_queue_pushes_total / duet_queue_pops_total counters and the
+// duet_queue_depth / duet_queue_depth_max gauges. A caller that builds
+// queues per run resolves once and hands the result to each queue's
+// Instrument.
+func ResolveInstruments(reg *obs.Registry, name string) Instruments {
+	return Instruments{
+		pushes:   reg.Counter(obs.Series("duet_queue_pushes_total", "queue", name)),
+		pops:     reg.Counter(obs.Series("duet_queue_pops_total", "queue", name)),
+		depth:    reg.Gauge(obs.Series("duet_queue_depth", "queue", name)),
+		depthMax: reg.Gauge(obs.Series("duet_queue_depth_max", "queue", name)),
+	}
+}
+
+// Stats counts what the parking consumer did. These are scheduling-dependent
+// (how often a Push found the consumer asleep), so they are a plain snapshot
+// and deliberately not obs series: registry snapshots are committed as
+// deterministic baselines.
+type Stats struct {
+	Parks      uint64 // times PopWait went to sleep on the wake channel
+	EmptyPolls uint64 // polls of PopWait's spin phase that found nothing
+}
+
+// Stats returns the parking counters so far.
+func (q *Queue) Stats() Stats {
+	return Stats{Parks: q.parks.Load(), EmptyPolls: q.emptyPolls.Load()}
 }
 
 // New returns a queue with capacity rounded up to the next power of two.
@@ -46,27 +92,17 @@ func New(capacity int) *Queue {
 	for size < capacity {
 		size <<= 1
 	}
-	q := &Queue{cells: make([]cell, size), mask: uint64(size - 1)}
+	q := &Queue{cells: make([]cell, size), mask: uint64(size - 1), wake: make(chan struct{}, 1)}
 	for i := range q.cells {
 		q.cells[i].seq.Store(uint64(i))
 	}
 	return q
 }
 
-// Instrument attaches per-queue metrics under the given queue label:
-// duet_queue_pushes_total / duet_queue_pops_total counters and the
-// duet_queue_depth / duet_queue_depth_max gauges. Attach before the queue
-// is shared between goroutines (instrument pointers are written without
+// Instrument attaches resolved metric handles. Attach before the queue is
+// shared between goroutines (the handles are written without
 // synchronization, exactly like the rest of construction).
-func (q *Queue) Instrument(reg *obs.Registry, name string) {
-	if q == nil || reg == nil {
-		return
-	}
-	q.pushes = reg.Counter(obs.Series("duet_queue_pushes_total", "queue", name))
-	q.pops = reg.Counter(obs.Series("duet_queue_pops_total", "queue", name))
-	q.depth = reg.Gauge(obs.Series("duet_queue_depth", "queue", name))
-	q.depthMax = reg.Gauge(obs.Series("duet_queue_depth_max", "queue", name))
-}
+func (q *Queue) Instrument(ins Instruments) { q.ins = ins }
 
 // Cap returns the queue capacity.
 func (q *Queue) Cap() int { return len(q.cells) }
@@ -94,10 +130,11 @@ func (q *Queue) Push(v int) bool {
 			if q.tail.CompareAndSwap(pos, pos+1) {
 				c.val = int64(v)
 				c.seq.Store(pos + 1) // publish
-				q.pushes.Inc()
+				q.unpark()
+				q.ins.pushes.Inc()
 				d := float64(q.Len())
-				q.depth.Set(d)
-				q.depthMax.Max(d)
+				q.ins.depth.Set(d)
+				q.ins.depthMax.Max(d)
 				return true
 			}
 			pos = q.tail.Load()
@@ -131,8 +168,8 @@ func (q *Queue) Pop() (v int, ok, done bool) {
 			if q.head.CompareAndSwap(pos, pos+1) {
 				v = int(c.val)
 				c.seq.Store(pos + uint64(len(q.cells))) // free the cell
-				q.pops.Inc()
-				q.depth.Set(float64(q.Len()))
+				q.ins.pops.Inc()
+				q.ins.depth.Set(float64(q.Len()))
 				return v, true, false
 			}
 			pos = q.head.Load()
@@ -147,5 +184,75 @@ func (q *Queue) Pop() (v int, ok, done bool) {
 	}
 }
 
-// Close marks the end of the stream; pushes after Close return false.
-func (q *Queue) Close() { q.closed.Store(true) }
+// spinBound is how many consecutive empty polls PopWait makes before it
+// parks: about 2 µs (an empty poll is 1.6–1.9 ns on the 2-vCPU 2.1 GHz Xeon
+// this was written on), which keeps the paper's busy loop as the path for a
+// job published right behind the previous one and is nothing next to the
+// millisecond subgraphs between parks. It is not a tuned value, because the
+// end-to-end numbers cannot resolve one: two 10-s bench runs each at 1 / 256 /
+// 2048 / 32768 polls read infer_parallel_ms 54.0, 58.9 / 58.0, 52.0 / 57.1,
+// 57.5 / 56.2, 54.7 on widedeep_b1, 9.3, 10.6 / 10.2, 10.0 / 9.8, 10.0 / 9.4,
+// 9.6 on siamese_b1 and 8.9, 8.6 / 9.5, 8.3 / 8.3, 9.6 / 8.7, 9.6 on
+// serve_widedeep_b8 — all inside the run-to-run spread, against 81–100 ms on
+// widedeep_b1 for a worker that never parks. What the bound must not be is
+// large: handing a job to a parked consumer costs ~93 µs here
+// (BenchmarkPopWait: the runtime has to restart a sleeping thread), so
+// spinning that long would be the break-even in theory, but it would hand
+// the idle lane's core back to the poll loop this replaces.
+const spinBound = 1024
+
+// PopWait dequeues the next value, waiting for one if the queue is empty;
+// done=true means the queue is closed and drained. It polls like the
+// paper's busy loop for spinBound empty polls — a job pushed back to back
+// with the previous one is picked up without a context switch — and then
+// parks the goroutine, so an idle worker costs no CPU. At most one
+// goroutine may be inside PopWait at a time (the engine has one worker per
+// queue); non-blocking Pops may run beside it.
+func (q *Queue) PopWait() (v int, done bool) {
+	for {
+		for spin := 0; spin < spinBound; spin++ {
+			v, ok, done := q.Pop()
+			if ok || done {
+				if spin > 0 {
+					q.emptyPolls.Add(uint64(spin))
+				}
+				return v, done
+			}
+		}
+		q.emptyPolls.Add(spinBound)
+		// Publish the intent to park, then poll once more. A Push
+		// publishes its cell and then loads waiting; this stores waiting
+		// and then loads the cell. Whichever way the two interleave, either
+		// the push sees the flag and sends the wake-up, or this poll sees
+		// the value — dropping the re-poll loses the push that lands
+		// between the last spin and the Store, and the consumer sleeps on a
+		// non-empty queue for good.
+		q.waiting.Store(true)
+		if v, ok, done := q.Pop(); ok || done {
+			q.waiting.Store(false)
+			return v, done
+		}
+		q.parks.Add(1)
+		<-q.wake
+	}
+}
+
+// unpark hands a parked consumer its wake-up; with nobody waiting — the
+// common case — it is one atomic load. Of the producers that see the flag,
+// the one that clears it sends; the send cannot block because the slot is
+// free whenever the flag is up, bar a stale token, which serves as well.
+func (q *Queue) unpark() {
+	if q.waiting.Load() && q.waiting.CompareAndSwap(true, false) {
+		select {
+		case q.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// Close marks the end of the stream; pushes after Close return false, and
+// a consumer parked in PopWait wakes to drain what is left and return done.
+func (q *Queue) Close() {
+	q.closed.Store(true)
+	q.unpark()
+}

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -13,6 +14,27 @@ import (
 	"duet/internal/tensor"
 	"duet/internal/workload"
 )
+
+// poisonArena overwrites every buffer the arena currently pools, in the size
+// classes the test models use, with NaN: a tensor that is still in use but
+// was released anyway shows up as NaN in its holder's hands, and a kernel
+// that reads a recycled buffer before writing it computes NaN.
+func poisonArena(ar *tensor.Arena) {
+	nan := float32(math.NaN())
+	var held []*tensor.Tensor
+	for bits := 6; bits <= 18; bits++ {
+		for i := 0; i < 4; i++ {
+			t := ar.NewNoZero(1 << bits)
+			for j := range t.Data() {
+				t.Data()[j] = nan
+			}
+			held = append(held, t)
+		}
+	}
+	for _, t := range held {
+		ar.Release(t)
+	}
+}
 
 // assertArenaCutsAllocs measures a warm end-to-end Run with and without the
 // arena and fails unless the arena at least halves the steady-state
@@ -126,6 +148,46 @@ func TestArenaCutsSteadyStateAllocs(t *testing.T) {
 		policy := recycled(func() error { _, err := e.RunWithPolicy(inputs, place, DefaultPolicy()); return err })
 		if plain == 0 || policy != plain {
 			t.Fatalf("RunWithPolicy recycled %d buffers, Run %d", policy, plain)
+		}
+	})
+
+	t.Run("parallel_recycles_like_run", func(t *testing.T) {
+		// RunParallel's workers return each cross-subgraph intermediate
+		// once its last consumer has finished, as Run's executor does — it
+		// once left every boundary tensor to the GC. Same count whichever
+		// lanes the subgraphs run on, and never a buffer the caller holds:
+		// with everything the arena pools overwritten by NaN after the
+		// run, the outputs still equal Run's.
+		p, inputs := branchy(t)
+		e := newEngine(t, p, 0)
+		recycled := func(run func() (*Result, error)) (*Result, int64) {
+			before := e.Arena().Stats().Recycled
+			res, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, e.Arena().Stats().Recycled - before
+		}
+		for _, place := range []Placement{
+			Uniform(e.NumSubgraphs(), device.CPU),
+			{device.CPU, device.GPU, device.CPU},
+		} {
+			run := func() (*Result, error) { return e.Run(inputs, place, true) }
+			parallel := func() (*Result, error) { return e.RunParallel(inputs, place) }
+			recycled(run) // warm
+			recycled(parallel)
+			_, plain := recycled(run)
+			par, got := recycled(parallel)
+			if plain == 0 || got != plain {
+				t.Fatalf("placement %s: RunParallel recycled %d buffers, Run %d", place, got, plain)
+			}
+			poisonArena(e.Arena())
+			want, _ := recycled(run)
+			for oi := range want.Outputs {
+				if !tensor.AllClose(par.Outputs[oi], want.Outputs[oi], 0, 0) {
+					t.Fatalf("placement %s: output %d of RunParallel changed after the arena's buffers were overwritten: it aliases a recycled buffer", place, oi)
+				}
+			}
 		}
 	})
 

@@ -42,7 +42,7 @@ func branchy(t *testing.T) (*partition.Partition, map[string]*tensor.Tensor) {
 	return p, inputs
 }
 
-func newEngine(t *testing.T, p *partition.Partition, seed int64) *Engine {
+func newEngine(t testing.TB, p *partition.Partition, seed int64) *Engine {
 	t.Helper()
 	e, err := New(p, device.NewPlatform(seed), compiler.DefaultOptions())
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"duet/internal/compiler"
 	"duet/internal/device"
 	"duet/internal/obs"
+	"duet/internal/queue"
 	"duet/internal/tensor"
 )
 
@@ -23,6 +24,8 @@ type engineMetrics struct {
 
 	deviceBusy [2]*obs.Gauge // duet_device_busy_seconds_total{device=...}
 	linkBusy   *obs.Gauge    // duet_device_busy_seconds_total{device=<link>}
+
+	syncQueues [2]queue.Instruments // duet_queue_*{queue=...}, RunParallel's per-run queues
 
 	arenaHits      *obs.Gauge // duet_arena_events_total{event=hit}
 	arenaMisses    *obs.Gauge // duet_arena_events_total{event=miss}
@@ -94,6 +97,7 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 	for _, kind := range []device.Kind{device.CPU, device.GPU} {
 		name := e.Platform.Device(kind).Name
 		m.deviceBusy[kind] = reg.Gauge(obs.Series("duet_device_busy_seconds_total", "device", name))
+		m.syncQueues[kind] = queue.ResolveInstruments(reg, name)
 	}
 	m.linkBusy = reg.Gauge(obs.Series("duet_device_busy_seconds_total", "device", e.Platform.Link.Name))
 	m.recordFusion(e.modules)

@@ -12,6 +12,7 @@ import (
 	"duet/internal/golden"
 	"duet/internal/models"
 	"duet/internal/partition"
+	"duet/internal/tensor"
 )
 
 // zooEngine is one zoo model compiled into an engine, with the four
@@ -19,6 +20,7 @@ import (
 type zooEngine struct {
 	name   string
 	e      *Engine
+	inputs map[string]*tensor.Tensor
 	places map[string]Placement
 }
 
@@ -28,7 +30,7 @@ var goldenSeeds = []int64{0, 7}
 
 // zooEngines compiles the zoo once per test binary; tests reset e.Platform
 // before every call they compare, so sharing the engines is safe.
-func zooEngines(t *testing.T) []zooEngine {
+func zooEngines(t testing.TB) []zooEngine {
 	t.Helper()
 	zooOnce.Do(func() { zooCache = buildZooEngines(t) })
 	return zooCache
@@ -39,7 +41,7 @@ var (
 	zooCache []zooEngine
 )
 
-func buildZooEngines(t *testing.T) []zooEngine {
+func buildZooEngines(t testing.TB) []zooEngine {
 	t.Helper()
 	chosen := golden.Open(t, "testdata/zoo_build.json")
 	zoo, err := models.SmallZoo()
@@ -57,7 +59,7 @@ func buildZooEngines(t *testing.T) []zooEngine {
 		}
 		e := newEngine(t, p, 0)
 		n := e.NumSubgraphs()
-		ze := zooEngine{name: c.Name, e: e, places: map[string]Placement{
+		ze := zooEngine{name: c.Name, e: e, inputs: c.Inputs, places: map[string]Placement{
 			"cpu": Uniform(n, device.CPU), "gpu": Uniform(n, device.GPU),
 			"chosen": make(Placement, n), "alternating": make(Placement, n),
 		}}
