@@ -18,15 +18,19 @@ build:
 ## a plain build (the test skips itself under -race).
 ## The serve package gets a dedicated high-iteration race pass: replicas
 ## share compiled modules and the weight pack cache while drawing
-## activations from separate arenas, and the smoke test pins the pipelined
-## serving stack's throughput floor over the serial Infer loop.
+## activations from separate arenas, a replica's in-flight pipelined batches
+## recycle intermediates into one arena mid-batch, and the smoke test pins
+## the pipelined serving stack's throughput floor over the serial Infer loop.
 ## The cluster package gets a dedicated chaos smoke: the crash-failover and
 ## trace-determinism tests re-run under -race, pinning the fabric's
 ## zero-loss and byte-replayable guarantees on every gate.
-## RunParallel's value-equality test gets 20 iterations under -race: its
-## workers park on the sync queue and publish, recycle and enqueue under one
-## mutex, and a lost wake-up or an early release shows only on some
-## interleavings.
+## The host firing rule (runtime.Dataflow.Fire — bind, execute, publish,
+## recycle, signal under one mutex) gets 20 iterations under -race through
+## its two concurrent drivers in the package: RunParallel's value-equality
+## test, whose workers park on the sync queue, and the legal-orders test,
+## which fires every small-zoo model from 1, 2 and 4 goroutines in
+## seeded-random order (~15 s an iteration). A lost wake-up, a double signal
+## or an early release shows only on some interleavings.
 ## The tensor package is tested a second time under the purego tag — the
 ## portable Go microkernels are the reference the AVX2 assembly is held to
 ## and the only GEMM path off amd64, so they pass the identical suite — and
@@ -42,9 +46,9 @@ check: fmt-check vet
 	$(GO) test -count=1 -tags purego ./internal/tensor/...
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) test -race -count=2 ./internal/obs/...
-	$(GO) test -race -count=2 -run 'TestConcurrentExecuteArena|TestServeSmoke' ./internal/serve/
+	$(GO) test -race -count=2 -run 'TestConcurrentExecuteArena|TestServeSmoke|TestServeBatchRecyclesMidBatch' ./internal/serve/
 	$(GO) test -race -count=1 -run 'TestClusterChaosCrashFailover|TestClusterTraceDeterminism' ./internal/cluster/
-	$(GO) test -race -count=20 -run TestRunParallelMatchesSerialValues ./internal/runtime/
+	$(GO) test -race -count=20 -run 'TestRunParallelMatchesSerialValues|TestDataflowLegalOrders' ./internal/runtime/
 	$(GO) test -count=1 -run TestArenaCutsSteadyStateAllocs ./internal/runtime/
 	$(MAKE) bench-diff
 	@./bin/duet-vet -summary .
@@ -105,25 +109,9 @@ experiments:
 quick-experiments:
 	$(GO) run ./cmd/duet-bench -quick
 
-## Machine-readable report at paper scale (for plotting). For the quick
-## regression baseline that `make compare` consumes, see the report.json
-## file rule below.
+## Machine-readable report at paper scale (for plotting).
 report:
 	$(GO) run ./cmd/duet-bench -json report.json
-
-## Baseline for `make compare`: generated at quick scale when absent so
-## compare works from a fresh checkout. Note `make report` overwrites it
-## with a paper-scale report; regenerate with `rm report.json && make
-## compare` before comparing again (both sides must be the same scale).
-report.json:
-	@echo "report.json missing; generating a quick-scale comparison baseline"
-	$(GO) run ./cmd/duet-bench -quick -json report.json
-
-## Check a fresh quick run against the stored baseline report. For
-## statistics-backed gating over the committed BENCH_*.json suites, use
-## bench-diff instead.
-compare: report.json
-	$(GO) run ./cmd/duet-bench -quick -compare report.json
 
 ## Statistical perf-regression gate: re-run every suite at quick scale
 ## with seed-varied fresh runs and compare per-metric sample sets against

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -48,8 +47,6 @@ func main() {
 		serveReplicas = flag.Int("serve-replicas", 1, "serving benchmark: engine replica count")
 		serveBatch    = flag.Int("serve-batch", 0, "serving benchmark: micro-batch row cap for the batched modes (0 = default 8)")
 		serveWindow   = flag.Float64("serve-window-ms", 0, "serving benchmark: micro-batch accumulation window in virtual ms (0 = default 2)")
-		compare       = flag.String("compare", "", "baseline report JSON to diff a fresh run against (exits 1 on regression)")
-		tolerance     = flag.Float64("tolerance", 0.05, "relative change beyond which -compare flags a regression")
 	)
 	flag.Parse()
 
@@ -67,30 +64,6 @@ func main() {
 	cfg.Seed = *seed
 	if *runs > 0 {
 		cfg.Runs = *runs
-	}
-
-	if *compare != "" {
-		f, err := os.Open(*compare)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "duet-bench: %v\n", err)
-			os.Exit(1)
-		}
-		var baseline experiments.Report
-		if err := json.NewDecoder(f).Decode(&baseline); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "duet-bench: %v\n", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fresh, err := experiments.BuildReport(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "duet-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if regressions := experiments.CompareReports(&baseline, fresh, *tolerance, os.Stdout); regressions > 0 {
-			os.Exit(1)
-		}
-		return
 	}
 
 	// Suite baselines (BENCH_*.json) go through benchdiff so every

@@ -61,8 +61,9 @@ func (e SyncEdge) String() string {
 // SyncPlan derives the schedule's sync-queue edges from the partition: one
 // edge per (producer subgraph, consumer subgraph) pair connected by at least
 // one boundary value. This is the single source of truth both for
-// runtime.RunParallel's pending/dependents bookkeeping and for the verifier
-// that proves the plan sufficient — supply a mutated plan to Build to ask
+// the pending/dependents bookkeeping of runtime.Dataflow.Fire — the host
+// firing rule behind Run, RunParallel and the serving replicas — and for the
+// verifier that proves the plan sufficient — supply a mutated plan to Build to ask
 // "what breaks without this edge?".
 func SyncPlan(p *partition.Partition) []SyncEdge {
 	return SyncPlanSubgraphs(p.Subgraphs())

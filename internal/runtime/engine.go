@@ -180,11 +180,11 @@ func (e *Engine) run(inputs map[string]*tensor.Tensor, place Placement, withValu
 	}
 	res := &Result{}
 	if withValues {
-		values, err := e.bindInputs(inputs)
+		d, err := e.NewDataflow(inputs, e.arena)
 		if err != nil {
 			return nil, err
 		}
-		if res.Outputs, err = e.execute(values); err != nil {
+		if res.Outputs, err = e.execute(d); err != nil {
 			return nil, err
 		}
 	}
@@ -235,88 +235,18 @@ func (r *recorder) Dispatched(i, lane int, start, dur vclock.Seconds, f device.F
 	})
 }
 
-// bindInputs checks the caller's inputs against the parent graph and returns
-// the run's value table (skeleton value order) with them bound.
-func (e *Engine) bindInputs(inputs map[string]*tensor.Tensor) ([]*tensor.Tensor, error) {
-	values := make([]*tensor.Tensor, len(e.Skeleton.producer))
-	for v, id := range e.Parent.InputIDs() {
-		n := e.Parent.Node(id)
-		t, ok := inputs[n.Name]
-		if !ok {
-			return nil, fmt.Errorf("runtime: missing input %q", n.Name)
-		}
-		if !tensor.ShapeEq(t.Shape(), n.Shape) {
-			return nil, fmt.Errorf("runtime: input %q has shape %v, want %v", n.Name, t.Shape(), n.Shape)
-		}
-		values[v] = t
-	}
-	return values, nil
-}
-
-// subInputs names subgraph i's boundary values as its module's placeholders.
-func (e *Engine) subInputs(i int, values []*tensor.Tensor) map[string]*tensor.Tensor {
-	in := make(map[string]*tensor.Tensor, len(e.Skeleton.consumes[i]))
-	for _, v := range e.Skeleton.consumes[i] {
-		in["in."+e.Skeleton.names[v]] = values[v]
-	}
-	return in
-}
-
-// execute is the serial value executor behind Run and RunWithPolicy: every
-// subgraph's module in partition order, on the host, returning each
-// cross-subgraph intermediate to the arena once its last consumer has run.
-// Timing never depends on values and is not computed here.
-func (e *Engine) execute(values []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	var uses []int
-	if e.arena != nil {
-		uses = append(uses, e.Skeleton.uses...)
-	}
-	for i, sub := range e.subgraphs {
-		outs, err := e.modules[i].ExecuteArena(e.subInputs(i, values), e.arena)
-		if err != nil {
-			return nil, fmt.Errorf("runtime: executing %s: %w", sub.Graph.Name, err)
-		}
-		for oi, v := range e.Skeleton.produces[i] {
-			values[v] = outs[oi]
-		}
-		if uses != nil {
-			e.releaseConsumed(e.Skeleton.consumes[i], uses, values)
+// execute is the serial value executor behind Run and RunWithPolicy: the
+// dataflow's subgraphs fired in partition order on the calling goroutine,
+// stopping at the first failure. Timing never depends on values and is not
+// computed here.
+func (e *Engine) execute(d *Dataflow) ([]*tensor.Tensor, error) {
+	for i := range e.subgraphs {
+		d.Fire(i)
+		if err := d.Err(); err != nil {
+			return nil, err
 		}
 	}
-	outputs := make([]*tensor.Tensor, len(e.Skeleton.outputs))
-	for oi, v := range e.Skeleton.outputs {
-		outputs[oi] = values[v]
-	}
-	return outputs, nil
-}
-
-// releaseConsumed returns cross-subgraph intermediate values to the arena
-// once their last consuming subgraph has executed (uses starts as the
-// skeleton's consumer counts). A value still referenced by an aliasing view
-// elsewhere in values (a subgraph whose output is a reshape of its input
-// shares storage with it) is left to the garbage collector instead.
-func (e *Engine) releaseConsumed(consumed []int, uses []int, values []*tensor.Tensor) {
-	for _, v := range consumed {
-		uses[v]--
-		if uses[v] != 0 {
-			continue
-		}
-		t := values[v]
-		if t == nil || len(t.Data()) == 0 {
-			continue
-		}
-		shared := false
-		for ov, o := range values {
-			if ov != v && o != nil && len(o.Data()) > 0 && &o.Data()[0] == &t.Data()[0] {
-				shared = true
-				break
-			}
-		}
-		if !shared {
-			e.arena.Release(t)
-			values[v] = nil
-		}
-	}
+	return d.Outputs(), nil
 }
 
 // MeasureLatency performs runs timing-only executions and returns every

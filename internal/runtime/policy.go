@@ -135,10 +135,10 @@ func (e *Engine) runWithPolicy(inputs map[string]*tensor.Tensor, place Placement
 	if err := e.validatePlacement(place); err != nil {
 		return nil, err
 	}
-	var values []*tensor.Tensor
+	var d *Dataflow
 	if inputs != nil {
 		var err error
-		if values, err = e.bindInputs(inputs); err != nil {
+		if d, err = e.NewDataflow(inputs, e.arena); err != nil {
 			return nil, err
 		}
 	}
@@ -257,9 +257,9 @@ func (e *Engine) runWithPolicy(inputs map[string]*tensor.Tensor, place Placement
 
 	// Values are computed once, after the timeline succeeded, so retries and
 	// failovers cannot change them.
-	if values != nil {
+	if d != nil {
 		var err error
-		if res.Outputs, err = e.execute(values); err != nil {
+		if res.Outputs, err = e.execute(d); err != nil {
 			return res, err
 		}
 	}

@@ -49,9 +49,10 @@ type Skeleton struct {
 	labels             []string
 	// Per value: producing subgraph (-1 for a graph input), payload bytes,
 	// consumer count (+1 for graph inputs and declared outputs: the caller
-	// owns them, so they are never recycled), parent node name.
+	// owns them, so they are never recycled), parent node name, and the name
+	// of the module placeholder a consuming subgraph binds it to.
 	producer, bytes, uses []int
-	names                 []string
+	names, placeholders   []string
 	// Values [0, inputs) are the graph inputs in InputIDs order.
 	inputs  int
 	outputs []int
@@ -72,6 +73,7 @@ func NewSkeleton(parent *graph.Graph, subs []*graph.Subgraph) (*Skeleton, error)
 		sk.producer = append(sk.producer, producer)
 		sk.bytes = append(sk.bytes, parent.DataSize(id))
 		sk.names = append(sk.names, parent.Node(id).Name)
+		sk.placeholders = append(sk.placeholders, "in."+parent.Node(id).Name)
 		sk.uses = append(sk.uses, 0)
 		return index[id]
 	}

@@ -12,11 +12,18 @@ import (
 
 // TestConcurrentExecuteArena is the replica model in miniature: two
 // goroutines share one compiled module (and therefore the process-wide
-// weight pack cache) while drawing activations from separate arenas. Run
+// weight pack cache) while drawing activations from separate arenas — two
+// replicas — or from one — a replica's two in-flight pipelined batches. Run
 // under -race -count=2 by `make check`, it pins down that module execution
-// is data-race-free and that arena separation keeps outputs bit-identical
-// to a serial reference execution.
+// is data-race-free and that outputs stay bit-identical to a serial
+// reference execution either way.
 func TestConcurrentExecuteArena(t *testing.T) {
+	for name, shared := range map[string]*tensor.Arena{"separate": nil, "shared": tensor.NewArena()} {
+		t.Run(name, func(t *testing.T) { concurrentExecuteArena(t, shared) })
+	}
+}
+
+func concurrentExecuteArena(t *testing.T, shared *tensor.Arena) {
 	cfg := smallWideDeep()
 	g, err := models.WideDeep(cfg)
 	if err != nil {
@@ -46,7 +53,10 @@ func TestConcurrentExecuteArena(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ar := tensor.NewArena()
+			ar := shared
+			if ar == nil {
+				ar = tensor.NewArena()
+			}
 			for it := 0; it < iters; it++ {
 				outs, err := mod.ExecuteArena(inputs, ar)
 				if err != nil {

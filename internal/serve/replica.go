@@ -1,12 +1,9 @@
 package serve
 
 import (
-	"fmt"
 	"slices"
-	"sync"
 
 	"duet/internal/device"
-	"duet/internal/graph"
 	"duet/internal/runtime"
 	"duet/internal/tensor"
 	"duet/internal/vclock"
@@ -97,21 +94,19 @@ func (r *replica) Dispatched(_, lane int, _, dur vclock.Seconds, _ device.Fault)
 func (r *replica) Transferred(_, _, _ int, _, _ vclock.Seconds, _ device.Fault) {}
 
 // batch is one dispatched unit of work: the stacked inputs of its member
-// requests flowing through one batchEngine on one replica. Value state is
-// guarded by mu; the dependency counters mirror the engine's RunParallel.
+// requests flowing through one batchEngine on one replica. Its value state
+// and dependency counters are a runtime.Dataflow — the engine's own firing
+// rule; the workers only carry ready indices between the device channels.
 type batch struct {
-	be       *batchEngine
-	members  []*pending
-	rowsPer  []int // member leading extents, StackLead/SplitLead order
-	rows     int
-	dispatch vclock.Seconds
-	finish   vclock.Seconds
+	be      *batchEngine
+	members []*pending
+	rowsPer []int // member leading extents, StackLead/SplitLead order
+	finish  vclock.Seconds
 
-	mu        sync.Mutex
-	values    map[graph.NodeID]*tensor.Tensor
-	waiting   []int
-	remaining int
-	err       error
+	flow *runtime.Dataflow
+	// stacked are the batch's input tensors: serve's copies, drawn from the
+	// replica arena and returned to it at finalize.
+	stacked []*tensor.Tensor
 
 	// memberOuts[m][o] is member m's slice of output o, filled at finalize.
 	memberOuts [][]*tensor.Tensor
@@ -120,30 +115,26 @@ type batch struct {
 
 // newBatch stacks the member inputs along the leading dimension (drawing
 // from the replica's arena — serve owns the stacked copies, so the callers'
-// input tensors are never touched again after dispatch) and initialises the
-// dependency counters.
-func newBatch(be *batchEngine, members []*pending, rows int, ar *tensor.Arena) *batch {
-	b := &batch{
-		be:        be,
-		members:   members,
-		rows:      rows,
-		values:    make(map[graph.NodeID]*tensor.Tensor),
-		waiting:   append([]int(nil), be.eng.Skeleton.Pending...),
-		remaining: be.eng.NumSubgraphs(),
-		done:      make(chan struct{}),
-	}
+// input tensors are never touched again after dispatch) and binds them to a
+// dataflow of the batch engine on that arena.
+func newBatch(be *batchEngine, members []*pending, ar *tensor.Arena) (*batch, error) {
+	b := &batch{be: be, members: members, done: make(chan struct{})}
 	for _, p := range members {
 		b.rowsPer = append(b.rowsPer, p.rows)
 	}
 	parts := make([]*tensor.Tensor, len(members))
+	inputs := make(map[string]*tensor.Tensor)
 	for _, id := range be.eng.Parent.InputIDs() {
 		name := be.eng.Parent.Node(id).Name
 		for mi, p := range members {
 			parts[mi] = p.req.Inputs[name]
 		}
-		b.values[id] = tensor.StackLead(ar, parts...)
+		inputs[name] = tensor.StackLead(ar, parts...)
+		b.stacked = append(b.stacked, inputs[name])
 	}
-	return b
+	var err error
+	b.flow, err = be.eng.NewDataflow(inputs, ar)
+	return b, err
 }
 
 // deviceWorker drains one device's job channel for one replica. The two
@@ -156,52 +147,14 @@ func (s *Server) deviceWorker(r *replica, dev int) {
 	}
 }
 
-// execJob runs one subgraph's compiled module for real, publishes its
-// outputs, and forwards newly-ready dependents to their devices' workers.
-// The worker completing the batch's last subgraph finalizes it.
+// execJob fires one subgraph of the batch and forwards the dependents that
+// became ready to their devices' workers. The worker completing the batch's
+// last subgraph finalizes it.
 func (s *Server) execJob(r *replica, j job) {
 	b := j.b
-	be := b.be
-	sub := be.eng.Subgraphs()[j.idx]
-	parent := be.eng.Parent
-
-	b.mu.Lock()
-	subIn := make(map[string]*tensor.Tensor, len(sub.BoundaryInputs))
-	for _, pid := range sub.BoundaryInputs {
-		subIn["in."+parent.Node(pid).Name] = b.values[pid]
-	}
-	b.mu.Unlock()
-
-	outs, err := be.eng.Module(j.idx).ExecuteArena(subIn, r.arena)
-
-	b.mu.Lock()
-	if err != nil {
-		if b.err == nil {
-			b.err = fmt.Errorf("serve: executing %s: %w", sub.Graph.Name, err)
-		}
-		// Zero placeholders keep the dataflow draining (cf. RunParallel's
-		// error path); the batch reports the error, not the values.
-		for _, pid := range sub.Outputs {
-			b.values[pid] = tensor.New(parent.Node(pid).Shape...)
-		}
-	} else {
-		for oi, pid := range sub.Outputs {
-			b.values[pid] = outs[oi]
-		}
-	}
-	var ready []int
-	for _, c := range be.eng.Skeleton.Dependents[j.idx] {
-		b.waiting[c]--
-		if b.waiting[c] == 0 {
-			ready = append(ready, c)
-		}
-	}
-	b.remaining--
-	last := b.remaining == 0
-	b.mu.Unlock()
-
+	ready, last := b.flow.Fire(j.idx)
 	for _, c := range ready {
-		r.ch[be.place[c]] <- job{b: b, idx: c}
+		r.ch[b.be.place[c]] <- job{b: b, idx: c}
 	}
 	if last {
 		b.finalize(r.arena)
@@ -209,52 +162,49 @@ func (s *Server) execJob(r *replica, j job) {
 	}
 }
 
-// finalize splits the batched outputs back per member and recycles the
-// batch's boundary tensors. A single-member batch hands its output tensors
+// finalize splits the batched outputs back per member and recycles what the
+// firing rule did not. A single-member batch hands its output tensors
 // through directly (no copy, protected from recycling); a multi-member
 // batch's members get independent row copies via SplitLead, making the
 // split bit-identical to running each request alone. Runs on the worker
-// that completed the last subgraph; no lock needed — the dataflow is over.
+// that completed the last subgraph — the dataflow is over.
 func (b *batch) finalize(ar *tensor.Arena) {
-	if b.err != nil {
+	if b.flow.Err() != nil {
 		return
 	}
-	outIDs := b.be.eng.Parent.Outputs()
-	b.memberOuts = make([][]*tensor.Tensor, len(b.members))
-	for mi := range b.memberOuts {
-		b.memberOuts[mi] = make([]*tensor.Tensor, len(outIDs))
-	}
-	protect := map[*float32]bool{}
+	outs := b.flow.Outputs()
+	// The rule returned every consumed intermediate as the batch ran; graph
+	// inputs and declared outputs it holds back for the caller, which here is
+	// serve: the stacked inputs are its copies, and the outputs are copied
+	// out below or handed through. Head-pointer dedup guards aliases: a value
+	// sharing storage with a handed-out output is kept, and shared storage is
+	// released at most once.
+	kept := map[*float32]bool{}
 	if len(b.members) == 1 {
-		for oi, oid := range outIDs {
-			v := b.values[oid]
-			b.memberOuts[0][oi] = v
+		b.memberOuts = [][]*tensor.Tensor{outs}
+		for _, v := range outs {
 			if v != nil && len(v.Data()) > 0 {
-				protect[&v.Data()[0]] = true
+				kept[&v.Data()[0]] = true
 			}
 		}
+		outs = nil
 	} else {
-		for oi, oid := range outIDs {
-			pieces := tensor.SplitLead(b.values[oid], b.rowsPer)
+		b.memberOuts = make([][]*tensor.Tensor, len(b.members))
+		for mi := range b.memberOuts {
+			b.memberOuts[mi] = make([]*tensor.Tensor, len(outs))
+		}
+		for oi, v := range outs {
+			pieces := tensor.SplitLead(v, b.rowsPer)
 			for mi := range b.members {
 				b.memberOuts[mi][oi] = pieces[mi]
 			}
 		}
 	}
-	// Return every remaining boundary tensor (stacked inputs included — serve
-	// owns those copies) to the replica arena. Head-pointer dedup guards
-	// aliases: a value sharing storage with a handed-out output is protected,
-	// and shared storage is released at most once.
-	released := map[*float32]bool{}
-	for _, v := range b.values {
-		if v == nil || len(v.Data()) == 0 {
+	for _, v := range append(b.stacked, outs...) {
+		if v == nil || len(v.Data()) == 0 || kept[&v.Data()[0]] {
 			continue
 		}
-		head := &v.Data()[0]
-		if protect[head] || released[head] {
-			continue
-		}
-		released[head] = true
+		kept[&v.Data()[0]] = true
 		ar.Release(v)
 	}
 }

@@ -539,8 +539,10 @@ func (s *Server) dispatch(r *replica, members []*pending, now vclock.Seconds) er
 	if err != nil {
 		return err
 	}
-	b := newBatch(be, members, rows, r.arena)
-	b.dispatch = now
+	b, err := newBatch(be, members, r.arena)
+	if err != nil {
+		return err
+	}
 	r.timeBatch(b, now, s.cfg.Pipelined)
 
 	// Keep inflight sorted by finish (completions can reorder only through
@@ -592,10 +594,10 @@ func (s *Server) batchEngineFor(rows int) (*batchEngine, error) {
 // finishBatch splits the batched outputs back per member (bit-identical
 // row copies) and delivers every member response.
 func (s *Server) finishBatch(b *batch, deliver func(*pending)) {
-	if b.err != nil {
+	if err := b.flow.Err(); err != nil {
 		for _, p := range b.members {
 			p.resp.Outcome = Failed
-			p.resp.Err = b.err
+			p.resp.Err = err
 			deliver(p)
 		}
 		return

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -480,5 +481,185 @@ func TestServeShedReasonsTyped(t *testing.T) {
 	if rep2.Shed[ShedDeadline] != rep2.Expired+1 || rep2.Shed[ShedInvalid] != 1 {
 		t.Fatalf("shed breakdown %v does not partition expired=%d + admission rejections",
 			rep2.Shed, rep2.Expired)
+	}
+}
+
+// poisonArena overwrites every buffer the arena currently pools, in the size
+// classes the test model uses, with NaN: an output that aliases a recycled
+// buffer shows up as NaN in its holder's hands.
+func poisonArena(ar *tensor.Arena) {
+	nan := float32(math.NaN())
+	var held []*tensor.Tensor
+	for bits := 6; bits <= 18; bits++ {
+		for i := 0; i < 4; i++ {
+			t := ar.NewNoZero(1 << bits)
+			t.Data()[0] = nan
+			for filled := 1; filled < len(t.Data()); filled *= 2 {
+				copy(t.Data()[filled:], t.Data()[:filled])
+			}
+			held = append(held, t)
+		}
+	}
+	for _, t := range held {
+		ar.Release(t)
+	}
+}
+
+// TestServeBatchRecyclesMidBatch: a served batch fires its subgraphs through
+// the engine's own rule, so its cross-subgraph intermediates return to the
+// replica arena as the batch runs — exactly the buffers a Run of the batch
+// engine returns — instead of living until finalize. Member outputs stay
+// bit-identical to each request run alone once every pooled buffer has been
+// overwritten, for a batch driven by hand (so the count can be read before
+// finalize) and for depth-2 pipelined batches sharing the replica arena
+// through the device workers.
+func TestServeBatchRecyclesMidBatch(t *testing.T) {
+	e, cfg := testEngine(t)
+	srv, err := New(Config{
+		Engine:     e,
+		BatchGraph: batchGraph(cfg),
+		MaxBatch:   2,
+		Window:     1e-3,
+		Pipelined:  true,
+		QueueCap:   256,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	r := srv.replicas[0]
+	alone := func(i int) []*tensor.Tensor {
+		ref, err := e.Infer(inputsFor(cfg, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ref.Outputs
+	}
+
+	// Through the workers: three 2-row batches, two in flight at a time on
+	// one arena. This also warms the arena and builds the 2-row engine.
+	const n = 6
+	reqs := OpenLoop(LoadSpec{
+		Requests: n,
+		Burst:    true,
+		Inputs:   func(i int) map[string]*tensor.Tensor { return inputsFor(cfg, i) },
+	})
+	rep, resps, err := srv.Run(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK != n {
+		t.Fatalf("report: %+v", rep)
+	}
+	poisonArena(r.arena)
+	for i := range resps {
+		if resps[i].BatchRows != 2 {
+			t.Fatalf("request %d rode a %d-row batch, want 2", i, resps[i].BatchRows)
+		}
+		sameTensors(t, "pipelined request", resps[i].Outputs, alone(i))
+	}
+
+	// By hand: the same batch, fired in partition order on this goroutine.
+	be, err := srv.batchEngineFor(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crossing := map[graph.NodeID]bool{}
+	for _, sub := range be.eng.Subgraphs() {
+		for _, id := range sub.BoundaryInputs {
+			crossing[id] = true
+		}
+	}
+	for _, id := range append(be.eng.Parent.InputIDs(), be.eng.Parent.Outputs()...) {
+		delete(crossing, id)
+	}
+	if len(crossing) < 2 {
+		t.Fatalf("model has %d cross-subgraph intermediates, want ≥ 2", len(crossing))
+	}
+	members := []*pending{{req: &reqs[0], rows: 1}, {req: &reqs[1], rows: 1}}
+	b, err := newBatch(be, members, r.arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stacked := map[string]*tensor.Tensor{}
+	for i, id := range be.eng.Parent.InputIDs() {
+		stacked[be.eng.Parent.Node(id).Name] = b.stacked[i]
+	}
+	before := be.eng.Arena().Stats().Recycled
+	if _, err := be.eng.Run(stacked, be.place, true); err != nil {
+		t.Fatal(err)
+	}
+	want := be.eng.Arena().Stats().Recycled - before
+
+	before = r.arena.Stats().Recycled
+	for i := range be.eng.Subgraphs() {
+		b.flow.Fire(i)
+	}
+	if got := r.arena.Stats().Recycled - before; got != want || got < int64(len(crossing)) {
+		t.Fatalf("batch recycled %d buffers before finalize, a Run of its engine %d (%d cross subgraphs)", got, want, len(crossing))
+	}
+	b.finalize(r.arena)
+	poisonArena(r.arena)
+	for mi := range members {
+		sameTensors(t, "hand-fired member", b.memberOuts[mi], alone(mi))
+	}
+}
+
+// TestServeFailedBatch: a batch one of whose modules fails delivers Failed
+// with the module's error to every member — the dataflow drains on
+// placeholders rather than stalling the workers — and the replica serves the
+// next batch.
+func TestServeFailedBatch(t *testing.T) {
+	e, cfg := testEngine(t)
+	srv, err := New(Config{
+		Engine:     e,
+		BatchGraph: batchGraph(cfg),
+		MaxBatch:   2,
+		Window:     1e-3,
+		QueueCap:   256,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	reqs := OpenLoop(LoadSpec{
+		Requests: 2,
+		Burst:    true,
+		Inputs:   func(i int) map[string]*tensor.Tensor { return inputsFor(cfg, i) },
+	})
+	be, err := srv.batchEngineFor(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A module whose graph has a placeholder nothing binds fails in
+	// ExecuteArena. The 2-row engine's modules are its own, and the workers
+	// only read them between a job's channel receive and the batch's done.
+	unbound := graph.New("failing")
+	unbound.SetOutputs(unbound.Add("relu", "r", nil, unbound.AddInput("never.bound", 1, 4)))
+	mid := be.eng.NumSubgraphs() / 2
+	mod := be.eng.Module(mid)
+	good := mod.Graph
+	mod.Graph = unbound
+	_, resps, err := srv.Run(reqs)
+	mod.Graph = good
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := be.eng.Subgraphs()[mid].Graph.Name
+	for i := range resps {
+		if resps[i].Outcome != Failed || resps[i].Err == nil || !strings.Contains(resps[i].Err.Error(), name) {
+			t.Fatalf("member %d: outcome %s, err %v; want Failed on %s", i, resps[i].Outcome, resps[i].Err, name)
+		}
+	}
+
+	_, resps, err = srv.Run(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range resps {
+		if resps[i].Outcome != OK {
+			t.Fatalf("member %d after the failed batch: outcome %s, err %v", i, resps[i].Outcome, resps[i].Err)
+		}
 	}
 }

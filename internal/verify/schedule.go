@@ -52,8 +52,8 @@ func CheckScheduleOrder(p *partition.Partition) []Finding {
 
 // CheckSyncQueue verifies liveness of the runtime's firing rule (§IV-D): a
 // subgraph fires once all of its distinct producer subgraphs have completed,
-// exactly the pending/dependents bookkeeping of RunParallel and the serving
-// replica workers. The pass simulates the rule to a fixpoint; any subgraph
+// exactly the pending/dependents bookkeeping of runtime.Dataflow.Fire, which
+// Run, RunParallel and the serving replica workers all fire through. The pass simulates the rule to a fixpoint; any subgraph
 // that never fires deadlocks the sync queues and is reported together with
 // the producers it is stuck on.
 func CheckSyncQueue(p *partition.Partition) []Finding {
