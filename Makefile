@@ -15,9 +15,10 @@ build:
 ## is touched from every worker goroutine in the runtime.
 ## The allocation guard runs without -race: the race detector makes
 ## sync.Pool randomly drop Puts, so arena accounting is only meaningful in
-## a plain build (the test skips itself under -race).
+## a plain build (the test skips itself under -race). The same plain pass
+## holds the full-size MT-DNN to a warm run that packs no weight again.
 ## The serve package gets a dedicated high-iteration race pass: replicas
-## share compiled modules and the weight pack cache while drawing
+## share compiled modules and the weights' packed panels while drawing
 ## activations from separate arenas, a replica's in-flight pipelined batches
 ## recycle intermediates into one arena mid-batch, and the smoke test pins
 ## the pipelined serving stack's throughput floor over the serial Infer loop.
@@ -49,7 +50,7 @@ check: fmt-check vet
 	$(GO) test -race -count=2 -run 'TestConcurrentExecuteArena|TestServeSmoke|TestServeBatchRecyclesMidBatch' ./internal/serve/
 	$(GO) test -race -count=1 -run 'TestClusterChaosCrashFailover|TestClusterTraceDeterminism' ./internal/cluster/
 	$(GO) test -race -count=20 -run 'TestRunParallelMatchesSerialValues|TestDataflowLegalOrders' ./internal/runtime/
-	$(GO) test -count=1 -run TestArenaCutsSteadyStateAllocs ./internal/runtime/
+	$(GO) test -count=1 -run 'TestArenaCutsSteadyStateAllocs|TestMTDNNWarmRunPacksNothing' ./internal/runtime/
 	$(MAKE) bench-diff
 	@./bin/duet-vet -summary .
 

@@ -122,8 +122,8 @@ func (g *Graph) AddInput(name string, shape ...int) NodeID {
 }
 
 // AddConst adds a constant (weight) node holding v. The payload is pinned:
-// its storage has stable identity for the lifetime of the graph, which lets
-// the GEMM weight pack cache key on it and the arena refuse to recycle it.
+// its contents are stable for the lifetime of the graph, so it keeps its
+// packed GEMM panels across calls and the arena refuses to recycle it.
 func (g *Graph) AddConst(name string, v *tensor.Tensor) NodeID {
 	id := g.Add(OpConst, name, Attrs{})
 	g.nodes[id].Value = v.MarkPinned()

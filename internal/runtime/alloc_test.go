@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	goruntime "runtime"
 	"testing"
 
 	"duet/internal/compiler"
@@ -228,4 +229,56 @@ func TestArenaCutsSteadyStateAllocs(t *testing.T) {
 		inputs := map[string]*tensor.Tensor{"x": tensor.Rand(rng, 1, 1, 64)}
 		assertArenaCutsAllocs(t, e, inputs)
 	})
+}
+
+// TestMTDNNWarmRunPacksNothing is the engine-level guard for the packed
+// weight panels: the full MT-DNN carries 82 MB of them — more than the
+// 64 MiB cache that used to hold them, which therefore re-packed the whole
+// weight set (86 MB of fresh heap) on every inference. A warm Run must read
+// the panels the first run left on the weights: no pack miss, and only the
+// run's few unpooled buffers on the heap.
+func TestMTDNNWarmRunPacksNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the full-size MT-DNN")
+	}
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop Puts at random; allocation accounting is only meaningful without -race (make check runs a plain pass)")
+	}
+	cfg := models.DefaultMTDNN()
+	g, err := models.MTDNN(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := compiler.InferShapes(g); err != nil {
+		t.Fatal(err)
+	}
+	p, err := partition.Build(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newEngine(t, p, 0)
+	inputs := workload.MTDNNInputs(cfg, 7)
+	place := Uniform(e.NumSubgraphs(), device.CPU)
+	run := func() {
+		if _, err := e.Run(inputs, place, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	run()
+	var m0, m1 goruntime.MemStats
+	p0 := tensor.PackCacheSnapshot()
+	goruntime.ReadMemStats(&m0)
+	run()
+	goruntime.ReadMemStats(&m1)
+	p1 := tensor.PackCacheSnapshot()
+	allocMB := float64(m1.TotalAlloc-m0.TotalAlloc) / (1 << 20)
+	t.Logf("warm Run: %d pack misses, %d hits, %.1f MB allocated, %.1f MB of panels resident",
+		p1.Misses-p0.Misses, p1.Hits-p0.Hits, allocMB, float64(p1.Bytes)/(1<<20))
+	if p1.Misses != p0.Misses {
+		t.Fatalf("warm run re-packed %d weights", p1.Misses-p0.Misses)
+	}
+	if allocMB >= 5 {
+		t.Fatalf("warm run allocated %.1f MB, want < 5", allocMB)
+	}
 }

@@ -133,7 +133,7 @@ func (m *engineMetrics) recordFusion(modules []*compiler.Module) {
 // uninstrumented).
 func (e *Engine) Registry() *obs.Registry { return e.m.reg }
 
-// recordMemory publishes the arena's and the weight pack cache's cumulative
+// recordMemory publishes the arena's and the packed weight panels' cumulative
 // event counts as gauges. Called after each value-carrying run; both sources
 // are monotonic counters sampled at run granularity, so Set (not Add) is
 // correct. No-op when uninstrumented or when the arena is disabled.

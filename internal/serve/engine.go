@@ -15,8 +15,8 @@ import (
 )
 
 // batchEngine bundles everything the server needs to run one batch size:
-// the compiled modules (shared read-only by every replica — the underlying
-// weight packs additionally dedupe through the process-wide pack cache) and
+// the compiled modules (shared read-only by every replica, and with them
+// the weights and the one set of packed panels the weights own) and
 // a serving placement. Replica device workers fire subgraphs from the engine
 // skeleton's sync plan, not in partition order, so a replica's two devices
 // genuinely execute concurrently. The base batch size reuses the core

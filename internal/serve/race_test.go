@@ -11,8 +11,8 @@ import (
 )
 
 // TestConcurrentExecuteArena is the replica model in miniature: two
-// goroutines share one compiled module (and therefore the process-wide
-// weight pack cache) while drawing activations from separate arenas — two
+// goroutines share one compiled module (and therefore its weights' packed
+// panels) while drawing activations from separate arenas — two
 // replicas — or from one — a replica's two in-flight pipelined batches. Run
 // under -race -count=2 by `make check`, it pins down that module execution
 // is data-race-free and that outputs stay bit-identical to a serial

@@ -320,8 +320,8 @@ func TestServeBackpressure(t *testing.T) {
 }
 
 // TestServeReplicasShareCacheNotArenas: two replicas both serve work, and
-// their separate arenas sit in front of the shared weight pack cache (the
-// cache grows no further once the base engine has packed its weights).
+// their separate arenas sit in front of the shared weights' packed panels
+// (no panel is added once the base engine has packed its weights).
 func TestServeReplicasShareCacheNotArenas(t *testing.T) {
 	e, cfg := testEngine(t)
 	srv, err := New(Config{Engine: e, Replicas: 2, QueueCap: 256})
@@ -352,7 +352,7 @@ func TestServeReplicasShareCacheNotArenas(t *testing.T) {
 	}
 	after := tensor.PackCacheSnapshot()
 	if after.Hits <= before.Hits {
-		t.Fatalf("replicas should hit the shared pack cache: %+v -> %+v", before, after)
+		t.Fatalf("replicas should hit the shared packed panels: %+v -> %+v", before, after)
 	}
 	if after.Entries > before.Entries {
 		t.Fatalf("second replica repacked weights: %+v -> %+v", before, after)

@@ -120,7 +120,7 @@ func (a *Arena) Release(t *Tensor) {
 		return
 	}
 	c := cap(t.data)
-	if t.pinned || c == 0 || c&(c-1) != 0 {
+	if t.pin != nil || c == 0 || c&(c-1) != 0 {
 		a.discarded.Add(1)
 		return
 	}

@@ -51,8 +51,8 @@ func Linear(x, w, bias *Tensor) *Tensor {
 }
 
 // LinearInto computes x·wᵀ + bias into out (allocated from ar when nil).
-// The weight is packed as a transposed B operand; pinned weights hit the
-// cross-call pack cache. The bias is added in a single pass over each
+// The weight is packed as a transposed B operand; a pinned weight is packed
+// once and keeps its panels. The bias is added in a single pass over each
 // output row. For a fused epilogue program after the bias, see
 // LinearChainInto.
 func LinearInto(out *Tensor, x, w, bias *Tensor, ar *Arena) *Tensor {
@@ -121,53 +121,49 @@ func BatchMatMulInto(out *Tensor, a, b *Tensor, ar *Arena) *Tensor {
 	}
 	buf, scratch := ar.grabScratch(packedSize(k, n))
 	for i := 0; i < bs; i++ {
-		packBRowMajor(buf, b.data[i*k*n:(i+1)*k*n], k, n)
+		packBRowMajor(buf, b.data[i*k*n:(i+1)*k*n], k, n, 0, packedPanels(n))
 		gemmPacked(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], buf, m, n, k)
 	}
 	ar.dropScratch(scratch)
 	return out
 }
 
+// packedPanels returns the number of nr-column panels that cover n columns.
+func packedPanels(n int) int { return (n + nr - 1) / nr }
+
 // packedSize returns the element count of the packed layout of a K×N
 // operand: full-K panels of nr columns, edge panels zero-padded.
-func packedSize(k, n int) int { return (n + nr - 1) / nr * k * nr }
+func packedSize(k, n int) int { return packedPanels(n) * k * nr }
 
 // packedB returns b's packed panels. trans=false packs a K×N row-major
 // operand; trans=true packs an N×K operand as its transpose (the dense
-// weight path). Pinned tensors are served from the cross-call weight cache;
-// anything else is packed into arena scratch, returned for release.
+// weight path). A pinned tensor keeps its panels (packcache.go); anything
+// else is packed into arena scratch, returned for release.
 func packedB(b *Tensor, k, n int, trans bool, ar *Arena) ([]float32, *Tensor) {
-	sz := packedSize(k, n)
-	if b.pinned && len(b.data) > 0 {
-		key := packKey{ptr: &b.data[0], trans: trans}
-		if buf := weightPackCache.lookup(key, k, n); buf != nil {
-			return buf, nil
-		}
-		buf := make([]float32, sz)
-		if trans {
-			packBTransposed(buf, b.data, k, n)
-		} else {
-			packBRowMajor(buf, b.data, k, n)
-		}
-		weightPackCache.insert(key, buf, k, n)
-		return buf, nil
+	if b.pin != nil && len(b.data) > 0 {
+		return b.pin.packed(b.data, k, n, trans), nil
 	}
-	buf, scratch := ar.grabScratch(sz)
-	if trans {
-		packBTransposed(buf, b.data, k, n)
-	} else {
-		packBRowMajor(buf, b.data, k, n)
-	}
+	buf, scratch := ar.grabScratch(packedSize(k, n))
+	packPanels(buf, b.data, k, n, trans, 0, packedPanels(n))
 	return buf, scratch
 }
 
-// packBRowMajor packs a K×N row-major operand into tile-major panels:
-// bp[jt*k*nr + kk*nr + jj] = b[kk*n + jt*nr + jj], zero-padding columns
-// past N so the microkernel never needs an edge case in K. Every slot of bp
-// is written, so non-zeroed scratch is safe.
-func packBRowMajor(bp, b []float32, k, n int) {
-	nTiles := (n + nr - 1) / nr
-	for jt := 0; jt < nTiles; jt++ {
+// packPanels packs column panels [lo, hi) of b in the layout packedB names.
+func packPanels(bp, b []float32, k, n int, trans bool, lo, hi int) {
+	if trans {
+		packBTransposed(bp, b, k, n, lo, hi)
+	} else {
+		packBRowMajor(bp, b, k, n, lo, hi)
+	}
+}
+
+// packBRowMajor packs column panels [lo, hi) of a K×N row-major operand
+// into tile-major layout: bp[jt*k*nr + kk*nr + jj] = b[kk*n + jt*nr + jj],
+// zero-padding columns past N so the microkernel never needs an edge case
+// in K. Every slot of a packed panel is written, so non-zeroed scratch is
+// safe.
+func packBRowMajor(bp, b []float32, k, n, lo, hi int) {
+	for jt := lo; jt < hi; jt++ {
 		j0 := jt * nr
 		jw := min(nr, n-j0)
 		dst := bp[jt*k*nr:]
@@ -182,11 +178,10 @@ func packBRowMajor(bp, b []float32, k, n int) {
 	}
 }
 
-// packBTransposed packs an N×K row-major operand w as the B = wᵀ panels:
-// bp[jt*k*nr + kk*nr + jj] = w[(jt*nr+jj)*k + kk].
-func packBTransposed(bp, w []float32, k, n int) {
-	nTiles := (n + nr - 1) / nr
-	for jt := 0; jt < nTiles; jt++ {
+// packBTransposed packs column panels [lo, hi) of B = wᵀ for an N×K
+// row-major operand w: bp[jt*k*nr + kk*nr + jj] = w[(jt*nr+jj)*k + kk].
+func packBTransposed(bp, w []float32, k, n, lo, hi int) {
+	for jt := lo; jt < hi; jt++ {
 		j0 := jt * nr
 		jw := min(nr, n-j0)
 		dst := bp[jt*k*nr:]

@@ -1,129 +1,152 @@
 package tensor
 
 import (
-	"container/list"
-	"sync"
+	"runtime"
 	"sync/atomic"
 )
 
-// The packed-B weight cache. Packing a B operand into tile-major panels is
-// O(K·N) work per GEMM call; for weight matrices (dense layers, reshaped
-// conv filters) the operand is identical on every inference, so the packed
-// panels are cached across calls. Only pinned tensors (graph constants) are
-// cacheable: their backing-array pointer is a stable identity and the arena
-// is forbidden from ever recycling their storage, so a cache key can never
-// alias a different tensor. Activations are packed into arena scratch and
-// released immediately.
+// Packed weight panels. Packing a B operand into tile-major panels is
+// O(K·N) work per GEMM call; for weight matrices (dense layers, RNN
+// projections, a matmul's constant RHS) the operand is identical on every
+// inference, so a pinned tensor owns its panels: they are packed on the
+// first product that reads the weight, published in its pin record, and
+// live exactly as long as the weight does. Residency is therefore bounded
+// by the model — at most the padded size of its GEMM weights per layout
+// used — and needs no sizing; the garbage collector frees the panels with
+// the model. Activations are packed into arena scratch and released
+// immediately.
 
-// packCacheCapacity bounds the resident packed panels. Model-zoo weight
-// sets fit comfortably; past the cap the least-recently-used entry is
-// evicted.
-const packCacheCapacity = 64 << 20 // bytes
-
-// packKey identifies one packed layout of one weight tensor. The same
-// buffer may legitimately be packed both as a row-major B (matmul with a
-// const RHS) and as a transposed B (dense layers), hence the trans bit.
-type packKey struct {
-	ptr   *float32
-	trans bool
+// pin is the record a pinned weight shares with every Reshape view of it.
+// Each layout has its own slot because the same buffer may legitimately be
+// packed both as a row-major B (matmul with a const RHS) and as a
+// transposed B (dense layers).
+type pin struct {
+	panels [2]atomic.Pointer[panel] // [0] row-major B, [1] transposed B
 }
 
-type packEntry struct {
-	key packKey
-	buf []float32
-	k   int // inner dimension the panels were packed for
-	n   int // output columns
-	lru *list.Element
+// panel is one published packed layout. It is immutable once stored.
+type panel struct {
+	buf  []float32
+	k    int // inner dimension the panels were packed for
+	n    int // output columns
+	held *resident
 }
 
-type packCache struct {
-	mu      sync.Mutex
-	entries map[packKey]*packEntry
-	order   *list.List // front = most recent
-	bytes   int64
-	cap     int64
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
+// resident is a published panel's entry in the residency count, and the
+// object whose finalizer takes a dead weight's panel out of it. It is kept
+// apart from the panel because a finalizer keeps everything its object
+// reaches alive for one more collection cycle: hung on the pin record or
+// the panel, that would be a dropped MT-DNN's 82 MB.
+type resident struct {
+	epoch *packEpoch
+	bytes int64
 }
 
-var weightPackCache = &packCache{
-	entries: map[packKey]*packEntry{},
-	order:   list.New(),
-	cap:     packCacheCapacity,
+// packEpoch counts the panels packed between two ResetPackCache calls. A
+// panel carries the epoch it was packed in, which both invalidates it after
+// a reset (its epoch is no longer the current one) and makes the accounting
+// race-free: it is added to and removed from its own epoch's counters, and
+// only the current epoch's are ever reported.
+type packEpoch struct {
+	entries atomic.Int64
+	bytes   atomic.Int64
 }
 
-// PackCacheStats reports the weight-pack cache counters and residency.
+var (
+	packHits   atomic.Int64
+	packMisses atomic.Int64
+	packNow    atomic.Pointer[packEpoch]
+)
+
+func init() { packNow.Store(new(packEpoch)) }
+
+func (r *resident) enter() {
+	r.epoch.entries.Add(1)
+	r.epoch.bytes.Add(r.bytes)
+	runtime.SetFinalizer(r, (*resident).leave)
+}
+
+// leave is the finalizer, and the explicit exit of a panel that lost the
+// publication race or was replaced.
+func (r *resident) leave() {
+	runtime.SetFinalizer(r, nil)
+	r.epoch.entries.Add(-1)
+	r.epoch.bytes.Add(-r.bytes)
+}
+
+// PackCacheStats reports the packed-weight counters and residency.
 type PackCacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes"`
+	Hits    int64 `json:"hits"`
+	Misses  int64 `json:"misses"`
+	Entries int   `json:"entries"`
+	Bytes   int64 `json:"bytes"`
 }
 
-// PackCacheSnapshot returns current weight-pack cache statistics.
+// PackCacheSnapshot returns the process-wide packed-weight statistics:
+// cumulative hits and misses, and the panels resident since the last reset.
 func PackCacheSnapshot() PackCacheStats {
-	c := weightPackCache
-	c.mu.Lock()
-	entries, bytes := len(c.entries), c.bytes
-	c.mu.Unlock()
+	e := packNow.Load()
 	return PackCacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   entries,
-		Bytes:     bytes,
+		Hits:    packHits.Load(),
+		Misses:  packMisses.Load(),
+		Entries: int(e.entries.Load()),
+		Bytes:   e.bytes.Load(),
 	}
 }
 
-// ResetPackCache drops every cached packed panel (tests, model reload).
-func ResetPackCache() {
-	c := weightPackCache
-	c.mu.Lock()
-	c.entries = map[packKey]*packEntry{}
-	c.order.Init()
-	c.bytes = 0
-	c.mu.Unlock()
+// ResetPackCache invalidates every packed panel (tests, cold-start
+// measurement): residency reads zero and the next product on a live weight
+// packs it again, replacing the stale panel.
+func ResetPackCache() { packNow.Store(new(packEpoch)) }
+
+func (p *panel) serves(e *packEpoch, k, n int) bool {
+	return p != nil && p.held.epoch == e && p.k == k && p.n == n
 }
 
-// lookup returns the cached packed panels for key, refreshing recency.
-func (c *packCache) lookup(key packKey, k, n int) []float32 {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if ok && e.k == k && e.n == n {
-		c.order.MoveToFront(e.lru)
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return e.buf
+// packed returns the panels of the weight w in the given layout, packing
+// them on first use. Concurrent first uses (serve replicas share weights)
+// each pack, and the compare-and-swap keeps one: the losers return the
+// winner's buffer, so exactly one copy stays resident. A panel packed for
+// other dimensions or before the last reset is replaced.
+func (p *pin) packed(w []float32, k, n int, trans bool) []float32 {
+	slot := &p.panels[0]
+	if trans {
+		slot = &p.panels[1]
 	}
-	c.mu.Unlock()
-	c.misses.Add(1)
-	return nil
+	e := packNow.Load()
+	old := slot.Load()
+	if old.serves(e, k, n) {
+		packHits.Add(1)
+		return old.buf
+	}
+	packMisses.Add(1)
+	sz := packedSize(k, n)
+	fresh := &panel{buf: make([]float32, sz), k: k, n: n, held: &resident{epoch: e, bytes: int64(4 * sz)}}
+	packWeight(fresh.buf, w, k, n, trans)
+	fresh.held.enter() // before it can be seen, so only its replacer retires it
+	for !slot.CompareAndSwap(old, fresh) {
+		if old = slot.Load(); old.serves(e, k, n) {
+			fresh.held.leave()
+			return old.buf
+		}
+	}
+	if old != nil {
+		old.held.leave()
+	}
+	return fresh.buf
 }
 
-// insert stores freshly packed panels, evicting LRU entries past capacity.
-func (c *packCache) insert(key packKey, buf []float32, k, n int) {
-	sz := int64(4 * len(buf))
-	c.mu.Lock()
-	if old, ok := c.entries[key]; ok {
-		// Lost a pack race (or the dims changed); replace.
-		c.bytes -= int64(4 * len(old.buf))
-		c.order.Remove(old.lru)
-		delete(c.entries, key)
+// packWeight fills bp with a weight's panels. It runs once per weight and
+// layout, on the first request's critical path, so large weights fan out
+// over column panels; the panels are disjoint copies, so the split cannot
+// change a bit.
+func packWeight(bp, w []float32, k, n int, trans bool) {
+	panels := packedPanels(n)
+	if !worthSplitting(panels, k*nr) {
+		packPanels(bp, w, k, n, trans, 0, panels)
+		return
 	}
-	e := &packEntry{key: key, buf: buf, k: k, n: n}
-	e.lru = c.order.PushFront(e)
-	c.entries[key] = e
-	c.bytes += sz
-	for c.bytes > c.cap && c.order.Len() > 1 {
-		back := c.order.Back()
-		victim := back.Value.(*packEntry)
-		c.order.Remove(back)
-		delete(c.entries, victim.key)
-		c.bytes -= int64(4 * len(victim.buf))
-		c.evictions.Add(1)
-	}
-	c.mu.Unlock()
+	ParallelForChunked(panels, planeGrain(panels), func(lo, hi int) {
+		packPanels(bp, w, k, n, trans, lo, hi)
+	})
 }

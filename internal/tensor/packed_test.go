@@ -168,9 +168,9 @@ func TestMatMulBlockedBitExact(t *testing.T) {
 	}
 }
 
-// TestPackCacheReuse verifies pinned weights are packed once and served
-// from the cache on later calls, and that unpinned operands never populate
-// the cache.
+// TestPackCacheReuse verifies pinned weights are packed once and keep
+// their panels for later calls, and that unpinned operands never leave a
+// resident panel.
 func TestPackCacheReuse(t *testing.T) {
 	ResetPackCache()
 	rng := rand.New(rand.NewSource(13))
@@ -190,7 +190,7 @@ func TestPackCacheReuse(t *testing.T) {
 	u := Rand(rng, 1, 32, 64) // unpinned
 	Linear(x, u, nil)
 	if after := PackCacheSnapshot(); after.Entries != st.Entries {
-		t.Errorf("unpinned operand grew the cache: %d -> %d", st.Entries, after.Entries)
+		t.Errorf("unpinned operand left a resident panel: %d -> %d", st.Entries, after.Entries)
 	}
 	ResetPackCache()
 	if after := PackCacheSnapshot(); after.Entries != 0 || after.Bytes != 0 {

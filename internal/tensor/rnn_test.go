@@ -108,8 +108,8 @@ func TestRNNSeqBitExact(t *testing.T) {
 					SetMaxWorkers(0)
 				}
 			}
-			// Pinned weights take their panels from the pack cache: the first
-			// call packs and inserts, the second hits.
+			// Pinned weights keep their panels: the first call packs and
+			// publishes them, the second reads them.
 			x := Rand(rng, 1, 3, 5, in)
 			wantSeq, _ := rnnOracle(lstm, x, wx, wh, bias)
 			wx.MarkPinned()

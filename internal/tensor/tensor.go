@@ -17,23 +17,26 @@ import (
 type Tensor struct {
 	shape []int
 	data  []float32
-	// pinned marks long-lived weight tensors: their identity (backing-array
-	// pointer) is stable for the life of the model, which makes them legal
-	// keys for the packed-GEMM weight cache and illegal inputs to the
-	// arena's recycler. Views share the flag with their base.
-	pinned bool
+	// pin is non-nil on long-lived weight tensors: their contents are stable
+	// for the life of the model, so the record owns their packed-GEMM panels
+	// (packcache.go) and the arena refuses to recycle their storage. Views
+	// share the record with their base.
+	pin *pin
 }
 
-// MarkPinned flags t as a long-lived weight tensor: packed-GEMM panels may
-// be cached under its identity and the arena will refuse to recycle its
-// storage. Graph constants are pinned at construction.
+// MarkPinned flags t as a long-lived weight tensor: it keeps its packed-GEMM
+// panels from the first product on, for as long as it or a view of it is
+// reachable, and the arena will refuse to recycle its storage. Graph
+// constants are pinned at construction.
 func (t *Tensor) MarkPinned() *Tensor {
-	t.pinned = true
+	if t.pin == nil {
+		t.pin = new(pin)
+	}
 	return t
 }
 
 // Pinned reports whether t is a pinned weight tensor.
-func (t *Tensor) Pinned() bool { return t.pinned }
+func (t *Tensor) Pinned() bool { return t.pin != nil }
 
 // New returns a zero-filled tensor of the given shape.
 // It panics if any dimension is negative.
@@ -167,7 +170,7 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	if known != len(t.data) {
 		panic(fmt.Sprintf("tensor: Reshape %v incompatible with %d elements", shape, len(t.data)))
 	}
-	return &Tensor{shape: shape, data: t.data, pinned: t.pinned}
+	return &Tensor{shape: shape, data: t.data, pin: t.pin}
 }
 
 // Flatten returns a 1-D view over the same storage.
