@@ -36,7 +36,9 @@ build:
 ## portable Go microkernels are the reference the AVX2 assembly is held to
 ## and the only GEMM path off amd64, so they pass the identical suite — and
 ## the whole tree is cross-built for arm64 to prove the build tags (offline:
-## the standard library is the only dependency).
+## the standard library is the only dependency). The served-batch cells of
+## BenchmarkConv2D (the last three ResNet stages at 64², eight images: the
+## shapes whose blocks span images) run once, so they cannot rot.
 ## The host-clock benchmark in bench/ is a nested module that compiles
 ## against the exported runtime/schedule/serve API and may not be edited by
 ## the PRs it measures, so a rename that breaks the harness has to fail here,
@@ -45,6 +47,7 @@ check: fmt-check vet
 	$(GO) test -race ./...
 	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 	$(GO) test -count=1 -tags purego ./internal/tensor/...
+	$(GO) test -run xxx -bench 'Conv2D/.*x8' -benchtime 1x ./internal/tensor/
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) test -race -count=2 ./internal/obs/...
 	$(GO) test -race -count=2 -run 'TestConcurrentExecuteArena|TestServeSmoke|TestServeBatchRecyclesMidBatch' ./internal/serve/

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"duet/internal/compiler"
 	"duet/internal/core"
@@ -65,10 +67,11 @@ func (be *batchEngine) checkPlace() error {
 
 // newBatchEngine compiles the model at a new total batch extent. The graph
 // comes from the BatchGraph factory (same weights, resized leading
-// dimension) and goes through the same partitioner and compiler options as
-// the base engine. The platform is noiseless: modules and tuned kernel
-// costs are platform-seed independent, and timing noise is sampled from
-// each replica's own platform, not from here.
+// dimension; the weights that are the base engine's bit for bit are replaced
+// by the base engine's tensors) and goes through the same partitioner and
+// compiler options as the base engine. The platform is noiseless: modules
+// and tuned kernel costs are platform-seed independent, and timing noise is
+// sampled from each replica's own platform, not from here.
 func newBatchEngine(cfg Config, rows int, base *batchEngine) (*batchEngine, error) {
 	g, err := cfg.BatchGraph(rows)
 	if err != nil {
@@ -103,6 +106,8 @@ func newBatchEngine(cfg Config, rows int, base *batchEngine) (*batchEngine, erro
 		}
 	}
 
+	internConsts(g, baseParent)
+
 	part, err := partition.Build(g)
 	if err != nil {
 		return nil, fmt.Errorf("serve: partitioning BatchGraph(%d): %w", rows, err)
@@ -125,6 +130,30 @@ func newBatchEngine(cfg Config, rows int, base *batchEngine) (*batchEngine, erro
 		return nil, err
 	}
 	return be, nil
+}
+
+// internConsts points every const node of g at the base graph's tensor when
+// base has a const of the same name, shape and bits. The factory rebuilds
+// the model per batch size and so re-derives the weights; sharing the base
+// tensor keeps one copy of each weight — and of the packed panels its pin
+// record owns — however many batch sizes are compiled. A const that differs
+// keeps its own tensor.
+func internConsts(g, base *graph.Graph) {
+	for _, n := range g.Nodes() {
+		if !n.IsConst() {
+			continue
+		}
+		if bn := base.NodeByName(n.Name); bn != nil && bn.IsConst() && sameBits(n.Value, bn.Value) {
+			n.Value = bn.Value
+		}
+	}
+}
+
+func sameBits(a, b *tensor.Tensor) bool {
+	return tensor.ShapeEq(a.Shape(), b.Shape()) &&
+		slices.EqualFunc(a.Data(), b.Data(), func(x, y float32) bool {
+			return math.Float32bits(x) == math.Float32bits(y)
+		})
 }
 
 // leadingRows returns the model's base batch extent: the shared leading

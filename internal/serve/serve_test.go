@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -90,47 +91,117 @@ func sameTensors(t *testing.T, label string, got, want []*tensor.Tensor) {
 // must be bit-identical to running every request alone through Engine.Infer.
 func TestServeBatchedBitEqualToInfer(t *testing.T) {
 	e, cfg := testEngine(t)
-	srv, err := New(Config{
-		Engine:     e,
-		BatchGraph: batchGraph(cfg),
-		MaxBatch:   4,
-		Window:     1e-3,
-		Pipelined:  true,
-		QueueCap:   256,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
 	const n = 10
-	reqs := OpenLoop(LoadSpec{
-		Requests: n,
-		Burst:    true,
-		Inputs:   func(i int) map[string]*tensor.Tensor { return inputsFor(cfg, i) },
-	})
-	rep, resps, err := srv.Run(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK != n {
-		t.Fatalf("report: %+v", rep)
-	}
-	coalesced := 0
-	for i := range resps {
-		if resps[i].BatchRows > 1 {
-			coalesced++
-		}
-	}
-	if coalesced == 0 {
-		t.Fatalf("burst of %d never coalesced any batch", n)
-	}
-	for i := range resps {
+	refs := make([][]*tensor.Tensor, n)
+	for i := range refs {
 		ref, err := e.Infer(inputsFor(cfg, i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameTensors(t, "request", resps[i].Outputs, ref.Outputs)
+		refs[i] = ref.Outputs
+	}
+	// 3, 5 and 8 rows make the deep convolutions' 2×2 and 4×4 planes share
+	// panels and blocks across images; a burst of 10 also leaves each size a
+	// differently sized last batch.
+	for _, maxBatch := range []int{3, 4, 5, 8} {
+		t.Run(fmt.Sprintf("MaxBatch=%d", maxBatch), func(t *testing.T) {
+			srv, err := New(Config{
+				Engine:     e,
+				BatchGraph: batchGraph(cfg),
+				MaxBatch:   maxBatch,
+				Window:     1e-3,
+				Pipelined:  true,
+				QueueCap:   256,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+
+			reqs := OpenLoop(LoadSpec{
+				Requests: n,
+				Burst:    true,
+				Inputs:   func(i int) map[string]*tensor.Tensor { return inputsFor(cfg, i) },
+			})
+			rep, resps, err := srv.Run(reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.OK != n {
+				t.Fatalf("report: %+v", rep)
+			}
+			widest := 0
+			for i := range resps {
+				widest = max(widest, resps[i].BatchRows)
+			}
+			if widest != maxBatch {
+				t.Fatalf("burst of %d coalesced at most %d rows, want a full batch of %d", n, widest, maxBatch)
+			}
+			for i := range resps {
+				sameTensors(t, "request", resps[i].Outputs, refs[i])
+			}
+		})
+	}
+}
+
+// TestBatchEngineSharesBaseConsts: the BatchGraph factory re-derives every
+// weight per batch size. The ones that equal the base engine's bit for bit
+// must become the base engine's tensors — one pin record, one set of packed
+// panels however many sizes are compiled — and one that differs must stay.
+func TestBatchEngineSharesBaseConsts(t *testing.T) {
+	e, cfg := testEngine(t)
+	base, err := newBaseEngine(e, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := ""
+	factory := func(b int) (*graph.Graph, error) {
+		g, err := batchGraph(cfg)(b)
+		if err != nil {
+			return nil, err
+		}
+		for _, n := range g.Nodes() {
+			if n.IsConst() {
+				n.Value.Data()[0]++
+				changed = n.Name
+				break
+			}
+		}
+		return g, nil
+	}
+	be, err := newBatchEngine(Config{Engine: e, BatchGraph: factory}, 2, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := 0
+	for _, n := range be.eng.Parent.Nodes() {
+		if !n.IsConst() {
+			continue
+		}
+		bn := base.eng.Parent.NodeByName(n.Name)
+		if bn == nil {
+			t.Fatalf("const %q has no namesake in the base graph", n.Name)
+		}
+		switch {
+		case n.Name == changed && n.Value == bn.Value:
+			t.Errorf("const %q differs from the base engine's and was replaced by it", n.Name)
+		case n.Name != changed && n.Value != bn.Value:
+			t.Errorf("const %q equals the base engine's bit for bit and kept its own copy", n.Name)
+		case n.Name != changed:
+			shared++
+		}
+	}
+	if changed == "" || shared == 0 {
+		t.Fatalf("nothing to compare: changed %q, shared %d", changed, shared)
+	}
+	// The modules hold what the graph holds: the subgraphs were cut after
+	// the constants were interned.
+	for _, sg := range be.eng.Partition.Subgraphs() {
+		for _, n := range sg.Graph.Nodes() {
+			if n.IsConst() && n.Name != changed && n.Value != base.eng.Parent.NodeByName(n.Name).Value {
+				t.Errorf("subgraph const %q is not the base engine's tensor", n.Name)
+			}
+		}
 	}
 }
 

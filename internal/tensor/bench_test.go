@@ -42,23 +42,29 @@ func BenchmarkGEMV(b *testing.B) {
 // BenchmarkConv2D covers the ResNet-18 trunk at 224² — the stem, one 3×3
 // per stage (wide-and-shallow K down to narrow-and-deep K, i.e. both split
 // rules), a strided downsample — and the last stage at a 64² input, where
-// four output positions leave only the filter rows to split.
+// four output positions leave only the filter rows to split. The x8 cells
+// are the last three stages at a 64² input and the served batch of 8: planes
+// of 64, 16 and 4 positions, the last two narrower than one block, so their
+// blocks span images.
 func BenchmarkConv2D(b *testing.B) {
 	for _, s := range []struct {
-		name                          string
-		cin, hw, cout, k, stride, pad int
+		name                             string
+		n, cin, hw, cout, k, stride, pad int
 	}{
-		{"stem7x7s2", 3, 224, 64, 7, 2, 3},
-		{"layer1", 64, 56, 64, 3, 1, 1},
-		{"layer2", 128, 28, 128, 3, 1, 1},
-		{"layer2down1x1s2", 64, 56, 128, 1, 2, 0},
-		{"layer3", 256, 14, 256, 3, 1, 1},
-		{"layer4", 512, 7, 512, 3, 1, 1},
-		{"layer4at64", 512, 2, 512, 3, 1, 1},
+		{"stem7x7s2", 1, 3, 224, 64, 7, 2, 3},
+		{"layer1", 1, 64, 56, 64, 3, 1, 1},
+		{"layer2", 1, 128, 28, 128, 3, 1, 1},
+		{"layer2down1x1s2", 1, 64, 56, 128, 1, 2, 0},
+		{"layer3", 1, 256, 14, 256, 3, 1, 1},
+		{"layer4", 1, 512, 7, 512, 3, 1, 1},
+		{"layer4at64", 1, 512, 2, 512, 3, 1, 1},
+		{"layer2at64x8", 8, 128, 8, 128, 3, 1, 1},
+		{"layer3at64x8", 8, 256, 4, 256, 3, 1, 1},
+		{"layer4at64x8", 8, 512, 2, 512, 3, 1, 1},
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(3))
-			x := Rand(rng, 1, 1, s.cin, s.hw, s.hw)
+			x := Rand(rng, 1, s.n, s.cin, s.hw, s.hw)
 			w := Rand(rng, 1, s.cout, s.cin, s.k, s.k)
 			ar := NewArena()
 			out := Conv2DInto(nil, x, w, nil, s.stride, s.pad, ar)

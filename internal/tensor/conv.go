@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Conv2D computes a 2-D convolution in NCHW layout via im2col + GEMM.
 // x is (N, Cin, H, W); w is (Cout, Cin, KH, KW). stride and pad apply to
@@ -15,10 +18,16 @@ func Conv2D(x, w, bias *Tensor, stride, pad int) *Tensor {
 // whole when it is wide: one parallel loop runs over (image, block of column
 // panels); each block unrolls its patches straight into packed panel order
 // in a scratch of at most convScratch elements, multiplies all of w against
-// it while it is cache-hot, and adds the bias to its columns. When the batch
-// has too few column panels to give every worker two blocks (the deep layers
-// of a small image have a handful of output positions), each image's patches
-// are packed once and gemmPacked splits the filter rows instead.
+// it while it is cache-hot, and adds the bias to its columns. When one
+// image's patch matrix is narrower than one block, the images of the batch
+// are laid side by side in one column space j ∈ [0, N·OH·OW) and the blocks
+// are cut over that: a block's panels then hold positions of several images,
+// so the filters stream once per block instead of once per image past a
+// half-empty panel. Such a block multiplies into a tile in its scratch and
+// scatters the tile's live columns to their images. When the column space
+// has too few panels to give every worker two blocks (the deep layers of a
+// small image have a handful of output positions), it is packed once and
+// gemmPacked splits the filter rows instead.
 func Conv2DInto(out *Tensor, x, w, bias *Tensor, stride, pad int, ar *Arena) *Tensor {
 	if len(x.shape) != 4 || len(w.shape) != 4 {
 		panic(fmt.Sprintf("tensor: Conv2D requires 4-D x and w, got %v, %v", x.shape, w.shape))
@@ -50,9 +59,9 @@ func Conv2DInto(out *Tensor, x, w, bias *Tensor, stride, pad int, ar *Arena) *Te
 		g.h, g.w, g.oh, g.ow = 1, h*wd, 1, oh*ow
 	}
 	k := cin * kh * kw // K of the GEMM
-	cols := oh * ow    // N of the GEMM
-	np := (cols + nr - 1) / nr
-	imgSize, outSize := cin*h*wd, cout*cols
+	plane := oh * ow   // one image's share of the GEMM's N
+	np := (plane + nr - 1) / nr
+	imgSize := cin * h * wd
 	var biasData []float32
 	if bias != nil {
 		biasData = bias.data
@@ -64,38 +73,70 @@ func Conv2DInto(out *Tensor, x, w, bias *Tensor, stride, pad int, ar *Arena) *Te
 	workers := effectiveWorkers()
 	bw := min(convScratch/(k*nr)/tilePanels1*tilePanels1, n*np/(2*workers)/tilePanels4*tilePanels4)
 	bw = max(bw, tilePanels4)
-	if blocks := (np + bw - 1) / bw; n*blocks >= 2*workers {
-		ParallelForChunked(n*blocks, 1, func(lo, hi int) {
+
+	// fold images share one column space of cols columns; a batch of planes
+	// narrower than one block is one such group, anything else is n groups
+	// of one image, whose columns are contiguous in out as they stand. A
+	// folded group's product goes through a tile of cout rows behind the
+	// packed panels in the same scratch, tile floats per panel.
+	fold, tile := 1, 0
+	if n > 1 && np < bw {
+		fold, tile = n, cout*nr
+	}
+	groups, cols := n/fold, fold*plane
+	np = (cols + nr - 1) / nr
+	groupIn, groupOut := fold*imgSize, cout*cols
+
+	if blocks := (np + bw - 1) / bw; groups*blocks >= 2*workers {
+		ParallelForChunked(groups*blocks, 1, func(lo, hi int) {
 			for t := lo; t < hi; t++ {
 				b, jt0 := t/blocks, t%blocks*bw
 				pw := min(bw, np-jt0)
 				live := min(pw*nr, cols-jt0*nr)
-				col, scratch := ar.grabScratch(pw * k * nr)
-				g.packPatches(col, x.data[b*imgSize:(b+1)*imgSize], jt0, jt0+pw)
-				dst := out.data[b*outSize+jt0*nr : (b+1)*outSize]
-				for i0 := 0; i0 < cout; i0 += packMC {
-					gemmBlock(dst, cols, w.data, k, col, i0, min(i0+packMC, cout), pw, live, k)
+				col, scratch := ar.grabScratch(pw * (k*nr + tile))
+				g.packPatches(col, x.data[b*groupIn:(b+1)*groupIn], jt0, jt0+pw)
+				dst, ld, width := out.data[b*groupOut+jt0*nr:(b+1)*groupOut], cols, live
+				if fold > 1 {
+					// Every column of the tile is multiplied, the zero
+					// panel tail too, so no 4×16 tile is a partial one.
+					dst, ld, width = col[pw*k*nr:], pw*nr, pw*nr
+					clear(dst)
 				}
-				addChannelBias(dst, cols, live, cout, biasData)
+				for i0 := 0; i0 < cout; i0 += packMC {
+					gemmBlock(dst, ld, w.data, k, col, i0, min(i0+packMC, cout), pw, width, k)
+				}
+				if fold > 1 {
+					scatterColumns(out.data, dst, ld, jt0*nr, live, plane, cout, biasData)
+				} else {
+					addChannelBias(dst, ld, live, cout, biasData)
+				}
 				ar.dropScratch(scratch)
 			}
 		})
 		return out
 	}
 
-	col, scratch := ar.grabScratch(np * k * nr)
-	for b := 0; b < n; b++ {
-		img := x.data[b*imgSize : (b+1)*imgSize]
+	col, scratch := ar.grabScratch(np * (k*nr + tile))
+	for b := 0; b < groups; b++ {
+		imgs := x.data[b*groupIn : (b+1)*groupIn]
 		if worthSplitting(np, k*nr) {
 			ParallelForChunked(np, tilePanels1, func(lo, hi int) {
-				g.packPatches(col[lo*k*nr:], img, lo, hi)
+				g.packPatches(col[lo*k*nr:], imgs, lo, hi)
 			})
 		} else {
-			g.packPatches(col, img, 0, np)
+			g.packPatches(col, imgs, 0, np)
 		}
-		dst := out.data[b*outSize : (b+1)*outSize]
-		gemmPacked(dst, w.data, col, cout, cols, k)
-		addChannelBias(dst, cols, cols, cout, biasData)
+		dst, ld := out.data[b*groupOut:(b+1)*groupOut], cols
+		if fold > 1 {
+			dst, ld = col[np*k*nr:], np*nr
+			clear(dst)
+		}
+		gemmPacked(dst, w.data, col, cout, ld, k)
+		if fold > 1 {
+			scatterColumns(out.data, dst, ld, 0, cols, plane, cout, biasData)
+		} else {
+			addChannelBias(dst, ld, cols, cout, biasData)
+		}
 	}
 	ar.dropScratch(scratch)
 	return out
@@ -105,6 +146,30 @@ func Conv2DInto(out *Tensor, x, w, bias *Tensor, stride, pad int, ar *Arena) *Te
 // small enough to stay L2-resident while every filter row streams past it,
 // and what each worker holds instead of a whole-image im2col buffer.
 const convScratch = 96 << 10
+
+// scatterColumns writes columns [j0, j0+live) of a folded column space —
+// column j is position j%plane of image j/plane — from tile (cout rows of
+// stride ld, starting at column j0) to their places in the NCHW out, adding
+// bias[c] on the way. A nil bias is a plain copy.
+func scatterColumns(out, tile []float32, ld, j0, live, plane, cout int, bias []float32) {
+	for c := 0; c < cout; c++ {
+		row := tile[c*ld : c*ld+live]
+		for s := 0; s < live; {
+			b, p := (j0+s)/plane, (j0+s)%plane
+			run := min(live-s, plane-p)
+			dst := out[(b*cout+c)*plane+p:][:run]
+			if bias == nil {
+				copy(dst, row[s:])
+			} else {
+				bv := bias[c]
+				for i, v := range row[s : s+run] {
+					dst[i] = v + bv
+				}
+			}
+			s += run
+		}
+	}
+}
 
 // addChannelBias adds bias[c] to the first live columns of each of the cout
 // rows of dst (row stride ld). A nil bias is a no-op.
@@ -128,23 +193,28 @@ type convGeom struct {
 	cin, h, w, kh, kw, stride, pad, oh, ow int
 }
 
-// packPatches writes column panels [jt0, jt1) of the patch matrix into dst
-// in the packed layout gemmBlock consumes (panel jt0 first, each K×nr).
-// Every slot is written exactly once — image data where the patch overlaps
-// the image, zeros on the padding fringe and in the columns past OH·OW — so
-// dst may be stale scratch and is never cleared as a whole.
-func (g *convGeom) packPatches(dst, img []float32, jt0, jt1 int) {
+// packPatches writes column panels [jt0, jt1) of the patch matrices of imgs
+// (whole images, laid side by side: column j is position j%(OH·OW) of image
+// j/(OH·OW)) into dst in the packed layout gemmBlock consumes (panel jt0
+// first, each K×nr). Every slot is written exactly once — image data where
+// the patch overlaps the image, zeros on the padding fringe and in the
+// columns past the last image — so dst may be stale scratch and is never
+// cleared as a whole.
+func (g *convGeom) packPatches(dst, imgs []float32, jt0, jt1 int) {
 	k := g.cin * g.kh * g.kw
-	cols := g.oh * g.ow
+	plane, imgSize := g.oh*g.ow, g.cin*g.h*g.w
+	cols := len(imgs) / imgSize * plane
 	for jt := jt0; jt < jt1; jt++ {
 		panel := dst[(jt-jt0)*k*nr : (jt-jt0+1)*k*nr]
 		j0 := jt * nr
 		live := min(nr, cols-j0)
-		// Cut the panel's positions into runs that share an output row.
+		// Cut the panel's positions into runs that share an output row, and
+		// with it an image.
 		for s := 0; s < live; {
-			oi, oj := (j0+s)/g.ow, (j0+s)%g.ow
+			b, p := (j0+s)/plane, (j0+s)%plane
+			oi, oj := p/g.ow, p%g.ow
 			run := min(live-s, g.ow-oj)
-			g.packRun(panel[s:], img, oi, oj, run)
+			g.packRun(panel[s:], imgs[b*imgSize:(b+1)*imgSize], oi, oj, run)
 			s += run
 		}
 		if live < nr {
@@ -343,7 +413,7 @@ func maxPoolPlanes(dstAll, srcAll []float32, lo, hi, h, w, oh, ow, kernel, strid
 			for oj := 0; oj < ow; oj++ {
 				jLo := max(0, oj*stride-pad)
 				jHi := max(jLo, min(w, oj*stride-pad+kernel))
-				best := float32(-3.4e38)
+				best := float32(math.Inf(-1))
 				for ii := iLo; ii < iHi; ii++ {
 					for _, v := range src[ii*w+jLo : ii*w+jHi] {
 						if v > best {
@@ -406,22 +476,27 @@ func BatchNorm2DInto(out *Tensor, x, gamma, beta, mean, variance *Tensor, eps fl
 		panic(fmt.Sprintf("tensor: BatchNorm2DInto destination %v, want %v", out.shape, x.shape))
 	}
 	plane := h * w
+	// The channel's scale is 16 Newton divisions: once per call, not once
+	// per image — on a batch of 2×2 planes it costs what the planes do.
+	inv, scratch := ar.grabScratch(c)
+	defer ar.dropScratch(scratch)
+	for ch := range inv {
+		inv[ch] = gamma.data[ch] / sqrt32(variance.data[ch]+eps)
+	}
 	if !worthSplitting(n*c, plane) {
-		batchNormPlanes(out.data, x.data, gamma.data, beta.data, mean.data, variance.data, eps, 0, n*c, c, plane)
+		batchNormPlanes(out.data, x.data, inv, beta.data, mean.data, 0, n*c, c, plane)
 		return out
 	}
 	ParallelForChunked(n*c, planeGrain(n*c), func(lo, hi int) {
-		batchNormPlanes(out.data, x.data, gamma.data, beta.data, mean.data, variance.data, eps, lo, hi, c, plane)
+		batchNormPlanes(out.data, x.data, inv, beta.data, mean.data, lo, hi, c, plane)
 	})
 	return out
 }
 
-func batchNormPlanes(dstAll, srcAll, gamma, beta, mean, variance []float32, eps float32, lo, hi, c, plane int) {
+func batchNormPlanes(dstAll, srcAll, scale, beta, mean []float32, lo, hi, c, plane int) {
 	for nc := lo; nc < hi; nc++ {
 		ch := nc % c
-		g, b := gamma[ch], beta[ch]
-		m, v := mean[ch], variance[ch]
-		inv := g / sqrt32(v+eps)
+		inv, b, m := scale[ch], beta[ch], mean[ch]
 		src := srcAll[nc*plane : (nc+1)*plane]
 		dst := dstAll[nc*plane : (nc+1)*plane]
 		for i, xv := range src {

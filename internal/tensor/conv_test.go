@@ -97,14 +97,31 @@ func poisonArena(ar *Arena) {
 // 3×3 and 7×7 filters, output widths off the panel width (7, 14, 28) so
 // panels straddle output rows, fewer than nr output positions, wide patch
 // matrices that take the blocked loop and narrow ones that take the row
-// split, batches of 1 and 3 — each from no arena, a cold arena and a
-// recycled one full of stale data, into a fresh and a caller-supplied
+// split, batches of 1 and 3, and batches of 2, 5 and 8 whose 1×1 to 4×4
+// output planes are narrower than a block, so the batch is folded into one
+// column space and panels straddle images — each from no arena, a cold arena
+// and a recycled one full of stale data, into a fresh and a caller-supplied
 // destination, pooled and serial.
 func TestConv2DBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	cases := []struct {
+	type convCase struct {
 		n, cin, h, w, cout, k, stride, pad int
-	}{
+	}
+	var folded []convCase
+	for _, n := range []int{2, 5, 8} {
+		for o := 1; o <= 4; o++ {
+			folded = append(folded,
+				convCase{n, 20, o, o, 7, 3, 1, 1},          // 3×3 pad 1, cout off the row tile
+				convCase{n, 9, 2*o - 1, 2 * o, 6, 1, 2, 0}, // strided 1×1 downsample
+				convCase{n, 3, o + 6, o + 6, 5, 7, 1, 0},   // 7×7
+			)
+		}
+	}
+	folded = append(folded,
+		convCase{9, 40, 3, 5, 66, 3, 1, 1}, // 135 folded columns in blocks of 4 panels, the last one partial
+		convCase{5, 70, 3, 3, 9, 1, 1, 0},  // pointwise, 9-position planes
+	)
+	cases := append(folded, []convCase{
 		{1, 2, 4, 4, 3, 3, 1, 0},     // 2×2 output: N < nr
 		{3, 3, 5, 6, 2, 1, 1, 0},     // pointwise, batch 3
 		{1, 5, 9, 9, 6, 1, 2, 0},     // strided pointwise (downsample)
@@ -119,7 +136,7 @@ func TestConv2DBitExact(t *testing.T) {
 		{1, 16, 50, 46, 5, 7, 2, 3},  // 7×7 stride 2 over many blocks
 		{1, 400, 40, 40, 4, 1, 1, 0}, // pointwise over many blocks
 		{1, 64, 12, 12, 70, 3, 1, 1}, // cout past one packMC block, off the row tile
-	}
+	}...)
 	for _, c := range cases {
 		x := Rand(rng, 1, c.n, c.cin, c.h, c.w)
 		w := Rand(rng, 1, c.cout, c.cin, c.k, c.k)
@@ -249,7 +266,7 @@ func TestMaxPool2DMatchesDefinition(t *testing.T) {
 		for idx := 0; idx < got.Numel(); idx++ {
 			ow, oh := got.shape[3], got.shape[2]
 			nc, oi, oj := idx/(oh*ow), idx/ow%oh, idx%ow
-			want := float32(-3.4e38)
+			want := float32(math.Inf(-1))
 			for ki := 0; ki < kernel; ki++ {
 				for kj := 0; kj < kernel; kj++ {
 					ii, jj := oi*stride+ki-pad, oj*stride+kj-pad
@@ -271,6 +288,21 @@ func TestMaxPool2DWithPadding(t *testing.T) {
 	// Padding cells are skipped (not treated as zero), so maxima stay negative.
 	if out.At(0, 0, 0, 0) != -1 {
 		t.Fatalf("padded MaxPool wrong: %v", out)
+	}
+}
+
+// TestMaxPool2DBelowOldSentinel: the running maximum used to start at
+// -3.4e38, which is greater than -MaxFloat32, so a window holding only
+// values below it returned the sentinel instead of its maximum.
+func TestMaxPool2DBelowOldSentinel(t *testing.T) {
+	lowest, inf := float32(-math.MaxFloat32), float32(math.Inf(-1))
+	x := FromSlice([]float32{
+		lowest, inf, inf, inf,
+		inf, inf, inf, inf,
+	}, 1, 2, 2, 2)
+	out := MaxPool2D(x, 2, 2, 0)
+	if got := out.Data(); got[0] != lowest || got[1] != inf {
+		t.Fatalf("MaxPool2D of windows below -3.4e38 = %v, want [%g %g]", got, lowest, inf)
 	}
 }
 
