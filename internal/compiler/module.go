@@ -191,8 +191,10 @@ func (m *Module) ExecuteArena(inputs map[string]*tensor.Tensor, ar *tensor.Arena
 }
 
 // runFused executes one fused kernel: the leader through its native
-// kernel (the dense lead streams straight into the epilogue program with
-// no intermediate buffer), the rest of the group as the compiled tape.
+// kernel, the rest of the group as the compiled tape. The two streamed
+// leads — dense (bias add) and batchnorm2d (normalisation) — run their own
+// elementwise step and the tape in one pass, sub-chunk by sub-chunk; any
+// other leader writes its output and the tape then runs over it in place.
 // Emitted intermediates land in arena buffers registered into env; the
 // caller settles f.Consumes against the release plan.
 func (m *Module) runFused(k *Kernel, f *FusedGroup, env Env, ar *tensor.Arena) *tensor.Tensor {
@@ -216,23 +218,26 @@ func (m *Module) runFused(k *Kernel, f *FusedGroup, env Env, ar *tensor.Arena) *
 	}
 
 	lead := m.Graph.Node(f.Lead)
+	in := make([]*tensor.Tensor, len(f.LeadIns))
+	for i, inID := range f.LeadIns {
+		v, ok := env[inID]
+		if !ok {
+			panic(fmt.Sprintf("compiler: fused kernel %s reads %q before it is computed", k.Name, m.Graph.Node(inID).Name))
+		}
+		in[i] = v
+	}
 	var dst *tensor.Tensor
-	if lead.Op == "dense" {
+	switch lead.Op {
+	case "dense":
 		var bias *tensor.Tensor
-		if len(f.LeadIns) == 3 {
-			bias = env[f.LeadIns[2]]
+		if len(in) == 3 {
+			bias = in[2]
 		}
-		dst = tensor.LinearChainInto(nil, env[f.LeadIns[0]], env[f.LeadIns[1]], bias, f.Prog, args, outs, ar)
-	} else {
+		dst = tensor.LinearChainInto(nil, in[0], in[1], bias, f.Prog, args, outs, ar)
+	case "batchnorm2d":
+		dst = tensor.BatchNorm2DChainInto(nil, in[0], in[1], in[2], in[3], in[4], ops.BatchNormEps(lead.Attrs), f.Prog, args, outs, ar)
+	default:
 		def := ops.MustLookup(lead.Op)
-		in := make([]*tensor.Tensor, len(f.LeadIns))
-		for i, inID := range f.LeadIns {
-			v, ok := env[inID]
-			if !ok {
-				panic(fmt.Sprintf("compiler: fused kernel %s reads %q before it is computed", k.Name, m.Graph.Node(inID).Name))
-			}
-			in[i] = v
-		}
 		if def.ExecArena != nil {
 			dst = def.ExecArena(lead.Attrs, in, ar)
 		} else {

@@ -140,10 +140,14 @@ func init() {
 	})
 
 	Register(&Def{
-		Kind:        "batchnorm2d",
-		Elementwise: true, // fuses into a preceding conv's epilogue
-		// batchnorm2d(x, gamma, beta, mean, var) with attr eps (ppm units:
-		// eps stored as int micro-units to keep Attrs integer-typed).
+		Kind: "batchnorm2d",
+		// Elementwise for costing and legacy grouping. It is outside the
+		// tape vocabulary, so a conv never absorbs it: under unconstrained
+		// fusion a batch-norm leads its own group and streams the group's
+		// tape (tensor.BatchNorm2DChainInto).
+		Elementwise: true,
+		// batchnorm2d(x, gamma, beta, mean, var) with attr eps_micro (see
+		// BatchNormEps).
 		Infer: func(_ graph.Attrs, in [][]int) ([]int, error) {
 			if err := wantInputs("batchnorm2d", in, 5); err != nil {
 				return nil, err
@@ -164,12 +168,16 @@ func init() {
 			return Cost{FLOPs: 4 * n, Bytes: 8 * n, Parallelism: n, Launches: 1, SeqSteps: 1}
 		},
 		Exec: func(attrs graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			eps := float32(attrs.Int("eps_micro", 10)) * 1e-6
-			return tensor.BatchNorm2D(in[0], in[1], in[2], in[3], in[4], eps)
+			return tensor.BatchNorm2D(in[0], in[1], in[2], in[3], in[4], BatchNormEps(attrs))
 		},
 		ExecArena: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-			eps := float32(attrs.Int("eps_micro", 10)) * 1e-6
-			return tensor.BatchNorm2DInto(nil, in[0], in[1], in[2], in[3], in[4], eps, ar)
+			return tensor.BatchNorm2DInto(nil, in[0], in[1], in[2], in[3], in[4], BatchNormEps(attrs), ar)
 		},
 	})
+}
+
+// BatchNormEps is a batchnorm2d node's epsilon, stored as integer
+// micro-units in the eps_micro attribute to keep Attrs integer-typed.
+func BatchNormEps(attrs graph.Attrs) float32 {
+	return float32(attrs.Int("eps_micro", 10)) * 1e-6
 }

@@ -134,6 +134,62 @@ func TestArenaCutsSteadyStateAllocs(t *testing.T) {
 		}
 	})
 
+	t.Run("conv_bn_add_relu", func(t *testing.T) {
+		// A ResNet basic block's tail: the batch-norm leads a fused
+		// [batchnorm2d add relu] group and streams the tape sub-chunk by
+		// sub-chunk. Nothing in that stream — nor in the convolution or
+		// the arena — allocates per plane or per sub-chunk, so a warm Run
+		// costs the same few objects at 32² as at 64² (4× the planes'
+		// elements, 4× the sub-chunks).
+		warm := func(hw int) float64 {
+			const c = 8
+			rng := rand.New(rand.NewSource(5))
+			g := graph.New("conv-bn-add-relu")
+			x := g.AddInput("x", 1, c, hw, hw)
+			w := g.AddConst("w", tensor.Rand(rng, 0.2, c, c, 3, 3))
+			conv := g.Add("conv2d", "conv", graph.Attrs{"stride": 1, "pad": 1}, x, w)
+			variance := tensor.Rand(rng, 1, c).Apply(func(v float32) float32 { return v*v + 0.5 })
+			bn := g.Add("batchnorm2d", "bn", graph.Attrs{"eps_micro": 10}, conv,
+				g.AddConst("gamma", tensor.Rand(rng, 1, c)), g.AddConst("beta", tensor.Rand(rng, 1, c)),
+				g.AddConst("mean", tensor.Rand(rng, 1, c)), g.AddConst("var", variance))
+			sum := g.Add("add", "res", nil, bn, x)
+			g.SetOutputs(g.Add("relu", "act", nil, sum))
+			if err := compiler.InferShapes(g); err != nil {
+				t.Fatal(err)
+			}
+			p, err := partition.Build(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := newEngine(t, p, 0)
+			streamed := false
+			for i := 0; i < e.NumSubgraphs(); i++ {
+				m := e.Module(i)
+				for _, k := range m.Kernels {
+					streamed = streamed || k.Fused != nil && m.Graph.Node(k.Fused.Lead).Op == "batchnorm2d"
+				}
+			}
+			if !streamed {
+				t.Fatal("no fused group is led by the batch-norm; the case is not exercising the streamed lead")
+			}
+			inputs := map[string]*tensor.Tensor{"x": tensor.Rand(rng, 1, 1, c, hw, hw)}
+			place := Uniform(e.NumSubgraphs(), device.CPU)
+			run := func() {
+				if _, err := e.Run(inputs, place, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			run()
+			return testing.AllocsPerRun(5, run)
+		}
+		small, large := warm(32), warm(64)
+		t.Logf("warm Run: %.0f objects at 32², %.0f at 64²", small, large)
+		if small != large {
+			t.Fatalf("warm run allocates %.0f objects at 32² but %.0f at 64²: something allocates per plane or per sub-chunk", small, large)
+		}
+	})
+
 	t.Run("policy_recycles_like_run", func(t *testing.T) {
 		// RunWithPolicy shares Run's value executor, so fault-tolerant
 		// inference returns exactly the buffers Infer returns — it once

@@ -146,6 +146,73 @@ func BenchmarkRNNSeq(b *testing.B) {
 	}
 }
 
+// benchPoolShapes are the two shapes of the batch-norm and max-pool cells:
+// the full-size stem's 1×64×112×112 and the served batch's 8×256×4×4 (the
+// reduced Wide&Deep's layer 3, planes far below one tape sub-chunk).
+var benchPoolShapes = []struct {
+	name       string
+	n, c, h, w int
+}{
+	{"stem", 1, 64, 112, 112},
+	{"layer3at64x8", 8, 256, 4, 4},
+}
+
+// BenchmarkBatchNormChain times the streamed batch-norm lead under the two
+// tapes Wide&Deep's batch-norm groups lower to, [relu] and [add relu], and
+// with no tape (plain BatchNorm2DInto). Bytes are the tensors read and
+// written once each.
+func BenchmarkBatchNormChain(b *testing.B) {
+	for _, s := range benchPoolShapes {
+		rng := rand.New(rand.NewSource(6))
+		shape := []int{s.n, s.c, s.h, s.w}
+		x, res := Rand(rng, 1, shape...), Rand(rng, 1, shape...)
+		gamma, beta, mean := Rand(rng, 1, s.c), Rand(rng, 1, s.c), Rand(rng, 1, s.c)
+		variance := Rand(rng, 1, s.c).Apply(func(v float32) float32 { return v*v + 0.5 })
+		for _, tc := range []struct {
+			name   string
+			instrs []Instr
+			args   []*Tensor
+		}{
+			{"none", nil, nil},
+			{"relu", []Instr{{Op: ChainReLU}}, nil},
+			{"add_relu", []Instr{{Op: ChainAdd, Arg: 0, Src: SrcArg}, {Op: ChainReLU}}, []*Tensor{res}},
+		} {
+			var prog *Program
+			if tc.instrs != nil {
+				shapes := [][]int{}
+				for _, a := range tc.args {
+					shapes = append(shapes, a.Shape())
+				}
+				var err error
+				if prog, err = CompileChain(tc.instrs, shape, shapes); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.Run(s.name+"/"+tc.name, func(b *testing.B) {
+				ar := NewArena()
+				b.SetBytes(int64(4 * x.Numel() * (2 + len(tc.args))))
+				for i := 0; i < b.N; i++ {
+					ar.Release(BatchNorm2DChainInto(nil, x, gamma, beta, mean, variance, 1e-5, prog, tc.args, nil, ar))
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkMaxPool times ResNet's 3×3/s2/p1 max-pool at the same shapes.
+func BenchmarkMaxPool(b *testing.B) {
+	for _, s := range benchPoolShapes {
+		x := Rand(rand.New(rand.NewSource(7)), 1, s.n, s.c, s.h, s.w)
+		b.Run(s.name, func(b *testing.B) {
+			ar := NewArena()
+			b.SetBytes(int64(4 * x.Numel()))
+			for i := 0; i < b.N; i++ {
+				ar.Release(MaxPool2DInto(nil, x, 3, 2, 1, ar))
+			}
+		})
+	}
+}
+
 func BenchmarkSoftmax(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	x := Rand(rng, 1, 64, 512)

@@ -2,29 +2,33 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"sync"
 )
 
 // An epilogue program is a short op-tape applied elementwise to a value
 // stream. The compiler lowers an unconstrained fusion group (an anchor or
 // elementwise leader plus the elementwise/broadcast chain grown over it) to
-// one Program; the tape is compiled once into a chain of vectorizable
-// closures, and every run streams the destination buffer through all of
-// them chunk by chunk — zero intermediate tensors, one launch.
+// one Program. CompileChain turns each instruction into one closure whose
+// body is a typed loop of loops.go for its opcode, operand source,
+// broadcast mode and operand order — no call per element. A run cuts the
+// stream into sub-chunks of tapeBlock elements and applies every
+// instruction to one sub-chunk before moving to the next, so the stream,
+// its registers and the operands' matching slices stay in L1 across the
+// whole tape — zero intermediate tensors, one launch. A streamed lead (the
+// dense GEMM's bias add, batch-norm's normalisation) is one more step at
+// the head of each sub-chunk.
 //
 // The tape machine has three storage classes:
 //
 //   - the stream: the destination buffer itself, transformed in place;
-//   - registers: short-lived chunk-local scratch rows holding fork values
-//     (a multi-consumer intermediate the compiler chose to materialize
+//   - registers: sub-chunk-local scratch rows holding fork values (a
+//     multi-consumer intermediate the compiler chose to materialize
 //     in-cache rather than recompute);
 //   - outputs: full tensors for group intermediates that outside consumers
 //     read (each materialized exactly once, by an Emit instruction).
 //
-// Every arithmetic closure reproduces the corresponding standalone kernel
-// in elementwise.go / into.go operation-for-operation, so a fused chain is
-// bit-identical to op-by-op execution.
+// The registered elementwise ops (into.go) run the same typed loops, so a
+// fused chain is bit-identical to op-by-op execution.
 
 // ChainOp is the opcode of one tape instruction.
 type ChainOp uint8
@@ -103,32 +107,54 @@ func (op ChainOp) IsBinary() bool { return op >= ChainAdd && op <= ChainMaximum 
 func (op ChainOp) IsUnary() bool { return op <= ChainSqrt }
 
 // argMode is the broadcast class of one external operand, fixed at compile
-// time from its static shape (mirrors binaryOpInto's dispatch).
+// time from its static shape.
 type argMode uint8
 
 const (
-	argFull   argMode = iota // same element count as the stream
+	argFull   argMode = iota // same shape as the stream
 	argRow                   // 1-D operand matching the stream's last dim
 	argScalar                // single element
 )
 
-// chainFn transforms one chunk of the stream. cur is dst[base:base+len],
-// regs are chunk-local scratch rows of the same length, args and outs are
-// the full backing slices of the operand and output tensors.
-type chainFn func(cur []float32, base int, args, regs, outs [][]float32)
+// broadcastMode classifies an operand of shape b against a stream of shape
+// a in the registered binary ops' vocabulary: full, trailing 1-D row, or
+// scalar. A one-element row is a scalar.
+func broadcastMode(a, b []int) (argMode, bool) {
+	switch {
+	case ShapeEq(a, b):
+		return argFull, true
+	case Numel(b) == 1:
+		return argScalar, true
+	case len(b) == 1 && len(a) > 0 && a[len(a)-1] == b[0]:
+		return argRow, true
+	}
+	return 0, false
+}
+
+// tapeBlock is the sub-chunk, in elements, that a run applies every
+// instruction to before it moves on: 4 KB of stream, and as much again per
+// live register and full-shape operand, all of it L1-resident for the whole
+// tape.
+const tapeBlock = 1 << 10
+
+// chainFn applies one instruction to one sub-chunk of the stream: cur is
+// stream[base:base+len(cur)], regs holds the program's registers as rows of
+// tapeBlock floats, args and outs are the full operand and output buffers.
+type chainFn func(cur []float32, base int, args [][]float32, regs []float32, outs [][]float32)
+
+// leadStep is a streamed lead's own work on one sub-chunk (cur is
+// stream[base:base+len(cur)]), run just before the tape passes over it.
+type leadStep func(cur []float32, base int)
 
 // Program is a compiled epilogue program. Compile once (CompileChain), run
 // many times; a Program is immutable and safe for concurrent Runs.
 type Program struct {
-	instrs   []Instr
-	fns      []chainFn
-	shape    []int
-	width    int // trailing dimension, the row-broadcast modulus
-	numel    int
-	argModes []argMode
-	argLens  []int
-	numRegs  int
-	numOuts  int
+	instrs  []Instr
+	fns     []chainFn
+	shape   []int
+	argLens []int
+	numRegs int
+	numOuts int
 }
 
 // CompileChain validates the tape against the stream shape and the static
@@ -138,38 +164,17 @@ type Program struct {
 // vocabulary (full, trailing 1-D, scalar).
 func CompileChain(instrs []Instr, shape []int, argShapes [][]int) (*Program, error) {
 	p := &Program{
-		instrs:   append([]Instr(nil), instrs...),
-		shape:    cloneInts(shape),
-		numel:    1,
-		argModes: make([]argMode, len(argShapes)),
-		argLens:  make([]int, len(argShapes)),
+		instrs:  append([]Instr(nil), instrs...),
+		shape:   cloneInts(shape),
+		argLens: make([]int, len(argShapes)),
 	}
-	for _, d := range shape {
-		p.numel *= d
-	}
-	p.width = p.numel
-	if len(shape) > 0 {
-		p.width = shape[len(shape)-1]
-	}
-	if p.width <= 0 {
-		p.width = 1
-	}
+	modes := make([]argMode, len(argShapes))
 	for ai, as := range argShapes {
-		n := 1
-		for _, d := range as {
-			n *= d
-		}
-		p.argLens[ai] = n
-		switch {
-		case ShapeEq(as, shape):
-			p.argModes[ai] = argFull
-		case len(as) == 1 && as[0] == p.width:
-			p.argModes[ai] = argRow
-		case n == 1:
-			p.argModes[ai] = argScalar
-		default:
+		m, ok := broadcastMode(shape, as)
+		if !ok {
 			return nil, fmt.Errorf("tensor: chain arg %d shape %v does not broadcast into stream %v", ai, as, shape)
 		}
+		p.argLens[ai], modes[ai] = Numel(as), m
 	}
 	saved := make(map[int]bool)
 	emitted := make(map[int]bool)
@@ -177,21 +182,27 @@ func CompileChain(instrs []Instr, shape []int, argShapes [][]int) (*Program, err
 	for idx, in := range instrs {
 		switch {
 		case in.Op.IsUnary():
-			p.fns = append(p.fns, unaryChainFn(in.Op))
+			loop := unaryLoops[in.Op]
+			p.fns = append(p.fns, func(cur []float32, _ int, _ [][]float32, _ []float32, _ [][]float32) {
+				loop(cur, cur)
+			})
 		case in.Op.IsBinary():
 			switch in.Src {
 			case SrcArg:
 				if in.Arg < 0 || in.Arg >= len(argShapes) {
 					return nil, fmt.Errorf("tensor: chain instr %d (%s) reads undeclared operand %d", idx, in, in.Arg)
 				}
-				p.fns = append(p.fns, binaryArgChainFn(in.Op, in.Arg, p.argModes[in.Arg], p.width, in.Rev))
+				p.fns = append(p.fns, argChainFn(in.Op, in.Arg, modes[in.Arg], in.Rev))
 			case SrcReg:
 				if in.Arg < 0 || in.Arg >= p.numRegs || !saved[in.Arg] {
 					return nil, fmt.Errorf("tensor: chain instr %d (%s) reads register %d before any save", idx, in, in.Arg)
 				}
-				p.fns = append(p.fns, binaryRegChainFn(in.Op, in.Arg, in.Rev))
+				p.fns = append(p.fns, regChainFn(binaryLoops[in.Op], in.Arg, in.Rev))
 			case SrcCur:
-				p.fns = append(p.fns, binaryCurChainFn(in.Op))
+				loop := binaryLoops[in.Op]
+				p.fns = append(p.fns, func(cur []float32, _ int, _ [][]float32, _ []float32, _ [][]float32) {
+					loop(cur, cur, cur)
+				})
 			default:
 				return nil, fmt.Errorf("tensor: chain instr %d has unknown operand source %d", idx, in.Src)
 			}
@@ -203,17 +214,17 @@ func CompileChain(instrs []Instr, shape []int, argShapes [][]int) (*Program, err
 				p.numRegs = in.Arg + 1
 			}
 			saved[in.Arg] = true
-			reg := in.Arg
-			p.fns = append(p.fns, func(cur []float32, _ int, _, regs, _ [][]float32) {
-				copy(regs[reg], cur)
+			row := in.Arg * tapeBlock
+			p.fns = append(p.fns, func(cur []float32, _ int, _ [][]float32, regs []float32, _ [][]float32) {
+				copy(regs[row:row+len(cur)], cur)
 			})
 		case in.Op == ChainLoad:
 			if in.Arg < 0 || !saved[in.Arg] {
 				return nil, fmt.Errorf("tensor: chain instr %d (%s) loads register %d before any save", idx, in, in.Arg)
 			}
-			reg := in.Arg
-			p.fns = append(p.fns, func(cur []float32, _ int, _, regs, _ [][]float32) {
-				copy(cur, regs[reg])
+			row := in.Arg * tapeBlock
+			p.fns = append(p.fns, func(cur []float32, _ int, _ [][]float32, regs []float32, _ [][]float32) {
+				copy(cur, regs[row:row+len(cur)])
 			})
 		case in.Op == ChainEmit:
 			if in.Arg < 0 {
@@ -227,7 +238,7 @@ func CompileChain(instrs []Instr, shape []int, argShapes [][]int) (*Program, err
 				p.numOuts = in.Arg + 1
 			}
 			slot := in.Arg
-			p.fns = append(p.fns, func(cur []float32, base int, _, _, outs [][]float32) {
+			p.fns = append(p.fns, func(cur []float32, base int, _ [][]float32, _ []float32, outs [][]float32) {
 				copy(outs[slot][base:base+len(cur)], cur)
 			})
 		default:
@@ -240,6 +251,46 @@ func CompileChain(instrs []Instr, shape []int, argShapes [][]int) (*Program, err
 		}
 	}
 	return p, nil
+}
+
+// argChainFn compiles a binary instruction on an external operand: one
+// closure per broadcast mode and operand order, each around its typed loop.
+func argChainFn(op ChainOp, ai int, mode argMode, rev bool) chainFn {
+	switch mode {
+	case argFull:
+		loop := binaryLoops[op]
+		if rev {
+			return func(cur []float32, base int, args [][]float32, _ []float32, _ [][]float32) {
+				loop(cur, args[ai][base:base+len(cur)], cur)
+			}
+		}
+		return func(cur []float32, base int, args [][]float32, _ []float32, _ [][]float32) {
+			loop(cur, cur, args[ai][base:base+len(cur)])
+		}
+	case argRow:
+		loop := binaryLoops[op]
+		return func(cur []float32, base int, args [][]float32, _ []float32, _ [][]float32) {
+			rowWalk(loop, cur, cur, base, args[ai], rev)
+		}
+	default:
+		sl := scalarLoopOf(op, rev)
+		return func(cur []float32, _ int, args [][]float32, _ []float32, _ [][]float32) {
+			sl(cur, cur, args[ai][0])
+		}
+	}
+}
+
+// regChainFn compiles a binary instruction on a register.
+func regChainFn(loop binaryLoop, reg int, rev bool) chainFn {
+	row := reg * tapeBlock
+	if rev {
+		return func(cur []float32, _ int, _ [][]float32, regs []float32, _ [][]float32) {
+			loop(cur, regs[row:row+len(cur)], cur)
+		}
+	}
+	return func(cur []float32, _ int, _ [][]float32, regs []float32, _ [][]float32) {
+		loop(cur, cur, regs[row:row+len(cur)])
+	}
 }
 
 // Instrs returns the tape (callers must not mutate it).
@@ -257,7 +308,7 @@ func (p *Program) NumOuts() int { return p.numOuts }
 // Shape returns the stream shape the program was compiled for.
 func (p *Program) Shape() []int { return p.shape }
 
-// chainScratchPool recycles register scratch between runs so reg-bearing
+// chainScratchPool recycles register rows between runs so reg-bearing
 // programs stay allocation-free in steady state.
 var chainScratchPool = sync.Pool{New: func() any { s := make([]float32, 0); return &s }}
 
@@ -269,16 +320,32 @@ func (p *Program) RunInPlace(dst *Tensor, args, outs []*Tensor) {
 	p.run(dst, nil, args, outs)
 }
 
-// run is the shared executor; bias, when non-nil, is added row-broadcast to
-// the stream before the tape runs (the fused dense-lead path).
-func (p *Program) run(dst *Tensor, bias []float32, args, outs []*Tensor) {
+// run is the one executor of programs and streamed leads: it walks dst in
+// parallel chunks, and each chunk sub-chunk by sub-chunk through lead (when
+// non-nil) and then the tape. A nil p runs the lead alone.
+func (p *Program) run(dst *Tensor, lead leadStep, args, outs []*Tensor) {
+	argData, outData := p.bind(dst, args, outs)
+	n := len(dst.data)
+	if n < parallelThreshold || effectiveWorkers() <= 1 {
+		p.walk(dst.data, 0, n, lead, argData, outData)
+		return
+	}
+	ParallelFor(n, func(lo, hi int) { p.walk(dst.data, lo, hi, lead, argData, outData) })
+}
+
+// bind checks dst, args and outs against the compiled shapes and returns
+// the operand and output buffers. A nil p binds nothing.
+func (p *Program) bind(dst *Tensor, args, outs []*Tensor) (argData, outData [][]float32) {
+	if p == nil {
+		return nil, nil
+	}
 	if !ShapeEq(dst.shape, p.shape) {
 		panic(fmt.Sprintf("tensor: chain destination %v, want %v", dst.shape, p.shape))
 	}
-	if len(args) != len(p.argModes) {
-		panic(fmt.Sprintf("tensor: chain got %d operands, want %d", len(args), len(p.argModes)))
+	if len(args) != len(p.argLens) {
+		panic(fmt.Sprintf("tensor: chain got %d operands, want %d", len(args), len(p.argLens)))
 	}
-	argData := make([][]float32, len(args))
+	argData = make([][]float32, len(args))
 	for i, a := range args {
 		if a.Numel() != p.argLens[i] {
 			panic(fmt.Sprintf("tensor: chain operand %d has %d elements, want %d", i, a.Numel(), p.argLens[i]))
@@ -288,51 +355,42 @@ func (p *Program) run(dst *Tensor, bias []float32, args, outs []*Tensor) {
 	if len(outs) != p.numOuts {
 		panic(fmt.Sprintf("tensor: chain got %d output slots, want %d", len(outs), p.numOuts))
 	}
-	outData := make([][]float32, len(outs))
+	outData = make([][]float32, len(outs))
 	for i, o := range outs {
 		if !ShapeEq(o.shape, p.shape) {
 			panic(fmt.Sprintf("tensor: chain output %d shape %v, want %v", i, o.shape, p.shape))
 		}
 		outData[i] = o.data
 	}
-	if bias != nil && len(bias) != p.width {
-		panic(fmt.Sprintf("tensor: chain bias has %d elements, want %d", len(bias), p.width))
-	}
-	n := len(dst.data)
-	if n == 0 {
-		return
-	}
-	width := p.width
-	body := func(lo, hi int) {
-		cur := dst.data[lo:hi]
-		var regs [][]float32
-		if p.numRegs > 0 {
+	return argData, outData
+}
+
+// walk is the sub-chunk walker: it applies lead and then every instruction
+// to stream[lo:hi] tapeBlock elements at a time, registers included, so a
+// sub-chunk is finished before the next is touched.
+func (p *Program) walk(stream []float32, lo, hi int, lead leadStep, args, outs [][]float32) {
+	var fns []chainFn
+	var regs []float32
+	if p != nil {
+		fns = p.fns
+		if need := p.numRegs * tapeBlock; need > 0 {
 			sp := chainScratchPool.Get().(*[]float32)
-			need := p.numRegs * len(cur)
 			if cap(*sp) < need {
 				*sp = make([]float32, need)
 			}
-			scratch := (*sp)[:need]
-			defer func() { chainScratchPool.Put(sp) }()
-			regs = make([][]float32, p.numRegs)
-			for r := range regs {
-				regs[r] = scratch[r*len(cur) : (r+1)*len(cur)]
-			}
-		}
-		if bias != nil {
-			for j := range cur {
-				cur[j] += bias[(lo+j)%width]
-			}
-		}
-		for _, fn := range p.fns {
-			fn(cur, lo, argData, regs, outData)
+			regs = (*sp)[:need]
+			defer chainScratchPool.Put(sp)
 		}
 	}
-	if n < parallelThreshold || effectiveWorkers() <= 1 {
-		body(0, n)
-		return
+	for base := lo; base < hi; base += tapeBlock {
+		cur := stream[base:min(base+tapeBlock, hi)]
+		if lead != nil {
+			lead(cur, base)
+		}
+		for _, fn := range fns {
+			fn(cur, base, args, regs, outs)
+		}
 	}
-	ParallelFor(n, body)
 }
 
 // Chain applies the program to a copy of src: the standalone elementwise-
@@ -341,18 +399,17 @@ func Chain(src *Tensor, p *Program, args, outs []*Tensor) *Tensor {
 	return ChainInto(nil, src, p, args, outs, nil)
 }
 
-// ChainInto copies src into out (allocated from ar when out is nil) and
-// streams it through the program. Use this when the seed value must
-// survive (aliased or shared storage); when the caller owns a fresh seed
-// buffer, RunInPlace avoids the copy.
+// ChainInto copies src into out (allocated from ar when nil) and streams it
+// through the program, the copy being the lead step of each sub-chunk. Use
+// this when the seed value must survive (aliased or shared storage); when
+// the caller owns a fresh seed buffer, RunInPlace avoids the copy.
 func ChainInto(out *Tensor, src *Tensor, p *Program, args, outs []*Tensor, ar *Arena) *Tensor {
 	if out == nil {
 		out = ar.NewNoZero(src.shape...)
 	} else {
 		checkInto(out, src.shape, "ChainInto")
 	}
-	copy(out.data, src.data)
-	p.run(out, nil, args, outs)
+	p.run(out, func(cur []float32, base int) { copy(cur, src.data[base:]) }, args, outs)
 	return out
 }
 
@@ -361,143 +418,18 @@ func LinearChain(x, w, bias *Tensor, p *Program, args, outs []*Tensor) *Tensor {
 	return LinearChainInto(nil, x, w, bias, p, args, outs, nil)
 }
 
-// LinearChainInto computes the packed GEMM x·wᵀ into out and then applies
-// the bias add and the whole epilogue program chunk-by-chunk in a single
-// pass over the output — the generalized replacement for the old
-// fixed-epilogue LinearEpInto. A nil p degrades to LinearInto.
+// LinearChainInto computes the packed GEMM x·wᵀ into out and then streams
+// the output through the bias add and the whole epilogue program, sub-chunk
+// by sub-chunk — one pass after the GEMM. A nil p degrades to LinearInto.
 func LinearChainInto(out *Tensor, x, w, bias *Tensor, p *Program, args, outs []*Tensor, ar *Arena) *Tensor {
 	if p == nil {
 		return LinearInto(out, x, w, bias, ar)
 	}
 	out = linearGEMM(out, x, w, bias, ar)
-	var bd []float32
+	var lead leadStep
 	if bias != nil {
-		bd = bias.data
+		lead = func(cur []float32, base int) { rowWalk(addLoop, cur, cur, base, bias.data, false) }
 	}
-	p.run(out, bd, args, outs)
+	p.run(out, lead, args, outs)
 	return out
-}
-
-// --- closure builders -------------------------------------------------
-
-// The unary bodies restate the formulas of elementwise.go exactly so fused
-// and op-by-op execution agree bit-for-bit.
-
-func unaryChainFn(op ChainOp) chainFn {
-	f := unaryFunc(op)
-	return func(cur []float32, _ int, _, _, _ [][]float32) {
-		for j, v := range cur {
-			cur[j] = f(v)
-		}
-	}
-}
-
-// unaryFunc returns the scalar kernel for a unary opcode — the same
-// function literal the registered op applies through applyInto.
-func unaryFunc(op ChainOp) func(float32) float32 {
-	switch op {
-	case ChainReLU:
-		return func(x float32) float32 {
-			if x > 0 {
-				return x
-			}
-			return 0
-		}
-	case ChainSigmoid:
-		return func(x float32) float32 {
-			return float32(1 / (1 + math.Exp(-float64(x))))
-		}
-	case ChainTanh:
-		return func(x float32) float32 { return float32(math.Tanh(float64(x))) }
-	case ChainGELU:
-		const c = 0.7978845608028654 // sqrt(2/pi)
-		return func(x float32) float32 {
-			xf := float64(x)
-			return float32(0.5 * xf * (1 + math.Tanh(c*(xf+0.044715*xf*xf*xf))))
-		}
-	case ChainExp:
-		return func(x float32) float32 { return float32(math.Exp(float64(x))) }
-	case ChainSqrt:
-		return func(x float32) float32 { return float32(math.Sqrt(float64(x))) }
-	}
-	panic(fmt.Sprintf("tensor: not a unary chain op: %d", op))
-}
-
-// binaryFunc returns the scalar kernel for a binary opcode, matching
-// binaryOpInto's function literals.
-func binaryFunc(op ChainOp) func(x, y float32) float32 {
-	switch op {
-	case ChainAdd:
-		return func(x, y float32) float32 { return x + y }
-	case ChainSub:
-		return func(x, y float32) float32 { return x - y }
-	case ChainMul:
-		return func(x, y float32) float32 { return x * y }
-	case ChainDiv:
-		return func(x, y float32) float32 { return x / y }
-	case ChainMaximum:
-		return func(x, y float32) float32 {
-			if x > y {
-				return x
-			}
-			return y
-		}
-	}
-	panic(fmt.Sprintf("tensor: not a binary chain op: %d", op))
-}
-
-func binaryArgChainFn(op ChainOp, ai int, mode argMode, width int, rev bool) chainFn {
-	f := binaryFunc(op)
-	if rev {
-		g := f
-		f = func(x, y float32) float32 { return g(y, x) }
-	}
-	switch mode {
-	case argFull:
-		return func(cur []float32, base int, args, _, _ [][]float32) {
-			a := args[ai][base:]
-			for j, v := range cur {
-				cur[j] = f(v, a[j])
-			}
-		}
-	case argRow:
-		// The modulus over the flat index matches binaryOpInto's
-		// row-vector broadcast exactly, chunk boundaries included.
-		return func(cur []float32, base int, args, _, _ [][]float32) {
-			a := args[ai]
-			for j, v := range cur {
-				cur[j] = f(v, a[(base+j)%width])
-			}
-		}
-	default:
-		return func(cur []float32, _ int, args, _, _ [][]float32) {
-			s := args[ai][0]
-			for j, v := range cur {
-				cur[j] = f(v, s)
-			}
-		}
-	}
-}
-
-func binaryRegChainFn(op ChainOp, reg int, rev bool) chainFn {
-	f := binaryFunc(op)
-	if rev {
-		g := f
-		f = func(x, y float32) float32 { return g(y, x) }
-	}
-	return func(cur []float32, _ int, _, regs, _ [][]float32) {
-		r := regs[reg]
-		for j, v := range cur {
-			cur[j] = f(v, r[j])
-		}
-	}
-}
-
-func binaryCurChainFn(op ChainOp) chainFn {
-	f := binaryFunc(op)
-	return func(cur []float32, _ int, _, _, _ [][]float32) {
-		for j, v := range cur {
-			cur[j] = f(v, v)
-		}
-	}
 }

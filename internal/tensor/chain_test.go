@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -168,4 +169,101 @@ func TestCompileChainRejectsMalformedTapes(t *testing.T) {
 	}, shape, nil); err != nil {
 		t.Errorf("well-formed tape rejected: %v", err)
 	}
+}
+
+// TestBatchNormChainBitExact holds the streamed batch-norm lead to the two
+// passes it replaces — normalise the whole tensor (the formula restated
+// here), then RunInPlace the tape over it — on warm, NaN-poisoned arena
+// buffers: batch 1 and 8, planes smaller and larger than the walker's
+// sub-chunk, the tapes W&D's groups lower to plus one with registers and an
+// Emit, serial and pooled. A nil program is plain BatchNorm2DInto.
+func TestBatchNormChainBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	const c, eps = 6, float32(1e-5)
+	gamma, beta, mean := Rand(rng, 1, c), Rand(rng, 1, c), Rand(rng, 1, c)
+	variance := Rand(rng, 1, c).Apply(func(v float32) float32 { return v*v + 0.5 })
+	ar := NewArena()
+	if 3*5 >= tapeBlock || 37*41 <= tapeBlock {
+		t.Fatalf("the planes must lie under and over the %d-element sub-chunk", tapeBlock)
+	}
+	for _, batch := range []int{1, 8} {
+		for _, hw := range [][2]int{{3, 5}, {37, 41}} {
+			shape := []int{batch, c, hw[0], hw[1]}
+			x := Rand(rng, 2, shape...)
+			res, row := Rand(rng, 1, shape...), Rand(rng, 1, hw[1])
+			normed := New(shape...)
+			plane := hw[0] * hw[1]
+			for i, v := range x.data {
+				ch := i / plane % c
+				inv := gamma.data[ch] / sqrt32(variance.data[ch]+eps)
+				normed.data[i] = (v-mean.data[ch])*inv + beta.data[ch]
+			}
+			for _, tc := range []struct {
+				name   string
+				instrs []Instr
+				args   []*Tensor
+			}{
+				{"relu", []Instr{{Op: ChainReLU}}, nil},
+				{"add relu", []Instr{{Op: ChainAdd, Arg: 0, Src: SrcArg}, {Op: ChainReLU}}, []*Tensor{res}},
+				{"add rev relu", []Instr{{Op: ChainAdd, Arg: 0, Src: SrcArg, Rev: true}, {Op: ChainReLU}}, []*Tensor{res}},
+				{"regs emit", []Instr{
+					{Op: ChainSave, Arg: 0},
+					{Op: ChainAdd, Arg: 0, Src: SrcArg},
+					{Op: ChainEmit, Arg: 0},
+					{Op: ChainReLU},
+					{Op: ChainSave, Arg: 1},
+					{Op: ChainLoad, Arg: 0},
+					{Op: ChainMul, Arg: 1, Src: SrcArg},
+					{Op: ChainSub, Arg: 1, Src: SrcReg, Rev: true},
+				}, []*Tensor{res, row}},
+			} {
+				shapes := make([][]int, len(tc.args))
+				for i, a := range tc.args {
+					shapes[i] = a.shape
+				}
+				prog := mustCompileChain(t, tc.instrs, shape, shapes)
+				want := normed.Clone()
+				var wantOuts, outs []*Tensor
+				for range prog.NumOuts() {
+					wantOuts = append(wantOuts, New(shape...))
+				}
+				prog.RunInPlace(want, tc.args, wantOuts)
+				for _, workers := range []int{1, 0} {
+					SetMaxWorkers(workers)
+					poisonArena(ar)
+					outs = outs[:0]
+					for range prog.NumOuts() {
+						outs = append(outs, ar.NewNoZero(shape...))
+					}
+					got := BatchNorm2DChainInto(nil, x, gamma, beta, mean, variance, eps, prog, tc.args, outs, ar)
+					plain := BatchNorm2DInto(nil, x, gamma, beta, mean, variance, eps, ar)
+					SetMaxWorkers(0)
+					if !sameBits(got, want) || !sameBits(plain, normed) {
+						t.Fatalf("%v %s (workers %d): streamed batch-norm differs from the two passes", shape, tc.name, workers)
+					}
+					for i := range outs {
+						if !sameBits(outs[i], wantOuts[i]) {
+							t.Fatalf("%v %s (workers %d): emit slot %d differs from the two passes", shape, tc.name, workers, i)
+						}
+						ar.Release(outs[i])
+					}
+					ar.Release(got)
+					ar.Release(plain)
+				}
+			}
+		}
+	}
+}
+
+// sameBits is bit equality, −0 ≠ +0 and NaN = NaN of the same pattern.
+func sameBits(a, b *Tensor) bool {
+	if !a.SameShape(b) {
+		return false
+	}
+	for i := range a.data {
+		if math.Float32bits(a.data[i]) != math.Float32bits(b.data[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -385,6 +385,14 @@ func MaxPool2D(x *Tensor, kernel, stride, pad int) *Tensor {
 }
 
 // MaxPool2DInto applies max pooling into out (allocated from ar when nil).
+// Each output is what the scan `if v > best { best = v }` from −Inf over
+// its window in row-major order gives — the first maximal element, NaN
+// skipped, −Inf for a window with no number — computed without a branch per
+// element: first every input row's maxima over each window's columns, then
+// their combination down each window's rows in row order. A row maximum is
+// the first maximal element of its row, so the first maximal row maximum is
+// the window's first maximal element. Both passes are maximumLoop sweeps
+// (VMAXPS on amd64), whose x > y ? x : y is exactly the scan's step.
 func MaxPool2DInto(out *Tensor, x *Tensor, kernel, stride, pad int, ar *Arena) *Tensor {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	oh := (h+2*pad-kernel)/stride + 1
@@ -394,37 +402,101 @@ func MaxPool2DInto(out *Tensor, x *Tensor, kernel, stride, pad int, ar *Arena) *
 	} else if !ShapeEq(out.shape, []int{n, c, oh, ow}) {
 		panic(fmt.Sprintf("tensor: MaxPool2DInto destination %v, want %v", out.shape, []int{n, c, oh, ow}))
 	}
+	g := poolGeom{h: h, w: w, oh: oh, ow: ow, k: kernel, stride: stride, pad: pad}
 	if !worthSplitting(n*c, oh*ow*kernel*kernel) {
-		maxPoolPlanes(out.data, x.data, 0, n*c, h, w, oh, ow, kernel, stride, pad)
+		g.planes(out.data, x.data, 0, n*c, ar)
 		return out
 	}
 	ParallelForChunked(n*c, planeGrain(n*c), func(lo, hi int) {
-		maxPoolPlanes(out.data, x.data, lo, hi, h, w, oh, ow, kernel, stride, pad)
+		g.planes(out.data, x.data, lo, hi, ar)
 	})
 	return out
 }
 
-func maxPoolPlanes(dstAll, srcAll []float32, lo, hi, h, w, oh, ow, kernel, stride, pad int) {
-	for nc := lo; nc < hi; nc++ {
-		src := srcAll[nc*h*w : (nc+1)*h*w]
-		dst := dstAll[nc*oh*ow : (nc+1)*oh*ow]
-		for oi := 0; oi < oh; oi++ {
-			iLo, iHi := max(0, oi*stride-pad), min(h, oi*stride-pad+kernel)
-			for oj := 0; oj < ow; oj++ {
-				jLo := max(0, oj*stride-pad)
-				jHi := max(jLo, min(w, oj*stride-pad+kernel))
-				best := float32(math.Inf(-1))
-				for ii := iLo; ii < iHi; ii++ {
-					for _, v := range src[ii*w+jLo : ii*w+jHi] {
-						if v > best {
-							best = v
-						}
+// poolGroup bounds the input elements of the planes MaxPool2DInto sweeps
+// together (a larger plane is swept alone), so small planes share every
+// sweep instead of paying calls per row.
+const poolGroup = 4 << 10
+
+// poolGeom is the geometry of one max-pooled plane.
+type poolGeom struct {
+	h, w, oh, ow, k, stride, pad int
+}
+
+// planes pools planes [lo, hi) of src into dst, a group of planes at a
+// time, with k sweeps per pass over the whole group. After sweep e of the
+// row pass, run[q] is the scan of in[q : q+e] — NaN made −Inf by the first
+// sweep, which is no change to any scan, since neither is ever > best — so
+// every window clipped to e in-row columns is read off then, the whole
+// ones (e = k) last. The column pass does the same over the row maxima with
+// a row as the unit; a row maximum is never NaN, so its first sweep is a
+// copy. A window with nothing inside the plane is −Inf.
+func (g *poolGeom) planes(dst, src []float32, lo, hi int, ar *Arena) {
+	per := max(1, poolGroup/max(1, g.h*g.w)) // planes per group
+	most := min(per, hi-lo) * g.h            // rows of the largest group
+	scratch, st := ar.grabScratch(most * (g.w + 2*g.ow))
+	defer ar.dropScratch(st)
+	negInf := float32(math.Inf(-1))
+	for p0 := lo; p0 < hi; p0 += per {
+		np := min(per, hi-p0)
+		rows := np * g.h
+		in := src[p0*g.h*g.w : (p0+np)*g.h*g.w]
+		run := scratch[:len(in)]
+		rowMax := scratch[len(in):][:rows*g.ow]
+		vert := scratch[len(in)+len(rowMax):][:len(rowMax)]
+		out := dst[p0*g.oh*g.ow : (p0+np)*g.oh*g.ow]
+		for oj := 0; oj < g.ow; oj++ {
+			if x0, x1 := g.clip(oj, g.w); x1 <= x0 {
+				for r := 0; r < rows; r++ {
+					rowMax[r*g.ow+oj] = negInf
+				}
+			}
+		}
+		for oi := 0; oi < g.oh; oi++ {
+			if y0, y1 := g.clip(oi, g.h); y1 <= y0 {
+				for pl := 0; pl < np; pl++ {
+					for i := range g.ow {
+						out[(pl*g.oh+oi)*g.ow+i] = negInf
 					}
 				}
-				dst[oi*ow+oj] = best
+			}
+		}
+		for e := 1; e <= min(g.k, g.w); e++ { // no window holds more of a row
+			if e == 1 {
+				maximumScalar(run, in, negInf)
+			} else {
+				maximumLoop(run[:len(in)-e+1], in[e-1:], run)
+			}
+			for oj := 0; oj < g.ow; oj++ {
+				if x0, x1 := g.clip(oj, g.w); x1-x0 == e {
+					for r := 0; r < rows; r++ {
+						rowMax[r*g.ow+oj] = run[r*g.w+x0]
+					}
+				}
+			}
+		}
+		for e := 1; e <= min(g.k, g.h); e++ {
+			if e == 1 {
+				copy(vert, rowMax)
+			} else {
+				maximumLoop(vert[:len(vert)-(e-1)*g.ow], rowMax[(e-1)*g.ow:], vert)
+			}
+			for oi := 0; oi < g.oh; oi++ {
+				if y0, y1 := g.clip(oi, g.h); y1-y0 == e {
+					for pl := 0; pl < np; pl++ {
+						copy(out[(pl*g.oh+oi)*g.ow:(pl*g.oh+oi+1)*g.ow], vert[(pl*g.h+y0)*g.ow:])
+					}
+				}
 			}
 		}
 	}
+}
+
+// clip returns the input range [lo, hi) of output index o's window along a
+// dimension of n inputs, clipped to the dimension (hi ≤ lo when the window
+// lies wholly in the padding).
+func (g *poolGeom) clip(o, n int) (lo, hi int) {
+	return max(0, o*g.stride-g.pad), min(n, o*g.stride-g.pad+g.k)
 }
 
 // GlobalAvgPool2D averages each channel's spatial plane: (N,C,H,W) → (N,C).
@@ -467,15 +539,28 @@ func BatchNorm2D(x, gamma, beta, mean, variance *Tensor, eps float32) *Tensor {
 }
 
 // BatchNorm2DInto applies inference-mode batch normalisation into out
-// (allocated from ar when nil).
+// (allocated from ar when nil): BatchNorm2DChainInto with no program.
 func BatchNorm2DInto(out *Tensor, x, gamma, beta, mean, variance *Tensor, eps float32, ar *Arena) *Tensor {
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
+	return BatchNorm2DChainInto(out, x, gamma, beta, mean, variance, eps, nil, nil, nil, ar)
+}
+
+// BatchNorm2DChainInto normalises x into out (allocated from ar when nil)
+// and streams the result through the epilogue program p: the batch-norm
+// lead of a fused group, as LinearChainInto is the dense one. Each
+// sub-chunk of the output is normalised and then run through the whole
+// tape while it is still in L1, so a [batchnorm2d add relu] group reads x
+// and the residual and writes its output once. A nil p is plain batch
+// normalisation.
+func BatchNorm2DChainInto(out *Tensor, x, gamma, beta, mean, variance *Tensor, eps float32, p *Program, args, outs []*Tensor, ar *Arena) *Tensor {
+	if len(x.shape) != 4 {
+		panic(fmt.Sprintf("tensor: BatchNorm2D requires a 4-D input, got %v", x.shape))
+	}
+	c, plane := x.shape[1], x.shape[2]*x.shape[3]
 	if out == nil {
 		out = ar.NewNoZero(x.shape...)
 	} else if !ShapeEq(out.shape, x.shape) {
 		panic(fmt.Sprintf("tensor: BatchNorm2DInto destination %v, want %v", out.shape, x.shape))
 	}
-	plane := h * w
 	// The channel's scale is 16 Newton divisions: once per call, not once
 	// per image — on a batch of 2×2 planes it costs what the planes do.
 	inv, scratch := ar.grabScratch(c)
@@ -483,25 +568,28 @@ func BatchNorm2DInto(out *Tensor, x, gamma, beta, mean, variance *Tensor, eps fl
 	for ch := range inv {
 		inv[ch] = gamma.data[ch] / sqrt32(variance.data[ch]+eps)
 	}
-	if !worthSplitting(n*c, plane) {
-		batchNormPlanes(out.data, x.data, inv, beta.data, mean.data, 0, n*c, c, plane)
-		return out
-	}
-	ParallelForChunked(n*c, planeGrain(n*c), func(lo, hi int) {
-		batchNormPlanes(out.data, x.data, inv, beta.data, mean.data, lo, hi, c, plane)
-	})
+	src, b, m := x.data, beta.data, mean.data
+	p.run(out, func(cur []float32, base int) {
+		// A sub-chunk may span several (image, channel) planes: walk them,
+		// with one division per sub-chunk.
+		off, ch := base%plane, base/plane%c
+		for len(cur) > 0 {
+			k := min(len(cur), plane-off)
+			batchNormLoop(cur[:k], src[base:base+k], inv[ch], b[ch], m[ch])
+			cur, base, off = cur[k:], base+k, 0
+			if ch++; ch == c {
+				ch = 0
+			}
+		}
+	}, args, outs)
 	return out
 }
 
-func batchNormPlanes(dstAll, srcAll, scale, beta, mean []float32, lo, hi, c, plane int) {
-	for nc := lo; nc < hi; nc++ {
-		ch := nc % c
-		inv, b, m := scale[ch], beta[ch], mean[ch]
-		src := srcAll[nc*plane : (nc+1)*plane]
-		dst := dstAll[nc*plane : (nc+1)*plane]
-		for i, xv := range src {
-			dst[i] = (xv-m)*inv + b
-		}
+// batchNormLoop normalises one run of a channel's plane.
+func batchNormLoop(dst, src []float32, inv, b, m float32) {
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] = (src[i]-m)*inv + b
 	}
 }
 

@@ -356,3 +356,84 @@ func TestSqrt32(t *testing.T) {
 		}
 	}
 }
+
+// maxPoolOracle is the max-pool loop before the branch-free kernel, kept
+// as the reference: the `v > best` scan from −Inf over each window in
+// row-major order, padding skipped.
+func maxPoolOracle(dstAll, srcAll []float32, lo, hi, h, w, oh, ow, kernel, stride, pad int) {
+	for nc := lo; nc < hi; nc++ {
+		src := srcAll[nc*h*w : (nc+1)*h*w]
+		dst := dstAll[nc*oh*ow : (nc+1)*oh*ow]
+		for oi := 0; oi < oh; oi++ {
+			iLo, iHi := max(0, oi*stride-pad), min(h, oi*stride-pad+kernel)
+			for oj := 0; oj < ow; oj++ {
+				jLo := max(0, oj*stride-pad)
+				jHi := max(jLo, min(w, oj*stride-pad+kernel))
+				best := float32(math.Inf(-1))
+				for ii := iLo; ii < iHi; ii++ {
+					for _, v := range src[ii*w+jLo : ii*w+jHi] {
+						if v > best {
+							best = v
+						}
+					}
+				}
+				dst[oi*ow+oj] = best
+			}
+		}
+	}
+}
+
+// TestMaxPoolMatchesOracle holds MaxPool2DInto to maxPoolOracle bit for
+// bit on inputs drawn mostly from {NaN, +0, −0, −Inf, ±1}, so windows hold
+// −0 and +0 in both orders, NaN beside numbers, nothing but NaN (all of
+// plane 0), nothing but −Inf, and ties — under ResNet's 3×3/s2/p1 and
+// generic kernels, including windows that lie wholly in the padding, from
+// a NaN-poisoned arena, serial and pooled.
+func TestMaxPoolMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	nan, negZero := float32(math.NaN()), float32(math.Copysign(0, -1))
+	pick := []float32{nan, 0, negZero, float32(math.Inf(-1)), 1, -1, 0, negZero}
+	ar := NewArena()
+	for _, s := range []struct{ n, c, h, w, kernel, stride, pad int }{
+		{1, 3, 13, 17, 3, 2, 1},
+		{2, 8, 30, 30, 3, 2, 1}, // enough work to split across workers
+		{1, 2, 11, 9, 2, 2, 0},
+		{1, 2, 11, 9, 3, 1, 1},
+		{1, 2, 11, 9, 2, 3, 2},
+		{1, 2, 12, 10, 5, 2, 2},
+		{1, 2, 7, 8, 4, 3, 1},
+		{1, 2, 5, 5, 1, 2, 1}, // 1×1 windows at the corners lie in the padding
+		{1, 1, 2, 2, 3, 1, 1},
+		{1, 1, 1, 1, 3, 1, 1}, // one plane of one element: fewer than k rows and columns
+		{1, 2, 0, 3, 1, 1, 1}, // planes with no rows: every window is empty
+	} {
+		x := New(s.n, s.c, s.h, s.w)
+		for i := range x.data {
+			if rng.Intn(4) == 0 {
+				x.data[i] = rng.Float32()*4 - 2
+			} else {
+				x.data[i] = pick[rng.Intn(len(pick))]
+			}
+		}
+		for i := 0; i < s.h*s.w; i++ {
+			x.data[i] = nan
+		}
+		oh := (s.h+2*s.pad-s.kernel)/s.stride + 1
+		ow := (s.w+2*s.pad-s.kernel)/s.stride + 1
+		want := New(s.n, s.c, oh, ow)
+		maxPoolOracle(want.data, x.data, 0, s.n*s.c, s.h, s.w, oh, ow, s.kernel, s.stride, s.pad)
+		for _, workers := range []int{1, 0} {
+			SetMaxWorkers(workers)
+			poisonArena(ar)
+			got := MaxPool2DInto(nil, x, s.kernel, s.stride, s.pad, ar)
+			SetMaxWorkers(0)
+			for i := range want.data {
+				if math.Float32bits(got.data[i]) != math.Float32bits(want.data[i]) {
+					t.Fatalf("%+v (workers %d): output %d is %#x, the scan gives %#x",
+						s, workers, i, math.Float32bits(got.data[i]), math.Float32bits(want.data[i]))
+				}
+			}
+			ar.Release(got)
+		}
+	}
+}

@@ -1,10 +1,9 @@
 package tensor
 
-import "math"
-
-// Apply returns a new tensor with f applied to every element.
+// Apply returns a new tensor with f applied to every element. The
+// registered elementwise ops run the typed loops of loops.go instead.
 func (t *Tensor) Apply(f func(float32) float32) *Tensor {
-	return applyInto(nil, t, nil, f)
+	return t.Clone().ApplyInPlace(f)
 }
 
 // ApplyInPlace applies f to every element in place and returns t.
@@ -17,86 +16,43 @@ func (t *Tensor) ApplyInPlace(f func(float32) float32) *Tensor {
 	return t
 }
 
-func binaryOp(a, b *Tensor, name string, f func(x, y float32) float32) *Tensor {
-	return binaryOpInto(nil, a, b, nil, name, f)
-}
-
 // Add returns a + b with trailing-dimension or scalar broadcasting of b.
-func Add(a, b *Tensor) *Tensor {
-	return binaryOp(a, b, "Add", func(x, y float32) float32 { return x + y })
-}
+func Add(a, b *Tensor) *Tensor { return AddInto(nil, a, b, nil) }
 
 // Sub returns a - b with trailing-dimension or scalar broadcasting of b.
-func Sub(a, b *Tensor) *Tensor {
-	return binaryOp(a, b, "Sub", func(x, y float32) float32 { return x - y })
-}
+func Sub(a, b *Tensor) *Tensor { return SubInto(nil, a, b, nil) }
 
 // Mul returns the elementwise product with broadcasting of b.
-func Mul(a, b *Tensor) *Tensor {
-	return binaryOp(a, b, "Mul", func(x, y float32) float32 { return x * y })
-}
+func Mul(a, b *Tensor) *Tensor { return MulInto(nil, a, b, nil) }
 
 // Div returns the elementwise quotient with broadcasting of b.
-func Div(a, b *Tensor) *Tensor {
-	return binaryOp(a, b, "Div", func(x, y float32) float32 { return x / y })
-}
+func Div(a, b *Tensor) *Tensor { return DivInto(nil, a, b, nil) }
 
-// Maximum returns the elementwise maximum with broadcasting of b.
-func Maximum(a, b *Tensor) *Tensor {
-	return binaryOp(a, b, "Maximum", func(x, y float32) float32 {
-		if x > y {
-			return x
-		}
-		return y
-	})
-}
+// Maximum returns the elementwise maximum a > b ? a : b with broadcasting
+// of b.
+func Maximum(a, b *Tensor) *Tensor { return MaximumInto(nil, a, b, nil) }
 
 // Scale returns t * s.
-func (t *Tensor) Scale(s float32) *Tensor {
-	return t.Apply(func(x float32) float32 { return x * s })
-}
+func (t *Tensor) Scale(s float32) *Tensor { return ScaleInto(nil, t, s, nil) }
 
-// ReLU returns max(x, 0) elementwise.
-func ReLU(t *Tensor) *Tensor {
-	return t.Apply(func(x float32) float32 {
-		if x > 0 {
-			return x
-		}
-		return 0
-	})
-}
+// ReLU returns x > 0 ? x : 0 elementwise.
+func ReLU(t *Tensor) *Tensor { return ReLUInto(nil, t, nil) }
 
 // Sigmoid returns 1/(1+exp(-x)) elementwise.
-func Sigmoid(t *Tensor) *Tensor {
-	return t.Apply(func(x float32) float32 {
-		return float32(1 / (1 + math.Exp(-float64(x))))
-	})
-}
+func Sigmoid(t *Tensor) *Tensor { return SigmoidInto(nil, t, nil) }
 
 // Tanh returns tanh(x) elementwise.
-func Tanh(t *Tensor) *Tensor {
-	return t.Apply(func(x float32) float32 { return float32(math.Tanh(float64(x))) })
-}
+func Tanh(t *Tensor) *Tensor { return TanhInto(nil, t, nil) }
 
 // Exp returns exp(x) elementwise.
-func Exp(t *Tensor) *Tensor {
-	return t.Apply(func(x float32) float32 { return float32(math.Exp(float64(x))) })
-}
+func Exp(t *Tensor) *Tensor { return ExpInto(nil, t, nil) }
 
 // Sqrt returns sqrt(x) elementwise.
-func Sqrt(t *Tensor) *Tensor {
-	return t.Apply(func(x float32) float32 { return float32(math.Sqrt(float64(x))) })
-}
+func Sqrt(t *Tensor) *Tensor { return SqrtInto(nil, t, nil) }
 
 // GELU returns the Gaussian error linear unit (tanh approximation), the
 // activation used by Transformer feed-forward blocks (MT-DNN).
-func GELU(t *Tensor) *Tensor {
-	const c = 0.7978845608028654 // sqrt(2/pi)
-	return t.Apply(func(x float32) float32 {
-		xf := float64(x)
-		return float32(0.5 * xf * (1 + math.Tanh(c*(xf+0.044715*xf*xf*xf))))
-	})
-}
+func GELU(t *Tensor) *Tensor { return GELUInto(nil, t, nil) }
 
 // Sum returns the sum of all elements.
 func (t *Tensor) Sum() float64 {

@@ -40,6 +40,49 @@ func kern1x32(c *float32, a *float32, p *float32, pstride int, kc int)
 //go:noescape
 func kern1x8(c *float32, a *float32, p *float32, kc int)
 
+//go:noescape
+func maxps(dst, a, b *float32, n int)
+
+//go:noescape
+func maxps1(dst, a *float32, s float32, n int)
+
+// maximumLoop computes dst[i] = a[i] > b[i] ? a[i] : b[i] — VMAXPS's own
+// rule, so the vector kernel is the scalar loop bit for bit.
+func maximumLoop(dst, a, b []float32) {
+	if !useAVX2 {
+		maximumGo(dst, a, b)
+		return
+	}
+	if len(dst) == 0 {
+		return
+	}
+	a, b = a[:len(dst)], b[:len(dst)] // the bounds checks the kernel cannot make
+	maxps(&dst[0], &a[0], &b[0], len(dst))
+}
+
+// maximumScalar computes dst[i] = a[i] > s ? a[i] : s.
+func maximumScalar(dst, a []float32, s float32) {
+	if !useAVX2 {
+		maximumScalarGo(dst, a, s)
+		return
+	}
+	if len(dst) == 0 {
+		return
+	}
+	a = a[:len(dst)]
+	maxps1(&dst[0], &a[0], s, len(dst))
+}
+
+// reluLoop computes dst[i] = src[i] > 0 ? src[i] : 0: on amd64 the maximum
+// against +0, elsewhere the branch-free reluGo.
+func reluLoop(dst, src []float32) {
+	if !useAVX2 {
+		reluGo(dst, src)
+		return
+	}
+	maximumScalar(dst, src, 0)
+}
+
 // kern4 updates the full 4×(np·nr) tile at c (row stride ldc) with
 // a[4 rows, :kc] · the np ≤ 2 adjacent panels at p (panel stride pstride).
 // The index expressions below are the bounds checks the assembly cannot

@@ -170,6 +170,87 @@ loop1x8:
 	VZEROUPPER
 	RET
 
+// VMAXPS/VMAXSS src2, src1, dst computes src1 > src2 ? src1 : src2 per lane
+// — a NaN in either operand, or two zeros of any sign, yield src2 — which is
+// exactly Go's `if x > y { x } else { y }`, so the two kernels below are
+// bit-identical to their portable loops (loops.go) with no fix-up. Both take
+// any n ≥ 1: eight lanes at a time, then scalar for the tail.
+
+// func maxps(dst, a, b *float32, n int)
+// dst[i] = a[i] > b[i] ? a[i] : b[i]; dst may be a or b.
+TEXT ·maxps(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-8, BX
+	SHLQ $2, BX // bytes in whole vectors
+	SHLQ $2, CX // bytes in all
+	JMP  max8cond
+
+max8:
+	VMOVUPS (SI)(AX*1), Y0
+	VMAXPS  (DX)(AX*1), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+
+max8cond:
+	CMPQ AX, BX
+	JLT  max8
+	JMP  max1cond
+
+max1:
+	VMOVSS (SI)(AX*1), X0
+	VMAXSS (DX)(AX*1), X0, X0
+	VMOVSS X0, (DI)(AX*1)
+	ADDQ   $4, AX
+
+max1cond:
+	CMPQ AX, CX
+	JLT  max1
+	VZEROUPPER
+	RET
+
+// func maxps1(dst, a *float32, s float32, n int)
+// dst[i] = a[i] > s ? a[i] : s; dst may be a. ReLU is s = +0 (NaN and −0
+// give +0).
+TEXT ·maxps1(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         a+8(FP), SI
+	VBROADCASTSS s+16(FP), Y1
+	MOVQ         n+24(FP), CX
+	XORQ         AX, AX
+	MOVQ         CX, BX
+	ANDQ         $-8, BX
+	SHLQ         $2, BX
+	SHLQ         $2, CX
+	JMP          maxs8cond
+
+maxs8:
+	VMOVUPS (SI)(AX*1), Y0
+	VMAXPS  Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+
+maxs8cond:
+	CMPQ AX, BX
+	JLT  maxs8
+	JMP  maxs1cond
+
+maxs1:
+	VMOVSS (SI)(AX*1), X0
+	VMAXSS X1, X0, X0
+	VMOVSS X0, (DI)(AX*1)
+	ADDQ   $4, AX
+
+maxs1cond:
+	CMPQ AX, CX
+	JLT  maxs1
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

@@ -8,9 +8,10 @@ import (
 	"testing"
 )
 
-// TestPortableKernelPath re-runs the packed-GEMM, conv, chain and RNN suites
-// with the assembly switched off, so the Go fallback — the reference, and
-// the only path off amd64 — passes the identical tests on this machine too.
+// TestPortableKernelPath re-runs the packed-GEMM, conv, chain, RNN, ReLU /
+// maximum and max-pool suites with the assembly switched off, so the Go
+// fallback — the reference, and the only path off amd64 — passes the
+// identical tests on this machine too.
 func TestPortableKernelPath(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2: the portable kernels are already the active path")
@@ -34,6 +35,9 @@ func TestPortableKernelPath(t *testing.T) {
 		{"ChainSerialMatchesParallel", TestChainSerialMatchesParallel},
 		{"LinearChainBitExact", TestLinearChainBitExact},
 		{"RNNSeqBitExact", TestRNNSeqBitExact},
+		{"MaxLoopsMatchScan", TestMaxLoopsMatchScan},
+		{"BatchNormChainBitExact", TestBatchNormChainBitExact},
+		{"MaxPoolMatchesOracle", TestMaxPoolMatchesOracle},
 	} {
 		t.Run(tc.name, tc.fn)
 	}

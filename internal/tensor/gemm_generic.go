@@ -4,6 +4,12 @@ package tensor
 
 // Without the amd64 assembly the portable Go kernels are the only path.
 
+func maximumLoop(dst, a, b []float32) { maximumGo(dst, a, b) }
+
+func maximumScalar(dst, a []float32, s float32) { maximumScalarGo(dst, a, s) }
+
+func reluLoop(dst, src []float32) { reluGo(dst, src) }
+
 func kern4(c []float32, ldc int, a []float32, lda int, p []float32, pstride, kc, np int) {
 	kern4Go(c, ldc, a, lda, p, pstride, kc, np)
 }

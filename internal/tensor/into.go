@@ -17,154 +17,126 @@ func checkInto(out *Tensor, shape []int, name string) {
 	}
 }
 
-// applyInto maps f over t into out.
-func applyInto(out *Tensor, t *Tensor, ar *Arena, f func(float32) float32) *Tensor {
+// intoShape returns out checked against shape, or a fresh unzeroed tensor
+// of that shape from ar when out is nil.
+func intoShape(out *Tensor, shape []int, ar *Arena, name string) *Tensor {
 	if out == nil {
-		out = ar.NewNoZero(t.shape...)
-	} else {
-		checkInto(out, t.shape, "applyInto")
+		return ar.NewNoZero(shape...)
 	}
+	checkInto(out, shape, name)
+	return out
+}
+
+// unaryInto runs a unary opcode's loop over t into out, chunk-parallel.
+func unaryInto(out *Tensor, t *Tensor, ar *Arena, name string, op ChainOp) *Tensor {
+	out = intoShape(out, t.shape, ar, name)
+	loop := unaryLoops[op]
 	// Serial fast path before the closure literal: a closure passed to
 	// ParallelFor is heap-allocated at the call site even when the serial
 	// branch inside ParallelFor runs, and elementwise ops dominate the hot
 	// loop of recurrent models.
 	if len(t.data) < parallelThreshold || effectiveWorkers() <= 1 {
-		for i, v := range t.data {
-			out.data[i] = f(v)
-		}
+		loop(out.data, t.data)
 		return out
 	}
-	ParallelFor(len(t.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.data[i] = f(t.data[i])
-		}
-	})
+	ParallelFor(len(t.data), func(lo, hi int) { loop(out.data[lo:hi], t.data[lo:hi]) })
 	return out
 }
 
-func binaryOpInto(out *Tensor, a, b *Tensor, ar *Arena, name string, f func(x, y float32) float32) *Tensor {
-	if a.SameShape(b) {
-		if out == nil {
-			out = ar.NewNoZero(a.shape...)
-		} else {
-			checkInto(out, a.shape, name)
-		}
-		if len(a.data) < parallelThreshold || effectiveWorkers() <= 1 {
-			for i, v := range a.data {
-				out.data[i] = f(v, b.data[i])
-			}
-			return out
-		}
-		ParallelFor(len(a.data), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out.data[i] = f(a.data[i], b.data[i])
-			}
-		})
+// binaryOpInto runs a binary opcode's loop over a and b into out, b
+// broadcast as a full tensor, a trailing row or a scalar.
+func binaryOpInto(out *Tensor, a, b *Tensor, ar *Arena, name string, op ChainOp) *Tensor {
+	mode, ok := broadcastMode(a.shape, b.shape)
+	if !ok {
+		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", name, a.shape, b.shape))
+	}
+	out = intoShape(out, a.shape, ar, name)
+	if len(a.data) < parallelThreshold || effectiveWorkers() <= 1 {
+		binaryChunk(op, mode, out.data, a.data, b.data, 0)
 		return out
 	}
-	// Row-vector broadcast: b of shape [k] combined with a of shape [..., k].
-	if len(b.shape) == 1 && a.Dim(-1) == b.shape[0] {
-		k := b.shape[0]
-		if out == nil {
-			out = ar.NewNoZero(a.shape...)
-		} else {
-			checkInto(out, a.shape, name)
-		}
-		if len(a.data) < parallelThreshold || effectiveWorkers() <= 1 {
-			for i, v := range a.data {
-				out.data[i] = f(v, b.data[i%k])
-			}
-			return out
-		}
-		ParallelFor(len(a.data), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out.data[i] = f(a.data[i], b.data[i%k])
-			}
-		})
-		return out
+	ParallelFor(len(a.data), func(lo, hi int) { binaryChunk(op, mode, out.data[lo:hi], a.data[lo:hi], b.data, lo) })
+	return out
+}
+
+// binaryChunk computes dst = a ∘ b for the chunk of the stream that starts
+// at flat index lo; b is the whole operand.
+func binaryChunk(op ChainOp, mode argMode, dst, a, b []float32, lo int) {
+	switch mode {
+	case argFull:
+		binaryLoops[op](dst, a, b[lo:])
+	case argRow:
+		rowWalk(binaryLoops[op], dst, a, lo, b, false)
+	default:
+		scalarLoops[op][0](dst, a, b[0])
 	}
-	// Scalar broadcast.
-	if b.Numel() == 1 {
-		s := b.data[0]
-		return applyInto(out, a, ar, func(x float32) float32 { return f(x, s) })
-	}
-	panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", name, a.shape, b.shape))
 }
 
 // AddInto computes a + b (broadcasting b) into out.
 func AddInto(out *Tensor, a, b *Tensor, ar *Arena) *Tensor {
-	return binaryOpInto(out, a, b, ar, "Add", func(x, y float32) float32 { return x + y })
+	return binaryOpInto(out, a, b, ar, "Add", ChainAdd)
 }
 
 // SubInto computes a - b (broadcasting b) into out.
 func SubInto(out *Tensor, a, b *Tensor, ar *Arena) *Tensor {
-	return binaryOpInto(out, a, b, ar, "Sub", func(x, y float32) float32 { return x - y })
+	return binaryOpInto(out, a, b, ar, "Sub", ChainSub)
 }
 
 // MulInto computes a * b (broadcasting b) into out.
 func MulInto(out *Tensor, a, b *Tensor, ar *Arena) *Tensor {
-	return binaryOpInto(out, a, b, ar, "Mul", func(x, y float32) float32 { return x * y })
+	return binaryOpInto(out, a, b, ar, "Mul", ChainMul)
 }
 
 // DivInto computes a / b (broadcasting b) into out.
 func DivInto(out *Tensor, a, b *Tensor, ar *Arena) *Tensor {
-	return binaryOpInto(out, a, b, ar, "Div", func(x, y float32) float32 { return x / y })
+	return binaryOpInto(out, a, b, ar, "Div", ChainDiv)
 }
 
-// MaximumInto computes max(a, b) (broadcasting b) into out.
+// MaximumInto computes max(a, b) (broadcasting b) into out: a > b ? a : b,
+// so a NaN in either operand, or two zeros, give b.
 func MaximumInto(out *Tensor, a, b *Tensor, ar *Arena) *Tensor {
-	return binaryOpInto(out, a, b, ar, "Maximum", func(x, y float32) float32 {
-		if x > y {
-			return x
-		}
-		return y
-	})
+	return binaryOpInto(out, a, b, ar, "Maximum", ChainMaximum)
 }
 
 // ScaleInto computes t * s into out.
 func ScaleInto(out *Tensor, t *Tensor, s float32, ar *Arena) *Tensor {
-	return applyInto(out, t, ar, func(x float32) float32 { return x * s })
+	out = intoShape(out, t.shape, ar, "ScaleInto")
+	if len(t.data) < parallelThreshold || effectiveWorkers() <= 1 {
+		mulScalar(out.data, t.data, s)
+		return out
+	}
+	ParallelFor(len(t.data), func(lo, hi int) { mulScalar(out.data[lo:hi], t.data[lo:hi], s) })
+	return out
 }
 
-// ReLUInto computes max(x, 0) into out.
+// ReLUInto computes x > 0 ? x : 0 into out (NaN and −0 give +0).
 func ReLUInto(out *Tensor, t *Tensor, ar *Arena) *Tensor {
-	return applyInto(out, t, ar, func(x float32) float32 {
-		if x > 0 {
-			return x
-		}
-		return 0
-	})
+	return unaryInto(out, t, ar, "ReLUInto", ChainReLU)
 }
 
 // SigmoidInto computes 1/(1+exp(-x)) into out.
 func SigmoidInto(out *Tensor, t *Tensor, ar *Arena) *Tensor {
-	return applyInto(out, t, ar, func(x float32) float32 {
-		return float32(1 / (1 + math.Exp(-float64(x))))
-	})
+	return unaryInto(out, t, ar, "SigmoidInto", ChainSigmoid)
 }
 
 // TanhInto computes tanh(x) into out.
 func TanhInto(out *Tensor, t *Tensor, ar *Arena) *Tensor {
-	return applyInto(out, t, ar, func(x float32) float32 { return float32(math.Tanh(float64(x))) })
+	return unaryInto(out, t, ar, "TanhInto", ChainTanh)
 }
 
 // ExpInto computes exp(x) into out.
 func ExpInto(out *Tensor, t *Tensor, ar *Arena) *Tensor {
-	return applyInto(out, t, ar, func(x float32) float32 { return float32(math.Exp(float64(x))) })
+	return unaryInto(out, t, ar, "ExpInto", ChainExp)
 }
 
 // SqrtInto computes sqrt(x) into out.
 func SqrtInto(out *Tensor, t *Tensor, ar *Arena) *Tensor {
-	return applyInto(out, t, ar, func(x float32) float32 { return float32(math.Sqrt(float64(x))) })
+	return unaryInto(out, t, ar, "SqrtInto", ChainSqrt)
 }
 
 // GELUInto computes the tanh-approximated GELU into out.
 func GELUInto(out *Tensor, t *Tensor, ar *Arena) *Tensor {
-	const c = 0.7978845608028654 // sqrt(2/pi)
-	return applyInto(out, t, ar, func(x float32) float32 {
-		xf := float64(x)
-		return float32(0.5 * xf * (1 + math.Tanh(c*(xf+0.044715*xf*xf*xf))))
-	})
+	return unaryInto(out, t, ar, "GELUInto", ChainGELU)
 }
 
 // SoftmaxInto applies a numerically stable softmax along the last dimension
