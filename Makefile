@@ -38,7 +38,8 @@ build:
 ## the whole tree is cross-built for arm64 to prove the build tags (offline:
 ## the standard library is the only dependency). The served-batch cells of
 ## BenchmarkConv2D (the last three ResNet stages at 64², eight images: the
-## shapes whose blocks span images) run once, so they cannot rot.
+## shapes whose blocks span images) run once at every kernel tier the
+## machine has, so they cannot rot.
 ## The host-clock benchmark in bench/ is a nested module that compiles
 ## against the exported runtime/schedule/serve API and may not be edited by
 ## the PRs it measures, so a rename that breaks the harness has to fail here,

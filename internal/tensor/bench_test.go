@@ -9,20 +9,63 @@ import (
 
 // Kernel micro-benchmarks for the host tensor engine. These measure real
 // wall-clock performance of the Go kernels (not virtual time) — useful when
-// porting the engine to new hardware or tuning block sizes.
+// porting the engine to new hardware or tuning block sizes. The GEMM and
+// convolution cells run once per kernel tier this machine has (the last
+// element of the name), so a tier's gain reads off adjacent lines.
 
+// hostTiers lists the kernel tiers this machine runs, from the detected one
+// down to the portable Go kernels.
+func hostTiers() []kernelTier {
+	ts := []kernelTier{tier}
+	for t := tier; t > tierPortable; {
+		t--
+		ts = append(ts, t)
+	}
+	return ts
+}
+
+func (t kernelTier) String() string {
+	return [...]string{"portable", "avx2", "avx512"}[t]
+}
+
+// setTier switches the package to kernel tier t and returns the undo.
+func setTier(t kernelTier) (restore func()) {
+	prev := tier
+	tier = t
+	return func() { tier = prev }
+}
+
+// reportGFLOPS replaces ns/op's reading with the rate of flops per op.
+func reportGFLOPS(b *testing.B, flops float64) {
+	b.ReportMetric(flops*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+}
+
+// BenchmarkMatMul times square products and MT-DNN's feed-forward shape (64
+// tokens × 512 → 2048). B is pinned, so its panels are packed once and the
+// cells time the GEMM itself.
 func BenchmarkMatMul(b *testing.B) {
-	for _, n := range []int{64, 256, 512} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			x := Rand(rng, 1, n, n)
-			y := Rand(rng, 1, n, n)
-			b.SetBytes(int64(8 * n * n))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatMul(x, y)
-			}
-		})
+	for _, s := range []struct {
+		name    string
+		m, k, n int
+	}{
+		{"n=64", 64, 64, 64},
+		{"n=256", 256, 256, 256},
+		{"n=512", 512, 512, 512},
+		{"mtdnn_ffn64x512x2048", 64, 512, 2048},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		x := Rand(rng, 1, s.m, s.k)
+		y := Rand(rng, 1, s.k, s.n).MarkPinned()
+		out := MatMul(x, y)
+		for _, t := range hostTiers() {
+			b.Run(s.name+"/"+t.String(), func(b *testing.B) {
+				defer setTier(t)()
+				for i := 0; i < b.N; i++ {
+					MatMulInto(out, x, y, nil)
+				}
+				reportGFLOPS(b, 2*float64(s.m*s.n*s.k))
+			})
+		}
 	}
 }
 
@@ -62,19 +105,21 @@ func BenchmarkConv2D(b *testing.B) {
 		{"layer3at64x8", 8, 256, 4, 256, 3, 1, 1},
 		{"layer4at64x8", 8, 512, 2, 512, 3, 1, 1},
 	} {
-		b.Run(s.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(3))
-			x := Rand(rng, 1, s.n, s.cin, s.hw, s.hw)
-			w := Rand(rng, 1, s.cout, s.cin, s.k, s.k)
-			ar := NewArena()
-			out := Conv2DInto(nil, x, w, nil, s.stride, s.pad, ar)
-			flops := 2 * float64(out.Numel()) * float64(s.cin*s.k*s.k)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				Conv2DInto(out, x, w, nil, s.stride, s.pad, ar)
-			}
-			b.ReportMetric(flops*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
-		})
+		rng := rand.New(rand.NewSource(3))
+		x := Rand(rng, 1, s.n, s.cin, s.hw, s.hw)
+		w := Rand(rng, 1, s.cout, s.cin, s.k, s.k)
+		ar := NewArena()
+		out := Conv2DInto(nil, x, w, nil, s.stride, s.pad, ar)
+		flops := 2 * float64(out.Numel()) * float64(s.cin*s.k*s.k)
+		for _, t := range hostTiers() {
+			b.Run(s.name+"/"+t.String(), func(b *testing.B) {
+				defer setTier(t)()
+				for i := 0; i < b.N; i++ {
+					Conv2DInto(out, x, w, nil, s.stride, s.pad, ar)
+				}
+				reportGFLOPS(b, flops)
+			})
+		}
 	}
 }
 

@@ -3,13 +3,14 @@ package tensor
 // Packed-GEMM geometry. B is repacked into tile-major panels of nr columns
 // so the innermost loads are contiguous regardless of N. The microkernels
 // update register tiles of C spanning adjacent panels: mr×(2·nr) for the
-// bulk of the rows and 1×(4·nr) for leftover rows — the M=1 GEMV shape of
-// the RNN and batch-1 dense steps. packKC bounds the K-extent touched per
-// panel sweep (keeps the active A rows and B panels cache-resident) and
-// packMC is the row granularity handed to the worker pool, aligned to whole
-// microkernel tiles.
+// bulk of the rows (mr8×(2·nr) at the AVX-512 tier) and 1×(4·nr) for
+// leftover rows — the M=1 GEMV shape of the RNN and batch-1 dense steps.
+// packKC bounds the K-extent touched per panel sweep (keeps the active A
+// rows and B panels cache-resident) and packMC is the row granularity
+// handed to the worker pool, aligned to whole microkernel tiles.
 const (
 	mr     = 4
+	mr8    = 2 * mr
 	nr     = 8
 	packKC = 256
 	packMC = 64
@@ -25,6 +26,19 @@ const (
 	// microseconds, which the per-step GEMVs of a recurrent model would pay
 	// thousands of times per inference.
 	gemmParallelWork = 1 << 20
+)
+
+// kernelTier names the microkernel set the package variable tier selects,
+// once, at init: the portable Go kernels, the AVX2 assembly, or the AVX2
+// assembly plus the 8-row AVX-512 tile. Each tier is the one below it plus
+// its own kernels, so tests lower the variable to run the same suites over
+// every tier the machine has.
+type kernelTier uint8
+
+const (
+	tierPortable kernelTier = iota
+	tierAVX2
+	tierAVX512
 )
 
 // gemmPacked computes C += A·B for row-major A (M×K), packed B panels, and
@@ -67,10 +81,16 @@ func gemmPacked(c, a, bp []float32, m, n, k int) {
 // packKC slabs; within a slab each panel group stays cache-hot while the
 // rows stream past it. Whole 4-row tiles pair panels two by two, leftover
 // rows take them four by four, and a partial tile at the right edge goes
-// through the same kernel on a stack copy.
+// through the same kernel on a stack copy. At the AVX-512 tier a full
+// two-panel group gives its rows to 8-row tiles first and the 4-row tile
+// takes what is left; below it i8 == i0 and the loop is the 4-row one.
 func gemmBlock(c []float32, ldc int, a []float32, lda int, bp []float32, i0, i1, np, cols, k int) {
 	pstride := k * nr
 	i4 := i0 + (i1-i0)&^(mr-1)
+	i8 := i0
+	if tier >= tierAVX512 {
+		i8 += (i1 - i0) &^ (mr8 - 1)
+	}
 	for k0 := 0; k0 < k; k0 += packKC {
 		kc := min(packKC, k-k0)
 		if i4 > i0 {
@@ -78,7 +98,13 @@ func gemmBlock(c []float32, ldc int, a []float32, lda int, bp []float32, i0, i1,
 				g := min(tilePanels4, np-jt)
 				w := min(g*nr, cols-jt*nr)
 				panel := bp[jt*pstride+k0*nr:]
-				for i := i0; i < i4; i += mr {
+				i := i0
+				if w == tilePanels4*nr {
+					for ; i < i8; i += mr8 {
+						kern8(c[i*ldc+jt*nr:], ldc, a[i*lda+k0:], lda, panel, pstride, kc)
+					}
+				}
+				for ; i < i4; i += mr {
 					tile4(c[i*ldc+jt*nr:], ldc, a[i*lda+k0:], lda, panel, pstride, kc, g, w)
 				}
 			}
@@ -133,6 +159,13 @@ func kern4Go(c []float32, ldc int, a []float32, lda int, p []float32, pstride, k
 	for q := 0; q < np; q++ {
 		micro4x8(c[q*nr:], ldc, a, lda, p[q*pstride:], kc)
 	}
+}
+
+// kern8Go is the 8×(2·nr) tile as its two 4-row halves: the reference of
+// the AVX-512 kernel.
+func kern8Go(c []float32, ldc int, a []float32, lda int, p []float32, pstride, kc int) {
+	kern4Go(c, ldc, a, lda, p, pstride, kc, tilePanels4)
+	kern4Go(c[mr*ldc:], ldc, a[mr*lda:], lda, p, pstride, kc, tilePanels4)
 }
 
 func kern1Go(c, a, p []float32, pstride, kc, np int) {

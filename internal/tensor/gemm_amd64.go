@@ -2,31 +2,52 @@
 
 package tensor
 
-// useAVX2 selects the assembly microkernels of gemm_amd64.s. It is decided
-// once, at package init, from CPUID and XGETBV; a processor or OS without
-// AVX2 state runs the portable Go kernels instead. Tests flip it to run the
-// same suites over both paths.
-var useAVX2 = detectAVX2()
+// tier selects the microkernels of gemm_amd64.s. It is decided once, at
+// package init, from CPUID and XGETBV: a processor or OS without AVX2 state
+// runs the portable Go kernels, one without usable AVX-512 the AVX2 ones.
+// Tests lower it to run the same suites over every tier below.
+var tier = detectTier()
 
-func detectAVX2() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
+func detectTier() kernelTier {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return tierPortable
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
+	const osxsave = 1 << 27
+	_, _, ecx1, _ := cpuid(1, 0)
+	if ecx1&osxsave == 0 {
+		return tierPortable // XGETBV would fault
 	}
+	xcr0, _ := xgetbv()
+	_, ebx7, _, _ := cpuid(7, 0)
+	return tierOf(ecx1, ebx7, xcr0)
+}
+
+// tierOf is the tier rule over CPUID.1:ECX, CPUID.7:EBX and XCR0.
+func tierOf(ecx1, ebx7, xcr0 uint32) kernelTier {
+	const osxsave, avx, avx2 = 1 << 27, 1 << 28, 1 << 5
 	// The OS must save both XMM (bit 1) and YMM (bit 2) state.
-	if lo, _ := xgetbv(); lo&6 != 6 {
-		return false
+	if ecx1&osxsave == 0 || ecx1&avx == 0 || xcr0&6 != 6 || ebx7&avx2 == 0 {
+		return tierPortable
 	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
+	if avx512Usable(ebx7, xcr0) {
+		return tierAVX512
+	}
+	return tierAVX2
+}
+
+// avx512Usable reports AVX-512F (CPUID.7:EBX bit 16) with the OS saving
+// every state it touches: XMM, YMM (XCR0 bits 1, 2), the opmask registers
+// (5), the upper halves of ZMM0–15 (6) and ZMM16–31 (7).
+func avx512Usable(ebx7, xcr0 uint32) bool {
+	const avx512f, zmmState = 1 << 16, 0xE6
+	return ebx7&avx512f != 0 && xcr0&zmmState == zmmState
 }
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
+
+//go:noescape
+func kern8x16(c *float32, ldc int, a *float32, lda int, p *float32, pstride int, kc int)
 
 //go:noescape
 func kern4x16(c *float32, ldc int, a *float32, lda int, p *float32, pstride int, kc int)
@@ -49,7 +70,7 @@ func maxps1(dst, a *float32, s float32, n int)
 // maximumLoop computes dst[i] = a[i] > b[i] ? a[i] : b[i] — VMAXPS's own
 // rule, so the vector kernel is the scalar loop bit for bit.
 func maximumLoop(dst, a, b []float32) {
-	if !useAVX2 {
+	if tier < tierAVX2 {
 		maximumGo(dst, a, b)
 		return
 	}
@@ -62,7 +83,7 @@ func maximumLoop(dst, a, b []float32) {
 
 // maximumScalar computes dst[i] = a[i] > s ? a[i] : s.
 func maximumScalar(dst, a []float32, s float32) {
-	if !useAVX2 {
+	if tier < tierAVX2 {
 		maximumScalarGo(dst, a, s)
 		return
 	}
@@ -76,11 +97,28 @@ func maximumScalar(dst, a []float32, s float32) {
 // reluLoop computes dst[i] = src[i] > 0 ? src[i] : 0: on amd64 the maximum
 // against +0, elsewhere the branch-free reluGo.
 func reluLoop(dst, src []float32) {
-	if !useAVX2 {
+	if tier < tierAVX2 {
 		reluGo(dst, src)
 		return
 	}
 	maximumScalar(dst, src, 0)
+}
+
+// kern8 updates the full 8×(2·nr) tile at c (row stride ldc) with
+// a[8 rows, :kc] · the two adjacent panels at p (panel stride pstride):
+// the AVX-512 tier's tile, which gemmBlock uses only at that tier.
+func kern8(c []float32, ldc int, a []float32, lda int, p []float32, pstride, kc int) {
+	if tier < tierAVX512 {
+		kern8Go(c, ldc, a, lda, p, pstride, kc)
+		return
+	}
+	if kc <= 0 {
+		return
+	}
+	_ = c[7*ldc+tilePanels4*nr-1]
+	_ = a[7*lda+kc-1]
+	_ = p[pstride+kc*nr-1]
+	kern8x16(&c[0], 4*ldc, &a[0], 4*lda, &p[0], 4*pstride, kc)
 }
 
 // kern4 updates the full 4×(np·nr) tile at c (row stride ldc) with
@@ -88,7 +126,7 @@ func reluLoop(dst, src []float32) {
 // The index expressions below are the bounds checks the assembly cannot
 // make: the last element each operand's tile reaches must exist.
 func kern4(c []float32, ldc int, a []float32, lda int, p []float32, pstride, kc, np int) {
-	if !useAVX2 {
+	if tier < tierAVX2 {
 		kern4Go(c, ldc, a, lda, p, pstride, kc, np)
 		return
 	}
@@ -108,7 +146,7 @@ func kern4(c []float32, ldc int, a []float32, lda int, p []float32, pstride, kc,
 // kern1 is the single-row counterpart of kern4 over np ≤ 4 adjacent panels:
 // one 1×32 sweep when all four are present, 1×8 sweeps otherwise.
 func kern1(c, a, p []float32, pstride, kc, np int) {
-	if !useAVX2 {
+	if tier < tierAVX2 {
 		kern1Go(c, a, p, pstride, kc, np)
 		return
 	}

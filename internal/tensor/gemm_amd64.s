@@ -2,16 +2,17 @@
 
 #include "textflag.h"
 
-// AVX2 GEMM microkernels. Every kernel updates one full register tile of C
-// with A[rows, k0:k0+kc] · packed-B panels by load-accumulate-store: the
-// tile is loaded from C, advanced kc steps, and stored back. Vector lanes
-// are independent output columns and each step is a separate VMULPS then
-// VADDPS (two roundings, never FMA), so every C element sees exactly the
-// scalar `c += a*b` sequence in ascending k. All strides are in bytes. The
-// kernels touch nothing outside their tile: the Go wrappers in
-// gemm_amd64.go bounds-check the three operands and route partial tiles
-// through a stack tile. R14, R15 and X15 are left alone (g, GOT and the
-// ABIInternal zero register) and the upper YMM halves are cleared before
+// GEMM microkernels: AVX2, plus one AVX-512F tile. Every kernel updates one
+// full register tile of C with A[rows, k0:k0+kc] · packed-B panels by
+// load-accumulate-store: the tile is loaded from C, advanced kc steps, and
+// stored back. Vector lanes are independent output columns and each step is
+// a separate VMULPS then VADDPS (two roundings, never FMA), so every C
+// element sees exactly the scalar `c += a*b` sequence in ascending k. All
+// strides are in bytes. The kernels touch nothing outside their tile: the
+// Go wrappers in gemm_amd64.go bounds-check the three operands and route
+// partial tiles through a stack tile. R14, R15 and X15 are left alone (g,
+// GOT and the ABIInternal zero register), only Z0–Z14 are used (VZEROUPPER
+// does not clean Z16–Z31), and the upper YMM/ZMM halves are cleared before
 // returning to SSE-encoded Go code.
 
 // STEP multiplies the broadcast A element in Y10 by the two B vectors in
@@ -21,6 +22,65 @@
 	VADDPS Y11, acc0, acc0; \
 	VMULPS Y9, Y10, Y12;    \
 	VADDPS Y12, acc1, acc1
+
+// ROW16 multiplies the A element at amem, broadcast by the multiply itself,
+// by the 16 B values in Z8 and accumulates into the row's accumulator.
+#define ROW16(amem, acc, tmp) \
+	VMULPS.BCST amem, Z8, tmp; \
+	VADDPS      tmp, acc, acc
+
+// func kern8x16(c *float32, ldc int, a *float32, lda int, p *float32, pstride int, kc int)
+// 8 rows × 2 adjacent panels, AVX-512F: one ZMM accumulator per row, its
+// low half panel q's eight columns and its high half panel q+1's, so a ZMM
+// lane is the same output column as in kern4x16.
+TEXT ·kern8x16(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), SI
+	MOVQ a+16(FP), AX
+	MOVQ lda+24(FP), BX
+	MOVQ p+32(FP), DX
+	MOVQ pstride+40(FP), R8
+	MOVQ kc+48(FP), CX
+	LEAQ (SI)(SI*2), R9  // 3*ldc
+	LEAQ (BX)(BX*2), R10 // 3*lda
+	LEAQ (AX)(BX*4), R11 // A row 4
+	LEAQ (DI)(SI*4), R12 // C row 4
+	VMOVUPS (DI), Z0
+	VMOVUPS (DI)(SI*1), Z1
+	VMOVUPS (DI)(SI*2), Z2
+	VMOVUPS (DI)(R9*1), Z3
+	VMOVUPS (R12), Z4
+	VMOVUPS (R12)(SI*1), Z5
+	VMOVUPS (R12)(SI*2), Z6
+	VMOVUPS (R12)(R9*1), Z7
+
+loop8x16:
+	VMOVUPS      (DX), Y8
+	VINSERTF64X4 $1, (DX)(R8*1), Z8, Z8
+	ROW16((AX), Z0, Z9)
+	ROW16((AX)(BX*1), Z1, Z10)
+	ROW16((AX)(BX*2), Z2, Z11)
+	ROW16((AX)(R10*1), Z3, Z12)
+	ROW16((R11), Z4, Z13)
+	ROW16((R11)(BX*1), Z5, Z14)
+	ROW16((R11)(BX*2), Z6, Z9)
+	ROW16((R11)(R10*1), Z7, Z10)
+	ADDQ $4, AX
+	ADDQ $4, R11
+	ADDQ $32, DX
+	DECQ CX
+	JNZ  loop8x16
+
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, (DI)(SI*1)
+	VMOVUPS Z2, (DI)(SI*2)
+	VMOVUPS Z3, (DI)(R9*1)
+	VMOVUPS Z4, (R12)
+	VMOVUPS Z5, (R12)(SI*1)
+	VMOVUPS Z6, (R12)(SI*2)
+	VMOVUPS Z7, (R12)(R9*1)
+	VZEROUPPER
+	RET
 
 // func kern4x16(c *float32, ldc int, a *float32, lda int, p *float32, pstride int, kc int)
 // 4 rows × 2 adjacent panels: 8 independent accumulators.

@@ -8,9 +8,9 @@ import (
 )
 
 // Edge shapes for the packed-kernel property tests: degenerate rows/cols,
-// prime dims, K on and around the packKC slab boundary, sizes off the 4×16
-// and 1×32 register-tile grid in every dimension, and products large enough
-// to take each split of gemmPacked's block grid.
+// prime dims, K on and around the packKC slab boundary, sizes off the 8×16,
+// 4×16 and 1×32 register-tile grid in every dimension, and products large
+// enough to take each split of gemmPacked's block grid.
 var packedShapes = [][3]int{
 	{1, 17, 1},     // 1×N and N×1 territory
 	{1, 1, 1},      // scalar-sized
@@ -23,6 +23,8 @@ var packedShapes = [][3]int{
 	{4, 8, 16},     // exactly one 4×16 tile
 	{1, 8, 32},     // exactly one 1×32 tile
 	{8, 16, 16},    // whole tiles only
+	{12, 9, 16},    // an 8-row tile, then a 4-row tile on the same panel pair
+	{15, 260, 24},  // 8 + 4 + 3 rows across a slab; the odd panel takes 4-row tiles only
 	{6, 10, 9},     // off-grid in every dim
 	{5, 1, 24},     // K=1; N = 16+8: an odd trailing panel
 	{7, 2, 40},     // N = 32+8: 1×32 group plus a single panel
