@@ -59,12 +59,7 @@ func main() {
 	}
 	defer node.srv.Close()
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/infer", node.handleInfer)
-	mux.HandleFunc("/healthz", node.handleHealthz)
-	mux.HandleFunc("/metrics", node.handleMetrics)
-
-	hs := &http.Server{Addr: *addr, Handler: mux}
+	hs := &http.Server{Addr: *addr, Handler: node.handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -132,11 +127,44 @@ func newNodeServer(model string, seed int64, small bool, replicas, batch int, wi
 	return &nodeServer{model: g.Name, deadline: deadline, reg: reg, srv: srv}, nil
 }
 
+// handler routes the node's three endpoints.
+func (n *nodeServer) handler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/infer", n.handleInfer)
+	mux.HandleFunc("/healthz", n.handleHealthz)
+	mux.HandleFunc("/metrics", n.handleMetrics)
+	return mux
+}
+
 // jsonTensor is the wire form of a tensor: row-major data under an explicit
 // shape.
 type jsonTensor struct {
 	Shape []int     `json:"shape"`
 	Data  []float32 `json:"data"`
+}
+
+// check rejects a shape with no dimensions, a dimension below 1, or an
+// element count other than len(Data). The running product is bounded by
+// len(Data) before each multiply, so a huge shape cannot overflow into a
+// match.
+func (jt jsonTensor) check() error {
+	if len(jt.Shape) == 0 {
+		return fmt.Errorf("empty shape")
+	}
+	n := 1
+	for _, d := range jt.Shape {
+		if d < 1 {
+			return fmt.Errorf("shape %v has a dimension below 1", jt.Shape)
+		}
+		if d > len(jt.Data)/n {
+			return fmt.Errorf("data length %d does not match shape %v", len(jt.Data), jt.Shape)
+		}
+		n *= d
+	}
+	if n != len(jt.Data) {
+		return fmt.Errorf("data length %d does not match shape %v", len(jt.Data), jt.Shape)
+	}
+	return nil
 }
 
 type inferRequest struct {
@@ -172,8 +200,8 @@ func (n *nodeServer) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	inputs := make(map[string]*tensor.Tensor, len(in.Inputs))
 	for name, jt := range in.Inputs {
-		if len(jt.Shape) == 0 || len(jt.Data) != tensor.Numel(jt.Shape) {
-			http.Error(w, fmt.Sprintf("bad request: input %q: data length %d does not match shape %v", name, len(jt.Data), jt.Shape), http.StatusBadRequest)
+		if err := jt.check(); err != nil {
+			http.Error(w, fmt.Sprintf("bad request: input %q: %v", name, err), http.StatusBadRequest)
 			return
 		}
 		inputs[name] = tensor.FromSlice(jt.Data, jt.Shape...)
@@ -183,17 +211,11 @@ func (n *nodeServer) handleInfer(w http.ResponseWriter, r *http.Request) {
 		deadline = vclock.Seconds(in.DeadlineMS) / 1e3
 	}
 
-	n.mu.Lock()
-	id := n.nextID
-	n.nextID++
-	req := serve.Request{ID: id, Deadline: deadline, Inputs: inputs}
-	_, resps, err := n.srv.Run([]serve.Request{req})
-	n.mu.Unlock()
+	resp, err := n.run(deadline, inputs)
 	if err != nil {
 		http.Error(w, "serve: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	resp := resps[0]
 
 	out := inferResponse{
 		ID:        resp.ID,
@@ -222,6 +244,21 @@ func (n *nodeServer) handleInfer(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(out)
+}
+
+// run serves one request on a fresh virtual timeline. The deferred unlock
+// keeps the node answering if Run panics: net/http recovers the handler,
+// and a mutex still held would wedge every later request.
+func (n *nodeServer) run(deadline vclock.Seconds, inputs map[string]*tensor.Tensor) (serve.Response, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	id := n.nextID
+	n.nextID++
+	_, resps, err := n.srv.Run([]serve.Request{{ID: id, Deadline: deadline, Inputs: inputs}})
+	if err != nil {
+		return serve.Response{}, err
+	}
+	return resps[0], nil
 }
 
 func (n *nodeServer) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -6,7 +6,6 @@
 //
 //	duet-profile -model widedeep
 //	duet-profile -model mtdnn -nofuse   # profile without fusion (ablation)
-//	duet-profile -model vgg16 -fusion legacy   # dense-epilogue fusion only
 //	duet-profile -train COSTMODEL.json  # fit the latency regressor from zoo profiles
 //	duet-profile -model googlenet -eval COSTMODEL.json   # score it on one model
 package main
@@ -33,7 +32,6 @@ func main() {
 		seed     = flag.Int64("seed", 42, "profiling noise seed (0 = noiseless)")
 		runs     = flag.Int("runs", 500, "micro-benchmark repetitions per device")
 		noFuse   = flag.Bool("nofuse", false, "disable operator fusion (profiles framework-style kernels)")
-		fusion   = flag.String("fusion", "", "fusion level: off | legacy | unconstrained (overrides -nofuse)")
 		variants = flag.Bool("variants", false, "print the low-level schedule variant each kernel selects per device")
 		out      = flag.String("out", "", "persist the profiling records as JSON to this file (reusable via duet-run -profiles)")
 		train    = flag.String("train", "", "fit the per-device latency regressor from noiseless zoo profiles and save it to this file")
@@ -62,17 +60,7 @@ func main() {
 	}
 
 	opts := compiler.DefaultOptions()
-	if *noFuse {
-		opts.Fuse = false
-	}
-	if *fusion != "" {
-		lvl, err := compiler.ParseFusionLevel(*fusion)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "duet-profile:", err)
-			os.Exit(2)
-		}
-		opts.Fusion = lvl
-	}
+	opts.Fuse = !*noFuse
 	prof := &profile.Profiler{Platform: device.NewPlatform(*seed), Options: opts, Runs: *runs}
 	records, err := prof.ProfileAll(g, part.Subgraphs())
 	if err != nil {

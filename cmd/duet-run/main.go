@@ -276,8 +276,7 @@ func runLint(engine *core.Engine, g *graph.Graph, dotPath string) int {
 	fmt.Println("\nstatic verification:")
 	passes := []string{
 		verify.PassGraph, verify.PassPartition, verify.PassProfiles,
-		verify.PassPlacement, verify.PassSchedule, verify.PassLiveness,
-		verify.PassRelease,
+		verify.PassPlacement, verify.PassSchedule, verify.PassRelease,
 	}
 	for _, pass := range passes {
 		fs := byPass[pass]

@@ -250,23 +250,6 @@ func DefaultConfig(seed int64) Config { return core.DefaultConfig(seed) }
 // default); see Config.Compiler.
 type CompilerOptions = compiler.Options
 
-// FusionLevel selects how aggressively the compiler fuses operators into
-// kernels (Config.FusionLevel).
-type FusionLevel = compiler.FusionLevel
-
-// Fusion levels: one kernel per node, the legacy dense-epilogue matcher,
-// or maximal groups over arbitrary elementwise chains (the default).
-const (
-	FusionAuto          = compiler.FusionAuto
-	FusionOff           = compiler.FusionOff
-	FusionLegacy        = compiler.FusionLegacy
-	FusionUnconstrained = compiler.FusionUnconstrained
-)
-
-// ParseFusionLevel maps a flag string (off|legacy|unconstrained|auto) to a
-// FusionLevel.
-func ParseFusionLevel(s string) (FusionLevel, error) { return compiler.ParseFusionLevel(s) }
-
 // ParseRelay parses a model written in the package's Relay-like text IR and
 // lowers it to a graph, resolving @name weight references from weights.
 func ParseRelay(src, name string, weights map[string]*Tensor) (*Graph, error) {

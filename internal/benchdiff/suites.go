@@ -3,7 +3,6 @@ package benchdiff
 import (
 	"fmt"
 	"io"
-	"math"
 	"path/filepath"
 	"strings"
 
@@ -13,7 +12,7 @@ import (
 // This file declares the four committed benchmark suites: which file holds
 // the baseline, how to pull the metric set out of it, what each metric's
 // direction and gate are, and how to run the suite fresh. Metric names are
-// structured kind-first (serve/p99/capacity/pipelined, kernels/speedup/...)
+// structured kind-first (serve/p99/capacity/pipelined, kernels/fusion/...)
 // so a schema rule's prefix selects a metric family, not a lexical
 // accident.
 
@@ -82,27 +81,17 @@ func metricKey(parts ...string) string {
 
 // --- kernels ---
 
-// KernelsSuite gates the tensor-kernel matrix and the fusion ablation.
-// Raw ns/op cells are wall-clock and host-dependent, so they trend but do
-// not gate. Per-cell packed-vs-blocked speedup ratios are measured within
-// one process and survive hardware changes, but a single quick-mode cell
-// still swings tens of percent on a loaded host, so they trend too; the
-// gate is the geometric mean of the speedup over every cell, where
-// per-cell noise averages out (~18 cells) while a packed path that
-// collapses toward the legacy loop still craters the mean. The fusion
-// ablation gates the same way — the unconstrained-vs-legacy geomean holds
-// relatively, and an exact 0/1 gate re-derives whether it clears the
-// absolute FusionSpeedupBar — plus exact gates on the structural launch
-// counts, which are deterministic per fusion level.
+// KernelsSuite gates the fusion ablation in BENCH_kernels.json. The
+// structural launch counts are deterministic per fusion setting and gate
+// exactly. Per-workload wall times and speedups are host-dependent and
+// only trend; the fused-vs-unfused geomean, where per-workload noise
+// averages out, holds relatively, and an exact 0/1 gate re-derives whether
+// it clears the absolute FusionSpeedupBar.
 func KernelsSuite() *Suite {
 	s := &Suite{
 		Name: "kernels",
 		File: "BENCH_kernels.json",
 		Rules: []Rule{
-			{Prefix: "kernels/speedup_geomean", Better: HigherIsBetter, Gate: true, Threshold: 0.25},
-			{Prefix: "kernels/speedup/", Better: HigherIsBetter},
-			{Prefix: "kernels/ns/", Better: LowerIsBetter},
-			{Prefix: "kernels/gflops/", Better: HigherIsBetter},
 			{Prefix: "kernels/fusion/gate/", Better: HigherIsBetter, Gate: true, Threshold: Exact},
 			{Prefix: "kernels/fusion/speedup_geomean", Better: HigherIsBetter, Gate: true, Threshold: 0.25},
 			{Prefix: "kernels/fusion/launch_reduction", Better: HigherIsBetter, Gate: true, Threshold: Exact},
@@ -124,53 +113,7 @@ func KernelsSuite() *Suite {
 }
 
 func extractKernels(doc map[string]any) (map[string]float64, error) {
-	benches, err := getArr(doc, "benches")
-	if err != nil {
-		return nil, err
-	}
 	out := map[string]float64{}
-	type cell struct{ kernel, shape, threads string }
-	packed := map[cell]float64{}
-	blocked := map[cell]float64{}
-	for i, raw := range benches {
-		b, ok := raw.(map[string]any)
-		if !ok {
-			return nil, fmt.Errorf("benches[%d]: not an object", i)
-		}
-		kernel, err1 := getStr(b, "kernel")
-		shape, err2 := getStr(b, "shape")
-		variant, err3 := getStr(b, "variant")
-		threads, err4 := getStr(b, "threads")
-		ns, err5 := getNum(b, "ns_per_op")
-		gflops, err6 := getNum(b, "gflops")
-		for _, err := range []error{err1, err2, err3, err4, err5, err6} {
-			if err != nil {
-				return nil, fmt.Errorf("benches[%d]: %w", i, err)
-			}
-		}
-		out[metricKey("kernels/ns", kernel, shape, variant, threads)] = ns
-		out[metricKey("kernels/gflops", kernel, shape, variant, threads)] = gflops
-		c := cell{kernel, shape, threads}
-		switch variant {
-		case "packed":
-			packed[c] = ns
-		case "blocked":
-			blocked[c] = ns
-		}
-	}
-	logSum, cells := 0.0, 0
-	for c, pns := range packed {
-		if bns, ok := blocked[c]; ok && pns > 0 {
-			ratio := bns / pns
-			out[metricKey("kernels/speedup", c.kernel, c.shape, c.threads)] = ratio
-			logSum += math.Log(ratio)
-			cells++
-		}
-	}
-	if cells > 0 {
-		out["kernels/speedup_geomean"] = math.Exp(logSum / float64(cells))
-	}
-
 	fusion, err := getArr(doc, "fusion")
 	if err != nil {
 		return nil, err
@@ -186,10 +129,9 @@ func extractKernels(doc map[string]any) (map[string]float64, error) {
 		}
 		for key, field := range map[string]string{
 			"kernels/fusion/speedup":                "speedup",
-			"kernels/fusion/ns/legacy":              "ns_legacy",
+			"kernels/fusion/ns/off":                 "ns_off",
 			"kernels/fusion/ns/unconstrained":       "ns_unconstrained",
 			"kernels/fusion/launches/off":           "launches_off",
-			"kernels/fusion/launches/legacy":        "launches_legacy",
 			"kernels/fusion/launches/unconstrained": "launches_unconstrained",
 			"kernels/fusion/groups":                 "fused_groups",
 		} {

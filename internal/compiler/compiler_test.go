@@ -254,34 +254,8 @@ func TestFuseReducesKernels(t *testing.T) {
 	}
 }
 
-func TestFuseStopsAtFanOut(t *testing.T) {
-	g := graph.New("g")
-	x := g.AddInput("x", 1, 8)
-	w := g.AddConst("w", tensor.Ones(8, 8))
-	d := g.Add("dense", "d", nil, x, w)
-	r1 := g.Add("relu", "r1", nil, d)
-	r2 := g.Add("sigmoid", "r2", nil, d) // second consumer of d
-	s := g.Add("add", "s", nil, r1, r2)
-	g.SetOutputs(s)
-	if err := InferShapes(g); err != nil {
-		t.Fatal(err)
-	}
-	kernels := Fuse(g, FusionLegacy)
-	// Under legacy fusion d cannot absorb anything (two consumers); r1 and
-	// r2 can't merge with each other; s's operands are two distinct groups.
-	for _, k := range kernels {
-		if len(k.Nodes) > 2 {
-			t.Fatalf("over-fused kernel: %v", k.Nodes)
-		}
-	}
-	// d must be alone.
-	for _, k := range kernels {
-		if k.Name == "d" && len(k.Nodes) != 1 {
-			t.Fatalf("fan-out node fused: %v", k.Nodes)
-		}
-	}
-}
-
+// TestFuseStopsAtDeclaredOutput: a declared output does not end a fusion
+// group, but the group must still publish it.
 func TestFuseStopsAtDeclaredOutput(t *testing.T) {
 	g := graph.New("g")
 	x := g.AddInput("x", 1, 8)
@@ -292,15 +266,11 @@ func TestFuseStopsAtDeclaredOutput(t *testing.T) {
 	if err := InferShapes(g); err != nil {
 		t.Fatal(err)
 	}
-	kernels := Fuse(g, FusionLegacy)
-	if len(kernels) != 2 {
-		t.Fatalf("declared output must not be fused away: %d kernels", len(kernels))
-	}
-	// Unconstrained fusion keeps d inside the group but must materialize it
-	// through an Emit slot since it is a declared output.
-	kernels = Fuse(g, FusionUnconstrained)
+	// Fusion keeps d inside the group but must materialize it through an
+	// Emit slot since it is a declared output.
+	kernels := Fuse(g, true)
 	if len(kernels) != 1 {
-		t.Fatalf("unconstrained fusion should absorb the declared output: %d kernels", len(kernels))
+		t.Fatalf("fusion should absorb the declared output: %d kernels", len(kernels))
 	}
 	f := kernels[0].Fused
 	if f == nil || len(f.Emits) != 1 || f.Emits[0] != d {
@@ -313,8 +283,8 @@ func TestFuseCostAccounting(t *testing.T) {
 	if err := InferShapes(g); err != nil {
 		t.Fatal(err)
 	}
-	fused := Fuse(g, FusionUnconstrained)
-	unfused := Fuse(g, FusionOff)
+	fused := Fuse(g, true)
+	unfused := Fuse(g, false)
 	var fusedLaunches, unfusedLaunches int
 	for _, k := range fused {
 		fusedLaunches += k.Cost.Launches

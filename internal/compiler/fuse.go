@@ -9,59 +9,6 @@ import (
 	"duet/internal/tensor"
 )
 
-// FusionLevel selects how aggressively the compiler fuses operators into
-// kernels. The zero value resolves from the legacy Options.Fuse bool so
-// configurations predating the knob keep their meaning.
-type FusionLevel int
-
-const (
-	// FusionAuto resolves to FusionOff when Options.Fuse is false and to
-	// FusionUnconstrained otherwise.
-	FusionAuto FusionLevel = iota
-	// FusionOff emits one kernel per graph node (the framework baseline).
-	FusionOff
-	// FusionLegacy grows single-consumer elementwise chains behind any
-	// leader but lowers only dense[+bias][+relu|sigmoid] groups to a fused
-	// kernel — the behavior before unconstrained fusion landed, kept for
-	// ablations.
-	FusionLegacy
-	// FusionUnconstrained grows maximal fusion groups over arbitrary
-	// elementwise/broadcast chains — through multi-consumer forks, residual
-	// re-joins, and declared outputs — and lowers every multi-op group to
-	// one epilogue-program kernel.
-	FusionUnconstrained
-)
-
-// String names the level for flags, reports, and audit lines.
-func (l FusionLevel) String() string {
-	switch l {
-	case FusionAuto:
-		return "auto"
-	case FusionOff:
-		return "off"
-	case FusionLegacy:
-		return "legacy"
-	case FusionUnconstrained:
-		return "unconstrained"
-	}
-	return fmt.Sprintf("FusionLevel(%d)", int(l))
-}
-
-// ParseFusionLevel maps a flag string to a FusionLevel.
-func ParseFusionLevel(s string) (FusionLevel, error) {
-	switch s {
-	case "", "auto":
-		return FusionAuto, nil
-	case "off":
-		return FusionOff, nil
-	case "legacy":
-		return FusionLegacy, nil
-	case "unconstrained":
-		return FusionUnconstrained, nil
-	}
-	return FusionAuto, fmt.Errorf("compiler: unknown fusion level %q (want off|legacy|unconstrained)", s)
-}
-
 // maxChainRegs bounds the chunk-local scratch rows an epilogue program may
 // hold live at once. Groups that exceed it fall back to recompute, and to
 // unlowered op-by-op dispatch when recompute is infeasible too.
@@ -110,15 +57,15 @@ type FusedGroup struct {
 	RecomputeBytes float64
 }
 
-// Fuse groups the graph's compute nodes into kernels at the given fusion
-// level. Groups are grown greedily in leader topological order; the
-// absorbed ops' FLOPs fold into the leader's cost while the leader keeps
-// its launch count, which is what makes fused subgraphs cheaper to the
-// scheduler before any placement decision happens.
-func Fuse(g *graph.Graph, level FusionLevel) []Kernel {
-	if level == FusionAuto {
-		level = FusionUnconstrained
-	}
+// Fuse groups the graph's compute nodes into kernels. Off, every compute
+// node is its own kernel (the framework baseline). On, groups are grown
+// greedily in leader topological order over arbitrary elementwise/broadcast
+// chains — through multi-consumer forks, residual re-joins, and declared
+// outputs — and every multi-op group lowers to one epilogue-program kernel.
+// The absorbed ops' FLOPs fold into the leader's cost while the leader
+// keeps its launch count, which is what makes fused subgraphs cheaper to
+// the scheduler before any placement decision happens.
+func Fuse(g *graph.Graph, on bool) []Kernel {
 	consumers := g.Consumers()
 	assigned := make(map[graph.NodeID]bool)
 	declared := make(map[graph.NodeID]bool)
@@ -133,87 +80,15 @@ func Fuse(g *graph.Graph, level FusionLevel) []Kernel {
 			continue
 		}
 		assigned[id] = true
-		var group []graph.NodeID
-		switch level {
-		case FusionUnconstrained:
-			group = growUnconstrained(g, id, consumers, assigned)
-		case FusionLegacy:
-			group = growLegacy(g, id, consumers, assigned, declared)
-		default:
-			group = []graph.NodeID{id}
+		if !on {
+			kernels = append(kernels, Kernel{Name: n.Name, Nodes: []graph.NodeID{id}, Cost: NodeCost(g, id)})
+			continue
 		}
-
-		k := Kernel{Name: g.Node(group[0]).Name, Nodes: group}
-		switch level {
-		case FusionUnconstrained:
-			k.Fused = lowerGroup(g, group, consumers, declared)
-			k.Cost = unconstrainedCost(g, group, k.Fused)
-		case FusionLegacy:
-			k.Fused = lowerLegacyLinear(g, group)
-			k.Cost = legacyCost(g, group)
-		default:
-			k.Cost = NodeCost(g, id)
-		}
-		kernels = append(kernels, k)
+		group := growUnconstrained(g, id, consumers, assigned)
+		fused := lowerGroup(g, group, consumers, declared)
+		kernels = append(kernels, Kernel{Name: n.Name, Nodes: group, Fused: fused, Cost: unconstrainedCost(g, group, fused)})
 	}
 	return kernels
-}
-
-// growLegacy reproduces the pre-unconstrained grouping: the leader absorbs
-// a following chain of elementwise ops, provided each absorbed op is the
-// sole consumer of the group's current tail, the tail is not a declared
-// output, and all its other operands are consts or values produced outside
-// the group.
-func growLegacy(g *graph.Graph, id graph.NodeID, consumers map[graph.NodeID][]graph.NodeID,
-	assigned, declared map[graph.NodeID]bool) []graph.NodeID {
-	group := []graph.NodeID{id}
-	tail := id
-	for {
-		// The tail's value must stay private to the group: exactly one
-		// consumer and not a declared output.
-		if declared[tail] || len(consumers[tail]) != 1 {
-			break
-		}
-		next := consumers[tail][0]
-		nn := g.Node(next)
-		if assigned[next] {
-			break
-		}
-		def, err := ops.Lookup(nn.Op)
-		if err != nil || !def.Elementwise {
-			break
-		}
-		// Other operands must be consts, runtime inputs, or values from
-		// kernels already emitted (groups are emitted in leader topological
-		// order, so an operand still unassigned would be computed *after*
-		// this kernel runs). Operands inside the group other than the tail
-		// would break the single-stream epilogue.
-		ok := true
-		inGroup := make(map[graph.NodeID]bool, len(group))
-		for _, m := range group {
-			inGroup[m] = true
-		}
-		for _, in := range nn.Inputs {
-			if in == tail {
-				continue
-			}
-			if inGroup[in] {
-				ok = false
-				break
-			}
-			if src := g.Node(in); !src.IsInput() && !src.IsConst() && !assigned[in] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			break
-		}
-		group = append(group, next)
-		assigned[next] = true
-		tail = next
-	}
-	return group
 }
 
 // growUnconstrained grows a maximal fusion group: any elementwise consumer
@@ -798,99 +673,6 @@ func unconstrainedCost(g *graph.Graph, group []graph.NodeID, f *FusedGroup) ops.
 	}
 	cost.Bytes += 8 * numelS * float64(len(f.Emits))
 	return cost
-}
-
-// legacyCost reproduces the pre-unconstrained cost merge exactly: epilogue
-// FLOPs fold in, the leader's launch count and memory traffic stand, and
-// the widest member determines available parallelism.
-func legacyCost(g *graph.Graph, group []graph.NodeID) ops.Cost {
-	cost := NodeCost(g, group[0])
-	for _, m := range group[1:] {
-		c := NodeCost(g, m)
-		cost.FLOPs += c.FLOPs
-		if c.Parallelism > cost.Parallelism {
-			cost.Parallelism = c.Parallelism
-		}
-		if c.SeqSteps > cost.SeqSteps {
-			cost.SeqSteps = c.SeqSteps
-		}
-	}
-	if len(group) > 1 && cost.Launches == 0 {
-		// A structural leader (reshape/flatten) that absorbed real work
-		// still launches one kernel.
-		cost.Launches = 1
-	}
-	return cost
-}
-
-// lowerLegacyLinear matches a fusion group against the epilogue patterns
-// the old fixed-function GEMM kernel supported, now expressed as a tape.
-// Lowering is all-or-nothing: if any group member falls outside
-// [dense][, add(·, bias[N])][, relu|sigmoid], the group keeps generic
-// op-by-op dispatch. A bias add folds only when the dense carries no bias
-// operand of its own, and only in the canonical add(tail, bias) operand
-// order — bias length must equal the dense output width exactly (scalar
-// broadcasts stay generic).
-func lowerLegacyLinear(g *graph.Graph, group []graph.NodeID) *FusedGroup {
-	lead := g.Node(group[0])
-	if lead.Op != "dense" {
-		return nil
-	}
-	hasBias := len(lead.Inputs) == 3
-	var instrs []tensor.Instr
-	var instrNodes, args []graph.NodeID
-	tail := group[0]
-	i := 1
-	if i < len(group) {
-		n := g.Node(group[i])
-		if n.Op == "add" && !hasBias && n.Inputs[0] == tail {
-			if b := g.Node(n.Inputs[1]); len(b.Shape) == 1 && len(lead.Shape) == 2 && b.Shape[0] == lead.Shape[1] {
-				instrs = append(instrs, tensor.Instr{Op: tensor.ChainAdd, Arg: 0, Src: tensor.SrcArg})
-				instrNodes = append(instrNodes, group[i])
-				args = append(args, n.Inputs[1])
-				tail = group[i]
-				i++
-			}
-		}
-	}
-	if i < len(group) {
-		n := g.Node(group[i])
-		if len(n.Inputs) == 1 && n.Inputs[0] == tail {
-			switch n.Op {
-			case "relu":
-				instrs = append(instrs, tensor.Instr{Op: tensor.ChainReLU})
-				instrNodes = append(instrNodes, group[i])
-				i++
-			case "sigmoid":
-				instrs = append(instrs, tensor.Instr{Op: tensor.ChainSigmoid})
-				instrNodes = append(instrNodes, group[i])
-				i++
-			}
-		}
-	}
-	if i != len(group) {
-		return nil
-	}
-	argShapes := make([][]int, len(args))
-	for ai, a := range args {
-		argShapes[ai] = g.Node(a).Shape
-	}
-	prog, err := tensor.CompileChain(instrs, lead.Shape, argShapes)
-	if err != nil {
-		return nil
-	}
-	memberSet := make(map[graph.NodeID]bool, len(group))
-	for _, m := range group {
-		memberSet[m] = true
-	}
-	return &FusedGroup{
-		Lead:       group[0],
-		LeadIns:    append([]graph.NodeID(nil), lead.Inputs...),
-		Prog:       prog,
-		Args:       args,
-		InstrNodes: instrNodes,
-		Consumes:   groupConsumes(g, group, memberSet, nil),
-	}
 }
 
 // numelOf returns the element count of a shape.

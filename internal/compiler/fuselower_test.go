@@ -9,14 +9,14 @@ import (
 	"duet/internal/tensor"
 )
 
-// fuseLower compiles g at the given fusion level and returns the kernel
-// that publishes the graph's (single) output.
-func fuseLower(t *testing.T, g *graph.Graph, level FusionLevel) *Kernel {
+// fuseLower fuses g and returns the kernel that publishes the graph's
+// (single) output.
+func fuseLower(t *testing.T, g *graph.Graph) *Kernel {
 	t.Helper()
 	if err := InferShapes(g); err != nil {
 		t.Fatal(err)
 	}
-	kernels := Fuse(g, level)
+	kernels := Fuse(g, true)
 	out := g.Outputs()[0]
 	for i := range kernels {
 		if kernels[i].Output() == out {
@@ -63,29 +63,29 @@ func opsEqual(got, want []tensor.ChainOp) bool {
 	return true
 }
 
-// TestLegacyLinearLowering pins the legacy fusion level to the epilogue
-// patterns the old fixed-function GEMM kernel supported, now expressed as
-// single-instruction tapes.
+// TestLegacyLinearLowering pins how fusion lowers the dense epilogues the
+// old fixed-function GEMM kernel supported ([dense][, add(·, bias[N])]
+// [, relu|sigmoid]), and the variants that kernel's matcher rejected (the
+// reject_* cases), all of which fuse.
 func TestLegacyLinearLowering(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 
+	// A lone dense is a one-node group: it launches natively, no tape.
 	t.Run("dense_alone", func(t *testing.T) {
 		g, d := denseBase(rng, false)
 		g.SetOutputs(d)
-		k := fuseLower(t, g, FusionLegacy)
-		f := k.Fused
-		if f == nil || f.Prog.Len() != 0 || len(f.Args) != 0 {
-			t.Fatalf("lowering = %+v, want empty tape", f)
+		k := fuseLower(t, g)
+		if k.Fused != nil || len(k.Nodes) != 1 || k.Nodes[0] != d {
+			t.Fatalf("lone dense = %v fused %+v, want an unlowered one-node kernel", k.Nodes, k.Fused)
 		}
 	})
 
 	t.Run("dense_own_bias", func(t *testing.T) {
 		g, d := denseBase(rng, true)
 		g.SetOutputs(d)
-		k := fuseLower(t, g, FusionLegacy)
-		f := k.Fused
-		if f == nil || len(f.LeadIns) != 3 || f.Prog.Len() != 0 {
-			t.Fatalf("lowering = %+v, want bias from dense operand, empty tape", f)
+		k := fuseLower(t, g)
+		if k.Fused != nil || len(k.Nodes) != 1 || k.Nodes[0] != d {
+			t.Fatalf("lone dense with bias = %v fused %+v, want an unlowered one-node kernel", k.Nodes, k.Fused)
 		}
 	})
 
@@ -94,7 +94,7 @@ func TestLegacyLinearLowering(t *testing.T) {
 		b := g.AddConst("b2", tensor.Rand(rng, 0.5, 6))
 		a := g.Add("add", "a", nil, d, b)
 		g.SetOutputs(a)
-		k := fuseLower(t, g, FusionLegacy)
+		k := fuseLower(t, g)
 		f := k.Fused
 		if f == nil || !opsEqual(tapeOps(f), []tensor.ChainOp{tensor.ChainAdd}) ||
 			len(f.Args) != 1 || f.Args[0] != b {
@@ -106,10 +106,10 @@ func TestLegacyLinearLowering(t *testing.T) {
 		g, d := denseBase(rng, true)
 		r := g.Add("relu", "r", nil, d)
 		g.SetOutputs(r)
-		k := fuseLower(t, g, FusionLegacy)
+		k := fuseLower(t, g)
 		f := k.Fused
-		if f == nil || !opsEqual(tapeOps(f), []tensor.ChainOp{tensor.ChainReLU}) {
-			t.Fatalf("lowering = %+v, want bias + relu tape", f)
+		if f == nil || len(f.LeadIns) != 3 || !opsEqual(tapeOps(f), []tensor.ChainOp{tensor.ChainReLU}) {
+			t.Fatalf("lowering = %+v, want bias from the dense operand + relu tape", f)
 		}
 	})
 
@@ -119,26 +119,20 @@ func TestLegacyLinearLowering(t *testing.T) {
 		a := g.Add("add", "a", nil, d, b)
 		s := g.Add("sigmoid", "s", nil, a)
 		g.SetOutputs(s)
-		k := fuseLower(t, g, FusionLegacy)
+		k := fuseLower(t, g)
 		f := k.Fused
 		if f == nil || !opsEqual(tapeOps(f), []tensor.ChainOp{tensor.ChainAdd, tensor.ChainSigmoid}) {
 			t.Fatalf("lowering = %+v, want add+sigmoid tape", f)
 		}
 	})
 
-	// Legacy rejections: each of these must keep generic op-by-op dispatch
-	// at FusionLegacy — and (where noted) lower at FusionUnconstrained.
-
 	t.Run("reject_double_bias", func(t *testing.T) {
 		g, d := denseBase(rng, true)
 		b := g.AddConst("b2", tensor.Rand(rng, 0.5, 6))
 		a := g.Add("add", "a", nil, d, b)
 		g.SetOutputs(a)
-		if k := fuseLower(t, g, FusionLegacy); k.Fused != nil {
-			t.Fatalf("dense-with-bias + add lowered to %+v, want nil", k.Fused)
-		}
-		if k := fuseLower(t, g, FusionUnconstrained); k.Fused == nil {
-			t.Fatal("unconstrained fusion should lower dense-with-bias + add")
+		if k := fuseLower(t, g); k.Fused == nil {
+			t.Fatal("fusion should lower dense-with-bias + add")
 		}
 	})
 
@@ -147,13 +141,10 @@ func TestLegacyLinearLowering(t *testing.T) {
 		b := g.AddConst("b2", tensor.Rand(rng, 0.5, 2, 6))
 		a := g.Add("add", "a", nil, b, d) // add(other, tail): not canonical order
 		g.SetOutputs(a)
-		if k := fuseLower(t, g, FusionLegacy); k.Fused != nil {
-			t.Fatalf("swapped add lowered to %+v, want nil", k.Fused)
-		}
-		k := fuseLower(t, g, FusionUnconstrained)
+		k := fuseLower(t, g)
 		f := k.Fused
 		if f == nil || f.Prog.Len() != 1 || !f.Prog.Instrs()[0].Rev {
-			t.Fatalf("unconstrained lowering of swapped add = %+v, want Rev instr", f)
+			t.Fatalf("lowering of swapped add = %+v, want Rev instr", f)
 		}
 	})
 
@@ -162,11 +153,8 @@ func TestLegacyLinearLowering(t *testing.T) {
 		b := g.AddConst("b2", tensor.Rand(rng, 0.5, 1)) // broadcasts, width ≠ 6
 		a := g.Add("add", "a", nil, d, b)
 		g.SetOutputs(a)
-		if k := fuseLower(t, g, FusionLegacy); k.Fused != nil {
-			t.Fatalf("scalar-broadcast add lowered to %+v, want nil", k.Fused)
-		}
-		if k := fuseLower(t, g, FusionUnconstrained); k.Fused == nil {
-			t.Fatal("unconstrained fusion should lower a scalar-broadcast add")
+		if k := fuseLower(t, g); k.Fused == nil {
+			t.Fatal("fusion should lower a scalar-broadcast add")
 		}
 	})
 
@@ -174,12 +162,9 @@ func TestLegacyLinearLowering(t *testing.T) {
 		g, d := denseBase(rng, true)
 		r := g.Add("tanh", "r", nil, d)
 		g.SetOutputs(r)
-		if k := fuseLower(t, g, FusionLegacy); k.Fused != nil {
-			t.Fatalf("dense+tanh lowered to %+v, want nil", k.Fused)
-		}
-		k := fuseLower(t, g, FusionUnconstrained)
+		k := fuseLower(t, g)
 		if !opsEqual(tapeOps(k.Fused), []tensor.ChainOp{tensor.ChainTanh}) {
-			t.Fatalf("unconstrained dense+tanh = %+v, want tanh tape", k.Fused)
+			t.Fatalf("dense+tanh = %+v, want tanh tape", k.Fused)
 		}
 	})
 
@@ -188,12 +173,9 @@ func TestLegacyLinearLowering(t *testing.T) {
 		r := g.Add("relu", "r", nil, d)
 		s := g.Add("exp", "s", nil, r)
 		g.SetOutputs(s)
-		if k := fuseLower(t, g, FusionLegacy); k.Fused != nil {
-			t.Fatalf("dense+relu+exp lowered to %+v, want nil", k.Fused)
-		}
-		k := fuseLower(t, g, FusionUnconstrained)
+		k := fuseLower(t, g)
 		if !opsEqual(tapeOps(k.Fused), []tensor.ChainOp{tensor.ChainReLU, tensor.ChainExp}) {
-			t.Fatalf("unconstrained dense+relu+exp = %+v, want relu+exp tape", k.Fused)
+			t.Fatalf("dense+relu+exp = %+v, want relu+exp tape", k.Fused)
 		}
 	})
 
@@ -203,55 +185,49 @@ func TestLegacyLinearLowering(t *testing.T) {
 		r := g.Add("relu", "r", nil, x)
 		e := g.Add("exp", "e", nil, r)
 		g.SetOutputs(e)
-		if k := fuseLower(t, g, FusionLegacy); k.Fused != nil {
-			t.Fatalf("relu leader lowered to %+v, want nil", k.Fused)
-		}
-		// Unconstrained fusion lowers standalone elementwise chains too.
-		k := fuseLower(t, g, FusionUnconstrained)
+		// Fusion lowers standalone elementwise chains too.
+		k := fuseLower(t, g)
 		if !opsEqual(tapeOps(k.Fused), []tensor.ChainOp{tensor.ChainExp}) {
 			t.Fatalf("standalone chain = %+v, want exp tape behind relu lead", k.Fused)
 		}
 	})
 }
 
-// unconstrainedOutputs compiles g at each fusion level and demands
-// bit-identical outputs, returning the unconstrained module for further
-// assertions.
+// unconstrainedOutputs compiles g with fusion off and on and demands
+// bit-identical outputs, returning the fused module for further assertions.
 func unconstrainedOutputs(t *testing.T, g *graph.Graph, inputs map[string]*tensor.Tensor) *Module {
 	t.Helper()
 	var want []*tensor.Tensor
 	var unc *Module
-	for _, level := range []FusionLevel{FusionOff, FusionLegacy, FusionUnconstrained} {
+	for _, on := range []bool{false, true} {
 		opt := DefaultOptions()
-		opt.Fusion = level
+		opt.Fuse = on
 		m, err := Compile(g, opt)
 		if err != nil {
-			t.Fatalf("%v: %v", level, err)
+			t.Fatalf("fuse=%v: %v", on, err)
 		}
 		plain, err := m.Execute(inputs)
 		if err != nil {
-			t.Fatalf("%v: %v", level, err)
+			t.Fatalf("fuse=%v: %v", on, err)
 		}
 		ar := tensor.NewArena()
 		for round := 0; round < 2; round++ {
 			got, err := m.ExecuteArena(inputs, ar)
 			if err != nil {
-				t.Fatalf("%v round %d: %v", level, round, err)
+				t.Fatalf("fuse=%v round %d: %v", on, round, err)
 			}
 			for i := range got {
-				assertBitEqual(t, got[i], plain[i], "%v round %d output %d: arena vs plain", level, round, i)
+				assertBitEqual(t, got[i], plain[i], "fuse=%v round %d output %d: arena vs plain", on, round, i)
 			}
 		}
-		if want == nil {
+		if !on {
 			want = plain
-		} else {
-			for i := range plain {
-				assertBitEqual(t, plain[i], want[i], "%v output %d: vs FusionOff", level, i)
-			}
+			continue
 		}
-		if level == FusionUnconstrained {
-			unc = m
+		for i := range plain {
+			assertBitEqual(t, plain[i], want[i], "output %d: fused vs unfused", i)
 		}
+		unc = m
 	}
 	return unc
 }

@@ -80,11 +80,11 @@ func randomFusionGraph(t *testing.T, data []byte) (*graph.Graph, map[string]*ten
 	return g, map[string]*tensor.Tensor{"x": tensor.Rand(rng, 1, m, n)}
 }
 
-// FuzzFusionEquivalence drives random elementwise/dense graphs through all
-// three fusion levels and demands (a) bit-identical outputs from Execute
-// and two warm ExecuteArena rounds at every level, and (b) the FLOP
-// identity: the unconstrained fused plan's total FLOPs equal the unfused
-// total plus exactly the recompute FLOPs its tapes declare.
+// FuzzFusionEquivalence drives random elementwise/dense graphs through
+// fusion off and on and demands (a) bit-identical outputs from Execute and
+// two warm ExecuteArena rounds in both settings, and (b) the FLOP identity:
+// the fused plan's total FLOPs equal the unfused total plus exactly the
+// recompute FLOPs its tapes declare.
 func FuzzFusionEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 1, 6, 2})                                                // short unary/binary chain
@@ -95,8 +95,8 @@ func FuzzFusionEquivalence(f *testing.F) {
 		g, inputs := randomFusionGraph(t, data)
 		unconstrainedOutputs(t, g, inputs)
 
-		offF := fuseFLOPs(Fuse(g, FusionOff))
-		unc := Fuse(g, FusionUnconstrained)
+		offF := fuseFLOPs(Fuse(g, false))
+		unc := Fuse(g, true)
 		uncF := fuseFLOPs(unc)
 		var rf float64
 		for _, k := range unc {
@@ -105,7 +105,7 @@ func FuzzFusionEquivalence(f *testing.F) {
 			}
 		}
 		if diff := math.Abs(uncF - (offF + rf)); diff > 1e-6*(1+offF) {
-			t.Fatalf("FLOP identity broken: unconstrained %v != off %v + recompute %v", uncF, offF, rf)
+			t.Fatalf("FLOP identity broken: fused %v != off %v + recompute %v", uncF, offF, rf)
 		}
 	})
 }

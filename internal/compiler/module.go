@@ -65,7 +65,7 @@ func Compile(g *graph.Graph, opt Options) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Module{Graph: og, Kernels: Fuse(og, opt.fusionLevel()), Opt: opt}, nil
+	return &Module{Graph: og, Kernels: Fuse(og, opt.Fuse), Opt: opt}, nil
 }
 
 // Env holds runtime values for graph nodes during execution.

@@ -209,30 +209,16 @@ type Options struct {
 	CSE      bool
 	Simplify bool
 	DCE      bool
-	Fuse     bool
+	// Fuse grows maximal elementwise fusion groups (see Fuse); off emits
+	// one kernel per graph node.
+	Fuse bool
 	// Tune enables per-device low-level schedule selection (TunedCosts).
 	Tune bool
-	// Fusion selects the fusion strategy. FusionAuto (the zero value)
-	// resolves from the legacy Fuse bool: unconstrained when Fuse is set,
-	// off otherwise. Set it explicitly for ablations (off/legacy).
-	Fusion FusionLevel
 }
 
 // DefaultOptions enables every pass.
 func DefaultOptions() Options {
 	return Options{Fold: true, CSE: true, Simplify: true, DCE: true, Fuse: true, Tune: true}
-}
-
-// fusionLevel resolves the effective fusion level from the knob and the
-// legacy Fuse bool.
-func (o Options) fusionLevel() FusionLevel {
-	if o.Fusion != FusionAuto {
-		return o.Fusion
-	}
-	if o.Fuse {
-		return FusionUnconstrained
-	}
-	return FusionOff
 }
 
 // Optimize runs the enabled graph-level passes and returns the rewritten

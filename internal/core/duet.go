@@ -63,11 +63,6 @@ type Config struct {
 	// Compiler selects the graph-level optimizations subgraphs are compiled
 	// with. Defaults to the full pipeline.
 	Compiler compiler.Options
-	// FusionLevel overrides the fusion pass aggressiveness (off, legacy
-	// dense-epilogue, unconstrained chains) without spelling out full
-	// compiler.Options. FusionAuto (the zero value) leaves Compiler.Fusion
-	// untouched.
-	FusionLevel compiler.FusionLevel
 	// DisableFallback keeps the scheduled placement even when a single
 	// device measures faster (used by ablations).
 	DisableFallback bool
@@ -173,9 +168,6 @@ func Build(g *graph.Graph, cfg Config) (*Engine, error) {
 	zero := compiler.Options{}
 	if cfg.Compiler == zero {
 		cfg.Compiler = compiler.DefaultOptions()
-	}
-	if cfg.FusionLevel != compiler.FusionAuto {
-		cfg.Compiler.Fusion = cfg.FusionLevel
 	}
 
 	part, err := partition.Build(g)

@@ -141,10 +141,9 @@ func init() {
 
 	Register(&Def{
 		Kind: "batchnorm2d",
-		// Elementwise for costing and legacy grouping. It is outside the
-		// tape vocabulary, so a conv never absorbs it: under unconstrained
-		// fusion a batch-norm leads its own group and streams the group's
-		// tape (tensor.BatchNorm2DChainInto).
+		// Elementwise for costing. It is outside the tape vocabulary, so a
+		// conv never absorbs it: under fusion a batch-norm leads its own
+		// group and streams the group's tape (tensor.BatchNorm2DChainInto).
 		Elementwise: true,
 		// batchnorm2d(x, gamma, beta, mean, var) with attr eps_micro (see
 		// BatchNormEps).

@@ -30,7 +30,7 @@ func TestConv2DMatchesNaive(t *testing.T) {
 	}
 }
 
-// convRef is the convolution the blocked kernel must reproduce bit for bit:
+// convRef is the convolution Conv2DInto must reproduce bit for bit:
 // an explicit row-major im2col matrix (zeros where the patch leaves the
 // image), MatMulNaive's k-ascending product with the filter matrix, then the
 // bias.
@@ -129,6 +129,7 @@ func TestConv2DBitExact(t *testing.T) {
 		{3, 3, 14, 14, 9, 3, 1, 1},   // ow = 14, batch 3
 		{1, 2, 28, 28, 4, 3, 1, 1},   // ow = 28
 		{1, 3, 29, 27, 4, 3, 2, 1},   // stride 2, ow = 14
+		{2, 3, 9, 11, 5, 3, 2, 1},    // stride 2 pad 1, batch 2, odd 5×6 output
 		{1, 3, 30, 30, 7, 7, 2, 3},   // 7×7 stride 2 pad 3
 		{1, 2, 12, 12, 3, 7, 1, 3},   // pad wider than half the image row
 		{1, 128, 28, 28, 6, 3, 1, 1}, // deep K, ow = 28: several blocks of few panels

@@ -30,7 +30,6 @@ func TestPortableKernelPath(t *testing.T) {
 		{"FusedEpiloguesBitExact", TestFusedEpiloguesBitExact},
 		{"BatchMatMulPackedBitExact", TestBatchMatMulPackedBitExact},
 		{"SetMaxWorkersSerial", TestSetMaxWorkersSerial},
-		{"Conv2DPackedMatchesBlocked", TestConv2DPackedMatchesBlocked},
 		{"Conv2DBitExact", TestConv2DBitExact},
 		{"Conv2DMatchesNaive", TestConv2DMatchesNaive},
 		{"ChainMatchesOpByOp", TestChainMatchesOpByOp},

@@ -149,27 +149,6 @@ func TestBatchMatMulPackedBitExact(t *testing.T) {
 	}
 }
 
-// TestMatMulBlockedBitExact pins the legacy kernel (zero-skip removed) to
-// the naive reference too — it remains the unpacked benchmark baseline.
-func TestMatMulBlockedBitExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	a := Rand(rng, 1, 65, 130)
-	b := Rand(rng, 1, 130, 67)
-	// Plant zeros: the removed skip branch must not have changed semantics.
-	for i := 0; i < len(a.data); i += 3 {
-		a.data[i] = 0
-	}
-	if got, want := MatMulBlocked(a, b), MatMulNaive(a, b); !bitEqual(got, want) {
-		t.Error("MatMulBlocked differs from naive")
-	}
-	x := Rand(rng, 1, 9, 31)
-	w := Rand(rng, 1, 6, 31)
-	bias := Rand(rng, 1, 6)
-	if got, want := LinearBlocked(x, w, bias), linearNaive(x, w, bias); !bitEqual(got, want) {
-		t.Error("LinearBlocked differs from naive reference")
-	}
-}
-
 // TestPackCacheReuse verifies pinned weights are packed once and keep
 // their panels for later calls, and that unpinned operands never leave a
 // resident panel.
@@ -298,20 +277,6 @@ func TestSetMaxWorkersSerial(t *testing.T) {
 	SetMaxWorkers(0)
 	if !bitEqual(pooled, serial) {
 		t.Error("serial and pooled MatMul disagree")
-	}
-}
-
-// TestConv2DPackedMatchesBlocked bit-compares the packed-im2col convolution
-// against the legacy blocked path (both accumulate k-ascending).
-func TestConv2DPackedMatchesBlocked(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	x := Rand(rng, 1, 2, 3, 9, 11)
-	w := Rand(rng, 1, 5, 3, 3, 3)
-	bias := Rand(rng, 1, 5)
-	got := Conv2D(x, w, bias, 2, 1)
-	want := Conv2DBlocked(x, w, bias, 2, 1)
-	if !bitEqual(got, want) {
-		t.Errorf("packed Conv2D differs from blocked (max |Δ| %g)", MaxAbsDiff(got, want))
 	}
 }
 

@@ -65,16 +65,18 @@ func TestCheckScheduleOrderErrorPaths(t *testing.T) {
 	})
 }
 
-// TestCheckSyncQueueDeadlock exercises the liveness fixpoint's two failure
-// modes: a self-loop and a mutual wait between two subgraphs.
-func TestCheckSyncQueueDeadlock(t *testing.T) {
+// TestScheduleOrderDeadlock: the start-order pass also catches the two
+// ways the sync queues can deadlock under the firing rule — a subgraph
+// waiting on itself, and two subgraphs waiting on each other. Each cycle
+// has an edge whose producer does not start earlier than its consumer.
+func TestScheduleOrderDeadlock(t *testing.T) {
 	t.Run("self loop", func(t *testing.T) {
 		f := buildFixture(t)
 		sub := f.p.Subgraphs()[0]
 		sub.BoundaryInputs = append(sub.BoundaryInputs, sub.Outputs[0])
-		fs := CheckSyncQueue(f.p)
-		if len(fs) == 0 || !strings.Contains(fs[0].Msg, "never fire") {
-			t.Fatalf("self-loop must be reported, got %v", fs)
+		fs := CheckScheduleOrder(f.p)
+		if len(fs) != 1 || fs[0].Subgraph != 0 || !strings.Contains(fs[0].Msg, "start order") {
+			t.Fatalf("self-loop must be reported once at subgraph 0, got %v", fs)
 		}
 	})
 
@@ -85,17 +87,12 @@ func TestCheckSyncQueueDeadlock(t *testing.T) {
 			t.Fatalf("fixture has %d subgraphs, need 3", len(subs))
 		}
 		// The two multi-path branches wait on each other's outputs: neither
-		// can fire first.
+		// can fire first. The edge into the earlier one is the one reported.
 		subs[0].BoundaryInputs = append(subs[0].BoundaryInputs, subs[1].Outputs[0])
 		subs[1].BoundaryInputs = append(subs[1].BoundaryInputs, subs[0].Outputs[0])
-		fs := CheckSyncQueue(f.p)
-		if len(fs) < 2 {
-			t.Fatalf("mutual wait must deadlock both subgraphs, got %v", fs)
-		}
-		for _, fd := range fs {
-			if !strings.Contains(fd.Msg, "deadlock") {
-				t.Errorf("unexpected finding %v", fd)
-			}
+		fs := CheckScheduleOrder(f.p)
+		if len(fs) != 1 || fs[0].Subgraph != 0 || !strings.Contains(fs[0].Msg, "start order") {
+			t.Fatalf("mutual wait must be reported once at subgraph 0, got %v", fs)
 		}
 	})
 }
