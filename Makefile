@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build check fmt-check vet test test-race test-short bench bench-obs bench-kernels bench-serve bench-cluster bench-sched bench-diff bench-dash bench-host bench-host-compare costmodel experiments quick-experiments report fuzz clean
+.PHONY: all build check fmt-check vet test test-race test-short bench bench-obs bench-kernels bench-serve bench-cluster bench-diff bench-dash bench-host bench-host-compare experiments quick-experiments report fuzz clean
 
 all: build check
 
@@ -158,14 +158,6 @@ bench-serve:
 bench-cluster:
 	$(GO) run ./cmd/duet-bench -quick -cluster BENCH_cluster.json
 
-## Regenerate the cost-model/search baseline: measured vs predicted vs
-## hybrid profile sources (makespan ratios, micro-benchmark reduction) and
-## the wide search vs greedy correction, plus the regressor's train-set
-## accuracy. The prediction-accuracy gate (sched/gate/mape_ok) rides into
-## `make check` through bench-diff like every other suite.
-bench-sched:
-	$(GO) run ./cmd/duet-bench -quick -sched BENCH_sched.json
-
 ## Host-clock benchmark (BENCHMARK.json; bench/README.md): every workload
 ## in its own process, traced, collected with the environment stamp into
 ## .bench_build/host.json (~3 min). Deliberately not part of `check`: its
@@ -180,11 +172,6 @@ bench-host:
 bench-host-compare:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-host-compare A=a.json B=b.json"; exit 2; }
 	bash bench/run.sh --compare $(A) $(B)
-
-## Refit the committed latency-regressor artifact from noiseless zoo
-## profiles and print its train-set accuracy.
-costmodel:
-	$(GO) run ./cmd/duet-profile -train COSTMODEL.json
 
 ## Fuzz the Relay parser for 30s.
 fuzz:

@@ -34,7 +34,6 @@ func main() {
 		kernPath  = flag.String("kernels", "", "write the fusion ablation (launches and wall time, fusion off vs on) to this file")
 		servePath = flag.String("serve", "", "write the serving benchmark (serial vs unbatched vs batched vs pipelined) to this file")
 		clusPath  = flag.String("cluster", "", "write the cluster fault-tolerance benchmark (fault-free vs chaos schedule) to this file")
-		schedPath = flag.String("sched", "", "write the cost-model/search benchmark (measured vs predicted vs hybrid profiling, greedy vs wide search) to this file")
 
 		clusNodes = flag.Int("cluster-nodes", 0, "cluster benchmark: serving-node count (0 = default 3)")
 		clusReqs  = flag.Int("cluster-requests", 0, "cluster benchmark: request-stream length (0 = default 24)")
@@ -94,17 +93,6 @@ func main() {
 		}
 		writeSuite("kernels", *kernPath, report)
 		fmt.Printf("wrote kernel benchmarks to %s\n", *kernPath)
-		return
-	}
-
-	if *schedPath != "" {
-		report, err := experiments.BuildSchedReport(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "duet-bench: sched report: %v\n", err)
-			os.Exit(1)
-		}
-		writeSuite("sched", *schedPath, report)
-		fmt.Printf("wrote cost-model/search report to %s\n", *schedPath)
 		return
 	}
 

@@ -6,8 +6,7 @@
 //
 //	duet-profile -model widedeep
 //	duet-profile -model mtdnn -nofuse   # profile without fusion (ablation)
-//	duet-profile -train COSTMODEL.json  # fit the latency regressor from zoo profiles
-//	duet-profile -model googlenet -eval COSTMODEL.json   # score it on one model
+//	duet-profile -model siamese -out siamese.json   # persist the records
 package main
 
 import (
@@ -16,9 +15,7 @@ import (
 	"os"
 
 	"duet/internal/compiler"
-	"duet/internal/costmodel"
 	"duet/internal/device"
-	"duet/internal/experiments"
 	"duet/internal/graph"
 	"duet/internal/models"
 	"duet/internal/partition"
@@ -34,15 +31,8 @@ func main() {
 		noFuse   = flag.Bool("nofuse", false, "disable operator fusion (profiles framework-style kernels)")
 		variants = flag.Bool("variants", false, "print the low-level schedule variant each kernel selects per device")
 		out      = flag.String("out", "", "persist the profiling records as JSON to this file (reusable via duet-run -profiles)")
-		train    = flag.String("train", "", "fit the per-device latency regressor from noiseless zoo profiles and save it to this file")
-		eval     = flag.String("eval", "", "load a saved cost model and score its predictions against -model's measured profiles")
 	)
 	flag.Parse()
-
-	if *train != "" {
-		trainModel(*train)
-		return
-	}
 
 	g, err := buildGraph(*model)
 	if err != nil {
@@ -96,10 +86,6 @@ func main() {
 		fmt.Printf("\nwrote %d records to %s\n", len(records), *out)
 	}
 
-	if *eval != "" {
-		evalModel(*eval, part, opts, records)
-	}
-
 	if *variants {
 		fmt.Printf("\nlow-level schedule variants (non-default only):\n")
 		plat := device.NewPlatform(0)
@@ -118,69 +104,6 @@ func main() {
 				fmt.Printf("  sub%-3d %-28s cpu=%-11s gpu=%s\n", i, m.Kernels[k].Name, cpuV[k], gpuV[k])
 			}
 		}
-	}
-}
-
-// trainModel fits the latency regressor from noiseless profiles of the
-// benchmark zoo and writes the committed COSTMODEL.json artifact.
-func trainModel(path string) {
-	m, samples, err := experiments.TrainZooModel(experiments.Quick())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "duet-profile:", err)
-		os.Exit(1)
-	}
-	acc := m.Eval(samples)
-	fmt.Printf("trained on %d samples: cpu MAPE %.4f (p90 %.4f), gpu MAPE %.4f (p90 %.4f)\n",
-		len(samples), acc.MAPE[device.CPU], acc.P90APE[device.CPU],
-		acc.MAPE[device.GPU], acc.P90APE[device.GPU])
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "duet-profile:", err)
-		os.Exit(1)
-	}
-	if err := m.Save(f); err != nil {
-		f.Close()
-		fmt.Fprintln(os.Stderr, "duet-profile:", err)
-		os.Exit(1)
-	}
-	f.Close()
-	fmt.Printf("wrote cost model to %s\n", path)
-}
-
-// evalModel loads a saved cost model and scores it against the measured
-// records just printed: per-device MAPE plus the worst per-subgraph error.
-func evalModel(path string, part *partition.Partition,
-	opts compiler.Options, records []profile.Record) {
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "duet-profile:", err)
-		os.Exit(1)
-	}
-	m, err := costmodel.Load(f)
-	f.Close()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "duet-profile:", err)
-		os.Exit(1)
-	}
-	samples, err := profile.CostSamples(part, opts, records)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "duet-profile:", err)
-		os.Exit(1)
-	}
-	acc := m.Eval(samples)
-	fmt.Printf("\ncost model %s vs %d measured subgraphs:\n", path, len(samples))
-	fmt.Printf("  cpu MAPE %.4f (p90 %.4f)   gpu MAPE %.4f (p90 %.4f)\n",
-		acc.MAPE[device.CPU], acc.P90APE[device.CPU],
-		acc.MAPE[device.GPU], acc.P90APE[device.GPU])
-	worst, werr := -1, 0.0
-	for i, ape := range acc.APE {
-		if e := ape[device.CPU] + ape[device.GPU]; e > werr {
-			worst, werr = i, e
-		}
-	}
-	if worst >= 0 {
-		fmt.Printf("  worst subgraph %d: cpu APE %.4f, gpu APE %.4f\n",
-			worst, acc.APE[worst][device.CPU], acc.APE[worst][device.GPU])
 	}
 }
 

@@ -34,7 +34,6 @@ import (
 	"duet/internal/cluster"
 	"duet/internal/compiler"
 	"duet/internal/core"
-	"duet/internal/costmodel"
 	"duet/internal/device"
 	"duet/internal/faults"
 	"duet/internal/graph"
@@ -64,27 +63,6 @@ type Engine = core.Engine
 
 // Config controls engine construction; see DefaultConfig.
 type Config = core.Config
-
-// ProfileMode selects how Build obtains per-subgraph device costs
-// (Config.Mode): measured micro-benchmarks, learned cost-model
-// predictions, or hybrid critical-anchor measurement.
-type ProfileMode = core.ProfileMode
-
-// Profile modes.
-const (
-	ProfileMeasured  = core.ProfileMeasured
-	ProfilePredicted = core.ProfilePredicted
-	ProfileHybrid    = core.ProfileHybrid
-)
-
-// CostModel is the learned per-device latency regressor consumed by the
-// predicted and hybrid profile modes (Config.CostModel) and refined
-// online by Engine.RefineCostModel.
-type CostModel = costmodel.Model
-
-// LoadCostModel reads a cost model saved with CostModel.Save (for
-// example the repo's committed COSTMODEL.json artifact).
-func LoadCostModel(r io.Reader) (*CostModel, error) { return costmodel.Load(r) }
 
 // ProfileCache is a content-addressed cache of measured profile records;
 // share one across Builds (Config.ProfileCache) to compile and

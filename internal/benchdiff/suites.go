@@ -18,7 +18,7 @@ import (
 
 // Suites returns every registered suite, in gate order.
 func Suites() []*Suite {
-	return []*Suite{KernelsSuite(), ObsSuite(), ServeSuite(), ClusterSuite(), SchedSuite()}
+	return []*Suite{KernelsSuite(), ObsSuite(), ServeSuite(), ClusterSuite()}
 }
 
 // SuiteByName resolves one suite.
@@ -409,108 +409,6 @@ func extractCluster(doc map[string]any) (map[string]float64, error) {
 			return nil, fmt.Errorf("chaos: %w", err)
 		}
 		out[metricKey("cluster/chaos", c)] = v
-	}
-	return out, nil
-}
-
-// SchedSuite gates the learned cost model and the wide schedule search
-// (BENCH_sched.json). Makespans are reported as ratios against measured
-// mode (near 1.0, so relative thresholds behave); prediction accuracy is
-// gated through an exact 0/1 tolerance check because the raw MAPE sits at
-// numeric-noise magnitude where relative changes mean nothing. P90 tails
-// and host wall-clock are trend-only.
-func SchedSuite() *Suite {
-	s := &Suite{
-		Name: "sched",
-		File: "BENCH_sched.json",
-		Rules: []Rule{
-			{Prefix: "sched/ratio/hybrid/", Better: LowerIsBetter, Gate: true, Threshold: 0.05},
-			{Prefix: "sched/ratio/", Better: LowerIsBetter, Gate: true, Threshold: 0.10},
-			{Prefix: "sched/reduction/", Better: HigherIsBetter, Gate: true, Threshold: 0.25},
-			{Prefix: "sched/search/better_or_equal/", Better: HigherIsBetter, Gate: true, Threshold: Exact},
-			{Prefix: "sched/search/", Better: LowerIsBetter},
-			{Prefix: "sched/gate/", Better: HigherIsBetter, Gate: true, Threshold: Exact},
-			{Prefix: "sched/mape/", Better: LowerIsBetter},
-			{Prefix: "sched/tail/", Better: LowerIsBetter},
-			{Prefix: "sched/wall/", Better: LowerIsBetter},
-			{Prefix: "sched/", Better: HigherIsBetter},
-		},
-		Extract: extractSched,
-	}
-	s.Run = func(cfg Config, seed int64) (map[string]float64, error) {
-		rep, err := experiments.BuildSchedReport(expConfig(cfg, seed))
-		if err != nil {
-			return nil, err
-		}
-		return ExtractReport(s, rep)
-	}
-	return s
-}
-
-// schedMAPETolerance is the accuracy bar the cost model must clear for the
-// sched/gate/mape_ok metric: both devices' train-set MAPE under 5%.
-const schedMAPETolerance = 0.05
-
-func extractSched(doc map[string]any) (map[string]float64, error) {
-	out := map[string]float64{}
-	models, err := getArr(doc, "models")
-	if err != nil {
-		return nil, err
-	}
-	for _, raw := range models {
-		m, ok := raw.(map[string]any)
-		if !ok {
-			return nil, fmt.Errorf("models entry is not an object")
-		}
-		name, err := getStr(m, "model")
-		if err != nil {
-			return nil, err
-		}
-		for key, field := range map[string]string{
-			"sched/ratio/predicted":      "predicted_ratio",
-			"sched/ratio/hybrid":         "hybrid_ratio",
-			"sched/reduction":            "reduction",
-			"sched/search/measure_calls": "search_measure_calls",
-			"sched/wall/measured":        "wall_measured_s",
-			"sched/wall/predicted":       "wall_predicted_s",
-		} {
-			v, err := getNum(m, field)
-			if err != nil {
-				return nil, fmt.Errorf("model %s: %w", name, err)
-			}
-			out[metricKey(key, name)] = v
-		}
-		ok1, err := getBool(m, "search_better_or_equal")
-		if err != nil {
-			return nil, fmt.Errorf("model %s: %w", name, err)
-		}
-		out[metricKey("sched/search/better_or_equal", name)] = ok1
-	}
-	cpuMAPE, err := getNum(doc, "cpu_mape")
-	if err != nil {
-		return nil, err
-	}
-	gpuMAPE, err := getNum(doc, "gpu_mape")
-	if err != nil {
-		return nil, err
-	}
-	out["sched/mape/cpu"] = cpuMAPE
-	out["sched/mape/gpu"] = gpuMAPE
-	if cpuMAPE < schedMAPETolerance && gpuMAPE < schedMAPETolerance {
-		out["sched/gate/mape_ok"] = 1
-	} else {
-		out["sched/gate/mape_ok"] = 0
-	}
-	for key, field := range map[string]string{
-		"sched/tail/p90/cpu": "cpu_p90_ape",
-		"sched/tail/p90/gpu": "gpu_p90_ape",
-		"sched/samples":      "train_samples",
-	} {
-		v, err := getNum(doc, field)
-		if err != nil {
-			return nil, err
-		}
-		out[key] = v
 	}
 	return out, nil
 }

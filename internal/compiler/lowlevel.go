@@ -124,26 +124,3 @@ func TunedVariants(m *Module, dev *device.Device) []string {
 	}
 	return names
 }
-
-// VariantCosts enumerates, per kernel, the cost descriptor of every legal
-// schedule variant (the default first). With tuning disabled only the raw
-// cost appears. This exposes the variant search space analytically —
-// downstream consumers (the learned cost model) can evaluate "what would
-// per-device tuning pick" under any device model without running anything.
-func VariantCosts(m *Module) [][]ops.Cost {
-	out := make([][]ops.Cost, len(m.Kernels))
-	for i := range m.Kernels {
-		k := &m.Kernels[i]
-		if !m.Opt.Tune {
-			out[i] = []ops.Cost{k.Cost}
-			continue
-		}
-		vs := variantsFor(m.Graph, k)
-		cs := make([]ops.Cost, len(vs))
-		for j, v := range vs {
-			cs[j] = v.Apply(k.Cost)
-		}
-		out[i] = cs
-	}
-	return out
-}

@@ -7,10 +7,8 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"duet/internal/compiler"
-	"duet/internal/costmodel"
 	"duet/internal/device"
 	"duet/internal/graph"
 	"duet/internal/obs"
@@ -22,33 +20,6 @@ import (
 	"duet/internal/vclock"
 	"duet/internal/verify"
 )
-
-// ProfileMode selects how per-subgraph costs are obtained.
-type ProfileMode int
-
-const (
-	// ProfileMeasured micro-benchmarks every subgraph on every device —
-	// the paper's §IV-B profiler, O(subgraphs × devices) benchmark runs.
-	ProfileMeasured ProfileMode = iota
-	// ProfilePredicted uses the learned cost model for every subgraph:
-	// zero micro-benchmarks, instant cold start.
-	ProfilePredicted
-	// ProfileHybrid predicts everything and micro-benchmarks only the
-	// critical-path-sensitive subgraphs (phase anchors + top-K costs), at
-	// reduced repetitions.
-	ProfileHybrid
-)
-
-// String names the mode the way profile.Source does.
-func (m ProfileMode) String() string {
-	switch m {
-	case ProfilePredicted:
-		return profile.ModePredicted
-	case ProfileHybrid:
-		return profile.ModeHybrid
-	}
-	return profile.ModeMeasured
-}
 
 // Config controls how a DUET engine is built.
 type Config struct {
@@ -80,26 +51,10 @@ type Config struct {
 	// fails the build; disabling is for experiments that deliberately build
 	// corrupted artifacts.
 	DisableVerify bool
-	// Mode selects measured, predicted, or hybrid profiling. Predicted and
-	// hybrid require CostModel. Ignored when Records are supplied.
-	Mode ProfileMode
-	// CostModel is the trained latency regressor (costmodel.Train /
-	// costmodel.Load) used by predicted and hybrid modes.
-	CostModel *costmodel.Model
-	// HybridTopK widens hybrid mode's measured set beyond the critical
-	// anchors (0 = ceil(subgraphs/4)).
-	HybridTopK int
 	// ProfileCache, when non-nil, memoizes measured whole-model profiles by
 	// content hash so rebuilding an unchanged model skips micro-benchmarking
-	// entirely (measured mode only).
+	// entirely. Ignored when Records are supplied.
 	ProfileCache *profile.Cache
-	// SearchCorrection replaces Step 3's greedy swap-correction with the
-	// wide beam / simulated-annealing search over predicted costs
-	// (schedule.SearchCorrect), re-validated against measured latencies.
-	SearchCorrection bool
-	// Search tunes the wide search; zero values take defaults, and the
-	// annealer seed defaults to Seed.
-	Search schedule.SearchOptions
 }
 
 // DefaultConfig returns the paper's configuration.
@@ -134,18 +89,10 @@ type Engine struct {
 	// layers above (the serving layer's batched-module compiler) can compile
 	// sibling graphs through the identical optimization pipeline.
 	Options compiler.Options
-	// ProfileMode names how Profiles were obtained ("measured",
-	// "predicted", "hybrid").
-	ProfileMode string
-	// ProfileStats accounts for the profile source's work — notably
-	// Microbenchmarks, which predicted mode keeps at zero.
+	// ProfileStats accounts for the profiler's work — notably
+	// Microbenchmarks, which a profile-cache hit keeps at zero. Zero when
+	// Records were supplied.
 	ProfileStats profile.SourceStats
-	// SearchTrail reports the wide Step-3 search when SearchCorrection was
-	// enabled (nil otherwise).
-	SearchTrail *schedule.SearchTrail
-	// detail retains the cost-model inputs for verification and online
-	// refinement (nil in measured mode).
-	detail *profile.SourceDetail
 }
 
 // Build constructs the engine: validates and shape-infers the graph,
@@ -182,28 +129,15 @@ func Build(g *graph.Graph, cfg Config) (*Engine, error) {
 	// constants, never on the seed: the noiseless search engine shares them.
 	search := noisy.WithPlatform(device.NewPlatform(0))
 
-	// The engine compiled every subgraph already; the profile sources reuse
-	// those modules instead of recompiling (per-device lowering still
-	// happens inside the profiler, where it belongs).
-	modules := make([]*compiler.Module, search.NumSubgraphs())
-	for i := range modules {
-		modules[i] = search.Module(i)
-	}
-
-	var src profile.Source
-	var detail *profile.SourceDetail
 	var stats profile.SourceStats
 	records := cfg.Records
 	if records == nil {
-		if src, err = cfg.source(modules); err != nil {
-			return nil, err
-		}
+		src := cfg.source(search)
 		records, err = src.Records(part)
 		if err != nil {
 			return nil, err
 		}
 		stats = src.Stats()
-		detail = src.Detail()
 	} else if len(records) != len(part.Subgraphs()) {
 		return nil, fmt.Errorf("core: %d supplied profile records for %d subgraphs — re-profile after model changes", len(records), len(part.Subgraphs()))
 	}
@@ -221,28 +155,13 @@ func Build(g *graph.Graph, cfg Config) (*Engine, error) {
 		Profiles:     records,
 		Scheduler:    sched,
 		Options:      cfg.Compiler,
-		ProfileMode:  cfg.Mode.String(),
 		ProfileStats: stats,
-		detail:       detail,
 	}
 
-	switch {
-	case cfg.DisableCorrection:
+	if cfg.DisableCorrection {
 		e.Placement = sched.Greedy()
-	case cfg.SearchCorrection:
-		opt := cfg.Search
-		if opt.Seed == 0 {
-			opt.Seed = cfg.Seed
-		}
-		e.Placement, e.SearchTrail, err = sched.GreedySearch(opt)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		e.Placement, err = sched.GreedyCorrection()
-		if err != nil {
-			return nil, err
-		}
+	} else if e.Placement, err = sched.GreedyCorrection(); err != nil {
+		return nil, err
 	}
 
 	if !cfg.DisableFallback {
@@ -258,112 +177,44 @@ func Build(g *graph.Graph, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// source builds the profile source the configured mode asks for.
-func (cfg Config) source(modules []*compiler.Module) (profile.Source, error) {
+// source builds the measured profiler over the engine's compiled modules:
+// per-device lowering still happens inside the profiler, where it belongs,
+// but no subgraph is compiled a second time.
+func (cfg Config) source(eng *runtime.Engine) *profile.MeasuredSource {
+	modules := make([]*compiler.Module, eng.NumSubgraphs())
+	for i := range modules {
+		modules[i] = eng.Module(i)
+	}
 	prof := &profile.Profiler{
 		Platform: device.NewPlatform(mix(cfg.Seed)),
 		Options:  cfg.Compiler,
 		Runs:     cfg.ProfileRuns,
 	}
-	switch cfg.Mode {
-	case ProfilePredicted:
-		if cfg.CostModel == nil {
-			return nil, fmt.Errorf("core: predicted profile mode needs a cost model")
-		}
-		return &profile.PredictedSource{Model: cfg.CostModel, Options: cfg.Compiler, Modules: modules}, nil
-	case ProfileHybrid:
-		if cfg.CostModel == nil {
-			return nil, fmt.Errorf("core: hybrid profile mode needs a cost model")
-		}
-		// A quarter of the repetitions on the measured subset: the set is
-		// small and anchor-heavy, so per-subgraph statistical stability
-		// matters less than for a full sweep, and benchmark-run savings
-		// stay >= 4x however many subgraphs turn out critical.
-		prof.Runs = (cfg.ProfileRuns + 3) / 4
-		return &profile.HybridSource{Model: cfg.CostModel, Profiler: prof, Modules: modules, TopK: cfg.HybridTopK}, nil
-	default:
-		// Salt the cache key with everything that changes measured numbers:
-		// the profiling noise stream and the repetition count.
-		salt := uint64(mix(cfg.Seed))*1048583 + uint64(cfg.ProfileRuns)
-		return &profile.MeasuredSource{Profiler: prof, Modules: modules, Cache: cfg.ProfileCache, Salt: salt}, nil
-	}
+	// Salt the cache key with everything that changes measured numbers:
+	// the profiling noise stream and the repetition count.
+	salt := uint64(mix(cfg.Seed))*1048583 + uint64(cfg.ProfileRuns)
+	return &profile.MeasuredSource{Profiler: prof, Modules: modules, Cache: cfg.ProfileCache, Salt: salt}
 }
 
 // Verify runs the static verification layer over the built engine's
 // artifacts — graph well-formedness, partition invariants, schedule order,
 // sync-queue liveness, profile I/O accounting, placement legality, and
 // per-module arena release safety — and returns the findings (nil when
-// everything verifies). Engines built with a cost model additionally pass
-// the cost-model sanity checks (strictly positive predictions, batch-row
-// monotonicity, criticals measured in hybrid mode). Build calls this
-// automatically unless Config.DisableVerify is set.
+// everything verifies). Build calls this automatically unless
+// Config.DisableVerify is set.
 func (e *Engine) Verify() []verify.Finding {
 	n := e.Runtime.NumSubgraphs()
 	modules := make([]*compiler.Module, n)
 	for i := 0; i < n; i++ {
 		modules[i] = e.Runtime.Module(i)
 	}
-	fs := verify.All(verify.Artifacts{
+	return verify.All(verify.Artifacts{
 		Graph:     e.Graph,
 		Partition: e.Partition,
 		Placement: []device.Kind(e.Placement),
 		Records:   e.Profiles,
 		Modules:   modules,
 	})
-	if e.detail != nil {
-		fs = append(fs, verify.CheckCostModel(e.Partition, e.Profiles, e.detail, e.ProfileMode)...)
-	}
-	return fs
-}
-
-// RefineCostModel streams one run's measured per-subgraph busy-seconds
-// (its Timeline compute spans) into the model's online refinement
-// (costmodel.Observe) — closing the loop between the observability layer's
-// measured reality and the predictor. It returns how many observations
-// were applied. The model may be the one the engine was built with or a
-// fresh artifact being recalibrated.
-func (e *Engine) RefineCostModel(m *costmodel.Model, res *runtime.Result) int {
-	if m == nil || res == nil {
-		return 0
-	}
-	subs := e.Partition.Subgraphs()
-	byLabel := make(map[string]int, len(subs))
-	for i, sub := range subs {
-		byLabel[sub.Graph.Name+" ["+sub.Summary()+"]"] = i
-	}
-	applied := 0
-	for _, span := range res.Timeline {
-		i, ok := byLabel[span.Label]
-		if !ok {
-			continue // transfer spans and other non-compute activity
-		}
-		var kind device.Kind
-		switch {
-		case strings.HasPrefix(span.Device, "cpu"):
-			kind = device.CPU
-		case strings.HasPrefix(span.Device, "gpu"):
-			kind = device.GPU
-		default:
-			continue
-		}
-		busy := span.End - span.Start
-		if busy <= 0 {
-			continue
-		}
-		f := e.features(i)
-		m.Observe(f, kind, busy)
-		applied++
-	}
-	return applied
-}
-
-// features returns subgraph i's cost-model features, reusing the profile
-// source's extraction when available.
-func (e *Engine) features(i int) costmodel.Features {
-	if e.detail != nil && i < len(e.detail.Features) {
-		return e.detail.Features[i]
-	}
-	return costmodel.FromModule(e.Graph, e.Partition.Subgraphs()[i], e.Search.Module(i))
 }
 
 // mix derives the profiling seed so profile noise is independent of the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"duet/internal/device"
@@ -9,6 +10,7 @@ import (
 	"duet/internal/profile"
 	"duet/internal/tensor"
 	"duet/internal/vclock"
+	"duet/internal/verify"
 )
 
 func buildWideDeep(t *testing.T, seed int64) *Engine {
@@ -400,5 +402,96 @@ func TestBuildRejectsMismatchedRecords(t *testing.T) {
 	cfg.Records = make([]profile.Record, 1) // Siamese has 3 subgraphs
 	if _, err := Build(g, cfg); err == nil {
 		t.Fatalf("expected record-count error")
+	}
+}
+
+// TestBuildRejectsZeroTimeRecords pins the profile-io pass's time rule on
+// the path that skips LoadRecords: a supplied record with a zero CPU time
+// must fail the build, not schedule against a free subgraph.
+func TestBuildRejectsZeroTimeRecords(t *testing.T) {
+	live := buildWideDeep(t, 0)
+	recs := append([]profile.Record(nil), live.Profiles...)
+	recs[0].Time[device.CPU] = 0
+	g, err := models.WideDeep(models.DefaultWideDeep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(0)
+	cfg.Records = recs
+	_, err = Build(g, cfg)
+	var verr *verify.Error
+	if !errors.As(err, &verr) {
+		t.Fatalf("Build with a zero-time record: err = %v, want a verification error", err)
+	}
+	for _, f := range verr.Findings {
+		if f.Pass == verify.PassProfiles && f.Subgraph == 0 && contains(f.Msg, "non-positive profiled time") {
+			return
+		}
+	}
+	t.Fatalf("no profile-io finding for subgraph 0 in %v", verr)
+}
+
+// TestProfileCacheSkipsMicrobenchmarks pins the content-hash cache
+// satellite: rebuilding an unchanged model against the same cache runs
+// zero micro-benchmarks, and a changed model misses.
+func TestProfileCacheSkipsMicrobenchmarks(t *testing.T) {
+	cache := profile.NewCache()
+	cfg := DefaultConfig(5)
+	cfg.ProfileRuns = 20
+	cfg.ProfileCache = cache
+
+	wideDeep := func() *graph.Graph {
+		g, err := models.WideDeep(models.DefaultWideDeep())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	e1, err := Build(wideDeep(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e1.ProfileStats.CacheHits != 0 || e1.ProfileStats.Microbenchmarks == 0 {
+		t.Fatalf("first build: stats %+v, want a cold miss with real benchmarks", e1.ProfileStats)
+	}
+
+	e2, err := Build(wideDeep(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e2.ProfileStats.CacheHits != 1 || e2.ProfileStats.Microbenchmarks != 0 {
+		t.Fatalf("rebuild: stats %+v, want a cache hit with zero benchmarks", e2.ProfileStats)
+	}
+	if len(e1.Profiles) != len(e2.Profiles) {
+		t.Fatalf("cache returned %d records, first build had %d", len(e2.Profiles), len(e1.Profiles))
+	}
+	for i := range e1.Profiles {
+		if e1.Profiles[i].Time != e2.Profiles[i].Time {
+			t.Fatalf("cached record %d differs from the original", i)
+		}
+	}
+
+	// A different model with the same cache must miss.
+	gs, err := models.Siamese(models.DefaultSiamese())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e3, err := Build(gs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e3.ProfileStats.CacheHits != 0 || e3.ProfileStats.Microbenchmarks == 0 {
+		t.Fatalf("different model: stats %+v, want a miss", e3.ProfileStats)
+	}
+
+	// Changed profiling config (different noise stream) must also miss.
+	cfg2 := cfg
+	cfg2.Seed = 6
+	e4, err := Build(wideDeep(), cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e4.ProfileStats.CacheHits != 0 {
+		t.Fatalf("different seed hit the cache: stats %+v", e4.ProfileStats)
 	}
 }

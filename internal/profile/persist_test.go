@@ -67,4 +67,9 @@ func TestLoadRecordsValidation(t *testing.T) {
 	if _, err := LoadRecords("m", 1, strings.NewReader(`{"version":1,"model":"m","records":[{"Index":0,"Time":[0,1]}]}`)); err == nil {
 		t.Errorf("non-positive time should fail")
 	}
+	// Record files written while records carried an Origin tag still load:
+	// the decoder ignores the field.
+	if recs, err := LoadRecords("m", 1, strings.NewReader(`{"version":1,"model":"m","records":[{"Index":0,"Time":[1,2],"Origin":"measured"}]}`)); err != nil || recs[0].Time[1] != 2 {
+		t.Errorf("record with a legacy Origin field: %v, %+v", err, recs)
+	}
 }

@@ -17,15 +17,6 @@ import (
 	"duet/internal/vclock"
 )
 
-// Origin values a Record can carry: how its per-device times were obtained.
-const (
-	// OriginMeasured marks times from real micro-benchmark runs.
-	OriginMeasured = "measured"
-	// OriginPredicted marks times from the learned cost model — zero
-	// micro-benchmarks were run for this record.
-	OriginPredicted = "predicted"
-)
-
 // Record holds the profiled statistics of one subgraph.
 type Record struct {
 	// Index is the subgraph's flat index in partition order.
@@ -46,15 +37,6 @@ type Record struct {
 	// the scheduler's audit in particular — can say which fused kernels a
 	// placement decision weighed. Empty when fusion produced no groups.
 	Fused string `json:",omitempty"`
-	// Origin records how Time was obtained (OriginMeasured when empty, for
-	// records persisted before the field existed).
-	Origin string `json:",omitempty"`
-}
-
-// Measured reports whether the record's times come from real
-// micro-benchmark runs (the default for legacy records with no Origin).
-func (r *Record) Measured() bool {
-	return r.Origin == "" || r.Origin == OriginMeasured
 }
 
 // Faster returns the device kind with the lower profiled time.
@@ -85,8 +67,7 @@ func (r *Record) Best() vclock.Seconds {
 // Margin returns the relative CPU/GPU cost separation,
 // |cpu - gpu| / max(cpu, gpu), in [0, 1]. A margin of 0 is an exact tie —
 // the CPU-first tie-break decided the device, not the profile — and small
-// margins mean the placement is sensitive to profiling (or prediction)
-// error.
+// margins mean the placement is sensitive to profiling error.
 func (r *Record) Margin() float64 {
 	c, g := float64(r.Time[device.CPU]), float64(r.Time[device.GPU])
 	hi := c
@@ -118,8 +99,7 @@ type Profiler struct {
 	// a fixed small number, e.g. 500, for statistically stable means).
 	Runs int
 	// Benchmarks counts micro-benchmark executions performed (one per
-	// device per repetition) — the cost the learned cost model exists to
-	// avoid. The predicted profile source leaves it at zero.
+	// device per repetition).
 	Benchmarks int
 }
 
@@ -156,7 +136,6 @@ func (p *Profiler) ProfileModule(parent *graph.Graph, sub *graph.Subgraph, m *co
 		OutBytes: sub.OutputBytes(parent),
 		Kernels:  m.KernelCount(),
 		Fused:    strings.Join(m.FusedKernelNames(), ","),
-		Origin:   OriginMeasured,
 	}
 	for _, kind := range []device.Kind{device.CPU, device.GPU} {
 		dev := p.Platform.Device(kind)

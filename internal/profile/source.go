@@ -1,22 +1,8 @@
 package profile
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"duet/internal/compiler"
-	"duet/internal/costmodel"
-	"duet/internal/device"
-	"duet/internal/graph"
 	"duet/internal/partition"
-)
-
-// Mode names for the three profile sources.
-const (
-	ModeMeasured  = "measured"
-	ModePredicted = "predicted"
-	ModeHybrid    = "hybrid"
 )
 
 // SourceStats accounts for how a source obtained its records — the numbers
@@ -24,47 +10,18 @@ const (
 type SourceStats struct {
 	// Subgraphs is the number of records produced.
 	Subgraphs int
-	// Measured / Predicted split the records by origin.
-	Measured  int
-	Predicted int
 	// Microbenchmarks is the total number of micro-benchmark executions run
-	// (one per device per repetition); zero for the predicted source.
+	// (one per device per repetition); zero on a cache hit.
 	Microbenchmarks int
 	// CacheHits counts whole-model profile-cache hits.
 	CacheHits int
 }
 
-// Source produces per-subgraph profile records for a partition. The three
-// implementations trade micro-benchmark cost for prediction error: measured
-// (today's profiler, exact, O(subgraphs × devices) benchmarks), predicted
-// (the learned cost model, zero benchmarks), and hybrid (predict all,
-// measure only the critical-path-sensitive top-K).
-type Source interface {
-	// Records returns one record per subgraph, in flat partition order.
-	Records(part *partition.Partition) ([]Record, error)
-	// Stats reports how the last Records call obtained its numbers.
-	Stats() SourceStats
-	// Mode returns ModeMeasured, ModePredicted, or ModeHybrid.
-	Mode() string
-	// Detail returns the cost-model inputs behind the last Records call for
-	// the verify layer, or nil when no model was involved.
-	Detail() *SourceDetail
-}
-
-// SourceDetail exposes the cost-model view of the last Records call:
-// per-subgraph features, which subgraphs were actually measured, and the
-// model used — the inputs of verify.CheckCostModel.
-type SourceDetail struct {
-	Model    *costmodel.Model
-	Features []costmodel.Features
-	Measured []bool
-}
-
-// MeasuredSource wraps the classic micro-benchmarking profiler as a Source.
-// When Cache is non-nil, a whole-model content-hash lookup skips profiling
-// entirely for unchanged models; Modules (optional, flat partition order)
-// supplies pre-compiled modules so profiling reuses the engine's compile
-// work instead of recompiling each subgraph.
+// MeasuredSource micro-benchmarks every subgraph of a partition with the
+// profiler. When Cache is non-nil, a whole-model content-hash lookup skips
+// profiling entirely for unchanged models; Modules (optional, flat partition
+// order) supplies pre-compiled modules so profiling reuses the engine's
+// compile work instead of recompiling each subgraph.
 type MeasuredSource struct {
 	Profiler *Profiler
 	// Modules, when non-nil, holds each subgraph's compiled module in flat
@@ -77,16 +34,11 @@ type MeasuredSource struct {
 	stats SourceStats
 }
 
-// Mode returns ModeMeasured.
-func (s *MeasuredSource) Mode() string { return ModeMeasured }
-
 // Stats reports the last Records call's accounting.
 func (s *MeasuredSource) Stats() SourceStats { return s.stats }
 
-// Detail returns nil: no cost model is involved.
-func (s *MeasuredSource) Detail() *SourceDetail { return nil }
-
-// Records micro-benchmarks every subgraph (or returns the cached profile).
+// Records micro-benchmarks every subgraph (or returns the cached profile),
+// one record per subgraph in flat partition order.
 func (s *MeasuredSource) Records(part *partition.Partition) ([]Record, error) {
 	subs := part.Subgraphs()
 	s.stats = SourceStats{Subgraphs: len(subs)}
@@ -95,7 +47,6 @@ func (s *MeasuredSource) Records(part *partition.Partition) ([]Record, error) {
 		key = CacheKey(part.Parent, s.Profiler.Options, s.Salt)
 		if recs := s.Cache.Get(key); recs != nil {
 			s.stats.CacheHits = 1
-			s.stats.Measured = len(recs)
 			return recs, nil
 		}
 	}
@@ -114,272 +65,9 @@ func (s *MeasuredSource) Records(part *partition.Partition) ([]Record, error) {
 		}
 		records = append(records, rec)
 	}
-	s.stats.Measured = len(records)
 	s.stats.Microbenchmarks = s.Profiler.Benchmarks - before
 	if s.Cache != nil {
 		s.Cache.Put(key, records)
 	}
 	return records, nil
-}
-
-// PredictedSource produces records from the learned cost model alone: zero
-// micro-benchmarks, instant cold start.
-type PredictedSource struct {
-	Model *costmodel.Model
-	// Options is the compiler configuration for feature extraction (must
-	// match how the engine compiles subgraphs).
-	Options compiler.Options
-	// Modules, when non-nil, supplies pre-compiled modules in flat
-	// partition order so feature extraction skips recompilation.
-	Modules []*compiler.Module
-	stats   SourceStats
-	detail  *SourceDetail
-}
-
-// Mode returns ModePredicted.
-func (s *PredictedSource) Mode() string { return ModePredicted }
-
-// Stats reports the last Records call's accounting.
-func (s *PredictedSource) Stats() SourceStats { return s.stats }
-
-// Detail returns the features and model behind the last Records call.
-func (s *PredictedSource) Detail() *SourceDetail { return s.detail }
-
-// Records predicts every subgraph's per-device latency.
-func (s *PredictedSource) Records(part *partition.Partition) ([]Record, error) {
-	if s.Model == nil {
-		return nil, fmt.Errorf("profile: predicted source has no cost model")
-	}
-	feats, err := extractAll(part, s.Options, s.Modules)
-	if err != nil {
-		return nil, err
-	}
-	subs := part.Subgraphs()
-	records := make([]Record, len(subs))
-	measured := make([]bool, len(subs))
-	for i, sub := range subs {
-		records[i] = predictRecord(s.Model, part.Parent, sub, feats[i], i)
-	}
-	s.stats = SourceStats{Subgraphs: len(subs), Predicted: len(subs)}
-	s.detail = &SourceDetail{Model: s.Model, Features: feats, Measured: measured}
-	return records, nil
-}
-
-// HybridSource predicts every subgraph and micro-benchmarks only the
-// schedule-critical ones: the per-phase critical anchors Algorithm 1's
-// Step 1 pins (plus the global worst case), widened by the top-K largest
-// predicted costs. Everything else keeps its prediction. With reduced
-// repetitions on the measured set, this cuts micro-benchmark runs by well
-// over the 4× acceptance floor while keeping the placements that matter
-// grounded in measurement.
-type HybridSource struct {
-	Model    *costmodel.Model
-	Profiler *Profiler
-	// Modules, when non-nil, supplies pre-compiled modules in flat
-	// partition order.
-	Modules []*compiler.Module
-	// TopK is the number of additional subgraphs (beyond the critical
-	// anchors) to measure, largest predicted Best first. Zero means
-	// ceil(n/4).
-	TopK   int
-	stats  SourceStats
-	detail *SourceDetail
-}
-
-// Mode returns ModeHybrid.
-func (s *HybridSource) Mode() string { return ModeHybrid }
-
-// Stats reports the last Records call's accounting.
-func (s *HybridSource) Stats() SourceStats { return s.stats }
-
-// Detail returns the features, measured set, and model behind the last
-// Records call.
-func (s *HybridSource) Detail() *SourceDetail { return s.detail }
-
-// Records predicts all subgraphs, then replaces the critical set's records
-// with measurements.
-func (s *HybridSource) Records(part *partition.Partition) ([]Record, error) {
-	if s.Model == nil {
-		return nil, fmt.Errorf("profile: hybrid source has no cost model")
-	}
-	opts := s.Profiler.Options
-	feats, err := extractAll(part, opts, s.Modules)
-	if err != nil {
-		return nil, err
-	}
-	subs := part.Subgraphs()
-	records := make([]Record, len(subs))
-	for i, sub := range subs {
-		records[i] = predictRecord(s.Model, part.Parent, sub, feats[i], i)
-	}
-	before := s.Profiler.Benchmarks
-	measured := make([]bool, len(subs))
-	total := 0
-	// Measuring can move a phase's argmax onto a still-predicted subgraph;
-	// after the initial (anchor + top-K) pass, iterate re-deriving only the
-	// anchors until they are stable under the final records, so no
-	// critical-path subgraph ever rests on a prediction (the invariant
-	// verify.CheckCostModel enforces). Top-K widening applies once — the
-	// fixed point must not keep pulling in fresh "largest unmeasured"
-	// extras, or every subgraph ends up benchmarked. Each pass measures at
-	// least one new subgraph, so the loop runs at most n times.
-	pending := CriticalSet(part, records, s.TopK)
-	for {
-		grew := false
-		for i := range pending {
-			if measured[i] {
-				continue
-			}
-			sub := subs[i]
-			var rec Record
-			if s.Modules != nil {
-				rec = s.Profiler.ProfileModule(part.Parent, sub, s.Modules[i], i)
-			} else {
-				r, perr := s.Profiler.ProfileSubgraph(part.Parent, sub, i)
-				if perr != nil {
-					return nil, perr
-				}
-				rec = r
-			}
-			records[i] = rec
-			measured[i] = true
-			total++
-			grew = true
-		}
-		if !grew {
-			break
-		}
-		pending = criticalAnchors(part, records)
-	}
-	s.stats = SourceStats{
-		Subgraphs:       len(subs),
-		Measured:        total,
-		Predicted:       len(subs) - total,
-		Microbenchmarks: s.Profiler.Benchmarks - before,
-	}
-	s.detail = &SourceDetail{Model: s.Model, Features: feats, Measured: measured}
-	return records, nil
-}
-
-// CriticalSet returns the flat indices hybrid mode must measure, derived
-// from predicted records: in every multi-path phase the subgraph Step 1
-// would pin (first argmax of Best — a prediction error there flips the
-// schedule's anchor), the global argmax, and the TopK largest remaining
-// predicted Best times (TopK <= 0 means ceil(n/4)).
-func CriticalSet(part *partition.Partition, records []Record, topK int) map[int]bool {
-	n := len(records)
-	measure := criticalAnchors(part, records)
-	if n == 0 {
-		return measure
-	}
-	if topK <= 0 {
-		topK = (n + 3) / 4
-	}
-	rest := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if !measure[i] {
-			rest = append(rest, i)
-		}
-	}
-	sort.Slice(rest, func(a, b int) bool {
-		ba, bb := records[rest[a]].Best(), records[rest[b]].Best()
-		if ba != bb {
-			return ba > bb
-		}
-		return rest[a] < rest[b]
-	})
-	for i := 0; i < topK && i < len(rest); i++ {
-		measure[rest[i]] = true
-	}
-	return measure
-}
-
-// criticalAnchors returns only the schedule anchors under the given
-// records: the first argmax of Best in every multi-path phase and the
-// global first argmax. This is the set the hybrid fixed point re-derives
-// after each measuring pass.
-func criticalAnchors(part *partition.Partition, records []Record) map[int]bool {
-	measure := map[int]bool{}
-	if len(records) == 0 {
-		return measure
-	}
-	flat := 0
-	globalBest := -1.0
-	globalIdx := 0
-	for _, ph := range part.Phases {
-		anchor, anchorBest := -1, -1.0
-		for range ph.Subgraphs {
-			b := float64(records[flat].Best())
-			if ph.Kind == partition.MultiPath && b > anchorBest {
-				anchor, anchorBest = flat, b
-			}
-			if b > globalBest {
-				globalBest, globalIdx = b, flat
-			}
-			flat++
-		}
-		if anchor >= 0 {
-			measure[anchor] = true
-		}
-	}
-	measure[globalIdx] = true
-	return measure
-}
-
-// predictRecord renders one cost-model prediction as a Record.
-func predictRecord(m *costmodel.Model, parent *graph.Graph, sub *graph.Subgraph, f costmodel.Features, index int) Record {
-	rec := Record{
-		Index:    index,
-		Summary:  sub.Summary(),
-		InBytes:  sub.InputBytes(parent),
-		OutBytes: sub.OutputBytes(parent),
-		Kernels:  len(f.Kernels),
-		Fused:    strings.Join(f.FusedKernels, ","),
-		Origin:   OriginPredicted,
-	}
-	for _, kind := range []device.Kind{device.CPU, device.GPU} {
-		rec.Time[kind] = m.Predict(f, kind)
-	}
-	return rec
-}
-
-// extractAll extracts cost-model features for every subgraph, reusing
-// pre-compiled modules when available.
-func extractAll(part *partition.Partition, opts compiler.Options, modules []*compiler.Module) ([]costmodel.Features, error) {
-	subs := part.Subgraphs()
-	feats := make([]costmodel.Features, len(subs))
-	for i, sub := range subs {
-		if modules != nil {
-			feats[i] = costmodel.FromModule(part.Parent, sub, modules[i])
-			continue
-		}
-		f, err := costmodel.Extract(part.Parent, sub, opts)
-		if err != nil {
-			return nil, err
-		}
-		feats[i] = f
-	}
-	return feats, nil
-}
-
-// CostSamples pairs measured records with features extracted from the same
-// partition — the training set for costmodel.Train. Records with a
-// predicted origin are skipped (a model must not train on itself).
-func CostSamples(part *partition.Partition, opts compiler.Options, records []Record) ([]costmodel.Sample, error) {
-	subs := part.Subgraphs()
-	if len(records) != len(subs) {
-		return nil, fmt.Errorf("profile: %d records for %d subgraphs", len(records), len(subs))
-	}
-	samples := make([]costmodel.Sample, 0, len(records))
-	for i, rec := range records {
-		if !rec.Measured() {
-			continue
-		}
-		f, err := costmodel.Extract(part.Parent, subs[i], opts)
-		if err != nil {
-			return nil, err
-		}
-		samples = append(samples, costmodel.Sample{F: f, Time: rec.Time})
-	}
-	return samples, nil
 }

@@ -5,33 +5,10 @@ import (
 	"testing"
 
 	"duet/internal/compiler"
-	"duet/internal/costmodel"
 	"duet/internal/device"
-	"duet/internal/graph"
 	"duet/internal/models"
-	"duet/internal/partition"
 	"duet/internal/vclock"
 )
-
-// trainOn fits a cost model from one graph's measured records.
-func trainOn(t *testing.T, g *graph.Graph, p *partition.Partition) *costmodel.Model {
-	t.Helper()
-	prof := New(device.NewPlatform(0))
-	prof.Runs = 3
-	recs, err := prof.ProfileAll(g, p.Subgraphs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, err := CostSamples(p, prof.Options, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := costmodel.Train(samples, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
 
 func TestCacheKeyStableAndSensitive(t *testing.T) {
 	g1, _ := wideDeepPartition(t)
@@ -64,7 +41,7 @@ func TestCacheKeyStableAndSensitive(t *testing.T) {
 
 func TestCacheRoundTrip(t *testing.T) {
 	c := NewCache()
-	recs := []Record{{Index: 0, Summary: "a", Kernels: 1, Origin: OriginMeasured,
+	recs := []Record{{Index: 0, Summary: "a", Kernels: 1,
 		Time: [2]vclock.Seconds{1e-3, 2e-3}}}
 	c.Put("k", recs)
 	got := c.Get("k")
@@ -108,19 +85,13 @@ func TestMeasuredSourceCacheAndAccounting(t *testing.T) {
 	}
 	n := len(p.Subgraphs())
 	st := src.Stats()
-	if st.Subgraphs != n || st.Measured != n || st.CacheHits != 0 {
+	if st.Subgraphs != n || st.CacheHits != 0 {
 		t.Fatalf("cold stats %+v", st)
 	}
 	if want := 2 * n * prof.Runs; st.Microbenchmarks != want {
 		t.Fatalf("microbenchmarks = %d, want %d (2 devices x %d subgraphs x %d runs)",
 			st.Microbenchmarks, want, n, prof.Runs)
 	}
-	for i, r := range recs {
-		if !r.Measured() {
-			t.Fatalf("record %d origin %q, want measured", i, r.Origin)
-		}
-	}
-
 	recs2, err := src.Records(p)
 	if err != nil {
 		t.Fatal(err)
@@ -133,122 +104,5 @@ func TestMeasuredSourceCacheAndAccounting(t *testing.T) {
 		if recs[i] != recs2[i] {
 			t.Fatalf("cached record %d differs: %+v vs %+v", i, recs[i], recs2[i])
 		}
-	}
-	if src.Mode() != ModeMeasured || src.Detail() != nil {
-		t.Fatal("measured source must report measured mode and nil detail")
-	}
-}
-
-func TestPredictedSourceZeroBenchmarks(t *testing.T) {
-	g, p := wideDeepPartition(t)
-	m := trainOn(t, g, p)
-	src := &PredictedSource{Model: m, Options: compiler.DefaultOptions()}
-	recs, err := src.Records(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := src.Stats()
-	if st.Microbenchmarks != 0 || st.Measured != 0 || st.Predicted != len(recs) {
-		t.Fatalf("stats %+v", st)
-	}
-	for i, r := range recs {
-		if r.Measured() {
-			t.Fatalf("record %d claims measured origin", i)
-		}
-		if r.Time[device.CPU] <= 0 || r.Time[device.GPU] <= 0 {
-			t.Fatalf("record %d non-positive prediction %+v", i, r.Time)
-		}
-	}
-	d := src.Detail()
-	if d == nil || d.Model != m || len(d.Features) != len(recs) {
-		t.Fatal("predicted source detail incomplete")
-	}
-	for i, ms := range d.Measured {
-		if ms {
-			t.Fatalf("detail claims subgraph %d measured", i)
-		}
-	}
-}
-
-func TestHybridSourceCoversCriticalAnchors(t *testing.T) {
-	g, p := wideDeepPartition(t)
-	m := trainOn(t, g, p)
-	prof := New(device.NewPlatform(0))
-	prof.Runs = 2
-	src := &HybridSource{Model: m, Profiler: prof, TopK: 1}
-	recs, err := src.Records(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := src.Stats()
-	if st.Measured == 0 || st.Microbenchmarks == 0 {
-		t.Fatalf("hybrid measured nothing: %+v", st)
-	}
-	d := src.Detail()
-	// The fixed-point invariant: every anchor of the FINAL record set is
-	// measured, even if measuring moved the argmax.
-	for i := range criticalAnchors(p, recs) {
-		if !d.Measured[i] {
-			t.Fatalf("critical anchor %d left on a predicted cost", i)
-		}
-		if !recs[i].Measured() {
-			t.Fatalf("critical anchor %d record has origin %q", i, recs[i].Origin)
-		}
-	}
-	if st.Measured+st.Predicted != st.Subgraphs {
-		t.Fatalf("stats do not partition the subgraphs: %+v", st)
-	}
-}
-
-func TestCriticalSetTopKWidening(t *testing.T) {
-	_, p := wideDeepPartition(t)
-	prof := New(device.NewPlatform(0))
-	prof.Runs = 2
-	g := p.Parent
-	recs, err := prof.ProfileAll(g, p.Subgraphs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := CriticalSet(p, recs, 1)
-	anchors := criticalAnchors(p, recs)
-	for i := range anchors {
-		if !base[i] {
-			t.Fatalf("CriticalSet dropped anchor %d", i)
-		}
-	}
-	if len(base) != len(anchors)+1 && len(anchors)+1 <= len(recs) {
-		t.Fatalf("TopK=1 widened by %d, want 1", len(base)-len(anchors))
-	}
-	wide := CriticalSet(p, recs, len(recs))
-	if len(wide) != len(recs) {
-		t.Fatalf("TopK=n covered %d of %d", len(wide), len(recs))
-	}
-}
-
-func TestCostSamplesSkipPredicted(t *testing.T) {
-	g, p := wideDeepPartition(t)
-	prof := New(device.NewPlatform(0))
-	prof.Runs = 2
-	recs, err := prof.ProfileAll(g, p.Subgraphs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := CostSamples(p, prof.Options, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != len(recs) {
-		t.Fatalf("%d samples from %d measured records", len(all), len(recs))
-	}
-	recs[0].Origin = OriginPredicted
-	fewer, err := CostSamples(p, prof.Options, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fewer) != len(recs)-1 {
-		t.Fatalf("predicted record not skipped: %d samples", len(fewer))
-	}
-	if _, err := CostSamples(p, prof.Options, recs[:1]); err == nil && len(recs) > 1 {
-		t.Fatal("record/subgraph count mismatch not rejected")
 	}
 }

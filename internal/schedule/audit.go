@@ -28,9 +28,9 @@ const (
 
 // TieMarginFrac is the relative margin below which a placement decision is
 // flagged as resting on a (near-)tie: the profile separated the
-// alternatives by less than 2%, so profiling noise — or, for predicted
-// records, model error — could have flipped the choice, and an exact tie
-// was decided by the silent CPU-first tie-break alone.
+// alternatives by less than 2%, so profiling noise could have flipped the
+// choice, and an exact tie was decided by the silent CPU-first tie-break
+// alone.
 const TieMarginFrac = 0.02
 
 // SubgraphAudit explains one subgraph's placement: both profiled costs, the

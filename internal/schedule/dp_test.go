@@ -5,6 +5,7 @@ import (
 
 	"duet/internal/device"
 	"duet/internal/profile"
+	"duet/internal/verify"
 )
 
 func TestDPProducesValidPlacement(t *testing.T) {
@@ -89,4 +90,50 @@ func uniformPlace(n int, k device.Kind) []device.Kind {
 		p[i] = k
 	}
 	return p
+}
+
+// TestDPMatchesSearchPlacementShape adds dp.go coverage: DP and Algorithm
+// 1's measured search (greedy correction) must both emit full-length legal
+// placements from the same scheduler, and DP must stay deterministic.
+func TestDPMatchesSearchPlacementShape(t *testing.T) {
+	s, _ := rig(t, nil)
+	dp1, err := s.DynamicProgramming(DPOptions{Link: device.NewPCIe()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp2, err := s.DynamicProgramming(DPOptions{Link: device.NewPCIe()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dp1.String() != dp2.String() {
+		t.Fatalf("DP nondeterministic: %s vs %s", dp1, dp2)
+	}
+	if err := verify.CheckPlacement([]device.Kind(dp1), s.Partition); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := s.GreedyCorrection()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sp) != len(dp1) {
+		t.Fatalf("greedy-correction placement %d entries, DP %d", len(sp), len(dp1))
+	}
+	// The analytic DP carries transfer-estimate error (§IV-C); the measured
+	// search must never lose to it on the oracle.
+	if a, b := measure(t, s, sp), measure(t, s, dp1); float64(a) > float64(b)*(1+1e-9) {
+		t.Errorf("greedy correction %.6fs worse than analytic DP %.6fs", float64(a), float64(b))
+	}
+}
+
+// TestDPAllTies adds the all-ties edge to dp.go: equal per-device costs
+// must not crash or emit an illegal placement.
+func TestDPAllTies(t *testing.T) {
+	s := allTieScheduler(t)
+	place, err := s.DynamicProgramming(DPOptions{Link: device.NewPCIe()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := verify.CheckPlacement([]device.Kind(place), s.Partition); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -281,8 +281,8 @@ func idsInRange(g *graph.Graph, ids []graph.NodeID) bool {
 
 // CheckProfiles verifies the boundary-tensor accounting of §IV-B: one record
 // per subgraph in flat order, with the recorded I/O volumes equal to the
-// subgraph's boundary accounting against the parent graph, non-negative
-// times, and a positive kernel count.
+// subgraph's boundary accounting against the parent graph, strictly
+// positive times on both devices, and a positive kernel count.
 func CheckProfiles(p *partition.Partition, records []profile.Record) []Finding {
 	var fs []Finding
 	subs := p.Subgraphs()
@@ -307,8 +307,8 @@ func CheckProfiles(p *partition.Partition, records []profile.Record) []Finding {
 				fs = append(fs, subFinding(PassProfiles, i, "subgraph %q profiled OutBytes=%d, boundary accounting gives %d", sub.Graph.Name, rec.OutBytes, want))
 			}
 		}
-		if rec.Time[0] < 0 || rec.Time[1] < 0 {
-			fs = append(fs, subFinding(PassProfiles, i, "subgraph %q has negative profiled time %v", sub.Graph.Name, rec.Time))
+		if rec.Time[0] <= 0 || rec.Time[1] <= 0 {
+			fs = append(fs, subFinding(PassProfiles, i, "subgraph %q has non-positive profiled time %v", sub.Graph.Name, rec.Time))
 		}
 		if rec.Kernels < 1 {
 			fs = append(fs, subFinding(PassProfiles, i, "subgraph %q profiled with %d kernels — a compiled subgraph launches at least one", sub.Graph.Name, rec.Kernels))

@@ -38,7 +38,6 @@ const (
 	PassRelease   = "arena-release"  // symbolic execution of the release plan
 	PassAudit     = "audit-replay"   // Algorithm 1 decision-trail consistency
 	PassShardMap  = "shard-map"      // cluster routing table coverage + failover legality
-	PassCostModel = "cost-model"     // learned-latency sanity: positive, monotone, criticals measured
 	PassFusion    = "fusion-tape"    // op-tape replay vs graph: dataflow equivalence, single materialization, recompute acyclicity
 	PassHBGraph   = "hb-graph"       // happens-before construction: coverage, acyclicity (deadlock re-derivation)
 	PassHBSync    = "hb-sync"        // lost-sync detection: every boundary flow ordered producer-before-consumer
@@ -51,7 +50,7 @@ const (
 func Passes() []string {
 	return []string{
 		PassGraph, PassPartition, PassProfiles, PassPlacement, PassSchedule,
-		PassRelease, PassAudit, PassShardMap, PassCostModel,
+		PassRelease, PassAudit, PassShardMap,
 		PassFusion, PassHBGraph, PassHBSync, PassHBRace,
 	}
 }

@@ -213,7 +213,15 @@ func TestNegativeFixtures(t *testing.T) {
 			corrupt: func(t *testing.T, f *fixture) {
 				f.records[1].Time[device.GPU] = -1
 			},
-			wantMsg: "negative",
+			wantMsg: "non-positive profiled time",
+		},
+		{
+			name: "profiles/zero-time",
+			pass: PassProfiles,
+			corrupt: func(t *testing.T, f *fixture) {
+				f.records[0].Time[device.CPU] = 0
+			},
+			wantMsg: "non-positive profiled time",
 		},
 		{
 			name: "profiles/zero-kernels",
