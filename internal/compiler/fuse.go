@@ -10,8 +10,8 @@ import (
 )
 
 // maxChainRegs bounds the chunk-local scratch rows an epilogue program may
-// hold live at once. Groups that exceed it fall back to recompute, and to
-// unlowered op-by-op dispatch when recompute is infeasible too.
+// hold live at once. Groups that exceed it fall back to unlowered op-by-op
+// dispatch.
 const maxChainRegs = 8
 
 // Kernel is one launchable unit in a compiled module: a group leader plus
@@ -32,9 +32,9 @@ type Kernel struct {
 // FusedGroup is the lowered form of a fusion group: the leader executes
 // through its registered kernel (the dense lead gets the fused
 // GEMM+epilogue fast path) and the epilogue program transforms the result
-// in place. Group intermediates live in chunk-local registers or are
-// recomputed; only values with readers outside the group are materialized,
-// each exactly once, through an Emit slot.
+// in place. Group intermediates live in chunk-local registers; only values
+// with readers outside the group are materialized, each exactly once,
+// through an Emit slot.
 type FusedGroup struct {
 	Lead    graph.NodeID   // group leader (executes natively)
 	LeadIns []graph.NodeID // leader's operand node ids
@@ -50,11 +50,6 @@ type FusedGroup struct {
 	// from a member to an outside value, and the in-group edges of emitted
 	// values (their buffers are real, so their in-group reads must count).
 	Consumes []graph.NodeID
-	// RecomputeFLOPs / RecomputeBytes quantify the recompute-vs-materialize
-	// arbitration: extra FLOPs spent replaying cheap producers, and the
-	// save/load memory traffic those replays avoided.
-	RecomputeFLOPs float64
-	RecomputeBytes float64
 }
 
 // Fuse groups the graph's compute nodes into kernels. Off, every compute
@@ -97,7 +92,7 @@ func Fuse(g *graph.Graph, on bool) []Kernel {
 // already assigned to earlier kernels. Multi-consumer intermediates,
 // residual re-joins (both operands inside the group), and declared outputs
 // all stay inside the group — the tape builder decides per value whether
-// to register-materialize, recompute, or emit it.
+// to hold it in a register or emit it.
 func growUnconstrained(g *graph.Graph, lead graph.NodeID, consumers map[graph.NodeID][]graph.NodeID,
 	assigned map[graph.NodeID]bool) []graph.NodeID {
 	shape := g.Node(lead).Shape
@@ -197,10 +192,7 @@ func ChainOpFor(kind string) (tensor.ChainOp, bool) {
 type tapeState struct {
 	g         *graph.Graph
 	shape     []int
-	numel     float64
-	members   []graph.NodeID
 	memberSet map[graph.NodeID]bool
-	declared  map[graph.NodeID]bool
 
 	instrs     []tensor.Instr
 	instrNodes []graph.NodeID
@@ -208,30 +200,15 @@ type tapeState struct {
 	argIdx     map[graph.NodeID]int
 	emits      []graph.NodeID
 
-	cur      graph.NodeID
-	regOf    map[graph.NodeID]int
-	regFree  []int
-	remUses  map[graph.NodeID]int // unconsumed in-group reads per value
-	replayOf map[graph.NodeID]replayInfo
-
-	recomputeFLOPs float64
-	recomputeBytes float64
-}
-
-// replayInfo is everything needed to recompute a value on the tape instead
-// of holding it in a register: its arithmetic instruction and the in-group
-// operands that instruction reads (which stay register-pinned until the
-// replay happens).
-type replayInfo struct {
-	instr      tensor.Instr
-	parent     graph.NodeID // stream operand
-	operand    graph.NodeID // in-group register operand, when instr.Src is SrcReg
-	hasOperand bool
+	cur     graph.NodeID
+	regOf   map[graph.NodeID]int
+	regFree []int
+	remUses map[graph.NodeID]int // unconsumed in-group reads per value
 }
 
 // lowerGroup lowers an unconstrained fusion group to a FusedGroup, or nil
-// when the group is a single node or the tape cannot express it (register
-// spill with no recompute path); unlowered groups keep op-by-op dispatch.
+// when the group is a single node or the tape cannot express it (more live
+// values than registers); unlowered groups keep op-by-op dispatch.
 func lowerGroup(g *graph.Graph, members []graph.NodeID, consumers map[graph.NodeID][]graph.NodeID,
 	declared map[graph.NodeID]bool) *FusedGroup {
 	if len(members) < 2 {
@@ -245,15 +222,11 @@ func lowerGroup(g *graph.Graph, members []graph.NodeID, consumers map[graph.Node
 	ts := &tapeState{
 		g:         g,
 		shape:     leadNode.Shape,
-		numel:     float64(numelOf(leadNode.Shape)),
-		members:   members,
 		memberSet: make(map[graph.NodeID]bool, len(members)),
-		declared:  declared,
 		argIdx:    make(map[graph.NodeID]int),
 		cur:       lead,
 		regOf:     make(map[graph.NodeID]int),
 		remUses:   make(map[graph.NodeID]int),
-		replayOf:  make(map[graph.NodeID]replayInfo),
 	}
 	for r := maxChainRegs - 1; r >= 0; r-- {
 		ts.regFree = append(ts.regFree, r)
@@ -287,9 +260,8 @@ func lowerGroup(g *graph.Graph, members []graph.NodeID, consumers map[graph.Node
 	if published(lead) {
 		ts.emitValue(lead)
 	}
-	for i := 1; i < len(members); i++ {
-		m := members[i]
-		if !ts.lowerMember(m, members[i:], members[i+1:]) {
+	for _, m := range members[1:] {
+		if !ts.lowerMember(m) {
 			return nil
 		}
 		if published(m) {
@@ -303,26 +275,21 @@ func lowerGroup(g *graph.Graph, members []graph.NodeID, consumers map[graph.Node
 		return nil
 	}
 	f := &FusedGroup{
-		Lead:           lead,
-		LeadIns:        append([]graph.NodeID(nil), leadNode.Inputs...),
-		Prog:           prog,
-		Args:           ts.args,
-		Emits:          ts.emits,
-		InstrNodes:     ts.instrNodes,
-		RecomputeFLOPs: ts.recomputeFLOPs,
-		RecomputeBytes: ts.recomputeBytes,
+		Lead:       lead,
+		LeadIns:    append([]graph.NodeID(nil), leadNode.Inputs...),
+		Prog:       prog,
+		Args:       ts.args,
+		Emits:      ts.emits,
+		InstrNodes: ts.instrNodes,
 	}
 	f.Consumes = groupConsumes(g, members, ts.memberSet, f.Emits)
 	return f
 }
 
 // lowerMember appends the tape instructions that compute member m: stream
-// switching (load/replay), preservation of the value m's instruction
-// overwrites, the arithmetic instruction itself, and the consumption
-// bookkeeping. fromM is the member slice starting at m itself (consulted
-// when the arbitration must know whether m reads a displaced value);
-// afterM is the slice of members still to come after m.
-func (ts *tapeState) lowerMember(m graph.NodeID, fromM, afterM []graph.NodeID) bool {
+// switching (load), preservation of the value m's instruction overwrites,
+// the arithmetic instruction itself, and the consumption bookkeeping.
+func (ts *tapeState) lowerMember(m graph.NodeID) bool {
 	n := ts.g.Node(m)
 	op, ok := chainOpOf(n.Op)
 	if !ok {
@@ -346,15 +313,11 @@ func (ts *tapeState) lowerMember(m graph.NodeID, fromM, afterM []graph.NodeID) b
 			break
 		}
 	}
-	if parent != ts.cur {
-		if !ts.switchStream(parent, fromM) {
-			return false
-		}
+	if parent != ts.cur && !ts.switchStream(parent) {
+		return false
 	}
 
 	var instr tensor.Instr
-	var regOperand graph.NodeID
-	hasRegOperand := false
 	switch {
 	case op.IsUnary():
 		if len(n.Inputs) != 1 || n.Inputs[0] != parent {
@@ -371,21 +334,13 @@ func (ts *tapeState) lowerMember(m graph.NodeID, fromM, afterM []graph.NodeID) b
 			instr = tensor.Instr{Op: op, Src: tensor.SrcCur}
 		case a == parent:
 			var okSrc bool
-			instr, okSrc = ts.operandInstr(op, b, false)
-			if !okSrc {
+			if instr, okSrc = ts.operandInstr(op, b, false); !okSrc {
 				return false
-			}
-			if ts.memberSet[b] {
-				regOperand, hasRegOperand = b, true
 			}
 		case b == parent:
 			var okSrc bool
-			instr, okSrc = ts.operandInstr(op, a, true)
-			if !okSrc {
+			if instr, okSrc = ts.operandInstr(op, a, true); !okSrc {
 				return false
-			}
-			if ts.memberSet[a] {
-				regOperand, hasRegOperand = a, true
 			}
 		default:
 			return false
@@ -401,7 +356,7 @@ func (ts *tapeState) lowerMember(m graph.NodeID, fromM, afterM []graph.NodeID) b
 			edges++
 		}
 	}
-	if !ts.preserveValue(parent, ts.remUses[parent]-edges, afterM) {
+	if !ts.preserveValue(parent, ts.remUses[parent]-edges) {
 		return false
 	}
 	ts.emit(instr, m)
@@ -412,7 +367,6 @@ func (ts *tapeState) lowerMember(m graph.NodeID, fromM, afterM []graph.NodeID) b
 		}
 	}
 	ts.cur = m
-	ts.replayOf[m] = replayInfo{instr: instr, parent: parent, operand: regOperand, hasOperand: hasRegOperand}
 	return true
 }
 
@@ -424,137 +378,41 @@ func (ts *tapeState) operandInstr(op tensor.ChainOp, operand graph.NodeID, rev b
 	}
 	reg, ok := ts.regOf[operand]
 	if !ok {
-		// The operand was neither saved nor recomputable into a register —
-		// the group cannot be expressed as a tape.
+		// The operand was never saved into a register — the group cannot be
+		// expressed as a tape.
 		return tensor.Instr{}, false
 	}
 	return tensor.Instr{Op: op, Arg: reg, Src: tensor.SrcReg, Rev: rev}, true
 }
 
 // switchStream moves the stream from ts.cur to target: the displaced value
-// is kept reachable if still needed (save or recompute arbitration), then
-// the target is loaded from its register or replayed.
-func (ts *tapeState) switchStream(target graph.NodeID, fromM []graph.NodeID) bool {
-	if !ts.preserveValue(ts.cur, ts.remUses[ts.cur], fromM) {
+// is kept reachable if still needed, then the target is loaded from its
+// register. Returns false when target was never saved.
+func (ts *tapeState) switchStream(target graph.NodeID) bool {
+	if !ts.preserveValue(ts.cur, ts.remUses[ts.cur]) {
 		return false
 	}
-	if reg, ok := ts.regOf[target]; ok {
-		ts.emit(tensor.Instr{Op: tensor.ChainLoad, Arg: reg}, target)
-		ts.cur = target
-		return true
+	reg, ok := ts.regOf[target]
+	if !ok {
+		return false
 	}
-	return ts.replay(target)
+	ts.emit(tensor.Instr{Op: tensor.ChainLoad, Arg: reg}, target)
+	ts.cur = target
+	return true
 }
 
 // preserveValue keeps v reachable before the stream overwrites it: no-op
-// when nothing reads it again (or it already sits in a register), else the
-// recompute-vs-materialize arbitration, a register save, or — with no free
-// register left — a forced recompute. Returns false when the tape cannot
-// express the group at all.
-func (ts *tapeState) preserveValue(v graph.NodeID, future int, rest []graph.NodeID) bool {
+// when nothing reads it again or it already sits in a register, else a
+// register save. Returns false when no register is free, so the tape
+// cannot express the group.
+func (ts *tapeState) preserveValue(v graph.NodeID, future int) bool {
 	if future <= 0 {
 		return true
 	}
 	if _, saved := ts.regOf[v]; saved {
 		return true
 	}
-	if ts.keepByRecompute(v, future, rest) {
-		return true
-	}
-	if ts.saveValue(v) {
-		return true
-	}
-	// No free register: recompute regardless of cost if the tape allows it,
-	// else give up on lowering this group.
-	return ts.markRecompute(v, future)
-}
-
-// keepByRecompute is the recompute-vs-materialize cost arbitration for a
-// value the stream is moving past: replaying a cheap producer (≤ ~2 FLOPs
-// per element, the cost of the save+load round trip it replaces) wins over
-// burning a register when the value has exactly one pending use and that
-// use will consume it as its stream parent.
-func (ts *tapeState) keepByRecompute(v graph.NodeID, future int, rest []graph.NodeID) bool {
-	if future != 1 || ts.declared[v] {
-		return false
-	}
-	flops := NodeCost(ts.g, v).FLOPs
-	if ts.numel > 0 && flops > 2*ts.numel {
-		return false
-	}
-	// The single future consumer must use v as its stream parent, which is
-	// guaranteed when v is its only in-group operand.
-	for _, f := range rest {
-		uses := 0
-		others := 0
-		for _, in := range ts.g.Node(f).Inputs {
-			if in == v {
-				uses++
-			} else if ts.memberSet[in] {
-				others++
-			}
-		}
-		if uses > 0 {
-			if others > 0 {
-				return false
-			}
-			break
-		}
-	}
-	return ts.markRecompute(v, future)
-}
-
-// markRecompute arranges for v to be replayed on demand: its producing
-// instruction's in-group operands gain one pending use per future replay,
-// so their registers stay live until every replay has run.
-func (ts *tapeState) markRecompute(v graph.NodeID, future int) bool {
-	ri, ok := ts.replayOf[v]
-	if !ok {
-		return false
-	}
-	if _, ok := ts.regOf[ri.parent]; !ok {
-		return false
-	}
-	if ri.hasOperand {
-		// The register operand must still hold the value the instruction
-		// originally read — a reused register would replay garbage.
-		if reg, ok := ts.regOf[ri.operand]; !ok || reg != ri.instr.Arg {
-			return false
-		}
-		ts.remUses[ri.operand] += future
-	}
-	ts.remUses[ri.parent] += future
-	return true
-}
-
-// replay re-emits the instructions that compute target from its pinned
-// operands: load the parent, re-run the arithmetic instruction.
-func (ts *tapeState) replay(target graph.NodeID) bool {
-	ri, ok := ts.replayOf[target]
-	if !ok {
-		return false
-	}
-	reg, ok := ts.regOf[ri.parent]
-	if !ok {
-		return false
-	}
-	if ri.hasOperand {
-		if r, ok := ts.regOf[ri.operand]; !ok || r != ri.instr.Arg {
-			return false
-		}
-	}
-	if ts.cur != ri.parent {
-		ts.emit(tensor.Instr{Op: tensor.ChainLoad, Arg: reg}, ri.parent)
-	}
-	ts.emit(ri.instr, target)
-	ts.consumeValue(ri.parent)
-	if ri.hasOperand {
-		ts.consumeValue(ri.operand)
-	}
-	ts.recomputeFLOPs += NodeCost(ts.g, target).FLOPs
-	ts.recomputeBytes += 8 * ts.numel // the save+load traffic avoided
-	ts.cur = target
-	return true
+	return ts.saveValue(v)
 }
 
 // saveValue snapshots the current stream value into a free register.
@@ -644,7 +502,7 @@ func groupConsumes(g *graph.Graph, members []graph.NodeID, memberSet map[graph.N
 }
 
 // unconstrainedCost merges the group's cost descriptor: the leader keeps
-// its launch count, absorbed FLOPs (plus recompute replays) fold in, and
+// its launch count, absorbed FLOPs fold in, and
 // the fused kernel's memory traffic grows only by its real external reads
 // (tape operands) and writes (emitted intermediates) — the eliminated
 // intermediate round trips are exactly the point of the pass.
@@ -666,7 +524,6 @@ func unconstrainedCost(g *graph.Graph, group []graph.NodeID, f *FusedGroup) ops.
 	if f == nil {
 		return cost
 	}
-	cost.FLOPs += f.RecomputeFLOPs
 	numelS := float64(numelOf(g.Node(f.Lead).Shape))
 	for _, a := range f.Args {
 		cost.Bytes += 4 * float64(numelOf(g.Node(a).Shape))

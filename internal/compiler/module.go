@@ -286,11 +286,9 @@ func (m *Module) UnfusedLaunchCount() int {
 
 // FusionStats summarizes what the fusion pass did to this module.
 type FusionStats struct {
-	Groups         int     // kernels lowered to a fused launch
-	FusedOps       int     // graph ops absorbed into those kernels
-	Emits          int     // intermediates materialized by epilogue programs
-	RecomputeFLOPs float64 // extra FLOPs spent replaying cheap producers
-	RecomputeBytes float64 // save/load traffic those replays avoided
+	Groups   int // kernels lowered to a fused launch
+	FusedOps int // graph ops absorbed into those kernels
+	Emits    int // intermediates materialized by epilogue programs
 }
 
 // FusionStats reports the module's fusion summary.
@@ -304,8 +302,6 @@ func (m *Module) FusionStats() FusionStats {
 		s.Groups++
 		s.FusedOps += len(m.Kernels[i].Nodes)
 		s.Emits += len(f.Emits)
-		s.RecomputeFLOPs += f.RecomputeFLOPs
-		s.RecomputeBytes += f.RecomputeBytes
 	}
 	return s
 }

@@ -34,12 +34,6 @@ type Config struct {
 	// Compiler selects the graph-level optimizations subgraphs are compiled
 	// with. Defaults to the full pipeline.
 	Compiler compiler.Options
-	// DisableFallback keeps the scheduled placement even when a single
-	// device measures faster (used by ablations).
-	DisableFallback bool
-	// DisableCorrection stops after the greedy placement (step 1+2 only),
-	// used by ablations.
-	DisableCorrection bool
 	// Records, when non-nil, supplies previously persisted profiling
 	// records (profile.SaveRecords/LoadRecords) instead of re-profiling —
 	// profiling is an offline one-time cost (§IV-B). The record count must
@@ -158,16 +152,11 @@ func Build(g *graph.Graph, cfg Config) (*Engine, error) {
 		ProfileStats: stats,
 	}
 
-	if cfg.DisableCorrection {
-		e.Placement = sched.Greedy()
-	} else if e.Placement, err = sched.GreedyCorrection(); err != nil {
+	if e.Placement, err = sched.GreedyCorrection(); err != nil {
 		return nil, err
 	}
-
-	if !cfg.DisableFallback {
-		if err := e.applyFallback(); err != nil {
-			return nil, err
-		}
+	if err := e.applyFallback(); err != nil {
+		return nil, err
 	}
 	if !cfg.DisableVerify {
 		if err := verify.AsError(e.Verify()); err != nil {

@@ -201,23 +201,6 @@ func contains(s, sub string) bool {
 	return false
 }
 
-func TestDisableCorrectionStillValid(t *testing.T) {
-	g, err := models.WideDeep(models.DefaultWideDeep())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(0)
-	cfg.ProfileRuns = 1
-	cfg.DisableCorrection = true
-	e, err := Build(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(e.Placement) != e.Runtime.NumSubgraphs() {
-		t.Fatalf("invalid placement length")
-	}
-}
-
 func TestBuildRejectsInvalidGraph(t *testing.T) {
 	g := graph.New("broken")
 	g.AddInput("x", 1)
@@ -260,23 +243,6 @@ func TestVGGSequentialCollapsesToGPU(t *testing.T) {
 	// A single sequential phase means a single subgraph.
 	if e.Runtime.NumSubgraphs() != 1 {
 		t.Fatalf("VGG should be one subgraph, got %d", e.Runtime.NumSubgraphs())
-	}
-}
-
-func TestDisableFallbackKeepsScheduledPlacement(t *testing.T) {
-	g, err := models.WideDeep(models.DefaultWideDeep())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(0)
-	cfg.ProfileRuns = 1
-	cfg.DisableFallback = true
-	e, err := Build(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.FellBack {
-		t.Fatalf("fallback ran despite DisableFallback")
 	}
 }
 

@@ -18,7 +18,6 @@ func init() {
 	register("abl1", "Ablation: compiler-aware vs compiler-blind profiling", Abl1)
 	register("abl2", "Ablation: greedy-only vs greedy+correction scheduling", Abl2)
 	register("abl3", "Ablation: coarse vs nested (multi-level) partitioning", Abl3)
-	register("abl4", "Ablation: intra-device concurrent subgraph execution", Abl4)
 	register("abl5", "Ablation: DP-based analytic placement vs greedy-correction", Abl5)
 	register("abl6", "Ablation: low-level schedule tuning (winograd/tiling)", Abl6)
 	register("abl7", "Ablation: pipelined multi-request throughput", Abl7)
@@ -251,46 +250,6 @@ func Abl3(cfg Config, w io.Writer) error {
 		fmt.Fprintf(w, "%-18s %9d %9d %12.1f %12s\n", variant.name, len(part.Phases), len(part.Subgraphs()), float64(boundary)/1024, ms(lat))
 	}
 	fmt.Fprintf(w, "\nas the paper predicts, finer partitions add boundary traffic without\nbeating the coarse schedule\n")
-	return nil
-}
-
-// Abl4 evaluates intra-device concurrency (footnote 2): the processor-
-// sharing executor lets same-device subgraphs overlap instead of queueing.
-func Abl4(cfg Config, w io.Writer) error {
-	header(w, "abl4", "Intra-device concurrent subgraph execution")
-	fmt.Fprintf(w, "%-10s %-12s %12s %15s\n", "model", "placement", "serial (ms)", "concurrent (ms)")
-	for _, spec := range evalModels() {
-		g, err := spec.Build()
-		if err != nil {
-			return err
-		}
-		e, err := buildEngine(g, cfg)
-		if err != nil {
-			return err
-		}
-		variants := []struct {
-			name  string
-			place runtime.Placement
-		}{
-			{"DUET", e.Placement},
-			// Round-robin interleaves devices so same-device subgraphs sit
-			// behind cross-device dependencies — the queueing pattern that
-			// intra-device overlap relieves.
-			{"round-robin", e.Scheduler.RoundRobin()},
-		}
-		for _, v := range variants {
-			serial, err := e.Search.MeasureLatency(v.place, 1)
-			if err != nil {
-				return err
-			}
-			conc, err := e.Search.MeasureConcurrent(v.place, 1)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%-10s %-12s %12s %15s\n", spec.Name, v.name, ms(serial[0]), ms(conc[0]))
-		}
-	}
-	fmt.Fprintf(w, "\noverlap only helps when a device queue holds a *later-ready* subgraph\nblocking an already-ready one; the coarse phased partitions leave at most\none ready subgraph per device queue, so the numbers match — evidence for\nthe paper's footnote-2 simplification (sequential execution per device)\n")
 	return nil
 }
 

@@ -143,7 +143,7 @@ func fusionWorkloads() []fusionWorkload {
 		},
 		{
 			// A multi-consumer residual ladder: the forks exercise the
-			// recompute-vs-materialize arbitration in the fusion pass.
+			// fusion pass's register saves.
 			name: "residual_fanout",
 			build: func(rng *rand.Rand) *graph.Graph {
 				g := graph.New("fusion-residual")

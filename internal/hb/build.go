@@ -132,17 +132,6 @@ type Options struct {
 	Requests int
 }
 
-// Phases returns the flat-index→phase mapping for Options.PhaseOf.
-func Phases(p *partition.Partition) []int {
-	var out []int
-	for _, ph := range p.Phases {
-		for range ph.Subgraphs {
-			out = append(out, ph.Index)
-		}
-	}
-	return out
-}
-
 // Build constructs the happens-before graph of a compiled schedule: host
 // source and sink events bracket each request; program-order edges chain
 // each device lane (source → first assignment → ... → last → sink); sync

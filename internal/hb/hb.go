@@ -15,10 +15,7 @@
 // executor and the proof obligation cannot drift apart).
 package hb
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // EdgeKind classifies one happens-before edge by the compiled artifact it
 // was derived from.
@@ -276,23 +273,4 @@ func (g *Graph) Ordered(a, b int) bool {
 		return false
 	}
 	return g.reach[a][b/64]&(1<<(uint(b)%64)) != 0
-}
-
-// TopoOrder returns a topological order of the events (nil when cyclic).
-func (g *Graph) TopoOrder() []int {
-	g.Freeze()
-	return append([]int(nil), g.order...)
-}
-
-// Ancestors returns the events strictly happening-before v, sorted.
-func (g *Graph) Ancestors(v int) []int {
-	g.Freeze()
-	var out []int
-	for i := range g.Events {
-		if g.Ordered(i, v) {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -38,8 +38,6 @@ type engineMetrics struct {
 	fusionGroups      *obs.Gauge // duet_fusion_groups
 	fusionChainOps    *obs.Gauge // duet_fusion_chain_ops
 	fusionEmits       *obs.Gauge // duet_fusion_emits
-	fusionRecompFLOPs *obs.Gauge // duet_fusion_recompute_flops
-	fusionRecompBytes *obs.Gauge // duet_fusion_recompute_bytes
 	fusionSavedLaunch *obs.Gauge // duet_fusion_launches_saved
 
 	kernelFaults    *obs.Counter // duet_faults_total{kind=kernel}
@@ -82,8 +80,6 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 		fusionGroups:      reg.Gauge("duet_fusion_groups"),
 		fusionChainOps:    reg.Gauge("duet_fusion_chain_ops"),
 		fusionEmits:       reg.Gauge("duet_fusion_emits"),
-		fusionRecompFLOPs: reg.Gauge("duet_fusion_recompute_flops"),
-		fusionRecompBytes: reg.Gauge("duet_fusion_recompute_bytes"),
 		fusionSavedLaunch: reg.Gauge("duet_fusion_launches_saved"),
 
 		kernelFaults:    reg.Counter(obs.Series("duet_faults_total", "kind", "kernel")),
@@ -105,10 +101,10 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 }
 
 // recordFusion publishes the compile-time fusion plan of the engine's
-// modules: group and chain-op counts, materialized intermediates, the
-// recompute volume the arbitration accepted, and how many kernel launches
-// fusion removed relative to dispatching every op on its own. The plan is
-// fixed at compile, so the gauges are set once at Instrument time.
+// modules: group and chain-op counts, materialized intermediates, and how
+// many kernel launches fusion removed relative to dispatching every op on
+// its own. The plan is fixed at compile, so the gauges are set once at
+// Instrument time.
 func (m *engineMetrics) recordFusion(modules []*compiler.Module) {
 	var s compiler.FusionStats
 	saved := 0
@@ -117,15 +113,11 @@ func (m *engineMetrics) recordFusion(modules []*compiler.Module) {
 		s.Groups += ms.Groups
 		s.FusedOps += ms.FusedOps
 		s.Emits += ms.Emits
-		s.RecomputeFLOPs += ms.RecomputeFLOPs
-		s.RecomputeBytes += ms.RecomputeBytes
 		saved += mod.UnfusedLaunchCount() - mod.LaunchCount()
 	}
 	m.fusionGroups.Set(float64(s.Groups))
 	m.fusionChainOps.Set(float64(s.FusedOps - s.Groups))
 	m.fusionEmits.Set(float64(s.Emits))
-	m.fusionRecompFLOPs.Set(s.RecomputeFLOPs)
-	m.fusionRecompBytes.Set(s.RecomputeBytes)
 	m.fusionSavedLaunch.Set(float64(saved))
 }
 

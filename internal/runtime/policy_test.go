@@ -308,19 +308,25 @@ func TestProbationReadmission(t *testing.T) {
 }
 
 // TestRunValidatesPlacementKinds: corrupted placements error descriptively
-// instead of panicking, in Run, RunConcurrent, and RunWithPolicy alike.
+// instead of panicking, in every entry point that takes a placement.
 func TestRunValidatesPlacementKinds(t *testing.T) {
-	p, _ := branchy(t)
+	p, inputs := branchy(t)
 	e := newEngine(t, p, 0)
 	bad := Placement{device.CPU, device.Kind(7), device.GPU}
-	if _, err := e.Run(nil, bad, false); err == nil || !strings.Contains(err.Error(), "unknown device kind") {
-		t.Fatalf("Run error = %v", err)
-	}
-	if _, err := e.RunConcurrent(bad); err == nil || !strings.Contains(err.Error(), "unknown device kind") {
-		t.Fatalf("RunConcurrent error = %v", err)
-	}
-	if _, err := e.RunWithPolicy(nil, bad, DefaultPolicy()); err == nil || !strings.Contains(err.Error(), "unknown device kind") {
-		t.Fatalf("RunWithPolicy error = %v", err)
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Run", func() error { _, err := e.Run(nil, bad, false); return err }},
+		{"RunWithPolicy", func() error { _, err := e.RunWithPolicy(nil, bad, DefaultPolicy()); return err }},
+		{"RunParallel", func() error { _, err := e.RunParallel(inputs, bad); return err }},
+		{"MeasureLatency", func() error { _, err := e.MeasureLatency(bad, 1); return err }},
+		{"MeasurePipelined", func() error { _, err := e.MeasurePipelined(bad, 2); return err }},
+		{"Memory", func() error { _, err := e.Memory(bad); return err }},
+	} {
+		if err := c.run(); err == nil || !strings.Contains(err.Error(), "unknown device kind") {
+			t.Fatalf("%s error = %v", c.name, err)
+		}
 	}
 }
 

@@ -84,8 +84,8 @@ func mergeIntervals(ivs []interval) []interval {
 // faulted transfer attempts) count toward their link track's busy time but
 // not toward compute overlap. Per-track busy time is the union of the
 // track's spans, not their sum: concurrent transfers on the interconnect
-// and processor-shared subgraphs in RunConcurrent overlap within one
-// track, and double-counting them would report busy fractions above 1.
+// overlap within one track, and double-counting them would report busy
+// fractions above 1.
 func (r *Result) Utilization() Utilization {
 	u := Utilization{Busy: map[string]vclock.Seconds{}, Makespan: r.Latency}
 	byTrack := map[string][]interval{}

@@ -73,8 +73,8 @@ func TestUtilizationLinkBusyCapped(t *testing.T) {
 	}
 }
 
-// TestUtilizationSameTrackConcurrencyNotOverlap: RunConcurrent's processor
-// sharing produces overlapping spans on a single device; that is not
+// TestUtilizationSameTrackConcurrencyNotOverlap: overlapping spans on a
+// single track (concurrent transfers on the link, say) are not
 // cross-device co-execution and must not inflate Overlap.
 func TestUtilizationSameTrackConcurrencyNotOverlap(t *testing.T) {
 	r := Result{

@@ -22,8 +22,8 @@ import (
 //
 //   - the stream: the destination buffer itself, transformed in place;
 //   - registers: sub-chunk-local scratch rows holding fork values (a
-//     multi-consumer intermediate the compiler chose to materialize
-//     in-cache rather than recompute);
+//     multi-consumer intermediate the stream moves past before its last
+//     in-group reader runs);
 //   - outputs: full tensors for group intermediates that outside consumers
 //     read (each materialized exactly once, by an Emit instruction).
 //

@@ -35,9 +35,6 @@ func (t *Tensor) MarkPinned() *Tensor {
 	return t
 }
 
-// Pinned reports whether t is a pinned weight tensor.
-func (t *Tensor) Pinned() bool { return t.pin != nil }
-
 // New returns a zero-filled tensor of the given shape.
 // It panics if any dimension is negative.
 func New(shape ...int) *Tensor {
@@ -172,9 +169,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	}
 	return &Tensor{shape: shape, data: t.data, pin: t.pin}
 }
-
-// Flatten returns a 1-D view over the same storage.
-func (t *Tensor) Flatten() *Tensor { return t.Reshape(len(t.data)) }
 
 // Row returns a copy of row i of a 2-D tensor as a 1-D tensor.
 func (t *Tensor) Row(i int) *Tensor {
