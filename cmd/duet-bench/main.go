@@ -33,12 +33,6 @@ func main() {
 		obsPath   = flag.String("obs", "", "write the observability report (metrics snapshot + scheduler audit) to this file")
 		kernPath  = flag.String("kernels", "", "write the fusion ablation (launches and wall time, fusion off vs on) to this file")
 		servePath = flag.String("serve", "", "write the serving benchmark (serial vs unbatched vs batched vs pipelined) to this file")
-		clusPath  = flag.String("cluster", "", "write the cluster fault-tolerance benchmark (fault-free vs chaos schedule) to this file")
-
-		clusNodes = flag.Int("cluster-nodes", 0, "cluster benchmark: serving-node count (0 = default 3)")
-		clusReqs  = flag.Int("cluster-requests", 0, "cluster benchmark: request-stream length (0 = default 24)")
-		clusQPS   = flag.Float64("cluster-qps", 0, "cluster benchmark: Poisson offered load (0 = burst)")
-		clusLoss  = flag.Float64("cluster-loss", -1, "cluster benchmark: per-message loss probability (-1 = default 0.05)")
 
 		serveReqs     = flag.Int("serve-requests", 0, "serving benchmark: requests per mode and load pattern (0 = default 48)")
 		serveQPS      = flag.Float64("serve-qps", 0, "serving benchmark: Poisson offered load (0 = auto, 1.2x the serial rate)")
@@ -93,29 +87,6 @@ func main() {
 		}
 		writeSuite("kernels", *kernPath, report)
 		fmt.Printf("wrote kernel benchmarks to %s\n", *kernPath)
-		return
-	}
-
-	if *clusPath != "" {
-		load := experiments.DefaultClusterLoad()
-		if *clusNodes > 0 {
-			load.Nodes = *clusNodes
-		}
-		if *clusReqs > 0 {
-			load.Requests = *clusReqs
-		}
-		load.QPS = *clusQPS
-		if *clusLoss >= 0 {
-			load.LossProb = *clusLoss
-		}
-		report, err := experiments.BuildClusterReport(cfg, load)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "duet-bench: cluster report: %v\n", err)
-			os.Exit(1)
-		}
-		writeSuite("cluster", *clusPath, report)
-		fmt.Println(report)
-		fmt.Printf("wrote cluster report to %s\n", *clusPath)
 		return
 	}
 

@@ -5,7 +5,6 @@
 // Usage:
 //
 //	duet-benchdiff                        # re-run every suite (quick), diff vs baselines
-//	duet-benchdiff -suite serve,cluster   # only those suites
 //	duet-benchdiff -runs 5 -seed 100      # 5 fresh runs, seeds 100..104
 //	duet-benchdiff -quick=false           # paper-scale fresh runs (slow)
 //	duet-benchdiff -json diff.json        # also write the machine-readable result

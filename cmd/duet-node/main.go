@@ -1,9 +1,12 @@
-// Command duet-node is one serving node of the cluster fabric as a real
-// process: an internal/serve.Server behind an HTTP front door. The cluster
-// package simulates many such nodes deterministically in one process;
-// duet-node is the deployable shape of a single one — POST tensors in, get
-// tensors back, with the same admission control, micro-batching, and typed
-// shed reasons the simulated fabric exercises.
+// Command duet-node serves one model over HTTP: an internal/serve.Server
+// behind a JSON front door, with the server's admission control and typed
+// shed reasons.
+//
+// Each HTTP request runs as its own one-request serve.Server.Run on a fresh
+// virtual timeline, and one mutex serialises those runs. So -batch and
+// -window-ms never coalesce rows across HTTP requests, -replicas never runs
+// two requests at once, and -deadline-ms is measured in virtual
+// milliseconds, not wall time.
 //
 // Endpoints:
 //
@@ -83,9 +86,7 @@ func main() {
 // nodeServer owns the serve.Server and its registry. serve.Server.Run is a
 // single-threaded virtual-time event loop, so the HTTP layer serialises
 // calls with a mutex: each request runs as its own one-request stream on a
-// fresh virtual timeline (micro-batching across HTTP requests would need
-// the cluster fabric's shared clock, which real wall-clock arrivals don't
-// have).
+// fresh virtual timeline.
 type nodeServer struct {
 	model    string
 	deadline vclock.Seconds

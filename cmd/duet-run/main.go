@@ -7,7 +7,6 @@
 //	duet-run -model widedeep
 //	duet-run -model siamese -runs 2000 -seed 7
 //	duet-run -model resnet50 -timeline
-//	duet-run -model widedeep -small -cluster -cluster-crash -2 -cluster-loss 0.05
 package main
 
 import (
@@ -51,18 +50,6 @@ func main() {
 		serveReplicas   = flag.Int("serve-replicas", 1, "serve: engine replica count")
 		serveBatch      = flag.Int("serve-batch", 8, "serve: micro-batch row cap (1 disables coalescing)")
 		serveWindowMS   = flag.Float64("serve-window-ms", 2, "serve: micro-batch accumulation window in virtual ms")
-
-		clusterMode     = flag.Bool("cluster", false, "serve the request stream through the multi-node fabric (consistent-hash router, failover, chaos injection) instead of one server")
-		clusterNodes    = flag.Int("cluster-nodes", 3, "cluster: serving-node count")
-		clusterReqs     = flag.Int("cluster-requests", 24, "cluster: request count")
-		clusterQPS      = flag.Float64("cluster-qps", 0, "cluster: Poisson offered load in req/s (0 = all-at-once burst)")
-		clusterSessions = flag.Int("cluster-sessions", 4, "cluster: sticky-session count the stream rotates through")
-		clusterCrash    = flag.Int("cluster-crash", -1, "cluster: node to crash (-1 = none, -2 = the first session's primary)")
-		clusterCrashAt  = flag.Float64("cluster-crash-at-ms", 2, "cluster: crash time in virtual ms")
-		clusterCrashFor = flag.Float64("cluster-crash-for-ms", 0, "cluster: crash duration in virtual ms (0 = stays down)")
-		clusterLoss     = flag.Float64("cluster-loss", 0, "cluster: per-message loss probability (seeded, deterministic)")
-		clusterHedgeMS  = flag.Float64("cluster-hedge-ms", 0, "cluster: hedge a straggling request after this many virtual ms (0 = off)")
-		clusterTrace    = flag.Bool("cluster-trace", false, "cluster: print the replayable event trace")
 	)
 	flag.Parse()
 
@@ -118,34 +105,6 @@ func main() {
 
 	if *lint {
 		os.Exit(runLint(engine, g, *dot))
-	}
-
-	if *clusterMode {
-		_, inputsFor := serveSetup(*model, *seed, *small)
-		o := clusterOpts{
-			nodes: *clusterNodes, requests: *clusterReqs, sessions: *clusterSessions,
-			qps: *clusterQPS, crashNode: *clusterCrash,
-			crashAtMS: *clusterCrashAt, crashForMS: *clusterCrashFor,
-			lossProb: *clusterLoss, hedgeMS: *clusterHedgeMS, trace: *clusterTrace,
-		}
-		if err := runCluster(engine, reg, *seed, inputs, inputsFor, o); err != nil {
-			fmt.Fprintln(os.Stderr, "duet-run: cluster:", err)
-			os.Exit(1)
-		}
-		if reg != nil {
-			fmt.Println("\nmetrics:")
-			var err error
-			if *metrics == "json" {
-				err = reg.WriteJSON(os.Stdout)
-			} else {
-				err = reg.WritePrometheus(os.Stdout)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "duet-run: metrics:", err)
-				os.Exit(1)
-			}
-		}
-		return
 	}
 
 	if *serveMode {

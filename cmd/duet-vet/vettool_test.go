@@ -26,14 +26,16 @@ func buildTool(t *testing.T) string {
 }
 
 // writeModule lays out a throwaway module named `duet` (the vettool skips
-// every other module path) with one internal/cluster package — a path
-// vclockpurity governs without any vclock import.
-func writeModule(t *testing.T, clusterSrc string) string {
+// every other module path) with a stub internal/vclock package and one
+// internal/sim package. vclockpurity governs a file that imports vclock, so
+// simSrc decides by its imports whether the check applies.
+func writeModule(t *testing.T, simSrc string) string {
 	t.Helper()
 	root := t.TempDir()
 	files := map[string]string{
-		"go.mod":                      "module duet\n\ngo 1.22\n",
-		"internal/cluster/cluster.go": clusterSrc,
+		"go.mod":                    "module duet\n\ngo 1.22\n",
+		"internal/vclock/vclock.go": "package vclock\n\ntype Seconds float64\n",
+		"internal/sim/sim.go":       simSrc,
 	}
 	for name, src := range files {
 		path := filepath.Join(root, name)
@@ -71,13 +73,17 @@ func TestVettoolProtocol(t *testing.T) {
 	tool := buildTool(t)
 
 	t.Run("dirty package fails with diagnostics", func(t *testing.T) {
-		dir := writeModule(t, `package cluster
+		dir := writeModule(t, `package sim
 
-import "time"
+import (
+	"time"
 
-func Bad() time.Time {
+	"duet/internal/vclock"
+)
+
+func Bad() vclock.Seconds {
 	time.Sleep(time.Millisecond)
-	return time.Now()
+	return vclock.Seconds(time.Now().Unix())
 }
 `)
 		out, err := goVet(t, dir, tool)
@@ -95,9 +101,11 @@ func Bad() time.Time {
 	})
 
 	t.Run("clean package passes", func(t *testing.T) {
-		dir := writeModule(t, `package cluster
+		dir := writeModule(t, `package sim
 
-func Fine() int { return 42 }
+import "duet/internal/vclock"
+
+func Fine() vclock.Seconds { return 42 }
 `)
 		out, err := goVet(t, dir, tool)
 		if err != nil {
@@ -130,9 +138,11 @@ func TestStandaloneSummary(t *testing.T) {
 		t.Skip("builds the tool")
 	}
 	tool := buildTool(t)
-	dir := writeModule(t, `package cluster
+	dir := writeModule(t, `package sim
 
-func Fine() int { return 42 }
+import "duet/internal/vclock"
+
+func Fine() vclock.Seconds { return 42 }
 `)
 	out, err := exec.Command(tool, "-summary", dir).Output()
 	if err != nil {

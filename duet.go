@@ -31,7 +31,6 @@ package duet
 import (
 	"io"
 
-	"duet/internal/cluster"
 	"duet/internal/compiler"
 	"duet/internal/core"
 	"duet/internal/device"
@@ -123,10 +122,6 @@ const (
 	FaultKernelFailure   = faults.KernelFailure
 	FaultTransferFailure = faults.TransferFailure
 	FaultDeviceOutage    = faults.DeviceOutage
-	FaultNodeCrash       = faults.NodeCrash
-	FaultLinkPartition   = faults.LinkPartition
-	FaultMessageLoss     = faults.MessageLoss
-	FaultMessageDelay    = faults.MessageDelay
 )
 
 // ErrFaultExhausted reports that a run failed on every device the policy
@@ -162,16 +157,6 @@ var (
 	// FaultOutage takes a device offline at a virtual time, optionally
 	// recovering after a duration.
 	FaultOutage = faults.Outage
-	// FaultCrash takes a whole serving node offline at a virtual time,
-	// losing its in-flight work (cluster fabric).
-	FaultCrash = faults.Crash
-	// FaultPartition cuts the router↔node link without killing the node.
-	FaultPartition = faults.Partition
-	// FaultMessageLosses drops router↔node messages with a probability.
-	FaultMessageLosses = faults.MessageLosses
-	// FaultMessageDelays adds latency to router↔node messages with a
-	// probability.
-	FaultMessageDelays = faults.MessageDelays
 )
 
 // LatencySummary is the percentile summary of a latency sample set
@@ -311,34 +296,3 @@ func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }
 // ServeOpenLoop materialises a deterministic request stream: Poisson
 // arrivals at QPS or an all-at-once burst.
 func ServeOpenLoop(spec ServeLoadSpec) []ServeRequest { return serve.OpenLoop(spec) }
-
-// Cluster fabric: a multi-node serving fabric — consistent-hash routing by
-// session, health-aware failover under per-node circuit breakers, bounded
-// retries, hedged requests, and priority-aware brownout — run as one
-// deterministic discrete-event simulation, so an entire cluster run
-// (fault schedule included) replays byte-for-byte. See package
-// duet/internal/cluster.
-
-// ClusterConfig assembles a Cluster (ring shape, timeouts, breaker and
-// brownout policy, fault injector, instrumentation).
-type ClusterConfig = cluster.Config
-
-// Cluster is the serving fabric: a router plus its member nodes.
-type Cluster = cluster.Cluster
-
-// ClusterRequest is one inference submitted to the cluster router.
-type ClusterRequest = cluster.Request
-
-// ClusterResponse is the router's terminal disposition of one request.
-type ClusterResponse = cluster.Response
-
-// ClusterReport aggregates one Cluster.Run (outcomes, retries, failovers,
-// hedges, breaker activity, latency quantiles, replayable event trace).
-type ClusterReport = cluster.Report
-
-// NewCluster assembles a cluster over the given serving nodes (one Server
-// per node) and machine-checks its routing table with the verifier's
-// shard-map pass.
-func NewCluster(cfg ClusterConfig, nodes []*Server) (*Cluster, error) {
-	return cluster.New(cfg, nodes)
-}

@@ -11,12 +11,6 @@ import (
 // runOn writes each named source into a temp dir and runs the given analyzers
 // over the resulting single package, returning the diagnostics.
 func runOn(t *testing.T, analyzers []*Analyzer, sources map[string]string) []Diagnostic {
-	return runOnPkg(t, analyzers, "test/pkg", sources)
-}
-
-// runOnPkg is runOn with an explicit package path, for analyzers whose
-// behavior keys on the path (vclockpurity's internal/cluster governance).
-func runOnPkg(t *testing.T, analyzers []*Analyzer, pkgPath string, sources map[string]string) []Diagnostic {
 	t.Helper()
 	dir := t.TempDir()
 	names := make([]string, 0, len(sources))
@@ -32,7 +26,7 @@ func runOnPkg(t *testing.T, analyzers []*Analyzer, pkgPath string, sources map[s
 		}
 		files = append(files, path)
 	}
-	diags, err := RunFiles(analyzers, pkgPath, files)
+	diags, err := RunFiles(analyzers, "test/pkg", files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,22 +147,6 @@ func ok() { _ = time.Now() }
 `})
 		wantDiags(t, diags)
 	})
-
-	t.Run("internal/cluster is governed even without a vclock import", func(t *testing.T) {
-		src := map[string]string{"a.go": `package cluster
-
-import "time"
-
-func bad() { _ = time.Now() }
-`}
-		wantDiags(t, runOnPkg(t, suite, "duet/internal/cluster", src),
-			"time.Now in a virtual-clock-governed file")
-		// The same file under a directory-mode (filesystem) package path.
-		wantDiags(t, runOnPkg(t, suite, "/root/repo/internal/cluster", src),
-			"time.Now in a virtual-clock-governed file")
-		// And an unrelated package path leaves it ungoverned.
-		wantDiags(t, runOnPkg(t, suite, "duet/internal/experiments", src))
-	})
 }
 
 func TestArenaInto(t *testing.T) {
@@ -276,8 +254,6 @@ func register(reg *obs.Registry, dynamic string) {
 	reg.Counter("duet_requests_total")
 	reg.Gauge("serve_queue_depth")
 	reg.Counter(obs.Series("serve_batch_total", "rows", "8"))
-	reg.Counter(obs.Series("cluster_failovers_total", "node", "0"))
-	reg.Gauge("cluster_node_health")
 	reg.Gauge(dynamic)
 }
 `})

@@ -29,11 +29,6 @@ const (
 // (rand.New, rand.NewSource) and using *rand.Rand methods stays legal, as
 // does wall-clock use in files that never touch the virtual clock (e.g. the
 // experiment harness's real-time kernel benchmarks).
-//
-// The cluster fabric (internal/cluster) is governed as a whole package, not
-// file by file: its replayability contract covers every file, including ones
-// that happen not to import vclock directly, so the package path alone makes
-// a file subject to the check.
 func VClockPurity() *Analyzer {
 	bannedTime := map[string]bool{
 		"Now": true, "Since": true, "Until": true,
@@ -47,10 +42,9 @@ func VClockPurity() *Analyzer {
 		Name: "vclockpurity",
 		Doc:  "forbid wall-clock reads, sleeps/timers, and global math/rand in virtual-clock-governed files",
 		Run: func(p *Pass) {
-			pkgGoverned := strings.Contains(strings.ReplaceAll(p.Pkg, "\\", "/"), "internal/cluster")
 			for _, f := range p.Files {
 				imports := fileImports(f)
-				if _, governed := imports[vclockPath]; !governed && !pkgGoverned {
+				if _, governed := imports[vclockPath]; !governed {
 					continue
 				}
 				timeName := imports["time"]
@@ -266,8 +260,8 @@ func checkMetricName(p *Pass, pos token.Pos, method, name string) {
 			break
 		}
 	}
-	if !strings.HasPrefix(name, "duet_") && !strings.HasPrefix(name, "serve_") && !strings.HasPrefix(name, "cluster_") {
-		p.Reportf(pos, "metric %q lacks a subsystem prefix (duet_, serve_, or cluster_)", name)
+	if !strings.HasPrefix(name, "duet_") && !strings.HasPrefix(name, "serve_") {
+		p.Reportf(pos, "metric %q lacks a subsystem prefix (duet_ or serve_)", name)
 	}
 	if method == "Counter" && !strings.HasSuffix(name, "_total") {
 		p.Reportf(pos, "counter %q must end in _total", name)

@@ -64,8 +64,8 @@ type Rule struct {
 
 // Config shapes one Diff run.
 type Config struct {
-	// Quick selects the reduced experiment scale (the committed serving,
-	// cluster, and observability baselines are quick-scale).
+	// Quick selects the reduced experiment scale (the committed serving
+	// and observability baselines are quick-scale).
 	Quick bool
 	// Seed is the base seed; fresh run i uses Seed+i, so run 0 reproduces
 	// the seed the committed baselines were generated with.
@@ -90,7 +90,7 @@ func DefaultConfig() Config {
 // Suite binds a committed baseline file to its metric schema, its
 // extractor, and its runner.
 type Suite struct {
-	// Name is the suite ID (kernels, obs, serve, cluster).
+	// Name is the suite ID (kernels, obs, serve).
 	Name string
 	// File is the committed baseline filename (BENCH_<name>.json).
 	File string

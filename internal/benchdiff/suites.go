@@ -9,7 +9,7 @@ import (
 	"duet/internal/experiments"
 )
 
-// This file declares the four committed benchmark suites: which file holds
+// This file declares the three committed benchmark suites: which file holds
 // the baseline, how to pull the metric set out of it, what each metric's
 // direction and gate are, and how to run the suite fresh. Metric names are
 // structured kind-first (serve/p99/capacity/pipelined, kernels/fusion/...)
@@ -18,7 +18,7 @@ import (
 
 // Suites returns every registered suite, in gate order.
 func Suites() []*Suite {
-	return []*Suite{KernelsSuite(), ObsSuite(), ServeSuite(), ClusterSuite()}
+	return []*Suite{KernelsSuite(), ObsSuite(), ServeSuite()}
 }
 
 // SuiteByName resolves one suite.
@@ -332,87 +332,6 @@ func extractServe(doc map[string]any) (map[string]float64, error) {
 	return out, nil
 }
 
-// --- cluster ---
-
-// ClusterSuite gates the fault-tolerance baseline: the delivered-under-
-// chaos fraction, the two bit-level invariants (exactly — losing either is
-// a correctness regression, not noise), and the fault-free run's
-// throughput and tail. The chaos run's own throughput/tail/counters are a
-// direct function of which messages the seed drops, so they only trend.
-func ClusterSuite() *Suite {
-	s := &Suite{
-		Name: "cluster",
-		File: "BENCH_cluster.json",
-		Rules: []Rule{
-			{Prefix: "cluster/delivered_under_chaos", Better: HigherIsBetter, Gate: true, Threshold: 0.1},
-			{Prefix: "cluster/invariant/", Better: HigherIsBetter, Gate: true, Threshold: Exact},
-			{Prefix: "cluster/tput/fault_free", Better: HigherIsBetter, Gate: true},
-			{Prefix: "cluster/p99/fault_free", Better: LowerIsBetter, Gate: true, Threshold: 0.15},
-			{Prefix: "cluster/ok/fault_free", Better: HigherIsBetter, Gate: true, Threshold: Exact},
-			{Prefix: "cluster/tput/chaos", Better: HigherIsBetter},
-			{Prefix: "cluster/p99/chaos", Better: LowerIsBetter},
-			{Prefix: "cluster/chaos/", Better: LowerIsBetter},
-		},
-		Extract: extractCluster,
-	}
-	s.Run = func(cfg Config, seed int64) (map[string]float64, error) {
-		rep, err := experiments.BuildClusterReport(expConfig(cfg, seed), experiments.DefaultClusterLoad())
-		if err != nil {
-			return nil, err
-		}
-		return ExtractReport(s, rep)
-	}
-	return s
-}
-
-func extractCluster(doc map[string]any) (map[string]float64, error) {
-	out := map[string]float64{}
-	delivered, err := getNum(doc, "delivered_under_chaos")
-	if err != nil {
-		return nil, err
-	}
-	out["cluster/delivered_under_chaos"] = delivered
-	for _, inv := range []string{"outputs_bit_identical", "trace_deterministic"} {
-		v, err := getBool(doc, inv)
-		if err != nil {
-			return nil, err
-		}
-		out[metricKey("cluster/invariant", inv)] = v
-	}
-	for _, run := range []string{"fault_free", "chaos"} {
-		rep, err := getMap(doc, run)
-		if err != nil {
-			return nil, err
-		}
-		tput, err := getNum(rep, "throughput_rps")
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", run, err)
-		}
-		p99, err := getNum(rep, "p99_latency_s")
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", run, err)
-		}
-		okN, err := getNum(rep, "ok")
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", run, err)
-		}
-		out[metricKey("cluster/tput", run)] = tput
-		out[metricKey("cluster/p99", run)] = p99
-		if run == "fault_free" {
-			out["cluster/ok/fault_free"] = okN
-		}
-	}
-	chaos, _ := getMap(doc, "chaos")
-	for _, c := range []string{"retries", "failovers", "dropped_messages"} {
-		v, err := getNum(chaos, c)
-		if err != nil {
-			return nil, fmt.Errorf("chaos: %w", err)
-		}
-		out[metricKey("cluster/chaos", c)] = v
-	}
-	return out, nil
-}
-
 // --- generic JSON access ---
 
 func getMap(doc map[string]any, key string) (map[string]any, error) {
@@ -445,15 +364,4 @@ func getStr(doc map[string]any, key string) (string, error) {
 		return "", fmt.Errorf("missing or non-string field %q", key)
 	}
 	return v, nil
-}
-
-func getBool(doc map[string]any, key string) (float64, error) {
-	v, ok := doc[key].(bool)
-	if !ok {
-		return 0, fmt.Errorf("missing or non-boolean field %q", key)
-	}
-	if v {
-		return 1, nil
-	}
-	return 0, nil
 }

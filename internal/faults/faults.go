@@ -1,20 +1,15 @@
 // Package faults provides deterministic, seedable fault injection for the
-// execution engine and the cluster fabric. An Injector implements the
-// device-layer fault hooks (device.KernelHook / device.TransferHook) and
-// perturbs sampled durations on the virtual clock: kernels slow down, stall,
-// or fail transiently; transfers fail; a whole device can go offline at a
-// virtual time and optionally recover. The network-class kinds model whole
-// serving nodes and their links: a node crashes and restarts (NodeCrash),
-// the router↔node link partitions (LinkPartition), and in-flight messages
-// are dropped or delayed (MessageLoss / MessageDelay). Probabilistic kinds
-// draw from a seeded RNG — one draw per matching spec per sample, so the
-// same seed and the same call sequence reproduce the same fault schedule
-// exactly. Time-based kinds (DeviceOutage, NodeCrash, LinkPartition) are
-// pure functions of the virtual clock.
+// execution engine. An Injector implements the device-layer fault hooks
+// (device.KernelHook / device.TransferHook) and perturbs sampled durations
+// on the virtual clock: kernels slow down, stall, or fail transiently;
+// transfers fail; a whole device can go offline at a virtual time and
+// optionally recover. Probabilistic kinds draw from a seeded RNG — one draw
+// per matching spec per sample, so the same seed and the same call sequence
+// reproduce the same fault schedule exactly. DeviceOutage is a pure
+// function of the virtual clock.
 //
-// Injectors are not safe for concurrent use; the engine's timing pass and
-// the cluster's event loop are serial, which is also what keeps the draw
-// order deterministic.
+// Injectors are not safe for concurrent use; the engine's timing pass is
+// serial, which is also what keeps the draw order deterministic.
 package faults
 
 import (
@@ -46,22 +41,6 @@ const (
 	// Duration (≤0 = permanent): kernels on it and transfers touching it
 	// fail until recovery.
 	DeviceOutage
-	// NodeCrash takes a whole serving node offline at virtual time At for
-	// Duration (≤0 = permanent). A crashed node loses its in-flight work:
-	// requests delivered to it vanish, responses computed before the crash
-	// are never sent, and a restart resets the node's service slots.
-	NodeCrash
-	// LinkPartition cuts the router↔node link at virtual time At for
-	// Duration (≤0 = permanent). Unlike a crash the node keeps computing —
-	// only messages crossing the link are dropped, so the node's state
-	// survives the partition healing.
-	LinkPartition
-	// MessageLoss drops a router↔node message with probability Prob. Node
-	// targets one node (negative = every node).
-	MessageLoss
-	// MessageDelay adds Stall to a router↔node message's network latency
-	// with probability Prob. Node targets one node (negative = every node).
-	MessageDelay
 )
 
 // String names the fault kind.
@@ -77,14 +56,6 @@ func (k Kind) String() string {
 		return "transfer-failure"
 	case DeviceOutage:
 		return "device-outage"
-	case NodeCrash:
-		return "node-crash"
-	case LinkPartition:
-		return "link-partition"
-	case MessageLoss:
-		return "message-loss"
-	case MessageDelay:
-		return "message-delay"
 	}
 	return fmt.Sprintf("faults.Kind(%d)", int(k))
 }
@@ -106,15 +77,11 @@ type Spec struct {
 	Factor float64
 	// Stall is the KernelStall added duration.
 	Stall vclock.Seconds
-	// At is the start of the time-based kinds (DeviceOutage, NodeCrash,
-	// LinkPartition) on the run's virtual clock.
+	// At is the start of a DeviceOutage on the run's virtual clock.
 	At vclock.Seconds
-	// Duration is the time-based kinds' length; ≤0 means the device/node/link
-	// never recovers.
+	// Duration is the DeviceOutage's length; ≤0 means the device never
+	// recovers.
 	Duration vclock.Seconds
-	// Node targets the network kinds (NodeCrash, LinkPartition, and —
-	// negative meaning "every node" — MessageLoss/MessageDelay).
-	Node int
 }
 
 // Slowdown returns a spec multiplying kernel durations on dev by factor with
@@ -145,31 +112,6 @@ func TransferFailures(prob float64) Spec {
 // (≤0 = permanently).
 func Outage(dev device.Kind, at, duration vclock.Seconds) Spec {
 	return Spec{Kind: DeviceOutage, Device: dev, At: at, Duration: duration}
-}
-
-// Crash returns a spec crashing serving node at virtual time at for duration
-// (≤0 = permanently; otherwise the node restarts with fresh service slots).
-func Crash(node int, at, duration vclock.Seconds) Spec {
-	return Spec{Kind: NodeCrash, Node: node, At: at, Duration: duration}
-}
-
-// Partition returns a spec cutting the router↔node link at virtual time at
-// for duration (≤0 = permanently).
-func Partition(node int, at, duration vclock.Seconds) Spec {
-	return Spec{Kind: LinkPartition, Node: node, At: at, Duration: duration}
-}
-
-// MessageLosses returns a spec dropping router↔node messages with the given
-// per-message probability. node < 0 targets every node.
-func MessageLosses(node int, prob float64) Spec {
-	return Spec{Kind: MessageLoss, Node: node, Prob: prob}
-}
-
-// MessageDelays returns a spec adding extra to a router↔node message's
-// latency with the given per-message probability. node < 0 targets every
-// node.
-func MessageDelays(node int, prob float64, extra vclock.Seconds) Spec {
-	return Spec{Kind: MessageDelay, Node: node, Prob: prob, Stall: extra}
 }
 
 // Injector is a deterministic fault source. The zero value injects nothing;
@@ -219,108 +161,6 @@ func (in *Injector) Down(dev device.Kind, t vclock.Seconds) (bool, vclock.Second
 		}
 	}
 	return false, 0
-}
-
-// window reports whether t falls inside a time-based spec's [At, At+Duration)
-// window, and when the window ends (math.Inf(1) for Duration ≤ 0).
-func (s *Spec) window(t vclock.Seconds) (bool, vclock.Seconds) {
-	if t < s.At {
-		return false, 0
-	}
-	if s.Duration <= 0 {
-		return true, math.Inf(1)
-	}
-	if t < s.At+s.Duration {
-		return true, s.At + s.Duration
-	}
-	return false, 0
-}
-
-// NodeDown reports whether serving node is inside a NodeCrash window at
-// virtual time t, and when it restarts (math.Inf(1) for a permanent crash).
-func (in *Injector) NodeDown(node int, t vclock.Seconds) (bool, vclock.Seconds) {
-	if in == nil {
-		return false, 0
-	}
-	for i := range in.specs {
-		s := &in.specs[i]
-		if s.Kind != NodeCrash || s.Node != node {
-			continue
-		}
-		if down, until := s.window(t); down {
-			return true, until
-		}
-	}
-	return false, 0
-}
-
-// Partitioned reports whether the router↔node link is cut at virtual time t,
-// and when it heals (math.Inf(1) for a permanent partition).
-func (in *Injector) Partitioned(node int, t vclock.Seconds) (bool, vclock.Seconds) {
-	if in == nil {
-		return false, 0
-	}
-	for i := range in.specs {
-		s := &in.specs[i]
-		if s.Kind != LinkPartition || s.Node != node {
-			continue
-		}
-		if cut, until := s.window(t); cut {
-			return true, until
-		}
-	}
-	return false, 0
-}
-
-// NodeRestarted reports whether node recovered from a crash in the window
-// (since, now] — the cluster uses it to reset a node's service slots on the
-// first delivery after a restart. Permanent crashes never restart.
-func (in *Injector) NodeRestarted(node int, since, now vclock.Seconds) bool {
-	if in == nil {
-		return false
-	}
-	for i := range in.specs {
-		s := &in.specs[i]
-		if s.Kind != NodeCrash || s.Node != node || s.Duration <= 0 {
-			continue
-		}
-		if end := s.At + s.Duration; end > since && end <= now {
-			return true
-		}
-	}
-	return false
-}
-
-// Message decides the fate of one router↔node message sent at virtual time
-// t: dropped on a partitioned link (no RNG draw — partitions are pure
-// functions of the clock), otherwise each matching MessageLoss/MessageDelay
-// spec consumes exactly one RNG draw whether or not it fires, keeping the
-// stream aligned across runs. Returns whether the message is lost and the
-// extra latency it accumulated.
-func (in *Injector) Message(node int, t vclock.Seconds) (drop bool, extra vclock.Seconds) {
-	if in == nil {
-		return false, 0
-	}
-	if cut, _ := in.Partitioned(node, t); cut {
-		return true, 0
-	}
-	for i := range in.specs {
-		s := &in.specs[i]
-		if s.Node >= 0 && s.Node != node {
-			continue
-		}
-		switch s.Kind {
-		case MessageLoss:
-			if in.rng.Float64() < s.Prob {
-				drop = true
-			}
-		case MessageDelay:
-			if in.rng.Float64() < s.Prob {
-				extra += s.Stall
-			}
-		}
-	}
-	return drop, extra
 }
 
 // Kernel implements device.KernelHook: it is consulted once per sampled

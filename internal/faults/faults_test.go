@@ -134,9 +134,7 @@ func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KernelSlowdown: "kernel-slowdown", KernelStall: "kernel-stall",
 		KernelFailure: "kernel-failure", TransferFailure: "transfer-failure",
-		DeviceOutage: "device-outage", NodeCrash: "node-crash",
-		LinkPartition: "link-partition", MessageLoss: "message-loss",
-		MessageDelay: "message-delay",
+		DeviceOutage: "device-outage",
 	} {
 		if k.String() != want {
 			t.Fatalf("Kind(%d).String() = %q", int(k), k.String())
@@ -168,92 +166,5 @@ func TestPermanentOutageNeverRecovers(t *testing.T) {
 	// Negative durations are the same permanent path as zero.
 	if down, until := New(3, Outage(device.CPU, 1, -5)).Down(device.CPU, 2); !down || !math.IsInf(until, 1) {
 		t.Fatalf("negative duration: down=%v until=%v", down, until)
-	}
-}
-
-func TestNodeCrashWindows(t *testing.T) {
-	in := New(1, Crash(2, 0.010, 0.005), Crash(4, 0.001, 0))
-	cases := []struct {
-		t    float64
-		down bool
-	}{
-		{0, false}, {0.009, false}, {0.010, true}, {0.014, true}, {0.015, false}, {1, false},
-	}
-	for _, c := range cases {
-		if down, _ := in.NodeDown(2, c.t); down != c.down {
-			t.Fatalf("NodeDown(2, %v) = %v, want %v", c.t, down, c.down)
-		}
-		if down, _ := in.NodeDown(0, c.t); down {
-			t.Fatalf("untargeted node down at %v", c.t)
-		}
-	}
-	if down, until := in.NodeDown(2, 0.012); !down || until != 0.015 {
-		t.Fatalf("restart time = %v (down=%v), want 0.015", until, down)
-	}
-	if down, until := in.NodeDown(4, 5); !down || !math.IsInf(until, 1) {
-		t.Fatalf("permanent crash: down=%v until=%v", down, until)
-	}
-	// Restart detection: node 2 restarts at 0.015, inside (0.010, 0.020].
-	if !in.NodeRestarted(2, 0.010, 0.020) {
-		t.Fatalf("restart at 0.015 not detected in (0.010, 0.020]")
-	}
-	if in.NodeRestarted(2, 0.015, 0.020) {
-		t.Fatalf("restart at 0.015 detected twice (since boundary is exclusive)")
-	}
-	if in.NodeRestarted(4, 0, 100) {
-		t.Fatalf("permanent crash reported a restart")
-	}
-}
-
-func TestPartitionAndMessage(t *testing.T) {
-	in := New(1, Partition(1, 0.005, 0.010))
-	if cut, _ := in.Partitioned(1, 0.004); cut {
-		t.Fatalf("partitioned before the window")
-	}
-	if cut, until := in.Partitioned(1, 0.006); !cut || until != 0.015 {
-		t.Fatalf("partition window: cut=%v until=%v", cut, until)
-	}
-	// Messages across a cut link drop without consuming an RNG draw.
-	if drop, _ := in.Message(1, 0.006); !drop {
-		t.Fatalf("message crossed a partitioned link")
-	}
-	if drop, extra := in.Message(0, 0.006); drop || extra != 0 {
-		t.Fatalf("untargeted link dropped or delayed: %v %v", drop, extra)
-	}
-
-	// Certain loss and delay; node targeting.
-	in = New(1, MessageLosses(2, 1), MessageDelays(-1, 1, 3e-4))
-	if drop, extra := in.Message(2, 0); !drop || extra != 3e-4 {
-		t.Fatalf("message to node 2: drop=%v extra=%v", drop, extra)
-	}
-	if drop, extra := in.Message(0, 0); drop || extra != 3e-4 {
-		t.Fatalf("message to node 0: drop=%v extra=%v", drop, extra)
-	}
-}
-
-// TestMessageDeterministicUnderSeed pins the network-fault draw stream: the
-// same seed and call sequence reproduce drops and delays exactly, and Reset
-// rewinds the stream.
-func TestMessageDeterministicUnderSeed(t *testing.T) {
-	mk := func() *Injector { return New(11, MessageLosses(-1, 0.3), MessageDelays(-1, 0.4, 2e-4)) }
-	a, b := mk(), mk()
-	type fate struct {
-		drop  bool
-		extra float64
-	}
-	var first fate
-	for i := 0; i < 500; i++ {
-		da, xa := a.Message(i%3, float64(i)*1e-4)
-		db, xb := b.Message(i%3, float64(i)*1e-4)
-		if da != db || xa != xb {
-			t.Fatalf("message draw %d diverges: (%v,%v) vs (%v,%v)", i, da, xa, db, xb)
-		}
-		if i == 0 {
-			first = fate{da, xa}
-		}
-	}
-	a.Reset()
-	if d, x := a.Message(0, 0); d != first.drop || x != first.extra {
-		t.Fatalf("Reset did not rewind the message stream")
 	}
 }

@@ -42,11 +42,10 @@ func kindLabel(k device.Kind) string {
 // Threshold consecutive failures on a slot the breaker opens and the slot is
 // reported unavailable. In the engine a slot is a device — the runtime
 // analogue of the paper's static single-device fallback (§IV-C), applied to
-// the *remaining* placement mid-request. In the cluster fabric a slot is a
-// whole serving node, so the same probation machinery guards failover
-// targets. After Probation virtual seconds the breaker half-opens: the next
-// caller is admitted as a probe, and its success closes the breaker
-// (re-admission) while its failure re-opens it for another probation window.
+// the *remaining* placement mid-request. After Probation virtual seconds the
+// breaker half-opens: the next caller is admitted as a probe, and its success
+// closes the breaker (re-admission) while its failure re-opens it for another
+// probation window.
 //
 // The tracker is safe for concurrent use so a serving layer can share one
 // across requests; the engine's own timing pass uses it serially.
@@ -62,8 +61,7 @@ type HealthTracker struct {
 
 	// Observability (nil when uninstrumented): breaker state gauges
 	// (0=closed, 1=open, 2=half-open), per-transition counters, and a
-	// readmission counter. Only the two-slot device form is instrumented;
-	// cluster trackers publish their own per-node gauges.
+	// readmission counter. Only the two-slot device form is instrumented.
 	reg        *obs.Registry
 	stateGauge []*obs.Gauge
 }
@@ -108,7 +106,7 @@ func (h *HealthTracker) Slots() int {
 // engines must not fold the cumulative FaultReport.Readmissions into a
 // registry, because a shared tracker reports it across runs. Re-attaching
 // the same registry is a no-op; nil is ignored, as is any tracker that is
-// not the two-slot device form (cluster trackers export their own gauges).
+// not the two-slot device form.
 func (h *HealthTracker) Instrument(reg *obs.Registry) {
 	if h == nil || reg == nil || len(h.state) != 2 {
 		return

@@ -39,7 +39,7 @@ func (m *serveMetrics) init(reg *obs.Registry, replicas int) {
 		m.outcomes[o] = reg.Counter(obs.Series("serve_requests_total", "outcome", string(o)))
 	}
 	m.sheds = map[ShedReason]*obs.Counter{}
-	for _, reason := range []ShedReason{ShedDeadline, ShedBackpressure, ShedBrownout, ShedInvalid} {
+	for _, reason := range []ShedReason{ShedDeadline, ShedBackpressure, ShedInvalid} {
 		m.sheds[reason] = reg.Counter(obs.Series("serve_shed_total", "reason", string(reason)))
 	}
 	m.latency = reg.Histogram("serve_latency_seconds", obs.DefaultLatencyBuckets...)

@@ -17,9 +17,7 @@ type Report struct {
 	Failed   int `json:"failed"`
 
 	// Shed breaks the Rejected+Expired count down by typed reason
-	// (deadline, backpressure, invalid — plus brownout when a cluster layer
-	// aggregates its degradation sheds into a serve report). Empty when
-	// nothing was shed.
+	// (deadline, backpressure, invalid). Empty when nothing was shed.
 	Shed map[ShedReason]int `json:"shed,omitempty"`
 
 	// Makespan spans virtual time zero to the last delivery.

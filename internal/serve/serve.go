@@ -49,8 +49,8 @@ const (
 )
 
 // ShedReason classifies why a request was shed (Rejected or Expired) so
-// operators can tell overload apart from SLA misses and deliberate
-// degradation. Delivered requests carry ShedNone.
+// operators can tell overload apart from SLA misses and malformed inputs.
+// Delivered requests carry ShedNone.
 type ShedReason string
 
 const (
@@ -61,10 +61,6 @@ const (
 	ShedDeadline ShedReason = "deadline"
 	// ShedBackpressure: the admission queue was full.
 	ShedBackpressure ShedReason = "backpressure"
-	// ShedBrownout: deliberate degradation — the cluster layer sheds
-	// low-priority work when node capacity drops below its brownout
-	// threshold. Never produced by a single-process server.
-	ShedBrownout ShedReason = "brownout"
 	// ShedInvalid: the request's inputs did not match the model signature.
 	ShedInvalid ShedReason = "invalid"
 )

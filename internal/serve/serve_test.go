@@ -10,6 +10,7 @@ import (
 	"duet/internal/core"
 	"duet/internal/graph"
 	"duet/internal/models"
+	"duet/internal/obs"
 	"duet/internal/tensor"
 	"duet/internal/workload"
 )
@@ -431,10 +432,13 @@ func TestServeReplicasShareCacheNotArenas(t *testing.T) {
 }
 
 // TestServeDeterminism: identical configuration and stream reproduce the
-// report exactly, including under seeded timing noise.
+// report exactly, including under seeded timing noise. The same stream
+// handed over in reverse arrival order is served exactly once per request:
+// every response lands at its request's index with a terminal outcome, and
+// the outcome counters account for each request once.
 func TestServeDeterminism(t *testing.T) {
 	e, cfg := testEngine(t)
-	run := func() *Report {
+	run := func(reqs []Request, reg *obs.Registry) (*Report, []Response) {
 		srv, err := New(Config{
 			Engine:     e,
 			BatchGraph: batchGraph(cfg),
@@ -443,29 +447,59 @@ func TestServeDeterminism(t *testing.T) {
 			Pipelined:  true,
 			Seed:       11,
 			QueueCap:   256,
+			Registry:   reg,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		reqs := OpenLoop(LoadSpec{
+		rep, resps, err := srv.Run(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, resps
+	}
+	stream := func() []Request {
+		return OpenLoop(LoadSpec{
 			Requests: 6,
 			QPS:      2000,
 			Seed:     3,
 			Inputs:   func(i int) map[string]*tensor.Tensor { return inputsFor(cfg, i) },
 		})
-		rep, _, err := srv.Run(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
 	}
-	a, b := run(), run()
+	a, _ := run(stream(), nil)
+	b, _ := run(stream(), nil)
 	if a.String() != b.String() {
 		t.Fatalf("non-deterministic serving:\n%v\n%v", a, b)
 	}
 	if a.Makespan != b.Makespan || a.P99Latency != b.P99Latency || a.Throughput != b.Throughput {
 		t.Fatalf("non-deterministic timing: %v vs %v", a, b)
+	}
+
+	reqs := stream()
+	for i, j := 0, len(reqs)-1; i < j; i, j = i+1, j-1 {
+		reqs[i], reqs[j] = reqs[j], reqs[i]
+	}
+	reg := obs.NewRegistry()
+	_, resps := run(reqs, reg)
+	if len(resps) != len(reqs) {
+		t.Fatalf("%d responses for %d requests", len(resps), len(reqs))
+	}
+	terminal := map[Outcome]bool{OK: true, Rejected: true, Expired: true, Failed: true}
+	for i := range resps {
+		if resps[i].ID != reqs[i].ID {
+			t.Fatalf("response %d has ID %d, want %d", i, resps[i].ID, reqs[i].ID)
+		}
+		if !terminal[resps[i].Outcome] {
+			t.Fatalf("response %d (ID %d) has no terminal outcome: %q", i, resps[i].ID, resps[i].Outcome)
+		}
+	}
+	var counted int64
+	for o := range terminal {
+		counted += reg.Counter(obs.Series("serve_requests_total", "outcome", string(o))).Value()
+	}
+	if counted != int64(len(reqs)) {
+		t.Fatalf("outcome counters record %d deliveries for %d requests", counted, len(reqs))
 	}
 }
 

@@ -18,9 +18,9 @@ import (
 //     and every non-leader group member must be computed by the tape;
 //   - single-materialization discipline: each emitted intermediate owns
 //     exactly one Emit slot, slots map one-to-one onto program outputs;
-//   - recompute acyclicity: an instruction may recompute a value only from
-//     operands the tape has already produced — reading a group member
-//     before any instruction computes it is a recompute cycle.
+//   - register def-before-use: a Load or a register operand must follow a
+//     Save to that register, and an instruction may read a group member
+//     only after the tape has computed it.
 //
 // Unlowered kernels (Fused == nil) execute op-by-op and have nothing to
 // check here; CheckModule covers their release discipline.
@@ -66,8 +66,8 @@ func checkFusedTape(g *graph.Graph, k *compiler.Kernel) []Finding {
 
 	name := func(id graph.NodeID) string { return g.Node(id).Name }
 	// operandCheck validates that one graph input of node v is what the tape
-	// supplies, classifying a mismatch as a recompute cycle when the input
-	// is a group member the tape has not produced yet.
+	// supplies, classifying a mismatch as a use before definition when the
+	// input is a group member the tape has not produced yet.
 	operandCheck := func(idx int, v, wantIn, tapeVal graph.NodeID) {
 		if wantIn == tapeVal {
 			return

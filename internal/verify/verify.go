@@ -37,8 +37,7 @@ const (
 	PassSchedule  = "schedule-order" // dependency-respecting flat start order (so the sync queues are live)
 	PassRelease   = "arena-release"  // symbolic execution of the release plan
 	PassAudit     = "audit-replay"   // Algorithm 1 decision-trail consistency
-	PassShardMap  = "shard-map"      // cluster routing table coverage + failover legality
-	PassFusion    = "fusion-tape"    // op-tape replay vs graph: dataflow equivalence, single materialization, recompute acyclicity
+	PassFusion    = "fusion-tape"    // op-tape replay vs graph: dataflow equivalence, single materialization, register def-before-use
 	PassHBGraph   = "hb-graph"       // happens-before construction: coverage, acyclicity (deadlock re-derivation)
 	PassHBSync    = "hb-sync"        // lost-sync detection: every boundary flow ordered producer-before-consumer
 	PassHBRace    = "hb-race"        // static race detection over tensor values and arena slots
@@ -50,8 +49,7 @@ const (
 func Passes() []string {
 	return []string{
 		PassGraph, PassPartition, PassProfiles, PassPlacement, PassSchedule,
-		PassRelease, PassAudit, PassShardMap,
-		PassFusion, PassHBGraph, PassHBSync, PassHBRace,
+		PassRelease, PassAudit, PassFusion, PassHBGraph, PassHBSync, PassHBRace,
 	}
 }
 
