@@ -206,8 +206,8 @@ const spinBound = 1024
 // paper's busy loop for spinBound empty polls — a job pushed back to back
 // with the previous one is picked up without a context switch — and then
 // parks the goroutine, so an idle worker costs no CPU. At most one
-// goroutine may be inside PopWait at a time (the engine has one worker per
-// queue); non-blocking Pops may run beside it.
+// goroutine may be inside PopWait at a time; non-blocking Pops may run
+// beside it.
 func (q *Queue) PopWait() (v int, done bool) {
 	for {
 		for spin := 0; spin < spinBound; spin++ {

@@ -163,7 +163,7 @@ func TestRunParallelErrorDrainsWithLaneParked(t *testing.T) {
 
 	place := Uniform(e.NumSubgraphs(), device.CPU)
 	type outcome struct {
-		lanes [2]queue.Stats
+		lanes []queue.Stats
 		err   error
 	}
 	done := make(chan outcome, 1)

@@ -19,7 +19,7 @@ import (
 // batchEngine bundles everything the server needs to run one batch size:
 // the compiled modules (shared read-only by every replica, and with them
 // the weights and the one set of packed panels the weights own) and
-// a serving placement. Replica device workers fire subgraphs from the engine
+// a serving placement. A replica's lane set fires subgraphs from the engine
 // skeleton's sync plan, not in partition order, so a replica's two devices
 // genuinely execute concurrently. The base batch size reuses the core
 // engine's modules outright; other sizes compile the BatchGraph sibling
@@ -56,8 +56,8 @@ func newBaseEngine(ce *core.Engine, pipelined bool) (*batchEngine, error) {
 }
 
 // checkPlace runs the verifier's placement pass over the serving placement
-// before any replica dereferences it (replica workers index be.place on the
-// hot path without further checks).
+// before any replica dereferences it (lane workers index be.place on the hot
+// path without further checks).
 func (be *batchEngine) checkPlace() error {
 	if err := verify.CheckPlacement([]device.Kind(be.place), be.eng.Partition); err != nil {
 		return fmt.Errorf("serve: batch size %d: %w", be.rows, err)

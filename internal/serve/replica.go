@@ -11,16 +11,16 @@ import (
 
 // replica is one engine replica: its own virtual CPU-GPU device pair (so
 // timing noise streams are independent per replica), its own tensor arena,
-// and two device-worker goroutines. Compiled modules and the weight pack
-// cache are shared across replicas — weights are read-only — which is what
-// makes replication cheap: a replica costs an arena, not a model copy.
+// and its own lane set. Compiled modules and the weight pack cache are
+// shared across replicas — weights are read-only — which is what makes
+// replication cheap: a replica costs an arena, not a model copy.
 type replica struct {
 	id    int
 	plat  *device.Platform
 	arena *tensor.Arena
-	// ch feeds each device worker its subgraph jobs. Capacity covers every
-	// job of every in-flight batch, so workers never block on each other.
-	ch [2]chan job
+	// lanes fires the replica's in-flight batches, one flight each; opened
+	// by New, closed by Server.Close.
+	lanes *runtime.LaneSet
 
 	// Event-loop-owned state (never touched by the workers): the per-device
 	// virtual clocks and accumulated busy seconds (one entry per lane), and
@@ -30,18 +30,11 @@ type replica struct {
 	inflight []*batch
 }
 
-// job asks a device worker to execute one subgraph of one batch.
-type job struct {
-	b   *batch
-	idx int
-}
-
-func newReplica(id int, seed int64, maxJobs int) *replica {
+func newReplica(id int, seed int64) *replica {
 	r := &replica{
 		id:    id,
 		plat:  device.NewPlatform(replicaSeed(seed, id)),
 		arena: tensor.NewArena(),
-		ch:    [2]chan job{make(chan job, maxJobs), make(chan job, maxJobs)},
 	}
 	r.reset()
 	return r
@@ -96,7 +89,7 @@ func (r *replica) Transferred(_, _, _ int, _, _ vclock.Seconds, _ device.Fault) 
 // batch is one dispatched unit of work: the stacked inputs of its member
 // requests flowing through one batchEngine on one replica. Its value state
 // and dependency counters are a runtime.Dataflow — the engine's own firing
-// rule; the workers only carry ready indices between the device channels.
+// rule, fired by the replica's lane set.
 type batch struct {
 	be      *batchEngine
 	members []*pending
@@ -137,37 +130,12 @@ func newBatch(be *batchEngine, members []*pending, ar *tensor.Arena) (*batch, er
 	return b, err
 }
 
-// deviceWorker drains one device's job channel for one replica. The two
-// workers of a replica execute concurrently — this is where a batch's CPU
-// subgraphs genuinely overlap another batch's GPU subgraphs on the host.
-func (s *Server) deviceWorker(r *replica, dev int) {
-	defer s.wg.Done()
-	for j := range r.ch[dev] {
-		s.execJob(r, j)
-	}
-}
-
-// execJob fires one subgraph of the batch and forwards the dependents that
-// became ready to their devices' workers. The worker completing the batch's
-// last subgraph finalizes it.
-func (s *Server) execJob(r *replica, j job) {
-	b := j.b
-	ready, last := b.flow.Fire(j.idx)
-	for _, c := range ready {
-		r.ch[b.be.place[c]] <- job{b: b, idx: c}
-	}
-	if last {
-		b.finalize(r.arena)
-		close(b.done)
-	}
-}
-
 // finalize splits the batched outputs back per member and recycles what the
 // firing rule did not. A single-member batch hands its output tensors
 // through directly (no copy, protected from recycling); a multi-member
 // batch's members get independent row copies via SplitLead, making the
-// split bit-identical to running each request alone. Runs on the worker
-// that completed the last subgraph — the dataflow is over.
+// split bit-identical to running each request alone. Runs on the lane
+// worker that fired the last subgraph — the dataflow is over.
 func (b *batch) finalize(ar *tensor.Arena) {
 	if b.flow.Err() != nil {
 		return

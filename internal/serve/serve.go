@@ -8,12 +8,12 @@
 // Scheduling runs as a deterministic discrete-event loop on the virtual
 // clock (arrivals, batch-window expiries, deadline lapses, completions), so
 // throughput and latency percentiles reproduce exactly under a seed. Tensor
-// values are computed for real: every replica owns two device-worker
-// goroutines (the paper's §IV-D two-process architecture, lifted to a
-// request stream), so consecutive batches' CPU and GPU phases genuinely
-// overlap on the host while the virtual device clocks account for the
-// modelled time. In pipelined mode the per-device clocks carry over between
-// consecutive batches — the wall-clock counterpart of
+// values are computed for real: every replica keeps one runtime.LaneSet
+// open — the executor RunParallel uses, one worker per device — and feeds
+// it every batch it dispatches, so consecutive batches' CPU and GPU phases
+// genuinely overlap on the host while the virtual device clocks account for
+// the modelled time. In pipelined mode the per-device clocks carry over
+// between consecutive batches — the wall-clock counterpart of
 // runtime.MeasurePipelined — and outputs stay bit-identical to independent
 // single-request Infer calls.
 package serve
@@ -22,13 +22,13 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"duet/internal/core"
 	"duet/internal/device"
 	"duet/internal/graph"
 	"duet/internal/hb"
 	"duet/internal/obs"
+	"duet/internal/runtime"
 	"duet/internal/tensor"
 	"duet/internal/vclock"
 )
@@ -157,13 +157,11 @@ type Server struct {
 	sig      string           // the model's batching signature
 	minSvc   vclock.Seconds   // noiseless single-request service estimate
 	m        serveMetrics
-
-	wg sync.WaitGroup
 }
 
 // New validates the configuration, wraps the engine's compiled modules as
-// the base batch size (no recompilation), and starts the replica device
-// workers. Call Close when done.
+// the base batch size (no recompilation), and opens the replicas' lane sets.
+// Call Close when done.
 func New(cfg Config) (*Server, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("serve: Config.Engine is required")
@@ -221,19 +219,12 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s.m.init(cfg.Registry, cfg.Replicas)
-	// Generous channel capacity: at most Depth in-flight batches each
-	// contribute one job per subgraph, and batched siblings partition to the
-	// same subgraph count as the base graph (same topology). The headroom
-	// keeps workers from ever blocking on a forward even if a sibling
-	// partitions differently.
-	maxJobs := cfg.Depth*len(base.eng.Subgraphs())*4 + 16
+	// Batched siblings partition to the base graph's subgraph count (the
+	// partitioner reads topology, not shapes).
 	for i := 0; i < cfg.Replicas; i++ {
-		s.replicas = append(s.replicas, newReplica(i, cfg.Seed, maxJobs))
-	}
-	for _, r := range s.replicas {
-		s.wg.Add(2)
-		go s.deviceWorker(r, 0)
-		go s.deviceWorker(r, 1)
+		r := newReplica(i, cfg.Seed)
+		r.lanes = runtime.OpenLanes(cfg.Depth, cfg.Depth*len(base.eng.Subgraphs()), nil)
+		s.replicas = append(s.replicas, r)
 	}
 	return s, nil
 }
@@ -261,14 +252,12 @@ func verifyPipelined(e *core.Engine, depth int) error {
 	return nil
 }
 
-// Close shuts the replica device workers down. The server must be idle (no
-// Run in progress).
+// Close shuts the replicas' lane sets down once their batches have
+// completed. No Run may be in progress.
 func (s *Server) Close() {
 	for _, r := range s.replicas {
-		close(r.ch[0])
-		close(r.ch[1])
+		r.lanes.Close()
 	}
-	s.wg.Wait()
 }
 
 // MinService returns the noiseless single-request service-time estimate the
@@ -523,9 +512,9 @@ func (s *Server) formBatch(q *admitQueue, now vclock.Seconds) []*pending {
 	return q.popBatch(head.sig, s.cfg.MaxBatch)
 }
 
-// dispatch stacks the member inputs, computes the batch's virtual timing on
-// the replica's carried-over (or reset) device clocks, and hands the value
-// computation to the replica's device workers.
+// dispatch stacks the member inputs, hands the value computation to the
+// replica's lane set, and computes the batch's virtual timing on the
+// replica's carried-over (or reset) device clocks.
 func (s *Server) dispatch(r *replica, members []*pending, now vclock.Seconds) error {
 	rows := 0
 	for _, p := range members {
@@ -537,6 +526,14 @@ func (s *Server) dispatch(r *replica, members []*pending, now vclock.Seconds) er
 	}
 	b, err := newBatch(be, members, r.arena)
 	if err != nil {
+		return err
+	}
+	// Submit before the batch joins inflight: a batch the loop waits on
+	// must be one the lanes are running.
+	if err := r.lanes.Submit(b.flow, be.place, func() {
+		b.finalize(r.arena)
+		close(b.done)
+	}); err != nil {
 		return err
 	}
 	r.timeBatch(b, now, s.cfg.Pipelined)
@@ -562,11 +559,6 @@ func (s *Server) dispatch(r *replica, members []*pending, now vclock.Seconds) er
 		p.resp.Replica = r.id
 	}
 	s.m.recordBatch(rows)
-
-	// Seed the device workers with the batch's dependency-free subgraphs.
-	for _, i := range be.eng.Skeleton.Roots {
-		r.ch[be.place[i]] <- job{b: b, idx: i}
-	}
 	return nil
 }
 

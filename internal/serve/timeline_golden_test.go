@@ -73,7 +73,7 @@ func TestServeTimelineGolden(t *testing.T) {
 		for _, seed := range []int64{0, 7} {
 			for _, pipelined := range []bool{false, true} {
 				for _, now := range []float64{0, 1e-3} {
-					r := newReplica(0, seed, 1)
+					r := newReplica(0, seed)
 					b1, b2 := &batch{be: be}, &batch{be: be}
 					r.timeBatch(b1, now, pipelined)
 					r.timeBatch(b2, now+1e-4, pipelined)
