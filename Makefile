@@ -59,7 +59,8 @@ check: fmt-check vet
 	$(GO) test -race -count=2 ./internal/obs/...
 	$(GO) test -race -count=2 -run 'TestConcurrentExecuteArena|TestServeSmoke|TestServeBatchRecyclesMidBatch' ./internal/serve/
 	$(GO) test -race -count=20 -run 'TestRunParallelMatchesSerialValues|TestLaneSetMultiplexesDataflows|TestDataflowLegalOrders' ./internal/runtime/
-	$(GO) test -count=1 -run 'TestArenaCutsSteadyStateAllocs|TestMTDNNWarmRunPacksNothing' ./internal/runtime/
+	$(GO) test -count=10 -run TestArenaCutsSteadyStateAllocs ./internal/runtime/
+	$(GO) test -count=1 -run TestMTDNNWarmRunPacksNothing ./internal/runtime/
 	$(MAKE) bench-diff
 	@./bin/duet-vet -summary .
 

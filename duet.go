@@ -249,7 +249,8 @@ var (
 	TensorFromSlice = tensor.FromSlice
 	// TensorFull returns a constant-filled tensor.
 	TensorFull = tensor.Full
-	// RandTensor returns a uniform random tensor from a seeded RNG.
+	// RandTensor returns a uniform random tensor drawn from any rand.Source;
+	// a tensor.RNG is the fast path; both yield math/rand's Float32 stream.
 	RandTensor = tensor.Rand
 )
 

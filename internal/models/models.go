@@ -7,7 +7,6 @@ package models
 
 import (
 	"fmt"
-	"math/rand"
 
 	"duet/internal/graph"
 	"duet/internal/tensor"
@@ -17,12 +16,12 @@ import (
 // stays terse.
 type builder struct {
 	g   *graph.Graph
-	rng *rand.Rand
+	rng *tensor.RNG
 	n   int
 }
 
 func newBuilder(name string, seed int64) *builder {
-	return &builder{g: graph.New(name), rng: rand.New(rand.NewSource(seed))}
+	return &builder{g: graph.New(name), rng: tensor.NewRNG(seed)}
 }
 
 func (b *builder) name(prefix string) string {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	goruntime "runtime"
+	"runtime/debug"
 	"testing"
 
 	"duet/internal/compiler"
@@ -72,6 +73,18 @@ func assertArenaCutsAllocs(t *testing.T, e *Engine, inputs map[string]*tensor.Te
 	}
 }
 
+// warmAllocs is testing.AllocsPerRun with the collector held off. A GC
+// empties the arena's sync.Pool size classes and the tape's chainScratchPool,
+// and the next Run refills them from the heap: a GC landing inside the window
+// could make a warm Run read one object more (31 instead of 30; every 31 came
+// with MemStats.NumGC advancing by one). So collect first, then measure with
+// GC off; AllocsPerRun's own warm-up run refills what the collection emptied.
+func warmAllocs(runs int, f func()) float64 {
+	goruntime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(runs, f)
+}
+
 // TestArenaCutsSteadyStateAllocs is the allocation regression guard for the
 // arena executor. Where allocations are per op — the chain case: fused
 // elementwise-chain kernels, whose epilogue tapes draw emit buffers and
@@ -120,7 +133,7 @@ func TestArenaCutsSteadyStateAllocs(t *testing.T) {
 			run()
 			run()
 			before := e.Arena().Stats().Recycled
-			allocs = testing.AllocsPerRun(5, run)
+			allocs = warmAllocs(5, run)
 			return allocs, e.Arena().Stats().Recycled - before
 		}
 		short, recycled := warm(32)
@@ -181,7 +194,7 @@ func TestArenaCutsSteadyStateAllocs(t *testing.T) {
 			}
 			run()
 			run()
-			return testing.AllocsPerRun(5, run)
+			return warmAllocs(5, run)
 		}
 		small, large := warm(32), warm(64)
 		t.Logf("warm Run: %.0f objects at 32², %.0f at 64²", small, large)

@@ -94,6 +94,10 @@ func (ls *LaneSet) work(q *queue.Queue) {
 			ls.queues[f.place[c]].MustPush(c*flights + slot)
 		}
 		if last {
+			// Drop the slot's references before it is reused, so a finished
+			// dataflow, its buffers and its done closure do not stay
+			// reachable from an idle set.
+			ls.flights[slot] = flight{}
 			ls.free <- slot
 			f.done()
 		}

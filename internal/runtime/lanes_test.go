@@ -131,3 +131,29 @@ func TestLaneSetMultiplexesDataflows(t *testing.T) {
 		}
 	}
 }
+
+// TestLaneSetClearsFreedSlot: once a dataflow's done has run, its flight
+// slot holds nothing — no dataflow, placement or closure stays reachable
+// from the set until the slot is reused.
+func TestLaneSetClearsFreedSlot(t *testing.T) {
+	ze := zooEngineNamed(t, "siamese")
+	ls := OpenLanes(2, 2*ze.e.NumSubgraphs(), nil)
+	defer ls.Close()
+	d, err := ze.e.NewDataflow(ze.inputs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := make(chan struct{})
+	if err := ls.Submit(d, ze.places["chosen"], func() { close(fin) }); err != nil {
+		t.Fatal(err)
+	}
+	<-fin
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for slot, f := range ls.flights {
+		if f.d != nil || f.place != nil || f.done != nil {
+			t.Errorf("slot %d still holds its finished flight after done ran", slot)
+		}
+	}
+}

@@ -278,3 +278,24 @@ func BenchmarkParallelForOverhead(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRand times weight initialisation per element: the bulk fill from
+// a *RNG against the per-element path over a *rand.Rand, which draws the
+// same bits.
+func BenchmarkRand(b *testing.B) {
+	const n = 1 << 20
+	for _, s := range []struct {
+		name string
+		src  rand.Source
+	}{
+		{"RNG", NewRNG(1)},
+		{"math_rand", rand.New(rand.NewSource(1))},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Rand(s.src, 1, n)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/elem")
+		})
+	}
+}

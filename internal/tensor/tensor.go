@@ -64,16 +64,27 @@ func Full(v float32, shape ...int) *Tensor {
 // Ones returns a tensor of the given shape filled with 1.
 func Ones(shape ...int) *Tensor { return Full(1, shape...) }
 
-// Rand returns a tensor with elements drawn uniformly from [-bound, bound)
-// using the given RNG. A nil rng panics: experiment reproducibility requires
+// Rand returns a tensor with elements (u*2 - 1) * bound, u drawn in order
+// from src by rand.Float32's rule, so uniform in [-bound, bound). src is any
+// rand.Source; a *RNG is the fast path. Both yield math/rand's Float32
+// stream: Rand(NewRNG(s), …) and Rand(rand.New(rand.NewSource(s)), …) are
+// bit-identical. A nil src panics: experiment reproducibility requires
 // explicit seeding everywhere.
-func Rand(rng *rand.Rand, bound float32, shape ...int) *Tensor {
-	if rng == nil {
-		panic("tensor: Rand requires a non-nil *rand.Rand")
+func Rand(src rand.Source, bound float32, shape ...int) *Tensor {
+	if src == nil {
+		panic("tensor: Rand requires a non-nil rand.Source")
 	}
 	t := New(shape...)
+	if r, ok := src.(*RNG); ok {
+		r.fill(t.data, bound)
+		return t
+	}
 	for i := range t.data {
-		t.data[i] = (rng.Float32()*2 - 1) * bound
+		f := float32(1)
+		for f == 1 {
+			f = float32(float64(src.Int63()) / (1 << 63))
+		}
+		t.data[i] = (f*2 - 1) * bound
 	}
 	return t
 }
