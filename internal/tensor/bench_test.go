@@ -258,6 +258,44 @@ func BenchmarkMaxPool(b *testing.B) {
 	}
 }
 
+// BenchmarkTranscendentals reports ns/elem of the exp, sigmoid, tanh and
+// GELU loops ("batch", once per kernel tier this machine has: the vector
+// exp runs at the AVX2 tiers when the processor has FMA) against the same
+// formula called per element over math ("math"). Arguments are N(0, 2²),
+// the range activations see.
+func BenchmarkTranscendentals(b *testing.B) {
+	const n = 4096
+	rng := rand.New(rand.NewSource(8))
+	src := make([]float32, n)
+	for i := range src {
+		src[i] = float32(rng.NormFloat64() * 2)
+	}
+	dst := make([]float32, n)
+	perElem := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/elem")
+		b.ReportMetric(0, "ns/op")
+	}
+	for _, f := range transcendentals {
+		b.Run(f.name+"/math", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for j, x := range src {
+					dst[j] = f.ref(x)
+				}
+			}
+			perElem(b)
+		})
+		for _, t := range hostTiers() {
+			b.Run(f.name+"/batch/"+t.String(), func(b *testing.B) {
+				defer setTier(t)()
+				for i := 0; i < b.N; i++ {
+					f.loop(dst, src)
+				}
+				perElem(b)
+			})
+		}
+	}
+}
+
 func BenchmarkSoftmax(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	x := Rand(rng, 1, 64, 512)

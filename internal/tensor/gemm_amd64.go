@@ -67,6 +67,9 @@ func maxps(dst, a, b *float32, n int)
 //go:noescape
 func maxps1(dst, a *float32, s float32, n int)
 
+//go:noescape
+func expPD(dst, src *float64, n int) (done int)
+
 // maximumLoop computes dst[i] = a[i] > b[i] ? a[i] : b[i] — VMAXPS's own
 // rule, so the vector kernel is the scalar loop bit for bit.
 func maximumLoop(dst, a, b []float32) {
@@ -92,6 +95,38 @@ func maximumScalar(dst, a []float32, s float32) {
 	}
 	a = a[:len(dst)]
 	maxps1(&dst[0], &a[0], s, len(dst))
+}
+
+// ecx1 is CPUID.1:ECX, read once for the FMA bit the vector exp needs.
+var _, _, ecx1, _ = cpuid(1, 0)
+
+// vexpUsable reports whether expPD reproduces math.Exp on this machine:
+// math.Exp takes its FMA branch when the processor has AVX and FMA with the
+// OS saving YMM state, and expPD replays that branch, so it needs FMA
+// (CPUID.1:ECX bit 12) as well as the AVX2 tier. Anywhere else math.Exp runs
+// its plain-multiply branch, which the vector code does not replay.
+func vexpUsable(t kernelTier, ecx1 uint32) bool {
+	const fma = 1 << 12
+	return t >= tierAVX2 && ecx1&fma != 0
+}
+
+// expBatch computes dst[i] = math.Exp(src[i]) bit for bit: whole groups of
+// four through expPD when it is usable, and through math.Exp the groups
+// holding a lane beyond ±700, Inf or NaN, and the last len(dst)%4
+// elements. dst may be src.
+func expBatch(dst, src []float64) {
+	src = src[:len(dst)]
+	i := 0
+	if vexpUsable(tier, ecx1) {
+		for i+4 <= len(dst) {
+			i += expPD(&dst[i], &src[i], len(dst)-i)
+			if i+4 <= len(dst) { // stopped at a group math.Exp must take
+				expGo(dst[i:i+4], src[i:i+4])
+				i += 4
+			}
+		}
+	}
+	expGo(dst[i:], src[i:])
 }
 
 // reluLoop computes dst[i] = src[i] > 0 ? src[i] : 0: on amd64 the maximum

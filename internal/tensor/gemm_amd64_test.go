@@ -10,7 +10,7 @@ import (
 )
 
 // TestPortableKernelPath re-runs the packed-GEMM, conv, chain, RNN, ReLU /
-// maximum and max-pool suites at every kernel tier below the detected one —
+// maximum, max-pool and exp / tanh suites at every kernel tier below the detected one —
 // the AVX2 kernels without the AVX-512 tile, then the portable Go kernels
 // (the reference, and the only path off amd64) — so each tier passes the
 // identical tests on this machine too. Each suite is a subtest with one
@@ -36,6 +36,11 @@ func TestPortableKernelPath(t *testing.T) {
 		{"ChainSerialMatchesParallel", TestChainSerialMatchesParallel},
 		{"LinearChainBitExact", TestLinearChainBitExact},
 		{"RNNSeqBitExact", TestRNNSeqBitExact},
+		{"RNNRowsMatchScalarReference", TestRNNRowsMatchScalarReference},
+		{"TranscendentalLoopsMatchMath", TestTranscendentalLoopsMatchMath},
+		{"SoftmaxRowsMatchReference", TestSoftmaxRowsMatchReference},
+		{"VexpMatchesMath", TestVexpMatchesMath},
+		{"VexpCanaries", TestVexpCanaries},
 		{"MaxLoopsMatchScan", TestMaxLoopsMatchScan},
 		{"BatchNormChainBitExact", TestBatchNormChainBitExact},
 		{"MaxPoolMatchesOracle", TestMaxPoolMatchesOracle},
@@ -90,6 +95,31 @@ func TestTierRule(t *testing.T) {
 		}
 	}
 	t.Logf("this machine: %v", detectTier())
+}
+
+// TestVexpRule pins the gate of the vector exp: it replays math.Exp's FMA
+// branch, so it runs only where that branch is the one math.Exp takes (FMA)
+// and the AVX2 kernels are in use; otherwise expBatch is math.Exp per
+// element.
+func TestVexpRule(t *testing.T) {
+	const fma = 1 << 12
+	for _, tc := range []struct {
+		name string
+		tier kernelTier
+		ecx1 uint32
+		want bool
+	}{
+		{"AVX2 tier with FMA", tierAVX2, fma, true},
+		{"AVX-512 tier with FMA", tierAVX512, fma, true},
+		{"AVX2 tier without FMA", tierAVX2, ^uint32(fma), false},
+		{"portable tier with FMA", tierPortable, fma, false},
+		{"nothing", tierPortable, 0, false},
+	} {
+		if got := vexpUsable(tc.tier, tc.ecx1); got != tc.want {
+			t.Errorf("%s: vexpUsable(%v, %#x) = %v, want %v", tc.name, tc.tier, tc.ecx1, got, tc.want)
+		}
+	}
+	t.Logf("this machine: vector exp %v", vexpUsable(tier, ecx1))
 }
 
 // TestKernelCanaries drives every assembly kernel on sub-slices cut at odd

@@ -14,6 +14,8 @@ func maximumScalar(dst, a []float32, s float32) { maximumScalarGo(dst, a, s) }
 
 func reluLoop(dst, src []float32) { reluGo(dst, src) }
 
+func expBatch(dst, src []float64) { expGo(dst, src) }
+
 func kern8(c []float32, ldc int, a []float32, lda int, p []float32, pstride, kc int) {
 	kern8Go(c, ldc, a, lda, p, pstride, kc)
 }

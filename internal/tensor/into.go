@@ -163,6 +163,7 @@ func SoftmaxInto(out *Tensor, t *Tensor, ar *Arena) *Tensor {
 }
 
 func softmaxRows(dst, src []float32, k, lo, hi int) {
+	var e [vchunk]float64
 	for r := lo; r < hi; r++ {
 		s := src[r*k : (r+1)*k]
 		d := dst[r*k : (r+1)*k]
@@ -172,11 +173,18 @@ func softmaxRows(dst, src []float32, k, lo, hi int) {
 				m = v
 			}
 		}
+		// The exps fill a chunk, then are stored and summed in index order.
 		var sum float64
-		for i, v := range s {
-			e := math.Exp(float64(v - m))
-			d[i] = float32(e)
-			sum += e
+		for lo := 0; lo < k; lo += vchunk {
+			ek := e[:min(vchunk, k-lo)]
+			for i := range ek {
+				ek[i] = float64(s[lo+i] - m)
+			}
+			expBatch(ek, ek)
+			for i, v := range ek {
+				d[lo+i] = float32(v)
+				sum += v
+			}
 		}
 		inv := float32(1 / sum)
 		for i := range d {

@@ -89,38 +89,81 @@ func maximumGo(dst, a, b []float32) {
 	}
 }
 
-// The float64 loops call their scalar kernel once per element instead of
-// inlining it. Inlined, the compiler converts each element to float64 into
-// a register still holding the previous element's result (CVTSS2SD merges
-// into its destination), which chains every element's exp or tanh behind
-// the last one's: 2.5× slower measured on GELU. A call takes each element
-// in a freshly loaded register, so consecutive elements overlap.
+// The float64 loops work in chunks of vchunk elements held on the stack:
+// each builds its float64 arguments, converts the whole chunk in one
+// expBatch or tanhBatch call (four lanes at a time on amd64), then finishes
+// the per-element arithmetic in the order the scalar formula has.
+const vchunk = 64
 
+// sigmoidLoop computes dst[i] = float32(1 / (1 + math.Exp(-float64(src[i])))).
 func sigmoidLoop(dst, src []float32) {
 	src = src[:len(dst)]
-	for i := range dst {
-		dst[i] = sigmoidOf(src[i])
+	var e [vchunk]float64
+	for lo := 0; lo < len(dst); lo += vchunk {
+		d, s := dst[lo:min(lo+vchunk, len(dst))], src[lo:]
+		ek := e[:len(d)]
+		for i := range ek {
+			ek[i] = -float64(s[i])
+		}
+		expBatch(ek, ek)
+		for i, v := range ek {
+			d[i] = float32(1 / (1 + v))
+		}
 	}
 }
 
+// tanhLoop computes dst[i] = float32(math.Tanh(float64(src[i]))).
 func tanhLoop(dst, src []float32) {
 	src = src[:len(dst)]
-	for i := range dst {
-		dst[i] = tanhOf(src[i])
+	var a, tmp [vchunk]float64
+	for lo := 0; lo < len(dst); lo += vchunk {
+		d, s := dst[lo:min(lo+vchunk, len(dst))], src[lo:]
+		ak := a[:len(d)]
+		for i := range ak {
+			ak[i] = float64(s[i])
+		}
+		tanhBatch(ak, ak, tmp[:])
+		for i, v := range ak {
+			d[i] = float32(v)
+		}
 	}
 }
 
+// geluLoop computes the tanh form of GELU,
+// dst[i] = float32(0.5·x·(1 + math.Tanh(c·(x + 0.044715·x³)))) with x = src[i].
 func geluLoop(dst, src []float32) {
+	const c = 0.7978845608028654 // sqrt(2/pi)
 	src = src[:len(dst)]
-	for i := range dst {
-		dst[i] = geluOf(src[i])
+	var a, tmp [vchunk]float64
+	for lo := 0; lo < len(dst); lo += vchunk {
+		d, s := dst[lo:min(lo+vchunk, len(dst))], src[lo:]
+		ak := a[:len(d)]
+		for i := range ak {
+			xf := float64(s[i])
+			ak[i] = c * (xf + 0.044715*xf*xf*xf)
+		}
+		tanhBatch(ak, ak, tmp[:])
+		for i, v := range ak {
+			xf := float64(s[i])
+			d[i] = float32(0.5 * xf * (1 + v))
+		}
 	}
 }
 
+// expLoop computes dst[i] = float32(math.Exp(float64(src[i]))).
 func expLoop(dst, src []float32) {
 	src = src[:len(dst)]
-	for i := range dst {
-		dst[i] = expOf(src[i])
+	var a [vchunk]float64
+	for lo := 0; lo < len(dst); lo += vchunk {
+		d, s := dst[lo:min(lo+vchunk, len(dst))], src[lo:]
+		ak := a[:len(d)]
+		for i := range ak {
+			ak[i] = float64(s[i])
+		}
+		expBatch(ak, ak)
+		for i, v := range ak {
+			d[i] = float32(v)
+		}
 	}
 }
 
@@ -131,24 +174,70 @@ func sqrtLoop(dst, src []float32) {
 	}
 }
 
-//go:noinline
-func sigmoidOf(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) }
-
-//go:noinline
-func tanhOf(x float32) float32 { return float32(math.Tanh(float64(x))) }
-
-//go:noinline
-func geluOf(x float32) float32 {
-	const c = 0.7978845608028654 // sqrt(2/pi)
-	xf := float64(x)
-	return float32(0.5 * xf * (1 + math.Tanh(c*(xf+0.044715*xf*xf*xf))))
-}
-
-//go:noinline
-func expOf(x float32) float32 { return float32(math.Exp(float64(x))) }
-
+// sqrtOf is a call rather than inline arithmetic: inlined, the compiler
+// converts each element to float64 into a register still holding the
+// previous element's result (CVTSS2SD merges into its destination), which
+// chains every element behind the last one; a call takes each element in a
+// freshly loaded register, so consecutive elements overlap.
+//
 //go:noinline
 func sqrtOf(x float32) float32 { return float32(math.Sqrt(float64(x))) }
+
+// expGo is the portable expBatch: math.Exp per element.
+func expGo(dst, src []float64) {
+	src = src[:len(dst)]
+	for i, x := range src {
+		dst[i] = math.Exp(x)
+	}
+}
+
+// tanhBatch computes dst[i] = math.Tanh(src[i]) bit for bit, using tmp (at
+// least len(dst) long) as scratch; dst may be src. math.Tanh has no
+// assembly version on amd64, so its Go body is the definition: one
+// expBatch over 2|x| stands in for its Exp(2*z), and the regimes below are
+// copied from $GOROOT/src/math/tanh.go (Cephes tanh.c) with its constants.
+func tanhBatch(dst, src, tmp []float64) {
+	src, tmp = src[:len(dst)], tmp[:len(dst)]
+	for i, x := range src {
+		tmp[i] = 2 * math.Abs(x)
+	}
+	expBatch(tmp, tmp)
+	const MAXLOG = 8.8029691931113054295988e+01 // log(2**127)
+	for i, x := range src {
+		z := math.Abs(x)
+		switch {
+		case z > 0.5*MAXLOG:
+			z = 1
+			if x < 0 {
+				z = -1
+			}
+		case z >= 0.625:
+			s := tmp[i]
+			z = 1 - 2/(s+1)
+			if x < 0 {
+				z = -z
+			}
+		case x == 0:
+			z = x
+		default:
+			s := x * x
+			z = x + x*s*((tanhP[0]*s+tanhP[1])*s+tanhP[2])/(((s+tanhQ[0])*s+tanhQ[1])*s+tanhQ[2])
+		}
+		dst[i] = z
+	}
+}
+
+var tanhP = [...]float64{
+	-9.64399179425052238628e-1,
+	-9.92877231001918586564e1,
+	-1.61468768441708447952e3,
+}
+
+var tanhQ = [...]float64{
+	1.12811678491632931402e2,
+	2.23548839060100448583e3,
+	4.84406305325125486048e3,
+}
 
 func addLoop(dst, a, b []float32) {
 	a, b = a[:len(dst)], b[:len(dst)]

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Recurrent layers run as one sequence-level kernel. The input half of
 // every gate pre-activation, x_t·wxᵀ + bias, does not depend on the
@@ -13,7 +10,11 @@ import (
 // step into a reused buffer, followed by one fused gate pass that updates
 // the state in place. GEMM rows are independent of M, so hoisting cannot
 // move a bit: every pre-activation is still ((Σₖ x·w) + bias) + (Σₖ h·w)
-// with both sums k-ascending in float32.
+// with both sums k-ascending in float32. The gate pass takes a row's hidden
+// units vchunk at a time: the chunk's exp(-x) for every sigmoid gate goes
+// through one expBatch and its tanh arguments through tanhBatch — math.Exp
+// and math.Tanh bit for bit, four lanes at a time on amd64 — and the rest
+// of each unit's update is scalar float64, in the order of the formula.
 
 // rnnRows is a cell's gate pass over batch rows [lo, hi) of one timestep.
 // Row r's input-side pre-activations (bias included) start at gx[r*ldx] and
@@ -150,9 +151,9 @@ func GRUCell(x, h, wx, wh, bias *Tensor) *Tensor {
 	return h
 }
 
-func sigmoid64(x float32) float64 { return 1 / (1 + math.Exp(-float64(x))) }
-
 func lstmRows(gx []float32, ldx int, gh, h, c, seq []float32, lds, hd, lo, hi int) {
+	var e [3 * vchunk]float64 // exp(-x) of the input, forget and output gates
+	var a, tmp [vchunk]float64
 	for r := lo; r < hi; r++ {
 		xg := gx[r*ldx : r*ldx+4*hd]
 		hg := gh[r*4*hd : (r+1)*4*hd]
@@ -162,20 +163,37 @@ func lstmRows(gx []float32, ldx int, gh, h, c, seq []float32, lds, hd, lo, hi in
 		if seq != nil {
 			dst = seq[r*lds : r*lds+hd]
 		}
-		for j := 0; j < hd; j++ {
-			in := sigmoid64(xg[j] + hg[j])
-			fg := sigmoid64(xg[hd+j] + hg[hd+j])
-			cc := math.Tanh(float64(xg[2*hd+j] + hg[2*hd+j]))
-			ot := sigmoid64(xg[3*hd+j] + hg[3*hd+j])
-			cv := fg*float64(cRow[j]) + in*cc
-			cRow[j] = float32(cv)
-			hv := float32(ot * math.Tanh(cv))
-			hRow[j], dst[j] = hv, hv
+		for j0 := 0; j0 < hd; j0 += vchunk {
+			n := min(vchunk, hd-j0)
+			ei, ef, eo, ak := e[:n], e[n:2*n], e[2*n:3*n], a[:n]
+			for j := range ak {
+				k := j0 + j
+				ei[j] = -float64(xg[k] + hg[k])
+				ef[j] = -float64(xg[hd+k] + hg[hd+k])
+				ak[j] = float64(xg[2*hd+k] + hg[2*hd+k])
+				eo[j] = -float64(xg[3*hd+k] + hg[3*hd+k])
+			}
+			expBatch(e[:3*n], e[:3*n])
+			tanhBatch(ak, ak, tmp[:])
+			for j, cc := range ak {
+				in, fg := 1/(1+ei[j]), 1/(1+ef[j])
+				cv := fg*float64(cRow[j0+j]) + in*cc
+				cRow[j0+j] = float32(cv)
+				ak[j] = cv
+			}
+			tanhBatch(ak, ak, tmp[:])
+			for j, tc := range ak {
+				ot := 1 / (1 + eo[j])
+				hv := float32(ot * tc)
+				hRow[j0+j], dst[j0+j] = hv, hv
+			}
 		}
 	}
 }
 
 func gruRows(gx []float32, ldx int, gh, h, _, seq []float32, lds, hd, lo, hi int) {
+	var e [2 * vchunk]float64 // exp(-x) of the reset and update gates
+	var a, tmp [vchunk]float64
 	for r := lo; r < hi; r++ {
 		xg := gx[r*ldx : r*ldx+3*hd]
 		hg := gh[r*3*hd : (r+1)*3*hd]
@@ -184,12 +202,26 @@ func gruRows(gx []float32, ldx int, gh, h, _, seq []float32, lds, hd, lo, hi int
 		if seq != nil {
 			dst = seq[r*lds : r*lds+hd]
 		}
-		for j := 0; j < hd; j++ {
-			rs := sigmoid64(xg[j] + hg[j])
-			zu := sigmoid64(xg[hd+j] + hg[hd+j])
-			nw := math.Tanh(float64(xg[2*hd+j]) + rs*float64(hg[2*hd+j]))
-			hv := float32((1-zu)*nw + zu*float64(hRow[j]))
-			hRow[j], dst[j] = hv, hv
+		for j0 := 0; j0 < hd; j0 += vchunk {
+			n := min(vchunk, hd-j0)
+			er, ez, ak := e[:n], e[n:2*n], a[:n]
+			for j := range ak {
+				k := j0 + j
+				er[j] = -float64(xg[k] + hg[k])
+				ez[j] = -float64(xg[hd+k] + hg[hd+k])
+			}
+			expBatch(e[:2*n], e[:2*n])
+			for j := range ak {
+				k := j0 + j
+				rs := 1 / (1 + er[j])
+				ak[j] = float64(xg[2*hd+k]) + rs*float64(hg[2*hd+k])
+			}
+			tanhBatch(ak, ak, tmp[:])
+			for j, nw := range ak {
+				zu := 1 / (1 + ez[j])
+				hv := float32((1-zu)*nw + zu*float64(hRow[j0+j]))
+				hRow[j0+j], dst[j0+j] = hv, hv
+			}
 		}
 	}
 }

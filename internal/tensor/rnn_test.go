@@ -165,3 +165,105 @@ func TestRNNSeqTimeLoopAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+func sigmoidRef(x float32) float64 { return 1 / (1 + math.Exp(-float64(x))) }
+
+// lstmRowsRef and gruRowsRef are the gate passes as they were written
+// before the transcendentals were batched: one hidden unit at a time, one
+// math.Exp per sigmoid and one math.Tanh per tanh. They are the oracle the
+// chunked passes are held to; LSTMCell and GRUCell call the passes under
+// test, so the step-by-step oracle of TestRNNSeqBitExact cannot see a gate
+// bug.
+func lstmRowsRef(gx []float32, ldx int, gh, h, c, seq []float32, lds, hd, lo, hi int) {
+	for r := lo; r < hi; r++ {
+		xg := gx[r*ldx : r*ldx+4*hd]
+		hg := gh[r*4*hd : (r+1)*4*hd]
+		cRow := c[r*hd : (r+1)*hd]
+		hRow := h[r*hd : (r+1)*hd]
+		dst := hRow
+		if seq != nil {
+			dst = seq[r*lds : r*lds+hd]
+		}
+		for j := 0; j < hd; j++ {
+			in := sigmoidRef(xg[j] + hg[j])
+			fg := sigmoidRef(xg[hd+j] + hg[hd+j])
+			cc := math.Tanh(float64(xg[2*hd+j] + hg[2*hd+j]))
+			ot := sigmoidRef(xg[3*hd+j] + hg[3*hd+j])
+			cv := fg*float64(cRow[j]) + in*cc
+			cRow[j] = float32(cv)
+			hv := float32(ot * math.Tanh(cv))
+			hRow[j], dst[j] = hv, hv
+		}
+	}
+}
+
+func gruRowsRef(gx []float32, ldx int, gh, h, _, seq []float32, lds, hd, lo, hi int) {
+	for r := lo; r < hi; r++ {
+		xg := gx[r*ldx : r*ldx+3*hd]
+		hg := gh[r*3*hd : (r+1)*3*hd]
+		hRow := h[r*hd : (r+1)*hd]
+		dst := hRow
+		if seq != nil {
+			dst = seq[r*lds : r*lds+hd]
+		}
+		for j := 0; j < hd; j++ {
+			rs := sigmoidRef(xg[j] + hg[j])
+			zu := sigmoidRef(xg[hd+j] + hg[hd+j])
+			nw := math.Tanh(float64(xg[2*hd+j]) + rs*float64(hg[2*hd+j]))
+			hv := float32((1-zu)*nw + zu*float64(hRow[j]))
+			hRow[j], dst[j] = hv, hv
+		}
+	}
+}
+
+// TestRNNRowsMatchScalarReference holds lstmRows and gruRows to the
+// per-unit references bit for bit (sameFloat) at hidden sizes around a
+// vector group and a chunk and at the zoo's 320, for one row and eight: the
+// updated h, c and the stored sequence row, with the pass run over rows
+// [1, B) only, so row 0 must come out untouched. Pre-activations and state
+// are drawn at scales that keep tanh in its rational branch, straddle
+// 0.625, saturate it and send exp past ±700, with ±Inf, NaN and the
+// regime edges among them.
+func TestRNNRowsMatchScalarReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, tc := range []struct {
+		cell *rnnCell
+		ref  rnnRows
+	}{{&lstmCell, lstmRowsRef}, {&gruCell, gruRowsRef}} {
+		for _, hd := range []int{1, 3, 4, 5, 63, 64, 65, 320} {
+			for _, b := range []int{1, 8} {
+				for _, scale := range []float64{0.3, 3, 60, 1000} {
+					n := tc.cell.gates * hd
+					ldx, lds := n+3, hd+2 // row strides of a (B,T,·) view
+					gx := regimeValues(rng, b*ldx, scale)
+					gh := regimeValues(rng, b*n, scale)
+					state := regimeValues(rng, 2*b*hd, scale)
+					run := func(rows rnnRows, withSeq bool) (h, c, seq []float32) {
+						h = append([]float32(nil), state[:b*hd]...)
+						c = append([]float32(nil), state[b*hd:]...)
+						if withSeq {
+							seq = make([]float32, b*lds)
+						}
+						rows(gx, ldx, gh, h, c, seq, lds, hd, min(1, b-1), b)
+						return h, c, seq
+					}
+					for _, withSeq := range []bool{false, true} {
+						gotH, gotC, gotSeq := run(tc.cell.rows, withSeq)
+						wantH, wantC, wantSeq := run(tc.ref, withSeq)
+						for _, v := range []struct {
+							what      string
+							got, want []float32
+						}{{"h", gotH, wantH}, {"c", gotC, wantC}, {"seq", gotSeq, wantSeq}} {
+							for i := range v.got {
+								if !sameFloat(v.got[i], v.want[i]) {
+									t.Fatalf("%s H=%d B=%d scale=%g seq=%v: %s[%d] = %#x, want %#x", tc.cell.name, hd, b, scale, withSeq,
+										v.what, i, math.Float32bits(v.got[i]), math.Float32bits(v.want[i]))
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
