@@ -123,6 +123,48 @@ func BenchmarkConv2D(b *testing.B) {
 	}
 }
 
+// BenchmarkConvPack times the im2col pack alone — packPatches over every
+// column panel of BenchmarkConv2D's 3×3 and 7×7 shapes, block by block at
+// the conv's own block size, on one core — and reports it per panel; ns/op
+// is one whole conv's pack.
+func BenchmarkConvPack(b *testing.B) {
+	for _, s := range []struct {
+		name                       string
+		n, cin, hw, k, stride, pad int
+	}{
+		{"stem7x7s2", 1, 3, 224, 7, 2, 3},
+		{"layer1", 1, 64, 56, 3, 1, 1},
+		{"layer2", 1, 128, 28, 3, 1, 1},
+		{"layer3", 1, 256, 14, 3, 1, 1},
+		{"layer4", 1, 512, 7, 3, 1, 1},
+		{"layer2at64x8", 8, 128, 8, 3, 1, 1},
+		{"layer3at64x8", 8, 256, 4, 3, 1, 1},
+		{"layer4at64x8", 8, 512, 2, 3, 1, 1},
+	} {
+		o := (s.hw+2*s.pad-s.k)/s.stride + 1
+		g := convGeom{cin: s.cin, h: s.hw, w: s.hw, kh: s.k, kw: s.k, stride: s.stride, pad: s.pad, oh: o, ow: o}
+		k, imgSize := s.cin*s.k*s.k, s.cin*s.hw*s.hw
+		bw, fold := convBlocking(s.n, k, (o*o+nr-1)/nr, effectiveWorkers())
+		np := (fold*o*o + nr - 1) / nr // panels per group of fold images
+		x := Rand(rand.New(rand.NewSource(3)), 1, s.n, s.cin, s.hw, s.hw)
+		dst := make([]float32, bw*k*nr)
+		for _, t := range hostTiers() {
+			b.Run(s.name+"/"+t.String(), func(b *testing.B) {
+				defer setTier(t)()
+				for i := 0; i < b.N; i++ {
+					for grp := 0; grp < s.n/fold; grp++ {
+						imgs := x.data[grp*fold*imgSize : (grp+1)*fold*imgSize]
+						for jt0 := 0; jt0 < np; jt0 += bw {
+							g.packPatches(dst, imgs, jt0, min(jt0+bw, np))
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.n/fold*np), "ns/panel")
+			})
+		}
+	}
+}
+
 // BenchmarkRNNSeq covers the recurrent layers of the zoo — both Siamese
 // LSTM layers, Wide&Deep's, MT-DNN's GRU task head — at batch 1 and at the
 // served batch of 8. "seq" is the whole kernel per step (GFLOP/s over both

@@ -67,21 +67,13 @@ func Conv2DInto(out *Tensor, x, w, bias *Tensor, stride, pad int, ar *Arena) *Te
 		biasData = bias.data
 	}
 
-	// Panels per block: what fits the scratch bound, cut down further while
-	// that leaves the workers short of two blocks each, never under one 4×16
-	// tile.
-	workers := effectiveWorkers()
-	bw := min(convScratch/(k*nr)/tilePanels1*tilePanels1, n*np/(2*workers)/tilePanels4*tilePanels4)
-	bw = max(bw, tilePanels4)
-
-	// fold images share one column space of cols columns; a batch of planes
-	// narrower than one block is one such group, anything else is n groups
-	// of one image, whose columns are contiguous in out as they stand. A
-	// folded group's product goes through a tile of cout rows behind the
+	// A folded group's product goes through a tile of cout rows behind the
 	// packed panels in the same scratch, tile floats per panel.
-	fold, tile := 1, 0
-	if n > 1 && np < bw {
-		fold, tile = n, cout*nr
+	workers := effectiveWorkers()
+	bw, fold := convBlocking(n, k, np, workers)
+	tile := 0
+	if fold > 1 {
+		tile = cout * nr
 	}
 	groups, cols := n/fold, fold*plane
 	np = (cols + nr - 1) / nr
@@ -146,6 +138,22 @@ func Conv2DInto(out *Tensor, x, w, bias *Tensor, stride, pad int, ar *Arena) *Te
 // small enough to stay L2-resident while every filter row streams past it,
 // and what each worker holds instead of a whole-image im2col buffer.
 const convScratch = 96 << 10
+
+// convBlocking cuts the column space of a batch of n images whose patch
+// matrices are K = k rows by np panels each. bw is the panels per block:
+// what fits the scratch bound, cut down further while that leaves the
+// workers short of two blocks each, never under one 4×16 tile. fold images
+// share one column space: a batch of planes narrower than one block is one
+// such group, anything else is n groups of one image, whose columns are
+// contiguous in out as they stand.
+func convBlocking(n, k, np, workers int) (bw, fold int) {
+	bw = min(convScratch/(k*nr)/tilePanels1*tilePanels1, n*np/(2*workers)/tilePanels4*tilePanels4)
+	bw = max(bw, tilePanels4)
+	if n > 1 && np < bw {
+		return bw, n
+	}
+	return bw, 1
+}
 
 // scatterColumns writes columns [j0, j0+live) of a folded column space —
 // column j is position j%plane of image j/plane — from tile (cout rows of
@@ -230,12 +238,14 @@ func (g *convGeom) packPatches(dst, imgs []float32, jt0, jt1 int) {
 // kernel rows ki that fall inside the image are one range [kiLo, kiHi) for
 // the whole run, and for one kernel column kj the positions inside the image
 // are one range [lo, hi), so bounds are decided per run and per kj, never
-// per element; a full run at stride 1 is an 8-float copy per patch row.
+// per element: each kj is at most three packRows rectangles over every
+// channel — the zero rows above the image, the rows inside it, the zero rows
+// below.
 func (g *convGeom) packRun(d, img []float32, oi, oj, run int) {
 	iy0, ix0 := oi*g.stride-g.pad, oj*g.stride-g.pad
 	kiLo := min(max(0, -iy0), g.kh)
 	kiHi := max(kiLo, min(g.kh, g.h-iy0))
-	plane, kiStep := g.h*g.w, g.kw*nr
+	plane, chStep, kiStep := g.h*g.w, g.kh*g.kw*nr, g.kw*nr
 	for kj := 0; kj < g.kw; kj++ {
 		ix := ix0 + kj // image column of the run's first position
 		lo, hi := 0, 0
@@ -246,33 +256,47 @@ func (g *convGeom) packRun(d, img []float32, oi, oj, run int) {
 			hi = min(run, (g.w-ix+g.stride-1)/g.stride)
 		}
 		hi = max(hi, lo)
-		straight := g.stride == 1 && lo == 0 && hi == nr
-		for c := 0; c < g.cin; c++ {
-			src := img[c*plane : (c+1)*plane]
-			dc := d[(c*g.kh*g.kw+kj)*nr:] // patch row (c, ki, kj) starts at dc[ki*kiStep]
-			for ki := 0; ki < kiLo; ki++ {
-				clear(dc[ki*kiStep : ki*kiStep+run])
-			}
-			for ki := kiHi; ki < g.kh; ki++ {
-				clear(dc[ki*kiStep : ki*kiStep+run])
-			}
+		dk := d[kj*nr:] // patch row (c, ki, kj) starts at dk[c*chStep+ki*kiStep]
+		if kiLo > 0 {
+			packRows(dk, chStep, kiStep, nil, 0, 0, 0, g.cin, kiLo, 1, 0, 0, run)
+		}
+		if kiHi > kiLo {
+			packRows(dk[kiLo*kiStep:], chStep, kiStep, img, (iy0+kiLo)*g.w+ix, plane, g.w, g.cin, kiHi-kiLo, g.stride, lo, hi, run)
+		}
+		if kiHi < g.kh {
+			packRows(dk[kiHi*kiStep:], chStep, kiStep, nil, 0, 0, 0, g.cin, g.kh-kiHi, 1, 0, 0, run)
+		}
+	}
+}
+
+// packRowsGo writes the outer × inner rectangle of patch-row slots of run
+// floats each: slot (o, i) is d[o·dOuter+i·dInner:][:run], and its lane s is
+// src[base + o·sOuter + i·sInner + s·stride] for lo ≤ s < hi and 0 for every
+// other s < run. 0 ≤ lo ≤ hi ≤ run ≤ nr; base may be negative on a left
+// fringe (lo > 0), since only the lanes in [lo, hi) are read, and src is
+// unused when lo == hi. It is the reference packRows is held to, and
+// packRows itself below the AVX2 tier and at strides past 2.
+func packRowsGo(d []float32, dOuter, dInner int, src []float32, base, sOuter, sInner, outer, inner, stride, lo, hi, run int) {
+	straight := stride == 1 && hi-lo == nr
+	for o := 0; o < outer; o++ {
+		for i := 0; i < inner; i++ {
+			dd := d[o*dOuter+i*dInner:][:run]
+			b := base + o*sOuter + i*sInner
 			if straight {
-				for ki := kiLo; ki < kiHi; ki++ {
-					// Through a local so neither move can alias: the
-					// compiler inlines both instead of calling memmove.
-					v := *(*[nr]float32)(src[(iy0+ki)*g.w+ix:])
-					*(*[nr]float32)(dc[ki*kiStep:]) = v
-				}
+				// Through a local so neither move can alias: the compiler
+				// inlines both instead of calling memmove.
+				v := *(*[nr]float32)(src[b:])
+				*(*[nr]float32)(dd) = v
 				continue
 			}
-			for ki := kiLo; ki < kiHi; ki++ {
-				dd := dc[ki*kiStep : ki*kiStep+run]
-				base := (iy0+ki)*g.w + ix
-				clear(dd[:lo])
-				for s := lo; s < hi; s++ {
-					dd[s] = src[base+s*g.stride]
-				}
-				clear(dd[hi:])
+			for s := 0; s < lo; s++ {
+				dd[s] = 0
+			}
+			for s := lo; s < hi; s++ {
+				dd[s] = src[b+s*stride]
+			}
+			for s := hi; s < run; s++ {
+				dd[s] = 0
 			}
 		}
 	}
@@ -532,15 +556,27 @@ func batchNormLoop(dst, src []float32, inv, b, m float32) {
 	}
 }
 
+// sqrt32 is a Newton square root for the batch-norm denominator, kept
+// dependency-free. Sixteen steps from z = x converge on [~1e-8, ~1e8]; past
+// that z is still halving its way towards √x, so it keeps stepping while a
+// step would move z by more than z·2⁻²⁰ (the smallest subnormal takes 62
+// more) and stops without taking the first step that small. Inputs the
+// sixteen steps already settle therefore keep their bits, and every positive
+// float32 ends within 1e-6 relative of √x.
 func sqrt32(x float32) float32 {
-	// Newton iterations on a float64 seed keep this dependency-free and exact
-	// enough for normalisation denominators.
 	if x <= 0 {
 		return 0
 	}
 	z := x
 	for i := 0; i < 16; i++ {
 		z = 0.5 * (z + x/z)
+	}
+	for i := 0; i < 128; i++ {
+		next := 0.5 * (z + x/z)
+		if d, tol := next-z, z*0x1p-20; !(d > tol || d < -tol) {
+			break
+		}
+		z = next
 	}
 	return z
 }

@@ -92,6 +92,20 @@ func poisonArena(ar *Arena) {
 	}
 }
 
+// nanWindow returns a copy of x whose data is a window of a larger array
+// that is NaN everywhere else: a kernel reading one element before or
+// past its input then puts a NaN into the output.
+func nanWindow(x *Tensor) *Tensor {
+	const before, after = 13, 37
+	whole := make([]float32, before+len(x.data)+after)
+	for i := range whole {
+		whole[i] = float32(math.NaN())
+	}
+	data := whole[before : before+len(x.data)]
+	copy(data, x.data)
+	return FromSlice(data, x.shape...)
+}
+
 // TestConv2DBitExact pins Conv2DInto to convRef over the shapes that select
 // each packing and splitting path: strides 1 and 2, pads 0/1/3, pointwise,
 // 3×3 and 7×7 filters, output widths off the panel width (7, 14, 28) so
@@ -99,9 +113,11 @@ func poisonArena(ar *Arena) {
 // matrices that take the blocked loop and narrow ones that take the row
 // split, batches of 1 and 3, and batches of 2, 5 and 8 whose 1×1 to 4×4
 // output planes are narrower than a block, so the batch is folded into one
-// column space and panels straddle images — each from no arena, a cold arena
-// and a recycled one full of stale data, into a fresh and a caller-supplied
-// destination, pooled and serial.
+// column space and panels straddle images, stride 3 (the Go pack), and 7×7
+// stride 2 pad 3 at output widths 1–9 — each from no arena, a cold arena and
+// a recycled one full of stale data, into a fresh and a caller-supplied
+// destination, pooled and serial. Every input is a window of a NaN-filled
+// array, so a patch lane read from outside the image would show.
 func TestConv2DBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	type convCase struct {
@@ -137,9 +153,20 @@ func TestConv2DBitExact(t *testing.T) {
 		{1, 16, 50, 46, 5, 7, 2, 3},  // 7×7 stride 2 over many blocks
 		{1, 400, 40, 40, 4, 1, 1, 0}, // pointwise over many blocks
 		{1, 64, 12, 12, 70, 3, 1, 1}, // cout past one packMC block, off the row tile
+		{1, 3, 17, 20, 4, 3, 3, 1},   // stride 3: Go rows between vector zero rows
+		{8, 5, 5, 5, 3, 3, 3, 2},     // stride 3, folded
 	}...)
+	for ow := 1; ow <= 9; ow++ {
+		// 7×7 stride 2 pad 3, the stem's fringes at every run length: odd
+		// widths at batch 1, even ones at a folded batch of 8.
+		c := convCase{1, 3, 5, 2*ow - 1, 4, 7, 2, 3}
+		if ow%2 == 0 {
+			c = convCase{8, 2, 3, 2 * ow, 3, 7, 2, 3}
+		}
+		cases = append(cases, c)
+	}
 	for _, c := range cases {
-		x := Rand(rng, 1, c.n, c.cin, c.h, c.w)
+		x := nanWindow(Rand(rng, 1, c.n, c.cin, c.h, c.w))
 		w := Rand(rng, 1, c.cout, c.cin, c.k, c.k)
 		bias := Rand(rng, 1, c.cout)
 		wantNoBias := convRef(x, w, nil, c.stride, c.pad)
@@ -341,19 +368,47 @@ func TestBatchNorm2DShiftScale(t *testing.T) {
 	}
 }
 
+// sqrt32Sixteen is sqrt32 before the convergence test: exactly sixteen
+// Newton steps from z = x.
+func sqrt32Sixteen(x float32) float32 {
+	if x <= 0 {
+		return 0
+	}
+	z := x
+	for i := 0; i < 16; i++ {
+		z = 0.5 * (z + x/z)
+	}
+	return z
+}
+
+// TestSqrt32 checks the batch-norm square root against math.Sqrt, far
+// outside [1e-8, 1e8] too, and that over a sweep of positive float32s
+// (subnormals included) it keeps the bits of the sixteen-step version
+// wherever those were within 1.5 ulp of √x.
 func TestSqrt32(t *testing.T) {
-	for _, v := range []float32{0, 1, 2, 4, 100, 1e-4} {
-		got := sqrt32(v)
-		want := float32(0)
-		if v > 0 {
-			want = float32(float64(v))
-			_ = want
+	if got := sqrt32(4); got != 2 {
+		t.Fatalf("sqrt32(4) = %v", got)
+	}
+	if got := sqrt32(0); got != 0 {
+		t.Fatalf("sqrt32(0) = %v", got)
+	}
+	check := func(v float32) {
+		t.Helper()
+		want := math.Sqrt(float64(v))
+		if got := sqrt32(v); math.Abs(float64(got)-want) > 1e-6*want {
+			t.Fatalf("sqrt32(%g) = %g, want %g", v, got, want)
 		}
-		if v == 4 && got != 2 {
-			t.Fatalf("sqrt32(4) = %v", got)
-		}
-		if got*got-v > 1e-3*v+1e-6 || v-got*got > 1e-3*v+1e-6 {
-			t.Fatalf("sqrt32(%v)=%v, square %v", v, got, got*got)
+	}
+	for _, v := range []float32{1, 2, 100, 1e-4, 1e-12, 1e-10, 4e9, 1e10, 1e12, 3e38, math.SmallestNonzeroFloat32, math.MaxFloat32} {
+		check(v)
+	}
+	for bits := uint32(1); bits < 0x7f800000; bits += 7919 {
+		v := math.Float32frombits(bits)
+		check(v)
+		old, want := sqrt32Sixteen(v), math.Sqrt(float64(v))
+		ulp := float64(math.Nextafter32(float32(want), math.MaxFloat32) - float32(want))
+		if math.Abs(float64(old)-want) <= 1.5*ulp && sqrt32(v) != old {
+			t.Fatalf("sqrt32(%g) = %g, the sixteen steps gave %g (within 1.5 ulp of %g)", v, sqrt32(v), old, want)
 		}
 	}
 }

@@ -70,6 +70,9 @@ func maxps1(dst, a *float32, s float32, n int)
 //go:noescape
 func expPD(dst, src *float64, n int) (done int)
 
+//go:noescape
+func packRowsAVX(d *float32, dOuter, dInner int, src *float32, sOuter, sInner, outer, inner, lead int, lmask, smask *int32, mode int)
+
 // maximumLoop computes dst[i] = a[i] > b[i] ? a[i] : b[i] — VMAXPS's own
 // rule, so the vector kernel is the scalar loop bit for bit.
 func maximumLoop(dst, a, b []float32) {
@@ -198,4 +201,67 @@ func kern1(c, a, p []float32, pstride, kc, np int) {
 	for q := 0; q < np; q++ {
 		kern1x8(&c[q*nr], &a[0], &p[q*pstride], kc)
 	}
+}
+
+// packRowsAVX's modes, one loop each (pack_amd64.s branches on these
+// values): a full stride-1 run (plain moves), a rectangle of zeros, a masked
+// stride-1 run, a masked stride-2 run.
+const (
+	packCopy = iota
+	packZero
+	packStride1
+	packStride2
+)
+
+// packMasks[stride-1][lo][hi] is the VMASKMOVPS load mask of a run of
+// stride 1 or 2 whose lanes [lo, hi) are active, over the 16 source floats
+// from its lane 0: element e is read iff e%stride == 0 and lo ≤ e/stride <
+// hi (so a stride-1 mask is clear past element 7). packMasks[0][0][run] is
+// also the store mask of a run-lane slot.
+var packMasks = func() (m [2][nr + 1][nr + 1][2 * nr]int32) {
+	for st := 1; st <= 2; st++ {
+		for lo := 0; lo <= nr; lo++ {
+			for hi := lo; hi <= nr; hi++ {
+				for e := 0; e < 2*nr; e++ {
+					if e%st == 0 && lo <= e/st && e/st < hi {
+						m[st-1][lo][hi][e] = -1
+					}
+				}
+			}
+		}
+	}
+	return m
+}()
+
+// packRows is packRowsGo through packRowsAVX at strides 1 and 2 from the
+// AVX2 tier up. Go forms no pointer outside src: the index expressions below
+// check the first and the last active element of the rectangle (the slots'
+// strides are positive) and the last lane of d, and the assembly alone steps
+// back from the first active element to lane 0 of a left-fringe run, whose
+// lanes before lo the masked loads never touch.
+func packRows(d []float32, dOuter, dInner int, src []float32, base, sOuter, sInner, outer, inner, stride, lo, hi, run int) {
+	if tier < tierAVX2 || stride > 2 {
+		packRowsGo(d, dOuter, dInner, src, base, sOuter, sInner, outer, inner, stride, lo, hi, run)
+		return
+	}
+	if outer <= 0 || inner <= 0 || run <= 0 {
+		return
+	}
+	_ = d[(outer-1)*dOuter+(inner-1)*dInner+run-1]
+	smask := &packMasks[0][0][run][0]
+	if lo == hi {
+		packRowsAVX(&d[0], 4*dOuter, 4*dInner, nil, 0, 0, outer, inner, 0, smask, smask, packZero)
+		return
+	}
+	first := base + lo*stride
+	_ = src[base+(outer-1)*sOuter+(inner-1)*sInner+(hi-1)*stride]
+	mode := packStride2
+	if stride == 1 {
+		mode = packStride1
+		if hi-lo == nr {
+			mode = packCopy
+		}
+	}
+	packRowsAVX(&d[0], 4*dOuter, 4*dInner, &src[first], 4*sOuter, 4*sInner, outer, inner, 4*lo*stride,
+		&packMasks[stride-1][lo][hi][0], smask, mode)
 }

@@ -227,6 +227,12 @@ func TestKernelWrappersBoundsCheck(t *testing.T) {
 		{"kern1 short C", tierAVX2, func() { kern1(short(32), full(kc), full(4*kc*nr), kc*nr, kc, 4) }},
 		{"kern1 short A", tierAVX2, func() { kern1(full(32), short(kc), full(4*kc*nr), kc*nr, kc, 4) }},
 		{"kern1 short panel", tierAVX2, func() { kern1(full(32), full(kc), short(4*kc*nr), kc*nr, kc, 4) }},
+		// 2×3 slots of 5 lanes 12 floats apart, lanes [1, 4) of stride 2
+		// from base −2 and 20 / 30 floats per inner / outer step.
+		{"packRows short d", tierAVX2, func() { packRows(short(24+60+5), 60, 12, full(30+40+4+1), -2, 30, 20, 2, 3, 2, 1, 4, 5) }},
+		{"packRows short src", tierAVX2, func() { packRows(full(24+60+5), 60, 12, short(30+40+4+1), -2, 30, 20, 2, 3, 2, 1, 4, 5) }},
+		{"packRows first lane before src", tierAVX2, func() { packRows(full(24+60+5), 60, 12, full(30+40+4+1), -3, 30, 20, 2, 3, 2, 1, 4, 5) }},
+		{"packRows short zero rows", tierAVX2, func() { packRows(short(24+60+5), 60, 12, nil, 0, 0, 0, 2, 3, 1, 0, 0, 5) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tier < tc.need {
@@ -235,5 +241,67 @@ func TestKernelWrappersBoundsCheck(t *testing.T) {
 			defer expectPanic(t, tc.name)
 			tc.call()
 		})
+	}
+}
+
+// TestPackRowsCanaries holds packRows to packRowsGo over every 0 ≤ lo ≤ hi ≤
+// run ≤ nr at strides 1, 2 and 3 (3 takes the Go path) and 1–3 × 1–3 slots,
+// cut at odd offsets out of NaN-filled arrays with gaps between the slots.
+// The source slice starts at the first active element and ends at the last,
+// every other element of its array is NaN, so a lane read outside [lo, hi)
+// would drag a NaN into a slot, and every element of d's array outside the
+// slots — the gaps and guard bands — must keep its canary.
+func TestPackRowsCanaries(t *testing.T) {
+	if tier < tierAVX2 {
+		t.Skip("no AVX2: assembly kernels not in use")
+	}
+	rng := rand.New(rand.NewSource(19))
+	nan := float32(math.NaN())
+	nanArray := func(n int) []float32 {
+		a := make([]float32, n)
+		for i := range a {
+			a[i] = nan
+		}
+		return a
+	}
+	for stride := 1; stride <= 3; stride++ {
+		for outer := 1; outer <= 3; outer++ {
+			for inner := 1; inner <= 3; inner++ {
+				for run := 0; run <= nr; run++ {
+					for lo := 0; lo <= run; lo++ {
+						for hi := lo; hi <= run; hi++ {
+							dInner, dOuter := run+3, inner*(run+3)+2
+							dWhole := nanArray(5 + (outer-1)*dOuter + (inner-1)*dInner + run + 2*nr)
+							d := dWhole[5 : 5+(outer-1)*dOuter+(inner-1)*dInner+run]
+							sInner := hi*stride + 5
+							sOuter := inner*sInner + 7
+							base := -lo * stride
+							var src []float32
+							if hi > lo {
+								last := base + (outer-1)*sOuter + (inner-1)*sInner + (hi-1)*stride
+								sWhole := nanArray(3 + 2*nr*stride + last + 1 + 2*nr*stride)
+								src = sWhole[3+2*nr*stride : 3+2*nr*stride+last+1]
+								for o := 0; o < outer; o++ {
+									for i := 0; i < inner; i++ {
+										for s := lo; s < hi; s++ {
+											src[base+o*sOuter+i*sInner+s*stride] = rng.Float32()*2 - 1
+										}
+									}
+								}
+							}
+							want := append([]float32(nil), dWhole...)
+							packRowsGo(want[5:5+len(d)], dOuter, dInner, src, base, sOuter, sInner, outer, inner, stride, lo, hi, run)
+							packRows(d, dOuter, dInner, src, base, sOuter, sInner, outer, inner, stride, lo, hi, run)
+							for i := range dWhole {
+								if math.Float32bits(dWhole[i]) != math.Float32bits(want[i]) {
+									t.Fatalf("stride %d, %d×%d slots, run %d, lanes [%d, %d): d's array differs from packRowsGo at %d (slots start at 5): got %g want %g",
+										stride, outer, inner, run, lo, hi, i, dWhole[i], want[i])
+								}
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

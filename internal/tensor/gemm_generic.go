@@ -16,6 +16,10 @@ func reluLoop(dst, src []float32) { reluGo(dst, src) }
 
 func expBatch(dst, src []float64) { expGo(dst, src) }
 
+func packRows(d []float32, dOuter, dInner int, src []float32, base, sOuter, sInner, outer, inner, stride, lo, hi, run int) {
+	packRowsGo(d, dOuter, dInner, src, base, sOuter, sInner, outer, inner, stride, lo, hi, run)
+}
+
 func kern8(c []float32, ldc int, a []float32, lda int, p []float32, pstride, kc int) {
 	kern8Go(c, ldc, a, lda, p, pstride, kc)
 }
