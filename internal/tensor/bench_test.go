@@ -302,37 +302,76 @@ func BenchmarkMaxPool(b *testing.B) {
 
 // BenchmarkTranscendentals reports ns/elem of the exp, sigmoid, tanh and
 // GELU loops ("batch", once per kernel tier this machine has: the vector
-// exp runs at the AVX2 tiers when the processor has FMA) against the same
-// formula called per element over math ("math"). Arguments are N(0, 2²),
-// the range activations see.
+// exp, tanh and GELU stages run at the AVX2 tiers when the processor has
+// FMA) against the same formula called per element over math ("math"), at
+// two argument spreads: "act", N(0, 2²), where most tanh arguments reach
+// the exp regime, and "ffn", N(0, 0.6²), where about 80 % of GELU's tanh
+// arguments stay in the rational regime, as in MT-DNN's feed-forward layers.
 func BenchmarkTranscendentals(b *testing.B) {
 	const n = 4096
-	rng := rand.New(rand.NewSource(8))
-	src := make([]float32, n)
-	for i := range src {
-		src[i] = float32(rng.NormFloat64() * 2)
-	}
 	dst := make([]float32, n)
 	perElem := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/elem")
 		b.ReportMetric(0, "ns/op")
 	}
-	for _, f := range transcendentals {
-		b.Run(f.name+"/math", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for j, x := range src {
-					dst[j] = f.ref(x)
-				}
-			}
-			perElem(b)
-		})
-		for _, t := range hostTiers() {
-			b.Run(f.name+"/batch/"+t.String(), func(b *testing.B) {
-				defer setTier(t)()
+	for _, d := range []struct {
+		name  string
+		sigma float64
+	}{{"act", 2}, {"ffn", 0.6}} {
+		rng := rand.New(rand.NewSource(8))
+		src := make([]float32, n)
+		for i := range src {
+			src[i] = float32(rng.NormFloat64() * d.sigma)
+		}
+		for _, f := range transcendentals {
+			b.Run(f.name+"/"+d.name+"/math", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					f.loop(dst, src)
+					for j, x := range src {
+						dst[j] = f.ref(x)
+					}
 				}
 				perElem(b)
+			})
+			for _, t := range hostTiers() {
+				b.Run(f.name+"/"+d.name+"/batch/"+t.String(), func(b *testing.B) {
+					defer setTier(t)()
+					for i := 0; i < b.N; i++ {
+						f.loop(dst, src)
+					}
+					perElem(b)
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkLinearGELU times MT-DNN's feed-forward up-projection, 64 tokens
+// × 512 → 2048 with a pinned weight, as the plain dense layer ("dense") and
+// as the fused dense + GELU group the compiler builds ("dense+gelu"), once
+// per kernel tier: the difference is the GELU tape's share of the layer.
+// The weights are scaled so the outputs spread about N(0, 0.6²), the
+// "ffn" spread of BenchmarkTranscendentals.
+func BenchmarkLinearGELU(b *testing.B) {
+	const m, k, n = 64, 512, 2048
+	rng := rand.New(rand.NewSource(3))
+	x := Rand(rng, 1, m, k)
+	w := Rand(rng, float32(1.8/math.Sqrt(k)), n, k).MarkPinned()
+	bias := Rand(rng, 0.05, n)
+	gelu, err := CompileChain([]Instr{{Op: ChainGELU}}, []int{m, n}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := New(m, n)
+	for _, c := range []struct {
+		name string
+		p    *Program
+	}{{"dense", nil}, {"dense+gelu", gelu}} {
+		for _, t := range hostTiers() {
+			b.Run(c.name+"/"+t.String(), func(b *testing.B) {
+				defer setTier(t)()
+				for i := 0; i < b.N; i++ {
+					LinearChainInto(out, x, w, bias, c.p, nil, nil, nil)
+				}
 			})
 		}
 	}

@@ -71,6 +71,15 @@ func maxps1(dst, a *float32, s float32, n int)
 func expPD(dst, src *float64, n int) (done int)
 
 //go:noescape
+func tanhPD(dst, src, e *float64, n int)
+
+//go:noescape
+func geluArgPD(a, e *float64, src *float32, n int)
+
+//go:noescape
+func geluOutPD(dst, src *float32, t *float64, n int)
+
+//go:noescape
 func packRowsAVX(d *float32, dOuter, dInner int, src *float32, sOuter, sInner, outer, inner, lead int, lmask, smask *int32, mode int)
 
 // maximumLoop computes dst[i] = a[i] > b[i] ? a[i] : b[i] — VMAXPS's own
@@ -130,6 +139,46 @@ func expBatch(dst, src []float64) {
 		}
 	}
 	expGo(dst[i:], src[i:])
+}
+
+// tanhExp computes dst[i] = math.Tanh(src[i]) bit for bit given
+// e[i] = math.Exp(2|src[i]|): whole groups of four through tanhPD when the
+// vector exp is usable, the last len(dst)%4 elements through tanhExpGo.
+// dst may be src.
+func tanhExp(dst, src, e []float64) {
+	src, e = src[:len(dst)], e[:len(dst)] // the bounds checks the kernel cannot make
+	i := 0
+	if vexpUsable(tier, ecx1) && len(dst) >= 4 {
+		i = len(dst) &^ 3
+		tanhPD(&dst[0], &src[0], &e[0], i)
+	}
+	tanhExpGo(dst[i:], src[i:], e[i:])
+}
+
+// geluArg computes GELU's tanh argument a[i] = c·(x + 0.044715·x³) with
+// x = float64(src[i]), and e[i] = 2|a[i]|: whole groups of four through
+// geluArgPD when the vector exp is usable, the rest through geluArgGo.
+func geluArg(a, e []float64, src []float32) {
+	e, src = e[:len(a)], src[:len(a)]
+	i := 0
+	if vexpUsable(tier, ecx1) && len(a) >= 4 {
+		i = len(a) &^ 3
+		geluArgPD(&a[0], &e[0], &src[0], i)
+	}
+	geluArgGo(a[i:], e[i:], src[i:])
+}
+
+// geluOut computes dst[i] = float32(0.5·x·(1 + t[i])) with x = float64(src[i]):
+// whole groups of four through geluOutPD when the vector exp is usable, the
+// rest through geluOutGo. dst may be src.
+func geluOut(dst, src []float32, t []float64) {
+	src, t = src[:len(dst)], t[:len(dst)]
+	i := 0
+	if vexpUsable(tier, ecx1) && len(dst) >= 4 {
+		i = len(dst) &^ 3
+		geluOutPD(&dst[0], &src[0], &t[0], i)
+	}
+	geluOutGo(dst[i:], src[i:], t[i:])
 }
 
 // reluLoop computes dst[i] = src[i] > 0 ? src[i] : 0: on amd64 the maximum

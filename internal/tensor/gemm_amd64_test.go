@@ -10,7 +10,7 @@ import (
 )
 
 // TestPortableKernelPath re-runs the packed-GEMM, conv, chain, RNN, ReLU /
-// maximum, max-pool and exp / tanh suites at every kernel tier below the detected one —
+// maximum, max-pool and exp / tanh / GELU suites at every kernel tier below the detected one —
 // the AVX2 kernels without the AVX-512 tile, then the portable Go kernels
 // (the reference, and the only path off amd64) — so each tier passes the
 // identical tests on this machine too. Each suite is a subtest with one
@@ -41,6 +41,7 @@ func TestPortableKernelPath(t *testing.T) {
 		{"SoftmaxRowsMatchReference", TestSoftmaxRowsMatchReference},
 		{"VexpMatchesMath", TestVexpMatchesMath},
 		{"VexpCanaries", TestVexpCanaries},
+		{"GELUMatchesFormula", TestGELUMatchesFormula},
 		{"MaxLoopsMatchScan", TestMaxLoopsMatchScan},
 		{"BatchNormChainBitExact", TestBatchNormChainBitExact},
 		{"MaxPoolMatchesOracle", TestMaxPoolMatchesOracle},
@@ -233,6 +234,12 @@ func TestKernelWrappersBoundsCheck(t *testing.T) {
 		{"packRows short src", tierAVX2, func() { packRows(full(24+60+5), 60, 12, short(30+40+4+1), -2, 30, 20, 2, 3, 2, 1, 4, 5) }},
 		{"packRows first lane before src", tierAVX2, func() { packRows(full(24+60+5), 60, 12, full(30+40+4+1), -3, 30, 20, 2, 3, 2, 1, 4, 5) }},
 		{"packRows short zero rows", tierAVX2, func() { packRows(short(24+60+5), 60, 12, nil, 0, 0, 0, 2, 3, 1, 0, 0, 5) }},
+		{"tanhExp short src", tierAVX2, func() { tanhExp(make([]float64, 8), make([]float64, 7), make([]float64, 8)) }},
+		{"tanhExp short e", tierAVX2, func() { tanhExp(make([]float64, 8), make([]float64, 8), make([]float64, 7)) }},
+		{"geluArg short e", tierAVX2, func() { geluArg(make([]float64, 8), make([]float64, 7), full(8)) }},
+		{"geluArg short src", tierAVX2, func() { geluArg(make([]float64, 8), make([]float64, 8), short(8)) }},
+		{"geluOut short src", tierAVX2, func() { geluOut(full(8), short(8), make([]float64, 8)) }},
+		{"geluOut short t", tierAVX2, func() { geluOut(full(8), full(8), make([]float64, 7)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tier < tc.need {

@@ -16,6 +16,12 @@ func reluLoop(dst, src []float32) { reluGo(dst, src) }
 
 func expBatch(dst, src []float64) { expGo(dst, src) }
 
+func tanhExp(dst, src, e []float64) { tanhExpGo(dst, src, e) }
+
+func geluArg(a, e []float64, src []float32) { geluArgGo(a, e, src) }
+
+func geluOut(dst, src []float32, t []float64) { geluOutGo(dst, src, t) }
+
 func packRows(d []float32, dOuter, dInner int, src []float32, base, sOuter, sInner, outer, inner, stride, lo, hi, run int) {
 	packRowsGo(d, dOuter, dInner, src, base, sOuter, sInner, outer, inner, stride, lo, hi, run)
 }

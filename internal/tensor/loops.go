@@ -131,22 +131,41 @@ func tanhLoop(dst, src []float32) {
 
 // geluLoop computes the tanh form of GELU,
 // dst[i] = float32(0.5·x·(1 + math.Tanh(c·(x + 0.044715·x³)))) with x = src[i].
+// Each chunk runs four stages, each four lanes at a time on amd64: the tanh
+// argument a and 2|a| (geluArg), the exp of 2|a|, tanh's regimes (tanhExp)
+// and the output (geluOut).
 func geluLoop(dst, src []float32) {
-	const c = 0.7978845608028654 // sqrt(2/pi)
 	src = src[:len(dst)]
-	var a, tmp [vchunk]float64
+	var a, e [vchunk]float64
 	for lo := 0; lo < len(dst); lo += vchunk {
 		d, s := dst[lo:min(lo+vchunk, len(dst))], src[lo:]
-		ak := a[:len(d)]
-		for i := range ak {
-			xf := float64(s[i])
-			ak[i] = c * (xf + 0.044715*xf*xf*xf)
-		}
-		tanhBatch(ak, ak, tmp[:])
-		for i, v := range ak {
-			xf := float64(s[i])
-			d[i] = float32(0.5 * xf * (1 + v))
-		}
+		ak, ek := a[:len(d)], e[:len(d)]
+		geluArg(ak, ek, s)
+		expBatch(ek, ek)
+		tanhExp(ak, ak, ek)
+		geluOut(d, s, ak)
+	}
+}
+
+// geluArgGo is the portable geluArg: a[i] = c·(x + 0.044715·x³) with
+// x = float64(src[i]), and e[i] = 2|a[i]|, tanh's exp argument.
+func geluArgGo(a, e []float64, src []float32) {
+	const c = 0.7978845608028654 // sqrt(2/pi)
+	e, src = e[:len(a)], src[:len(a)]
+	for i, x := range src {
+		xf := float64(x)
+		v := c * (xf + 0.044715*xf*xf*xf)
+		a[i], e[i] = v, 2*math.Abs(v)
+	}
+}
+
+// geluOutGo is the portable geluOut: dst[i] = float32(0.5·x·(1 + t[i])) with
+// x = float64(src[i]).
+func geluOutGo(dst, src []float32, t []float64) {
+	src, t = src[:len(dst)], t[:len(dst)]
+	for i, v := range t {
+		xf := float64(src[i])
+		dst[i] = float32(0.5 * xf * (1 + v))
 	}
 }
 
@@ -194,14 +213,22 @@ func expGo(dst, src []float64) {
 // tanhBatch computes dst[i] = math.Tanh(src[i]) bit for bit, using tmp (at
 // least len(dst) long) as scratch; dst may be src. math.Tanh has no
 // assembly version on amd64, so its Go body is the definition: one
-// expBatch over 2|x| stands in for its Exp(2*z), and the regimes below are
-// copied from $GOROOT/src/math/tanh.go (Cephes tanh.c) with its constants.
+// expBatch over 2|x| stands in for its Exp(2*z), and tanhExp runs its
+// regimes.
 func tanhBatch(dst, src, tmp []float64) {
 	src, tmp = src[:len(dst)], tmp[:len(dst)]
 	for i, x := range src {
 		tmp[i] = 2 * math.Abs(x)
 	}
 	expBatch(tmp, tmp)
+	tanhExp(dst, src, tmp)
+}
+
+// tanhExpGo is the portable tanhExp: dst[i] = math.Tanh(src[i]) given
+// e[i] = math.Exp(2|src[i]|), the regimes copied from
+// $GOROOT/src/math/tanh.go (Cephes tanh.c) with its constants.
+func tanhExpGo(dst, src, e []float64) {
+	src, e = src[:len(dst)], e[:len(dst)]
 	const MAXLOG = 8.8029691931113054295988e+01 // log(2**127)
 	for i, x := range src {
 		z := math.Abs(x)
@@ -212,7 +239,7 @@ func tanhBatch(dst, src, tmp []float64) {
 				z = -1
 			}
 		case z >= 0.625:
-			s := tmp[i]
+			s := e[i]
 			z = 1 - 2/(s+1)
 			if x < 0 {
 				z = -z
