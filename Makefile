@@ -43,9 +43,9 @@ build:
 ## the whole tree is cross-built for arm64 to prove the build tags (offline:
 ## the standard library is the only dependency). The served-batch cells of
 ## BenchmarkConv2D (the last three ResNet stages at 64², eight images: the
-## shapes whose blocks span images), the transcendental loops and the
-## dense + GELU layer run once at every kernel tier the machine has, so they
-## cannot rot.
+## shapes whose blocks span images), the transcendental loops, the
+## dense + GELU layer and MT-DNN's attention (core and whole layer) run once
+## at every kernel tier the machine has, so they cannot rot.
 ## The host-clock benchmark in bench/ is a nested module that compiles
 ## against the exported runtime/schedule/serve API and may not be edited by
 ## the PRs it measures, so a rename that breaks the harness has to fail here,
@@ -55,7 +55,7 @@ check: fmt-check vet
 	$(GO) test -race ./internal/modelio
 	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 	$(GO) test -count=1 -tags purego ./internal/tensor/...
-	$(GO) test -run xxx -bench 'Conv2D/.*x8|Transcendentals|LinearGELU' -benchtime 1x ./internal/tensor/
+	$(GO) test -run xxx -bench 'Conv2D/.*x8|Transcendentals|LinearGELU|Attention' -benchtime 1x ./internal/tensor/
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) test -race -count=2 ./internal/obs/...
 	$(GO) test -race -count=2 -run 'TestConcurrentExecuteArena|TestServeSmoke|TestServeBatchRecyclesMidBatch' ./internal/serve/

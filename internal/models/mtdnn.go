@@ -80,12 +80,13 @@ func MTDNN(cfg MTDNNConfig) (*graph.Graph, error) {
 // layernorm, then the position-wise FFN with residual + layernorm.
 func (b *builder) transformerLayer(prefix string, x graph.NodeID, cfg MTDNNConfig) graph.NodeID {
 	d := cfg.ModelDim
-	wq := b.weight(prefix+"_wq", d, d)
-	wk := b.weight(prefix+"_wk", d, d)
-	wv := b.weight(prefix+"_wv", d, d)
+	// One stacked [wq; wk; wv] projection. Rand fills element by element
+	// and the fan-in is d either way, so its rows are exactly the three d×d
+	// draws it replaces.
+	wqkv := b.weight(prefix+"_wqkv", 3*d, d)
 	wo := b.weight(prefix+"_wo", d, d)
 	bo := b.weight(prefix+"_bo", d)
-	attn := b.g.Add("mha", b.name(prefix+"_mha"), graph.Attrs{"heads": cfg.Heads}, x, wq, wk, wv, wo, bo)
+	attn := b.g.Add("mha", b.name(prefix+"_mha"), graph.Attrs{"heads": cfg.Heads}, x, wqkv, wo, bo)
 	res1 := b.g.Add("add", b.name(prefix+"_res1"), nil, attn, x)
 	ln1 := b.layerNorm(prefix+"_ln1", res1, d)
 

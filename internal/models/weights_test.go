@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"duet/internal/graph"
+	"duet/internal/tensor"
 )
 
 // TestZooWeightsMatchMathRand regenerates every weight of a reduced config
@@ -81,5 +82,52 @@ func TestZooWeightsMatchMathRand(t *testing.T) {
 				t.Fatal("no weight const checked")
 			}
 		})
+	}
+}
+
+// TestMTDNNStackedQKVIsThreeDraws replays DefaultMTDNN's weight stream and
+// checks each encoder layer's stacked wqkv against three consecutive d×d
+// tensor.Rand draws at the d fan-in bound: the rows of the one 3d×d weight
+// are exactly the wq, wk and wv the model drew before the projections were
+// stacked, which keeps its outputs, and the golden hashes, where they were.
+func TestMTDNNStackedQKVIsThreeDraws(t *testing.T) {
+	cfg := DefaultMTDNN()
+	g, err := MTDNN(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := cfg.ModelDim
+	bound := float32(1.0 / sqrtApprox(float64(d)))
+	rng := tensor.NewRNG(cfg.Seed)
+	stacked := 0
+	for _, n := range g.Nodes() {
+		if !n.IsConst() {
+			continue
+		}
+		shape := n.Value.Shape()
+		if !strings.Contains(n.Name, "_wqkv_") {
+			fanIn := 1
+			if len(shape) > 1 {
+				fanIn = shape[len(shape)-1]
+			}
+			tensor.Rand(rng, float32(1.0/sqrtApprox(float64(fanIn))), shape...)
+			continue
+		}
+		if len(shape) != 2 || shape[0] != 3*d || shape[1] != d {
+			t.Fatalf("%s has shape %v, want [%d %d]", n.Name, shape, 3*d, d)
+		}
+		data := n.Value.Data()
+		for part, name := range []string{"wq", "wk", "wv"} {
+			want := tensor.Rand(rng, bound, d, d).Data()
+			for i, v := range data[part*d*d : (part+1)*d*d] {
+				if math.Float32bits(v) != math.Float32bits(want[i]) {
+					t.Fatalf("%s %s block [%d] = %v, a d×d draw gives %v", n.Name, name, i, v, want[i])
+				}
+			}
+		}
+		stacked++
+	}
+	if stacked != cfg.Layers {
+		t.Fatalf("checked %d stacked projections, want one per layer (%d)", stacked, cfg.Layers)
 	}
 }

@@ -29,7 +29,7 @@ func costCases() []costCase {
 		{"batchnorm2d", nil, [][]int{{1, 4, 8, 8}, {4}, {4}, {4}, {4}}, [][]int{{1, 8, 16, 16}, {8}, {8}, {8}, {8}}},
 		{"lstm", graph.Attrs{}, [][]int{{1, 10, 16}, {64, 16}, {64, 16}, {64}}, [][]int{{1, 20, 32}, {128, 32}, {128, 32}, {128}}},
 		{"gru", graph.Attrs{}, [][]int{{1, 10, 16}, {48, 16}, {48, 16}, {48}}, [][]int{{1, 20, 32}, {96, 32}, {96, 32}, {96}}},
-		{"mha", graph.Attrs{"heads": 2}, [][]int{{1, 8, 16}, {16, 16}, {16, 16}, {16, 16}, {16, 16}, {16}}, [][]int{{1, 16, 32}, {32, 32}, {32, 32}, {32, 32}, {32, 32}, {32}}},
+		{"mha", graph.Attrs{"heads": 2}, [][]int{{1, 8, 16}, {48, 16}, {16, 16}, {16}}, [][]int{{1, 16, 32}, {96, 32}, {32, 32}, {32}}},
 		{"softmax", nil, [][]int{{4, 16}}, [][]int{{8, 32}}},
 		{"layernorm", nil, [][]int{{4, 16}, {16}, {16}}, [][]int{{8, 32}, {32}, {32}}},
 		{"relu", nil, [][]int{{4, 16}}, [][]int{{8, 32}}},

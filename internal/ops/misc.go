@@ -246,11 +246,13 @@ func init() {
 	Register(&Def{
 		Kind:   "mha",
 		Anchor: true,
-		// mha(x(B,T,D), wq, wk, wv, wo (each D,D), bias(D)) with attr heads:
-		// fused multi-head self-attention, the Transformer encoder core in
-		// MT-DNN. Mirrors a TVM fused attention kernel group.
+		// mha(x(B,T,D), wqkv(3D,D), wo(D,D), bias(D)) with attr heads: fused
+		// multi-head self-attention, the Transformer encoder core in MT-DNN.
+		// wqkv stacks the query, key and value projections row-wise
+		// (PyTorch's in_proj_weight). Mirrors a TVM fused attention kernel
+		// group.
 		Infer: func(attrs graph.Attrs, in [][]int) ([]int, error) {
-			if err := wantInputs("mha", in, 6); err != nil {
+			if err := wantInputs("mha", in, 4); err != nil {
 				return nil, err
 			}
 			if err := wantRank("mha", in, 0, 3); err != nil {
@@ -261,13 +263,14 @@ func init() {
 			if heads < 1 || d%heads != 0 {
 				return nil, fmt.Errorf("ops: mha heads %d must divide model dim %d", heads, d)
 			}
-			for i := 1; i <= 4; i++ {
-				if len(in[i]) != 2 || in[i][0] != d || in[i][1] != d {
-					return nil, fmt.Errorf("ops: mha weight %d shape %v, want [%d %d]", i, in[i], d, d)
-				}
+			if len(in[1]) != 2 || in[1][0] != 3*d || in[1][1] != d {
+				return nil, fmt.Errorf("ops: mha wqkv shape %v, want [%d %d]", in[1], 3*d, d)
 			}
-			if len(in[5]) != 1 || in[5][0] != d {
-				return nil, fmt.Errorf("ops: mha bias shape %v, want [%d]", in[5], d)
+			if len(in[2]) != 2 || in[2][0] != d || in[2][1] != d {
+				return nil, fmt.Errorf("ops: mha wo shape %v, want [%d %d]", in[2], d, d)
+			}
+			if len(in[3]) != 1 || in[3][0] != d {
+				return nil, fmt.Errorf("ops: mha bias shape %v, want [%d]", in[3], d)
 			}
 			return cloneShape(in[0]), nil
 		},
@@ -277,72 +280,34 @@ func init() {
 				FLOPs:       b * (8*t*d*d + 4*t*t*d),
 				Bytes:       4 * (4*d*d + 3*b*t*d + 2*b*t*t),
 				Parallelism: b * t * d,
-				Launches:    6, // qkv, scores, softmax, context, out-proj, residual
+				Launches:    6, // qkv, scores, scale, softmax, context, out-proj + bias
 				SeqSteps:    1,
 			}
 		},
 		Exec: func(attrs graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			return mhaForward(in[0], in[1], in[2], in[3], in[4], in[5], attrs.Int("heads", 1), nil)
+			return mhaForward(in[0], in[1], in[2], in[3], attrs.Int("heads", 1), nil)
 		},
 		ExecArena: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-			return mhaForward(in[0], in[1], in[2], in[3], in[4], in[5], attrs.Int("heads", 1), ar)
+			return mhaForward(in[0], in[1], in[2], in[3], attrs.Int("heads", 1), ar)
 		},
 	})
 }
 
 // mhaForward computes multi-head self-attention for x (B,T,D) with every
-// intermediate drawn from ar (nil degrades to plain allocation). The x·wᵀ
-// products go through the dense kernel, so the pinned projection weights
-// are packed once and cached across calls.
-func mhaForward(x, wq, wk, wv, wo, bias *tensor.Tensor, heads int, ar *tensor.Arena) *tensor.Tensor {
+// intermediate drawn from ar (nil degrades to plain allocation): one x·wqkvᵀ
+// product over all B·T rows, the attention core over its strided heads, and
+// the output projection with its bias written straight into the result. The
+// pinned weights are packed once and cached across calls.
+func mhaForward(x, wqkv, wo, bias *tensor.Tensor, heads int, ar *tensor.Arena) *tensor.Tensor {
 	b, t, d := x.Dim(0), x.Dim(1), x.Dim(2)
-	hd := d / heads
-	scale := float32(1 / sqrtf(float64(hd)))
+	scale := float32(1 / sqrtf(float64(d/heads)))
+	qkv := ar.NewNoZero(b, t, 3*d)
+	tensor.LinearInto(qkv.Reshape(b*t, 3*d), x.Reshape(b*t, d), wqkv, nil, ar)
+	ctx := tensor.AttentionInto(nil, qkv, heads, scale, ar)
+	ar.Release(qkv)
 	out := ar.NewNoZero(b, t, d)
-	for bi := 0; bi < b; bi++ {
-		xb := tensor.FromSlice(x.Data()[bi*t*d:(bi+1)*t*d], t, d)
-		q := tensor.LinearInto(nil, xb, wq, nil, ar)
-		k := tensor.LinearInto(nil, xb, wk, nil, ar)
-		v := tensor.LinearInto(nil, xb, wv, nil, ar)
-		ctx := ar.NewNoZero(t, d)
-		for h := 0; h < heads; h++ {
-			qh := sliceCols(q, h*hd, hd, ar)
-			kh := sliceCols(k, h*hd, hd, ar)
-			vh := sliceCols(v, h*hd, hd, ar)
-			// scores = qh·khᵀ — the dense kernel packs kh transposed.
-			scores := tensor.LinearInto(nil, qh, kh, nil, ar)
-			tensor.ScaleInto(scores, scores, scale, ar)
-			attn := tensor.SoftmaxInto(nil, scores, ar)
-			ch := tensor.MatMulInto(nil, attn, vh, ar)
-			for r := 0; r < t; r++ {
-				copy(ctx.Data()[r*d+h*hd:r*d+(h+1)*hd], ch.Data()[r*hd:(r+1)*hd])
-			}
-			ar.Release(qh)
-			ar.Release(kh)
-			ar.Release(vh)
-			ar.Release(scores)
-			ar.Release(attn)
-			ar.Release(ch)
-		}
-		ar.Release(q)
-		ar.Release(k)
-		ar.Release(v)
-		proj := tensor.LinearInto(nil, ctx, wo, nil, ar)
-		tensor.AddInto(proj, proj, bias, ar)
-		copy(out.Data()[bi*t*d:(bi+1)*t*d], proj.Data())
-		ar.Release(ctx)
-		ar.Release(proj)
-	}
-	return out
-}
-
-// sliceCols copies columns [start, start+n) of a 2-D tensor.
-func sliceCols(t2 *tensor.Tensor, start, n int, ar *tensor.Arena) *tensor.Tensor {
-	rows, cols := t2.Dim(0), t2.Dim(1)
-	out := ar.NewNoZero(rows, n)
-	for r := 0; r < rows; r++ {
-		copy(out.Data()[r*n:(r+1)*n], t2.Data()[r*cols+start:r*cols+start+n])
-	}
+	tensor.LinearInto(out.Reshape(b*t, d), ctx.Reshape(b*t, d), wo, bias, ar)
+	ar.Release(ctx)
 	return out
 }
 

@@ -276,7 +276,7 @@ func TestFlattenInferAndExec(t *testing.T) {
 func TestMHAInferAndExec(t *testing.T) {
 	d := MustLookup("mha")
 	dm := 8
-	in := [][]int{{1, 4, dm}, {dm, dm}, {dm, dm}, {dm, dm}, {dm, dm}, {dm}}
+	in := [][]int{{1, 4, dm}, {3 * dm, dm}, {dm, dm}, {dm}}
 	out, err := d.Infer(graph.Attrs{"heads": 2}, in)
 	if err != nil || !tensor.ShapeEq(out, []int{1, 4, dm}) {
 		t.Fatalf("mha infer = %v, %v", out, err)
@@ -284,26 +284,87 @@ func TestMHAInferAndExec(t *testing.T) {
 	if _, err := d.Infer(graph.Attrs{"heads": 3}, in); err == nil {
 		t.Fatalf("mha should reject heads not dividing dim")
 	}
+	for _, w := range [][]int{{dm, dm}, {3 * dm, dm + 1}, {3 * dm}} {
+		bad := [][]int{in[0], w, in[2], in[3]}
+		if _, err := d.Infer(graph.Attrs{"heads": 2}, bad); err == nil {
+			t.Fatalf("mha should reject wqkv of shape %v", w)
+		}
+	}
 	rng := rand.New(rand.NewSource(20))
-	x := tensor.Rand(rng, 0.5, 1, 4, dm)
 	wq := tensor.Rand(rng, 0.5, dm, dm)
 	wk := tensor.Rand(rng, 0.5, dm, dm)
 	wv := tensor.Rand(rng, 0.5, dm, dm)
+	wqkv := tensor.Concat(0, wq, wk, wv)
 	wo := tensor.Rand(rng, 0.5, dm, dm)
 	bias := tensor.Rand(rng, 0.5, dm)
-	got := d.Exec(graph.Attrs{"heads": 2}, []*tensor.Tensor{x, wq, wk, wv, wo, bias})
-	if !tensor.ShapeEq(got.Shape(), []int{1, 4, dm}) {
-		t.Fatalf("mha exec shape = %v", got.Shape())
+	for _, c := range []struct{ b, t, heads int }{{1, 4, 2}, {2, 5, 2}, {3, 9, 4}} {
+		x := tensor.Rand(rng, 0.5, c.b, c.t, dm)
+		want := mhaReference(x, wq, wk, wv, wo, bias, c.heads)
+		attrs := graph.Attrs{"heads": c.heads}
+		ins := []*tensor.Tensor{x, wqkv, wo, bias}
+		if got := d.Exec(attrs, ins); !bitEqual(got, want) {
+			t.Fatalf("mha %+v differs from the per-head composition: max |Δ| %g", c, tensor.MaxAbsDiff(got, want))
+		}
+		ar := tensor.NewArena()
+		for pass := 0; pass < 2; pass++ {
+			got := d.ExecArena(attrs, ins, ar)
+			if !bitEqual(got, want) {
+				t.Fatalf("mha %+v arena pass %d differs from the per-head composition", c, pass)
+			}
+			ar.Release(got)
+		}
 	}
 	// Single-head attention with T=1 reduces to x·wqᵀ-independent context:
-	// softmax over one score is 1, so out = (x·wvᵀ)·woᵀ + b.
+	// softmax over one score is exactly 1, so out = (x·wvᵀ)·woᵀ + b.
 	x1 := tensor.Rand(rng, 0.5, 1, 1, dm)
-	got1 := d.Exec(graph.Attrs{"heads": 1}, []*tensor.Tensor{x1, wq, wk, wv, wo, bias})
+	got1 := d.Exec(graph.Attrs{"heads": 1}, []*tensor.Tensor{x1, wqkv, wo, bias})
 	xb := x1.Reshape(1, dm)
 	want := tensor.Add(tensor.MatMul(tensor.MatMul(xb, tensor.Transpose2D(wv)), tensor.Transpose2D(wo)), bias)
-	if !tensor.AllClose(got1.Reshape(1, dm), want, 1e-4, 1e-4) {
+	if !bitEqual(got1.Reshape(1, dm), want) {
 		t.Fatalf("mha T=1 algebra mismatch: %g", tensor.MaxAbsDiff(got1.Reshape(1, dm), want))
 	}
+}
+
+// bitEqual reports a and b of equal shape and equal bit patterns.
+func bitEqual(a, b *tensor.Tensor) bool {
+	if !tensor.ShapeEq(a.Shape(), b.Shape()) {
+		return false
+	}
+	for i, v := range a.Data() {
+		if math.Float32bits(v) != math.Float32bits(b.Data()[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// mhaReference is multi-head self-attention composed from whole-tensor
+// kernels, one batch row and head at a time: separate q, k and v
+// projections, per-head column copies, scores, scale, softmax, context and
+// the biased output projection.
+func mhaReference(x, wq, wk, wv, wo, bias *tensor.Tensor, heads int) *tensor.Tensor {
+	b, t, d := x.Dim(0), x.Dim(1), x.Dim(2)
+	hd := d / heads
+	sizes := make([]int, heads)
+	for i := range sizes {
+		sizes[i] = hd
+	}
+	scale := float32(1 / sqrtf(float64(hd)))
+	out := tensor.New(b, t, d)
+	for bi := 0; bi < b; bi++ {
+		xb := tensor.FromSlice(x.Data()[bi*t*d:(bi+1)*t*d], t, d)
+		qs := tensor.Split(tensor.Linear(xb, wq, nil), 1, sizes)
+		ks := tensor.Split(tensor.Linear(xb, wk, nil), 1, sizes)
+		vs := tensor.Split(tensor.Linear(xb, wv, nil), 1, sizes)
+		ctx := make([]*tensor.Tensor, heads)
+		for h := range ctx {
+			scores := tensor.ScaleInto(nil, tensor.Linear(qs[h], ks[h], nil), scale, nil)
+			ctx[h] = tensor.MatMul(tensor.Softmax(scores), vs[h])
+		}
+		proj := tensor.Linear(tensor.Concat(1, ctx...), wo, bias)
+		copy(out.Data()[bi*t*d:(bi+1)*t*d], proj.Data())
+	}
+	return out
 }
 
 func TestBatchNormInfer(t *testing.T) {

@@ -10,11 +10,11 @@ import (
 )
 
 // TestPortableKernelPath re-runs the packed-GEMM, conv, chain, RNN, ReLU /
-// maximum, max-pool and exp / tanh / GELU suites at every kernel tier below the detected one —
-// the AVX2 kernels without the AVX-512 tile, then the portable Go kernels
-// (the reference, and the only path off amd64) — so each tier passes the
-// identical tests on this machine too. Each suite is a subtest with one
-// child per tier.
+// maximum, max-pool, exp / tanh / GELU and attention suites at every kernel
+// tier below the detected one — the AVX2 kernels without the AVX-512 tile,
+// then the portable Go kernels (the reference, and the only path off amd64)
+// — so each tier passes the identical tests on this machine too. Each suite
+// is a subtest with one child per tier.
 func TestPortableKernelPath(t *testing.T) {
 	lower := hostTiers()[1:]
 	if len(lower) == 0 {
@@ -45,6 +45,7 @@ func TestPortableKernelPath(t *testing.T) {
 		{"MaxLoopsMatchScan", TestMaxLoopsMatchScan},
 		{"BatchNormChainBitExact", TestBatchNormChainBitExact},
 		{"MaxPoolMatchesOracle", TestMaxPoolMatchesOracle},
+		{"AttentionBitExact", TestAttentionBitExact},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, k := range lower {

@@ -153,23 +153,27 @@ func SoftmaxInto(out *Tensor, t *Tensor, ar *Arena) *Tensor {
 		checkInto(out, t.shape, "SoftmaxInto")
 	}
 	if !worthSplitting(rows, k) {
-		softmaxRows(out.data, t.data, k, 0, rows)
+		softmaxRows(out.data, t.data, k, 1, 0, rows)
 		return out
 	}
 	ParallelForChunked(rows, planeGrain(rows), func(lo, hi int) {
-		softmaxRows(out.data, t.data, k, lo, hi)
+		softmaxRows(out.data, t.data, k, 1, lo, hi)
 	})
 	return out
 }
 
-func softmaxRows(dst, src []float32, k, lo, hi int) {
+// softmaxRows writes the softmax of rows [lo, hi) of src, each element
+// first scaled by scale, to dst (which may be src). The scaled value is
+// rounded to float32 before use, as a separate scaling pass would store it,
+// and a scale of 1 changes no bit.
+func softmaxRows(dst, src []float32, k int, scale float32, lo, hi int) {
 	var e [vchunk]float64
 	for r := lo; r < hi; r++ {
 		s := src[r*k : (r+1)*k]
 		d := dst[r*k : (r+1)*k]
-		m := s[0]
+		m := float32(s[0] * scale)
 		for _, v := range s[1:] {
-			if v > m {
+			if v := float32(v * scale); v > m {
 				m = v
 			}
 		}
@@ -178,7 +182,7 @@ func softmaxRows(dst, src []float32, k, lo, hi int) {
 		for lo := 0; lo < k; lo += vchunk {
 			ek := e[:min(vchunk, k-lo)]
 			for i := range ek {
-				ek[i] = float64(s[lo+i] - m)
+				ek[i] = float64(float32(s[lo+i]*scale) - m)
 			}
 			expBatch(ek, ek)
 			for i, v := range ek {

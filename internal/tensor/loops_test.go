@@ -236,7 +236,7 @@ func TestSoftmaxRowsMatchReference(t *testing.T) {
 			for i := range got {
 				got[i], want[i] = -1, -1
 			}
-			softmaxRows(got, src, k, 1, rows)
+			softmaxRows(got, src, k, 1, 1, rows)
 			softmaxRowsRef(want, src, k, 1, rows)
 			for i := range got {
 				if !sameFloat(got[i], want[i]) {

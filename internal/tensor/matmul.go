@@ -113,7 +113,7 @@ func BatchMatMulInto(out *Tensor, a, b *Tensor, ar *Arena) *Tensor {
 	}
 	buf, scratch := ar.grabScratch(packedSize(k, n))
 	for i := 0; i < bs; i++ {
-		packBRowMajor(buf, b.data[i*k*n:(i+1)*k*n], k, n, 0, packedPanels(n))
+		packBRowMajor(buf, b.data[i*k*n:(i+1)*k*n], k, n, n, 0, packedPanels(n))
 		gemmPacked(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], buf, m, n, k)
 	}
 	ar.dropScratch(scratch)
@@ -143,24 +143,24 @@ func packedB(b *Tensor, k, n int, trans bool, ar *Arena) ([]float32, *Tensor) {
 // packPanels packs column panels [lo, hi) of b in the layout packedB names.
 func packPanels(bp, b []float32, k, n int, trans bool, lo, hi int) {
 	if trans {
-		packBTransposed(bp, b, k, n, lo, hi)
+		packBTransposed(bp, b, k, n, k, lo, hi)
 	} else {
-		packBRowMajor(bp, b, k, n, lo, hi)
+		packBRowMajor(bp, b, k, n, n, lo, hi)
 	}
 }
 
 // packBRowMajor packs column panels [lo, hi) of a K×N row-major operand
-// into tile-major layout: bp[jt*k*nr + kk*nr + jj] = b[kk*n + jt*nr + jj],
-// zero-padding columns past N so the microkernel never needs an edge case
-// in K. Every slot of a packed panel is written, so non-zeroed scratch is
-// safe.
-func packBRowMajor(bp, b []float32, k, n, lo, hi int) {
+// whose rows start ld elements apart into tile-major layout:
+// bp[jt*k*nr + kk*nr + jj] = b[kk*ld + jt*nr + jj], zero-padding columns
+// past N so the microkernel never needs an edge case in K. Every slot of a
+// packed panel is written, so non-zeroed scratch is safe.
+func packBRowMajor(bp, b []float32, k, n, ld, lo, hi int) {
 	for jt := lo; jt < hi; jt++ {
 		j0 := jt * nr
 		jw := min(nr, n-j0)
 		dst := bp[jt*k*nr:]
 		for kk := 0; kk < k; kk++ {
-			src := b[kk*n+j0 : kk*n+j0+jw]
+			src := b[kk*ld+j0 : kk*ld+j0+jw]
 			d := dst[kk*nr : kk*nr+nr]
 			copy(d, src)
 			for jj := jw; jj < nr; jj++ {
@@ -171,14 +171,15 @@ func packBRowMajor(bp, b []float32, k, n, lo, hi int) {
 }
 
 // packBTransposed packs column panels [lo, hi) of B = wᵀ for an N×K
-// row-major operand w: bp[jt*k*nr + kk*nr + jj] = w[(jt*nr+jj)*k + kk].
-func packBTransposed(bp, w []float32, k, n, lo, hi int) {
+// row-major operand w whose rows start ld elements apart:
+// bp[jt*k*nr + kk*nr + jj] = w[(jt*nr+jj)*ld + kk].
+func packBTransposed(bp, w []float32, k, n, ld, lo, hi int) {
 	for jt := lo; jt < hi; jt++ {
 		j0 := jt * nr
 		jw := min(nr, n-j0)
 		dst := bp[jt*k*nr:]
 		for jj := 0; jj < jw; jj++ {
-			wrow := w[(j0+jj)*k : (j0+jj)*k+k]
+			wrow := w[(j0+jj)*ld : (j0+jj)*ld+k]
 			for kk := 0; kk < k; kk++ {
 				dst[kk*nr+jj] = wrow[kk]
 			}
