@@ -16,7 +16,7 @@ build:
 ## allocate ~2.3 GB for one 148 MB MT-DNN), which next to any other package
 ## overruns an 8 GB host. Both bound parallelism only; every package runs.
 ## The default `make` target runs this, so concurrency regressions (executor
-## workers, health tracker, MPMC queue, metrics registry) cannot slip through
+## workers, MPMC queue, metrics registry) cannot slip through
 ## a plain build. The obs package gets an extra high-iteration race pass: it
 ## is touched from every worker goroutine in the runtime.
 ## The allocation guard runs without -race: the race detector makes

@@ -231,30 +231,6 @@ func BenchmarkTab03ResNetFallback(b *testing.B) {
 	b.Run("TVM-CPU", func(b *testing.B) { measureLoop(b, e, uniformOf(e, device.CPU)) })
 }
 
-// BenchmarkPolicyNoFaultOverhead compares the plain runtime against
-// RunWithPolicy with fault tolerance enabled but no injector attached — the
-// cost of the policy machinery on the hot path. The virt-ms/op metric is
-// identical by construction (no faults means no retries); the wall-clock
-// ns/op overhead must stay within a few percent of Run.
-func BenchmarkPolicyNoFaultOverhead(b *testing.B) {
-	g, err := duet.WideDeep(duet.DefaultWideDeep())
-	e := buildEngine(b, g, err)
-	b.Run("Run", func(b *testing.B) { measureLoop(b, e, e.Placement) })
-	b.Run("RunWithPolicy", func(b *testing.B) {
-		pol := runtime.DefaultPolicy()
-		b.ResetTimer()
-		var total vclock.Seconds
-		for i := 0; i < b.N; i++ {
-			res, err := e.Runtime.RunWithPolicy(nil, e.Placement, pol)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += res.Latency
-		}
-		b.ReportMetric(total/float64(b.N)*1e3, "virt-ms/op")
-	})
-}
-
 // BenchmarkTab01ModelBuild measures zoo graph construction (Table I's
 // models) — the compiler front-end cost.
 func BenchmarkTab01ModelBuild(b *testing.B) {

@@ -34,7 +34,6 @@ import (
 	"duet/internal/compiler"
 	"duet/internal/core"
 	"duet/internal/device"
-	"duet/internal/faults"
 	"duet/internal/graph"
 	"duet/internal/modelio"
 	"duet/internal/obs"
@@ -89,75 +88,6 @@ const (
 
 // Seconds is a virtual-clock duration.
 type Seconds = vclock.Seconds
-
-// FaultPolicy configures runtime fault tolerance for Engine.InferWithPolicy
-// and Engine.MeasureWithPolicy: bounded retries with exponential backoff on
-// the virtual clock, failover migration to the other device, and a
-// per-device circuit breaker that degrades the remaining placement to the
-// surviving device with probation-based re-admission.
-type FaultPolicy = runtime.Policy
-
-// FaultReport summarises one run's fault-tolerance activity (Result.Faults).
-type FaultReport = runtime.FaultReport
-
-// HealthTracker is the concurrent per-device circuit breaker; share one
-// across requests via FaultPolicy.Health to carry health state in a serving
-// loop.
-type HealthTracker = runtime.HealthTracker
-
-// FaultInjector is a deterministic, seedable fault source hooked into the
-// device models' sample sites.
-type FaultInjector = faults.Injector
-
-// FaultSpec configures one fault source inside an injector.
-type FaultSpec = faults.Spec
-
-// FaultKind enumerates the injectable fault classes.
-type FaultKind = faults.Kind
-
-// Injectable fault kinds.
-const (
-	FaultKernelSlowdown  = faults.KernelSlowdown
-	FaultKernelStall     = faults.KernelStall
-	FaultKernelFailure   = faults.KernelFailure
-	FaultTransferFailure = faults.TransferFailure
-	FaultDeviceOutage    = faults.DeviceOutage
-)
-
-// ErrFaultExhausted reports that a run failed on every device the policy
-// allowed, after every permitted retry (match with errors.Is).
-var ErrFaultExhausted = runtime.ErrExhausted
-
-// DefaultFaultPolicy returns the recommended production fault policy (no
-// injector: attach one for fault-injection studies).
-func DefaultFaultPolicy() FaultPolicy { return runtime.DefaultPolicy() }
-
-// NewFaultInjector returns a seeded injector; the same seed and call
-// sequence reproduce the same fault schedule exactly.
-func NewFaultInjector(seed int64, specs ...FaultSpec) *FaultInjector {
-	return faults.New(seed, specs...)
-}
-
-// NewHealthTracker returns a circuit breaker tripping after threshold
-// consecutive failures and probing again after probation virtual seconds.
-func NewHealthTracker(threshold int, probation Seconds) *HealthTracker {
-	return runtime.NewHealthTracker(threshold, probation)
-}
-
-// Fault-spec constructors, re-exported for building injection studies.
-var (
-	// FaultSlowdown multiplies kernel durations on a device.
-	FaultSlowdown = faults.Slowdown
-	// FaultStalls adds a fixed stall to kernels on a device.
-	FaultStalls = faults.Stalls
-	// FaultKernelFailures fails kernels on a device with a probability.
-	FaultKernelFailures = faults.KernelFailures
-	// FaultTransferFailures fails link transfers with a probability.
-	FaultTransferFailures = faults.TransferFailures
-	// FaultOutage takes a device offline at a virtual time, optionally
-	// recovering after a duration.
-	FaultOutage = faults.Outage
-)
 
 // LatencySummary is the percentile summary of a latency sample set
 // (mean, min/max, P50/P99/P99.9).

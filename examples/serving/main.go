@@ -2,13 +2,10 @@
 // with latency SLAs for online serving (§II-A); this example feeds a DUET
 // engine a Poisson request stream on the virtual clock and reports waiting
 // + service percentiles against the SLA for increasing offered load,
-// comparing DUET's placement with single-device TVM-GPU execution. A second
-// table injects runtime faults and compares DUET's failover policy against
-// the abort-and-retry-whole-request strategy it replaces.
+// comparing DUET's placement with single-device TVM-GPU execution.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -21,9 +18,8 @@ import (
 
 func main() {
 	var (
-		requests  = flag.Int("requests", 4000, "requests per load point")
-		slaMs     = flag.Float64("sla", 15, "latency SLA in milliseconds")
-		faultRate = flag.Float64("fault-rate", 0.01, "per-kernel/per-transfer fault probability for the fault table")
+		requests = flag.Int("requests", 4000, "requests per load point")
+		slaMs    = flag.Float64("sla", 15, "latency SLA in milliseconds")
 	)
 	flag.Parse()
 
@@ -81,44 +77,6 @@ func main() {
 	fmt.Println("\nDUET's lower service time keeps the queue stable at loads where the")
 	fmt.Println("single-device server saturates and response times blow up.")
 	liveTable(reg)
-
-	// --- SLA under faults ---------------------------------------------------
-	// The same queue, but kernels and transfers now fail with the given
-	// probability. The failover policy survives a fault inside the request
-	// (retry + migrate + degrade); the abort strategy re-runs the whole
-	// request and pays the wasted time again.
-	fmt.Printf("\nWith faults injected (rate %.3f per kernel/transfer):\n\n", *faultRate)
-	fmt.Printf("%8s | %22s | %22s\n", "", "DUET failover", "abort-and-retry")
-	fmt.Printf("%8s | %7s %7s %6s | %7s %7s %6s\n", "load", "p50", "p99", "SLA%", "p50", "p99", "SLA%")
-
-	specs := []duet.FaultSpec{
-		duet.FaultKernelFailures(duet.CPU, *faultRate),
-		duet.FaultKernelFailures(duet.GPU, *faultRate),
-		duet.FaultTransferFailures(*faultRate),
-	}
-	for _, qps := range []float64{50, 75, 100, 125, 150} {
-		failPol := duet.DefaultFaultPolicy()
-		failPol.Injector = duet.NewFaultInjector(31, specs...)
-		abortPol := duet.FaultPolicy{Injector: duet.NewFaultInjector(31, specs...)}
-		fo, err := simulate(resilientService(engine, engine.Placement, failPol), qps, *requests, 3)
-		if err != nil {
-			log.Printf("load %.0f/s: failover run failed, skipping point: %v", qps, err)
-			continue
-		}
-		ab, err := simulate(resilientService(engine, engine.Placement, abortPol), qps, *requests, 4)
-		if err != nil {
-			log.Printf("load %.0f/s: abort run failed, skipping point: %v", qps, err)
-			continue
-		}
-		fmt.Printf("%5.0f/s | %6.2fms %6.2fms %5.1f%% | %6.2fms %6.2fms %5.1f%%\n",
-			qps,
-			fo.p50*1e3, fo.p99*1e3, fo.slaFrac(*slaMs)*100,
-			ab.p50*1e3, ab.p99*1e3, ab.slaFrac(*slaMs)*100)
-	}
-	fmt.Println("\nFailover confines each fault to one subgraph; aborting re-pays the whole")
-	fmt.Println("request per fault, so every fault inflates service time by a full run and")
-	fmt.Println("the queue destabilises at loads the failover server still sustains.")
-	liveTable(reg)
 }
 
 // liveTable renders the engine's cumulative metrics from a registry
@@ -129,14 +87,7 @@ func liveTable(reg *duet.Metrics) {
 	fmt.Printf("  %-34s %12s\n", "series", "value")
 	for _, name := range []string{
 		`duet_runs_total{path="run"}`,
-		`duet_runs_total{path="policy"}`,
 		"duet_run_errors_total",
-		"duet_exhausted_total",
-		`duet_retries_total{kind="kernel"}`,
-		`duet_retries_total{kind="transfer"}`,
-		"duet_failovers_total",
-		"duet_breaker_trips_total",
-		"duet_degraded_total",
 	} {
 		if v, ok := s.Counters[name]; ok && v != 0 {
 			fmt.Printf("  %-34s %12d\n", name, v)
@@ -163,30 +114,6 @@ func liveTable(reg *duet.Metrics) {
 		}
 		fmt.Printf("  %-34s n=%d p50=%.2fms p99=%.2fms p99.9=%.2fms\n",
 			name, h.Count, h.P50*1e3, h.P99*1e3, h.P999*1e3)
-	}
-}
-
-// resilientService returns a service-time sampler that restarts the whole
-// request when the policy's own fault tolerance is exhausted, accumulating
-// the wasted virtual time — what a serving layer in front of the engine
-// would do.
-func resilientService(engine *duet.Engine, place duet.Placement, pol duet.FaultPolicy) func() (duet.Seconds, error) {
-	const restartLimit = 25
-	return func() (duet.Seconds, error) {
-		total := duet.Seconds(0)
-		for attempt := 0; ; attempt++ {
-			res, err := engine.Runtime.RunWithPolicy(nil, place, pol)
-			if err == nil {
-				return total + res.Latency, nil
-			}
-			if !errors.Is(err, duet.ErrFaultExhausted) {
-				return 0, err
-			}
-			total += res.Latency
-			if attempt >= restartLimit {
-				return total, nil // served far past SLA; count the miss
-			}
-		}
 	}
 }
 

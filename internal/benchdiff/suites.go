@@ -162,19 +162,15 @@ func extractKernels(doc map[string]any) (map[string]float64, error) {
 
 // --- obs ---
 
-// ObsSuite gates the observability baseline's latency histograms and the
-// error counter. The plain-Run path is deterministic per seed and gates at
-// the default threshold; the policy path runs under 1% injected faults, so
-// its mean gates loosely and its p99 — a direct function of the seed's
-// fault draws — only trends. Fault/retry totals likewise trend.
+// ObsSuite gates the observability baseline's latency histogram and the
+// error counter. The Run path is deterministic per seed and gates at the
+// default threshold.
 func ObsSuite() *Suite {
 	s := &Suite{
 		Name: "obs",
 		File: "BENCH_obs.json",
 		Rules: []Rule{
 			{Prefix: "obs/latency/run/", Better: LowerIsBetter, Gate: true},
-			{Prefix: "obs/latency/policy/p99", Better: LowerIsBetter},
-			{Prefix: "obs/latency/policy/", Better: LowerIsBetter, Gate: true, Threshold: 0.15},
 			{Prefix: "obs/errors", Better: LowerIsBetter, Gate: true, Threshold: Exact},
 			{Prefix: "obs/", Better: LowerIsBetter},
 		},
@@ -200,18 +196,16 @@ func extractObs(doc map[string]any) (map[string]float64, error) {
 		return nil, err
 	}
 	out := map[string]float64{}
-	for _, path := range []string{"run", "policy"} {
-		h, err := getMap(hists, fmt.Sprintf("duet_latency_seconds{path=%q}", path))
+	h, err := getMap(hists, `duet_latency_seconds{path="run"}`)
+	if err != nil {
+		return nil, err
+	}
+	for _, field := range []string{"mean", "p50", "p99"} {
+		v, err := getNum(h, field)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("latency run: %w", err)
 		}
-		for _, field := range []string{"mean", "p50", "p99"} {
-			v, err := getNum(h, field)
-			if err != nil {
-				return nil, fmt.Errorf("latency %s: %w", path, err)
-			}
-			out[metricKey("obs/latency", path, field)] = v
-		}
+		out["obs/latency/run/"+field] = v
 	}
 	counters, err := getMap(metrics, "counters")
 	if err != nil {
@@ -222,18 +216,6 @@ func extractObs(doc map[string]any) (map[string]float64, error) {
 		return nil, err
 	}
 	out["obs/errors"] = errsTotal
-	var faults, retries float64
-	for name, raw := range counters {
-		v, _ := raw.(float64)
-		switch {
-		case strings.HasPrefix(name, "duet_faults_total"):
-			faults += v
-		case strings.HasPrefix(name, "duet_retries_total"):
-			retries += v
-		}
-	}
-	out["obs/faults"] = faults
-	out["obs/retries"] = retries
 	if audit, err := getMap(doc, "audit"); err == nil {
 		if subs, err := getArr(audit, "subgraphs"); err == nil {
 			out["obs/audit/subgraphs"] = float64(len(subs))

@@ -240,9 +240,9 @@ func (e *Engine) applyFallback() error {
 }
 
 // Instrument attaches a metrics registry to the evaluation runtime: run
-// counts, latency histograms, per-device busy seconds, fault-tolerance
-// activity, and synchronization-queue depths are recorded into reg for
-// every subsequent Infer/Measure call. Passing nil detaches. The search
+// counts, latency histograms, per-device busy seconds, and
+// synchronization-queue depths are recorded into reg for every subsequent
+// Infer/Measure call. Passing nil detaches. The search
 // engine stays uninstrumented so schedule-search runs do not pollute
 // serving metrics.
 func (e *Engine) Instrument(reg *obs.Registry) { e.Runtime.Instrument(reg) }
@@ -272,24 +272,6 @@ func (e *Engine) Infer(inputs map[string]*tensor.Tensor) (*runtime.Result, error
 // to Infer's and the reported virtual latency uses the same timing model.
 func (e *Engine) InferParallel(inputs map[string]*tensor.Tensor) (*runtime.Result, error) {
 	return e.Runtime.RunParallel(inputs, e.Placement)
-}
-
-// InferWithPolicy runs one real inference under a fault-tolerance policy:
-// injected faults are survived by retries, failover migration, and
-// circuit-breaker degradation as the policy allows. Outputs remain
-// bit-identical to Infer's (values are computed on the host after each
-// subgraph's attempts succeed).
-func (e *Engine) InferWithPolicy(inputs map[string]*tensor.Tensor, pol runtime.Policy) (*runtime.Result, error) {
-	if inputs == nil {
-		inputs = map[string]*tensor.Tensor{}
-	}
-	return e.Runtime.RunWithPolicy(inputs, e.Placement, pol)
-}
-
-// MeasureWithPolicy samples end-to-end latency for the chosen placement
-// under a fault-tolerance policy (timing-only runs).
-func (e *Engine) MeasureWithPolicy(pol runtime.Policy, runs int) ([]vclock.Seconds, error) {
-	return e.Runtime.MeasureWithPolicy(e.Placement, pol, runs)
 }
 
 // Measure samples end-to-end latency for the chosen placement.

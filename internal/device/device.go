@@ -41,27 +41,6 @@ func (k Kind) Other() Kind {
 	return CPU
 }
 
-// Fault describes an injected event observed at a sample site. When Fail is
-// false, Delay adds to the healthy duration (a slowdown or stall). When Fail
-// is true, the operation aborts after occupying the resource for Delay — the
-// injector decides how much of the healthy duration was wasted before the
-// failure was detected.
-type Fault struct {
-	Delay vclock.Seconds
-	Fail  bool
-	// Cause is a short label for timelines and logs, e.g. "stall", "outage".
-	Cause string
-}
-
-// KernelHook intercepts one sampled kernel on a device: start is the virtual
-// time the kernel begins and dur its sampled healthy duration. Hooks are
-// consulted only by the *At sample variants, so fault-unaware callers pay
-// nothing.
-type KernelHook func(kind Kind, start, dur vclock.Seconds) Fault
-
-// TransferHook intercepts one sampled transfer from src to dst.
-type TransferHook func(src, dst Kind, start, dur vclock.Seconds) Fault
-
 // Device is an analytic execution-time model for one processor.
 type Device struct {
 	Name string
@@ -80,15 +59,10 @@ type Device struct {
 	DispatchOverhead vclock.Seconds
 
 	noise *vclock.Noise
-	hook  KernelHook
 }
 
 // SetNoise installs the run-to-run variance source (nil disables noise).
 func (d *Device) SetNoise(n *vclock.Noise) { d.noise = n }
-
-// SetKernelHook installs the fault injector consulted by SampleKernelTimeAt
-// (nil removes it).
-func (d *Device) SetKernelHook(h KernelHook) { d.hook = h }
 
 // Efficiency returns the fraction of peak a kernel with the given available
 // parallelism achieves on this device.
@@ -124,22 +98,6 @@ func (d *Device) SampleKernelTime(c ops.Cost) vclock.Seconds {
 	return d.noise.Perturb(d.KernelTime(c))
 }
 
-// SampleKernelTimeAt samples a kernel starting at virtual time start and
-// consults the installed fault hook. The returned duration is the time the
-// kernel occupies the device — healthy duration plus injected delay, or the
-// wasted time alone when the fault failed the kernel.
-func (d *Device) SampleKernelTimeAt(c ops.Cost, start vclock.Seconds) (vclock.Seconds, Fault) {
-	t := d.SampleKernelTime(c)
-	if d.hook == nil {
-		return t, Fault{}
-	}
-	f := d.hook(d.Kind, start, t)
-	if f.Fail {
-		return f.Delay, f
-	}
-	return t + f.Delay, f
-}
-
 // String describes the device.
 func (d *Device) String() string {
 	return fmt.Sprintf("%s(%s, %.1f TFLOP/s, %.0f GB/s)", d.Name, d.Kind, d.PeakFLOPS/1e12, d.MemBandwidth/1e9)
@@ -155,15 +113,10 @@ type Link struct {
 	BaseLatency vclock.Seconds
 
 	noise *vclock.Noise
-	hook  TransferHook
 }
 
 // SetNoise installs the transfer-variance source (nil disables noise).
 func (l *Link) SetNoise(n *vclock.Noise) { l.noise = n }
-
-// SetTransferHook installs the fault injector consulted by
-// SampleTransferTimeAt (nil removes it).
-func (l *Link) SetTransferHook(h TransferHook) { l.hook = h }
 
 // TransferTime returns the modelled time to move bytes across the link,
 // without noise. Zero-byte transfers cost nothing (no message is sent).
@@ -181,20 +134,4 @@ func (l *Link) SampleTransferTime(bytes int) vclock.Seconds {
 		return 0
 	}
 	return l.noise.Perturb(t)
-}
-
-// SampleTransferTimeAt samples a src→dst transfer starting at virtual time
-// start and consults the installed fault hook. Zero-byte transfers send no
-// message and cannot fault. The returned duration is the time the transfer
-// occupies the link (wasted time alone when the fault failed it).
-func (l *Link) SampleTransferTimeAt(bytes int, src, dst Kind, start vclock.Seconds) (vclock.Seconds, Fault) {
-	t := l.SampleTransferTime(bytes)
-	if t == 0 || l.hook == nil {
-		return t, Fault{}
-	}
-	f := l.hook(src, dst, start, t)
-	if f.Fail {
-		return f.Delay, f
-	}
-	return t + f.Delay, f
 }

@@ -2,35 +2,29 @@ package experiments
 
 import (
 	"encoding/json"
-	"errors"
 	"io"
 
-	"duet/internal/device"
-	"duet/internal/faults"
 	"duet/internal/models"
 	"duet/internal/obs"
-	"duet/internal/runtime"
 	"duet/internal/schedule"
 	"duet/internal/workload"
 )
 
 // ObsReport is the machine-readable observability benchmark: the metrics
-// snapshot of an instrumented engine driven through plain, parallel, and
-// fault-injected runs, plus the scheduler's placement audit for the same
-// model. Committed as BENCH_obs.json so metric names and audit shape are
-// diffable across revisions.
+// snapshot of an instrumented engine driven through plain and parallel
+// runs, plus the scheduler's placement audit for the same model. Committed
+// as BENCH_obs.json so metric names and audit shape are diffable across
+// revisions.
 type ObsReport struct {
-	Model     string          `json:"model"`
-	Runs      int             `json:"runs"`
-	FaultRate float64         `json:"fault_rate"`
-	Metrics   obs.Snapshot    `json:"metrics"`
-	Audit     *schedule.Audit `json:"audit"`
+	Model   string          `json:"model"`
+	Runs    int             `json:"runs"`
+	Metrics obs.Snapshot    `json:"metrics"`
+	Audit   *schedule.Audit `json:"audit"`
 }
 
 // BuildObsReport instruments a Wide&Deep engine, exercises every metered
-// path (Run, RunWithPolicy under injected faults, the breaker, the
-// synchronization queues via RunParallel), and returns the collected
-// registry snapshot with the placement audit.
+// path (Run, and the synchronization queues via RunParallel), and returns
+// the collected registry snapshot with the placement audit.
 func BuildObsReport(cfg Config) (*ObsReport, error) {
 	wd := models.DefaultWideDeep()
 	g, err := models.WideDeep(wd)
@@ -48,34 +42,6 @@ func BuildObsReport(cfg Config) (*ObsReport, error) {
 		return nil, err
 	}
 
-	const rate = 0.01
-	pol := runtime.DefaultPolicy()
-	// One extra retry over the production default: at a 1% per-kernel
-	// fault rate an unlucky seed can draw enough consecutive failures to
-	// exhaust both devices on one subgraph, and the benchmark wants the
-	// tolerated-fault path, not the giving-up path, to dominate.
-	pol.MaxRetries = 3
-	pol.Injector = faults.New(cfg.Seed+1,
-		faults.KernelFailures(device.CPU, rate),
-		faults.KernelFailures(device.GPU, rate),
-		faults.TransferFailures(rate))
-	// An exhausted run is a legitimate draw under injected faults, and the
-	// engine has already counted it (duet_exhausted_total / run errors).
-	// The injector stream advanced, so re-running samples a fresh fault
-	// schedule — the same way trace replay handles exhaustion. The spare
-	// budget keeps a genuinely broken engine from looping forever.
-	for done, spare := 0, 2*cfg.Runs; done < cfg.Runs; {
-		_, err := e.MeasureWithPolicy(pol, 1)
-		switch {
-		case err == nil:
-			done++
-		case errors.Is(err, runtime.ErrExhausted) && spare > 0:
-			spare--
-		default:
-			return nil, err
-		}
-	}
-
 	inputs := workload.WideDeepInputs(wd, cfg.Seed)
 	if _, err := e.InferParallel(inputs); err != nil {
 		return nil, err
@@ -86,11 +52,10 @@ func BuildObsReport(cfg Config) (*ObsReport, error) {
 		return nil, err
 	}
 	return &ObsReport{
-		Model:     g.Name,
-		Runs:      cfg.Runs,
-		FaultRate: rate,
-		Metrics:   reg.Snapshot(),
-		Audit:     audit,
+		Model:   g.Name,
+		Runs:    cfg.Runs,
+		Metrics: reg.Snapshot(),
+		Audit:   audit,
 	}, nil
 }
 

@@ -7,7 +7,6 @@ package golden
 import (
 	"encoding/json"
 	"flag"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -71,40 +70,6 @@ func (f *File) Check(key, got string) {
 	if want := f.Get(key); got != want {
 		f.t.Errorf("golden %s:\n got  %s\n want %s", key, got, want)
 	}
-}
-
-// CheckULP is Check for Floats-encoded values that may sit up to ulps
-// representable steps away from the recording; it returns how many fields
-// were not bit-identical.
-func (f *File) CheckULP(key string, ulps int, got ...float64) (moved int) {
-	f.t.Helper()
-	if *update {
-		f.vals[key] = Floats(got...)
-		return 0
-	}
-	want := strings.Fields(f.Get(key))
-	if len(want) != len(got) {
-		f.t.Errorf("golden %s: %d fields, recorded %d", key, len(got), len(want))
-		return 0
-	}
-	for i, w := range want {
-		wv, err := strconv.ParseFloat(w, 64)
-		if err != nil {
-			f.t.Fatalf("golden %s: %v", key, err)
-		}
-		if got[i] == wv {
-			continue
-		}
-		moved++
-		lo, hi := wv, wv
-		for s := 0; s < ulps; s++ {
-			lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
-		}
-		if got[i] < lo || got[i] > hi {
-			f.t.Errorf("golden %s field %d: got %x, want %x ± %d ulp", key, i, got[i], wv, ulps)
-		}
-	}
-	return moved
 }
 
 // Floats renders values as space-separated hex floats.

@@ -5,7 +5,7 @@ import "testing"
 // BenchmarkNoOpPath measures the cost an uninstrumented hot path pays for
 // carrying obs calls: a nil registry handing out nil instruments. This must
 // stay in the low-nanosecond range so attaching the hooks to Run /
-// RunWithPolicy is free when observability is off.
+// RunParallel is free when observability is off.
 func BenchmarkNoOpPath(b *testing.B) {
 	var r *Registry
 	b.ReportAllocs()

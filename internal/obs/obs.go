@@ -45,7 +45,7 @@ func (c *Counter) Value() int64 {
 }
 
 // Gauge is a float64 metric that can move both ways (queue depth, busy
-// seconds, breaker state).
+// seconds, cache events).
 type Gauge struct {
 	bits atomic.Uint64
 }

@@ -203,27 +203,6 @@ func TestArenaCutsSteadyStateAllocs(t *testing.T) {
 		}
 	})
 
-	t.Run("policy_recycles_like_run", func(t *testing.T) {
-		// RunWithPolicy shares Run's value executor, so fault-tolerant
-		// inference returns exactly the buffers Infer returns — it once
-		// left every cross-subgraph intermediate to the GC.
-		p, inputs := branchy(t)
-		e := newEngine(t, p, 0)
-		place := Uniform(e.NumSubgraphs(), device.CPU)
-		recycled := func(run func() error) int64 {
-			before := e.Arena().Stats().Recycled
-			if err := run(); err != nil {
-				t.Fatal(err)
-			}
-			return e.Arena().Stats().Recycled - before
-		}
-		plain := recycled(func() error { _, err := e.Run(inputs, place, true); return err })
-		policy := recycled(func() error { _, err := e.RunWithPolicy(inputs, place, DefaultPolicy()); return err })
-		if plain == 0 || policy != plain {
-			t.Fatalf("RunWithPolicy recycled %d buffers, Run %d", policy, plain)
-		}
-	})
-
 	t.Run("parallel_recycles_like_run", func(t *testing.T) {
 		// RunParallel's workers return each cross-subgraph intermediate
 		// once its last consumer has finished, as Run's executor does — it

@@ -10,9 +10,9 @@ import (
 // Dataflow is the value state of one execution of an engine's Skeleton, and
 // Fire the one implementation of the runtime's host firing rule (§IV-D,
 // Fig. 9): take a ready subgraph, run its compiled kernels, publish its
-// outputs, signal the dependents. Run and RunWithPolicy fire it in partition
-// order; a LaneSet (RunParallel, serve's replicas) fires it from one worker
-// per lane (docs/ARCHITECTURE.md §5).
+// outputs, signal the dependents. Run fires it in partition order; a
+// LaneSet (RunParallel, serve's replicas) fires it from one worker per lane
+// (docs/ARCHITECTURE.md §5).
 type Dataflow struct {
 	e     *Engine
 	arena *tensor.Arena

@@ -84,9 +84,6 @@ type Result struct {
 	Latency vclock.Seconds
 	// Timeline lists executed subgraphs and transfers in start order.
 	Timeline []Span
-	// Faults summarises fault-tolerance activity (non-nil only for
-	// RunWithPolicy runs).
-	Faults *FaultReport
 }
 
 // Engine executes a partitioned model on the coupled CPU-GPU platform.
@@ -202,40 +199,32 @@ func (e *Engine) recordRun(latency vclock.Seconds) {
 }
 
 // recorder is the engine's walk sink: busy seconds into the metrics registry
-// and, when res is non-nil, spans (failed attempts labelled as faults) onto
-// its timeline.
+// and, when res is non-nil, spans onto its timeline.
 type recorder struct {
 	e   *Engine
 	res *Result
 }
 
-func (r *recorder) Transferred(v, src, dst int, start, dur vclock.Seconds, f device.Fault) {
+func (r *recorder) Transferred(v, src, dst int, start, dur vclock.Seconds) {
 	r.e.m.linkBusy.Add(dur)
 	if r.res == nil {
 		return
 	}
 	label := fmt.Sprintf("xfer:%s→%s:%s", device.Kind(src), device.Kind(dst), r.e.Skeleton.names[v])
-	if f.Fail {
-		label = "fault:" + f.Cause + ":" + label
-	}
 	r.res.Timeline = append(r.res.Timeline, Span{Label: label, Device: r.e.Platform.Link.Name, Start: start, End: start + dur})
 }
 
-func (r *recorder) Dispatched(i, lane int, start, dur vclock.Seconds, f device.Fault) {
+func (r *recorder) Dispatched(i, lane int, start, dur vclock.Seconds) {
 	r.e.m.deviceBusy[lane].Add(dur)
 	if r.res == nil {
 		return
 	}
-	label := r.e.Skeleton.labels[i]
-	if f.Fail {
-		label = "fault:" + f.Cause + ":" + r.e.subgraphs[i].Graph.Name
-	}
 	r.res.Timeline = append(r.res.Timeline, Span{
-		Label: label, Device: r.e.Platform.Device(device.Kind(lane)).Name, Start: start, End: start + dur,
+		Label: r.e.Skeleton.labels[i], Device: r.e.Platform.Device(device.Kind(lane)).Name, Start: start, End: start + dur,
 	})
 }
 
-// execute is the serial value executor behind Run and RunWithPolicy: the
+// execute is the serial value executor behind Run: the
 // dataflow's subgraphs fired in partition order on the calling goroutine,
 // stopping at the first failure. Timing never depends on values and is not
 // computed here.

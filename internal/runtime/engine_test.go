@@ -274,3 +274,33 @@ func TestPlacementHelpers(t *testing.T) {
 		t.Fatalf("Uniform wrong")
 	}
 }
+
+// TestRunValidatesPlacementKinds: corrupted placements error descriptively
+// instead of panicking, in every entry point that takes a placement.
+func TestRunValidatesPlacementKinds(t *testing.T) {
+	p, inputs := branchy(t)
+	e := newEngine(t, p, 0)
+	bad := Placement{device.CPU, device.Kind(7), device.GPU}
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Run", func() error { _, err := e.Run(nil, bad, false); return err }},
+		{"RunParallel", func() error { _, err := e.RunParallel(inputs, bad); return err }},
+		{"MeasureLatency", func() error { _, err := e.MeasureLatency(bad, 1); return err }},
+		{"MeasurePipelined", func() error { _, err := e.MeasurePipelined(bad, 2); return err }},
+		{"Memory", func() error { _, err := e.Memory(bad); return err }},
+	} {
+		if err := c.run(); err == nil || !strings.Contains(err.Error(), "unknown device kind") {
+			t.Fatalf("%s error = %v", c.name, err)
+		}
+	}
+}
+
+// TestPlacementStringUnknownKind: unknown kinds render as '?'.
+func TestPlacementStringUnknownKind(t *testing.T) {
+	p := Placement{device.CPU, device.Kind(9), device.GPU}
+	if p.String() != "C?G" {
+		t.Fatalf("String = %q, want C?G", p.String())
+	}
+}

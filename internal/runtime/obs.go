@@ -15,12 +15,9 @@ import (
 type engineMetrics struct {
 	reg *obs.Registry
 
-	runs       *obs.Counter   // duet_runs_total{path=run}
-	policyRuns *obs.Counter   // duet_runs_total{path=policy}
-	runErrors  *obs.Counter   // duet_run_errors_total
-	exhausted  *obs.Counter   // duet_exhausted_total
-	latency    *obs.Histogram // duet_latency_seconds{path=run}
-	policyLat  *obs.Histogram // duet_latency_seconds{path=policy}
+	runs      *obs.Counter   // duet_runs_total{path=run}
+	runErrors *obs.Counter   // duet_run_errors_total
+	latency   *obs.Histogram // duet_latency_seconds{path=run}
 
 	deviceBusy [2]*obs.Gauge // duet_device_busy_seconds_total{device=...}
 	linkBusy   *obs.Gauge    // duet_device_busy_seconds_total{device=<link>}
@@ -39,20 +36,11 @@ type engineMetrics struct {
 	fusionChainOps    *obs.Gauge // duet_fusion_chain_ops
 	fusionEmits       *obs.Gauge // duet_fusion_emits
 	fusionSavedLaunch *obs.Gauge // duet_fusion_launches_saved
-
-	kernelFaults    *obs.Counter // duet_faults_total{kind=kernel}
-	transferFaults  *obs.Counter // duet_faults_total{kind=transfer}
-	retries         *obs.Counter // duet_retries_total{kind=kernel}
-	transferRetries *obs.Counter // duet_retries_total{kind=transfer}
-	failovers       *obs.Counter // duet_failovers_total
-	breakerTrips    *obs.Counter // duet_breaker_trips_total
-	degraded        *obs.Counter // duet_degraded_total
 }
 
 // Instrument attaches a metrics registry to the engine. Subsequent Run /
-// RunWithPolicy / RunParallel calls record run counts, latency histograms,
-// per-device busy seconds, fault-tolerance activity, and (for RunParallel)
-// synchronization-queue depths into reg. Passing nil detaches. The engine
+// RunParallel calls record run counts, latency histograms, per-device busy
+// seconds, and (for RunParallel) synchronization-queue depths into reg. Passing nil detaches. The engine
 // is not safe for concurrent Instrument against in-flight runs; attach
 // once at setup, the way core.Build's callers do.
 func (e *Engine) Instrument(reg *obs.Registry) {
@@ -61,13 +49,10 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 		return
 	}
 	m := engineMetrics{
-		reg:        reg,
-		runs:       reg.Counter(obs.Series("duet_runs_total", "path", "run")),
-		policyRuns: reg.Counter(obs.Series("duet_runs_total", "path", "policy")),
-		runErrors:  reg.Counter("duet_run_errors_total"),
-		exhausted:  reg.Counter("duet_exhausted_total"),
-		latency:    reg.Histogram(obs.Series("duet_latency_seconds", "path", "run")),
-		policyLat:  reg.Histogram(obs.Series("duet_latency_seconds", "path", "policy")),
+		reg:       reg,
+		runs:      reg.Counter(obs.Series("duet_runs_total", "path", "run")),
+		runErrors: reg.Counter("duet_run_errors_total"),
+		latency:   reg.Histogram(obs.Series("duet_latency_seconds", "path", "run")),
 
 		arenaHits:      reg.Gauge(obs.Series("duet_arena_events_total", "event", "hit")),
 		arenaMisses:    reg.Gauge(obs.Series("duet_arena_events_total", "event", "miss")),
@@ -81,14 +66,6 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 		fusionChainOps:    reg.Gauge("duet_fusion_chain_ops"),
 		fusionEmits:       reg.Gauge("duet_fusion_emits"),
 		fusionSavedLaunch: reg.Gauge("duet_fusion_launches_saved"),
-
-		kernelFaults:    reg.Counter(obs.Series("duet_faults_total", "kind", "kernel")),
-		transferFaults:  reg.Counter(obs.Series("duet_faults_total", "kind", "transfer")),
-		retries:         reg.Counter(obs.Series("duet_retries_total", "kind", "kernel")),
-		transferRetries: reg.Counter(obs.Series("duet_retries_total", "kind", "transfer")),
-		failovers:       reg.Counter("duet_failovers_total"),
-		breakerTrips:    reg.Counter("duet_breaker_trips_total"),
-		degraded:        reg.Counter("duet_degraded_total"),
 	}
 	for _, kind := range []device.Kind{device.CPU, device.GPU} {
 		name := e.Platform.Device(kind).Name
@@ -144,16 +121,4 @@ func (m *engineMetrics) recordMemory(ar *tensor.Arena) {
 	m.packHits.Set(float64(p.Hits))
 	m.packMisses.Set(float64(p.Misses))
 	m.packBytes.Set(float64(p.Bytes))
-}
-
-// recordPolicyReport folds one RunWithPolicy fault report into the
-// registry. All fields are no-ops when uninstrumented.
-func (m *engineMetrics) recordPolicyReport(rep *FaultReport) {
-	m.kernelFaults.Add(int64(rep.KernelFaults))
-	m.transferFaults.Add(int64(rep.TransferFaults))
-	m.retries.Add(int64(rep.Retries))
-	m.transferRetries.Add(int64(rep.TransferRetries))
-	m.failovers.Add(int64(rep.Failovers))
-	m.breakerTrips.Add(int64(rep.BreakerTrips))
-	m.degraded.Add(int64(rep.Degraded))
 }

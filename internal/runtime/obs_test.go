@@ -1,11 +1,9 @@
 package runtime
 
 import (
-	"errors"
 	"testing"
 
 	"duet/internal/device"
-	"duet/internal/faults"
 	"duet/internal/obs"
 )
 
@@ -69,117 +67,6 @@ func approxEqual(a, b float64) bool {
 	return d <= 1e-9*(1+b)
 }
 
-// TestInstrumentPolicyFaults: fault-tolerance activity reported per run is
-// folded into the registry counters.
-func TestInstrumentPolicyFaults(t *testing.T) {
-	p, _ := branchy(t)
-	e := newEngine(t, p, 99)
-	reg := obs.NewRegistry()
-	e.Instrument(reg)
-
-	pol := DefaultPolicy()
-	pol.Injector = faults.New(5,
-		faults.KernelFailures(device.GPU, 0.4),
-		faults.TransferFailures(0.3))
-	const runs = 20
-	var want FaultReport
-	succeeded, exhausted := 0, 0
-	for i := 0; i < runs; i++ {
-		res, err := e.RunWithPolicy(nil, Placement{device.CPU, device.GPU, device.GPU}, pol)
-		switch {
-		case err == nil:
-			succeeded++
-		case errors.Is(err, ErrExhausted):
-			exhausted++
-		default:
-			t.Fatal(err)
-		}
-		if res == nil || res.Faults == nil {
-			t.Fatal("no fault report")
-		}
-		want.KernelFaults += res.Faults.KernelFaults
-		want.TransferFaults += res.Faults.TransferFaults
-		want.Retries += res.Faults.Retries
-		want.TransferRetries += res.Faults.TransferRetries
-		want.Failovers += res.Faults.Failovers
-		want.BreakerTrips += res.Faults.BreakerTrips
-		want.Degraded += res.Faults.Degraded
-	}
-	s := reg.Snapshot()
-	if got := s.Counters[`duet_runs_total{path="policy"}`]; got != int64(succeeded) {
-		t.Fatalf("policy runs = %d, want %d", got, succeeded)
-	}
-	if got := s.Counters["duet_exhausted_total"]; got != int64(exhausted) {
-		t.Fatalf("exhausted = %d, want %d", got, exhausted)
-	}
-	if got := s.Counters["duet_run_errors_total"]; got != int64(exhausted) {
-		t.Fatalf("run errors = %d, want %d", got, exhausted)
-	}
-	checks := map[string]int{
-		`duet_faults_total{kind="kernel"}`:    want.KernelFaults,
-		`duet_faults_total{kind="transfer"}`:  want.TransferFaults,
-		`duet_retries_total{kind="kernel"}`:   want.Retries,
-		`duet_retries_total{kind="transfer"}`: want.TransferRetries,
-		"duet_failovers_total":                want.Failovers,
-		"duet_breaker_trips_total":            want.BreakerTrips,
-		"duet_degraded_total":                 want.Degraded,
-	}
-	for name, w := range checks {
-		if got := s.Counters[name]; got != int64(w) {
-			t.Fatalf("%s = %d, want %d", name, got, w)
-		}
-	}
-	if want.KernelFaults+want.TransferFaults == 0 {
-		t.Fatal("test is vacuous: no faults were injected")
-	}
-}
-
-// TestBreakerMetrics drives the tracker through a full
-// closed → open → half-open → closed cycle and checks the state gauge,
-// transition counters, and the readmission counter at each step.
-func TestBreakerMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	h := NewHealthTracker(2, 1.0)
-	h.Instrument(reg)
-
-	gauge := func() float64 {
-		return reg.Snapshot().Gauges[`duet_breaker_state{device="gpu"}`]
-	}
-	if g := gauge(); g != 0 {
-		t.Fatalf("initial state gauge = %g, want 0 (closed)", g)
-	}
-	h.Failure(device.GPU, 0)
-	if tripped := h.Failure(device.GPU, 0); !tripped {
-		t.Fatal("breaker did not trip at threshold")
-	}
-	if g := gauge(); g != 1 {
-		t.Fatalf("state gauge after trip = %g, want 1 (open)", g)
-	}
-	if h.Available(device.GPU, 0.5) {
-		t.Fatal("open breaker admitted a caller before probation")
-	}
-	if !h.Available(device.GPU, 2.0) {
-		t.Fatal("breaker did not half-open after probation")
-	}
-	if g := gauge(); g != 2 {
-		t.Fatalf("state gauge after probation = %g, want 2 (half-open)", g)
-	}
-	h.Success(device.GPU)
-	if g := gauge(); g != 0 {
-		t.Fatalf("state gauge after probe success = %g, want 0 (closed)", g)
-	}
-	s := reg.Snapshot()
-	if got := s.Counters["duet_readmissions_total"]; got != 1 {
-		t.Fatalf("readmissions = %d, want 1", got)
-	}
-	for _, tr := range []string{"open", "half-open", "closed"} {
-		name := `duet_breaker_transitions_total{device="gpu",to="` + tr + `"}`
-		if got := s.Counters[name]; got != 1 {
-			t.Fatalf("%s = %d, want 1", name, got)
-		}
-	}
-}
-
 // TestUninstrumentedEngineNoop: every recording path must tolerate the
 // all-nil zero metrics (no registry attached).
 func TestUninstrumentedEngineNoop(t *testing.T) {
@@ -187,11 +74,6 @@ func TestUninstrumentedEngineNoop(t *testing.T) {
 	e := newEngine(t, p, 0)
 	place := Placement{device.CPU, device.GPU, device.CPU}
 	if _, err := e.Run(inputs, place, false); err != nil {
-		t.Fatal(err)
-	}
-	pol := DefaultPolicy()
-	pol.Injector = faults.New(7, faults.KernelFailures(device.GPU, 0.5))
-	if _, err := e.RunWithPolicy(nil, place, pol); err != nil {
 		t.Fatal(err)
 	}
 	if e.Registry() != nil {

@@ -1,14 +1,12 @@
 package runtime
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
 	"duet/internal/compiler"
 	"duet/internal/device"
-	"duet/internal/faults"
 	"duet/internal/golden"
 	"duet/internal/models"
 	"duet/internal/partition"
@@ -74,51 +72,13 @@ func buildZooEngines(t testing.TB) []zooEngine {
 	return out
 }
 
-// faultedPolicy is the fixed injector of TestPolicyReproducible under the
-// default policy.
-func faultedPolicy() Policy {
-	pol := DefaultPolicy()
-	pol.Injector = faults.New(5,
-		faults.KernelFailures(device.GPU, 0.3),
-		faults.TransferFailures(0.2),
-		faults.Stalls(device.CPU, 0.2, 1e-4))
-	return pol
-}
-
-// policyFields flattens a RunWithPolicy outcome into golden fields: latency,
-// span count, the fault report's counters, and whether tolerance ran out.
-func policyFields(t *testing.T, res *Result, err error) []float64 {
-	t.Helper()
-	exhausted := 0.0
-	if errors.Is(err, ErrExhausted) {
-		exhausted = 1
-	} else if err != nil {
-		t.Fatal(err)
-	}
-	f := res.Faults
-	return []float64{res.Latency, float64(len(res.Timeline)), exhausted,
-		float64(f.KernelFaults), float64(f.TransferFaults), float64(f.Retries),
-		float64(f.TransferRetries), float64(f.Failovers), float64(f.BreakerTrips), float64(f.Degraded)}
-}
-
 // TestTimelineGolden holds every serial timeline entry point of the engine
 // to the virtual-clock numbers recorded from the six hand-written loops the
 // walker replaced: 7 zoo models × {all-CPU, all-GPU, chosen, alternating} ×
 // seeds {0, 7}, hex floats, compared with ==. Each call starts from a fresh
 // platform so a row does not depend on the rows before it.
-//
-// The RunWithPolicy rows are the one place a last-ulp difference is
-// accepted: the old policy loop advanced a cursor kernel by kernel
-// ((start+k1)+k2), every other loop added the kernel sum to the start
-// (start+(k1+k2)); the walker keeps the latter everywhere, which is what
-// makes Run ≡ RunWithPolicy hold with == (TestPolicyNoFaultParity;
-// at the recording commit 33 of the 56 fault-free policy rows were not equal
-// to Run's). One rounding per subgraph accumulates to at most 4 ulp of the
-// latency over GoogLeNet's 46-subgraph chain; span and fault counts are
-// integers and must match exactly.
 func TestTimelineGolden(t *testing.T) {
 	g := golden.Open(t, "testdata/timeline_runtime.json")
-	moved, rows := 0, 0
 	for _, ze := range zooEngines(t) {
 		for _, seed := range goldenSeeds {
 			for name, place := range ze.places {
@@ -132,15 +92,6 @@ func TestTimelineGolden(t *testing.T) {
 				}
 				g.Check(key+"run", golden.Floats(res.Latency, float64(len(res.Timeline))))
 
-				fresh()
-				res, err = ze.e.RunWithPolicy(nil, place, DefaultPolicy())
-				moved += g.CheckULP(key+"policy", 4, policyFields(t, res, err)...)
-
-				fresh()
-				res, err = ze.e.RunWithPolicy(nil, place, faultedPolicy())
-				moved += g.CheckULP(key+"policy_faulted", 4, policyFields(t, res, err)...)
-				rows += 2
-
 				for _, requests := range []int{1, 5} {
 					fresh()
 					pr, err := ze.e.MeasurePipelined(place, requests)
@@ -152,5 +103,4 @@ func TestTimelineGolden(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d latencies of %d RunWithPolicy rows moved in the last ulps", moved, rows)
 }

@@ -7,17 +7,12 @@ import (
 )
 
 // spanCategory classifies a timeline label for trace rendering: transfers
-// (including faulted ones re-labelled "fault:<cause>:xfer:..."), fault and
-// backoff intervals, and plain compute.
+// and compute.
 func spanCategory(label string) string {
-	switch {
-	case strings.HasPrefix(label, "xfer:"):
+	if strings.HasPrefix(label, "xfer:") {
 		return "transfer"
-	case strings.HasPrefix(label, "fault:"), strings.HasPrefix(label, "backoff:"):
-		return "fault"
-	default:
-		return "compute"
 	}
+	return "compute"
 }
 
 // ObsSpans converts the run's timeline into obs spans, one track per

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"duet/internal/device"
-	"duet/internal/faults"
 )
 
 // chromeEvent mirrors the trace-event fields the round-trip test checks.
@@ -86,45 +85,5 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	}
 	if !cats["compute"] || !cats["transfer"] {
 		t.Fatalf("expected compute and transfer categories, got %v", cats)
-	}
-}
-
-// TestChromeTraceFaultCategory: with injected faults the export carries
-// fault-category events for the injected spans.
-func TestChromeTraceFaultCategory(t *testing.T) {
-	p, _ := branchy(t)
-	e := newEngine(t, p, 99)
-	pol := DefaultPolicy()
-	pol.Injector = faults.New(5,
-		faults.KernelFailures(device.GPU, 0.9),
-		faults.TransferFailures(0.4))
-	var res *Result
-	for attempt := 0; attempt < 10; attempt++ {
-		r, err := e.RunWithPolicy(nil, Placement{device.CPU, device.GPU, device.GPU}, pol)
-		if err != nil {
-			continue // exhausted: try again, the injector stream advances
-		}
-		if r.Faults != nil && r.Faults.KernelFaults+r.Faults.TransferFaults > 0 {
-			res = r
-			break
-		}
-	}
-	if res == nil {
-		t.Fatal("could not provoke a faulted run")
-	}
-	raw, err := res.ChromeTrace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := decodeTrace(t, raw)
-	fault := 0
-	for _, ev := range doc.TraceEvents {
-		if ev.Cat == "fault" {
-			fault++
-		}
-	}
-	if fault == 0 {
-		t.Fatalf("faulted run exported no fault-category events (%d faults reported)",
-			res.Faults.KernelFaults+res.Faults.TransferFaults)
 	}
 }

@@ -80,9 +80,9 @@ func mergeIntervals(ivs []interval) []interval {
 	return merged
 }
 
-// Utilization analyses the run's timeline. Transfer spans (including
-// faulted transfer attempts) count toward their link track's busy time but
-// not toward compute overlap. Per-track busy time is the union of the
+// Utilization analyses the run's timeline. Transfer spans (any label
+// containing "xfer:") count toward their link track's busy time but not
+// toward compute overlap. Per-track busy time is the union of the
 // track's spans, not their sum: concurrent transfers on the interconnect
 // overlap within one track, and double-counting them would report busy
 // fractions above 1.

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"slices"
 
 	"duet/internal/device"
 	"duet/internal/graph"
@@ -124,25 +123,22 @@ func (sk *Skeleton) home(v int, place Placement) int {
 }
 
 // Sampler prices the two things a timeline is made of — moving bytes from
-// lane src to dst, and running subgraph i's kernels back to back on lane —
-// starting at virtual time at. A fault with Fail set means the attempt was
-// lost after occupying its resource for dur.
+// lane src to dst, and running subgraph i's kernels back to back on lane.
 type Sampler interface {
-	Transfer(bytes, src, dst int, at vclock.Seconds) (dur vclock.Seconds, f device.Fault)
-	Kernels(i, lane int, at vclock.Seconds) (dur vclock.Seconds, f device.Fault)
+	Transfer(bytes, src, dst int) vclock.Seconds
+	Kernels(i, lane int) vclock.Seconds
 }
 
 // Sink observes a walk's intervals [start, start+dur); nil observes nothing.
 type Sink interface {
-	Transferred(v, src, dst int, start, dur vclock.Seconds, f device.Fault)
-	Dispatched(i, lane int, start, dur vclock.Seconds, f device.Fault)
+	Transferred(v, src, dst int, start, dur vclock.Seconds)
+	Dispatched(i, lane int, start, dur vclock.Seconds)
 }
 
 // DeviceSampler prices a timeline with a platform's device models and an
 // engine's tuned kernel costs: noiselessly, or by drawing from the
-// platform's noise sources and fault hooks (Sample*At, which is Sample*
-// while no injector is installed). Draws happen in walk order: a transfer
-// when a value is first needed on a lane, then the subgraph's kernels.
+// platform's noise sources. Draws happen in walk order: a transfer when a
+// value is first needed on a lane, then the subgraph's kernels.
 type DeviceSampler struct {
 	plat      *device.Platform
 	noiseless bool
@@ -155,28 +151,24 @@ func (e *Engine) Sampler(plat *device.Platform, noiseless bool) *DeviceSampler {
 	return &DeviceSampler{plat: plat, noiseless: noiseless, costs: e.tuned}
 }
 
-func (s *DeviceSampler) Transfer(bytes, src, dst int, at vclock.Seconds) (vclock.Seconds, device.Fault) {
+func (s *DeviceSampler) Transfer(bytes, _, _ int) vclock.Seconds {
 	if s.noiseless {
-		return s.plat.Link.TransferTime(bytes), device.Fault{}
+		return s.plat.Link.TransferTime(bytes)
 	}
-	return s.plat.Link.SampleTransferTimeAt(bytes, device.Kind(src), device.Kind(dst), at)
+	return s.plat.Link.SampleTransferTime(bytes)
 }
 
-func (s *DeviceSampler) Kernels(i, lane int, at vclock.Seconds) (vclock.Seconds, device.Fault) {
+func (s *DeviceSampler) Kernels(i, lane int) vclock.Seconds {
 	dev := s.plat.Device(device.Kind(lane))
 	var dur vclock.Seconds
 	for _, c := range s.costs[i][lane] {
 		if s.noiseless {
 			dur += dev.KernelTime(c)
-			continue
-		}
-		occ, f := dev.SampleKernelTimeAt(c, at+dur)
-		dur += occ
-		if f.Fail {
-			return dur, f
+		} else {
+			dur += dev.SampleKernelTime(c)
 		}
 	}
-	return dur, device.Fault{}
+	return dur
 }
 
 // Walk is one request's timeline under construction, sized by the roster it
@@ -215,25 +207,22 @@ func (w *Walk) Begin(clocks []vclock.Seconds, inputsAt vclock.Seconds) {
 }
 
 // Latency dispatches every subgraph in partition order on its placed lane
-// and returns when the last output is on the host — one request's timeline
-// when nothing fails.
+// and returns when the last output is on the host — one request's timeline.
 func (w *Walk) Latency(place Placement) vclock.Seconds {
 	for i := range w.sk.consumes {
 		w.dispatch(i, int(place[i]))
 	}
-	finish, _ := w.gather()
-	return finish
+	return w.gather()
 }
 
-// ensure returns when value v is usable on lane, transferring it — once, no
-// earlier than notBefore — from the lane that has had it longest (lowest
-// index on ties; with two lanes, the other device). A failed transfer leaves
-// v where it was and returns when the attempt ended.
-func (w *Walk) ensure(v, lane int, notBefore vclock.Seconds) (vclock.Seconds, device.Fault) {
+// ensure returns when value v is usable on lane, transferring it — once —
+// from the lane that has had it longest (lowest index on ties; with two
+// lanes, the other device).
+func (w *Walk) ensure(v, lane int) vclock.Seconds {
 	lanes := len(w.deviceFree)
 	row := w.avail[v*lanes : (v+1)*lanes]
 	if row[lane] >= 0 {
-		return row[lane], device.Fault{}
+		return row[lane]
 	}
 	src := -1
 	for l, t := range row {
@@ -244,62 +233,40 @@ func (w *Walk) ensure(v, lane int, notBefore vclock.Seconds) (vclock.Seconds, de
 	if src < 0 {
 		panic(fmt.Sprintf("runtime: value %q needed on lane %d before any lane has it", w.sk.names[v], lane))
 	}
-	start := max(row[src], notBefore)
-	dur, f := w.cost.Transfer(w.sk.bytes[v], src, lane, start)
-	end := start + dur
+	start := row[src]
+	dur := w.cost.Transfer(w.sk.bytes[v], src, lane)
 	if w.sink != nil {
-		w.sink.Transferred(v, src, lane, start, dur, f)
+		w.sink.Transferred(v, src, lane, start, dur)
 	}
-	if !f.Fail {
-		row[lane] = end
-	}
-	return end, f
+	row[lane] = start + dur
+	return row[lane]
 }
 
-// dispatch runs subgraph i on lane and returns when it ends: it starts when
-// the device is free and every boundary input has arrived, plus the
-// sync-queue hop, and publishes its outputs there — unless a kernel failed:
-// then the time is spent and nothing is published. (A failed input transfer
-// returns before the device is touched.)
-func (w *Walk) dispatch(i, lane int) (end vclock.Seconds, f device.Fault) {
+// dispatch runs subgraph i on lane: it starts when the device is free and
+// every boundary input has arrived, plus the sync-queue hop, and publishes
+// its outputs when it ends.
+func (w *Walk) dispatch(i, lane int) {
 	start := w.deviceFree[lane]
 	for _, v := range w.sk.consumes[i] {
-		t, f := w.ensure(v, lane, 0)
-		if f.Fail {
-			return t, f
-		}
-		start = max(start, t)
+		start = max(start, w.ensure(v, lane))
 	}
 	start += syncQueueOverhead
-	dur, f := w.cost.Kernels(i, lane, start)
-	end = start + dur
+	dur := w.cost.Kernels(i, lane)
+	end := start + dur
 	w.deviceFree[lane] = end
 	if w.sink != nil {
-		w.sink.Dispatched(i, lane, start, dur, f)
+		w.sink.Dispatched(i, lane, start, dur)
 	}
-	if !f.Fail {
-		lanes := len(w.deviceFree)
-		for _, v := range w.sk.produces[i] {
-			w.avail[v*lanes+lane] = end
-		}
+	lanes := len(w.deviceFree)
+	for _, v := range w.sk.produces[i] {
+		w.avail[v*lanes+lane] = end
 	}
-	return end, f
 }
 
 // gather brings every declared output to the host.
-func (w *Walk) gather() (finish vclock.Seconds, f device.Fault) {
+func (w *Walk) gather() (finish vclock.Seconds) {
 	for _, v := range w.sk.outputs {
-		t, f := w.ensure(v, hostLane, 0)
-		if f.Fail {
-			return t, f
-		}
-		finish = max(finish, t)
+		finish = max(finish, w.ensure(v, hostLane))
 	}
-	return finish, device.Fault{}
+	return finish
 }
-
-// clock is when lane's device is next free, now the request's progress time
-// (the latest clock), and hold occupies lane for dur more (a retry backoff).
-func (w *Walk) clock(lane int) vclock.Seconds     { return w.deviceFree[lane] }
-func (w *Walk) now() vclock.Seconds               { return slices.Max(w.deviceFree) }
-func (w *Walk) hold(lane int, dur vclock.Seconds) { w.deviceFree[lane] += dur }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"duet/internal/device"
 	"duet/internal/vclock"
 )
 
@@ -17,12 +16,12 @@ type tableSampler struct {
 	transfer map[[2]int]float64
 }
 
-func (s tableSampler) Kernels(i, _ int, _ vclock.Seconds) (vclock.Seconds, device.Fault) {
-	return s.kernels[i] * 1e-6, device.Fault{}
+func (s tableSampler) Kernels(i, _ int) vclock.Seconds {
+	return s.kernels[i] * 1e-6
 }
 
-func (s tableSampler) Transfer(_, src, dst int, _ vclock.Seconds) (vclock.Seconds, device.Fault) {
-	return s.transfer[[2]int{src, dst}] * 1e-6, device.Fault{}
+func (s tableSampler) Transfer(_, src, dst int) vclock.Seconds {
+	return s.transfer[[2]int{src, dst}] * 1e-6
 }
 
 // spanLog records what a walk did, in microseconds.
@@ -31,11 +30,11 @@ type spanLog struct {
 	transferred [][5]float64 // value, src, dst, start, end
 }
 
-func (l *spanLog) Dispatched(i, lane int, start, dur vclock.Seconds, _ device.Fault) {
+func (l *spanLog) Dispatched(i, lane int, start, dur vclock.Seconds) {
 	l.dispatched = append(l.dispatched, [4]float64{float64(i), float64(lane), start * 1e6, (start + dur) * 1e6})
 }
 
-func (l *spanLog) Transferred(v, src, dst int, start, dur vclock.Seconds, _ device.Fault) {
+func (l *spanLog) Transferred(v, src, dst int, start, dur vclock.Seconds) {
 	l.transferred = append(l.transferred, [5]float64{float64(v), float64(src), float64(dst), start * 1e6, (start + dur) * 1e6})
 }
 

@@ -192,8 +192,7 @@ func outputsSplittable(g *graph.Graph, rows int) bool {
 // kindCost sums subgraph i's tuned kernel times on the given device kind,
 // noiselessly.
 func kindCost(eng *runtime.Engine, i int, kind device.Kind) vclock.Seconds {
-	sum, _ := eng.Sampler(eng.Platform, true).Kernels(i, int(kind), 0)
-	return sum
+	return eng.Sampler(eng.Platform, true).Kernels(i, int(kind))
 }
 
 // latencyPlacement assigns each subgraph its faster device — the greedy

@@ -79,12 +79,12 @@ func (r *replica) timeBatch(b *batch, now vclock.Seconds, pipelined bool) {
 }
 
 // Dispatched accumulates the replica's per-device busy seconds.
-func (r *replica) Dispatched(_, lane int, _, dur vclock.Seconds, _ device.Fault) {
+func (r *replica) Dispatched(_, lane int, _, dur vclock.Seconds) {
 	r.busy[lane] += dur
 }
 
 // Transferred is the other half of runtime.Sink; link time is not reported.
-func (r *replica) Transferred(_, _, _ int, _, _ vclock.Seconds, _ device.Fault) {}
+func (r *replica) Transferred(_, _, _ int, _, _ vclock.Seconds) {}
 
 // batch is one dispatched unit of work: the stacked inputs of its member
 // requests flowing through one batchEngine on one replica. Its value state

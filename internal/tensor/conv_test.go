@@ -74,15 +74,17 @@ func convRef(x, w, bias *Tensor, stride, pad int) *Tensor {
 
 // poisonArena fills every pooled buffer the next kernel could be handed
 // with NaN, so a scratch or destination slot that is read before it is
-// written cannot go unnoticed.
+// written cannot go unnoticed. Buffers are filled by doubling copies: the
+// race detector instruments every element store, and the ~1.6 M of them
+// dominated -race runs of the conv tests.
 func poisonArena(ar *Arena) {
-	nan := float32(math.NaN())
 	var held []*Tensor
 	for bits := arenaMinClassBits; bits <= 18; bits++ {
 		for i := 0; i < 3; i++ {
 			t := ar.NewNoZero(1 << bits)
-			for j := range t.data {
-				t.data[j] = nan
+			t.data[0] = float32(math.NaN())
+			for j := 1; j < len(t.data); j *= 2 {
+				copy(t.data[j:], t.data[:j])
 			}
 			held = append(held, t)
 		}
