@@ -46,6 +46,10 @@ build:
 ## shapes whose blocks span images), the transcendental loops, the
 ## dense + GELU layer and MT-DNN's attention (core and whole layer) run once
 ## at every kernel tier the machine has, so they cannot rot.
+## The sequence-level RNN tests run five more times under the race detector
+## at GOMAXPROCS 1 and 2: the time loop's steps are split between the caller
+## and a pool helper (stepLoop), and a lost hand-off or a missing wait between
+## steps shows as a race report, a hang or a changed bit.
 ## The host-clock benchmark in bench/ is a nested module that compiles
 ## against the exported runtime/schedule/serve API and may not be edited by
 ## the PRs it measures, so a rename that breaks the harness has to fail here,
@@ -55,6 +59,7 @@ check: fmt-check vet
 	$(GO) test -race ./internal/modelio
 	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 	$(GO) test -count=1 -tags purego ./internal/tensor/...
+	$(GO) test -race -count=5 -cpu 1,2 -run 'TestRNNSeq' ./internal/tensor/
 	$(GO) test -run xxx -bench 'Conv2D/.*x8|Transcendentals|LinearGELU|Attention' -benchtime 1x ./internal/tensor/
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) test -race -count=2 ./internal/obs/...

@@ -444,11 +444,12 @@ func declPosIdent(as *ast.AssignStmt, name string) token.Pos {
 	return token.NoPos
 }
 
-// SharedNoEscape reports ParallelFor/ParallelForChunked bodies whose
-// workers race on captured state: assigning a captured variable (every
-// worker writes the same scalar or slice header), or writing a captured
-// slice at an index that uses none of the body's own variables (every
-// worker collides on one element). Index-disjoint writes — s[i] for a body-
+// SharedNoEscape reports ParallelFor/ParallelForChunked bodies, and the item
+// bodies of package tensor's unexported step loop (stepLoop), whose workers
+// race on captured state: assigning a captured variable (every worker
+// writes the same scalar or slice header), or writing a captured slice at
+// an index that uses none of the body's own variables (every worker
+// collides on one element). Index-disjoint writes — s[i] for a body-
 // declared i — are the sanctioned pattern and stay silent.
 func SharedNoEscape() *Analyzer {
 	return &Analyzer{
@@ -490,7 +491,7 @@ func isParallelFor(call *ast.CallExpr, tensorName string, inTensorPkg bool) bool
 		return tensorName != "" && qual == tensorName && (name == "ParallelFor" || name == "ParallelForChunked")
 	}
 	if id, ok := call.Fun.(*ast.Ident); ok && inTensorPkg {
-		return id.Name == "ParallelFor" || id.Name == "ParallelForChunked"
+		return id.Name == "ParallelFor" || id.Name == "ParallelForChunked" || id.Name == "stepLoop"
 	}
 	return false
 }

@@ -362,6 +362,28 @@ func bad(data []float32) float32 {
 		wantDiags(t, diags, "parallel body assigns captured variable total")
 	})
 
+	t.Run("step-loop item bodies inside package tensor are covered", func(t *testing.T) {
+		diags := runOn(t, suite, map[string]string{"a.go": `package tensor
+
+func stepLoop(steps, parts int, body func(step, part int)) {}
+
+func bad(h []float32, per int) int {
+	last := 0
+	stepLoop(8, 2, func(step, part int) {
+		last = step
+		h[per] = 1
+		u0 := part * per
+		h[u0] = float32(step)
+	})
+	return last
+}
+`})
+		wantDiags(t, diags,
+			"parallel body assigns captured variable last",
+			"parallel body writes h at a loop-invariant index",
+		)
+	})
+
 	t.Run("files without the tensor import are skipped", func(t *testing.T) {
 		diags := runOn(t, suite, map[string]string{"a.go": `package p
 

@@ -80,9 +80,9 @@ func mergeIntervals(ivs []interval) []interval {
 	return merged
 }
 
-// Utilization analyses the run's timeline. Transfer spans (any label
-// containing "xfer:") count toward their link track's busy time but not
-// toward compute overlap. Per-track busy time is the union of the
+// Utilization analyses the run's timeline. Transfer spans (spanCategory's
+// rule: a label starting "xfer:") count toward their link track's busy time
+// but not toward compute overlap. Per-track busy time is the union of the
 // track's spans, not their sum: concurrent transfers on the interconnect
 // overlap within one track, and double-counting them would report busy
 // fractions above 1.
@@ -92,7 +92,7 @@ func (r *Result) Utilization() Utilization {
 	compute := map[string][]interval{}
 	for _, s := range r.Timeline {
 		byTrack[s.Device] = append(byTrack[s.Device], interval{s.Start, s.End})
-		if strings.Contains(s.Label, "xfer:") {
+		if spanCategory(s.Label) == "transfer" {
 			continue
 		}
 		compute[s.Device] = append(compute[s.Device], interval{s.Start, s.End})

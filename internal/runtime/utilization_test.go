@@ -152,22 +152,27 @@ func TestUtilizationExactTies(t *testing.T) {
 	}
 }
 
-// TestUtilizationFaultedTransferNotCompute: a failed transfer attempt
-// (label fault:<cause>:xfer:...) occupies the link, not a compute track.
-func TestUtilizationFaultedTransferNotCompute(t *testing.T) {
+// TestUtilizationTransferNotCompute: a transfer span occupies the link, not
+// a compute track. Utilization classifies spans by spanCategory, the rule
+// the Chrome trace uses, so a label that only contains "xfer:" is compute.
+func TestUtilizationTransferNotCompute(t *testing.T) {
 	r := Result{
 		Latency: 10,
 		Timeline: []Span{
 			{Label: "sub_0", Device: "cpu0", Start: 0, End: 10},
-			{Label: "fault:transfer:xfer:cpu→gpu:x", Device: "pcie", Start: 1, End: 4},
+			{Label: "xfer:cpu→gpu:x", Device: "pcie", Start: 1, End: 4},
 		},
 	}
 	u := r.Utilization()
 	if u.Overlap != 0 {
-		t.Fatalf("faulted transfer counted as compute overlap: %v", u.Overlap)
+		t.Fatalf("transfer counted as compute overlap: %v", u.Overlap)
 	}
 	if got := u.Busy["pcie"]; got != 3 {
-		t.Fatalf("faulted transfer busy = %v, want 3", got)
+		t.Fatalf("transfer busy = %v, want 3", got)
+	}
+	r.Timeline = append(r.Timeline, Span{Label: "sub_1:xfer:y", Device: "gpu0", Start: 5, End: 7})
+	if got := r.Utilization().Overlap; got != 2 {
+		t.Fatalf("overlap with a compute span whose label contains xfer: = %v, want 2", got)
 	}
 }
 

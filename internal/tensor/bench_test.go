@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // Kernel micro-benchmarks for the host tensor engine. These measure real
@@ -168,10 +171,12 @@ func BenchmarkConvPack(b *testing.B) {
 // BenchmarkRNNSeq covers the recurrent layers of the zoo — both Siamese
 // LSTM layers, Wide&Deep's, MT-DNN's GRU task head — at batch 1 and at the
 // served batch of 8. "seq" is the whole kernel per step (GFLOP/s over both
-// GEMMs); "recur" and "gates" are the two halves of a step that stay in the
-// time loop, the h·whᵀ sweep over the packed panel and the fused gate pass,
-// so what is left of a step after the input projection was hoisted is
-// visible part by part.
+// GEMMs), once at width 1 and once at the pool's width, so what the
+// hidden-unit split of the time loop buys reads off adjacent lines; "recur"
+// and "gates" are the two halves of a width-1 step that stay in the time
+// loop, the h·whᵀ sweep over the packed panel and the fused gate pass, so
+// what is left of a step after the input projection was hoisted is visible
+// part by part.
 func BenchmarkRNNSeq(b *testing.B) {
 	// perStep replaces ns/op (a whole sequence for "seq", one step for the
 	// parts) by ns/step, so the three rows of a shape read on one scale.
@@ -182,6 +187,10 @@ func BenchmarkRNNSeq(b *testing.B) {
 		if flops > 0 {
 			b.ReportMetric(flops/ns, "GFLOP/s")
 		}
+	}
+	widths := []int{1}
+	if w := runtime.GOMAXPROCS(0); w > 1 {
+		widths = append(widths, w)
 	}
 	for _, s := range []struct {
 		name      string
@@ -203,13 +212,17 @@ func BenchmarkRNNSeq(b *testing.B) {
 			wh := Rand(rng, float32(1/math.Sqrt(float64(s.hd))), n, s.hd).MarkPinned()
 			bias := Rand(rng, 1, n)
 			prefix := fmt.Sprintf("%s/B=%d/", s.name, bs)
-			b.Run(prefix+"seq", func(b *testing.B) {
-				ar := NewArena()
-				for i := 0; i < b.N; i++ {
-					ar.Release(rnnSeqInto(nil, s.cell, x, wx, wh, bias, false, ar))
-				}
-				perStep(b, s.t, 2*float64(bs*n*(s.in+s.hd)))
-			})
+			for _, w := range widths {
+				b.Run(fmt.Sprintf("%sseq/w=%d", prefix, w), func(b *testing.B) {
+					SetMaxWorkers(w)
+					defer SetMaxWorkers(0)
+					ar := NewArena()
+					for i := 0; i < b.N; i++ {
+						ar.Release(rnnSeqInto(nil, s.cell, x, wx, wh, bias, false, ar))
+					}
+					perStep(b, s.t, 2*float64(bs*n*(s.in+s.hd)))
+				})
+			}
 			h := Rand(rng, 1, bs, s.hd)
 			c := Rand(rng, 1, bs, s.hd)
 			gx := Rand(rng, 1, bs, n)
@@ -219,13 +232,14 @@ func BenchmarkRNNSeq(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					clear(gh.data)
-					gemmPacked(gh.data, h.data, bp, bs, n, s.hd)
+					gemmBlock(gh.data, n, h.data, s.hd, bp, 0, bs, packedPanels(n), n, s.hd)
 				}
 				perStep(b, 1, 2*float64(bs*n*s.hd))
 			})
 			b.Run(prefix+"gates", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					s.cell.rows(gx.data, n, gh.data, h.data, c.data, nil, 0, s.hd, 0, bs)
+					s.cell.rows(rnnStep{gx: gx.data, gh: gh.data, hIn: h.data, hOut: h.data, c: c.data,
+						ldx: n, ldIn: s.hd, ldOut: s.hd, hd: s.hd, b: bs}, 0, s.hd)
 				}
 				perStep(b, 1, 0)
 			})
@@ -430,6 +444,39 @@ func BenchmarkParallelForOverhead(b *testing.B) {
 			for j := lo; j < hi; j++ {
 				buf[j]++
 			}
+		})
+	}
+}
+
+// BenchmarkPoolWake reports the delay from handing a task to the worker
+// pool until a worker starts it, while the sender stays busy the way a
+// ParallelForChunked caller runs its own block: right after the previous
+// hand-off (gap=0) and after the process idled for a millisecond, long
+// enough for the workers' threads to park (gap=1ms), the case of a kernel
+// called once per step of a model. It is why a step of tens of microseconds
+// gets no hand-off of its own (stepLoop).
+func BenchmarkPoolWake(b *testing.B) {
+	poolOnce.Do(startPool)
+	for _, gap := range []time.Duration{0, time.Millisecond} {
+		b.Run(fmt.Sprintf("gap=%v", gap), func(b *testing.B) {
+			// Checked per sub-benchmark: -cpu sets GOMAXPROCS for each.
+			if runtime.GOMAXPROCS(0) < 2 {
+				b.Skip("needs a second P for the worker to start on")
+			}
+			var total time.Duration
+			for i := 0; i < b.N; i++ {
+				if gap > 0 {
+					time.Sleep(gap)
+				}
+				var started atomic.Int64
+				t0 := time.Now()
+				poolTasks <- func() { started.Store(int64(time.Since(t0)) + 1) }
+				for started.Load() == 0 {
+				}
+				total += time.Duration(started.Load() - 1)
+			}
+			b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "ns/wake")
+			b.ReportMetric(0, "ns/op")
 		})
 	}
 }

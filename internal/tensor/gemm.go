@@ -22,9 +22,9 @@ const (
 	tilePanels1 = 4
 
 	// gemmParallelWork is the multiply-accumulate count below which a GEMM
-	// runs on the calling goroutine: a pool hand-off costs a few
-	// microseconds, which the per-step GEMVs of a recurrent model would pay
-	// thousands of times per inference.
+	// runs on the calling goroutine: waking a parked pool worker costs tens
+	// of microseconds (BenchmarkPoolWake), which a product below this size
+	// cannot win back.
 	gemmParallelWork = 1 << 20
 )
 

@@ -36,6 +36,7 @@ func TestPortableKernelPath(t *testing.T) {
 		{"ChainSerialMatchesParallel", TestChainSerialMatchesParallel},
 		{"LinearChainBitExact", TestLinearChainBitExact},
 		{"RNNSeqBitExact", TestRNNSeqBitExact},
+		{"RNNSeqSplitMatchesWidth1", TestRNNSeqSplitMatchesWidth1},
 		{"RNNRowsMatchScalarReference", TestRNNRowsMatchScalarReference},
 		{"TranscendentalLoopsMatchMath", TestTranscendentalLoopsMatchMath},
 		{"SoftmaxRowsMatchReference", TestSoftmaxRowsMatchReference},

@@ -2,9 +2,12 @@ package tensor
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // Edge shapes for the packed-kernel property tests: degenerate rows/cols,
@@ -237,6 +240,47 @@ func TestParallelForChunkedCoversRange(t *testing.T) {
 		if c != 1 {
 			t.Fatalf("index %d visited %d times", i, c)
 		}
+	}
+}
+
+// TestStepLoopOrdersSteps runs the step-loop primitive at width 3 and
+// checks that every (step, part) item runs once and that no item starts
+// before every part of the previous step finished. Item (0, 0) runs on the
+// caller and holds until item (0, 1) has started, which only a helper can
+// claim meanwhile: the helpers really join.
+func TestStepLoopOrdersSteps(t *testing.T) {
+	defer SetMaxWorkers(0)
+	SetMaxWorkers(3)
+	const steps, parts = 50, 3
+	var finished [steps]atomic.Int32
+	var joined atomic.Bool
+	stepLoop(steps, parts, func(step, part int) {
+		if step > 0 && finished[step-1].Load() != parts {
+			t.Errorf("step %d part %d started before step %d finished", step, part, step-1)
+		}
+		switch {
+		case step == 0 && part == 1:
+			joined.Store(true)
+		case step == 0 && part == 0:
+			for deadline := time.Now().Add(10 * time.Second); !joined.Load(); runtime.Gosched() {
+				if time.Now().After(deadline) {
+					t.Error("no helper claimed item (0, 1) within 10 s")
+					break
+				}
+			}
+		}
+		finished[step].Add(1)
+	})
+	for s := range finished {
+		if got := finished[s].Load(); got != parts {
+			t.Fatalf("step %d ran %d parts, want %d", s, got, parts)
+		}
+	}
+	var order []int
+	stepLoop(4, 1, func(step, part int) { order = append(order, step*10+part) })
+	stepLoop(0, 2, func(step, part int) { t.Errorf("body called for zero steps") })
+	if want := []int{0, 10, 20, 30}; !slices.Equal(order, want) {
+		t.Fatalf("one part ran %v, want %v", order, want)
 	}
 }
 

@@ -75,6 +75,55 @@ func planeGrain(n int) int {
 	return max(1, n/(4*effectiveWorkers()))
 }
 
+// stepLoop runs body(step, part) for every step in [0, steps) and part in
+// [0, parts): the parts of one step are independent, and every part of
+// step s finishes before any part of step s+1 starts. It is the fan-out for
+// loops whose steps are too short for a hand-off each — a parked pool
+// worker takes tens of microseconds to start (BenchmarkPoolWake), as long
+// as a whole RNN step — so the pool is offered parts-1 helpers once, with
+// non-blocking sends, and the caller and whichever helpers start claim
+// (step, part) items in order from one cursor. An item of step s+1 yields
+// until every item of step s is done. Nothing waits for a helper to start:
+// the caller runs whatever no helper claimed, so a full queue or busy
+// workers (concurrent sequences, serve replicas) leave today's serial loop,
+// and a helper that starts after the loop has ended claims nothing. body
+// must not call the pool: a goroutine waiting in ParallelForChunked may run
+// a helper inline.
+func stepLoop(steps, parts int, body func(step, part int)) {
+	total := steps * parts
+	if parts <= 1 || steps <= 0 {
+		for i := 0; i < total; i++ {
+			body(i/parts, i%parts)
+		}
+		return
+	}
+	poolOnce.Do(startPool)
+	var next, done atomic.Int64
+	run := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= total {
+				return
+			}
+			for first := int64(i - i%parts); done.Load() < first; {
+				runtime.Gosched()
+			}
+			body(i/parts, i%parts)
+			done.Add(1)
+		}
+	}
+	for i := 1; i < parts; i++ {
+		select {
+		case poolTasks <- run:
+		default:
+		}
+	}
+	run()
+	for done.Load() < int64(total) {
+		runtime.Gosched()
+	}
+}
+
 // ParallelFor splits [0, n) into contiguous chunks and runs body on each
 // chunk using the persistent worker pool. body receives [lo, hi). Small
 // ranges run inline on the calling goroutine. The calling goroutine

@@ -6,22 +6,42 @@ import "fmt"
 // every gate pre-activation, x_t·wxᵀ + bias, does not depend on the
 // recurrence, so all T of them are hoisted into a single (B·T)×In GEMM on
 // the compute-bound tile path. Only h·whᵀ stays in the time loop: one packed
-// panel, resolved once per sequence and alone in the cache, swept once per
-// step into a reused buffer, followed by one fused gate pass that updates
-// the state in place. GEMM rows are independent of M, so hoisting cannot
-// move a bit: every pre-activation is still ((Σₖ x·w) + bias) + (Σₖ h·w)
-// with both sums k-ascending in float32. The gate pass takes a row's hidden
-// units vchunk at a time: the chunk's exp(-x) for every sigmoid gate goes
-// through one expBatch and its tanh arguments through tanhBatch — math.Exp
-// and math.Tanh bit for bit, four lanes at a time on amd64 — and the rest
-// of each unit's update is scalar float64, in the order of the formula.
+// panel, resolved once per sequence, swept once per step into a reused
+// buffer, followed by one fused gate pass. GEMM rows are independent of M,
+// so hoisting cannot move a bit: every pre-activation is still
+// ((Σₖ x·w) + bias) + (Σₖ h·w) with both sums k-ascending in float32. The
+// gate pass takes a row's hidden units vchunk at a time: the chunk's exp(-x)
+// for every sigmoid gate goes through one expBatch and its tanh arguments
+// through tanhBatch — math.Exp and math.Tanh bit for bit, four lanes at a
+// time on amd64 — and the rest of each unit's update is scalar float64, in
+// the order of the formula.
+//
+// A step is split across the pool's width by hidden units. Part p owns units
+// [u0, u1), cut on whole 32-unit kern1x32 tiles: it sweeps its columns
+// g·H+u0 … g·H+u1 of every gate block of the panel and then runs the gate
+// pass over the same units, so the parts of one step share nothing but the
+// previous h they all read. h is double-buffered for that: a step reads hIn
+// and writes hOut (the full sequence writes straight into its slots of the
+// output), with the parity chosen so that the last step writes the result.
+// A step takes 35–60 µs at the zoo's shapes, about what a parked pool worker
+// takes to start, so a hand-off per step would lose; stepLoop offers one
+// helper per sequence instead, and the caller runs every item that helper
+// has not claimed. Each column is still one k-ascending accumulator and
+// each unit's gate arithmetic is unchanged, so the split moves no bit.
 
-// rnnRows is a cell's gate pass over batch rows [lo, hi) of one timestep.
-// Row r's input-side pre-activations (bias included) start at gx[r*ldx] and
-// its recurrent ones at gh[r*gates*hd]. The state h (and c, for cells that
-// carry one) is updated in place; the new h is also stored at seq[r*lds]
-// when seq is non-nil.
-type rnnRows func(gx []float32, ldx int, gh, h, c, seq []float32, lds, hd, lo, hi int)
+// rnnStep holds one timestep's operands for a gate pass over b rows. Row r's
+// input-side pre-activations (bias included) start at gx[r*ldx] and its
+// recurrent ones at gh[r*gates*hd]. The pass reads the previous h at
+// hIn[r*ldIn] and writes the new one to hOut[r*ldOut] (the two may alias);
+// cells that carry a state c update it in place.
+type rnnStep struct {
+	gx, gh, hIn, hOut, c    []float32
+	ldx, ldIn, ldOut, hd, b int
+}
+
+// rnnRows is a cell's gate pass over hidden units [u0, u1) of every row of
+// one timestep.
+type rnnRows func(s rnnStep, u0, u1 int)
 
 // rnnCell is what distinguishes the cells to the sequence driver.
 type rnnCell struct {
@@ -69,17 +89,28 @@ func rnnSeqInto(out *Tensor, cell *rnnCell, x, wx, wh, bias *Tensor, lastOnly bo
 	} else {
 		checkInto(out, shape, cell.name)
 	}
-	// The state starts at zero; lastOnly keeps it in the result itself,
-	// otherwise each step's h is also stored into its slot of the sequence.
-	h := out
-	var seq *Tensor
-	if lastOnly {
-		clear(h.data)
-	} else {
-		seq, h = out, ar.New(b, hd)
+	// The state starts at zero in h0. The full sequence stores step s's h
+	// into its slot of out, where step s+1 reads it; lastOnly alternates
+	// between out and h0, so that step 0 reads h0 when T is odd and the
+	// cleared out when T is even, and the last step always writes out.
+	h0 := ar.New(b, hd)
+	if lastOnly && t%2 == 0 {
+		clear(out.data)
+	}
+	hAt := func(step int) ([]float32, int) { // the h step writes; -1 is the initial state
+		if lastOnly {
+			if (t-1-step)%2 == 1 {
+				return h0.data, hd
+			}
+			return out.data, hd
+		}
+		if step < 0 {
+			return h0.data, hd
+		}
+		return out.data[step*hd:], t * hd
 	}
 	var c *Tensor
-	var cData, seqData []float32
+	var cData []float32
 	if cell.carry {
 		c = ar.New(b, hd)
 		cData = c.data
@@ -94,40 +125,55 @@ func rnnSeqInto(out *Tensor, cell *rnnCell, x, wx, wh, bias *Tensor, lastOnly bo
 	addBias(gx.data, b*t, n, bias.data)
 
 	// GH = h·whᵀ restarts from zero every step — accumulating it on top of
-	// GX would reassociate the sum. The gate pass fans out over batch rows
-	// when a step is worth a hand-off; the closure is built once, outside
-	// the loop and past the serial decision, and reads the step's views of
-	// GX and seq through gxStep and seqData.
+	// GX would reassociate the sum. A part clears and sweeps its own columns
+	// of each gate block; a single part sweeps each row as one block, which
+	// also serves an H off the panel grid.
 	bp, scratch = packedB(wh, hd, n, true, ar)
 	gh := ar.NewNoZero(b, n)
-	var gxStep []float32
-	var pass func(lo, hi int)
-	if worthSplitting(b, n) {
-		pass = func(lo, hi int) {
-			cell.rows(gxStep, t*n, gh.data, h.data, cData, seqData, t*hd, hd, lo, hi)
-		}
+	parts, per := rnnSplit(hd)
+	blocks := cell.gates
+	if parts == 1 {
+		blocks = 1
 	}
-	for step := 0; step < t; step++ {
-		clear(gh.data)
-		gemmPacked(gh.data, h.data, bp, b, n, hd)
-		gxStep = gx.data[step*n:]
-		if seq != nil {
-			seqData = seq.data[step*hd:]
+	stepLoop(t, parts, func(step, p int) {
+		u0 := p * per
+		u1 := min(u0+per, hd)
+		hIn, ldIn := hAt(step - 1)
+		hOut, ldOut := hAt(step)
+		w := u1 - u0 // columns per block
+		if blocks == 1 {
+			w = n
 		}
-		if pass != nil {
-			ParallelForChunked(b, planeGrain(b), pass)
-		} else {
-			cell.rows(gxStep, t*n, gh.data, h.data, cData, seqData, t*hd, hd, 0, b)
+		for g := 0; g < blocks; g++ {
+			j := g*hd + u0
+			for r := 0; r < b; r++ {
+				clear(gh.data[r*n+j : r*n+j+w])
+			}
+			gemmBlock(gh.data[j:], n, hIn, ldIn, bp[j*hd:], 0, b, packedPanels(w), w, hd)
 		}
-	}
+		cell.rows(rnnStep{gx: gx.data[step*n:], gh: gh.data, hIn: hIn, hOut: hOut, c: cData,
+			ldx: t * n, ldIn: ldIn, ldOut: ldOut, hd: hd, b: b}, u0, u1)
+	})
 	ar.dropScratch(scratch)
 	ar.Release(gh)
 	ar.Release(gx)
 	ar.Release(c)
-	if seq != nil {
-		ar.Release(h)
-	}
+	ar.Release(h0)
 	return out
+}
+
+// rnnSplit cuts hd hidden units into parts of per units each (the last may
+// be shorter), one per worker, on whole kern1x32 tiles so every part's
+// columns of every gate block start on a panel. An H off the panel grid, or
+// one that fits one tile, is a single part.
+func rnnSplit(hd int) (parts, per int) {
+	const tile = tilePanels1 * nr
+	w := effectiveWorkers()
+	if w <= 1 || hd%nr != 0 {
+		return 1, hd
+	}
+	per = ((hd+tile-1)/tile + w - 1) / w * tile
+	return (hd + per - 1) / per, per
 }
 
 // LSTMCell advances one LSTM timestep: the readable definition of a step,
@@ -136,9 +182,11 @@ func rnnSeqInto(out *Tensor, cell *rnnCell, x, wx, wh, bias *Tensor, lastOnly bo
 // Gate order is [input, forget, cell, output]. Returns (h', c').
 func LSTMCell(x, h, c, wx, wh, bias *Tensor) (*Tensor, *Tensor) {
 	gx, gh := Linear(x, wx, bias), Linear(h, wh, nil)
-	h, c = h.Clone(), c.Clone()
-	lstmRows(gx.data, gx.shape[1], gh.data, h.data, c.data, nil, 0, h.shape[1], 0, h.shape[0])
-	return h, c
+	b, hd := h.shape[0], h.shape[1]
+	hn, c := New(b, hd), c.Clone()
+	lstmRows(rnnStep{gx: gx.data, gh: gh.data, hIn: h.data, hOut: hn.data, c: c.data,
+		ldx: gx.shape[1], ldIn: hd, ldOut: hd, hd: hd, b: b}, 0, hd)
+	return hn, c
 }
 
 // GRUCell advances one GRU timestep, as LSTMCell does for the LSTM.
@@ -146,25 +194,24 @@ func LSTMCell(x, h, c, wx, wh, bias *Tensor) (*Tensor, *Tensor) {
 // Gate order is [reset, update, new]. Returns h'.
 func GRUCell(x, h, wx, wh, bias *Tensor) *Tensor {
 	gx, gh := Linear(x, wx, bias), Linear(h, wh, nil)
-	h = h.Clone()
-	gruRows(gx.data, gx.shape[1], gh.data, h.data, nil, nil, 0, h.shape[1], 0, h.shape[0])
-	return h
+	b, hd := h.shape[0], h.shape[1]
+	hn := New(b, hd)
+	gruRows(rnnStep{gx: gx.data, gh: gh.data, hIn: h.data, hOut: hn.data,
+		ldx: gx.shape[1], ldIn: hd, ldOut: hd, hd: hd, b: b}, 0, hd)
+	return hn
 }
 
-func lstmRows(gx []float32, ldx int, gh, h, c, seq []float32, lds, hd, lo, hi int) {
+func lstmRows(s rnnStep, u0, u1 int) {
 	var e [3 * vchunk]float64 // exp(-x) of the input, forget and output gates
 	var a, tmp [vchunk]float64
-	for r := lo; r < hi; r++ {
-		xg := gx[r*ldx : r*ldx+4*hd]
-		hg := gh[r*4*hd : (r+1)*4*hd]
-		cRow := c[r*hd : (r+1)*hd]
-		hRow := h[r*hd : (r+1)*hd]
-		dst := hRow
-		if seq != nil {
-			dst = seq[r*lds : r*lds+hd]
-		}
-		for j0 := 0; j0 < hd; j0 += vchunk {
-			n := min(vchunk, hd-j0)
+	hd := s.hd
+	for r := 0; r < s.b; r++ {
+		xg := s.gx[r*s.ldx : r*s.ldx+4*hd]
+		hg := s.gh[r*4*hd : (r+1)*4*hd]
+		cRow := s.c[r*hd : (r+1)*hd]
+		hOut := s.hOut[r*s.ldOut : r*s.ldOut+hd]
+		for j0 := u0; j0 < u1; j0 += vchunk {
+			n := min(vchunk, u1-j0)
 			ei, ef, eo, ak := e[:n], e[n:2*n], e[2*n:3*n], a[:n]
 			for j := range ak {
 				k := j0 + j
@@ -184,26 +231,23 @@ func lstmRows(gx []float32, ldx int, gh, h, c, seq []float32, lds, hd, lo, hi in
 			tanhBatch(ak, ak, tmp[:])
 			for j, tc := range ak {
 				ot := 1 / (1 + eo[j])
-				hv := float32(ot * tc)
-				hRow[j0+j], dst[j0+j] = hv, hv
+				hOut[j0+j] = float32(ot * tc)
 			}
 		}
 	}
 }
 
-func gruRows(gx []float32, ldx int, gh, h, _, seq []float32, lds, hd, lo, hi int) {
+func gruRows(s rnnStep, u0, u1 int) {
 	var e [2 * vchunk]float64 // exp(-x) of the reset and update gates
 	var a, tmp [vchunk]float64
-	for r := lo; r < hi; r++ {
-		xg := gx[r*ldx : r*ldx+3*hd]
-		hg := gh[r*3*hd : (r+1)*3*hd]
-		hRow := h[r*hd : (r+1)*hd]
-		dst := hRow
-		if seq != nil {
-			dst = seq[r*lds : r*lds+hd]
-		}
-		for j0 := 0; j0 < hd; j0 += vchunk {
-			n := min(vchunk, hd-j0)
+	hd := s.hd
+	for r := 0; r < s.b; r++ {
+		xg := s.gx[r*s.ldx : r*s.ldx+3*hd]
+		hg := s.gh[r*3*hd : (r+1)*3*hd]
+		hIn := s.hIn[r*s.ldIn : r*s.ldIn+hd]
+		hOut := s.hOut[r*s.ldOut : r*s.ldOut+hd]
+		for j0 := u0; j0 < u1; j0 += vchunk {
+			n := min(vchunk, u1-j0)
 			er, ez, ak := e[:n], e[n:2*n], a[:n]
 			for j := range ak {
 				k := j0 + j
@@ -219,8 +263,7 @@ func gruRows(gx []float32, ldx int, gh, h, _, seq []float32, lds, hd, lo, hi int
 			tanhBatch(ak, ak, tmp[:])
 			for j, nw := range ak {
 				zu := 1 / (1 + ez[j])
-				hv := float32((1-zu)*nw + zu*float64(hRow[j0+j]))
-				hRow[j0+j], dst[j0+j] = hv, hv
+				hOut[j0+j] = float32((1-zu)*nw + zu*float64(hIn[j0+j]))
 			}
 		}
 	}
