@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build check fmt-check vet test test-race test-short bench bench-obs bench-kernels bench-serve bench-diff bench-dash bench-host bench-host-compare experiments quick-experiments report fuzz clean
+.PHONY: all build check fmt-check vet test test-race test-short bench bench-obs bench-kernels bench-serve bench-host bench-host-compare experiments quick-experiments report fuzz clean
 
 all: build check
 
@@ -54,6 +54,14 @@ build:
 ## against the exported runtime/schedule/serve API and may not be edited by
 ## the PRs it measures, so a rename that breaks the harness has to fail here,
 ## not in the pipeline: it is vetted and its own tests run.
+## The suite reports get one plain (non-race) pass; both tests skip under
+## -race, so the race suite above only compiles them. TestSuiteGolden pins
+## every virtual-clock leaf of the obs, serve and kernels reports at quick
+## scale and seeds 42-44, exactly, against internal/experiments/testdata/
+## suites.json. TestFusionSpeedupBar is the one wall-clock gate: the median
+## fusion speedup of three quick runs must clear FusionSpeedupBar and 0.75x
+## the value recorded in BENCH_kernels.json (wall-clock, so don't run other
+## CPU-heavy work next to it).
 check: fmt-check vet
 	$(GO) test -race -p 2 $$($(GO) list ./... | grep -v internal/modelio)
 	$(GO) test -race ./internal/modelio
@@ -67,7 +75,7 @@ check: fmt-check vet
 	$(GO) test -race -count=20 -run 'TestRunParallelMatchesSerialValues|TestLaneSetMultiplexesDataflows|TestDataflowLegalOrders' ./internal/runtime/
 	$(GO) test -count=10 -run TestArenaCutsSteadyStateAllocs ./internal/runtime/
 	$(GO) test -count=1 -run TestMTDNNWarmRunPacksNothing ./internal/runtime/
-	$(MAKE) bench-diff
+	$(GO) test -count=1 -run 'TestSuiteGolden|TestFusionSpeedupBar' ./internal/experiments/
 	@./bin/duet-vet -summary .
 
 ## Wall-clock budget for the vet target, in seconds. The recipe prints the
@@ -131,38 +139,26 @@ quick-experiments:
 report:
 	$(GO) run ./cmd/duet-bench -json report.json
 
-## Statistical perf-regression gate: re-run every suite at quick scale
-## with seed-varied fresh runs and compare per-metric sample sets against
-## the committed BENCH_*.json baselines (Mann-Whitney U + median CI,
-## direction-aware per-suite schema). Exits non-zero when a gated metric
-## regresses beyond its threshold.
-bench-diff:
-	$(GO) run ./cmd/duet-benchdiff
+## Re-record the suite golden table (internal/experiments/testdata/
+## suites.json) after a change that is meant to move a virtual-clock number:
+## the obs report (metrics snapshot of a fully exercised instrumented engine
+## plus the scheduler's placement audit), the serving benchmark (serial Infer
+## loop vs the concurrent server unbatched, batched and batched+pipelined,
+## under burst and Poisson load) and the kernels report's launch counts, at
+## seeds 42-44. Both targets run the same -update pass over the whole
+## package (unfiltered, so a key no report produces any more leaves the
+## file); name the moved keys (git diff) in CHANGES.md.
+bench-obs bench-serve:
+	$(GO) test -count=1 ./internal/experiments/ -update
 
-## Render the static trend dashboard (docs/bench/index.html + trends.json)
-## from the run-history sections of the committed baselines.
-bench-dash:
-	$(GO) run ./cmd/duet-benchdiff -dashboard
-
-## Regenerate the observability baseline: metrics snapshot of a fully
-## exercised instrumented engine plus the scheduler's placement audit.
-bench-obs:
-	$(GO) run ./cmd/duet-bench -quick -obs BENCH_obs.json
-
-## Regenerate the kernels baseline: the fusion ablation (launch counts and
+## Regenerate the kernels record: the fusion ablation (launch counts and
 ## warm wall time of three chain-heavy workloads, fusion off vs on). Kernel
 ## GFLOP/s per tier are `go test -bench` benchmarks in internal/tensor.
-## Quick scale, like every other committed baseline: the bench-diff gate
-## re-runs the suite quick, and comparing across sampling scales injects a
-## systematic offset into the geomean gate.
+## Quick scale: TestFusionSpeedupBar re-runs the ablation quick and holds
+## its geomean to 0.75x the recorded one, and comparing across sampling
+## scales injects a systematic offset into that gate.
 bench-kernels:
 	$(GO) run ./cmd/duet-bench -quick -kernels BENCH_kernels.json
-
-## Regenerate the serving benchmark baseline: serial Infer loop vs the
-## concurrent server in unbatched, batched, and batched+pipelined modes,
-## each under burst (capacity) and Poisson (tail latency) load.
-bench-serve:
-	$(GO) run ./cmd/duet-bench -quick -serve BENCH_serve.json
 
 ## Host-clock benchmark (BENCHMARK.json; bench/README.md): every workload
 ## in its own process, traced, collected with the environment stamp into

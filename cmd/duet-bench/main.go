@@ -7,18 +7,17 @@
 //	duet-bench -quick           # reduced run counts (smoke test)
 //	duet-bench -list            # list experiment IDs
 //	duet-bench -runs 1000       # override the sample count
-//	duet-bench -quick -serve BENCH_serve.json   # serving-layer benchmark
+//	duet-bench -quick -serve serve.json         # serving-layer benchmark
 //	duet-bench -serve s.json -serve-qps 300 -serve-deadline-ms 50
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
-	"duet/internal/benchdiff"
 	"duet/internal/experiments"
 )
 
@@ -59,33 +58,13 @@ func main() {
 		cfg.Runs = *runs
 	}
 
-	// Suite baselines (BENCH_*.json) go through benchdiff so every
-	// regeneration appends to the file's bounded run-history section; the
-	// wall-clock stamp lives here in the cmd layer, outside the
-	// virtual-clock core.
-	writeSuite := func(suiteName, path string, report any) {
-		s, ok := benchdiff.SuiteByName(suiteName)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "duet-bench: no benchdiff suite %q\n", suiteName)
-			os.Exit(1)
-		}
-		label := "paper"
-		if *quick {
-			label = "quick"
-		}
-		if err := benchdiff.WriteBaseline(s, path, report, time.Now().Unix(), label); err != nil {
-			fmt.Fprintf(os.Stderr, "duet-bench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
 	if *kernPath != "" {
 		report, err := experiments.BuildKernelsReport(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "duet-bench: kernels report: %v\n", err)
 			os.Exit(1)
 		}
-		writeSuite("kernels", *kernPath, report)
+		writeJSON(*kernPath, report)
 		fmt.Printf("wrote kernel benchmarks to %s\n", *kernPath)
 		return
 	}
@@ -109,7 +88,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "duet-bench: serve report: %v\n", err)
 			os.Exit(1)
 		}
-		writeSuite("serve", *servePath, report)
+		writeJSON(*servePath, report)
 		fmt.Println(report)
 		fmt.Printf("wrote serve report to %s\n", *servePath)
 		return
@@ -121,7 +100,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "duet-bench: obs report: %v\n", err)
 			os.Exit(1)
 		}
-		writeSuite("obs", *obsPath, report)
+		writeJSON(*obsPath, report)
 		fmt.Printf("wrote obs report to %s\n", *obsPath)
 		return
 	}
@@ -132,16 +111,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "duet-bench: report: %v\n", err)
 			os.Exit(1)
 		}
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "duet-bench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := report.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "duet-bench: %v\n", err)
-			os.Exit(1)
-		}
+		writeJSON(*jsonPath, report)
 		fmt.Printf("wrote report to %s\n", *jsonPath)
 		return
 	}
@@ -166,5 +136,17 @@ func main() {
 	}
 	for _, e := range experiments.All() {
 		run(e)
+	}
+}
+
+// writeJSON writes report to path as indented JSON, exiting on failure.
+func writeJSON(path string, report any) {
+	out, err := json.MarshalIndent(report, "", "  ")
+	if err == nil {
+		err = os.WriteFile(path, append(out, '\n'), 0o644)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "duet-bench: %v\n", err)
+		os.Exit(1)
 	}
 }

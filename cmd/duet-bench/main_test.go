@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -10,9 +12,10 @@ import (
 )
 
 // TestSmoke builds the real binary and drives its cheapest surfaces: -list
-// names the experiments, one quick experiment exits 0 with a table, and
-// -compare — removed in favour of duet-benchdiff and bench/run.sh --compare —
-// is refused as an unknown flag (exit 2) rather than silently ignored.
+// names the experiments, one quick experiment exits 0 with a table, -obs
+// writes the observability report as plain JSON (no run-history section),
+// and -compare — removed in favour of bench/run.sh --compare — is refused
+// as an unknown flag (exit 2) rather than silently ignored.
 func TestSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary and runs it")
@@ -41,6 +44,24 @@ func TestSmoke(t *testing.T) {
 	table, exit := run("-quick", "-exp", "fig5")
 	if exit != 0 || !strings.Contains(table, "=== fig5") || strings.Count(table, "\n") < 4 {
 		t.Fatalf("-quick -exp fig5: exit %d\n%s", exit, table)
+	}
+	obsPath := filepath.Join(t.TempDir(), "o.json")
+	if _, exit := run("-quick", "-obs", obsPath); exit != 0 {
+		t.Fatalf("-quick -obs: exit %d", exit)
+	}
+	raw, err := os.ReadFile(obsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("-obs wrote invalid JSON: %v\n%.200s", err, raw)
+	}
+	if _, ok := doc["metrics"]; !ok {
+		t.Errorf("-obs report has no metrics: %.200s", raw)
+	}
+	if _, ok := doc["history"]; ok {
+		t.Errorf("-obs report carries a history section")
 	}
 	if _, exit := run("-compare", "x"); exit != 2 {
 		t.Fatalf("-compare x: exit %d, want 2 (unknown flag)", exit)

@@ -224,12 +224,12 @@ func TestBuildReport(t *testing.T) {
 	if len(r.Fig11) != 3 || len(r.Fig14) != 4 || len(r.Fig17) != 5 || len(r.Tab3) != 5 {
 		t.Fatalf("report incomplete: %+v", r)
 	}
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	raw, err := json.Marshal(r)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back Report
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatalf("report JSON invalid: %v", err)
 	}
 	if back.Fig11[0].DUET.Mean != r.Fig11[0].DUET.Mean {

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"duet/internal/graph"
 	"duet/internal/models"
@@ -34,7 +32,7 @@ type ServeLoad struct {
 	Window vclock.Seconds `json:"window_s"`
 }
 
-// DefaultServeLoad is the committed-baseline shape: one replica (so the
+// DefaultServeLoad is the golden-table shape: one replica (so the
 // batching and pipelining wins are not confounded with replica scaling),
 // batches up to 8 rows under a 2 ms window, no deadline.
 func DefaultServeLoad() ServeLoad {
@@ -53,9 +51,9 @@ type ServeModeRow struct {
 
 // ServeReport is the machine-readable serving benchmark: a serial
 // back-to-back Infer loop as the floor, then the concurrent server in
-// unbatched, batched, and batched+pipelined modes. Committed as
-// BENCH_serve.json so the pipelining and batching speedups are diffable
-// across revisions.
+// unbatched, batched, and batched+pipelined modes. Every leaf is pinned at
+// seeds 42–44 by TestSuiteGolden (testdata/suites.json), so the pipelining
+// and batching speedups are diffable across revisions.
 type ServeReport struct {
 	Model string    `json:"model"`
 	Load  ServeLoad `json:"load"`
@@ -70,7 +68,7 @@ type ServeReport struct {
 	// non-pipelined server modes, isolating the micro-batching win.
 	BatchedVsUnbatched float64 `json:"batched_vs_unbatched"`
 	// Metrics snapshots the serve_* instrument families from the pipelined
-	// capacity run, so the metric surface is part of the baseline.
+	// capacity run, so the metric surface is part of the golden table.
 	Metrics obs.Snapshot `json:"metrics"`
 }
 
@@ -197,13 +195,6 @@ func BuildServeReport(cfg Config, load ServeLoad) (*ServeReport, error) {
 	}
 	rep.Metrics = reg.Snapshot()
 	return rep, nil
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *ServeReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // String renders the headline comparison.

@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"encoding/json"
-	"io"
-
-	"duet/internal/stats"
-)
+import "duet/internal/stats"
 
 // Report is a machine-readable snapshot of the quantitative experiments —
 // the data behind Figs. 11, 13-17 and Table III — for plotting or
@@ -77,11 +72,4 @@ func BuildReport(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	return r, nil
-}
-
-// WriteJSON renders the report as indented JSON.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -242,7 +242,7 @@ func TestRunParallelCountsErrors(t *testing.T) {
 	place := Uniform(e.NumSubgraphs(), device.CPU)
 	counts := func() (runs, errs int64) {
 		s := reg.Snapshot()
-		return s.Counters[`duet_runs_total{path="run"}`], s.Counters["duet_run_errors_total"]
+		return s.Counters[`duet_runs_total{path="parallel"}`], s.Counters["duet_run_errors_total"]
 	}
 	if _, err := e.RunParallel(inputs, place); err != nil {
 		t.Fatal(err)

@@ -19,6 +19,9 @@ type engineMetrics struct {
 	runErrors *obs.Counter   // duet_run_errors_total
 	latency   *obs.Histogram // duet_latency_seconds{path=run}
 
+	parallelRuns    *obs.Counter   // duet_runs_total{path=parallel}
+	parallelLatency *obs.Histogram // duet_latency_seconds{path=parallel}
+
 	deviceBusy [2]*obs.Gauge // duet_device_busy_seconds_total{device=...}
 	linkBusy   *obs.Gauge    // duet_device_busy_seconds_total{device=<link>}
 
@@ -39,8 +42,9 @@ type engineMetrics struct {
 }
 
 // Instrument attaches a metrics registry to the engine. Subsequent Run /
-// RunParallel calls record run counts, latency histograms, per-device busy
-// seconds, and (for RunParallel) synchronization-queue depths into reg. Passing nil detaches. The engine
+// RunParallel calls record run counts and latency histograms (one series
+// each, path="run" / path="parallel"), per-device busy seconds, and (for
+// RunParallel) synchronization-queue depths into reg. Passing nil detaches. The engine
 // is not safe for concurrent Instrument against in-flight runs; attach
 // once at setup, the way core.Build's callers do.
 func (e *Engine) Instrument(reg *obs.Registry) {
@@ -53,6 +57,9 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 		runs:      reg.Counter(obs.Series("duet_runs_total", "path", "run")),
 		runErrors: reg.Counter("duet_run_errors_total"),
 		latency:   reg.Histogram(obs.Series("duet_latency_seconds", "path", "run")),
+
+		parallelRuns:    reg.Counter(obs.Series("duet_runs_total", "path", "parallel")),
+		parallelLatency: reg.Histogram(obs.Series("duet_latency_seconds", "path", "parallel")),
 
 		arenaHits:      reg.Gauge(obs.Series("duet_arena_events_total", "event", "hit")),
 		arenaMisses:    reg.Gauge(obs.Series("duet_arena_events_total", "event", "miss")),

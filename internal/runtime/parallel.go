@@ -11,15 +11,17 @@ import (
 // outputs are identical to Run's and cross-subgraph intermediates return to
 // the arena exactly as in Run. Reported virtual time comes from the same
 // deterministic timing pass (host wall-clock parallelism does not affect the
-// modelled latency, it just computes values faster on multi-core hosts).
+// modelled latency, it just computes values faster on multi-core hosts). It
+// is counted under path="parallel", apart from Run's series, so one parallel
+// run does not shift Run's latency histogram.
 func (e *Engine) RunParallel(inputs map[string]*tensor.Tensor, place Placement) (*Result, error) {
 	res, _, err := e.runParallel(inputs, place)
 	if err != nil {
 		e.m.runErrors.Inc()
 		return nil, err
 	}
-	e.m.runs.Inc()
-	e.m.latency.Observe(res.Latency)
+	e.m.parallelRuns.Inc()
+	e.m.parallelLatency.Observe(res.Latency)
 	return res, nil
 }
 
@@ -37,7 +39,7 @@ func (e *Engine) runParallel(inputs map[string]*tensor.Tensor, place Placement) 
 	}
 	// The memory gauges are read before the workers start: two lanes drawing
 	// from one arena make its hit and miss counts scheduling-dependent, and
-	// BENCH_obs.json snapshots the registry.
+	// the obs suite's golden table pins the registry.
 	e.m.recordMemory(e.arena)
 
 	ls := OpenLanes(1, len(e.subgraphs), e.m.syncQueues[:])
