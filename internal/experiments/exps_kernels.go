@@ -43,9 +43,9 @@ type KernelsReport struct {
 	FusionLaunchReduction float64       `json:"fusion_launch_reduction"`
 }
 
-// benchBudget is the per-workload sampling budget at paper scale; quick
-// mode samples once.
-const benchBudget = 300 * time.Millisecond
+// fusionPairs is the number of interleaved (unfused, fused) samples a
+// fusion workload takes at paper scale; quick mode takes four.
+const fusionPairs = 32
 
 // FusionSpeedupBar is the wall-clock bar fused execution must clear over
 // one kernel per node on the fusion-ablation workloads: the geomean of the
@@ -54,26 +54,9 @@ const benchBudget = 300 * time.Millisecond
 // value recorded in BENCH_kernels.json.
 const FusionSpeedupBar = 1.10
 
-// timeKernel samples f until the budget is spent (at least once) and
-// returns the mean ns/op.
-func timeKernel(quick bool, f func()) float64 {
-	f() // warm up: pack caches, arena pools, worker pool spin-up
-	iters := 0
-	var elapsed time.Duration
-	for elapsed < benchBudget && iters < 50 {
-		start := time.Now()
-		f()
-		elapsed += time.Since(start)
-		iters++
-		if quick {
-			break
-		}
-	}
-	return float64(elapsed.Nanoseconds()) / float64(iters)
-}
-
 // BuildKernelsReport runs the fusion ablation. cfg.Runs below the Default
-// scale (i.e. Quick) switches to single-iteration sampling.
+// scale (i.e. Quick) takes four sample pairs per workload instead of
+// fusionPairs.
 func BuildKernelsReport(cfg Config) (*KernelsReport, error) {
 	quick := cfg.Runs < Default().Runs
 	rep := &KernelsReport{GoMaxProcs: goruntime.GOMAXPROCS(0), Quick: quick}
@@ -189,34 +172,46 @@ func measureFusion(rep *KernelsReport, quick bool, rng *rand.Rand) error {
 		}
 		inputs := w.inputs(rng)
 		// One module run is ~10µs — below timer noise — so each timed
-		// sample aggregates a block of runs and reports the per-run mean.
+		// sample aggregates a block of runs into a warm arena of its own
+		// module. The samples alternate between the modules, and which one
+		// goes first alternates from pair to pair, so warm-up, drift and
+		// order fall on both sides alike.
 		const block = 64
-		timeModule := func(m *compiler.Module) (float64, error) {
-			ar := tensor.NewArena()
-			var runErr error
-			ns := timeKernel(quick, func() {
-				for b := 0; b < block; b++ {
-					outs, err := m.ExecuteArena(inputs, ar)
-					if err != nil && runErr == nil {
-						runErr = err
-					}
-					// Recycle the outputs so repeated runs measure the warm
-					// steady state the engine sustains.
-					for _, o := range outs {
-						ar.Release(o)
-					}
+		ars := [2]*tensor.Arena{tensor.NewArena(), tensor.NewArena()}
+		var runErr error
+		run := func(i int) {
+			for b := 0; b < block; b++ {
+				outs, err := mods[i].ExecuteArena(inputs, ars[i])
+				if err != nil && runErr == nil {
+					runErr = err
 				}
-			})
-			return ns / block, runErr
+				// Recycle the outputs so repeated runs measure the warm
+				// steady state the engine sustains.
+				for _, o := range outs {
+					ars[i].Release(o)
+				}
+			}
 		}
-		nsOff, err := timeModule(mods[0])
-		if err != nil {
-			return fmt.Errorf("fusion workload %s: %w", w.name, err)
+		run(0) // warm up: pack caches, arena pools, worker pool spin-up
+		run(1)
+		pairs := fusionPairs
+		if quick {
+			pairs = 4
 		}
-		nsUnc, err := timeModule(mods[1])
-		if err != nil {
-			return fmt.Errorf("fusion workload %s: %w", w.name, err)
+		var spent [2]time.Duration
+		for p := 0; p < pairs; p++ {
+			for j := 0; j < 2; j++ {
+				i := (p + j) % 2
+				start := time.Now()
+				run(i)
+				spent[i] += time.Since(start)
+			}
 		}
+		if runErr != nil {
+			return fmt.Errorf("fusion workload %s: %w", w.name, runErr)
+		}
+		nsOff := float64(spent[0].Nanoseconds()) / float64(pairs*block)
+		nsUnc := float64(spent[1].Nanoseconds()) / float64(pairs*block)
 		b := FusionBench{
 			Workload:              w.name,
 			LaunchesOff:           mods[0].LaunchCount(),

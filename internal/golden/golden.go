@@ -109,6 +109,46 @@ func (f *File) Check(key, got string) {
 	}
 }
 
+// Text compares got with the whole text file at path and names the first
+// line that differs. Under -update it writes got to path instead, once the
+// test has ended, if the run was unfiltered and the test passed (the rule
+// Open applies to dropped keys).
+func Text(t testing.TB, path, got string) {
+	t.Helper()
+	if *update {
+		t.Cleanup(func() {
+			if filtered() || t.Failed() {
+				t.Logf("golden: %s not rewritten: a filtered or failing run", path)
+				return
+			}
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Errorf("golden: writing %s: %v", path, err)
+			}
+		})
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden: %v (record it with -update)", err)
+	}
+	if want := string(raw); got != want {
+		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+		for i := range max(len(gl), len(wl)) {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Errorf("golden %s line %d:\n got  %s\n want %s", path, i+1, g, w)
+				return
+			}
+		}
+	}
+}
+
 // Floats renders values as space-separated hex floats.
 func Floats(vs ...float64) string {
 	parts := make([]string, len(vs))

@@ -1,8 +1,6 @@
 package ops
 
 import (
-	"fmt"
-
 	"duet/internal/graph"
 	"duet/internal/tensor"
 )
@@ -65,10 +63,10 @@ func init() {
 			}
 		},
 		Exec: func(attrs graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			return avgPool2D(in[0], attrs.Int("kernel", 2), attrs.Int("stride", 1), attrs.Int("pad", 0), nil)
+			return tensor.AvgPool2DInto(nil, in[0], attrs.Int("kernel", 2), attrs.Int("stride", 1), attrs.Int("pad", 0), nil)
 		},
 		ExecArena: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-			return avgPool2D(in[0], attrs.Int("kernel", 2), attrs.Int("stride", 1), attrs.Int("pad", 0), ar)
+			return tensor.AvgPool2DInto(nil, in[0], attrs.Int("kernel", 2), attrs.Int("stride", 1), attrs.Int("pad", 0), ar)
 		},
 	})
 }
@@ -84,45 +82,5 @@ func reverseTime(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 			copy(dst, src)
 		}
 	}
-	return out
-}
-
-func avgPool2D(x *tensor.Tensor, kernel, stride, pad int, ar *tensor.Arena) *tensor.Tensor {
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh := (h+2*pad-kernel)/stride + 1
-	ow := (w+2*pad-kernel)/stride + 1
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("ops: avgpool2d empty output for %v", x.Shape()))
-	}
-	out := ar.New(n, c, oh, ow)
-	tensor.ParallelFor(n*c, func(lo, hi int) {
-		for nc := lo; nc < hi; nc++ {
-			src := x.Data()[nc*h*w : (nc+1)*h*w]
-			dst := out.Data()[nc*oh*ow : (nc+1)*oh*ow]
-			for oi := 0; oi < oh; oi++ {
-				for oj := 0; oj < ow; oj++ {
-					var sum float64
-					count := 0
-					for ki := 0; ki < kernel; ki++ {
-						ii := oi*stride + ki - pad
-						if ii < 0 || ii >= h {
-							continue
-						}
-						for kj := 0; kj < kernel; kj++ {
-							jj := oj*stride + kj - pad
-							if jj < 0 || jj >= w {
-								continue
-							}
-							sum += float64(src[ii*w+jj])
-							count++
-						}
-					}
-					if count > 0 {
-						dst[oi*ow+oj] = float32(sum / float64(count))
-					}
-				}
-			}
-		}
-	})
 	return out
 }

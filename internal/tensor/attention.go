@@ -23,25 +23,23 @@ func AttentionInto(ctx, qkv *Tensor, heads int, scale float32, ar *Arena) *Tenso
 		panic(fmt.Sprintf("tensor: Attention needs a (B, T, 3D) operand with D divisible by %d heads, got %v", heads, qkv.shape))
 	}
 	b, t, d := qkv.shape[0], qkv.shape[1], qkv.shape[2]/3
-	if ctx == nil {
-		ctx = ar.NewNoZero(b, t, d)
-	} else {
-		checkInto(ctx, []int{b, t, d}, "AttentionInto")
-	}
+	ctx = intoShape(ctx, []int{b, t, d}, ar, "AttentionInto")
 	n, hd := b*heads, d/heads
 	if n == 0 || t == 0 || hd == 0 {
 		return ctx
 	}
 	var next atomic.Int64
-	if !worthSplitting(n, t*t*hd) {
-		attentionHeads(ctx.data, qkv.data, t, d, heads, scale, n, &next, ar)
+	// Each item is two T×T×hd products and a softmax over T×T scores.
+	if parts, _ := fanOut(n, float64(n*t*t)*(2*float64(hd)*nsMAC+nsTranscendental+nsStream)); parts > 1 {
+		// One task per part, each with its own scratch, claiming (batch
+		// row, head) items from the shared cursor so uneven progress
+		// balances.
+		ParallelForChunked(parts, parts, 1, func(int, int) {
+			attentionHeads(ctx.data, qkv.data, t, d, heads, scale, n, &next, ar)
+		})
 		return ctx
 	}
-	// One task per worker, each with its own scratch, claiming (batch row,
-	// head) items from the shared cursor so uneven progress balances.
-	ParallelForChunked(min(n, effectiveWorkers()), 1, func(int, int) {
-		attentionHeads(ctx.data, qkv.data, t, d, heads, scale, n, &next, ar)
-	})
+	attentionHeads(ctx.data, qkv.data, t, d, heads, scale, n, &next, ar)
 	return ctx
 }
 

@@ -59,9 +59,15 @@ func TestAttentionBitExact(t *testing.T) {
 				qkv := nanWindow(Rand(rng, 1, b, seq, 3*d))
 				scale := float32(1 / math.Sqrt(float64(hd)))
 				want := attentionRef(qkv, heads, scale)
-				for _, workers := range []int{0, 1} {
+				for _, workers := range []int{2, 1} {
 					SetMaxWorkers(workers)
-					if got := AttentionInto(nil, qkv, heads, scale, nil); !bitEqual(got, want) {
+					var got *Tensor
+					// Eight heads of 64 or 65 tokens are over two hand-offs
+					// of work at any head width here.
+					if pooled := fannedOut(func() { got = AttentionInto(nil, qkv, heads, scale, nil) }); workers == 2 && heads == 8 && seq >= 64 && !pooled {
+						t.Errorf("heads=8 T=%d hd=%d: ran serially at width 2", seq, hd)
+					}
+					if !bitEqual(got, want) {
 						t.Errorf("heads=%d T=%d hd=%d workers=%d: differs from the per-head reference (max |Δ| %g)", heads, seq, hd, workers, MaxAbsDiff(got, want))
 					}
 					ar := NewArena()

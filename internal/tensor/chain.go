@@ -155,6 +155,7 @@ type Program struct {
 	argLens []int
 	numRegs int
 	numOuts int
+	ns      float64 // the tape's price per stream element: Σ elemNs
 }
 
 // CompileChain validates the tape against the stream shape and the static
@@ -180,6 +181,7 @@ func CompileChain(instrs []Instr, shape []int, argShapes [][]int) (*Program, err
 	emitted := make(map[int]bool)
 	p.fns = make([]chainFn, 0, len(instrs))
 	for idx, in := range instrs {
+		p.ns += elemNs(in.Op)
 		switch {
 		case in.Op.IsUnary():
 			loop := unaryLoops[in.Op]
@@ -325,12 +327,15 @@ func (p *Program) RunInPlace(dst *Tensor, args, outs []*Tensor) {
 // non-nil) and then the tape. A nil p runs the lead alone.
 func (p *Program) run(dst *Tensor, lead leadStep, args, outs []*Tensor) {
 	argData, outData := p.bind(dst, args, outs)
-	n := len(dst.data)
-	if n < parallelThreshold || effectiveWorkers() <= 1 {
-		p.walk(dst.data, 0, n, lead, argData, outData)
+	n, ns := len(dst.data), nsStream // the lead, or the pass itself
+	if p != nil {
+		ns += p.ns
+	}
+	if parts, grain := fanOut(n, float64(n)*ns); parts > 1 {
+		ParallelForChunked(n, parts, grain, func(lo, hi int) { p.walk(dst.data, lo, hi, lead, argData, outData) })
 		return
 	}
-	ParallelFor(n, func(lo, hi int) { p.walk(dst.data, lo, hi, lead, argData, outData) })
+	p.walk(dst.data, 0, n, lead, argData, outData)
 }
 
 // bind checks dst, args and outs against the compiled shapes and returns
@@ -404,11 +409,7 @@ func Chain(src *Tensor, p *Program, args, outs []*Tensor) *Tensor {
 // this when the seed value must survive (aliased or shared storage); when
 // the caller owns a fresh seed buffer, RunInPlace avoids the copy.
 func ChainInto(out *Tensor, src *Tensor, p *Program, args, outs []*Tensor, ar *Arena) *Tensor {
-	if out == nil {
-		out = ar.NewNoZero(src.shape...)
-	} else {
-		checkInto(out, src.shape, "ChainInto")
-	}
+	out = intoShape(out, src.shape, ar, "ChainInto")
 	p.run(out, func(cur []float32, base int) { copy(cur, src.data[base:]) }, args, outs)
 	return out
 }

@@ -72,11 +72,11 @@ func TestChainMatchesOpByOp(t *testing.T) {
 }
 
 // TestChainSerialMatchesParallel pins chunk independence: a register- and
-// broadcast-bearing tape over a parallel-sized stream must produce the
-// same bits single-threaded and pooled.
+// broadcast-bearing tape over a stream the fan-out rule splits must produce
+// the same bits single-threaded and at width 2.
 func TestChainSerialMatchesParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	m, n := 90, 70 // 6300 elements: over parallelThreshold
+	m, n := 200, 70 // 14,000 elements of a 15 ns/element pass: 210 µs
 	x := Rand(rng, 1, m, n)
 	row := Rand(rng, 1, n)
 	prog := mustCompileChain(t, []Instr{
@@ -89,7 +89,11 @@ func TestChainSerialMatchesParallel(t *testing.T) {
 	}, x.Shape(), [][]int{row.Shape()})
 
 	emitP := New(m, n)
-	pooled := Chain(x, prog, []*Tensor{row}, []*Tensor{emitP})
+	var pooled *Tensor
+	SetMaxWorkers(2)
+	if !fannedOut(func() { pooled = Chain(x, prog, []*Tensor{row}, []*Tensor{emitP}) }) {
+		t.Fatal("the chain ran serially at width 2")
+	}
 	SetMaxWorkers(1)
 	emitS := New(m, n)
 	serial := Chain(x, prog, []*Tensor{row}, []*Tensor{emitS})
@@ -186,7 +190,10 @@ func TestBatchNormChainBitExact(t *testing.T) {
 	if 3*5 >= tapeBlock || 37*41 <= tapeBlock {
 		t.Fatalf("the planes must lie under and over the %d-element sub-chunk", tapeBlock)
 	}
-	for _, batch := range []int{1, 8} {
+	// The smallest batch of 37×41 planes whose plain pass, one streamed
+	// element each, the fan-out rule splits at width 2.
+	wide := int(2*nsHandOff/nsStream)/(c*37*41) + 1
+	for _, batch := range []int{1, wide} {
 		for _, hw := range [][2]int{{3, 5}, {37, 41}} {
 			shape := []int{batch, c, hw[0], hw[1]}
 			x := Rand(rng, 2, shape...)
@@ -228,15 +235,19 @@ func TestBatchNormChainBitExact(t *testing.T) {
 					wantOuts = append(wantOuts, New(shape...))
 				}
 				prog.RunInPlace(want, tc.args, wantOuts)
-				for _, workers := range []int{1, 0} {
+				for _, workers := range []int{1, 2} {
 					SetMaxWorkers(workers)
 					poisonArena(ar)
 					outs = outs[:0]
 					for range prog.NumOuts() {
 						outs = append(outs, ar.NewNoZero(shape...))
 					}
-					got := BatchNorm2DChainInto(nil, x, gamma, beta, mean, variance, eps, prog, tc.args, outs, ar)
-					plain := BatchNorm2DInto(nil, x, gamma, beta, mean, variance, eps, ar)
+					var got, plain *Tensor
+					pooled := fannedOut(func() { got = BatchNorm2DChainInto(nil, x, gamma, beta, mean, variance, eps, prog, tc.args, outs, ar) })
+					pooled = fannedOut(func() { plain = BatchNorm2DInto(nil, x, gamma, beta, mean, variance, eps, ar) }) && pooled
+					if workers == 2 && batch == wide && hw[0] == 37 && !pooled {
+						t.Errorf("%v %s: ran serially at width 2", shape, tc.name)
+					}
 					SetMaxWorkers(0)
 					if !sameBits(got, want) || !sameBits(plain, normed) {
 						t.Fatalf("%v %s (workers %d): streamed batch-norm differs from the two passes", shape, tc.name, workers)

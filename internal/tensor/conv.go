@@ -67,10 +67,12 @@ func Conv2DInto(out *Tensor, x, w, bias *Tensor, stride, pad int, ar *Arena) *Te
 		biasData = bias.data
 	}
 
+	// The fan-out is priced as the product plus one streamed element per
+	// packed patch entry.
+	parts, _ := fanOut(n*np, float64(n*k*plane)*(float64(cout)*nsMAC+nsStream))
+	bw, fold := convBlocking(n, k, np, parts)
 	// A folded group's product goes through a tile of cout rows behind the
 	// packed panels in the same scratch, tile floats per panel.
-	workers := effectiveWorkers()
-	bw, fold := convBlocking(n, k, np, workers)
 	tile := 0
 	if fold > 1 {
 		tile = cout * nr
@@ -79,8 +81,8 @@ func Conv2DInto(out *Tensor, x, w, bias *Tensor, stride, pad int, ar *Arena) *Te
 	np = (cols + nr - 1) / nr
 	groupIn, groupOut := fold*imgSize, cout*cols
 
-	if blocks := (np + bw - 1) / bw; groups*blocks >= 2*workers {
-		ParallelForChunked(groups*blocks, 1, func(lo, hi int) {
+	if blocks := (np + bw - 1) / bw; groups*blocks >= 2*parts {
+		ParallelForChunked(groups*blocks, parts, 1, func(lo, hi int) {
 			for t := lo; t < hi; t++ {
 				b, jt0 := t/blocks, t%blocks*bw
 				pw := min(bw, np-jt0)
@@ -111,8 +113,8 @@ func Conv2DInto(out *Tensor, x, w, bias *Tensor, stride, pad int, ar *Arena) *Te
 	col, scratch := ar.grabScratch(np * (k*nr + tile))
 	for b := 0; b < groups; b++ {
 		imgs := x.data[b*groupIn : (b+1)*groupIn]
-		if worthSplitting(np, k*nr) {
-			ParallelForChunked(np, tilePanels1, func(lo, hi int) {
+		if parts, grain := fanOut(np, float64(np*k*nr)*nsStream); parts > 1 {
+			ParallelForChunked(np, parts, grain, func(lo, hi int) {
 				g.packPatches(col[lo*k*nr:], imgs, lo, hi)
 			})
 		} else {
@@ -360,19 +362,15 @@ func MaxPool2DInto(out *Tensor, x *Tensor, kernel, stride, pad int, ar *Arena) *
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	oh := (h+2*pad-kernel)/stride + 1
 	ow := (w+2*pad-kernel)/stride + 1
-	if out == nil {
-		out = ar.NewNoZero(n, c, oh, ow)
-	} else if !ShapeEq(out.shape, []int{n, c, oh, ow}) {
-		panic(fmt.Sprintf("tensor: MaxPool2DInto destination %v, want %v", out.shape, []int{n, c, oh, ow}))
-	}
+	out = intoShape(out, []int{n, c, oh, ow}, ar, "MaxPool2DInto")
 	g := poolGeom{h: h, w: w, oh: oh, ow: ow, k: kernel, stride: stride, pad: pad}
-	if !worthSplitting(n*c, oh*ow*kernel*kernel) {
-		g.planes(out.data, x.data, 0, n*c, ar)
+	if parts, grain := fanOut(n*c, float64(len(out.data)*kernel*kernel)*nsStream); parts > 1 {
+		ParallelForChunked(n*c, parts, grain, func(lo, hi int) {
+			g.planes(out.data, x.data, lo, hi, ar)
+		})
 		return out
 	}
-	ParallelForChunked(n*c, planeGrain(n*c), func(lo, hi int) {
-		g.planes(out.data, x.data, lo, hi, ar)
-	})
+	g.planes(out.data, x.data, 0, n*c, ar)
 	return out
 }
 
@@ -469,20 +467,71 @@ func GlobalAvgPool2D(x *Tensor) *Tensor { return GlobalAvgPool2DInto(nil, x, nil
 // (allocated from ar when nil).
 func GlobalAvgPool2DInto(out *Tensor, x *Tensor, ar *Arena) *Tensor {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	if out == nil {
-		out = ar.NewNoZero(n, c)
-	} else if !ShapeEq(out.shape, []int{n, c}) {
-		panic(fmt.Sprintf("tensor: GlobalAvgPool2DInto destination %v, want %v", out.shape, []int{n, c}))
-	}
+	out = intoShape(out, []int{n, c}, ar, "GlobalAvgPool2DInto")
 	plane := h * w
-	if !worthSplitting(n*c, plane) {
-		avgPlanes(out.data, x.data, 0, n*c, plane)
+	if parts, grain := fanOut(n*c, float64(len(x.data))*nsStream); parts > 1 {
+		ParallelForChunked(n*c, parts, grain, func(lo, hi int) {
+			avgPlanes(out.data, x.data, lo, hi, plane)
+		})
 		return out
 	}
-	ParallelForChunked(n*c, planeGrain(n*c), func(lo, hi int) {
-		avgPlanes(out.data, x.data, lo, hi, plane)
-	})
+	avgPlanes(out.data, x.data, 0, n*c, plane)
 	return out
+}
+
+// AvgPool2DInto averages each kernel×kernel window of every (N, C) plane
+// into out (allocated from ar when nil). Padding taps are skipped, not
+// counted; a window wholly in the padding gives 0.
+func AvgPool2DInto(out *Tensor, x *Tensor, kernel, stride, pad int, ar *Arena) *Tensor {
+	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
+	oh := (h+2*pad-kernel)/stride + 1
+	ow := (w+2*pad-kernel)/stride + 1
+	if oh <= 0 || ow <= 0 {
+		panic(fmt.Sprintf("tensor: AvgPool2D empty output for %v", x.shape))
+	}
+	out = intoShape(out, []int{n, c, oh, ow}, ar, "AvgPool2DInto")
+	g := poolGeom{h: h, w: w, oh: oh, ow: ow, k: kernel, stride: stride, pad: pad}
+	if parts, grain := fanOut(n*c, float64(len(out.data)*kernel*kernel)*nsStream); parts > 1 {
+		ParallelForChunked(n*c, parts, grain, func(lo, hi int) {
+			g.avgWindows(out.data, x.data, lo, hi)
+		})
+		return out
+	}
+	g.avgWindows(out.data, x.data, 0, n*c)
+	return out
+}
+
+// avgWindows averages the windows of planes [lo, hi).
+func (g poolGeom) avgWindows(dst, src []float32, lo, hi int) {
+	for nc := lo; nc < hi; nc++ {
+		s := src[nc*g.h*g.w : (nc+1)*g.h*g.w]
+		d := dst[nc*g.oh*g.ow : (nc+1)*g.oh*g.ow]
+		for oi := 0; oi < g.oh; oi++ {
+			for oj := 0; oj < g.ow; oj++ {
+				var sum float64
+				count := 0
+				for ki := 0; ki < g.k; ki++ {
+					ii := oi*g.stride + ki - g.pad
+					if ii < 0 || ii >= g.h {
+						continue
+					}
+					for kj := 0; kj < g.k; kj++ {
+						jj := oj*g.stride + kj - g.pad
+						if jj < 0 || jj >= g.w {
+							continue
+						}
+						sum += float64(s[ii*g.w+jj])
+						count++
+					}
+				}
+				var v float32
+				if count > 0 {
+					v = float32(sum / float64(count))
+				}
+				d[oi*g.ow+oj] = v
+			}
+		}
+	}
 }
 
 func avgPlanes(dst, src []float32, lo, hi, plane int) {
@@ -519,11 +568,7 @@ func BatchNorm2DChainInto(out *Tensor, x, gamma, beta, mean, variance *Tensor, e
 		panic(fmt.Sprintf("tensor: BatchNorm2D requires a 4-D input, got %v", x.shape))
 	}
 	c, plane := x.shape[1], x.shape[2]*x.shape[3]
-	if out == nil {
-		out = ar.NewNoZero(x.shape...)
-	} else if !ShapeEq(out.shape, x.shape) {
-		panic(fmt.Sprintf("tensor: BatchNorm2DInto destination %v, want %v", out.shape, x.shape))
-	}
+	out = intoShape(out, x.shape, ar, "BatchNorm2DInto")
 	// The channel's scale is 16 Newton divisions: once per call, not once
 	// per image — on a batch of 2×2 planes it costs what the planes do.
 	inv, scratch := ar.grabScratch(c)

@@ -118,8 +118,8 @@ func nanWindow(x *Tensor) *Tensor {
 // column space and panels straddle images, stride 3 (the Go pack), and 7×7
 // stride 2 pad 3 at output widths 1–9 — each from no arena, a cold arena and
 // a recycled one full of stale data, into a fresh and a caller-supplied
-// destination, pooled and serial. Every input is a window of a NaN-filled
-// array, so a patch lane read from outside the image would show.
+// destination, at width 2 and serially. Every input is a window of a
+// NaN-filled array, so a patch lane read from outside the image would show.
 func TestConv2DBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	type convCase struct {
@@ -167,6 +167,7 @@ func TestConv2DBitExact(t *testing.T) {
 		}
 		cases = append(cases, c)
 	}
+	pooled := 0 // cases that fanned out at width 2
 	for _, c := range cases {
 		x := nanWindow(Rand(rng, 1, c.n, c.cin, c.h, c.w))
 		w := Rand(rng, 1, c.cout, c.cin, c.k, c.k)
@@ -176,9 +177,13 @@ func TestConv2DBitExact(t *testing.T) {
 		for i := range want.data {
 			want.data[i] += bias.data[i/(want.shape[2]*want.shape[3])%c.cout]
 		}
-		for _, workers := range []int{0, 1} {
+		for _, workers := range []int{2, 1} {
 			SetMaxWorkers(workers)
-			if got := Conv2D(x, w, bias, c.stride, c.pad); !bitEqual(got, want) {
+			var got *Tensor
+			if fannedOut(func() { got = Conv2D(x, w, bias, c.stride, c.pad) }) && workers == 2 {
+				pooled++
+			}
+			if !bitEqual(got, want) {
 				t.Errorf("Conv2D %+v workers=%d differs from im2col reference (max |Δ| %g)", c, workers, MaxAbsDiff(got, want))
 			}
 			if got := Conv2D(x, w, nil, c.stride, c.pad); !bitEqual(got, wantNoBias) {
@@ -199,6 +204,10 @@ func TestConv2DBitExact(t *testing.T) {
 			}
 		}
 		SetMaxWorkers(0)
+	}
+	// The deep-K and many-block cases are each over two hand-offs of work.
+	if pooled < 4 {
+		t.Errorf("%d cases fanned out at width 2, want the 4 deep-K and many-block ones at least", pooled)
 	}
 }
 
@@ -232,41 +241,76 @@ func TestConv2DEmptyOutputPanics(t *testing.T) {
 	Conv2D(New(1, 1, 2, 2), New(1, 1, 5, 5), nil, 1, 0)
 }
 
-// TestPlaneKernelsSplitByWork pins the serial cut-off of the per-plane and
-// per-row kernels to the work, not the plane or row count — 64 planes of
-// 56×56 must fan out — and the fan-out to the serial bits: planes and rows
-// are independent.
+// fannedOut runs f and reports whether it took the pooled path: whether
+// some fanOut decision inside it returned more than one part.
+func fannedOut(f func()) bool {
+	before := fanOuts.Load()
+	f()
+	return fanOuts.Load() > before
+}
+
+// TestFanOutBoundary pins the fan-out rule at width 2 on the sizes it was
+// priced for: 65,536 cheap elements cost less than the two hand-offs they
+// would save half of, so they stay on the caller; a 131,072-element GELU
+// tape (MT-DNN's feed-forward width) and a 3×3 conv over Wide&Deep's 56×56
+// planes fan out.
+func TestFanOutBoundary(t *testing.T) {
+	SetMaxWorkers(2)
+	defer SetMaxWorkers(0)
+	if parts, _ := fanOut(1<<16, (1<<16)*nsStream); parts != 1 {
+		t.Errorf("65,536 streamed elements split into %d parts, want 1", parts)
+	}
+	gelu := mustCompileChain(t, []Instr{{Op: ChainGELU}}, []int{64, 2048}, nil)
+	if !fannedOut(func() { gelu.RunInPlace(New(64, 2048), nil, nil) }) {
+		t.Error("a 131,072-element GELU tape ran serially")
+	}
+	rng := rand.New(rand.NewSource(17))
+	x, w := Rand(rng, 1, 1, 64, 56, 56), Rand(rng, 1, 64, 64, 3, 3)
+	if !fannedOut(func() { Conv2D(x, w, nil, 1, 1) }) {
+		t.Error("a 64→64 3×3 conv over 56×56 ran serially")
+	}
+	SetMaxWorkers(1)
+	if fannedOut(func() { gelu.RunInPlace(New(64, 2048), nil, nil) }) {
+		t.Error("width 1 fanned out")
+	}
+}
+
+// TestPlaneKernelsSplitByWork holds the fan-out of the per-plane and
+// per-row kernels to the serial bits — planes and rows are independent — on
+// inputs sized so that each kernel fans out at width 2: 2×33 planes of
+// 56×60 and a 400×360 matrix, every one over two hand-offs of work.
 func TestPlaneKernelsSplitByWork(t *testing.T) {
-	if effectiveWorkers() > 1 && !worthSplitting(64, 56*56) {
-		t.Error("64 planes of 56×56 elements are treated as too little work to split")
-	}
-	if worthSplitting(64, 4) || worthSplitting(1, 1<<20) {
-		t.Error("a few hundred elements, or a single plane, must stay serial")
-	}
 	rng := rand.New(rand.NewSource(18))
-	x := Rand(rng, 1, 2, 33, 28, 30)
+	x := Rand(rng, 1, 2, 33, 56, 60)
 	gamma, beta, mean := Rand(rng, 1, 33), Rand(rng, 1, 33), Rand(rng, 1, 33)
 	variance := Rand(rng, 1, 33).Apply(func(v float32) float32 { return v*v + 0.5 })
-	m := Rand(rng, 1, 130, 70)
-	rowG, rowB := Rand(rng, 1, 70), Rand(rng, 1, 70)
-	run := func() []*Tensor {
-		return []*Tensor{
-			MaxPool2D(x, 3, 2, 1),
-			GlobalAvgPool2D(x),
-			BatchNorm2D(x, gamma, beta, mean, variance, 1e-5),
-			Transpose2D(m),
-			Softmax(m),
-			LayerNorm(m, rowG, rowB, 1e-5),
-			Linear(m, m, Rand(rand.New(rand.NewSource(20)), 1, 130)),
-		}
+	m := Rand(rng, 1, 400, 360)
+	rowG, rowB := Rand(rng, 1, 360), Rand(rng, 1, 360)
+	bias := Rand(rng, 1, 400)
+	kernels := []struct {
+		name string
+		run  func() *Tensor
+	}{
+		{"MaxPool2D", func() *Tensor { return MaxPool2D(x, 3, 2, 1) }},
+		{"AvgPool2D", func() *Tensor { return AvgPool2DInto(nil, x, 3, 2, 1, nil) }},
+		{"GlobalAvgPool2D", func() *Tensor { return GlobalAvgPool2D(x) }},
+		{"BatchNorm2D", func() *Tensor { return BatchNorm2D(x, gamma, beta, mean, variance, 1e-5) }},
+		{"Transpose2D", func() *Tensor { return Transpose2D(m) }},
+		{"Softmax", func() *Tensor { return Softmax(m) }},
+		{"LayerNorm", func() *Tensor { return LayerNorm(m, rowG, rowB, 1e-5) }},
+		{"Linear+bias", func() *Tensor { return Linear(m, m, bias) }},
 	}
-	pooled := run()
-	SetMaxWorkers(1)
-	serial := run()
-	SetMaxWorkers(0)
-	for i, name := range []string{"MaxPool2D", "GlobalAvgPool2D", "BatchNorm2D", "Transpose2D", "Softmax", "LayerNorm", "Linear+bias"} {
-		if !bitEqual(pooled[i], serial[i]) {
-			t.Errorf("%s: pooled and serial results differ", name)
+	for _, k := range kernels {
+		SetMaxWorkers(1)
+		serial := k.run()
+		SetMaxWorkers(2)
+		var pooled *Tensor
+		if !fannedOut(func() { pooled = k.run() }) {
+			t.Errorf("%s: ran serially at width 2", k.name)
+		}
+		SetMaxWorkers(0)
+		if !bitEqual(pooled, serial) {
+			t.Errorf("%s: pooled and serial results differ", k.name)
 		}
 	}
 }
@@ -454,7 +498,7 @@ func TestMaxPoolMatchesOracle(t *testing.T) {
 	ar := NewArena()
 	for _, s := range []struct{ n, c, h, w, kernel, stride, pad int }{
 		{1, 3, 13, 17, 3, 2, 1},
-		{2, 8, 30, 30, 3, 2, 1}, // enough work to split across workers
+		{2, 16, 60, 60, 3, 2, 1}, // 259,200 taps: over two hand-offs at width 2
 		{1, 2, 11, 9, 2, 2, 0},
 		{1, 2, 11, 9, 3, 1, 1},
 		{1, 2, 11, 9, 2, 3, 2},
@@ -480,10 +524,13 @@ func TestMaxPoolMatchesOracle(t *testing.T) {
 		ow := (s.w+2*s.pad-s.kernel)/s.stride + 1
 		want := New(s.n, s.c, oh, ow)
 		maxPoolOracle(want.data, x.data, 0, s.n*s.c, s.h, s.w, oh, ow, s.kernel, s.stride, s.pad)
-		for _, workers := range []int{1, 0} {
+		for _, workers := range []int{1, 2} {
 			SetMaxWorkers(workers)
 			poisonArena(ar)
-			got := MaxPool2DInto(nil, x, s.kernel, s.stride, s.pad, ar)
+			var got *Tensor
+			if pooled := fannedOut(func() { got = MaxPool2DInto(nil, x, s.kernel, s.stride, s.pad, ar) }); workers == 2 && s.c == 16 && !pooled {
+				t.Errorf("%+v: ran serially at width 2", s)
+			}
 			SetMaxWorkers(0)
 			for i := range want.data {
 				if math.Float32bits(got.data[i]) != math.Float32bits(want.data[i]) {

@@ -20,12 +20,6 @@ const (
 	// the same tile grid.
 	tilePanels4 = 2
 	tilePanels1 = 4
-
-	// gemmParallelWork is the multiply-accumulate count below which a GEMM
-	// runs on the calling goroutine: waking a parked pool worker costs tens
-	// of microseconds (BenchmarkPoolWake), which a product below this size
-	// cannot win back.
-	gemmParallelWork = 1 << 20
 )
 
 // kernelTier names the microkernel set the package variable tier selects,
@@ -42,23 +36,22 @@ const (
 )
 
 // gemmPacked computes C += A·B for row-major A (M×K), packed B panels, and
-// row-major C (M×N, pre-zeroed by the caller). The work is cut into a grid
-// of packMC-row × column-panel blocks claimed dynamically by the worker
-// pool. Rows alone are split when they yield enough blocks to balance the
+// row-major C (M×N, pre-zeroed by the caller). Whether it splits is
+// fanOut's call, priced per MAC; the work is then cut into a grid of
+// packMC-row × column-panel blocks claimed dynamically by the w parts. Rows
+// alone are split when they yield enough blocks to balance the
 // workers; a short, wide product (conv1 and ResNet layer1 have M = 64) is
 // split over column panels as well. Every C element is produced by one
 // k-ascending accumulator whatever the grid, so the split never changes a
 // bit.
 func gemmPacked(c, a, bp []float32, m, n, k int) {
 	np := (n + nr - 1) / nr
-	w := effectiveWorkers()
-	// The serial call precedes the closure literal below, which costs a
-	// heap allocation per call.
-	if w <= 1 || m*n*k < gemmParallelWork {
+	rowBlocks := (m + packMC - 1) / packMC
+	w, _ := fanOut(rowBlocks*np, float64(m*n*k)*nsMAC)
+	if w == 1 {
 		gemmBlock(c, n, a, k, bp, 0, m, np, n, k)
 		return
 	}
-	rowBlocks := (m + packMC - 1) / packMC
 	bw := np // panels per column block
 	if rowBlocks < 2*w {
 		colBlocks := (4*w + rowBlocks - 1) / rowBlocks
@@ -66,7 +59,7 @@ func gemmPacked(c, a, bp []float32, m, n, k int) {
 		bw = (bw + tilePanels1 - 1) / tilePanels1 * tilePanels1
 	}
 	colBlocks := (np + bw - 1) / bw
-	ParallelForChunked(rowBlocks*colBlocks, 1, func(lo, hi int) {
+	ParallelForChunked(rowBlocks*colBlocks, w, 1, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			i0, jt0 := t/colBlocks*packMC, t%colBlocks*bw
 			pw := min(bw, np-jt0)

@@ -30,16 +30,12 @@ func intoShape(out *Tensor, shape []int, ar *Arena, name string) *Tensor {
 // unaryInto runs a unary opcode's loop over t into out, chunk-parallel.
 func unaryInto(out *Tensor, t *Tensor, ar *Arena, name string, op ChainOp) *Tensor {
 	out = intoShape(out, t.shape, ar, name)
-	loop := unaryLoops[op]
-	// Serial fast path before the closure literal: a closure passed to
-	// ParallelFor is heap-allocated at the call site even when the serial
-	// branch inside ParallelFor runs, and elementwise ops dominate the hot
-	// loop of recurrent models.
-	if len(t.data) < parallelThreshold || effectiveWorkers() <= 1 {
-		loop(out.data, t.data)
+	loop, n := unaryLoops[op], len(t.data)
+	if parts, grain := fanOut(n, float64(n)*elemNs(op)); parts > 1 {
+		ParallelForChunked(n, parts, grain, func(lo, hi int) { loop(out.data[lo:hi], t.data[lo:hi]) })
 		return out
 	}
-	ParallelFor(len(t.data), func(lo, hi int) { loop(out.data[lo:hi], t.data[lo:hi]) })
+	loop(out.data, t.data)
 	return out
 }
 
@@ -51,11 +47,11 @@ func binaryOpInto(out *Tensor, a, b *Tensor, ar *Arena, name string, op ChainOp)
 		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", name, a.shape, b.shape))
 	}
 	out = intoShape(out, a.shape, ar, name)
-	if len(a.data) < parallelThreshold || effectiveWorkers() <= 1 {
-		binaryChunk(op, mode, out.data, a.data, b.data, 0)
+	if parts, grain := fanOut(len(a.data), float64(len(a.data))*nsStream); parts > 1 {
+		ParallelForChunked(len(a.data), parts, grain, func(lo, hi int) { binaryChunk(op, mode, out.data[lo:hi], a.data[lo:hi], b.data, lo) })
 		return out
 	}
-	ParallelFor(len(a.data), func(lo, hi int) { binaryChunk(op, mode, out.data[lo:hi], a.data[lo:hi], b.data, lo) })
+	binaryChunk(op, mode, out.data, a.data, b.data, 0)
 	return out
 }
 
@@ -101,11 +97,11 @@ func MaximumInto(out *Tensor, a, b *Tensor, ar *Arena) *Tensor {
 // ScaleInto computes t * s into out.
 func ScaleInto(out *Tensor, t *Tensor, s float32, ar *Arena) *Tensor {
 	out = intoShape(out, t.shape, ar, "ScaleInto")
-	if len(t.data) < parallelThreshold || effectiveWorkers() <= 1 {
-		mulScalar(out.data, t.data, s)
+	if parts, grain := fanOut(len(t.data), float64(len(t.data))*nsStream); parts > 1 {
+		ParallelForChunked(len(t.data), parts, grain, func(lo, hi int) { mulScalar(out.data[lo:hi], t.data[lo:hi], s) })
 		return out
 	}
-	ParallelFor(len(t.data), func(lo, hi int) { mulScalar(out.data[lo:hi], t.data[lo:hi], s) })
+	mulScalar(out.data, t.data, s)
 	return out
 }
 
@@ -147,18 +143,14 @@ func SoftmaxInto(out *Tensor, t *Tensor, ar *Arena) *Tensor {
 	}
 	k := t.Dim(-1)
 	rows := len(t.data) / k
-	if out == nil {
-		out = ar.NewNoZero(t.shape...)
-	} else {
-		checkInto(out, t.shape, "SoftmaxInto")
-	}
-	if !worthSplitting(rows, k) {
-		softmaxRows(out.data, t.data, k, 1, 0, rows)
+	out = intoShape(out, t.shape, ar, "SoftmaxInto")
+	if parts, grain := fanOut(rows, float64(len(t.data))*(nsTranscendental+nsStream)); parts > 1 {
+		ParallelForChunked(rows, parts, grain, func(lo, hi int) {
+			softmaxRows(out.data, t.data, k, 1, lo, hi)
+		})
 		return out
 	}
-	ParallelForChunked(rows, planeGrain(rows), func(lo, hi int) {
-		softmaxRows(out.data, t.data, k, 1, lo, hi)
-	})
+	softmaxRows(out.data, t.data, k, 1, 0, rows)
 	return out
 }
 
@@ -204,18 +196,15 @@ func LayerNormInto(out *Tensor, t, gamma, beta *Tensor, eps float32, ar *Arena) 
 		panic(fmt.Sprintf("tensor: LayerNorm gamma/beta must have %d elements", k))
 	}
 	rows := len(t.data) / k
-	if out == nil {
-		out = ar.NewNoZero(t.shape...)
-	} else {
-		checkInto(out, t.shape, "LayerNormInto")
-	}
-	if !worthSplitting(rows, k) {
-		layerNormRows(out.data, t.data, gamma.data, beta.data, k, eps, 0, rows)
+	out = intoShape(out, t.shape, ar, "LayerNormInto")
+	// Three passes over each row: the mean, the variance, the output.
+	if parts, grain := fanOut(rows, float64(len(t.data))*3*nsStream); parts > 1 {
+		ParallelForChunked(rows, parts, grain, func(lo, hi int) {
+			layerNormRows(out.data, t.data, gamma.data, beta.data, k, eps, lo, hi)
+		})
 		return out
 	}
-	ParallelForChunked(rows, planeGrain(rows), func(lo, hi int) {
-		layerNormRows(out.data, t.data, gamma.data, beta.data, k, eps, lo, hi)
-	})
+	layerNormRows(out.data, t.data, gamma.data, beta.data, k, eps, 0, rows)
 	return out
 }
 
@@ -263,11 +252,7 @@ func ConcatInto(out *Tensor, axis int, ar *Arena, ts ...*Tensor) *Tensor {
 		}
 		outShape[axis] += t.shape[axis]
 	}
-	if out == nil {
-		out = ar.NewNoZero(outShape...)
-	} else {
-		checkInto(out, outShape, "ConcatInto")
-	}
+	out = intoShape(out, outShape, ar, "ConcatInto")
 
 	// outer = product of dims before axis; inner = product after axis.
 	outer, inner := 1, 1
@@ -295,11 +280,7 @@ func EmbeddingInto(out *Tensor, table *Tensor, ids []int, ar *Arena) *Tensor {
 		panic("tensor: Embedding table must be 2-D")
 	}
 	v, d := table.shape[0], table.shape[1]
-	if out == nil {
-		out = ar.NewNoZero(len(ids), d)
-	} else {
-		checkInto(out, []int{len(ids), d}, "EmbeddingInto")
-	}
+	out = intoShape(out, []int{len(ids), d}, ar, "EmbeddingInto")
 	for i, id := range ids {
 		if id < 0 || id >= v {
 			panic(fmt.Sprintf("tensor: embedding id %d out of range [0,%d)", id, v))
@@ -316,11 +297,7 @@ func CosineSimilarityInto(out *Tensor, a, b *Tensor, ar *Arena) *Tensor {
 		panic(fmt.Sprintf("tensor: CosineSimilarity requires matching 2-D tensors, got %v, %v", a.shape, b.shape))
 	}
 	bs, d := a.shape[0], a.shape[1]
-	if out == nil {
-		out = ar.NewNoZero(bs, 1)
-	} else {
-		checkInto(out, []int{bs, 1}, "CosineSimilarityInto")
-	}
+	out = intoShape(out, []int{bs, 1}, ar, "CosineSimilarityInto")
 	for r := 0; r < bs; r++ {
 		var dot, na, nb float64
 		for j := 0; j < d; j++ {

@@ -195,13 +195,13 @@ func packBTransposed(bp, w []float32, k, n, ld, lo, hi int) {
 // addBias adds the bias row-broadcast to each row of c (bias-after-sum
 // order matches the naive Linear reference).
 func addBias(c []float32, m, n int, bias []float32) {
-	if !worthSplitting(m, n) {
-		biasRows(c, 0, m, n, bias)
+	if parts, grain := fanOut(m, float64(m*n)*nsStream); parts > 1 {
+		ParallelForChunked(m, parts, grain, func(lo, hi int) {
+			biasRows(c, lo, hi, n, bias)
+		})
 		return
 	}
-	ParallelForChunked(m, planeGrain(m), func(lo, hi int) {
-		biasRows(c, lo, hi, n, bias)
-	})
+	biasRows(c, 0, m, n, bias)
 }
 
 func biasRows(c []float32, lo, hi, n int, bias []float32) {
@@ -246,13 +246,13 @@ func Transpose2DInto(out *Tensor, t *Tensor, ar *Arena) *Tensor {
 	} else if len(out.shape) != 2 || out.shape[0] != n || out.shape[1] != m {
 		panic(fmt.Sprintf("tensor: Transpose2DInto destination %v, want [%d %d]", out.shape, n, m))
 	}
-	if !worthSplitting(m, n) {
-		transposeRows(out.data, t.data, 0, m, m, n)
+	if parts, grain := fanOut(m, float64(m*n)*nsStream); parts > 1 {
+		ParallelForChunked(m, parts, grain, func(lo, hi int) {
+			transposeRows(out.data, t.data, lo, hi, m, n)
+		})
 		return out
 	}
-	ParallelForChunked(m, planeGrain(m), func(lo, hi int) {
-		transposeRows(out.data, t.data, lo, hi, m, n)
-	})
+	transposeRows(out.data, t.data, 0, m, m, n)
 	return out
 }
 

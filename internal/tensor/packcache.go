@@ -142,11 +142,11 @@ func (p *pin) packed(w []float32, k, n int, trans bool) []float32 {
 // change a bit.
 func packWeight(bp, w []float32, k, n int, trans bool) {
 	panels := packedPanels(n)
-	if !worthSplitting(panels, k*nr) {
-		packPanels(bp, w, k, n, trans, 0, panels)
+	if parts, grain := fanOut(panels, float64(panels*k*nr)*nsStream); parts > 1 {
+		ParallelForChunked(panels, parts, grain, func(lo, hi int) {
+			packPanels(bp, w, k, n, trans, lo, hi)
+		})
 		return
 	}
-	ParallelForChunked(panels, planeGrain(panels), func(lo, hi int) {
-		packPanels(bp, w, k, n, trans, lo, hi)
-	})
+	packPanels(bp, w, k, n, trans, 0, panels)
 }

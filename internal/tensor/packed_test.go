@@ -225,7 +225,7 @@ func TestArenaRecycling(t *testing.T) {
 func TestParallelForChunkedCoversRange(t *testing.T) {
 	const n, grain = 10_000, 64
 	var counts [n]int32
-	ParallelForChunked(n, grain, func(lo, hi int) {
+	ParallelForChunked(n, 2, grain, func(lo, hi int) {
 		if (hi-lo) != grain && hi != n {
 			t.Errorf("interior block [%d,%d) violates grain %d", lo, hi, grain)
 		}
@@ -285,26 +285,33 @@ func TestStepLoopOrdersSteps(t *testing.T) {
 }
 
 // TestWorkerPoolNestedAndConcurrent hammers the persistent pool with nested
-// and concurrent parallel loops; under -race this doubles as the pool's
-// race-detector pass, and any lost task would deadlock the test.
+// and concurrent parallel loops at width 2; under -race this doubles as the
+// pool's race-detector pass, and any lost task would deadlock the test. The
+// outer range is sized from the fan-out rule: four hand-offs' worth of
+// streamed elements.
 func TestWorkerPoolNestedAndConcurrent(t *testing.T) {
-	const outer = 8
+	const outer, n = 8, int(4 * nsHandOff / nsStream)
+	SetMaxWorkers(2)
+	defer SetMaxWorkers(0)
+	if parts, _ := fanOut(n, float64(n)*nsStream); parts < 2 {
+		t.Fatalf("%d streamed elements run on %d part, want a fan-out", n, parts)
+	}
 	var wg sync.WaitGroup
 	var total atomic.Int64
 	for g := 0; g < outer; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ParallelFor(parallelThreshold*2, func(lo, hi int) {
+			ParallelFor(n, func(lo, hi int) {
 				// Nested parallel call from inside a pool task.
-				ParallelForChunked(hi-lo, 512, func(l, h int) {
+				ParallelForChunked(hi-lo, 2, 512, func(l, h int) {
 					total.Add(int64(h - l))
 				})
 			})
 		}()
 	}
 	wg.Wait()
-	if want := int64(outer * parallelThreshold * 2); total.Load() != want {
+	if want := int64(outer * n); total.Load() != want {
 		t.Fatalf("nested loops covered %d iterations, want %d", total.Load(), want)
 	}
 }

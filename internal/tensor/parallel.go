@@ -6,18 +6,61 @@ import (
 	"sync/atomic"
 )
 
-// parallelThreshold is the minimum amount of work (elements touched) below
-// which kernels run serially; handing work to the pool costs more than it
-// saves on small tensors, and inference batch sizes are typically 1.
-const parallelThreshold = 1 << 12
+// The prices of the fan-out rule, in ns of one core's time, measured on a
+// 2-vCPU Xeon (family 6 model 207, avx512 tier). Each names the benchmark
+// that derives it.
+const (
+	// nsHandOff is one pool hand-off: BenchmarkPoolWake gap=0 read 67–76
+	// µs from the send until the worker starts.
+	nsHandOff = 70_000
+	// nsStream is one streamed element of a copy or arithmetic loop:
+	// BenchmarkParallelForOverhead at -cpu 1 runs 65,536 elements in 54–76
+	// µs.
+	nsStream = 1.0
+	// nsTranscendental is one exp, tanh, sigmoid or GELU element of
+	// expBatch / tanhBatch: BenchmarkTranscendentals' batch cells read
+	// 3.3–6.8 ns/elem.
+	nsTranscendental = 5.0
+	// nsMAC is one multiply-accumulate of the packed GEMM on one core:
+	// BenchmarkMatMul mtdnn_ffn64x512x2048 at -cpu 1 reads 55 GFLOP/s,
+	// 27.5 G multiply-accumulates a second.
+	nsMAC = 0.036
+)
 
-// The persistent worker pool. Hot kernels used to spawn goroutines (plus a
-// WaitGroup) on every call; at inference rates that dispatch overhead
-// dominates small kernels. The pool is started lazily on the first parallel
-// kernel, holds GOMAXPROCS workers for the life of the process, and hands
-// work off through a buffered channel. Callers waiting for their chunks to
-// finish help drain the queue, so nested or concurrent ParallelFor calls
-// cannot deadlock even when every worker is busy.
+// fanOuts counts the decisions that split a loop; the tests that must reach
+// the pooled path read it.
+var fanOuts atomic.Int64
+
+// fanOut is the one rule for spreading a loop of n independent items whose
+// serial run costs about ns nanoseconds: it returns the parts to run it on
+// (1 = serially on the caller) and the block grain. It splits over every
+// worker when the time the helpers save, ns·(1 − 1/parts), beats a hand-off,
+// into about four blocks per part, so a helper that wakes late claims fewer.
+// Callers branch on parts before building the closure they would hand to
+// ParallelForChunked, which keeps the serial path allocation-free.
+func fanOut(n int, ns float64) (parts, grain int) {
+	parts = min(effectiveWorkers(), n)
+	if parts <= 1 || ns*float64(parts-1) <= nsHandOff*float64(parts) {
+		return 1, n
+	}
+	fanOuts.Add(1)
+	return parts, max(1, n/(4*parts))
+}
+
+// elemNs is one element's price under opcode op.
+func elemNs(op ChainOp) float64 {
+	switch op {
+	case ChainSigmoid, ChainTanh, ChainGELU, ChainExp:
+		return nsTranscendental
+	}
+	return nsStream
+}
+
+// The persistent worker pool, started lazily on the first parallel kernel
+// with GOMAXPROCS workers for the life of the process; work is handed off
+// through a buffered channel. Callers waiting for their blocks to finish
+// help drain the queue, so nested or concurrent loops cannot deadlock even
+// when every worker is busy.
 var (
 	poolOnce    sync.Once
 	poolTasks   chan func()
@@ -57,22 +100,6 @@ func effectiveWorkers() int {
 		w = runtime.GOMAXPROCS(0)
 	}
 	return w
-}
-
-// worthSplitting reports whether a loop of n independent iterations, each
-// touching about per elements, should be fanned out: the serial cut-off is
-// on the work, not on the iteration count — a pooling or normalisation
-// kernel has a few hundred planes of thousands of elements each. Callers
-// branch on it before building the closure they would hand to
-// ParallelForChunked, which keeps the serial path allocation-free.
-func worthSplitting(n, per int) bool {
-	return n > 1 && n*per >= parallelThreshold && effectiveWorkers() > 1
-}
-
-// planeGrain is the block size for ParallelForChunked over n independent
-// planes or rows: about four blocks per worker, so uneven blocks balance.
-func planeGrain(n int) int {
-	return max(1, n/(4*effectiveWorkers()))
 }
 
 // stepLoop runs body(step, part) for every step in [0, steps) and part in
@@ -124,82 +151,30 @@ func stepLoop(steps, parts int, body func(step, part int)) {
 	}
 }
 
-// ParallelFor splits [0, n) into contiguous chunks and runs body on each
-// chunk using the persistent worker pool. body receives [lo, hi). Small
-// ranges run inline on the calling goroutine. The calling goroutine
-// executes one chunk itself and helps drain the pool while waiting, so the
-// pool can never deadlock on nested parallelism.
+// ParallelFor runs body over [0, n) in contiguous blocks, each element
+// priced as one streamed element: a range too small to pay for a hand-off
+// runs inline as body(0, n).
 func ParallelFor(n int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	w := effectiveWorkers()
-	if n < parallelThreshold || w <= 1 {
-		body(0, n)
-		return
-	}
-	if w > n {
-		w = n
-	}
-	poolOnce.Do(startPool)
-	chunk := (n + w - 1) / w
-	var remaining atomic.Int32
-	remaining.Store(int32((n + chunk - 1) / chunk))
-	done := make(chan struct{})
-	finish := func() {
-		if remaining.Add(-1) == 0 {
-			close(done)
-		}
-	}
-	for lo := chunk; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		lo, hi := lo, hi
-		poolTasks <- func() {
-			body(lo, hi)
-			finish()
-		}
-	}
-	body(0, chunk)
-	finish()
-	for {
-		select {
-		case <-done:
-			return
-		case f := <-poolTasks:
-			f()
-		}
-	}
+	parts, grain := fanOut(n, float64(n)*nsStream)
+	ParallelForChunked(n, parts, grain, body)
 }
 
 // ParallelForChunked runs body over [0, n) in blocks of exactly grain
-// iterations (the last block may be shorter), letting the caller own block
-// granularity — GEMM hands whole row panels to each invocation so packing
-// and cache blocking stay aligned. Blocks are claimed dynamically via an
-// atomic cursor, so uneven blocks load-balance across workers. body may be
-// invoked concurrently; the call returns after every block completed.
-func ParallelForChunked(n, grain int, body func(lo, hi int)) {
+// iterations (the last block may be shorter) on parts tasks: the caller and
+// parts-1 pool helpers claim blocks from one atomic cursor, so uneven
+// blocks and a helper that starts late balance out. parts <= 1 runs
+// body(0, n) inline. The caller owns block granularity — GEMM hands whole
+// row panels to each invocation so packing and cache blocking stay aligned.
+// body may be invoked concurrently; the call returns after every block
+// completed.
+func ParallelForChunked(n, parts, grain int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if grain <= 0 {
-		grain = 1
-	}
+	grain = max(grain, 1)
 	blocks := (n + grain - 1) / grain
-	w := effectiveWorkers()
-	if w > blocks {
-		w = blocks
-	}
-	if w <= 1 {
-		for lo := 0; lo < n; lo += grain {
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			body(lo, hi)
-		}
+	if parts = min(parts, blocks); parts <= 1 {
+		body(0, n)
 		return
 	}
 	poolOnce.Do(startPool)
@@ -213,17 +188,13 @@ func ParallelForChunked(n, grain int, body func(lo, hi int)) {
 				return
 			}
 			lo := b * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			body(lo, hi)
+			body(lo, min(lo+grain, n))
 			if int(blocksDone.Add(1)) == blocks {
 				close(done)
 			}
 		}
 	}
-	for i := 1; i < w; i++ {
+	for i := 1; i < parts; i++ {
 		poolTasks <- runBlocks
 	}
 	runBlocks()

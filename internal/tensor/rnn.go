@@ -130,7 +130,7 @@ func rnnSeqInto(out *Tensor, cell *rnnCell, x, wx, wh, bias *Tensor, lastOnly bo
 	// also serves an H off the panel grid.
 	bp, scratch = packedB(wh, hd, n, true, ar)
 	gh := ar.NewNoZero(b, n)
-	parts, per := rnnSplit(hd)
+	parts, per := rnnSplit(t, b, hd, cell.gates)
 	blocks := cell.gates
 	if parts == 1 {
 		blocks = 1
@@ -163,16 +163,20 @@ func rnnSeqInto(out *Tensor, cell *rnnCell, x, wx, wh, bias *Tensor, lastOnly bo
 }
 
 // rnnSplit cuts hd hidden units into parts of per units each (the last may
-// be shorter), one per worker, on whole kern1x32 tiles so every part's
-// columns of every gate block start on a panel. An H off the panel grid, or
-// one that fits one tile, is a single part.
-func rnnSplit(hd int) (parts, per int) {
+// be shorter) on whole kern1x32 tiles, so every part's columns of every gate
+// block start on a panel. The parts come from fanOut priced over the whole
+// time loop, since stepLoop offers the pool help once per sequence: per
+// step, b rows of gates·hd pre-activations, each an hd-long product and a
+// gate function. An H off the panel grid, or one that fits one tile, is a
+// single part.
+func rnnSplit(steps, b, hd, gates int) (parts, per int) {
 	const tile = tilePanels1 * nr
-	w := effectiveWorkers()
-	if w <= 1 || hd%nr != 0 {
+	if hd%nr != 0 {
 		return 1, hd
 	}
-	per = ((hd+tile-1)/tile + w - 1) / w * tile
+	tiles := (hd + tile - 1) / tile
+	parts, _ = fanOut(tiles, float64(steps*b*gates*hd)*(float64(hd)*nsMAC+nsTranscendental))
+	per = (tiles + parts - 1) / parts * tile
 	return (hd + per - 1) / per, per
 }
 

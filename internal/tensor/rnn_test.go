@@ -55,8 +55,8 @@ func TestRNNSeqBitExact(t *testing.T) {
 		}{
 			{7, 20, []int{1, 3, 8}, []int{1, 2, 17}},
 			{130, 96, []int{1, 3, 8}, []int{1, 2, 17}},
-			// K = 320 spans two packKC slabs, and at the pool's width the
-			// time loop splits into two parts of 160 units.
+			// K = 320 spans two packKC slabs, and at B = 8 the rule
+			// splits the time loop at width 2 into two parts of 160 units.
 			{256, 320, []int{1, 8}, []int{3}},
 		} {
 			in, hd := dim.in, dim.hd
@@ -86,8 +86,11 @@ func TestRNNSeqBitExact(t *testing.T) {
 					check("cold arena", false, cold)
 					ar.Release(cold)
 					poisonArena(ar)
-					for _, workers := range []int{0, 1} {
+					for _, workers := range []int{2, 1} {
 						SetMaxWorkers(workers)
+						if parts, _ := rnnSplit(steps, b, hd, gates); workers == 2 && hd == 320 && b == 8 && parts != 2 {
+							t.Errorf("%s B=8 T=%d H=320: the time loop runs on %d parts at width 2, want 2", name, steps, parts)
+						}
 						for _, lastOnly := range []bool{false, true} {
 							check("nil arena", lastOnly, run(nil, x, wx, wh, bias, lastOnly, nil))
 							got := run(nil, x, wx, wh, bias, lastOnly, ar)
@@ -167,15 +170,25 @@ func (l rnnLayer) at(width int, lastOnly bool) *Tensor {
 // h buffer the last step writes), the full sequence and the last state, an
 // H that is one tile (a single part), off the panel grid (a single part),
 // two uneven parts (40 = 32 + 8) and the zoo's 256 and 320, at B = 1, 3
-// (leftover rows) and 8 (4-row tiles), from arenas poisoned with NaN. Width
-// 2 splits even under GOMAXPROCS 1; the long sequences give the helper time
-// to join.
+// (leftover rows) and 8 (4-row tiles), from arenas poisoned with NaN. Besides
+// T = 1, 2, 17 and 24, each layer that can split runs at the first two
+// lengths the rule splits at width 2, which splits even under GOMAXPROCS 1.
 func TestRNNSeqSplitMatchesWidth1(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, lstm := range []bool{true, false} {
+		gates := 3
+		if lstm {
+			gates = 4
+		}
 		for _, hd := range []int{20, 40, 100, 256, 320} {
 			for _, b := range []int{1, 3, 8} {
-				for _, steps := range []int{1, 2, 17, 24} {
+				stepList := []int{1, 2, 17, 24}
+				if split := firstSplit(b, hd, gates); split > 0 {
+					stepList = append(stepList, split, split+1)
+				} else if hd%nr == 0 && hd > tilePanels1*nr {
+					t.Errorf("lstm=%v H=%d B=%d: the rule never splits the time loop", lstm, hd, b)
+				}
+				for _, steps := range stepList {
 					l := newRNNLayer(rng, lstm, b, steps, 24, hd)
 					for _, lastOnly := range []bool{false, true} {
 						want, got := l.at(1, lastOnly), l.at(2, lastOnly)
@@ -190,12 +203,32 @@ func TestRNNSeqSplitMatchesWidth1(t *testing.T) {
 	}
 }
 
+// firstSplit returns the shortest sequence, up to 4096 steps, whose time
+// loop rnnSplit cuts into more than one part at width 2, or 0.
+func firstSplit(b, hd, gates int) int {
+	SetMaxWorkers(2)
+	defer SetMaxWorkers(0)
+	for steps := 1; steps <= 4096; steps++ {
+		if parts, _ := rnnSplit(steps, b, hd, gates); parts > 1 {
+			return steps
+		}
+	}
+	return 0
+}
+
 // TestRNNSeqConcurrentSequences runs two split sequences at once from two
 // goroutines, the shape of InferParallel's two lanes: each offers a helper
 // to the same pool, and both must finish with the width-1 bits.
 func TestRNNSeqConcurrentSequences(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	layers := []rnnLayer{newRNNLayer(rng, true, 1, 40, 64, 320), newRNNLayer(rng, false, 3, 40, 64, 256)}
+	// Both layers split at width 2, and so do Siamese's 80-step H = 320
+	// LSTM sequences at B = 1.
+	for _, first := range []int{firstSplit(1, 320, 4), firstSplit(3, 256, 3)} {
+		if first == 0 || first > 40 {
+			t.Fatalf("a 40-step sequence does not split at width 2 (first split at T = %d)", first)
+		}
+	}
 	var want [2]*Tensor
 	for i, l := range layers {
 		want[i] = l.at(1, false)
@@ -238,7 +271,7 @@ func TestRNNSeqWhileParallelForWaits(t *testing.T) {
 		waited := make(chan struct{})
 		go func() {
 			defer close(waited)
-			ParallelForChunked(2, 1, func(lo, _ int) {
+			ParallelForChunked(2, 2, 1, func(lo, _ int) {
 				if lo == 0 {
 					for !second.Load() {
 						runtime.Gosched()

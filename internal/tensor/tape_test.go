@@ -78,7 +78,9 @@ func TestTapeEdgeValues(t *testing.T) {
 		{"div", tensor.ChainDiv}, {"maximum", tensor.ChainMaximum},
 	}
 	rng := rand.New(rand.NewSource(25))
-	for _, shape := range [][]int{{3, 7}, {397, 13}, {5, 1499}} {
+	// The last shape is over two hand-offs of work for the cheapest tape,
+	// so every program fans out at width 2.
+	for _, shape := range [][]int{{3, 7}, {397, 13}, {5, 1499}, {211, 997}} {
 		m, w := shape[0], shape[1]
 		if n := m * w; n > tensor.TapeBlock && (n%tensor.TapeBlock == 0 || tensor.TapeBlock%w == 0) {
 			t.Fatalf("shape %v: the sub-chunks line up with the rows or the stream", shape)
@@ -95,10 +97,14 @@ func TestTapeEdgeValues(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 0} {
+			for _, workers := range []int{1, 2} {
 				tensor.SetMaxWorkers(workers)
+				before := tensor.FanOuts()
 				got := tensor.Chain(x, p, args, nil)
 				tensor.SetMaxWorkers(0)
+				if workers == 2 && m == 211 && tensor.FanOuts() == before {
+					t.Errorf("%v %s: ran serially at width 2", shape, name)
+				}
 				if i, ok := sameBits(got, want); !ok {
 					t.Fatalf("%v %s (workers %d): element %d is %#x, the registered op gives %#x",
 						shape, name, workers, i, math.Float32bits(got.Data()[i]), math.Float32bits(want.Data()[i]))
