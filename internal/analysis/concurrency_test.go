@@ -333,7 +333,7 @@ func (t *T) apply(f func(float32) float32) {
 }
 
 func chunked(dst, src []float32) {
-	tensor.ParallelForChunked(len(dst), 64, func(lo, hi int) {
+	tensor.ParallelForChunked(len(dst), 2, 64, func(lo, hi int) {
 		base := lo * 2
 		for i := lo; i < hi; i++ {
 			dst[i] = src[i] + float32(base)

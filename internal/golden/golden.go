@@ -146,6 +146,7 @@ func Text(t testing.TB, path, got string) {
 				return
 			}
 		}
+		t.Errorf("golden %s: differs only in trailing newlines (%d lines got, %d want)", path, len(gl), len(wl))
 	}
 }
 

@@ -94,3 +94,38 @@ func TestUpdateWritesCheckedKeys(t *testing.T) {
 		})
 	}
 }
+
+// errRecorder is a testing.TB that keeps its Errorf lines instead of
+// failing the test.
+type errRecorder struct {
+	testing.TB
+	errs []string
+}
+
+func (r *errRecorder) Errorf(format string, args ...any) {
+	r.errs = append(r.errs, fmt.Sprintf(format, args...))
+}
+
+// TestTextReportsEveryDifference: Text passes only a byte-identical file;
+// a changed line is named, and texts that differ only in trailing newlines
+// fail too.
+func TestTextReportsEveryDifference(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "want.txt")
+	if err := os.WriteFile(path, []byte("a\nb\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		got, want string // want: a substring of the one error, "" for none
+	}{
+		{"a\nb\n", ""},
+		{"a\nc\n", "line 2"},
+		{"a\nb", "trailing newlines"},
+		{"a\nb\n\n", "trailing newlines"},
+	} {
+		r := &errRecorder{TB: t}
+		Text(r, path, tc.got)
+		if tc.want == "" && len(r.errs) != 0 || tc.want != "" && (len(r.errs) != 1 || !strings.Contains(r.errs[0], tc.want)) {
+			t.Errorf("Text(%q): errors %q, want one naming %q", tc.got, r.errs, tc.want)
+		}
+	}
+}

@@ -448,6 +448,32 @@ func BenchmarkParallelForOverhead(b *testing.B) {
 	}
 }
 
+// BenchmarkSplitBreakEven times streamed loops of one, two and four
+// hand-offs' worth of elements run serially and split two ways through
+// ParallelForChunked, whatever fanOut would decide: run at -cpu 2, it
+// locates the width-2 break-even that fanOut's rule puts at two hand-offs.
+func BenchmarkSplitBreakEven(b *testing.B) {
+	for _, hand := range []int{1, 2, 4} {
+		n := hand * int(nsHandOff/nsStream)
+		buf := make([]float32, n)
+		body := func(lo, hi int) {
+			for j := lo; j < hi; j++ {
+				buf[j]++
+			}
+		}
+		b.Run(fmt.Sprintf("elems=%d/serial", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				body(0, n)
+			}
+		})
+		b.Run(fmt.Sprintf("elems=%d/split", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ParallelForChunked(n, 2, n/8, body)
+			}
+		})
+	}
+}
+
 // BenchmarkPoolWake reports the delay from handing a task to the worker
 // pool until a worker starts it, while the sender stays busy the way a
 // ParallelForChunked caller runs its own block: right after the previous

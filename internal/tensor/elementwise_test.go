@@ -168,13 +168,21 @@ func TestMaxEmptyPanics(t *testing.T) {
 }
 
 func TestParallelForCoversRange(t *testing.T) {
-	n := 100000
+	// Twice the break-even at width 2, so the range is split.
+	n := int(4 * nsHandOff / nsStream)
 	seen := make([]int32, n)
-	ParallelFor(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			seen[i]++
-		}
+	SetMaxWorkers(2)
+	pooled := fannedOut(func() {
+		ParallelFor(n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				seen[i]++
+			}
+		})
 	})
+	SetMaxWorkers(0)
+	if !pooled {
+		t.Fatalf("ParallelFor(%d) did not fan out at width 2", n)
+	}
 	for i, c := range seen {
 		if c != 1 {
 			t.Fatalf("index %d visited %d times", i, c)

@@ -205,19 +205,25 @@ func TestPackedPanelsConcurrentFirstUse(t *testing.T) {
 // panels; every panel is written by exactly one block, ragged edge included.
 func TestPackWeightSplitMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
-	const k, n = 96, 203 // 26 panels, the last 3 columns wide; past the serial cut-off
+	// Enough whole panels to pay for the split at width 2, plus a panel
+	// 3 columns wide.
+	const k = 96
+	const n = nr*(int(4*nsHandOff/nsStream)/(k*nr)) + 3
 	w := Rand(rng, 1, k*n)
 	for _, trans := range []bool{false, true} {
 		serial := make([]float32, packedSize(k, n))
 		SetMaxWorkers(1)
 		packWeight(serial, w.data, k, n, trans)
-		SetMaxWorkers(4)
+		SetMaxWorkers(2)
 		split := make([]float32, packedSize(k, n))
 		for i := range split {
 			split[i] = -1
 		}
-		packWeight(split, w.data, k, n, trans)
+		pooled := fannedOut(func() { packWeight(split, w.data, k, n, trans) })
 		SetMaxWorkers(0)
+		if !pooled {
+			t.Fatalf("trans=%v: a %d×%d pack did not fan out at width 2", trans, k, n)
+		}
 		for i := range serial {
 			if serial[i] != split[i] {
 				t.Fatalf("trans=%v: split pack differs from serial at %d", trans, i)

@@ -36,6 +36,12 @@ var fanOuts atomic.Int64
 // (1 = serially on the caller) and the block grain. It splits over every
 // worker when the time the helpers save, ns·(1 − 1/parts), beats a hand-off,
 // into about four blocks per part, so a helper that wakes late claims fewer.
+// The caller keeps claiming blocks while a helper wakes, so the split could
+// pay from one hand-off up; the rule charges the whole hand-off because
+// BenchmarkSplitBreakEven at -cpu 2 reads medians of 83 µs split against
+// 66 µs serial for one hand-off's worth of streamed elements, 134 against
+// 157 µs for two, and 227 against 296 µs for four; and a pool idle for a
+// millisecond takes 0.14–1.3 ms to wake (BenchmarkPoolWake gap=1ms).
 // Callers branch on parts before building the closure they would hand to
 // ParallelForChunked, which keeps the serial path allocation-free.
 func fanOut(n int, ns float64) (parts, grain int) {
