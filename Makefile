@@ -36,7 +36,9 @@ build:
 ## set, and the legal-orders test, which fires every small-zoo model from 1,
 ## 2 and 4 goroutines in seeded-random order (~15 s an iteration). A lost
 ## wake-up, a double signal, a reused slot or an early release shows only on
-## some interleavings.
+## some interleavings. The idle-lane tests then run plain at GOMAXPROCS 1
+## and 2: an idle lane must park rather than poll, and a one-P run is where
+## a test that assumes both lanes run side by side breaks.
 ## The tensor package is tested a second time under the purego tag — the
 ## portable Go microkernels are the reference the AVX2 assembly is held to
 ## and the only GEMM path off amd64, so they pass the identical suite — and
@@ -73,6 +75,7 @@ check: fmt-check vet
 	$(GO) test -race -count=2 ./internal/obs/...
 	$(GO) test -race -count=2 -run 'TestConcurrentExecuteArena|TestServeSmoke|TestServeBatchRecyclesMidBatch' ./internal/serve/
 	$(GO) test -race -count=20 -run 'TestRunParallelMatchesSerialValues|TestLaneSetMultiplexesDataflows|TestDataflowLegalOrders' ./internal/runtime/
+	$(GO) test -count=3 -cpu 1,2 -run 'TestRunParallelIdle' ./internal/runtime/
 	$(GO) test -count=10 -run TestArenaCutsSteadyStateAllocs ./internal/runtime/
 	$(GO) test -count=1 -run TestMTDNNWarmRunPacksNothing ./internal/runtime/
 	$(GO) test -count=1 -run 'TestSuiteGolden|TestFusionSpeedupBar' ./internal/experiments/

@@ -107,7 +107,7 @@ func (m *Module) RunKernel(k *Kernel, env Env) {
 			}
 			in[i] = v
 		}
-		env[id] = def.Exec(n.Attrs, in)
+		env[id] = def.Exec(n.Attrs, in, nil)
 	}
 }
 
@@ -173,11 +173,7 @@ func (m *Module) ExecuteArena(inputs map[string]*tensor.Tensor, ar *tensor.Arena
 				}
 				in = append(in, v)
 			}
-			if def.ExecArena != nil {
-				env[id] = def.ExecArena(n.Attrs, in, ar)
-			} else {
-				env[id] = def.Exec(n.Attrs, in)
-			}
+			env[id] = def.Exec(n.Attrs, in, ar)
 			for _, inID := range n.Inputs {
 				consume(inID)
 			}
@@ -237,12 +233,7 @@ func (m *Module) runFused(k *Kernel, f *FusedGroup, env Env, ar *tensor.Arena) *
 	case "batchnorm2d":
 		dst = tensor.BatchNorm2DChainInto(nil, in[0], in[1], in[2], in[3], in[4], ops.BatchNormEps(lead.Attrs), f.Prog, args, outs, ar)
 	default:
-		def := ops.MustLookup(lead.Op)
-		if def.ExecArena != nil {
-			dst = def.ExecArena(lead.Attrs, in, ar)
-		} else {
-			dst = def.Exec(lead.Attrs, in)
-		}
+		dst = ops.MustLookup(lead.Op).Exec(lead.Attrs, in, ar)
 		f.Prog.RunInPlace(dst, args, outs)
 	}
 	for i, e := range f.Emits {

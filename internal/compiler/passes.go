@@ -93,7 +93,9 @@ func ConstantFold(g *graph.Graph) (*graph.Graph, error) {
 		for i, in := range n.Inputs {
 			inputs[i] = r.dst.Node(r.remap[in]).Value
 		}
-		val := def.Exec(n.Attrs, inputs)
+		// No arena: a folded value becomes a graph constant and must
+		// outlive every run.
+		val := def.Exec(n.Attrs, inputs, nil)
 		r.remap[id] = r.dst.AddConst(n.Name, val)
 	}
 	return r.finish(), nil

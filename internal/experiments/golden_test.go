@@ -32,12 +32,6 @@ func hostDependent(suite, key string) bool {
 		// count. The launch counts, fused groups and launch reduction are
 		// structural and stay in; TestFusionSpeedupBar holds the speedup.
 		return strings.HasPrefix(leaf, "ns_") || strings.Contains(leaf, "speedup") || leaf == "gomaxprocs"
-	case "obs":
-		// The pack-cache gauges read tensor.PackCacheSnapshot(), which is
-		// process-global: in a fresh process they read 0 at seed 42, after
-		// an earlier report in the same binary they count that report's
-		// misses and hits. They depend on what ran before, not on the seed.
-		return strings.HasPrefix(key, "metrics/gauges/duet_packcache_")
 	}
 	return false
 }

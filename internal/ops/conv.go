@@ -63,14 +63,7 @@ func init() {
 				SeqSteps:    1,
 			}
 		},
-		Exec: func(attrs graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			var bias *tensor.Tensor
-			if len(in) == 3 {
-				bias = in[2]
-			}
-			return tensor.Conv2D(in[0], in[1], bias, attrs.Int("stride", 1), attrs.Int("pad", 0))
-		},
-		ExecArena: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+		Exec: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 			var bias *tensor.Tensor
 			if len(in) == 3 {
 				bias = in[2]
@@ -108,10 +101,7 @@ func init() {
 				SeqSteps:    1,
 			}
 		},
-		Exec: func(attrs graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			return tensor.MaxPool2D(in[0], attrs.Int("kernel", 2), attrs.Int("stride", 1), attrs.Int("pad", 0))
-		},
-		ExecArena: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+		Exec: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 			return tensor.MaxPool2DInto(nil, in[0], attrs.Int("kernel", 2), attrs.Int("stride", 1), attrs.Int("pad", 0), ar)
 		},
 	})
@@ -131,10 +121,7 @@ func init() {
 			n := numel(in[0])
 			return Cost{FLOPs: n, Bytes: 4 * n, Parallelism: numel(out), Launches: 1, SeqSteps: 1}
 		},
-		Exec: func(_ graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			return tensor.GlobalAvgPool2D(in[0])
-		},
-		ExecArena: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+		Exec: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 			return tensor.GlobalAvgPool2DInto(nil, in[0], ar)
 		},
 	})
@@ -166,10 +153,7 @@ func init() {
 			n := numel(out)
 			return Cost{FLOPs: 4 * n, Bytes: 8 * n, Parallelism: n, Launches: 1, SeqSteps: 1}
 		},
-		Exec: func(attrs graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			return tensor.BatchNorm2D(in[0], in[1], in[2], in[3], in[4], BatchNormEps(attrs))
-		},
-		ExecArena: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+		Exec: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 			return tensor.BatchNorm2DInto(nil, in[0], in[1], in[2], in[3], in[4], BatchNormEps(attrs), ar)
 		},
 	})

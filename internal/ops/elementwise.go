@@ -9,8 +9,8 @@ import (
 
 // unaryDef builds a registration for a pure elementwise unary operator.
 // flopsPerElem approximates transcendental cost (1 for relu, ~4 for tanh).
-// fArena is the arena-aware variant (nil arena degrades to f).
-func unaryDef(kind string, flopsPerElem float64, f func(*tensor.Tensor) *tensor.Tensor, fArena func(*tensor.Tensor, *tensor.Arena) *tensor.Tensor) *Def {
+// f is the op's *Into kernel.
+func unaryDef(kind string, flopsPerElem float64, f func(out, t *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor) *Def {
 	return &Def{
 		Kind:        kind,
 		Elementwise: true,
@@ -24,16 +24,16 @@ func unaryDef(kind string, flopsPerElem float64, f func(*tensor.Tensor) *tensor.
 			n := numel(out)
 			return Cost{FLOPs: flopsPerElem * n, Bytes: 8 * n, Parallelism: n, Launches: 1, SeqSteps: 1}
 		},
-		Exec: func(_ graph.Attrs, in []*tensor.Tensor) *tensor.Tensor { return f(in[0]) },
-		ExecArena: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-			return fArena(in[0], ar)
+		Exec: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+			return f(nil, in[0], ar)
 		},
 	}
 }
 
 // binaryDef builds a registration for an elementwise binary operator with
-// trailing-dimension broadcasting of the second operand.
-func binaryDef(kind string, f func(a, b *tensor.Tensor) *tensor.Tensor, fArena func(a, b *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor) *Def {
+// trailing-dimension broadcasting of the second operand; f is its *Into
+// kernel.
+func binaryDef(kind string, f func(out, a, b *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor) *Def {
 	return &Def{
 		Kind:        kind,
 		Elementwise: true,
@@ -54,45 +54,22 @@ func binaryDef(kind string, f func(a, b *tensor.Tensor) *tensor.Tensor, fArena f
 			n := numel(out)
 			return Cost{FLOPs: n, Bytes: 12 * n, Parallelism: n, Launches: 1, SeqSteps: 1}
 		},
-		Exec: func(_ graph.Attrs, in []*tensor.Tensor) *tensor.Tensor { return f(in[0], in[1]) },
-		ExecArena: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-			return fArena(in[0], in[1], ar)
+		Exec: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+			return f(nil, in[0], in[1], ar)
 		},
 	}
 }
 
 func init() {
-	Register(unaryDef("relu", 1, tensor.ReLU, func(t *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-		return tensor.ReLUInto(nil, t, ar)
-	}))
-	Register(unaryDef("sigmoid", 4, tensor.Sigmoid, func(t *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-		return tensor.SigmoidInto(nil, t, ar)
-	}))
-	Register(unaryDef("tanh", 4, tensor.Tanh, func(t *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-		return tensor.TanhInto(nil, t, ar)
-	}))
-	Register(unaryDef("gelu", 8, tensor.GELU, func(t *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-		return tensor.GELUInto(nil, t, ar)
-	}))
-	Register(unaryDef("exp", 4, tensor.Exp, func(t *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-		return tensor.ExpInto(nil, t, ar)
-	}))
-	Register(unaryDef("sqrt", 2, tensor.Sqrt, func(t *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-		return tensor.SqrtInto(nil, t, ar)
-	}))
-	Register(binaryDef("add", tensor.Add, func(a, b *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-		return tensor.AddInto(nil, a, b, ar)
-	}))
-	Register(binaryDef("sub", tensor.Sub, func(a, b *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-		return tensor.SubInto(nil, a, b, ar)
-	}))
-	Register(binaryDef("mul", tensor.Mul, func(a, b *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-		return tensor.MulInto(nil, a, b, ar)
-	}))
-	Register(binaryDef("div", tensor.Div, func(a, b *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-		return tensor.DivInto(nil, a, b, ar)
-	}))
-	Register(binaryDef("maximum", tensor.Maximum, func(a, b *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-		return tensor.MaximumInto(nil, a, b, ar)
-	}))
+	Register(unaryDef("relu", 1, tensor.ReLUInto))
+	Register(unaryDef("sigmoid", 4, tensor.SigmoidInto))
+	Register(unaryDef("tanh", 4, tensor.TanhInto))
+	Register(unaryDef("gelu", 8, tensor.GELUInto))
+	Register(unaryDef("exp", 4, tensor.ExpInto))
+	Register(unaryDef("sqrt", 2, tensor.SqrtInto))
+	Register(binaryDef("add", tensor.AddInto))
+	Register(binaryDef("sub", tensor.SubInto))
+	Register(binaryDef("mul", tensor.MulInto))
+	Register(binaryDef("div", tensor.DivInto))
+	Register(binaryDef("maximum", tensor.MaximumInto))
 }

@@ -44,14 +44,7 @@ func init() {
 				SeqSteps:    1,
 			}
 		},
-		Exec: func(_ graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			var bias *tensor.Tensor
-			if len(in) == 3 {
-				bias = in[2]
-			}
-			return tensor.Linear(in[0], in[1], bias)
-		},
-		ExecArena: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+		Exec: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 			var bias *tensor.Tensor
 			if len(in) == 3 {
 				bias = in[2]
@@ -89,10 +82,7 @@ func init() {
 				SeqSteps:    1,
 			}
 		},
-		Exec: func(_ graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			return tensor.MatMul(in[0], in[1])
-		},
-		ExecArena: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+		Exec: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 			return tensor.MatMulInto(nil, in[0], in[1], ar)
 		},
 	})
@@ -126,10 +116,7 @@ func init() {
 				SeqSteps:    1,
 			}
 		},
-		Exec: func(_ graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			return tensor.BatchMatMul(in[0], in[1])
-		},
-		ExecArena: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+		Exec: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 			return tensor.BatchMatMulInto(nil, in[0], in[1], ar)
 		},
 	})
@@ -149,10 +136,7 @@ func init() {
 			n := numel(out)
 			return Cost{Bytes: 8 * n, Parallelism: n, Launches: 1, SeqSteps: 1}
 		},
-		Exec: func(_ graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			return tensor.Transpose2D(in[0])
-		},
-		ExecArena: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+		Exec: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 			return tensor.Transpose2DInto(nil, in[0], ar)
 		},
 	})

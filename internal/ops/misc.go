@@ -24,8 +24,7 @@ func init() {
 			n := numel(out)
 			return Cost{FLOPs: 6 * n, Bytes: 8 * n, Parallelism: n, Launches: 1, SeqSteps: 1}
 		},
-		Exec: func(_ graph.Attrs, in []*tensor.Tensor) *tensor.Tensor { return tensor.Softmax(in[0]) },
-		ExecArena: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+		Exec: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 			return tensor.SoftmaxInto(nil, in[0], ar)
 		},
 	})
@@ -51,11 +50,7 @@ func init() {
 			n := numel(out)
 			return Cost{FLOPs: 8 * n, Bytes: 8 * n, Parallelism: n, Launches: 1, SeqSteps: 1}
 		},
-		Exec: func(attrs graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			eps := float32(attrs.Int("eps_micro", 10)) * 1e-6
-			return tensor.LayerNorm(in[0], in[1], in[2], eps)
-		},
-		ExecArena: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+		Exec: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 			eps := float32(attrs.Int("eps_micro", 10)) * 1e-6
 			return tensor.LayerNormInto(nil, in[0], in[1], in[2], eps, ar)
 		},
@@ -95,10 +90,7 @@ func init() {
 			n := numel(out)
 			return Cost{Bytes: 8 * n, Parallelism: n, Launches: 1, SeqSteps: 1}
 		},
-		Exec: func(attrs graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			return tensor.Concat(attrs.Int("axis", -1), in...)
-		},
-		ExecArena: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+		Exec: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 			return tensor.ConcatInto(nil, attrs.Int("axis", -1), ar, in...)
 		},
 	})
@@ -146,7 +138,7 @@ func init() {
 			// Pure metadata change at runtime.
 			return Cost{Parallelism: 1, Launches: 0, SeqSteps: 1}
 		},
-		Exec: func(attrs graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
+		Exec: func(attrs graph.Attrs, in []*tensor.Tensor, _ *tensor.Arena) *tensor.Tensor {
 			return in[0].Reshape(attrs.Ints("shape")...)
 		},
 		Alias: true,
@@ -171,7 +163,7 @@ func init() {
 		Cost: func(_ graph.Attrs, _ [][]int, out []int) Cost {
 			return Cost{Parallelism: 1, Launches: 0, SeqSteps: 1}
 		},
-		Exec: func(_ graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
+		Exec: func(_ graph.Attrs, in []*tensor.Tensor, _ *tensor.Arena) *tensor.Tensor {
 			return in[0].Reshape(in[0].Dim(0), -1)
 		},
 		Alias: true,
@@ -197,16 +189,7 @@ func init() {
 			n := numel(out)
 			return Cost{Bytes: 8 * n, Parallelism: numel(in[0]), Launches: 1, SeqSteps: 1}
 		},
-		Exec: func(_ graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			idsT, table := in[0], in[1]
-			ids := make([]int, idsT.Numel())
-			for i, v := range idsT.Data() {
-				ids[i] = int(v)
-			}
-			out := tensor.Embedding(table, ids)
-			return out.Reshape(idsT.Dim(0), idsT.Dim(1), table.Dim(1))
-		},
-		ExecArena: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+		Exec: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 			idsT, table := in[0], in[1]
 			ids := make([]int, idsT.Numel())
 			for i, v := range idsT.Data() {
@@ -235,10 +218,7 @@ func init() {
 			n := numel(in[0])
 			return Cost{FLOPs: 6 * n, Bytes: 8 * n, Parallelism: float64(in[0][0]), Launches: 1, SeqSteps: 1}
 		},
-		Exec: func(_ graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			return tensor.CosineSimilarity(in[0], in[1])
-		},
-		ExecArena: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+		Exec: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 			return tensor.CosineSimilarityInto(nil, in[0], in[1], ar)
 		},
 	})
@@ -284,10 +264,7 @@ func init() {
 				SeqSteps:    1,
 			}
 		},
-		Exec: func(attrs graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			return mhaForward(in[0], in[1], in[2], in[3], attrs.Int("heads", 1), nil)
-		},
-		ExecArena: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+		Exec: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 			return mhaForward(in[0], in[1], in[2], in[3], attrs.Int("heads", 1), ar)
 		},
 	})

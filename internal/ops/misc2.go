@@ -23,10 +23,7 @@ func init() {
 			n := numel(out)
 			return Cost{Bytes: 8 * n, Parallelism: n, Launches: 1, SeqSteps: 1}
 		},
-		Exec: func(_ graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			return reverseTime(in[0], nil)
-		},
-		ExecArena: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+		Exec: func(_ graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 			return reverseTime(in[0], ar)
 		},
 	})
@@ -62,10 +59,7 @@ func init() {
 				SeqSteps:    1,
 			}
 		},
-		Exec: func(attrs graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			return tensor.AvgPool2DInto(nil, in[0], attrs.Int("kernel", 2), attrs.Int("stride", 1), attrs.Int("pad", 0), nil)
-		},
-		ExecArena: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+		Exec: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 			return tensor.AvgPool2DInto(nil, in[0], attrs.Int("kernel", 2), attrs.Int("stride", 1), attrs.Int("pad", 0), ar)
 		},
 	})

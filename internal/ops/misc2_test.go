@@ -13,13 +13,13 @@ func TestReverseTime(t *testing.T) {
 	x := tensor.FromSlice([]float32{
 		1, 2, 3, 4, 5, 6, // batch 0: t0=(1,2) t1=(3,4) t2=(5,6)
 	}, 1, 3, 2)
-	out := d.Exec(nil, []*tensor.Tensor{x})
+	out := d.Exec(nil, []*tensor.Tensor{x}, nil)
 	want := tensor.FromSlice([]float32{5, 6, 3, 4, 1, 2}, 1, 3, 2)
 	if !tensor.AllClose(out, want, 0, 0) {
 		t.Fatalf("reverse_time = %v", out)
 	}
 	// Involution: reversing twice is the identity.
-	back := d.Exec(nil, []*tensor.Tensor{out})
+	back := d.Exec(nil, []*tensor.Tensor{out}, nil)
 	if !tensor.AllClose(back, x, 0, 0) {
 		t.Fatalf("double reverse is not identity")
 	}
@@ -44,7 +44,7 @@ func TestAvgPool2D(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
-	out := d.Exec(graph.Attrs{"kernel": 2, "stride": 2}, []*tensor.Tensor{x})
+	out := d.Exec(graph.Attrs{"kernel": 2, "stride": 2}, []*tensor.Tensor{x}, nil)
 	want := tensor.FromSlice([]float32{3.5, 5.5, 11.5, 13.5}, 1, 1, 2, 2)
 	if !tensor.AllClose(out, want, 1e-6, 1e-6) {
 		t.Fatalf("avgpool = %v, want %v", out, want)
@@ -54,7 +54,7 @@ func TestAvgPool2D(t *testing.T) {
 func TestAvgPool2DExcludesPadding(t *testing.T) {
 	d := MustLookup("avgpool2d")
 	x := tensor.Full(4, 1, 1, 2, 2)
-	out := d.Exec(graph.Attrs{"kernel": 3, "stride": 2, "pad": 1}, []*tensor.Tensor{x})
+	out := d.Exec(graph.Attrs{"kernel": 3, "stride": 2, "pad": 1}, []*tensor.Tensor{x}, nil)
 	// Each window sees only real cells (value 4); divisor excludes padding.
 	for _, v := range out.Data() {
 		if v != 4 {
@@ -74,8 +74,8 @@ func TestAvgPool2DInferShape(t *testing.T) {
 func TestAvgPoolMatchesGlobalWhenFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	x := tensor.Rand(rng, 1, 1, 3, 5, 5)
-	full := MustLookup("avgpool2d").Exec(graph.Attrs{"kernel": 5, "stride": 1}, []*tensor.Tensor{x})
-	global := MustLookup("global_avg_pool").Exec(nil, []*tensor.Tensor{x})
+	full := MustLookup("avgpool2d").Exec(graph.Attrs{"kernel": 5, "stride": 1}, []*tensor.Tensor{x}, nil)
+	global := MustLookup("global_avg_pool").Exec(nil, []*tensor.Tensor{x}, nil)
 	for c := 0; c < 3; c++ {
 		if diff := full.At(0, c, 0, 0) - global.At(0, c); diff > 1e-5 || diff < -1e-5 {
 			t.Fatalf("channel %d: full-window avgpool %v != global %v", c, full.At(0, c, 0, 0), global.At(0, c))

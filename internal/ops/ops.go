@@ -59,14 +59,10 @@ type Def struct {
 	Infer func(attrs graph.Attrs, in [][]int) ([]int, error)
 	// Cost computes the work descriptor; out is the inferred output shape.
 	Cost func(attrs graph.Attrs, in [][]int, out []int) Cost
-	// Exec computes the operator on the host tensor engine.
-	Exec func(attrs graph.Attrs, in []*tensor.Tensor) *tensor.Tensor
-	// ExecArena computes the operator with its output and internal
-	// intermediates drawn from ar, letting the executor recycle activation
-	// buffers across runs. Optional: ops without one fall back to Exec.
-	// A nil arena degrades to plain allocation, so ExecArena(attrs, in, nil)
-	// and Exec(attrs, in) are interchangeable.
-	ExecArena func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor
+	// Exec computes the operator on the host tensor engine, drawing its
+	// output and internal intermediates from ar so the executor can recycle
+	// activation buffers across runs. A nil ar means plain allocation.
+	Exec func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor
 	// Alias marks ops whose output shares storage with an input (reshape,
 	// flatten). The executor must neither recycle an alias output nor
 	// release the aliased input while the view is live.

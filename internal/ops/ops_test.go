@@ -74,8 +74,8 @@ func TestDenseInferAndExec(t *testing.T) {
 	x := tensor.Rand(rng, 1, 2, 3)
 	w := tensor.Rand(rng, 1, 4, 3)
 	b := tensor.Rand(rng, 1, 4)
-	got := d.Exec(nil, []*tensor.Tensor{x, w, b})
-	want := tensor.Linear(x, w, b)
+	got := d.Exec(nil, []*tensor.Tensor{x, w, b}, nil)
+	want := tensor.LinearInto(nil, x, w, b, nil)
 	if !tensor.AllClose(got, want, 1e-6, 1e-6) {
 		t.Fatalf("dense exec mismatch")
 	}
@@ -168,8 +168,8 @@ func testRNNExecMatchesCellLoop(t *testing.T, kind string, gates int) {
 	bias := tensor.Rand(rng, 1, gates*h)
 	d := MustLookup(kind)
 	in := []*tensor.Tensor{x, wx, wh, bias}
-	full := d.Exec(graph.Attrs{}, in)
-	last := d.Exec(graph.Attrs{"last_only": 1}, in)
+	full := d.Exec(graph.Attrs{}, in, nil)
+	last := d.Exec(graph.Attrs{"last_only": 1}, in, nil)
 	// Reference: manual cell loop.
 	hs := tensor.New(b, h)
 	cs := tensor.New(b, h)
@@ -184,7 +184,7 @@ func testRNNExecMatchesCellLoop(t *testing.T, kind string, gates int) {
 			hs = tensor.GRUCell(xt, hs, wx, wh, bias)
 		}
 	}
-	if tensor.MaxAbsDiff(last, hs) != 0 {
+	if !bitEqual(last, hs) {
 		t.Fatalf("%s last state mismatch: %g", kind, tensor.MaxAbsDiff(last, hs))
 	}
 	// Last timestep of the full sequence must equal the final state.
@@ -195,9 +195,8 @@ func testRNNExecMatchesCellLoop(t *testing.T, kind string, gates int) {
 			}
 		}
 	}
-	ar := tensor.NewArena()
-	if got := d.ExecArena(graph.Attrs{}, in, ar); tensor.MaxAbsDiff(got, full) != 0 {
-		t.Fatalf("%s ExecArena differs from Exec", kind)
+	if got := d.Exec(graph.Attrs{}, in, tensor.NewArena()); !bitEqual(got, full) {
+		t.Fatalf("%s Exec on an arena differs from Exec without one", kind)
 	}
 }
 
@@ -208,7 +207,7 @@ func TestGRUExecShapes(t *testing.T) {
 	wh := tensor.Rand(rng, 1, 9, 3)
 	bias := tensor.Rand(rng, 1, 9)
 	d := MustLookup("gru")
-	out := d.Exec(graph.Attrs{}, []*tensor.Tensor{x, wx, wh, bias})
+	out := d.Exec(graph.Attrs{}, []*tensor.Tensor{x, wx, wh, bias}, nil)
 	if !tensor.ShapeEq(out.Shape(), []int{1, 6, 3}) {
 		t.Fatalf("gru output shape = %v", out.Shape())
 	}
@@ -223,7 +222,7 @@ func TestEmbeddingExec(t *testing.T) {
 	d := MustLookup("embedding")
 	ids := tensor.FromSlice([]float32{1, 0, 2}, 1, 3)
 	table := tensor.FromSlice([]float32{0, 0, 1, 1, 2, 2}, 3, 2)
-	out := d.Exec(nil, []*tensor.Tensor{ids, table})
+	out := d.Exec(nil, []*tensor.Tensor{ids, table}, nil)
 	if !tensor.ShapeEq(out.Shape(), []int{1, 3, 2}) {
 		t.Fatalf("embedding shape = %v", out.Shape())
 	}
@@ -267,7 +266,7 @@ func TestFlattenInferAndExec(t *testing.T) {
 		t.Fatalf("flatten infer = %v, %v", out, err)
 	}
 	x := tensor.Arange(24).Reshape(2, 3, 4)
-	got := d.Exec(nil, []*tensor.Tensor{x})
+	got := d.Exec(nil, []*tensor.Tensor{x}, nil)
 	if !tensor.ShapeEq(got.Shape(), []int{2, 12}) {
 		t.Fatalf("flatten exec shape = %v", got.Shape())
 	}
@@ -294,7 +293,7 @@ func TestMHAInferAndExec(t *testing.T) {
 	wq := tensor.Rand(rng, 0.5, dm, dm)
 	wk := tensor.Rand(rng, 0.5, dm, dm)
 	wv := tensor.Rand(rng, 0.5, dm, dm)
-	wqkv := tensor.Concat(0, wq, wk, wv)
+	wqkv := tensor.ConcatInto(nil, 0, nil, wq, wk, wv)
 	wo := tensor.Rand(rng, 0.5, dm, dm)
 	bias := tensor.Rand(rng, 0.5, dm)
 	for _, c := range []struct{ b, t, heads int }{{1, 4, 2}, {2, 5, 2}, {3, 9, 4}} {
@@ -302,12 +301,12 @@ func TestMHAInferAndExec(t *testing.T) {
 		want := mhaReference(x, wq, wk, wv, wo, bias, c.heads)
 		attrs := graph.Attrs{"heads": c.heads}
 		ins := []*tensor.Tensor{x, wqkv, wo, bias}
-		if got := d.Exec(attrs, ins); !bitEqual(got, want) {
+		if got := d.Exec(attrs, ins, nil); !bitEqual(got, want) {
 			t.Fatalf("mha %+v differs from the per-head composition: max |Δ| %g", c, tensor.MaxAbsDiff(got, want))
 		}
 		ar := tensor.NewArena()
 		for pass := 0; pass < 2; pass++ {
-			got := d.ExecArena(attrs, ins, ar)
+			got := d.Exec(attrs, ins, ar)
 			if !bitEqual(got, want) {
 				t.Fatalf("mha %+v arena pass %d differs from the per-head composition", c, pass)
 			}
@@ -317,11 +316,114 @@ func TestMHAInferAndExec(t *testing.T) {
 	// Single-head attention with T=1 reduces to x·wqᵀ-independent context:
 	// softmax over one score is exactly 1, so out = (x·wvᵀ)·woᵀ + b.
 	x1 := tensor.Rand(rng, 0.5, 1, 1, dm)
-	got1 := d.Exec(graph.Attrs{"heads": 1}, []*tensor.Tensor{x1, wqkv, wo, bias})
+	got1 := d.Exec(graph.Attrs{"heads": 1}, []*tensor.Tensor{x1, wqkv, wo, bias}, nil)
 	xb := x1.Reshape(1, dm)
-	want := tensor.Add(tensor.MatMul(tensor.MatMul(xb, tensor.Transpose2D(wv)), tensor.Transpose2D(wo)), bias)
+	want := tensor.AddInto(nil, tensor.MatMulInto(nil, tensor.MatMulInto(nil, xb, tensor.Transpose2DInto(nil, wv, nil), nil), tensor.Transpose2DInto(nil, wo, nil), nil), bias, nil)
 	if !bitEqual(got1.Reshape(1, dm), want) {
 		t.Fatalf("mha T=1 algebra mismatch: %g", tensor.MaxAbsDiff(got1.Reshape(1, dm), want))
+	}
+}
+
+// TestExecOnArenaMatchesPlain runs every registered kind through Exec without
+// an arena and then twice on one warm arena whose pooled buffers hold NaN.
+// A kernel that reads a recycled buffer before writing it, or that computes
+// differently when its output or scratch comes from the arena, shows as a
+// bit difference.
+func TestExecOnArenaMatchesPlain(t *testing.T) {
+	cases := map[string]costCase{}
+	for _, c := range execCases() {
+		cases[c.kind] = c
+	}
+	rng := rand.New(rand.NewSource(23))
+	var hits int64
+	for _, kind := range Kinds() {
+		c, ok := cases[kind]
+		if !ok {
+			t.Errorf("operator %q has no Exec case", kind)
+			continue
+		}
+		d := MustLookup(kind)
+		in := execInputs(rng, kind, c.base)
+		want := d.Exec(c.attrs, in, nil)
+		ar := tensor.NewArena()
+		poisonArena(ar)
+		for pass := 0; pass < 2; pass++ {
+			got := d.Exec(c.attrs, in, ar)
+			if !bitEqual(got, want) {
+				t.Errorf("%s: arena pass %d differs from Exec without an arena: max |Δ| %g", kind, pass, tensor.MaxAbsDiff(got, want))
+			}
+			if !d.Alias {
+				fill(got, nan32)
+				ar.Release(got)
+			}
+		}
+		hits += ar.Stats().Hits
+	}
+	if hits == 0 {
+		t.Error("no Exec drew a recycled buffer from its arena")
+	}
+}
+
+// execCases gives every registered kind one input-shape set: the base
+// shapes of costCases, plus the elementwise and structural kinds that
+// table exempts. The binary variants broadcast a row.
+func execCases() []costCase {
+	cases := costCases()
+	for _, kind := range []string{"sigmoid", "tanh", "gelu", "exp", "sqrt"} {
+		cases = append(cases, costCase{kind: kind, base: [][]int{{4, 16}}})
+	}
+	for _, kind := range []string{"sub", "mul", "div", "maximum"} {
+		cases = append(cases, costCase{kind: kind, base: [][]int{{4, 16}, {16}}})
+	}
+	return append(cases,
+		costCase{kind: "reshape", attrs: graph.Attrs{"shape": []int{8, -1}}, base: [][]int{{4, 16}}},
+		costCase{kind: "flatten", base: [][]int{{2, 3, 4}}},
+	)
+}
+
+// execInputs draws inputs of the given shapes in [-1, 1), then makes them
+// legal where an op needs it: embedding ids index the table, and sqrt
+// inputs and batch-norm variances lie in [0.5, 1.5).
+func execInputs(rng *rand.Rand, kind string, shapes [][]int) []*tensor.Tensor {
+	in := make([]*tensor.Tensor, len(shapes))
+	for i, s := range shapes {
+		in[i] = tensor.Rand(rng, 1, s...)
+	}
+	positive := func(x *tensor.Tensor) {
+		for i, v := range x.Data() {
+			x.Data()[i] = float32(math.Abs(float64(v))) + 0.5
+		}
+	}
+	switch kind {
+	case "embedding":
+		for i := range in[0].Data() {
+			in[0].Data()[i] = float32(rng.Intn(shapes[1][0]))
+		}
+	case "sqrt":
+		positive(in[0])
+	case "batchnorm2d":
+		positive(in[4])
+	}
+	return in
+}
+
+var nan32 = float32(math.NaN())
+
+// poisonArena fills the arena's pools with NaN buffers of every size class
+// up to 64 Ki elements, two per class.
+func poisonArena(ar *tensor.Arena) {
+	for n := 256; n <= 1<<16; n *= 2 {
+		a, b := ar.NewNoZero(n), ar.NewNoZero(n)
+		fill(a, nan32)
+		fill(b, nan32)
+		ar.Release(a)
+		ar.Release(b)
+	}
+}
+
+func fill(x *tensor.Tensor, v float32) {
+	for i := range x.Data() {
+		x.Data()[i] = v
 	}
 }
 
@@ -353,15 +455,15 @@ func mhaReference(x, wq, wk, wv, wo, bias *tensor.Tensor, heads int) *tensor.Ten
 	out := tensor.New(b, t, d)
 	for bi := 0; bi < b; bi++ {
 		xb := tensor.FromSlice(x.Data()[bi*t*d:(bi+1)*t*d], t, d)
-		qs := tensor.Split(tensor.Linear(xb, wq, nil), 1, sizes)
-		ks := tensor.Split(tensor.Linear(xb, wk, nil), 1, sizes)
-		vs := tensor.Split(tensor.Linear(xb, wv, nil), 1, sizes)
+		qs := tensor.Split(tensor.LinearInto(nil, xb, wq, nil, nil), 1, sizes)
+		ks := tensor.Split(tensor.LinearInto(nil, xb, wk, nil, nil), 1, sizes)
+		vs := tensor.Split(tensor.LinearInto(nil, xb, wv, nil, nil), 1, sizes)
 		ctx := make([]*tensor.Tensor, heads)
 		for h := range ctx {
-			scores := tensor.ScaleInto(nil, tensor.Linear(qs[h], ks[h], nil), scale, nil)
-			ctx[h] = tensor.MatMul(tensor.Softmax(scores), vs[h])
+			scores := tensor.ScaleInto(nil, tensor.LinearInto(nil, qs[h], ks[h], nil, nil), scale, nil)
+			ctx[h] = tensor.MatMulInto(nil, tensor.SoftmaxInto(nil, scores, nil), vs[h], nil)
 		}
-		proj := tensor.Linear(tensor.Concat(1, ctx...), wo, bias)
+		proj := tensor.LinearInto(nil, tensor.ConcatInto(nil, 1, nil, ctx...), wo, bias, nil)
 		copy(out.Data()[bi*t*d:(bi+1)*t*d], proj.Data())
 	}
 	return out

@@ -51,10 +51,7 @@ func init() {
 				SeqSteps:    t,
 			}
 		},
-		Exec: func(attrs graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			return tensor.LSTMSeqInto(nil, in[0], in[1], in[2], in[3], attrs.Int("last_only", 0) != 0, nil)
-		},
-		ExecArena: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+		Exec: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 			return tensor.LSTMSeqInto(nil, in[0], in[1], in[2], in[3], attrs.Int("last_only", 0) != 0, ar)
 		},
 	})
@@ -100,10 +97,7 @@ func init() {
 				SeqSteps:    t,
 			}
 		},
-		Exec: func(attrs graph.Attrs, in []*tensor.Tensor) *tensor.Tensor {
-			return tensor.GRUSeqInto(nil, in[0], in[1], in[2], in[3], attrs.Int("last_only", 0) != 0, nil)
-		},
-		ExecArena: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+		Exec: func(attrs graph.Attrs, in []*tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 			return tensor.GRUSeqInto(nil, in[0], in[1], in[2], in[3], attrs.Int("last_only", 0) != 0, ar)
 		},
 	})

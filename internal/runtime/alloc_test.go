@@ -59,10 +59,10 @@ func assertArenaCutsAllocs(t *testing.T, e *Engine, inputs map[string]*tensor.Te
 	run()
 	withArena := testing.AllocsPerRun(5, run)
 
-	e.SetArena(nil)
+	e.arena = nil
 	run()
 	withoutArena := testing.AllocsPerRun(5, run)
-	e.SetArena(tensor.NewArena())
+	e.arena = tensor.NewArena()
 
 	if withoutArena == 0 {
 		t.Fatal("baseline run reports zero allocations; guard is measuring nothing")
@@ -161,7 +161,10 @@ func TestArenaCutsSteadyStateAllocs(t *testing.T) {
 			x := g.AddInput("x", 1, c, hw, hw)
 			w := g.AddConst("w", tensor.Rand(rng, 0.2, c, c, 3, 3))
 			conv := g.Add("conv2d", "conv", graph.Attrs{"stride": 1, "pad": 1}, x, w)
-			variance := tensor.Rand(rng, 1, c).Apply(func(v float32) float32 { return v*v + 0.5 })
+			variance := tensor.Rand(rng, 1, c)
+			for i, v := range variance.Data() {
+				variance.Data()[i] = v*v + 0.5
+			}
 			bn := g.Add("batchnorm2d", "bn", graph.Attrs{"eps_micro": 10}, conv,
 				g.AddConst("gamma", tensor.Rand(rng, 1, c)), g.AddConst("beta", tensor.Rand(rng, 1, c)),
 				g.AddConst("mean", tensor.Rand(rng, 1, c)), g.AddConst("var", variance))

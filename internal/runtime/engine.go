@@ -102,9 +102,8 @@ type Engine struct {
 	// m holds the resolved observability instruments (all nil until
 	// Instrument attaches a registry; recording through nil is a no-op).
 	m engineMetrics
-	// arena recycles activation buffers across value-carrying runs. Created
-	// by New; SetArena(nil) reverts to plain allocation (the pre-arena
-	// baseline, useful for allocation A/B measurements).
+	// arena recycles activation buffers across value-carrying runs; New and
+	// WithPlatform each give an engine its own.
 	arena *tensor.Arena
 }
 
@@ -151,11 +150,7 @@ func (e *Engine) Subgraphs() []*graph.Subgraph { return e.subgraphs }
 // Module returns the compiled module of subgraph i.
 func (e *Engine) Module(i int) *compiler.Module { return e.modules[i] }
 
-// SetArena replaces the engine's activation arena. Pass nil to disable
-// buffer recycling and execute with plain allocation.
-func (e *Engine) SetArena(ar *tensor.Arena) { e.arena = ar }
-
-// Arena returns the engine's activation arena (nil when disabled).
+// Arena returns the engine's activation arena.
 func (e *Engine) Arena() *tensor.Arena { return e.arena }
 
 // Run executes the model under the given placement. inputs are keyed by the

@@ -31,9 +31,6 @@ type engineMetrics struct {
 	arenaMisses    *obs.Gauge // duet_arena_events_total{event=miss}
 	arenaRecycled  *obs.Gauge // duet_arena_events_total{event=recycled}
 	arenaDiscarded *obs.Gauge // duet_arena_events_total{event=discarded}
-	packHits       *obs.Gauge // duet_packcache_events_total{event=hit}
-	packMisses     *obs.Gauge // duet_packcache_events_total{event=miss}
-	packBytes      *obs.Gauge // duet_packcache_bytes
 
 	fusionGroups      *obs.Gauge // duet_fusion_groups
 	fusionChainOps    *obs.Gauge // duet_fusion_chain_ops
@@ -65,9 +62,6 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 		arenaMisses:    reg.Gauge(obs.Series("duet_arena_events_total", "event", "miss")),
 		arenaRecycled:  reg.Gauge(obs.Series("duet_arena_events_total", "event", "recycled")),
 		arenaDiscarded: reg.Gauge(obs.Series("duet_arena_events_total", "event", "discarded")),
-		packHits:       reg.Gauge(obs.Series("duet_packcache_events_total", "event", "hit")),
-		packMisses:     reg.Gauge(obs.Series("duet_packcache_events_total", "event", "miss")),
-		packBytes:      reg.Gauge("duet_packcache_bytes"),
 
 		fusionGroups:      reg.Gauge("duet_fusion_groups"),
 		fusionChainOps:    reg.Gauge("duet_fusion_chain_ops"),
@@ -109,23 +103,17 @@ func (m *engineMetrics) recordFusion(modules []*compiler.Module) {
 // uninstrumented).
 func (e *Engine) Registry() *obs.Registry { return e.m.reg }
 
-// recordMemory publishes the arena's and the packed weight panels' cumulative
-// event counts as gauges. Called after each value-carrying run; both sources
-// are monotonic counters sampled at run granularity, so Set (not Add) is
-// correct. No-op when uninstrumented or when the arena is disabled.
+// recordMemory publishes the arena's cumulative event counts as gauges.
+// Called after each value-carrying run; the counters are monotonic and
+// sampled at run granularity, so Set (not Add) is correct. No-op when
+// uninstrumented.
 func (m *engineMetrics) recordMemory(ar *tensor.Arena) {
 	if m.reg == nil {
 		return
 	}
-	if ar != nil {
-		s := ar.Stats()
-		m.arenaHits.Set(float64(s.Hits))
-		m.arenaMisses.Set(float64(s.Misses))
-		m.arenaRecycled.Set(float64(s.Recycled))
-		m.arenaDiscarded.Set(float64(s.Discarded))
-	}
-	p := tensor.PackCacheSnapshot()
-	m.packHits.Set(float64(p.Hits))
-	m.packMisses.Set(float64(p.Misses))
-	m.packBytes.Set(float64(p.Bytes))
+	s := ar.Stats()
+	m.arenaHits.Set(float64(s.Hits))
+	m.arenaMisses.Set(float64(s.Misses))
+	m.arenaRecycled.Set(float64(s.Recycled))
+	m.arenaDiscarded.Set(float64(s.Discarded))
 }

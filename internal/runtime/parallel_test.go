@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	goruntime "runtime"
 	"strings"
 	"testing"
 	"time"
@@ -98,8 +99,11 @@ const spinCeiling = 4096
 // TestRunParallelIdleLaneParks: with every subgraph on one device the other
 // lane has nothing to do for the whole run. It must poll a bounded number
 // of times per wait and then sleep — not poll until the run ends — and the
-// outputs must still be Run's.
+// outputs must still be Run's. Two Ps keep both lanes running side by side:
+// on one, the busy lane can finish the run before the idle worker ever
+// reaches its wait.
 func TestRunParallelIdleLaneParks(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(2))
 	ze := zooEngineNamed(t, "widedeep")
 	for busy, idle := range map[device.Kind]device.Kind{device.CPU: device.GPU, device.GPU: device.CPU} {
 		place := Uniform(ze.e.NumSubgraphs(), busy)

@@ -16,8 +16,8 @@ import (
 // The heads are read in place by stride and spread over the worker pool;
 // each head's two products run serially through the packed kernel, so every
 // element keeps the single k-ascending accumulator of MatMulNaive and the
-// result is bit-identical to copying each head out and composing MatMul,
-// Scale and Softmax.
+// result is bit-identical to copying each head out and composing MatMulInto,
+// ScaleInto and SoftmaxInto.
 func AttentionInto(ctx, qkv *Tensor, heads int, scale float32, ar *Arena) *Tensor {
 	if len(qkv.shape) != 3 || heads < 1 || qkv.shape[2]%(3*heads) != 0 {
 		panic(fmt.Sprintf("tensor: Attention needs a (B, T, 3D) operand with D divisible by %d heads, got %v", heads, qkv.shape))

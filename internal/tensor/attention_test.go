@@ -23,7 +23,7 @@ func attentionRef(qkv *Tensor, heads int, scale float32) *Tensor {
 				copy(k.data[r*hd:(r+1)*hd], row[d+h*hd:])
 				copy(v.data[r*hd:(r+1)*hd], row[2*d+h*hd:])
 			}
-			scores := MatMulNaive(q, Transpose2D(k))
+			scores := MatMulNaive(q, Transpose2DInto(nil, k, nil))
 			for i := range scores.data {
 				scores.data[i] *= scale
 			}

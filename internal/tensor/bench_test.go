@@ -59,7 +59,7 @@ func BenchmarkMatMul(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		x := Rand(rng, 1, s.m, s.k)
 		y := Rand(rng, 1, s.k, s.n).MarkPinned()
-		out := MatMul(x, y)
+		out := MatMulInto(nil, x, y, nil)
 		for _, t := range hostTiers() {
 			b.Run(s.name+"/"+t.String(), func(b *testing.B) {
 				defer setTier(t)()
@@ -81,7 +81,7 @@ func BenchmarkGEMV(b *testing.B) {
 	b.SetBytes(4 * 1024 * 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Linear(x, w, bias)
+		LinearInto(nil, x, w, bias, nil)
 	}
 }
 
@@ -268,7 +268,7 @@ func BenchmarkBatchNormChain(b *testing.B) {
 		shape := []int{s.n, s.c, s.h, s.w}
 		x, res := Rand(rng, 1, shape...), Rand(rng, 1, shape...)
 		gamma, beta, mean := Rand(rng, 1, s.c), Rand(rng, 1, s.c), Rand(rng, 1, s.c)
-		variance := Rand(rng, 1, s.c).Apply(func(v float32) float32 { return v*v + 0.5 })
+		variance := randVariance(rng, s.c)
 		for _, tc := range []struct {
 			name   string
 			instrs []Instr
@@ -432,7 +432,7 @@ func BenchmarkSoftmax(b *testing.B) {
 	x := Rand(rng, 1, 64, 512)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Softmax(x)
+		SoftmaxInto(nil, x, nil)
 	}
 }
 

@@ -398,30 +398,22 @@ func (p *Program) walk(stream []float32, lo, hi int, lead leadStep, args, outs [
 	}
 }
 
-// Chain applies the program to a copy of src: the standalone elementwise-
-// chain kernel. outs must hold NumOuts tensors of the stream shape.
-func Chain(src *Tensor, p *Program, args, outs []*Tensor) *Tensor {
-	return ChainInto(nil, src, p, args, outs, nil)
-}
-
 // ChainInto copies src into out (allocated from ar when nil) and streams it
-// through the program, the copy being the lead step of each sub-chunk. Use
-// this when the seed value must survive (aliased or shared storage); when
-// the caller owns a fresh seed buffer, RunInPlace avoids the copy.
+// through the program, the copy being the lead step of each sub-chunk: the
+// standalone elementwise-chain kernel. outs must hold NumOuts tensors of
+// the stream shape. Use this when the seed value must survive (aliased or
+// shared storage); when the caller owns a fresh seed buffer, RunInPlace
+// avoids the copy.
 func ChainInto(out *Tensor, src *Tensor, p *Program, args, outs []*Tensor, ar *Arena) *Tensor {
 	out = intoShape(out, src.shape, ar, "ChainInto")
 	p.run(out, func(cur []float32, base int) { copy(cur, src.data[base:]) }, args, outs)
 	return out
 }
 
-// LinearChain returns prog(x·wᵀ + bias): the fused dense-lead kernel.
-func LinearChain(x, w, bias *Tensor, p *Program, args, outs []*Tensor) *Tensor {
-	return LinearChainInto(nil, x, w, bias, p, args, outs, nil)
-}
-
-// LinearChainInto computes the packed GEMM x·wᵀ into out and then streams
-// the output through the bias add and the whole epilogue program, sub-chunk
-// by sub-chunk — one pass after the GEMM. A nil p degrades to LinearInto.
+// LinearChainInto is the fused dense-lead kernel prog(x·wᵀ + bias): it
+// computes the packed GEMM x·wᵀ into out and then streams the output
+// through the bias add and the whole epilogue program, sub-chunk by
+// sub-chunk — one pass after the GEMM. A nil p degrades to LinearInto.
 func LinearChainInto(out *Tensor, x, w, bias *Tensor, p *Program, args, outs []*Tensor, ar *Arena) *Tensor {
 	if p == nil {
 		return LinearInto(out, x, w, bias, ar)

@@ -48,23 +48,23 @@ func TestChainMatchesOpByOp(t *testing.T) {
 		}
 
 		// Reference: same computation via the standalone kernels.
-		sig := Sigmoid(x)
-		stepped := Mul(Add(ReLU(x), rowArg), sig)
+		sig := SigmoidInto(nil, x, nil)
+		stepped := MulInto(nil, AddInto(nil, ReLUInto(nil, x, nil), rowArg, nil), sig, nil)
 		wantEmit := stepped
-		mx := Maximum(fullArg, stepped) // Rev: stream is the second operand
-		dv := Div(mx, scalArg)
-		want := Mul(dv, dv)
+		mx := MaximumInto(nil, fullArg, stepped, nil) // Rev: stream is the second operand
+		dv := DivInto(nil, mx, scalArg, nil)
+		want := MulInto(nil, dv, dv, nil)
 
 		snapshot := x.Clone()
 		emit := New(m, n)
-		got := Chain(x, prog, []*Tensor{rowArg, fullArg, scalArg}, []*Tensor{emit})
+		got := ChainInto(nil, x, prog, []*Tensor{rowArg, fullArg, scalArg}, []*Tensor{emit}, nil)
 		if !bitEqual(got, want) {
 			t.Fatalf("chain %v differs from op-by-op (max |Δ| %g)", shape, MaxAbsDiff(got, want))
 		}
 		if !bitEqual(emit, wantEmit) {
 			t.Fatalf("chain %v emit slot differs from op-by-op", shape)
 		}
-		// Chain must leave the source untouched (it copies).
+		// ChainInto must leave the source untouched (it copies).
 		if got == x || !bitEqual(x, snapshot) {
 			t.Fatalf("Chain mutated or aliased its source")
 		}
@@ -91,12 +91,12 @@ func TestChainSerialMatchesParallel(t *testing.T) {
 	emitP := New(m, n)
 	var pooled *Tensor
 	SetMaxWorkers(2)
-	if !fannedOut(func() { pooled = Chain(x, prog, []*Tensor{row}, []*Tensor{emitP}) }) {
+	if !fannedOut(func() { pooled = ChainInto(nil, x, prog, []*Tensor{row}, []*Tensor{emitP}, nil) }) {
 		t.Fatal("the chain ran serially at width 2")
 	}
 	SetMaxWorkers(1)
 	emitS := New(m, n)
-	serial := Chain(x, prog, []*Tensor{row}, []*Tensor{emitS})
+	serial := ChainInto(nil, x, prog, []*Tensor{row}, []*Tensor{emitS}, nil)
 	SetMaxWorkers(0)
 	if !bitEqual(pooled, serial) || !bitEqual(emitP, emitS) {
 		t.Fatal("serial and pooled chain execution disagree")
@@ -121,8 +121,8 @@ func TestLinearChainBitExact(t *testing.T) {
 			{Op: ChainReLU},
 		}, []int{m, n}, [][]int{scale.Shape()})
 
-		pre := Mul(Linear(x, w, bias), scale)
-		want := ReLU(pre)
+		pre := MulInto(nil, LinearInto(nil, x, w, bias, nil), scale, nil)
+		want := ReLUInto(nil, pre, nil)
 		for pass := 0; pass < 3; pass++ {
 			emit := ar.NewNoZero(m, n)
 			got := LinearChainInto(nil, x, w, bias, prog, []*Tensor{scale}, []*Tensor{emit}, ar)
@@ -133,7 +133,7 @@ func TestLinearChainBitExact(t *testing.T) {
 			ar.Release(got)
 		}
 		// nil program degrades to LinearInto.
-		if got := LinearChainInto(nil, x, w, bias, nil, nil, nil, nil); !bitEqual(got, Linear(x, w, bias)) {
+		if got := LinearChainInto(nil, x, w, bias, nil, nil, nil, nil); !bitEqual(got, LinearInto(nil, x, w, bias, nil)) {
 			t.Fatal("nil-program LinearChainInto differs from LinearInto")
 		}
 	}
@@ -185,7 +185,7 @@ func TestBatchNormChainBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	const c, eps = 6, float32(1e-5)
 	gamma, beta, mean := Rand(rng, 1, c), Rand(rng, 1, c), Rand(rng, 1, c)
-	variance := Rand(rng, 1, c).Apply(func(v float32) float32 { return v*v + 0.5 })
+	variance := randVariance(rng, c)
 	ar := NewArena()
 	if 3*5 >= tapeBlock || 37*41 <= tapeBlock {
 		t.Fatalf("the planes must lie under and over the %d-element sub-chunk", tapeBlock)

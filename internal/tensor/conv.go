@@ -5,15 +5,10 @@ import (
 	"math"
 )
 
-// Conv2D computes a 2-D convolution in NCHW layout via im2col + GEMM.
-// x is (N, Cin, H, W); w is (Cout, Cin, KH, KW). stride and pad apply to
-// both spatial dimensions. bias (Cout) may be nil.
-func Conv2D(x, w, bias *Tensor, stride, pad int) *Tensor {
-	return Conv2DInto(nil, x, w, bias, stride, pad, nil)
-}
-
-// Conv2DInto computes Conv2D into out (allocated from ar when nil) as a
-// blocked implicit GEMM: out[b] (Cout × OH·OW) = w (Cout × K) · patches
+// Conv2DInto computes a 2-D convolution in NCHW layout into out (allocated
+// from ar when nil). x is (N, Cin, H, W); w is (Cout, Cin, KH, KW). stride
+// and pad apply to both spatial dimensions. bias (Cout) may be nil. It runs
+// as a blocked implicit GEMM: out[b] (Cout × OH·OW) = w (Cout × K) · patches
 // (K × OH·OW) with K = Cin·KH·KW. The patch matrix is never materialised
 // whole when it is wide: one parallel loop runs over (image, block of column
 // panels); each block unrolls its patches straight into packed panel order
@@ -343,13 +338,8 @@ func Conv2DNaive(x, w, bias *Tensor, stride, pad int) *Tensor {
 	return out
 }
 
-// MaxPool2D applies max pooling with the given square kernel and stride on
-// an NCHW tensor.
-func MaxPool2D(x *Tensor, kernel, stride, pad int) *Tensor {
-	return MaxPool2DInto(nil, x, kernel, stride, pad, nil)
-}
-
-// MaxPool2DInto applies max pooling into out (allocated from ar when nil).
+// MaxPool2DInto applies max pooling with the given square kernel and stride
+// on an NCHW tensor into out (allocated from ar when nil).
 // Each output is what the scan `if v > best { best = v }` from −Inf over
 // its window in row-major order gives — the first maximal element, NaN
 // skipped, −Inf for a window with no number — computed without a branch per
@@ -460,11 +450,8 @@ func (g *poolGeom) clip(o, n int) (lo, hi int) {
 	return max(0, o*g.stride-g.pad), min(n, o*g.stride-g.pad+g.k)
 }
 
-// GlobalAvgPool2D averages each channel's spatial plane: (N,C,H,W) → (N,C).
-func GlobalAvgPool2D(x *Tensor) *Tensor { return GlobalAvgPool2DInto(nil, x, nil) }
-
-// GlobalAvgPool2DInto averages each channel's spatial plane into out
-// (allocated from ar when nil).
+// GlobalAvgPool2DInto averages each channel's spatial plane, (N,C,H,W) →
+// (N,C), into out (allocated from ar when nil).
 func GlobalAvgPool2DInto(out *Tensor, x *Tensor, ar *Arena) *Tensor {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	out = intoShape(out, []int{n, c}, ar, "GlobalAvgPool2DInto")
@@ -544,14 +531,9 @@ func avgPlanes(dst, src []float32, lo, hi, plane int) {
 	}
 }
 
-// BatchNorm2D applies inference-mode batch normalisation on NCHW input using
-// per-channel scale gamma, shift beta, running mean and variance.
-func BatchNorm2D(x, gamma, beta, mean, variance *Tensor, eps float32) *Tensor {
-	return BatchNorm2DInto(nil, x, gamma, beta, mean, variance, eps, nil)
-}
-
-// BatchNorm2DInto applies inference-mode batch normalisation into out
-// (allocated from ar when nil): BatchNorm2DChainInto with no program.
+// BatchNorm2DInto applies inference-mode batch normalisation on NCHW input
+// using per-channel scale gamma, shift beta, running mean and variance into
+// out (allocated from ar when nil): BatchNorm2DChainInto with no program.
 func BatchNorm2DInto(out *Tensor, x, gamma, beta, mean, variance *Tensor, eps float32, ar *Arena) *Tensor {
 	return BatchNorm2DChainInto(out, x, gamma, beta, mean, variance, eps, nil, nil, nil, ar)
 }

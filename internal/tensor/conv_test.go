@@ -22,7 +22,7 @@ func TestConv2DMatchesNaive(t *testing.T) {
 		x := Rand(rng, 1, c.n, c.cin, c.h, c.w)
 		w := Rand(rng, 1, c.cout, c.cin, c.k, c.k)
 		bias := Rand(rng, 1, c.cout)
-		got := Conv2D(x, w, bias, c.stride, c.pad)
+		got := Conv2DInto(nil, x, w, bias, c.stride, c.pad, nil)
 		want := Conv2DNaive(x, w, bias, c.stride, c.pad)
 		if !AllClose(got, want, 1e-4, 1e-4) {
 			t.Fatalf("Conv2D %+v diverges from naive by %g", c, MaxAbsDiff(got, want))
@@ -180,13 +180,13 @@ func TestConv2DBitExact(t *testing.T) {
 		for _, workers := range []int{2, 1} {
 			SetMaxWorkers(workers)
 			var got *Tensor
-			if fannedOut(func() { got = Conv2D(x, w, bias, c.stride, c.pad) }) && workers == 2 {
+			if fannedOut(func() { got = Conv2DInto(nil, x, w, bias, c.stride, c.pad, nil) }) && workers == 2 {
 				pooled++
 			}
 			if !bitEqual(got, want) {
 				t.Errorf("Conv2D %+v workers=%d differs from im2col reference (max |Δ| %g)", c, workers, MaxAbsDiff(got, want))
 			}
-			if got := Conv2D(x, w, nil, c.stride, c.pad); !bitEqual(got, wantNoBias) {
+			if got := Conv2DInto(nil, x, w, nil, c.stride, c.pad, nil); !bitEqual(got, wantNoBias) {
 				t.Errorf("Conv2D %+v workers=%d nil bias differs from im2col reference", c, workers)
 			}
 			ar := NewArena()
@@ -215,7 +215,7 @@ func TestConv2DNilBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	x := Rand(rng, 1, 1, 2, 5, 5)
 	w := Rand(rng, 1, 3, 2, 3, 3)
-	got := Conv2D(x, w, nil, 1, 1)
+	got := Conv2DInto(nil, x, w, nil, 1, 1, nil)
 	want := Conv2DNaive(x, w, nil, 1, 1)
 	if !AllClose(got, want, 1e-4, 1e-4) {
 		t.Fatalf("nil-bias conv mismatch")
@@ -225,7 +225,7 @@ func TestConv2DNilBias(t *testing.T) {
 func TestConv2DOutputShape(t *testing.T) {
 	x := New(2, 3, 32, 32)
 	w := New(16, 3, 3, 3)
-	out := Conv2D(x, w, nil, 2, 1)
+	out := Conv2DInto(nil, x, w, nil, 2, 1, nil)
 	if !ShapeEq(out.Shape(), []int{2, 16, 16, 16}) {
 		t.Fatalf("conv output shape = %v, want [2 16 16 16]", out.Shape())
 	}
@@ -233,12 +233,12 @@ func TestConv2DOutputShape(t *testing.T) {
 
 func TestConv2DChannelMismatchPanics(t *testing.T) {
 	defer expectPanic(t, "channel mismatch")
-	Conv2D(New(1, 3, 8, 8), New(4, 2, 3, 3), nil, 1, 1)
+	Conv2DInto(nil, New(1, 3, 8, 8), New(4, 2, 3, 3), nil, 1, 1, nil)
 }
 
 func TestConv2DEmptyOutputPanics(t *testing.T) {
 	defer expectPanic(t, "empty output")
-	Conv2D(New(1, 1, 2, 2), New(1, 1, 5, 5), nil, 1, 0)
+	Conv2DInto(nil, New(1, 1, 2, 2), New(1, 1, 5, 5), nil, 1, 0, nil)
 }
 
 // fannedOut runs f and reports whether it took the pooled path: whether
@@ -266,7 +266,7 @@ func TestFanOutBoundary(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	x, w := Rand(rng, 1, 1, 64, 56, 56), Rand(rng, 1, 64, 64, 3, 3)
-	if !fannedOut(func() { Conv2D(x, w, nil, 1, 1) }) {
+	if !fannedOut(func() { Conv2DInto(nil, x, w, nil, 1, 1, nil) }) {
 		t.Error("a 64→64 3×3 conv over 56×56 ran serially")
 	}
 	SetMaxWorkers(1)
@@ -283,7 +283,7 @@ func TestPlaneKernelsSplitByWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	x := Rand(rng, 1, 2, 33, 56, 60)
 	gamma, beta, mean := Rand(rng, 1, 33), Rand(rng, 1, 33), Rand(rng, 1, 33)
-	variance := Rand(rng, 1, 33).Apply(func(v float32) float32 { return v*v + 0.5 })
+	variance := randVariance(rng, 33)
 	m := Rand(rng, 1, 400, 360)
 	rowG, rowB := Rand(rng, 1, 360), Rand(rng, 1, 360)
 	bias := Rand(rng, 1, 400)
@@ -291,14 +291,14 @@ func TestPlaneKernelsSplitByWork(t *testing.T) {
 		name string
 		run  func() *Tensor
 	}{
-		{"MaxPool2D", func() *Tensor { return MaxPool2D(x, 3, 2, 1) }},
+		{"MaxPool2D", func() *Tensor { return MaxPool2DInto(nil, x, 3, 2, 1, nil) }},
 		{"AvgPool2D", func() *Tensor { return AvgPool2DInto(nil, x, 3, 2, 1, nil) }},
-		{"GlobalAvgPool2D", func() *Tensor { return GlobalAvgPool2D(x) }},
-		{"BatchNorm2D", func() *Tensor { return BatchNorm2D(x, gamma, beta, mean, variance, 1e-5) }},
-		{"Transpose2D", func() *Tensor { return Transpose2D(m) }},
-		{"Softmax", func() *Tensor { return Softmax(m) }},
-		{"LayerNorm", func() *Tensor { return LayerNorm(m, rowG, rowB, 1e-5) }},
-		{"Linear+bias", func() *Tensor { return Linear(m, m, bias) }},
+		{"GlobalAvgPool2D", func() *Tensor { return GlobalAvgPool2DInto(nil, x, nil) }},
+		{"BatchNorm2D", func() *Tensor { return BatchNorm2DInto(nil, x, gamma, beta, mean, variance, 1e-5, nil) }},
+		{"Transpose2D", func() *Tensor { return Transpose2DInto(nil, m, nil) }},
+		{"Softmax", func() *Tensor { return SoftmaxInto(nil, m, nil) }},
+		{"LayerNorm", func() *Tensor { return LayerNormInto(nil, m, rowG, rowB, 1e-5, nil) }},
+		{"Linear+bias", func() *Tensor { return LinearInto(nil, m, m, bias, nil) }},
 	}
 	for _, k := range kernels {
 		SetMaxWorkers(1)
@@ -322,7 +322,7 @@ func TestMaxPool2D(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
-	out := MaxPool2D(x, 2, 2, 0)
+	out := MaxPool2DInto(nil, x, 2, 2, 0, nil)
 	want := FromSlice([]float32{6, 8, 14, 16}, 1, 1, 2, 2)
 	if !AllClose(out, want, 0, 0) {
 		t.Fatalf("MaxPool2D = %v, want %v", out, want)
@@ -336,7 +336,7 @@ func TestMaxPool2DMatchesDefinition(t *testing.T) {
 	x := Rand(rng, 1, 2, 3, 11, 9)
 	for _, p := range [][3]int{{3, 2, 1}, {2, 2, 0}, {3, 1, 1}, {2, 3, 2}} {
 		kernel, stride, pad := p[0], p[1], p[2]
-		got := MaxPool2D(x, kernel, stride, pad)
+		got := MaxPool2DInto(nil, x, kernel, stride, pad, nil)
 		for idx := 0; idx < got.Numel(); idx++ {
 			ow, oh := got.shape[3], got.shape[2]
 			nc, oi, oj := idx/(oh*ow), idx/ow%oh, idx%ow
@@ -358,7 +358,7 @@ func TestMaxPool2DMatchesDefinition(t *testing.T) {
 
 func TestMaxPool2DWithPadding(t *testing.T) {
 	x := FromSlice([]float32{-1, -2, -3, -4}, 1, 1, 2, 2)
-	out := MaxPool2D(x, 3, 2, 1)
+	out := MaxPool2DInto(nil, x, 3, 2, 1, nil)
 	// Padding cells are skipped (not treated as zero), so maxima stay negative.
 	if out.At(0, 0, 0, 0) != -1 {
 		t.Fatalf("padded MaxPool wrong: %v", out)
@@ -374,7 +374,7 @@ func TestMaxPool2DBelowOldSentinel(t *testing.T) {
 		lowest, inf, inf, inf,
 		inf, inf, inf, inf,
 	}, 1, 2, 2, 2)
-	out := MaxPool2D(x, 2, 2, 0)
+	out := MaxPool2DInto(nil, x, 2, 2, 0, nil)
 	if got := out.Data(); got[0] != lowest || got[1] != inf {
 		t.Fatalf("MaxPool2D of windows below -3.4e38 = %v, want [%g %g]", got, lowest, inf)
 	}
@@ -382,7 +382,7 @@ func TestMaxPool2DBelowOldSentinel(t *testing.T) {
 
 func TestGlobalAvgPool2D(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 4, 10, 20, 30, 40}, 1, 2, 2, 2)
-	out := GlobalAvgPool2D(x)
+	out := GlobalAvgPool2DInto(nil, x, nil)
 	if !ShapeEq(out.Shape(), []int{1, 2}) || out.At(0, 0) != 2.5 || out.At(0, 1) != 25 {
 		t.Fatalf("GlobalAvgPool2D = %v", out)
 	}
@@ -395,7 +395,7 @@ func TestBatchNorm2DIdentity(t *testing.T) {
 	beta := New(3)
 	mean := New(3)
 	variance := Ones(3)
-	out := BatchNorm2D(x, gamma, beta, mean, variance, 0)
+	out := BatchNorm2DInto(nil, x, gamma, beta, mean, variance, 0, nil)
 	if !AllClose(out, x, 1e-5, 1e-5) {
 		t.Fatalf("identity batchnorm changed values by %g", MaxAbsDiff(out, x))
 	}
@@ -407,7 +407,7 @@ func TestBatchNorm2DShiftScale(t *testing.T) {
 	beta := Full(1, 1)
 	mean := Full(2, 1)
 	variance := Ones(1)
-	out := BatchNorm2D(x, gamma, beta, mean, variance, 0)
+	out := BatchNorm2DInto(nil, x, gamma, beta, mean, variance, 0, nil)
 	// (2-2)/1*3+1 = 1 everywhere.
 	if out.At(0, 0, 0, 0) != 1 {
 		t.Fatalf("batchnorm math wrong: %v", out)

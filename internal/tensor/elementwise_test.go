@@ -10,16 +10,16 @@ import (
 func TestAddSubMulDiv(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float32{4, 3, 2, 1}, 2, 2)
-	if got := Add(a, b); got.Sum() != 20 {
+	if got := AddInto(nil, a, b, nil); got.Sum() != 20 {
 		t.Fatalf("Add sum = %v", got.Sum())
 	}
-	if got := Sub(a, b); got.At(0, 0) != -3 {
+	if got := SubInto(nil, a, b, nil); got.At(0, 0) != -3 {
 		t.Fatalf("Sub wrong")
 	}
-	if got := Mul(a, b); got.At(1, 1) != 4 {
+	if got := MulInto(nil, a, b, nil); got.At(1, 1) != 4 {
 		t.Fatalf("Mul wrong")
 	}
-	if got := Div(a, b); got.At(1, 1) != 4 {
+	if got := DivInto(nil, a, b, nil); got.At(1, 1) != 4 {
 		t.Fatalf("Div wrong")
 	}
 }
@@ -27,7 +27,7 @@ func TestAddSubMulDiv(t *testing.T) {
 func TestBroadcastRowVector(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	bias := FromSlice([]float32{10, 20, 30}, 3)
-	got := Add(a, bias)
+	got := AddInto(nil, a, bias, nil)
 	want := FromSlice([]float32{11, 22, 33, 14, 25, 36}, 2, 3)
 	if !AllClose(got, want, 0, 0) {
 		t.Fatalf("broadcast add = %v", got)
@@ -37,7 +37,7 @@ func TestBroadcastRowVector(t *testing.T) {
 func TestBroadcastScalar(t *testing.T) {
 	a := FromSlice([]float32{1, 2}, 2)
 	s := FromSlice([]float32{10}, 1)
-	got := Add(a, s)
+	got := AddInto(nil, a, s, nil)
 	if got.At(0) != 11 || got.At(1) != 12 {
 		t.Fatalf("scalar broadcast = %v", got)
 	}
@@ -45,13 +45,13 @@ func TestBroadcastScalar(t *testing.T) {
 
 func TestBinaryShapeMismatchPanics(t *testing.T) {
 	defer expectPanic(t, "shape mismatch")
-	Add(New(2, 3), New(2, 2))
+	AddInto(nil, New(2, 3), New(2, 2), nil)
 }
 
 func TestMaximum(t *testing.T) {
 	a := FromSlice([]float32{-1, 5}, 2)
 	b := FromSlice([]float32{0, 0}, 2)
-	got := Maximum(a, b)
+	got := MaximumInto(nil, a, b, nil)
 	if got.At(0) != 0 || got.At(1) != 5 {
 		t.Fatalf("Maximum = %v", got)
 	}
@@ -61,14 +61,14 @@ func TestReLUProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		x := Rand(rng, 10, 3, 7)
-		r := ReLU(x)
+		r := ReLUInto(nil, x, nil)
 		// Non-negative and idempotent.
 		for _, v := range r.Data() {
 			if v < 0 {
 				return false
 			}
 		}
-		return AllClose(ReLU(r), r, 0, 0)
+		return AllClose(ReLUInto(nil, r, nil), r, 0, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestReLUProperties(t *testing.T) {
 
 func TestSigmoidRange(t *testing.T) {
 	x := FromSlice([]float32{-100, -1, 0, 1, 100}, 5)
-	s := Sigmoid(x)
+	s := SigmoidInto(nil, x, nil)
 	if math.Abs(float64(s.At(2))-0.5) > 1e-6 {
 		t.Fatalf("sigmoid(0) = %v", s.At(2))
 	}
@@ -98,7 +98,7 @@ func TestTanhOdd(t *testing.T) {
 		}
 		x := FromSlice([]float32{v}, 1)
 		nx := FromSlice([]float32{-v}, 1)
-		return math.Abs(float64(Tanh(x).At(0)+Tanh(nx).At(0))) < 1e-6
+		return math.Abs(float64(TanhInto(nil, x, nil).At(0)+TanhInto(nil, nx, nil).At(0))) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -107,11 +107,11 @@ func TestTanhOdd(t *testing.T) {
 
 func TestExpSqrt(t *testing.T) {
 	x := FromSlice([]float32{0, 1}, 2)
-	e := Exp(x)
+	e := ExpInto(nil, x, nil)
 	if math.Abs(float64(e.At(0))-1) > 1e-6 || math.Abs(float64(e.At(1))-math.E) > 1e-5 {
 		t.Fatalf("Exp wrong: %v", e)
 	}
-	s := Sqrt(FromSlice([]float32{4, 9}, 2))
+	s := SqrtInto(nil, FromSlice([]float32{4, 9}, 2), nil)
 	if s.At(0) != 2 || s.At(1) != 3 {
 		t.Fatalf("Sqrt wrong: %v", s)
 	}
@@ -119,7 +119,7 @@ func TestExpSqrt(t *testing.T) {
 
 func TestGELUAnchors(t *testing.T) {
 	x := FromSlice([]float32{0, 10, -10}, 3)
-	g := GELU(x)
+	g := GELUInto(nil, x, nil)
 	if g.At(0) != 0 {
 		t.Fatalf("GELU(0) = %v", g.At(0))
 	}
@@ -131,14 +131,14 @@ func TestGELUAnchors(t *testing.T) {
 	}
 }
 
-func TestScaleAndApplyInPlace(t *testing.T) {
+func TestScaleInto(t *testing.T) {
 	a := FromSlice([]float32{1, 2}, 2)
-	if got := a.Scale(3); got.At(1) != 6 {
-		t.Fatalf("Scale wrong")
+	if got := ScaleInto(nil, a, 3, nil); got.At(1) != 6 {
+		t.Fatalf("ScaleInto wrong")
 	}
-	a.ApplyInPlace(func(v float32) float32 { return v + 1 })
-	if a.At(0) != 2 {
-		t.Fatalf("ApplyInPlace wrong")
+	ScaleInto(a, a, 3, nil)
+	if a.At(0) != 3 {
+		t.Fatalf("ScaleInto in place wrong")
 	}
 }
 

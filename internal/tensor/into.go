@@ -5,11 +5,9 @@ import (
 	"math"
 )
 
-// Arena-aware kernel variants. Each XxxInto mirrors its allocating
-// counterpart exactly (same loop structure, same accumulation order, so
-// results are bit-identical) but writes into out, allocating the
-// destination from ar only when out is nil. The allocating wrappers in
-// elementwise.go / nn.go delegate here with a nil arena.
+// Arena-aware kernels. Each XxxInto writes into out, allocating the
+// destination from ar only when out is nil; a nil ar means plain
+// allocation.
 
 func checkInto(out *Tensor, shape []int, name string) {
 	if !ShapeEq(out.shape, shape) {
@@ -68,7 +66,8 @@ func binaryChunk(op ChainOp, mode argMode, dst, a, b []float32, lo int) {
 	}
 }
 
-// AddInto computes a + b (broadcasting b) into out.
+// AddInto computes a + b into out, broadcasting b over a's trailing
+// dimension or as a scalar.
 func AddInto(out *Tensor, a, b *Tensor, ar *Arena) *Tensor {
 	return binaryOpInto(out, a, b, ar, "Add", ChainAdd)
 }
@@ -130,7 +129,8 @@ func SqrtInto(out *Tensor, t *Tensor, ar *Arena) *Tensor {
 	return unaryInto(out, t, ar, "SqrtInto", ChainSqrt)
 }
 
-// GELUInto computes the tanh-approximated GELU into out.
+// GELUInto computes the tanh-approximated Gaussian error linear unit into
+// out, the activation of Transformer feed-forward blocks (MT-DNN).
 func GELUInto(out *Tensor, t *Tensor, ar *Arena) *Tensor {
 	return unaryInto(out, t, ar, "GELUInto", ChainGELU)
 }
@@ -189,7 +189,8 @@ func softmaxRows(dst, src []float32, k int, scale float32, lo, hi int) {
 	}
 }
 
-// LayerNormInto normalises the last dimension into out.
+// LayerNormInto normalises the last dimension into out to zero mean / unit
+// variance and applies per-feature gamma and beta.
 func LayerNormInto(out *Tensor, t, gamma, beta *Tensor, eps float32, ar *Arena) *Tensor {
 	k := t.Dim(-1)
 	if gamma.Numel() != k || beta.Numel() != k {
@@ -230,7 +231,7 @@ func layerNormRows(dst, src, gamma, beta []float32, k int, eps float32, lo, hi i
 }
 
 // ConcatInto concatenates ts along axis into out (allocated from ar when
-// nil).
+// nil). All other dimensions must match.
 func ConcatInto(out *Tensor, axis int, ar *Arena, ts ...*Tensor) *Tensor {
 	if len(ts) == 0 {
 		panic("tensor: Concat of zero tensors")
@@ -274,7 +275,8 @@ func ConcatInto(out *Tensor, axis int, ar *Arena, ts ...*Tensor) *Tensor {
 	return out
 }
 
-// EmbeddingInto gathers rows of table (V×D) by ids into out.
+// EmbeddingInto gathers rows of table (V×D) by ids into out (len(ids)×D);
+// every id must be a valid row index.
 func EmbeddingInto(out *Tensor, table *Tensor, ids []int, ar *Arena) *Tensor {
 	if len(table.shape) != 2 {
 		panic("tensor: Embedding table must be 2-D")
@@ -291,7 +293,7 @@ func EmbeddingInto(out *Tensor, table *Tensor, ids []int, ar *Arena) *Tensor {
 }
 
 // CosineSimilarityInto computes the rowwise cosine similarity of two (B, D)
-// tensors into out (B, 1).
+// tensors into out (B, 1) — the similarity head of the Siamese network.
 func CosineSimilarityInto(out *Tensor, a, b *Tensor, ar *Arena) *Tensor {
 	if !a.SameShape(b) || len(a.shape) != 2 {
 		panic(fmt.Sprintf("tensor: CosineSimilarity requires matching 2-D tensors, got %v, %v", a.shape, b.shape))

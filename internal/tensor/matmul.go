@@ -2,9 +2,6 @@ package tensor
 
 import "fmt"
 
-// MatMul returns the matrix product a(M×K) · b(K×N).
-func MatMul(a, b *Tensor) *Tensor { return MatMulInto(nil, a, b, nil) }
-
 // MatMulInto computes a(M×K) · b(K×N) through the packed kernel. When out
 // is nil a destination is taken from ar (or the plain allocator if ar is
 // nil); otherwise out must already have shape M×N and is overwritten.
@@ -36,13 +33,9 @@ func MatMulInto(out *Tensor, a, b *Tensor, ar *Arena) *Tensor {
 	return out
 }
 
-// Linear returns x·wᵀ + bias for x(M×K), w(N×K), bias(N) — the dense-layer
-// convention used throughout the model zoo. bias may be nil.
-func Linear(x, w, bias *Tensor) *Tensor {
-	return LinearInto(nil, x, w, bias, nil)
-}
-
-// LinearInto computes x·wᵀ + bias into out (allocated from ar when nil).
+// LinearInto computes x·wᵀ + bias into out (allocated from ar when nil)
+// for x(M×K), w(N×K), bias(N) — the dense-layer convention used throughout
+// the model zoo. bias may be nil.
 // The weight is packed as a transposed B operand; a pinned weight is packed
 // once and keeps its panels. The bias is added in a single pass over each
 // output row. For a fused epilogue program after the bias, see
@@ -85,9 +78,6 @@ func linearGEMM(out *Tensor, x, w, bias *Tensor, ar *Arena) *Tensor {
 	ar.dropScratch(scratch)
 	return out
 }
-
-// BatchMatMul multiplies two 3-D tensors batchwise: a(B×M×K) · b(B×K×N).
-func BatchMatMul(a, b *Tensor) *Tensor { return BatchMatMulInto(nil, a, b, nil) }
 
 // BatchMatMulInto multiplies a(B×M×K) · b(B×K×N) batchwise through the
 // packed kernel, reusing one pack buffer across batches.
@@ -193,7 +183,7 @@ func packBTransposed(bp, w []float32, k, n, ld, lo, hi int) {
 }
 
 // addBias adds the bias row-broadcast to each row of c (bias-after-sum
-// order matches the naive Linear reference).
+// order matches the naive reference).
 func addBias(c []float32, m, n int, bias []float32) {
 	if parts, grain := fanOut(m, float64(m*n)*nsStream); parts > 1 {
 		ParallelForChunked(m, parts, grain, func(lo, hi int) {
@@ -230,9 +220,6 @@ func MatMulNaive(a, b *Tensor) *Tensor {
 	}
 	return out
 }
-
-// Transpose2D returns the transpose of a 2-D tensor.
-func Transpose2D(t *Tensor) *Tensor { return Transpose2DInto(nil, t, nil) }
 
 // Transpose2DInto transposes a 2-D tensor into out (allocated from ar when
 // nil).

@@ -2,18 +2,6 @@ package tensor
 
 import "fmt"
 
-// Softmax applies a numerically stable softmax along the last dimension.
-func Softmax(t *Tensor) *Tensor { return SoftmaxInto(nil, t, nil) }
-
-// LayerNorm normalises the last dimension to zero mean / unit variance and
-// applies per-feature gamma and beta.
-func LayerNorm(t, gamma, beta *Tensor, eps float32) *Tensor {
-	return LayerNormInto(nil, t, gamma, beta, eps, nil)
-}
-
-// Concat concatenates tensors along axis. All other dimensions must match.
-func Concat(axis int, ts ...*Tensor) *Tensor { return ConcatInto(nil, axis, nil, ts...) }
-
 // Split slices t along axis into parts with the given sizes (must sum to the
 // axis length).
 func Split(t *Tensor, axis int, sizes []int) []*Tensor {
@@ -51,11 +39,3 @@ func Split(t *Tensor, axis int, sizes []int) []*Tensor {
 	}
 	return parts
 }
-
-// Embedding gathers rows of table (V×D) by integer ids stored in ids
-// (any shape, values must be valid row indices), producing shape ids×D.
-func Embedding(table *Tensor, ids []int) *Tensor { return EmbeddingInto(nil, table, ids, nil) }
-
-// CosineSimilarity returns the rowwise cosine similarity of two (B, D)
-// tensors as a (B, 1) tensor — the similarity head of the Siamese network.
-func CosineSimilarity(a, b *Tensor) *Tensor { return CosineSimilarityInto(nil, a, b, nil) }

@@ -13,7 +13,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 		rows := 1 + rng.Intn(5)
 		cols := 1 + rng.Intn(12)
 		x := Rand(rng, 5, rows, cols)
-		s := Softmax(x)
+		s := SoftmaxInto(nil, x, nil)
 		for r := 0; r < rows; r++ {
 			var sum float64
 			for c := 0; c < cols; c++ {
@@ -37,15 +37,15 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 func TestSoftmaxShiftInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	x := Rand(rng, 2, 3, 7)
-	shifted := x.Apply(func(v float32) float32 { return v + 100 })
-	if !AllClose(Softmax(x), Softmax(shifted), 1e-4, 1e-4) {
+	shifted := AddInto(nil, x, Full(100, 1), nil)
+	if !AllClose(SoftmaxInto(nil, x, nil), SoftmaxInto(nil, shifted, nil), 1e-4, 1e-4) {
 		t.Fatalf("softmax not shift-invariant")
 	}
 }
 
 func TestSoftmaxPreservesArgmax(t *testing.T) {
 	x := FromSlice([]float32{0.1, 5, -2}, 1, 3)
-	if Softmax(x).ArgMax() != 1 {
+	if SoftmaxInto(nil, x, nil).ArgMax() != 1 {
 		t.Fatalf("softmax moved the argmax")
 	}
 }
@@ -53,7 +53,7 @@ func TestSoftmaxPreservesArgmax(t *testing.T) {
 func TestLayerNormStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	x := Rand(rng, 3, 4, 16)
-	out := LayerNorm(x, Ones(16), New(16), 1e-5)
+	out := LayerNormInto(nil, x, Ones(16), New(16), 1e-5, nil)
 	for r := 0; r < 4; r++ {
 		row := out.Row(r)
 		if math.Abs(row.Mean()) > 1e-4 {
@@ -72,7 +72,7 @@ func TestLayerNormStats(t *testing.T) {
 
 func TestLayerNormGammaBeta(t *testing.T) {
 	x := FromSlice([]float32{-1, 1}, 1, 2)
-	out := LayerNorm(x, Full(2, 2), Full(3, 2), 0)
+	out := LayerNormInto(nil, x, Full(2, 2), Full(3, 2), 0, nil)
 	// normalised = [-1, 1]; out = [-2+3, 2+3] = [1, 5]
 	if out.At(0, 0) != 1 || out.At(0, 1) != 5 {
 		t.Fatalf("LayerNorm affine wrong: %v", out)
@@ -82,16 +82,16 @@ func TestLayerNormGammaBeta(t *testing.T) {
 func TestConcatAxis0And1(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float32{5, 6}, 1, 2)
-	c0 := Concat(0, a, b)
+	c0 := ConcatInto(nil, 0, nil, a, b)
 	if !ShapeEq(c0.Shape(), []int{3, 2}) || c0.At(2, 1) != 6 {
 		t.Fatalf("Concat axis0 wrong: %v", c0)
 	}
 	d := FromSlice([]float32{7, 8}, 2, 1)
-	c1 := Concat(1, a, d)
+	c1 := ConcatInto(nil, 1, nil, a, d)
 	if !ShapeEq(c1.Shape(), []int{2, 3}) || c1.At(0, 2) != 7 || c1.At(1, 2) != 8 {
 		t.Fatalf("Concat axis1 wrong: %v", c1)
 	}
-	cn := Concat(-1, a, d)
+	cn := ConcatInto(nil, -1, nil, a, d)
 	if !AllClose(cn, c1, 0, 0) {
 		t.Fatalf("negative axis concat mismatch")
 	}
@@ -99,7 +99,7 @@ func TestConcatAxis0And1(t *testing.T) {
 
 func TestConcatMismatchPanics(t *testing.T) {
 	defer expectPanic(t, "concat mismatch")
-	Concat(0, New(2, 2), New(2, 3))
+	ConcatInto(nil, 0, nil, New(2, 2), New(2, 3))
 }
 
 func TestSplitInvertsConcat(t *testing.T) {
@@ -111,7 +111,7 @@ func TestSplitInvertsConcat(t *testing.T) {
 		for i, s := range sizes {
 			parts[i] = Rand(rng, 1, rows, s)
 		}
-		joined := Concat(1, parts...)
+		joined := ConcatInto(nil, 1, nil, parts...)
 		back := Split(joined, 1, sizes)
 		for i := range parts {
 			if !AllClose(back[i], parts[i], 0, 0) {
@@ -132,7 +132,7 @@ func TestSplitBadSizesPanics(t *testing.T) {
 
 func TestEmbedding(t *testing.T) {
 	table := FromSlice([]float32{0, 0, 1, 1, 2, 2}, 3, 2)
-	out := Embedding(table, []int{2, 0, 1, 2})
+	out := EmbeddingInto(nil, table, []int{2, 0, 1, 2}, nil)
 	want := FromSlice([]float32{2, 2, 0, 0, 1, 1, 2, 2}, 4, 2)
 	if !AllClose(out, want, 0, 0) {
 		t.Fatalf("Embedding = %v", out)
@@ -141,7 +141,7 @@ func TestEmbedding(t *testing.T) {
 
 func TestEmbeddingOutOfRangePanics(t *testing.T) {
 	defer expectPanic(t, "bad id")
-	Embedding(New(3, 2), []int{3})
+	EmbeddingInto(nil, New(3, 2), []int{3}, nil)
 }
 
 func TestLSTMCellZeroWeightsKeepsState(t *testing.T) {
@@ -200,7 +200,7 @@ func TestGRUCellZeroWeights(t *testing.T) {
 func TestCosineSimilarity(t *testing.T) {
 	a := FromSlice([]float32{1, 0, 0, 1}, 2, 2)
 	b := FromSlice([]float32{2, 0, 1, 0}, 2, 2)
-	out := CosineSimilarity(a, b)
+	out := CosineSimilarityInto(nil, a, b, nil)
 	if math.Abs(float64(out.At(0, 0))-1) > 1e-6 {
 		t.Fatalf("parallel vectors cos = %v, want 1", out.At(0, 0))
 	}
@@ -212,7 +212,7 @@ func TestCosineSimilarity(t *testing.T) {
 func TestCosineSimilarityZeroVector(t *testing.T) {
 	a := New(1, 3)
 	b := Ones(1, 3)
-	if CosineSimilarity(a, b).At(0, 0) != 0 {
+	if CosineSimilarityInto(nil, a, b, nil).At(0, 0) != 0 {
 		t.Fatalf("zero vector similarity should be 0")
 	}
 }

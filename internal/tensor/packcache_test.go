@@ -15,7 +15,7 @@ import (
 //go:noinline
 func packOnce(t *testing.T, rng *rand.Rand, x *Tensor, base PackCacheStats) {
 	w := Rand(rng, 1, 32, 64).MarkPinned()
-	Linear(x, w.Reshape(32, 64), nil)
+	LinearInto(nil, x, w.Reshape(32, 64), nil, nil)
 	st := PackCacheSnapshot()
 	if st.Entries != base.Entries+1 || st.Bytes != base.Bytes+int64(4*packedSize(64, 32)) {
 		t.Fatalf("packing one weight: %+v -> %+v", base, st)
@@ -30,7 +30,7 @@ func TestPackedPanelsDieWithTheWeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	x := Rand(rng, 1, 2, 64)
 	keep := Rand(rng, 1, 16, 64).MarkPinned()
-	Linear(x, keep, nil)
+	LinearInto(nil, x, keep, nil, nil)
 	base := PackCacheSnapshot()
 	packOnce(t, rng, x, base)
 	for try := 0; try < 100; try++ {
@@ -56,14 +56,14 @@ func TestResetPackCacheRepacksLiveWeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	x := Rand(rng, 1, 3, 40)
 	w := Rand(rng, 1, 21, 40).MarkPinned()
-	want := Linear(x, w, nil)
+	want := LinearInto(nil, x, w, nil, nil)
 	ResetPackCache()
 	before := PackCacheSnapshot()
 	if before.Entries != 0 || before.Bytes != 0 {
 		t.Fatalf("reset left residue: %+v", before)
 	}
 	for i := 0; i < 3; i++ {
-		if got := Linear(x, w, nil); !bitEqual(got, want) {
+		if got := LinearInto(nil, x, w, nil, nil); !bitEqual(got, want) {
 			t.Fatalf("call %d after reset differs", i)
 		}
 	}
@@ -127,8 +127,8 @@ func TestPackedPanelsConcurrentFirstUse(t *testing.T) {
 	xt := Rand(rng, 1, 3, 40) // Linear: w as transposed B
 	xr := Rand(rng, 1, 3, 48) // MatMul: w as row-major B
 	xv := Rand(rng, 1, 3, 80) // Linear on a 24×80 view of w: same slot, other dims
-	wantT, wantR := Linear(xt, w, nil), MatMul(xr, w)
-	wantV := Linear(xv, w.Reshape(24, 80), nil)
+	wantT, wantR := LinearInto(nil, xt, w, nil, nil), MatMulInto(nil, xr, w, nil)
+	wantV := LinearInto(nil, xv, w.Reshape(24, 80), nil, nil)
 	w.MarkPinned()
 	view := w.Reshape(48, 40)
 
@@ -144,7 +144,7 @@ func TestPackedPanelsConcurrentFirstUse(t *testing.T) {
 		go func() {
 			defer done.Done()
 			start.Wait()
-			if !bitEqual(Linear(xt, b, nil), wantT) || !bitEqual(MatMul(xr, b), wantR) {
+			if !bitEqual(LinearInto(nil, xt, b, nil, nil), wantT) || !bitEqual(MatMulInto(nil, xr, b, nil), wantR) {
 				t.Error("cold concurrent product differs from the serial result")
 			}
 		}()
@@ -176,8 +176,8 @@ func TestPackedPanelsConcurrentFirstUse(t *testing.T) {
 		go func() {
 			defer done.Done()
 			for i := 0; i < 200; i++ {
-				if !bitEqual(Linear(xt, view, nil), wantT) || !bitEqual(MatMul(xr, w), wantR) ||
-					!bitEqual(Linear(xv, w.Reshape(24, 80), nil), wantV) {
+				if !bitEqual(LinearInto(nil, xt, view, nil, nil), wantT) || !bitEqual(MatMulInto(nil, xr, w, nil), wantR) ||
+					!bitEqual(LinearInto(nil, xv, w.Reshape(24, 80), nil, nil), wantV) {
 					t.Error("product under concurrent reset / re-dimension differs from the serial result")
 					return
 				}

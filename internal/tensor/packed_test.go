@@ -56,7 +56,7 @@ func TestMatMulPackedBitExact(t *testing.T) {
 		m, k, n := s[0], s[1], s[2]
 		a := Rand(rng, 1, m, k)
 		b := Rand(rng, 1, k, n)
-		got := MatMul(a, b)
+		got := MatMulInto(nil, a, b, nil)
 		want := MatMulNaive(a, b)
 		if !bitEqual(got, want) {
 			t.Errorf("MatMul %dx%dx%d differs from naive (max |Δ| %g)", m, k, n, MaxAbsDiff(got, want))
@@ -98,7 +98,7 @@ func TestLinearPackedBitExact(t *testing.T) {
 		x := Rand(rng, 1, m, k)
 		w := Rand(rng, 1, n, k)
 		bias := Rand(rng, 1, n)
-		got := Linear(x, w, bias)
+		got := LinearInto(nil, x, w, bias, nil)
 		want := linearNaive(x, w, bias)
 		if !bitEqual(got, want) {
 			t.Errorf("Linear %dx%dx%d differs from naive reference", m, k, n)
@@ -117,15 +117,15 @@ func TestFusedEpiloguesBitExact(t *testing.T) {
 		bias := Rand(rng, 1, n)
 		relu := mustCompileChain(t, []Instr{{Op: ChainReLU}}, []int{m, n}, nil)
 		sigm := mustCompileChain(t, []Instr{{Op: ChainSigmoid}}, []int{m, n}, nil)
-		base := Linear(x, w, bias)
-		if got := LinearChain(x, w, bias, relu, nil, nil); !bitEqual(got, ReLU(base)) {
+		base := LinearInto(nil, x, w, bias, nil)
+		if got := LinearChainInto(nil, x, w, bias, relu, nil, nil, nil); !bitEqual(got, ReLUInto(nil, base, nil)) {
 			t.Errorf("LinearChain ReLU %dx%dx%d differs from unfused", m, k, n)
 		}
-		if got := LinearChain(x, w, bias, sigm, nil, nil); !bitEqual(got, Sigmoid(base)) {
+		if got := LinearChainInto(nil, x, w, bias, sigm, nil, nil, nil); !bitEqual(got, SigmoidInto(nil, base, nil)) {
 			t.Errorf("LinearChain Sigmoid %dx%dx%d differs from unfused", m, k, n)
 		}
-		noBias := Linear(x, w, nil)
-		if got := LinearChain(x, w, nil, relu, nil, nil); !bitEqual(got, ReLU(noBias)) {
+		noBias := LinearInto(nil, x, w, nil, nil)
+		if got := LinearChainInto(nil, x, w, nil, relu, nil, nil, nil); !bitEqual(got, ReLUInto(nil, noBias, nil)) {
 			t.Errorf("LinearChain ReLU (nil bias) %dx%dx%d differs from unfused", m, k, n)
 		}
 	}
@@ -139,7 +139,7 @@ func TestBatchMatMulPackedBitExact(t *testing.T) {
 		bs, m, k, n := s[0], s[1], s[2], s[3]
 		a := Rand(rng, 1, bs, m, k)
 		b := Rand(rng, 1, bs, k, n)
-		got := BatchMatMul(a, b)
+		got := BatchMatMulInto(nil, a, b, nil)
 		for i := 0; i < bs; i++ {
 			ai := FromSlice(a.data[i*m*k:(i+1)*m*k], m, k)
 			bi := FromSlice(b.data[i*k*n:(i+1)*k*n], k, n)
@@ -161,9 +161,9 @@ func TestPackCacheReuse(t *testing.T) {
 	x := Rand(rng, 1, 3, 64)
 	w := Rand(rng, 1, 32, 64).MarkPinned()
 	before := PackCacheSnapshot()
-	Linear(x, w, nil)
-	Linear(x, w, nil)
-	Linear(x, w, nil)
+	LinearInto(nil, x, w, nil, nil)
+	LinearInto(nil, x, w, nil, nil)
+	LinearInto(nil, x, w, nil, nil)
 	st := PackCacheSnapshot()
 	if st.Entries != before.Entries+1 {
 		t.Fatalf("want one new cache entry, got %d -> %d", before.Entries, st.Entries)
@@ -172,7 +172,7 @@ func TestPackCacheReuse(t *testing.T) {
 		t.Errorf("want 2 cache hits, got %d", hits)
 	}
 	u := Rand(rng, 1, 32, 64) // unpinned
-	Linear(x, u, nil)
+	LinearInto(nil, x, u, nil, nil)
 	if after := PackCacheSnapshot(); after.Entries != st.Entries {
 		t.Errorf("unpinned operand left a resident panel: %d -> %d", st.Entries, after.Entries)
 	}
@@ -322,9 +322,9 @@ func TestSetMaxWorkersSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	a := Rand(rng, 1, 70, 90)
 	b := Rand(rng, 1, 90, 50)
-	pooled := MatMul(a, b)
+	pooled := MatMulInto(nil, a, b, nil)
 	SetMaxWorkers(1)
-	serial := MatMul(a, b)
+	serial := MatMulInto(nil, a, b, nil)
 	SetMaxWorkers(0)
 	if !bitEqual(pooled, serial) {
 		t.Error("serial and pooled MatMul disagree")
@@ -350,6 +350,16 @@ func linearNaive(x, w, bias *Tensor) *Tensor {
 		}
 	}
 	return out
+}
+
+// randVariance draws c batch-norm variances v²+0.5 for v uniform in
+// [-1, 1).
+func randVariance(src rand.Source, c int) *Tensor {
+	v := Rand(src, 1, c)
+	for i, x := range v.data {
+		v.data[i] = x*x + 0.5
+	}
+	return v
 }
 
 // bitEqual reports exact float32 equality (by bits via ==; all test inputs

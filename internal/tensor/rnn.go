@@ -185,7 +185,7 @@ func rnnSplit(steps, b, hd, gates int) (parts, per int) {
 // x: (B, In); h, c: (B, H); wx: (4H, In); wh: (4H, H); bias: (4H).
 // Gate order is [input, forget, cell, output]. Returns (h', c').
 func LSTMCell(x, h, c, wx, wh, bias *Tensor) (*Tensor, *Tensor) {
-	gx, gh := Linear(x, wx, bias), Linear(h, wh, nil)
+	gx, gh := LinearInto(nil, x, wx, bias, nil), LinearInto(nil, h, wh, nil, nil)
 	b, hd := h.shape[0], h.shape[1]
 	hn, c := New(b, hd), c.Clone()
 	lstmRows(rnnStep{gx: gx.data, gh: gh.data, hIn: h.data, hOut: hn.data, c: c.data,
@@ -197,7 +197,7 @@ func LSTMCell(x, h, c, wx, wh, bias *Tensor) (*Tensor, *Tensor) {
 // x: (B, In); h: (B, H); wx: (3H, In); wh: (3H, H); bias: (3H).
 // Gate order is [reset, update, new]. Returns h'.
 func GRUCell(x, h, wx, wh, bias *Tensor) *Tensor {
-	gx, gh := Linear(x, wx, bias), Linear(h, wh, nil)
+	gx, gh := LinearInto(nil, x, wx, bias, nil), LinearInto(nil, h, wh, nil, nil)
 	b, hd := h.shape[0], h.shape[1]
 	hn := New(b, hd)
 	gruRows(rnnStep{gx: gx.data, gh: gh.data, hIn: h.data, hOut: hn.data,

@@ -42,7 +42,7 @@ func tile(v *tensor.Tensor, shape ...int) *tensor.Tensor {
 }
 
 func exec(kind string, in ...*tensor.Tensor) *tensor.Tensor {
-	return ops.MustLookup(kind).Exec(nil, in)
+	return ops.MustLookup(kind).Exec(nil, in, nil)
 }
 
 func sameBits(a, b *tensor.Tensor) (int, bool) {
@@ -100,7 +100,7 @@ func TestTapeEdgeValues(t *testing.T) {
 			for _, workers := range []int{1, 2} {
 				tensor.SetMaxWorkers(workers)
 				before := tensor.FanOuts()
-				got := tensor.Chain(x, p, args, nil)
+				got := tensor.ChainInto(nil, x, p, args, nil, nil)
 				tensor.SetMaxWorkers(0)
 				if workers == 2 && m == 211 && tensor.FanOuts() == before {
 					t.Errorf("%v %s: ran serially at width 2", shape, name)
