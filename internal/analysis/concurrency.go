@@ -10,7 +10,7 @@ import (
 
 // This file holds the concurrency analyzers: lockorder (consistent mutex
 // acquisition order), chanleak (goroutines parked forever on a send when an
-// error path returns early), and sharednoescape (ParallelFor bodies racing
+// error path returns early), and sharednoescape (ParallelForChunked bodies racing
 // on captured state). Like the rest of the suite they are purely syntactic:
 // lock classes and channel identities are resolved by name and declared
 // type, which is exact for this codebase's idioms (locks are `x.mu` fields
@@ -444,7 +444,7 @@ func declPosIdent(as *ast.AssignStmt, name string) token.Pos {
 	return token.NoPos
 }
 
-// SharedNoEscape reports ParallelFor/ParallelForChunked bodies, and the item
+// SharedNoEscape reports ParallelForChunked bodies, and the item
 // bodies of package tensor's unexported step loop (stepLoop), whose workers
 // race on captured state: assigning a captured variable (every worker
 // writes the same scalar or slice header), or writing a captured slice at
@@ -454,7 +454,7 @@ func declPosIdent(as *ast.AssignStmt, name string) token.Pos {
 func SharedNoEscape() *Analyzer {
 	return &Analyzer{
 		Name: "sharednoescape",
-		Doc:  "report ParallelFor bodies assigning captured variables or writing loop-invariant indices",
+		Doc:  "report ParallelForChunked bodies assigning captured variables or writing loop-invariant indices",
 		Run: func(p *Pass) {
 			for _, f := range p.Files {
 				imports := fileImports(f)
@@ -488,10 +488,10 @@ func isParallelFor(call *ast.CallExpr, tensorName string, inTensorPkg bool) bool
 		return false
 	}
 	if qual, name, ok := calleeOf(call); ok {
-		return tensorName != "" && qual == tensorName && (name == "ParallelFor" || name == "ParallelForChunked")
+		return tensorName != "" && qual == tensorName && name == "ParallelForChunked"
 	}
 	if id, ok := call.Fun.(*ast.Ident); ok && inTensorPkg {
-		return id.Name == "ParallelFor" || id.Name == "ParallelForChunked" || id.Name == "stepLoop"
+		return id.Name == "ParallelForChunked" || id.Name == "stepLoop"
 	}
 	return false
 }

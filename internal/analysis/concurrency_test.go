@@ -270,7 +270,7 @@ import "duet/internal/tensor"
 
 func sum(data []float32) float32 {
 	var total float32
-	tensor.ParallelFor(len(data), func(lo, hi int) {
+	tensor.ParallelForChunked(len(data), 2, 64, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			total += data[i]
 		}
@@ -287,7 +287,7 @@ func sum(data []float32) float32 {
 import "duet/internal/tensor"
 
 func fill(out []float32, j int) {
-	tensor.ParallelFor(len(out), func(lo, hi int) {
+	tensor.ParallelForChunked(len(out), 2, 64, func(lo, hi int) {
 		out[0] = 1
 		out[j] = 2
 	})
@@ -306,7 +306,7 @@ import "duet/internal/tensor"
 
 func gather(data []float32) []float32 {
 	var hits []float32
-	tensor.ParallelFor(len(data), func(lo, hi int) {
+	tensor.ParallelForChunked(len(data), 2, 64, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			hits = append(hits, data[i])
 		}
@@ -325,7 +325,7 @@ import "duet/internal/tensor"
 type T struct{ data []float32 }
 
 func (t *T) apply(f func(float32) float32) {
-	tensor.ParallelFor(len(t.data), func(lo, hi int) {
+	tensor.ParallelForChunked(len(t.data), 2, 64, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			t.data[i] = f(t.data[i])
 		}
@@ -347,11 +347,14 @@ func chunked(dst, src []float32) {
 	t.Run("bare calls inside package tensor are covered", func(t *testing.T) {
 		diags := runOn(t, suite, map[string]string{"a.go": `package tensor
 
-func ParallelFor(n int, body func(lo, hi int)) {}
+func ParallelForChunked(n, parts, grain int, body func(lo, hi int)) {}
+
+func fanOut(n int, ns float64) (parts, grain int) { return 2, n / 8 }
 
 func bad(data []float32) float32 {
 	var total float32
-	ParallelFor(len(data), func(lo, hi int) {
+	parts, grain := fanOut(len(data), float64(len(data)))
+	ParallelForChunked(len(data), parts, grain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			total += data[i]
 		}
@@ -389,11 +392,11 @@ func bad(h []float32, per int) int {
 
 type fake struct{}
 
-func (fake) ParallelFor(n int, body func(lo, hi int)) {}
+func (fake) ParallelForChunked(n, parts, grain int, body func(lo, hi int)) {}
 
 func ok(data []float32) float32 {
 	var total float32
-	fake{}.ParallelFor(len(data), func(lo, hi int) { total = 1 })
+	fake{}.ParallelForChunked(len(data), 2, 64, func(lo, hi int) { total = 1 })
 	return total
 }
 `})

@@ -72,11 +72,13 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
+// BenchmarkGEMV times the batch-1 dense-layer shape that dominates
+// inference. The weight is pinned, as a model's are, so its panels are
+// packed once and the loop times the product itself.
 func BenchmarkGEMV(b *testing.B) {
-	// The batch-1 dense-layer shape that dominates inference.
 	rng := rand.New(rand.NewSource(2))
 	x := Rand(rng, 1, 1, 1024)
-	w := Rand(rng, 1, 1024, 1024)
+	w := Rand(rng, 1, 1024, 1024).MarkPinned()
 	bias := Rand(rng, 1, 1024)
 	b.SetBytes(4 * 1024 * 1024)
 	b.ResetTimer()
@@ -436,11 +438,16 @@ func BenchmarkSoftmax(b *testing.B) {
 	}
 }
 
+// BenchmarkParallelForOverhead runs 65,536 streamed elements through
+// ParallelForChunked with the parts and grain fanOut picks for them — one
+// part, as they are under two hand-offs' worth — so it times the serial
+// loop that prices nsStream.
 func BenchmarkParallelForOverhead(b *testing.B) {
 	buf := make([]float32, 1<<16)
+	parts, grain := fanOut(len(buf), float64(len(buf))*nsStream)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ParallelFor(len(buf), func(lo, hi int) {
+		ParallelForChunked(len(buf), parts, grain, func(lo, hi int) {
 			for j := lo; j < hi; j++ {
 				buf[j]++
 			}
@@ -508,22 +515,56 @@ func BenchmarkPoolWake(b *testing.B) {
 }
 
 // BenchmarkRand times weight initialisation per element: the bulk fill from
-// a *RNG against the per-element path over a *rand.Rand, which draws the
-// same bits.
+// a *RNG on the vector path (fillPS, where the machine has it) and on the
+// scalar loop (at the portable tier), against the per-element path over a
+// *rand.Rand, which draws the same bits.
 func BenchmarkRand(b *testing.B) {
 	const n = 1 << 20
 	for _, s := range []struct {
 		name string
 		src  rand.Source
+		tier kernelTier
 	}{
-		{"RNG", NewRNG(1)},
-		{"math_rand", rand.New(rand.NewSource(1))},
+		{"RNG/vector", NewRNG(1), tier},
+		{"RNG/scalar", NewRNG(1), tierPortable},
+		{"math_rand", rand.New(rand.NewSource(1)), tier},
 	} {
 		b.Run(s.name, func(b *testing.B) {
+			defer setTier(s.tier)()
+			if s.name == "RNG/vector" && !vectorFill() {
+				b.Skip("no vector fill on this machine")
+			}
 			for i := 0; i < b.N; i++ {
 				Rand(s.src, 1, n)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/elem")
 		})
+	}
+}
+
+// BenchmarkPackWeight times packWeight, a pinned dense weight's pack on its
+// first product, for MT-DNN's FFN (2048×512) and QKV (1536×512) weights per
+// tier, in ns per weight element: the 8×8 register transpose from the AVX2
+// tier up, the Go loop at the portable tier. Large weights fan out as in a
+// run.
+func BenchmarkPackWeight(b *testing.B) {
+	for _, s := range []struct {
+		name string
+		n, k int
+	}{
+		{"mtdnn_ffn2048x512", 2048, 512},
+		{"mtdnn_qkv1536x512", 1536, 512},
+	} {
+		w := Rand(NewRNG(1), 1, s.n, s.k).Data()
+		bp := make([]float32, packedSize(s.k, s.n))
+		for _, t := range hostTiers() {
+			b.Run(s.name+"/"+t.String(), func(b *testing.B) {
+				defer setTier(t)()
+				for i := 0; i < b.N; i++ {
+					packWeight(bp, w, s.k, s.n, true)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.n*s.k), "ns/elem")
+			})
+		}
 	}
 }

@@ -167,13 +167,17 @@ func TestMaxEmptyPanics(t *testing.T) {
 	New(0).Max()
 }
 
+// TestParallelForCoversRange runs a streamed loop through fanOut and
+// ParallelForChunked, as the kernels do: the range must be split at width 2
+// and every index visited once.
 func TestParallelForCoversRange(t *testing.T) {
 	// Twice the break-even at width 2, so the range is split.
 	n := int(4 * nsHandOff / nsStream)
 	seen := make([]int32, n)
 	SetMaxWorkers(2)
 	pooled := fannedOut(func() {
-		ParallelFor(n, func(lo, hi int) {
+		parts, grain := fanOut(n, float64(n)*nsStream)
+		ParallelForChunked(n, parts, grain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				seen[i]++
 			}
@@ -181,7 +185,7 @@ func TestParallelForCoversRange(t *testing.T) {
 	})
 	SetMaxWorkers(0)
 	if !pooled {
-		t.Fatalf("ParallelFor(%d) did not fan out at width 2", n)
+		t.Fatalf("%d streamed elements did not fan out at width 2", n)
 	}
 	for i, c := range seen {
 		if c != 1 {
@@ -189,6 +193,8 @@ func TestParallelForCoversRange(t *testing.T) {
 		}
 	}
 	// Zero and negative ranges are no-ops.
-	ParallelFor(0, func(lo, hi int) { t.Fatalf("body called for n=0") })
-	ParallelFor(-5, func(lo, hi int) { t.Fatalf("body called for n<0") })
+	for _, n := range []int{0, -5} {
+		parts, grain := fanOut(n, float64(n)*nsStream)
+		ParallelForChunked(n, parts, grain, func(lo, hi int) { t.Fatalf("body called for n=%d", n) })
+	}
 }

@@ -80,6 +80,12 @@ func geluArgPD(a, e *float64, src *float32, n int)
 func geluOutPD(dst, src *float32, t *float64, n int)
 
 //go:noescape
+func packTransAVX(dst, src *float32, ld, blocks int)
+
+//go:noescape
+func fillPS(dst *float32, feed, tap *uint64, chunks int, bound float32) (done int)
+
+//go:noescape
 func packRowsAVX(d *float32, dOuter, dInner int, src *float32, sOuter, sInner, outer, inner, lead int, lmask, smask *int32, mode int)
 
 // maximumLoop computes dst[i] = a[i] > b[i] ? a[i] : b[i] — VMAXPS's own
@@ -120,6 +126,38 @@ var _, _, ecx1, _ = cpuid(1, 0)
 func vexpUsable(t kernelTier, ecx1 uint32) bool {
 	const fma = 1 << 12
 	return t >= tierAVX2 && ecx1&fma != 0
+}
+
+// ebx7 is CPUID.7:EBX, read once for the AVX-512 subsets fillPS needs.
+var _, ebx7, _, _ = cpuid(7, 0)
+
+// fillUsable reports whether fillPS runs on this machine: it needs the
+// AVX-512 tier (F, with the OS saving ZMM state) and AVX-512 DQ
+// (CPUID.7:EBX bit 17) for VCVTQQ2PD, as AVX2 has no int64 → float64
+// conversion. Its float32 stage is VEX-encoded, so it needs no AVX-512 VL.
+func fillUsable(t kernelTier, ebx7 uint32) bool {
+	const dq = 1 << 17
+	return t >= tierAVX512 && ebx7&dq != 0
+}
+
+// fillChunks runs RNG.fill's terms in whole chunks of eight through fillPS
+// when it is usable, and returns how many terms it ran, leaving the last
+// len(feed)%8 to the scalar loop. stopped reports that it stopped early,
+// before a chunk holding a draw that rounds to 1: the scalar loop runs that
+// chunk. dst, feed and tap are as in fill: dst has room for every term, tap
+// is the run 273 terms behind feed.
+func fillChunks(dst []float32, feed, tap []uint64, bound float32) (done int, stopped bool) {
+	chunks := len(feed) / 8
+	if chunks == 0 {
+		return 0, false
+	}
+	_ = dst[8*chunks-1] // the bounds checks the kernel cannot make
+	_ = tap[8*chunks-1]
+	if !fillUsable(tier, ebx7) {
+		return 0, false
+	}
+	done = fillPS(&dst[0], &feed[0], &tap[0], chunks, bound)
+	return done, done < 8*chunks
 }
 
 // expBatch computes dst[i] = math.Exp(src[i]) bit for bit: whole groups of
@@ -250,6 +288,32 @@ func kern1(c, a, p []float32, pstride, kc, np int) {
 	for q := 0; q < np; q++ {
 		kern1x8(&c[q*nr], &a[0], &p[q*pstride], kc)
 	}
+}
+
+// packBTransposed is packBTransposedGo with each full panel transposed by
+// packTransAVX, eight elements of K at a time, from the AVX2 tier up; the
+// ragged last panel and the last K%8 elements of each row keep the Go
+// loop. Packing only moves elements, so the paths agree bit for bit.
+func packBTransposed(bp, w []float32, k, n, ld, lo, hi int) {
+	full := min(hi, n/nr) // panels [lo, full) have nr live columns
+	blocks := k / 8
+	if tier < tierAVX2 || blocks == 0 || full <= lo {
+		packBTransposedGo(bp, w, k, n, ld, lo, hi)
+		return
+	}
+	kb := 8 * blocks
+	for jt := lo; jt < full; jt++ {
+		j0 := jt * nr
+		dst := bp[jt*k*nr : (jt+1)*k*nr]
+		_ = w[(j0+nr-1)*ld+k-1] // the last element the panel reads
+		packTransAVX(&dst[0], &w[j0*ld], 4*ld, blocks)
+		for jj := 0; jj < nr; jj++ {
+			for kk, v := range w[(j0+jj)*ld+kb : (j0+jj)*ld+k] {
+				dst[(kb+kk)*nr+jj] = v
+			}
+		}
+	}
+	packBTransposedGo(bp, w, k, n, ld, full, hi)
 }
 
 // packRowsAVX's modes, one loop each (pack_amd64.s branches on these

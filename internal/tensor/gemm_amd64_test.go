@@ -125,6 +125,28 @@ func TestVexpRule(t *testing.T) {
 	t.Logf("this machine: vector exp %v", vexpUsable(tier, ecx1))
 }
 
+// TestFillRule pins the gate of the vector weight fill: AVX-512 DQ's
+// VCVTQQ2PD on the AVX-512 tier, whose rule already holds F and ZMM state.
+func TestFillRule(t *testing.T) {
+	const dq = 1 << 17
+	for _, tc := range []struct {
+		name string
+		tier kernelTier
+		ebx7 uint32
+		want bool
+	}{
+		{"AVX-512 tier with DQ", tierAVX512, dq, true},
+		{"AVX-512 tier without DQ", tierAVX512, ^uint32(dq), false},
+		{"AVX2 tier with DQ", tierAVX2, dq, false},
+		{"portable tier with DQ", tierPortable, dq, false},
+	} {
+		if got := fillUsable(tc.tier, tc.ebx7); got != tc.want {
+			t.Errorf("%s: fillUsable(%v, %#x) = %v, want %v", tc.name, tc.tier, tc.ebx7, got, tc.want)
+		}
+	}
+	t.Logf("this machine: vector fill %v", fillUsable(tier, ebx7))
+}
+
 // TestKernelCanaries drives every assembly kernel on sub-slices cut at odd
 // (unaligned) offsets out of NaN-filled backing arrays. The tile must match
 // the Go kernel bit for bit — for the 8-row tile, kern4Go over its two
@@ -236,6 +258,11 @@ func TestKernelWrappersBoundsCheck(t *testing.T) {
 		{"packRows short src", tierAVX2, func() { packRows(full(24+60+5), 60, 12, short(30+40+4+1), -2, 30, 20, 2, 3, 2, 1, 4, 5) }},
 		{"packRows first lane before src", tierAVX2, func() { packRows(full(24+60+5), 60, 12, full(30+40+4+1), -3, 30, 20, 2, 3, 2, 1, 4, 5) }},
 		{"packRows short zero rows", tierAVX2, func() { packRows(short(24+60+5), 60, 12, nil, 0, 0, 0, 2, 3, 1, 0, 0, 5) }},
+		// One panel of K = 16 (two blocks of eight) from rows 16 apart.
+		{"packBTransposed short panel", tierAVX2, func() { packBTransposed(short(16*nr), full(nr*16), 16, nr, 16, 0, 1) }},
+		{"packBTransposed short w", tierAVX2, func() { packBTransposed(full(16*nr), short(nr*16), 16, nr, 16, 0, 1) }},
+		{"fillChunks short dst", tierAVX2, func() { fillChunks(short(16), make([]uint64, 16), make([]uint64, 16), 1) }},
+		{"fillChunks short tap", tierAVX2, func() { fillChunks(full(16), make([]uint64, 16), make([]uint64, 15), 1) }},
 		{"tanhExp short src", tierAVX2, func() { tanhExp(make([]float64, 8), make([]float64, 7), make([]float64, 8)) }},
 		{"tanhExp short e", tierAVX2, func() { tanhExp(make([]float64, 8), make([]float64, 8), make([]float64, 7)) }},
 		{"geluArg short e", tierAVX2, func() { geluArg(make([]float64, 8), make([]float64, 7), full(8)) }},

@@ -26,6 +26,12 @@ func packRows(d []float32, dOuter, dInner int, src []float32, base, sOuter, sInn
 	packRowsGo(d, dOuter, dInner, src, base, sOuter, sInner, outer, inner, stride, lo, hi, run)
 }
 
+func fillChunks(dst []float32, feed, tap []uint64, bound float32) (int, bool) { return 0, false }
+
+func packBTransposed(bp, w []float32, k, n, ld, lo, hi int) {
+	packBTransposedGo(bp, w, k, n, ld, lo, hi)
+}
+
 func kern8(c []float32, ldc int, a []float32, lda int, p []float32, pstride, kc int) {
 	kern8Go(c, ldc, a, lda, p, pstride, kc)
 }

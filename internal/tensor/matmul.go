@@ -160,10 +160,11 @@ func packBRowMajor(bp, b []float32, k, n, ld, lo, hi int) {
 	}
 }
 
-// packBTransposed packs column panels [lo, hi) of B = wᵀ for an N×K
+// packBTransposedGo packs column panels [lo, hi) of B = wᵀ for an N×K
 // row-major operand w whose rows start ld elements apart:
-// bp[jt*k*nr + kk*nr + jj] = w[(jt*nr+jj)*ld + kk].
-func packBTransposed(bp, w []float32, k, n, ld, lo, hi int) {
+// bp[jt*k*nr + kk*nr + jj] = w[(jt*nr+jj)*ld + kk]. It is the portable
+// path and the reference packBTransposed's vector path is held to.
+func packBTransposedGo(bp, w []float32, k, n, ld, lo, hi int) {
 	for jt := lo; jt < hi; jt++ {
 		j0 := jt * nr
 		jw := min(nr, n-j0)

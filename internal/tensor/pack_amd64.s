@@ -92,3 +92,75 @@ packNext:
 	JNZ  packOuter
 	VZEROUPPER
 	RET
+
+// func packTransAVX(dst, src *float32, ld, blocks int)
+// The full-panel body of packBTransposed (gemm_amd64.go; packBTransposedGo
+// is the reference): dst[c*8 + r] = src[r*ld + c] for the eight rows r of a
+// panel and the blocks·8 columns c. Each block loads an 8×8 tile with one
+// row per register, transposes it in registers — VUNPCKLPS / VUNPCKHPS
+// interleave row pairs, VSHUFPS gathers four rows' column pairs in each
+// 128-bit half, VPERM2F128 joins the halves — and stores eight contiguous
+// packed rows. ld is the source row stride in bytes; blocks ≥ 1.
+TEXT ·packTransAVX(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ ld+16(FP), R8
+	MOVQ blocks+24(FP), CX
+	LEAQ (R8)(R8*2), R9
+	LEAQ (SI)(R8*4), R10
+
+transBlock:
+	VMOVUPS (SI), Y0
+	VMOVUPS (SI)(R8*1), Y1
+	VMOVUPS (SI)(R8*2), Y2
+	VMOVUPS (SI)(R9*1), Y3
+	VMOVUPS (R10), Y4
+	VMOVUPS (R10)(R8*1), Y5
+	VMOVUPS (R10)(R8*2), Y6
+	VMOVUPS (R10)(R9*1), Y7
+
+	// Row pairs: Y8 = r0c0 r1c0 r0c1 r1c1 | r0c4 r1c4 r0c5 r1c5, and so on.
+	VUNPCKLPS Y1, Y0, Y8
+	VUNPCKHPS Y1, Y0, Y9
+	VUNPCKLPS Y3, Y2, Y10
+	VUNPCKHPS Y3, Y2, Y11
+	VUNPCKLPS Y5, Y4, Y12
+	VUNPCKHPS Y5, Y4, Y13
+	VUNPCKLPS Y7, Y6, Y14
+	VUNPCKHPS Y7, Y6, Y15
+
+	// Four rows of one column per half: Y0 = r0..r3 c0 | r0..r3 c4.
+	VSHUFPS $0x44, Y10, Y8, Y0
+	VSHUFPS $0xEE, Y10, Y8, Y1
+	VSHUFPS $0x44, Y11, Y9, Y2
+	VSHUFPS $0xEE, Y11, Y9, Y3
+	VSHUFPS $0x44, Y14, Y12, Y4
+	VSHUFPS $0xEE, Y14, Y12, Y5
+	VSHUFPS $0x44, Y15, Y13, Y6
+	VSHUFPS $0xEE, Y15, Y13, Y7
+
+	// Whole columns: low halves give c0..c3, high halves c4..c7.
+	VPERM2F128 $0x20, Y4, Y0, Y8
+	VPERM2F128 $0x20, Y5, Y1, Y9
+	VPERM2F128 $0x20, Y6, Y2, Y10
+	VPERM2F128 $0x20, Y7, Y3, Y11
+	VPERM2F128 $0x31, Y4, Y0, Y12
+	VPERM2F128 $0x31, Y5, Y1, Y13
+	VPERM2F128 $0x31, Y6, Y2, Y14
+	VPERM2F128 $0x31, Y7, Y3, Y15
+
+	VMOVUPS Y8, (DI)
+	VMOVUPS Y9, 32(DI)
+	VMOVUPS Y10, 64(DI)
+	VMOVUPS Y11, 96(DI)
+	VMOVUPS Y12, 128(DI)
+	VMOVUPS Y13, 160(DI)
+	VMOVUPS Y14, 192(DI)
+	VMOVUPS Y15, 224(DI)
+	ADDQ    $32, SI
+	ADDQ    $32, R10
+	ADDQ    $256, DI
+	DECQ    CX
+	JNZ     transBlock
+	VZEROUPPER
+	RET

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -152,6 +153,40 @@ func TestBatchMatMulPackedBitExact(t *testing.T) {
 	}
 }
 
+// TestPackTransposedMatchesGo holds packBTransposed — 8×8 register
+// transposes over the full panels from the AVX2 tier up — to the Go loop,
+// packBTransposedGo: one full panel, a ragged one, MT-DNN's QKV width and a
+// ragged width past the FFN's, K under, at and past whole blocks of eight,
+// rows k or k+5 apart (attention packs kₕᵀ from the strided qkv), and a
+// range of panels that starts past the first. Every slot the range covers
+// must be written, and none outside it.
+func TestPackTransposedMatchesGo(t *testing.T) {
+	nan := float32(math.NaN())
+	for _, n := range []int{8, 9, 15, 16, 1536, 2048 + 3} {
+		for _, k := range []int{1, 7, 256, 257} {
+			for _, ld := range []int{k, k + 5} {
+				w := Rand(NewRNG(int64(n*k+ld)), 1, n*ld).Data()
+				np := packedPanels(n)
+				for _, r := range [][2]int{{0, np}, {np / 2, np}} {
+					want := make([]float32, packedSize(k, n))
+					got := make([]float32, len(want))
+					for i := range want {
+						want[i], got[i] = nan, nan
+					}
+					packBTransposedGo(want, w, k, n, ld, r[0], r[1])
+					packBTransposed(got, w, k, n, ld, r[0], r[1])
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("n=%d k=%d ld=%d panels [%d, %d): slot %d (panel %d, row %d, column %d) is %v, Go loop %v",
+								n, k, ld, r[0], r[1], i, i/(k*nr), i%(k*nr)/nr, i%nr, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPackCacheReuse verifies pinned weights are packed once and keep
 // their panels for later calls, and that unpinned operands never leave a
 // resident panel.
@@ -293,7 +328,8 @@ func TestWorkerPoolNestedAndConcurrent(t *testing.T) {
 	const outer, n = 8, int(4 * nsHandOff / nsStream)
 	SetMaxWorkers(2)
 	defer SetMaxWorkers(0)
-	if parts, _ := fanOut(n, float64(n)*nsStream); parts < 2 {
+	parts, grain := fanOut(n, float64(n)*nsStream)
+	if parts < 2 {
 		t.Fatalf("%d streamed elements run on %d part, want a fan-out", n, parts)
 	}
 	var wg sync.WaitGroup
@@ -302,7 +338,7 @@ func TestWorkerPoolNestedAndConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ParallelFor(n, func(lo, hi int) {
+			ParallelForChunked(n, parts, grain, func(lo, hi int) {
 				// Nested parallel call from inside a pool task.
 				ParallelForChunked(hi-lo, 2, 512, func(l, h int) {
 					total.Add(int64(h - l))

@@ -157,14 +157,6 @@ func stepLoop(steps, parts int, body func(step, part int)) {
 	}
 }
 
-// ParallelFor runs body over [0, n) in contiguous blocks, each element
-// priced as one streamed element: a range too small to pay for a hand-off
-// runs inline as body(0, n).
-func ParallelFor(n int, body func(lo, hi int)) {
-	parts, grain := fanOut(n, float64(n)*nsStream)
-	ParallelForChunked(n, parts, grain, body)
-}
-
 // ParallelForChunked runs body over [0, n) in blocks of exactly grain
 // iterations (the last block may be shorter) on parts tasks: the caller and
 // parts-1 pool helpers claim blocks from one atomic cursor, so uneven

@@ -75,23 +75,37 @@ func (r *RNG) Int63() int64 { return int64(r.Uint64() &^ (1 << 63)) }
 // stream's next rand.Float32. Float32 divides Int63 by 2⁶³ — the same as
 // multiplying by the exact constant 2⁻⁶³ — and resamples a draw whose
 // float32 rounds to 1, so such a draw is consumed and skipped here.
+// Where the machine has the vector kernel, fillChunks runs each run's whole
+// chunks of eight terms; the chunk it stops at, which holds such a draw,
+// and the run's last terms take the scalar loop, which elsewhere runs all.
 func (r *RNG) fill(dst []float32, bound float32) {
 	const scale = 1.0 / (1 << 63)
 	for len(dst) > 0 {
 		n := min(rngLen-r.feed, rngLen-r.tap, len(dst))
 		feed, tap := r.vec[r.feed:r.feed+n], r.vec[r.tap:r.tap+n]
-		out := 0
 		// tap may overlap feed's tail; the in-order loop reads each tap
 		// after this run wrote it, as the recurrence requires.
-		for k := range feed {
-			x := feed[k] + tap[k]
-			feed[k] = x
-			f := float32(float64(int64(x&^(1<<63))) * scale)
-			if f == 1 {
-				continue
+		k, out := 0, 0
+		for k < n {
+			done, stopped := fillChunks(dst[out:], feed[k:], tap[k:], bound)
+			k += done
+			out += done
+			end := n
+			if stopped {
+				end = k + 8
 			}
-			dst[out] = (f*2 - 1) * bound
-			out++
+			fd, tp := feed[k:end], tap[k:end]
+			for j := range fd {
+				x := fd[j] + tp[j]
+				fd[j] = x
+				f := float32(float64(int64(x&^(1<<63))) * scale)
+				if f == 1 {
+					continue
+				}
+				dst[out] = (f*2 - 1) * bound
+				out++
+			}
+			k = end
 		}
 		dst = dst[out:]
 		if r.feed += n; r.feed == rngLen {

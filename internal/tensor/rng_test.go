@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -152,5 +153,105 @@ func TestRandResamples(t *testing.T) {
 	sameStream(t, "fill across a resample", Rand(r, 0.5, n).Data(), refRand(ref, 0.5, n))
 	if got, want := r.Int63(), ref.Int63(); got != want {
 		t.Fatalf("after the fill: Int63 %d, math/rand %d — the skipped draw was not consumed once", got, want)
+	}
+}
+
+// vectorFill reports whether fills run fillChunks' vector kernel at the
+// current tier: a chunk of zero terms, which holds no resample, is run
+// whole only there.
+func vectorFill() bool {
+	done, _ := fillChunks(make([]float32, 8), make([]uint64, 8), make([]uint64, 8), 1)
+	return done == 8
+}
+
+// findResample searches seeds from 1 up for a draw, among each stream's
+// first 2¹⁶, whose float32 rounds to 1 (about one draw in 2²⁵), and returns
+// the seed and the draw's index.
+func findResample(t *testing.T) (seed int64, at int) {
+	for seed = 1; seed <= 1<<12; seed++ {
+		r := NewRNG(seed)
+		for i := 0; i < 1<<16; i++ {
+			if float32(float64(r.Int63())/(1<<63)) == 1 {
+				return seed, i
+			}
+		}
+	}
+	t.Fatal("no draw rounding to 1 in the searched streams")
+	return 0, 0
+}
+
+// TestRandFillPaths holds both fill paths — the vector chunks of the
+// detected tier where the machine has them, and the scalar loop at the
+// portable tier — to rand.New(rand.NewSource(seed))'s Float32 stream bit
+// for bit: a fill of two rings and a chunk past from every ring offset,
+// back-to-back fills of every length from 1 to that, and a fill across a
+// draw that Float32 resamples, with the chunk of eight holding it handed
+// by the vector kernel to the scalar loop.
+func TestRandFillPaths(t *testing.T) {
+	const long = 2*rngLen + 9
+	seed, at := findResample(t)
+	if at < 7 {
+		t.Fatalf("seed %d resamples at draw %d, before a whole chunk", seed, at)
+	}
+	t.Logf("seed %d resamples at draw %d", seed, at)
+	for _, tr := range hostTiers() {
+		if tr != tier && tr != tierPortable {
+			continue
+		}
+		restore := setTier(tr)
+		vector := vectorFill()
+		t.Run(fmt.Sprintf("%v/vector=%v", tr, vector), func(t *testing.T) {
+			for off := 0; off < rngLen; off++ {
+				ref := rand.New(rand.NewSource(-7))
+				r := NewRNG(-7)
+				for i := 0; i < off; i++ {
+					ref.Uint64()
+					r.Uint64()
+				}
+				sameStream(t, fmt.Sprintf("fill from ring offset %d", off), Rand(r, 1, long).Data(), refRand(ref, 1, long))
+				if got, want := r.Uint64(), ref.Uint64(); got != want {
+					t.Fatalf("the draw after a fill from ring offset %d is %d, math/rand %d", off, got, want)
+				}
+			}
+
+			ref := rand.New(rand.NewSource(1 << 40))
+			r := NewRNG(1 << 40)
+			for n := 1; n <= long; n++ {
+				bound := float32(n%13+1) / 5
+				sameStream(t, fmt.Sprintf("fill of %d", n), Rand(r, bound, n).Data(), refRand(ref, bound, n))
+			}
+
+			ref = rand.New(rand.NewSource(seed))
+			sameStream(t, "fill across the resample", Rand(NewRNG(seed), 0.5, at+100).Data(), refRand(ref, 0.5, at+100))
+
+			// Walk to the first draw q ≥ at-7 from whose ring slot the run
+			// holds a whole chunk: that chunk holds draw at.
+			ref = rand.New(rand.NewSource(seed))
+			r = NewRNG(seed)
+			for i := 0; i < at-7; i++ {
+				ref.Uint64()
+				r.Uint64()
+			}
+			for q := at - 7; min(rngLen-r.feed, rngLen-r.tap) < 8; q++ {
+				if q == at {
+					t.Fatalf("no chunk holds draw %d", at)
+				}
+				ref.Uint64()
+				r.Uint64()
+			}
+			ring := r.vec
+			done, stopped := fillChunks(make([]float32, 8), r.vec[r.feed:r.feed+8], r.vec[r.tap:r.tap+8], 1)
+			if done != 0 || stopped != vector {
+				t.Fatalf("the chunk holding draw %d of seed %d: fillChunks ran %d terms, stopped %v; want 0 terms, stopped %v", at, seed, done, stopped, vector)
+			}
+			if r.vec != ring {
+				t.Fatal("fillChunks stored the ring of a chunk it left to the scalar loop")
+			}
+			sameStream(t, "fill from the chunk holding the resample", Rand(r, 0.5, 64).Data(), refRand(ref, 0.5, 64))
+			if got, want := r.Int63(), ref.Int63(); got != want {
+				t.Fatalf("after the fill: Int63 %d, math/rand %d — the resampled draw was not consumed once", got, want)
+			}
+		})
+		restore()
 	}
 }

@@ -246,15 +246,19 @@ func AllClose(a, b *Tensor, rtol, atol float64) bool {
 }
 
 // MaxAbsDiff returns the maximum absolute elementwise difference between two
-// same-shaped tensors.
+// same-shaped tensors. An element that is NaN on exactly one side differs by
+// +Inf; NaN on both sides, like the same infinity on both, differs by 0.
 func MaxAbsDiff(a, b *Tensor) float64 {
 	if !a.SameShape(b) {
 		panic("tensor: MaxAbsDiff shape mismatch")
 	}
 	var m float64
 	for i := range a.data {
-		d := math.Abs(float64(a.data[i]) - float64(b.data[i]))
-		if d > m {
+		x, y := float64(a.data[i]), float64(b.data[i])
+		if math.IsNaN(x) != math.IsNaN(y) {
+			return math.Inf(1)
+		}
+		if d := math.Abs(x - y); d > m {
 			m = d
 		}
 	}

@@ -22,6 +22,31 @@ func TestNewShapeAndNumel(t *testing.T) {
 	}
 }
 
+// TestMaxAbsDiff pins the difference MaxAbsDiff reports, NaN and
+// infinities included: a NaN against a number must not read as equal.
+func TestMaxAbsDiff(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, tc := range []struct {
+		name string
+		a, b []float32
+		want float64
+	}{
+		{"equal", []float32{1, -2, 0}, []float32{1, -2, 0}, 0},
+		{"largest difference", []float32{1, -2, 0.5}, []float32{1.5, 2, 0}, 4},
+		{"NaN against a number", []float32{1, nan, 3}, []float32{1, 2, 3}, math.Inf(1)},
+		{"number against NaN", []float32{1, 2, 3}, []float32{nan, 2, 3}, math.Inf(1)},
+		{"NaN on both sides", []float32{nan, 2}, []float32{nan, 2.25}, 0.25},
+		{"NaN after a difference", []float32{5, nan}, []float32{1, 0}, math.Inf(1)},
+		{"same infinity", []float32{inf, -inf}, []float32{inf, -inf}, 0},
+		{"opposite infinities", []float32{inf}, []float32{-inf}, math.Inf(1)},
+		{"infinity against a number", []float32{1}, []float32{inf}, math.Inf(1)},
+	} {
+		if got := MaxAbsDiff(FromSlice(tc.a, len(tc.a)), FromSlice(tc.b, len(tc.b))); got != tc.want {
+			t.Errorf("%s: MaxAbsDiff = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestNewNegativeDimPanics(t *testing.T) {
 	defer expectPanic(t, "negative dim")
 	New(2, -1)
