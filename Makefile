@@ -52,6 +52,10 @@ build:
 ## at GOMAXPROCS 1 and 2: the time loop's steps are split between the caller
 ## and a pool helper (stepLoop), and a lost hand-off or a missing wait between
 ## steps shows as a race report, a hang or a changed bit.
+## The packed-panel first-use test gets the same five passes: replicas that
+## meet on a cold weight publish its panels by compare-and-swap, the one
+## concurrent path in internal/tensor/packcache.go, and a loser must return
+## the winner's panel, never one packed for other dimensions.
 ## The host-clock benchmark in bench/ is a nested module that compiles
 ## against the exported runtime/schedule/serve API and may not be edited by
 ## the PRs it measures, so a rename that breaks the harness has to fail here,
@@ -70,6 +74,7 @@ check: fmt-check vet
 	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 	$(GO) test -count=1 -tags purego ./internal/tensor/...
 	$(GO) test -race -count=5 -cpu 1,2 -run 'TestRNNSeq' ./internal/tensor/
+	$(GO) test -race -count=5 -cpu 1,2 -run TestPackedPanelsConcurrentFirstUse ./internal/tensor/
 	$(GO) test -run xxx -bench 'Conv2D/.*x8|Transcendentals|LinearGELU|Attention' -benchtime 1x ./internal/tensor/
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) test -race -count=2 ./internal/obs/...

@@ -10,7 +10,8 @@
 //
 // Endpoints:
 //
-//	POST /v1/infer   JSON inference ({"inputs": {name: {shape, data}}})
+//	POST /v1/infer   JSON inference ({"inputs": {name: {shape, data}}}); a
+//	                 body larger than the model's inputs can fill gets 413
 //	GET  /healthz    liveness plus the node's service-time floor
 //	GET  /metrics    Prometheus text exposition of duet_* and serve_* series
 //
@@ -23,6 +24,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -31,6 +33,7 @@ import (
 	"strings"
 	"sync"
 	"syscall"
+	"time"
 
 	"duet/internal/core"
 	"duet/internal/graph"
@@ -62,7 +65,7 @@ func main() {
 	}
 	defer node.srv.Close()
 
-	hs := &http.Server{Addr: *addr, Handler: node.handler()}
+	hs := &http.Server{Addr: *addr, Handler: node.handler(), ReadHeaderTimeout: readHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -83,6 +86,19 @@ func main() {
 	}
 }
 
+// readHeaderTimeout bounds how long a client may take to send a request's
+// headers, so a connection that never finishes them does not hold a
+// goroutine forever.
+const readHeaderTimeout = 10 * time.Second
+
+// Each input element costs at most bytesPerElem bytes of an /v1/infer body:
+// the longest float32 JSON text ("-1.1754944e-38", 14 bytes), its comma,
+// and whitespace. bodySlack covers the input names, shapes and deadline.
+const (
+	bytesPerElem = 32
+	bodySlack    = 64 << 10
+)
+
 // nodeServer owns the serve.Server and its registry. serve.Server.Run is a
 // single-threaded virtual-time event loop, so the HTTP layer serialises
 // calls with a mutex: each request runs as its own one-request stream on a
@@ -91,6 +107,10 @@ type nodeServer struct {
 	model    string
 	deadline vclock.Seconds
 	reg      *obs.Registry
+	// maxBody caps an /v1/infer body at what the model's inputs can take
+	// (bytesPerElem per element plus bodySlack); a larger one is refused
+	// with 413 before it is decoded.
+	maxBody int64
 
 	mu     sync.Mutex
 	srv    *serve.Server
@@ -125,7 +145,12 @@ func newNodeServer(model string, seed int64, small bool, replicas, batch int, wi
 	if err != nil {
 		return nil, err
 	}
-	return &nodeServer{model: g.Name, deadline: deadline, reg: reg, srv: srv}, nil
+	elems := 0
+	for _, id := range g.InputIDs() {
+		elems += tensor.Numel(g.Node(id).Shape)
+	}
+	return &nodeServer{model: g.Name, deadline: deadline, reg: reg, srv: srv,
+		maxBody: int64(elems)*bytesPerElem + bodySlack}, nil
 }
 
 // handler routes the node's three endpoints.
@@ -191,7 +216,12 @@ func (n *nodeServer) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var in inferRequest
-	if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, n.maxBody)).Decode(&in); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -12,9 +12,9 @@ import (
 )
 
 // TestNodeHTTP drives the front door in process on the reduced Wide&Deep:
-// a valid request is served, malformed ones are answered 400 (never a
-// dropped connection), the infer endpoint is POST-only, and the health and
-// metrics endpoints answer.
+// a valid request is served, malformed ones are answered 400 and one larger
+// than the model's inputs 413 (never a dropped connection), the infer
+// endpoint is POST-only, and the health and metrics endpoints answer.
 func TestNodeHTTP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a reduced Wide&Deep engine")
@@ -81,6 +81,13 @@ func TestNodeHTTP(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("oversized body", func(t *testing.T) {
+		body := `{"inputs":{"wide.x":{"shape":[1],"data":[` + strings.Repeat("0,", int(node.maxBody/2)) + `0]}}}`
+		if code, resp := post(t, body); code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%d-byte body over a %d-byte cap: status %d, want 413: %.200s", len(body), node.maxBody, code, resp)
+		}
+	})
 
 	get := func(path string) (int, string) {
 		t.Helper()

@@ -48,3 +48,38 @@ func TestSmokeParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("-parallel changed the report.\nserial:\n%s\nparallel:\n%s", serial, parallel)
 	}
 }
+
+// TestProfilesReuseMatchesLiveProfiling: records that duet-profile -out
+// writes at seed 0 (noiseless) are the ones a live build measures, so
+// duet-run -profiles reuses them and prints the live run's report byte for
+// byte after its one "reusing" line: same placement, same latencies.
+func TestProfilesReuseMatchesLiveProfiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two binaries and runs them")
+	}
+	dir := t.TempDir()
+	bin, prof := filepath.Join(dir, "duet-run"), filepath.Join(dir, "duet-profile")
+	for _, b := range []struct{ out, pkg string }{{bin, "."}, {prof, "../duet-profile"}} {
+		if out, err := exec.Command("go", "build", "-o", b.out, b.pkg).CombinedOutput(); err != nil {
+			t.Fatalf("building %s: %v\n%s", b.pkg, err, out)
+		}
+	}
+	records := filepath.Join(dir, "siamese.json")
+	if out, err := exec.Command(prof, "-model", "siamese", "-seed", "0", "-out", records).CombinedOutput(); err != nil {
+		t.Fatalf("duet-profile: %v\n%s", err, out)
+	}
+	args := []string{"-model", "siamese", "-seed", "0", "-runs", "5"}
+	live := run(t, bin, args...)
+	reused := run(t, bin, append(args, "-profiles", records)...)
+
+	first, rest, _ := strings.Cut(reused, "\n")
+	if want := "reusing 3 persisted profile records from " + records; first != want {
+		t.Fatalf("first line %q, want %q", first, want)
+	}
+	if !strings.Contains(live, "placement ") {
+		t.Fatalf("live report names no placement:\n%s", live)
+	}
+	if rest != live {
+		t.Fatalf("-profiles changed the report.\nlive:\n%s\nreused:\n%s", live, rest)
+	}
+}

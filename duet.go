@@ -37,7 +37,6 @@ import (
 	"duet/internal/graph"
 	"duet/internal/modelio"
 	"duet/internal/obs"
-	"duet/internal/profile"
 	"duet/internal/relay"
 	"duet/internal/runtime"
 	"duet/internal/schedule"
@@ -61,14 +60,6 @@ type Engine = core.Engine
 
 // Config controls engine construction; see DefaultConfig.
 type Config = core.Config
-
-// ProfileCache is a content-addressed cache of measured profile records;
-// share one across Builds (Config.ProfileCache) to compile and
-// micro-benchmark each distinct graph once per process.
-type ProfileCache = profile.Cache
-
-// NewProfileCache returns an empty profile cache.
-func NewProfileCache() *ProfileCache { return profile.NewCache() }
 
 // Result is the outcome of one inference: outputs, virtual latency, and the
 // execution timeline.

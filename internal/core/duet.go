@@ -45,10 +45,6 @@ type Config struct {
 	// fails the build; disabling is for experiments that deliberately build
 	// corrupted artifacts.
 	DisableVerify bool
-	// ProfileCache, when non-nil, memoizes measured whole-model profiles by
-	// content hash so rebuilding an unchanged model skips micro-benchmarking
-	// entirely. Ignored when Records are supplied.
-	ProfileCache *profile.Cache
 }
 
 // DefaultConfig returns the paper's configuration.
@@ -83,10 +79,16 @@ type Engine struct {
 	// layers above (the serving layer's batched-module compiler) can compile
 	// sibling graphs through the identical optimization pipeline.
 	Options compiler.Options
-	// ProfileStats accounts for the profiler's work — notably
-	// Microbenchmarks, which a profile-cache hit keeps at zero. Zero when
-	// Records were supplied.
-	ProfileStats profile.SourceStats
+	// ProfileStats accounts for the profiler's work; zero when Records
+	// were supplied.
+	ProfileStats ProfileStats
+}
+
+// ProfileStats accounts for the micro-benchmarking Build ran.
+type ProfileStats struct {
+	// Microbenchmarks is the number of micro-benchmark executions, one per
+	// device per repetition per subgraph.
+	Microbenchmarks int
 }
 
 // Build constructs the engine: validates and shape-infers the graph,
@@ -123,15 +125,10 @@ func Build(g *graph.Graph, cfg Config) (*Engine, error) {
 	// constants, never on the seed: the noiseless search engine shares them.
 	search := noisy.WithPlatform(device.NewPlatform(0))
 
-	var stats profile.SourceStats
+	var stats ProfileStats
 	records := cfg.Records
 	if records == nil {
-		src := cfg.source(search)
-		records, err = src.Records(part)
-		if err != nil {
-			return nil, err
-		}
-		stats = src.Stats()
+		records, stats = cfg.profileAll(search)
 	} else if len(records) != len(part.Subgraphs()) {
 		return nil, fmt.Errorf("core: %d supplied profile records for %d subgraphs — re-profile after model changes", len(records), len(part.Subgraphs()))
 	}
@@ -166,23 +163,21 @@ func Build(g *graph.Graph, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// source builds the measured profiler over the engine's compiled modules:
-// per-device lowering still happens inside the profiler, where it belongs,
-// but no subgraph is compiled a second time.
-func (cfg Config) source(eng *runtime.Engine) *profile.MeasuredSource {
-	modules := make([]*compiler.Module, eng.NumSubgraphs())
-	for i := range modules {
-		modules[i] = eng.Module(i)
-	}
+// profileAll micro-benchmarks every subgraph over the engine's compiled
+// modules, one record per subgraph in flat partition order: per-device
+// lowering still happens inside the profiler, where it belongs, but no
+// subgraph is compiled a second time.
+func (cfg Config) profileAll(eng *runtime.Engine) ([]profile.Record, ProfileStats) {
 	prof := &profile.Profiler{
 		Platform: device.NewPlatform(mix(cfg.Seed)),
 		Options:  cfg.Compiler,
 		Runs:     cfg.ProfileRuns,
 	}
-	// Salt the cache key with everything that changes measured numbers:
-	// the profiling noise stream and the repetition count.
-	salt := uint64(mix(cfg.Seed))*1048583 + uint64(cfg.ProfileRuns)
-	return &profile.MeasuredSource{Profiler: prof, Modules: modules, Cache: cfg.ProfileCache, Salt: salt}
+	records := make([]profile.Record, eng.NumSubgraphs())
+	for i, sub := range eng.Subgraphs() {
+		records[i] = prof.ProfileModule(eng.Parent, sub, eng.Module(i), i)
+	}
+	return records, ProfileStats{Microbenchmarks: prof.Benchmarks}
 }
 
 // Verify runs the static verification layer over the built engine's

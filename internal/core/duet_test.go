@@ -397,15 +397,12 @@ func TestBuildRejectsZeroTimeRecords(t *testing.T) {
 	t.Fatalf("no profile-io finding for subgraph 0 in %v", verr)
 }
 
-// TestProfileCacheSkipsMicrobenchmarks pins the content-hash cache
-// satellite: rebuilding an unchanged model against the same cache runs
-// zero micro-benchmarks, and a changed model misses.
-func TestProfileCacheSkipsMicrobenchmarks(t *testing.T) {
-	cache := profile.NewCache()
+// TestProfileStatsCountMicrobenchmarks: a live build runs one
+// micro-benchmark per device per repetition per subgraph, and a rebuild
+// from its persisted Records runs none and chooses the same placement.
+func TestProfileStatsCountMicrobenchmarks(t *testing.T) {
 	cfg := DefaultConfig(5)
 	cfg.ProfileRuns = 20
-	cfg.ProfileCache = cache
-
 	wideDeep := func() *graph.Graph {
 		g, err := models.WideDeep(models.DefaultWideDeep())
 		if err != nil {
@@ -413,51 +410,25 @@ func TestProfileCacheSkipsMicrobenchmarks(t *testing.T) {
 		}
 		return g
 	}
-	e1, err := Build(wideDeep(), cfg)
+	live, err := Build(wideDeep(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e1.ProfileStats.CacheHits != 0 || e1.ProfileStats.Microbenchmarks == 0 {
-		t.Fatalf("first build: stats %+v, want a cold miss with real benchmarks", e1.ProfileStats)
+	n := live.Runtime.NumSubgraphs()
+	if want := 2 * n * cfg.ProfileRuns; live.ProfileStats.Microbenchmarks != want {
+		t.Fatalf("live build ran %d micro-benchmarks, want %d (2 devices x %d subgraphs x %d runs)",
+			live.ProfileStats.Microbenchmarks, want, n, cfg.ProfileRuns)
 	}
 
-	e2, err := Build(wideDeep(), cfg)
+	cfg.Records = live.Profiles
+	reused, err := Build(wideDeep(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2.ProfileStats.CacheHits != 1 || e2.ProfileStats.Microbenchmarks != 0 {
-		t.Fatalf("rebuild: stats %+v, want a cache hit with zero benchmarks", e2.ProfileStats)
+	if reused.ProfileStats.Microbenchmarks != 0 {
+		t.Fatalf("build from Records ran %d micro-benchmarks, want 0", reused.ProfileStats.Microbenchmarks)
 	}
-	if len(e1.Profiles) != len(e2.Profiles) {
-		t.Fatalf("cache returned %d records, first build had %d", len(e2.Profiles), len(e1.Profiles))
-	}
-	for i := range e1.Profiles {
-		if e1.Profiles[i].Time != e2.Profiles[i].Time {
-			t.Fatalf("cached record %d differs from the original", i)
-		}
-	}
-
-	// A different model with the same cache must miss.
-	gs, err := models.Siamese(models.DefaultSiamese())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e3, err := Build(gs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e3.ProfileStats.CacheHits != 0 || e3.ProfileStats.Microbenchmarks == 0 {
-		t.Fatalf("different model: stats %+v, want a miss", e3.ProfileStats)
-	}
-
-	// Changed profiling config (different noise stream) must also miss.
-	cfg2 := cfg
-	cfg2.Seed = 6
-	e4, err := Build(wideDeep(), cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e4.ProfileStats.CacheHits != 0 {
-		t.Fatalf("different seed hit the cache: stats %+v", e4.ProfileStats)
+	if reused.Placement.String() != live.Placement.String() {
+		t.Fatalf("build from Records chose %s, the live build %s", reused.Placement, live.Placement)
 	}
 }

@@ -10,9 +10,8 @@ import (
 // ObsReport is the machine-readable observability benchmark: the metrics
 // snapshot of an instrumented engine driven through plain and parallel
 // runs, plus the scheduler's placement audit for the same model. Every
-// leaf but the process-global pack-cache gauges is pinned at seeds 42–44
-// by TestSuiteGolden (testdata/suites.json), so metric names, values and
-// audit shape are diffable across revisions.
+// leaf is pinned at seeds 42–44 by TestSuiteGolden (testdata/suites.json),
+// so metric names, values and audit shape are diffable across revisions.
 type ObsReport struct {
 	Model   string          `json:"model"`
 	Runs    int             `json:"runs"`

@@ -3,13 +3,7 @@ package profile
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"sort"
-	"sync"
-
-	"duet/internal/compiler"
-	"duet/internal/graph"
 )
 
 // recordsFile is the persisted profile format. Profiling is an offline,
@@ -55,108 +49,4 @@ func LoadRecords(model string, want int, r io.Reader) ([]Record, error) {
 		}
 	}
 	return rf.Records, nil
-}
-
-// CacheKey fingerprints everything that determines a model's profile: the
-// parent graph's structure (ops, names, attributes, wiring, shapes,
-// outputs), the compiler configuration the subgraphs were built under, and
-// a caller salt (the profiling platform seed and repetition count, so
-// profiles taken under different noise regimes never collide). Constant
-// payload *values* are deliberately excluded — weights do not change kernel
-// timing — but their shapes are covered via the node shape.
-func CacheKey(g *graph.Graph, opts compiler.Options, salt uint64) string {
-	h := fnv.New64a()
-	put := func(s string) { h.Write([]byte(s)) }
-	put(g.Name)
-	for _, n := range g.Nodes() {
-		fmt.Fprintf(h, "|%d:%s:%s", n.ID, n.Op, n.Name)
-		for _, in := range n.Inputs {
-			fmt.Fprintf(h, ",%d", in)
-		}
-		put(";")
-		keys := make([]string, 0, len(n.Attrs))
-		for k := range n.Attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(h, "%s=%v;", k, n.Attrs[k])
-		}
-		fmt.Fprintf(h, "shape=%v", n.Shape)
-	}
-	fmt.Fprintf(h, "|out=%v|opt=%+v|salt=%d", g.Outputs(), opts, salt)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// Cache memoizes whole-model profile runs by content hash, so rebuilding an
-// unchanged model skips micro-benchmarking entirely. It is safe for
-// concurrent use and serializes to JSON for on-disk reuse.
-type Cache struct {
-	mu      sync.Mutex
-	entries map[string][]Record
-	// Hits / Misses count Get outcomes since construction or Load.
-	Hits   int
-	Misses int
-}
-
-// NewCache returns an empty profile cache.
-func NewCache() *Cache { return &Cache{entries: map[string][]Record{}} }
-
-// Get returns the cached records for key, or nil. The returned slice is a
-// copy — callers may mutate it freely.
-func (c *Cache) Get(key string) []Record {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	recs, ok := c.entries[key]
-	if !ok {
-		c.Misses++
-		return nil
-	}
-	c.Hits++
-	return append([]Record(nil), recs...)
-}
-
-// Put stores records under key, copying them.
-func (c *Cache) Put(key string, records []Record) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.entries == nil {
-		c.entries = map[string][]Record{}
-	}
-	c.entries[key] = append([]Record(nil), records...)
-}
-
-// Len returns the number of cached models.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// cacheFile is the persisted cache schema.
-type cacheFile struct {
-	Version int                 `json:"version"`
-	Entries map[string][]Record `json:"entries"`
-}
-
-// Save writes the cache contents to w.
-func (c *Cache) Save(w io.Writer) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return json.NewEncoder(w).Encode(cacheFile{Version: formatVersion, Entries: c.entries})
-}
-
-// LoadCache reads a cache written by Save.
-func LoadCache(r io.Reader) (*Cache, error) {
-	var cf cacheFile
-	if err := json.NewDecoder(r).Decode(&cf); err != nil {
-		return nil, fmt.Errorf("profile: cache: %w", err)
-	}
-	if cf.Version != formatVersion {
-		return nil, fmt.Errorf("profile: unsupported cache version %d", cf.Version)
-	}
-	if cf.Entries == nil {
-		cf.Entries = map[string][]Record{}
-	}
-	return &Cache{entries: cf.Entries}, nil
 }

@@ -105,6 +105,9 @@ type Engine struct {
 	// arena recycles activation buffers across value-carrying runs; New and
 	// WithPlatform each give an engine its own.
 	arena *tensor.Arena
+	// weights holds one const operand of the modules per pin record, so a
+	// weight that several views or subgraphs share is counted once.
+	weights []*tensor.Tensor
 }
 
 // New compiles every subgraph of the partition under opt and returns an
@@ -126,7 +129,31 @@ func New(p *partition.Partition, plat *device.Platform, opt compiler.Options) (*
 			device.GPU: compiler.TunedCosts(m, plat.GPU),
 		})
 	}
+	seen := map[any]bool{}
+	for _, m := range e.modules {
+		for _, n := range m.Graph.Nodes() {
+			if !n.IsConst() {
+				continue
+			}
+			if key, _ := n.Value.PanelBytes(); key != nil && !seen[key] {
+				seen[key] = true
+				e.weights = append(e.weights, n.Value)
+			}
+		}
+	}
 	return e, nil
+}
+
+// PanelBytes returns the bytes of packed GEMM panels the engine's weights
+// hold. A weight packs on the first product that reads it, whichever engine
+// runs it, so this grows over the first value-carrying run and then settles.
+func (e *Engine) PanelBytes() int64 {
+	var sum int64
+	for _, w := range e.weights {
+		_, b := w.PanelBytes()
+		sum += b
+	}
+	return sum
 }
 
 // WithPlatform returns an engine over the same compiled modules, tuned costs
@@ -191,6 +218,7 @@ func (e *Engine) recordRun(latency vclock.Seconds) {
 	e.m.runs.Inc()
 	e.m.latency.Observe(latency)
 	e.m.recordMemory(e.arena)
+	e.recordPanels()
 }
 
 // recorder is the engine's walk sink: busy seconds into the metrics registry

@@ -31,6 +31,7 @@ type engineMetrics struct {
 	arenaMisses    *obs.Gauge // duet_arena_events_total{event=miss}
 	arenaRecycled  *obs.Gauge // duet_arena_events_total{event=recycled}
 	arenaDiscarded *obs.Gauge // duet_arena_events_total{event=discarded}
+	panelBytes     *obs.Gauge // duet_packed_panel_bytes
 
 	fusionGroups      *obs.Gauge // duet_fusion_groups
 	fusionChainOps    *obs.Gauge // duet_fusion_chain_ops
@@ -62,6 +63,7 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 		arenaMisses:    reg.Gauge(obs.Series("duet_arena_events_total", "event", "miss")),
 		arenaRecycled:  reg.Gauge(obs.Series("duet_arena_events_total", "event", "recycled")),
 		arenaDiscarded: reg.Gauge(obs.Series("duet_arena_events_total", "event", "discarded")),
+		panelBytes:     reg.Gauge("duet_packed_panel_bytes"),
 
 		fusionGroups:      reg.Gauge("duet_fusion_groups"),
 		fusionChainOps:    reg.Gauge("duet_fusion_chain_ops"),
@@ -116,4 +118,14 @@ func (m *engineMetrics) recordMemory(ar *tensor.Arena) {
 	m.arenaMisses.Set(float64(s.Misses))
 	m.arenaRecycled.Set(float64(s.Recycled))
 	m.arenaDiscarded.Set(float64(s.Discarded))
+}
+
+// recordPanels publishes the bytes of packed panels the engine's weights
+// hold. Called after each completed run, when every weight the run read
+// has been packed, so the value does not depend on the order lanes ran in.
+// No-op when uninstrumented.
+func (e *Engine) recordPanels() {
+	if e.m.reg != nil {
+		e.m.panelBytes.Set(float64(e.PanelBytes()))
+	}
 }

@@ -22,6 +22,7 @@ func (e *Engine) RunParallel(inputs map[string]*tensor.Tensor, place Placement) 
 	}
 	e.m.parallelRuns.Inc()
 	e.m.parallelLatency.Observe(res.Latency)
+	e.recordPanels()
 	return res, nil
 }
 

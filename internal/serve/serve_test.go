@@ -402,7 +402,13 @@ func TestServeReplicasShareCacheNotArenas(t *testing.T) {
 	}
 	defer srv.Close()
 
-	before := tensor.PackCacheSnapshot()
+	if _, err := e.Infer(inputsFor(cfg, 0)); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Runtime.PanelBytes()
+	if before == 0 {
+		t.Fatal("a value-carrying Infer left no packed panels on the engine's weights")
+	}
 	reqs := OpenLoop(LoadSpec{
 		Requests: 8,
 		Burst:    true,
@@ -422,12 +428,8 @@ func TestServeReplicasShareCacheNotArenas(t *testing.T) {
 	if !used[0] || !used[1] {
 		t.Fatalf("burst should exercise both replicas, used %v", used)
 	}
-	after := tensor.PackCacheSnapshot()
-	if after.Hits <= before.Hits {
-		t.Fatalf("replicas should hit the shared packed panels: %+v -> %+v", before, after)
-	}
-	if after.Entries > before.Entries {
-		t.Fatalf("second replica repacked weights: %+v -> %+v", before, after)
+	if after := e.Runtime.PanelBytes(); after != before {
+		t.Fatalf("replicas moved the engine's panels from %d to %d bytes, want them read as packed", before, after)
 	}
 }
 

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Packed weight panels. Packing a B operand into tile-major panels is
 // O(K·N) work per GEMM call; for weight matrices (dense layers, RNN
@@ -26,55 +23,18 @@ type pin struct {
 
 // panel is one published packed layout. It is immutable once stored.
 type panel struct {
-	buf  []float32
-	k    int // inner dimension the panels were packed for
-	n    int // output columns
-	held *resident
+	buf []float32
+	k   int // inner dimension the panels were packed for
+	n   int // output columns
 }
 
-// resident is a published panel's entry in the residency count, and the
-// object whose finalizer takes a dead weight's panel out of it. It is kept
-// apart from the panel because a finalizer keeps everything its object
-// reaches alive for one more collection cycle: hung on the pin record or
-// the panel, that would be a dropped MT-DNN's 82 MB.
-type resident struct {
-	epoch *packEpoch
-	bytes int64
-}
+// The process-wide pack counters behind PackCacheSnapshot. Entries and
+// bytes count the panels published since the last ResetPackCache; a panel
+// that dies with its weight, or that a view of other dimensions replaces,
+// stays counted. The per-weight truth is Tensor.PanelBytes.
+var packHits, packMisses, packEntries, packBytes atomic.Int64
 
-// packEpoch counts the panels packed between two ResetPackCache calls. A
-// panel carries the epoch it was packed in, which both invalidates it after
-// a reset (its epoch is no longer the current one) and makes the accounting
-// race-free: it is added to and removed from its own epoch's counters, and
-// only the current epoch's are ever reported.
-type packEpoch struct {
-	entries atomic.Int64
-	bytes   atomic.Int64
-}
-
-var (
-	packHits   atomic.Int64
-	packMisses atomic.Int64
-	packNow    atomic.Pointer[packEpoch]
-)
-
-func init() { packNow.Store(new(packEpoch)) }
-
-func (r *resident) enter() {
-	r.epoch.entries.Add(1)
-	r.epoch.bytes.Add(r.bytes)
-	runtime.SetFinalizer(r, (*resident).leave)
-}
-
-// leave is the finalizer, and the explicit exit of a panel that lost the
-// publication race or was replaced.
-func (r *resident) leave() {
-	runtime.SetFinalizer(r, nil)
-	r.epoch.entries.Add(-1)
-	r.epoch.bytes.Add(-r.bytes)
-}
-
-// PackCacheStats reports the packed-weight counters and residency.
+// PackCacheStats reports the packed-weight counters.
 type PackCacheStats struct {
 	Hits    int64 `json:"hits"`
 	Misses  int64 `json:"misses"`
@@ -82,57 +42,70 @@ type PackCacheStats struct {
 	Bytes   int64 `json:"bytes"`
 }
 
-// PackCacheSnapshot returns the process-wide packed-weight statistics:
-// cumulative hits and misses, and the panels resident since the last reset.
+// PackCacheSnapshot returns the process-wide packed-weight counters:
+// cumulative hits and misses, and the panels published since the last
+// reset.
 func PackCacheSnapshot() PackCacheStats {
-	e := packNow.Load()
 	return PackCacheStats{
 		Hits:    packHits.Load(),
 		Misses:  packMisses.Load(),
-		Entries: int(e.entries.Load()),
-		Bytes:   e.bytes.Load(),
+		Entries: int(packEntries.Load()),
+		Bytes:   packBytes.Load(),
 	}
 }
 
-// ResetPackCache invalidates every packed panel (tests, cold-start
-// measurement): residency reads zero and the next product on a live weight
-// packs it again, replacing the stale panel.
-func ResetPackCache() { packNow.Store(new(packEpoch)) }
-
-func (p *panel) serves(e *packEpoch, k, n int) bool {
-	return p != nil && p.held.epoch == e && p.k == k && p.n == n
+// ResetPackCache zeroes the published-panel counters (the benchmark's cold
+// start). It leaves every weight's panels where they are: a weight built
+// after the reset packs on its first product, one built before keeps its
+// panels.
+func ResetPackCache() {
+	packEntries.Store(0)
+	packBytes.Store(0)
 }
+
+// PanelBytes returns the bytes of packed panels published in t's pin
+// record, and the record itself as an opaque key that every view of the
+// weight shares, so a sum over operands can count each weight once. An
+// unpinned tensor returns nil, 0.
+func (t *Tensor) PanelBytes() (key any, bytes int64) {
+	if t.pin == nil {
+		return nil, 0
+	}
+	for i := range t.pin.panels {
+		if p := t.pin.panels[i].Load(); p != nil {
+			bytes += int64(4 * len(p.buf))
+		}
+	}
+	return t.pin, bytes
+}
+
+func (p *panel) serves(k, n int) bool { return p != nil && p.k == k && p.n == n }
 
 // packed returns the panels of the weight w in the given layout, packing
 // them on first use. Concurrent first uses (serve replicas share weights)
 // each pack, and the compare-and-swap keeps one: the losers return the
 // winner's buffer, so exactly one copy stays resident. A panel packed for
-// other dimensions or before the last reset is replaced.
+// other dimensions (a re-dimensioned view) is replaced.
 func (p *pin) packed(w []float32, k, n int, trans bool) []float32 {
 	slot := &p.panels[0]
 	if trans {
 		slot = &p.panels[1]
 	}
-	e := packNow.Load()
 	old := slot.Load()
-	if old.serves(e, k, n) {
+	if old.serves(k, n) {
 		packHits.Add(1)
 		return old.buf
 	}
 	packMisses.Add(1)
-	sz := packedSize(k, n)
-	fresh := &panel{buf: make([]float32, sz), k: k, n: n, held: &resident{epoch: e, bytes: int64(4 * sz)}}
+	fresh := &panel{buf: make([]float32, packedSize(k, n)), k: k, n: n}
 	packWeight(fresh.buf, w, k, n, trans)
-	fresh.held.enter() // before it can be seen, so only its replacer retires it
 	for !slot.CompareAndSwap(old, fresh) {
-		if old = slot.Load(); old.serves(e, k, n) {
-			fresh.held.leave()
+		if old = slot.Load(); old.serves(k, n) {
 			return old.buf
 		}
 	}
-	if old != nil {
-		old.held.leave()
-	}
+	packEntries.Add(1)
+	packBytes.Add(int64(4 * len(fresh.buf)))
 	return fresh.buf
 }
 

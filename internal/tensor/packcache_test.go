@@ -2,79 +2,9 @@ package tensor
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 )
-
-// packOnce packs a fresh pinned weight through a Reshape view and drops
-// every reference to it on return. Not inlined, so the caller's frame
-// cannot keep the weight reachable.
-//
-//go:noinline
-func packOnce(t *testing.T, rng *rand.Rand, x *Tensor, base PackCacheStats) {
-	w := Rand(rng, 1, 32, 64).MarkPinned()
-	LinearInto(nil, x, w.Reshape(32, 64), nil, nil)
-	st := PackCacheSnapshot()
-	if st.Entries != base.Entries+1 || st.Bytes != base.Bytes+int64(4*packedSize(64, 32)) {
-		t.Fatalf("packing one weight: %+v -> %+v", base, st)
-	}
-}
-
-// TestPackedPanelsDieWithTheWeight: panels belong to the weight, so a
-// dropped model's panels leave the residency counters (and the heap) on
-// their own — nothing has to reset or displace them.
-func TestPackedPanelsDieWithTheWeight(t *testing.T) {
-	ResetPackCache() // earlier tests' garbage is accounted to earlier epochs
-	rng := rand.New(rand.NewSource(31))
-	x := Rand(rng, 1, 2, 64)
-	keep := Rand(rng, 1, 16, 64).MarkPinned()
-	LinearInto(nil, x, keep, nil, nil)
-	base := PackCacheSnapshot()
-	packOnce(t, rng, x, base)
-	for try := 0; try < 100; try++ {
-		runtime.GC()
-		if st := PackCacheSnapshot(); st.Entries == base.Entries && st.Bytes == base.Bytes {
-			break
-		}
-		time.Sleep(time.Millisecond) // finalizers run on their own goroutine
-	}
-	if st := PackCacheSnapshot(); st.Entries != base.Entries || st.Bytes != base.Bytes {
-		t.Fatalf("dropped weight still resident: %+v, want %d entries / %d bytes", st, base.Entries, base.Bytes)
-	}
-	if base.Entries != 1 {
-		t.Fatalf("live weight lost its panel: %+v", base)
-	}
-	runtime.KeepAlive(keep)
-}
-
-// TestResetPackCacheRepacksLiveWeight: after a reset a live weight counts
-// for nothing, packs again exactly once on its next use, and computes the
-// same bits from the new panels.
-func TestResetPackCacheRepacksLiveWeight(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	x := Rand(rng, 1, 3, 40)
-	w := Rand(rng, 1, 21, 40).MarkPinned()
-	want := LinearInto(nil, x, w, nil, nil)
-	ResetPackCache()
-	before := PackCacheSnapshot()
-	if before.Entries != 0 || before.Bytes != 0 {
-		t.Fatalf("reset left residue: %+v", before)
-	}
-	for i := 0; i < 3; i++ {
-		if got := LinearInto(nil, x, w, nil, nil); !bitEqual(got, want) {
-			t.Fatalf("call %d after reset differs", i)
-		}
-	}
-	st := PackCacheSnapshot()
-	if st.Misses-before.Misses != 1 || st.Hits-before.Hits != 2 {
-		t.Errorf("want 1 miss + 2 hits after reset, got %+v -> %+v", before, st)
-	}
-	if st.Entries != 1 || st.Bytes != int64(4*packedSize(40, 21)) {
-		t.Errorf("want the one re-packed panel resident, got %+v", st)
-	}
-}
 
 // TestPackedPanelsHaveNoCapacityCliff: a weight set whose panels outgrow
 // any fixed budget (68 MiB here; the LRU this replaced held 64 MiB and
@@ -118,8 +48,8 @@ func TestPackedPanelsHaveNoCapacityCliff(t *testing.T) {
 
 // TestPackedPanelsConcurrentFirstUse: replicas that meet on a cold weight
 // all compute the serial bits and leave one resident panel per layout, and
-// resets or re-dimensioned views racing with them never hand a kernel a
-// panel packed for other dimensions.
+// re-dimensioned views racing with them never hand a kernel a panel packed
+// for other dimensions.
 func TestPackedPanelsConcurrentFirstUse(t *testing.T) {
 	const workers = 8
 	rng := rand.New(rand.NewSource(34))
@@ -151,26 +81,14 @@ func TestPackedPanelsConcurrentFirstUse(t *testing.T) {
 	}
 	start.Done()
 	done.Wait()
-	st := PackCacheSnapshot()
-	if want := int64(4 * (packedSize(40, 48) + packedSize(48, 40))); st.Entries != 2 || st.Bytes != want {
+	want := int64(4 * (packedSize(40, 48) + packedSize(48, 40)))
+	if st := PackCacheSnapshot(); st.Entries != 2 || st.Bytes != want {
 		t.Fatalf("want one panel per layout (2 entries, %d bytes), got %+v", want, st)
 	}
+	if _, b := view.PanelBytes(); b != want {
+		t.Fatalf("the weight holds %d panel bytes, want one panel per layout (%d)", b, want)
+	}
 
-	stop := make(chan struct{})
-	var resetter sync.WaitGroup
-	resetter.Add(1)
-	go func() {
-		defer resetter.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				ResetPackCache()
-				runtime.Gosched()
-			}
-		}
-	}()
 	for g := 0; g < workers; g++ {
 		done.Add(1)
 		go func() {
@@ -178,27 +96,13 @@ func TestPackedPanelsConcurrentFirstUse(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				if !bitEqual(LinearInto(nil, xt, view, nil, nil), wantT) || !bitEqual(MatMulInto(nil, xr, w, nil), wantR) ||
 					!bitEqual(LinearInto(nil, xv, w.Reshape(24, 80), nil, nil), wantV) {
-					t.Error("product under concurrent reset / re-dimension differs from the serial result")
+					t.Error("product under a concurrent re-dimensioned view differs from the serial result")
 					return
 				}
 			}
 		}()
 	}
 	done.Wait()
-	close(stop)
-	resetter.Wait()
-	// Quiescent again: the counters equal what the slots hold of this epoch.
-	var entries int
-	var bytes int64
-	for i := range w.pin.panels {
-		if p := w.pin.panels[i].Load(); p != nil && p.held.epoch == packNow.Load() {
-			entries++
-			bytes += int64(4 * len(p.buf))
-		}
-	}
-	if st := PackCacheSnapshot(); st.Entries != entries || st.Bytes != bytes {
-		t.Fatalf("residency drifted: counters %+v, slots hold %d entries / %d bytes", st, entries, bytes)
-	}
 }
 
 // TestPackWeightSplitMatchesSerial: the cold pack fans out over column

@@ -188,8 +188,8 @@ func TestPackTransposedMatchesGo(t *testing.T) {
 }
 
 // TestPackCacheReuse verifies pinned weights are packed once and keep
-// their panels for later calls, and that unpinned operands never leave a
-// resident panel.
+// their panels for later calls (reported once for the weight and its
+// views), and that unpinned operands never leave a resident panel.
 func TestPackCacheReuse(t *testing.T) {
 	ResetPackCache()
 	rng := rand.New(rand.NewSource(13))
@@ -206,10 +206,17 @@ func TestPackCacheReuse(t *testing.T) {
 	if hits := st.Hits - before.Hits; hits != 2 {
 		t.Errorf("want 2 cache hits, got %d", hits)
 	}
+	key, b := w.PanelBytes()
+	if vkey, vb := w.Reshape(64, 32).PanelBytes(); vkey != key || vb != b || b != int64(4*packedSize(64, 32)) {
+		t.Errorf("weight and view report %d and %d panel bytes (same record: %v), want %d", b, vb, vkey == key, 4*packedSize(64, 32))
+	}
 	u := Rand(rng, 1, 32, 64) // unpinned
 	LinearInto(nil, x, u, nil, nil)
 	if after := PackCacheSnapshot(); after.Entries != st.Entries {
 		t.Errorf("unpinned operand left a resident panel: %d -> %d", st.Entries, after.Entries)
+	}
+	if ukey, ub := u.PanelBytes(); ukey != nil || ub != 0 {
+		t.Errorf("unpinned operand reports panels: %v, %d", ukey, ub)
 	}
 	ResetPackCache()
 	if after := PackCacheSnapshot(); after.Entries != 0 || after.Bytes != 0 {
