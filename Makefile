@@ -19,10 +19,12 @@ build:
 ## workers, MPMC queue, metrics registry) cannot slip through
 ## a plain build. The obs package gets an extra high-iteration race pass: it
 ## is touched from every worker goroutine in the runtime.
-## The allocation guard runs without -race: the race detector makes
-## sync.Pool randomly drop Puts, so arena accounting is only meaningful in
-## a plain build (the test skips itself under -race). The same plain pass
-## holds the full-size MT-DNN to a warm run that packs no weight again.
+## The arena's allocation guards (TestArenaCutsSteadyStateAllocs,
+## TestArenaSurvivesGC) run in the race suite above: the arena is a plain
+## free list, so its accounting holds under -race and through collections.
+## A plain pass holds the full-size MT-DNN to a warm run that packs no
+## weight again (the test skips under -race: the full-size model is too
+## slow to build there).
 ## The serve package gets a dedicated high-iteration race pass: replicas
 ## share compiled modules and the weights' packed panels while drawing
 ## activations from separate arenas, a replica's in-flight pipelined batches
@@ -81,7 +83,6 @@ check: fmt-check vet
 	$(GO) test -race -count=2 -run 'TestConcurrentExecuteArena|TestServeSmoke|TestServeBatchRecyclesMidBatch' ./internal/serve/
 	$(GO) test -race -count=20 -run 'TestRunParallelMatchesSerialValues|TestLaneSetMultiplexesDataflows|TestDataflowLegalOrders' ./internal/runtime/
 	$(GO) test -count=3 -cpu 1,2 -run 'TestRunParallelIdle' ./internal/runtime/
-	$(GO) test -count=10 -run TestArenaCutsSteadyStateAllocs ./internal/runtime/
 	$(GO) test -count=1 -run TestMTDNNWarmRunPacksNothing ./internal/runtime/
 	$(GO) test -count=1 -run 'TestSuiteGolden|TestFusionSpeedupBar' ./internal/experiments/
 	@./bin/duet-vet -summary .

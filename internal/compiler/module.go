@@ -234,7 +234,7 @@ func (m *Module) runFused(k *Kernel, f *FusedGroup, env Env, ar *tensor.Arena) *
 		dst = tensor.BatchNorm2DChainInto(nil, in[0], in[1], in[2], in[3], in[4], ops.BatchNormEps(lead.Attrs), f.Prog, args, outs, ar)
 	default:
 		dst = ops.MustLookup(lead.Op).Exec(lead.Attrs, in, ar)
-		f.Prog.RunInPlace(dst, args, outs)
+		f.Prog.RunInPlace(dst, args, outs, ar)
 	}
 	for i, e := range f.Emits {
 		env[e] = outs[i]

@@ -192,7 +192,7 @@ func measureFusion(rep *KernelsReport, quick bool, rng *rand.Rand) error {
 				}
 			}
 		}
-		run(0) // warm up: pack caches, arena pools, worker pool spin-up
+		run(0) // warm up: weight panels, arena free lists, worker pool spin-up
 		run(1)
 		pairs := fusionPairs
 		if quick {

@@ -282,35 +282,3 @@ func LostSyncs(g *Graph, subs []*graph.Subgraph) []SyncEdge {
 	}
 	return lost
 }
-
-// RedundantSyncs returns the plan edges whose removal leaves the producer
-// still ordered before the consumer — edges another path (same-device
-// program order, a transitive sync chain, a phase barrier) already implies.
-// Redundancy is advisory, not an error: the engine's firing rule counts
-// every producer, and dropping a redundant edge is a latency optimization,
-// not a correctness fix.
-func RedundantSyncs(sched Sched, plan []SyncEdge, opts Options) ([]SyncEdge, error) {
-	var redundant []SyncEdge
-	for idx, e := range plan {
-		mutated := append(append([]SyncEdge{}, plan[:idx]...), plan[idx+1:]...)
-		g, err := Build(sched, mutated, opts)
-		if err != nil {
-			return nil, err
-		}
-		if g.Cyclic() {
-			continue
-		}
-		stillOrdered := true
-		for r := 0; r < g.Requests(); r++ {
-			a, b := g.EventOf(r, e.From), g.EventOf(r, e.To)
-			if a < 0 || b < 0 || !g.Ordered(a, b) {
-				stillOrdered = false
-				break
-			}
-		}
-		if stillOrdered {
-			redundant = append(redundant, e)
-		}
-	}
-	return redundant, nil
-}

@@ -183,20 +183,6 @@ func TestPipelinedDepth(t *testing.T) {
 	}
 }
 
-func TestRedundantSyncs(t *testing.T) {
-	// 0 and 1 share a lane (program order), plus an explicit sync 0→1: the
-	// sync is redundant. The cross-lane sync 0→2 is not.
-	sched := Sched{Devices: []string{"a", "b"}, Order: [][]int{{0, 1}, {2}}}
-	plan := []SyncEdge{{From: 0, To: 1}, {From: 0, To: 2}}
-	red, err := RedundantSyncs(sched, plan, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(red) != 1 || red[0].From != 0 || red[0].To != 1 {
-		t.Fatalf("RedundantSyncs = %v, want exactly sync 0->1", red)
-	}
-}
-
 func TestDetectRules(t *testing.T) {
 	// Two lanes, no syncs: sub0@a and sub1@b are unordered; sub2@a follows
 	// sub0 in program order.

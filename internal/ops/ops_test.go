@@ -325,10 +325,10 @@ func TestMHAInferAndExec(t *testing.T) {
 }
 
 // TestExecOnArenaMatchesPlain runs every registered kind through Exec without
-// an arena and then twice on one warm arena whose pooled buffers hold NaN.
-// A kernel that reads a recycled buffer before writing it, or that computes
-// differently when its output or scratch comes from the arena, shows as a
-// bit difference.
+// an arena and then twice on one arena: cold, then drawing the buffers the
+// first pass released, every one of them NaN. A kernel that reads a
+// recycled buffer before writing it, or that computes differently when its
+// output or scratch comes from the arena, shows as a bit difference.
 func TestExecOnArenaMatchesPlain(t *testing.T) {
 	cases := map[string]costCase{}
 	for _, c := range execCases() {
@@ -346,16 +346,15 @@ func TestExecOnArenaMatchesPlain(t *testing.T) {
 		in := execInputs(rng, kind, c.base)
 		want := d.Exec(c.attrs, in, nil)
 		ar := tensor.NewArena()
-		poisonArena(ar)
 		for pass := 0; pass < 2; pass++ {
 			got := d.Exec(c.attrs, in, ar)
 			if !bitEqual(got, want) {
 				t.Errorf("%s: arena pass %d differs from Exec without an arena: max |Δ| %g", kind, pass, tensor.MaxAbsDiff(got, want))
 			}
 			if !d.Alias {
-				fill(got, nan32)
 				ar.Release(got)
 			}
+			poisonArena(ar)
 		}
 		hits += ar.Stats().Hits
 	}
@@ -409,15 +408,18 @@ func execInputs(rng *rand.Rand, kind string, shapes [][]int) []*tensor.Tensor {
 
 var nan32 = float32(math.NaN())
 
-// poisonArena fills the arena's pools with NaN buffers of every size class
-// up to 64 Ki elements, two per class.
+// poisonArena fills every buffer on the arena's free lists with NaN.
 func poisonArena(ar *tensor.Arena) {
-	for n := 256; n <= 1<<16; n *= 2 {
-		a, b := ar.NewNoZero(n), ar.NewNoZero(n)
-		fill(a, nan32)
-		fill(b, nan32)
-		ar.Release(a)
-		ar.Release(b)
+	var held []*tensor.Tensor
+	for n, k := range ar.Held() {
+		for range k {
+			t := ar.NewNoZero(n)
+			fill(t, nan32)
+			held = append(held, t)
+		}
+	}
+	for _, t := range held {
+		ar.Release(t)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	goruntime "runtime"
-	"runtime/debug"
 	"testing"
 
 	"duet/internal/compiler"
@@ -17,20 +16,20 @@ import (
 	"duet/internal/workload"
 )
 
-// poisonArena overwrites every buffer the arena currently pools, in the size
-// classes the test models use, with NaN: a tensor that is still in use but
-// was released anyway shows up as NaN in its holder's hands, and a kernel
-// that reads a recycled buffer before writing it computes NaN.
+// poisonArena overwrites every buffer on the arena's free lists with NaN: a
+// tensor that is still in use but was released anyway shows up as NaN in
+// its holder's hands, and a kernel that reads a recycled buffer before
+// writing it computes NaN.
 func poisonArena(ar *tensor.Arena) {
 	nan := float32(math.NaN())
 	var held []*tensor.Tensor
-	for bits := 6; bits <= 18; bits++ {
-		for i := 0; i < 4; i++ {
-			t := ar.NewNoZero(1 << bits)
+	for n, k := range ar.Held() {
+		for range k {
+			t := ar.NewNoZero(n)
 			// Filled by doubling copies: the race detector checks a copy once,
 			// an element loop once per element.
 			t.Data()[0] = nan
-			for filled := 1; filled < len(t.Data()); filled *= 2 {
+			for filled := 1; filled < n; filled *= 2 {
 				copy(t.Data()[filled:], t.Data()[:filled])
 			}
 			held = append(held, t)
@@ -53,7 +52,7 @@ func assertArenaCutsAllocs(t *testing.T, e *Engine, inputs map[string]*tensor.Te
 		}
 	}
 
-	// Warm both substrates: arena pools fill, weight packs cache, the worker
+	// Warm both substrates: arena free lists fill, weights pack, the worker
 	// pool spins up. Only steady state is guarded.
 	run()
 	run()
@@ -73,32 +72,46 @@ func assertArenaCutsAllocs(t *testing.T, e *Engine, inputs map[string]*tensor.Te
 	}
 }
 
-// warmAllocs is testing.AllocsPerRun with the collector held off. A GC
-// empties the arena's sync.Pool size classes and the tape's chainScratchPool,
-// and the next Run refills them from the heap: a GC landing inside the window
-// could make a warm Run read one object more (31 instead of 30; every 31 came
-// with MemStats.NumGC advancing by one). So collect first, then measure with
-// GC off; AllocsPerRun's own warm-up run refills what the collection emptied.
-func warmAllocs(runs int, f func()) float64 {
-	goruntime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	return testing.AllocsPerRun(runs, f)
+// TestArenaSurvivesGC holds the arena to keeping its buffers through
+// collections: after two GCs a Run allocates no more bytes than a warm Run,
+// where an arena the collector drains re-allocates every activation buffer.
+// The kernels run serially: a pooled kernel's helpers draw scratch only when
+// they join in time, so a warm run can still meet its first concurrent draw
+// of a size and allocate it.
+func TestArenaSurvivesGC(t *testing.T) {
+	tensor.SetMaxWorkers(1)
+	defer tensor.SetMaxWorkers(0)
+	for _, ze := range zooEngines(t) {
+		place := ze.places["cpu"]
+		runBytes := func() uint64 {
+			var m0, m1 goruntime.MemStats
+			goruntime.ReadMemStats(&m0)
+			if _, err := ze.e.Run(ze.inputs, place, true); err != nil {
+				t.Fatal(err)
+			}
+			goruntime.ReadMemStats(&m1)
+			return m1.TotalAlloc - m0.TotalAlloc
+		}
+		runBytes()
+		warm := max(runBytes(), runBytes())
+		goruntime.GC()
+		goruntime.GC()
+		if after := runBytes(); after > warm {
+			t.Errorf("%s: a Run after two collections allocated %d bytes, a warm Run %d", ze.name, after, warm)
+		}
+	}
 }
 
 // TestArenaCutsSteadyStateAllocs is the allocation regression guard for the
 // arena executor. Where allocations are per op — the chain case: fused
 // elementwise-chain kernels, whose epilogue tapes draw emit buffers and
-// scratch registers from pools instead of the heap — a warm end-to-end Run
+// scratch registers from the arena instead of the heap — a warm end-to-end Run
 // must allocate at most half of what the same run costs with the arena
 // disabled. The siamese case covers the GEMM-heavy recurrent zoo path, whose
 // warm cost must not grow with the sequence. Both run under `make check`, so
 // a change that silently stops recycling activation buffers fails the gate
 // rather than just showing up in benchmarks.
 func TestArenaCutsSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector makes sync.Pool drop Puts at random; allocation accounting is only meaningful without -race (make check runs a plain pass)")
-	}
-
 	t.Run("siamese", func(t *testing.T) {
 		// The recurrent layers run as one sequence kernel whose time loop
 		// allocates nothing with or without an arena, so "half of the
@@ -133,7 +146,7 @@ func TestArenaCutsSteadyStateAllocs(t *testing.T) {
 			run()
 			run()
 			before := e.Arena().Stats().Recycled
-			allocs = warmAllocs(5, run)
+			allocs = testing.AllocsPerRun(5, run)
 			return allocs, e.Arena().Stats().Recycled - before
 		}
 		short, recycled := warm(32)
@@ -197,7 +210,7 @@ func TestArenaCutsSteadyStateAllocs(t *testing.T) {
 			}
 			run()
 			run()
-			return warmAllocs(5, run)
+			return testing.AllocsPerRun(5, run)
 		}
 		small, large := warm(32), warm(64)
 		t.Logf("warm Run: %.0f objects at 32², %.0f at 64²", small, large)
@@ -211,7 +224,7 @@ func TestArenaCutsSteadyStateAllocs(t *testing.T) {
 		// once its last consumer has finished, as Run's executor does — it
 		// once left every boundary tensor to the GC. Same count whichever
 		// lanes the subgraphs run on, and never a buffer the caller holds:
-		// with everything the arena pools overwritten by NaN after the
+		// with everything the arena holds overwritten by NaN after the
 		// run, the outputs still equal Run's.
 		p, inputs := branchy(t)
 		e := newEngine(t, p, 0)
@@ -287,14 +300,14 @@ func TestArenaCutsSteadyStateAllocs(t *testing.T) {
 // 64 MiB cache that used to hold them, which therefore re-packed the whole
 // weight set (86 MB of fresh heap) on every inference. A warm Run must read
 // the panels the first run left on the weights: the engine's panel bytes do
-// not move, and only the run's few unpooled buffers reach the heap (a
+// not move, and only the run's few non-arena objects reach the heap (a
 // re-pack would allocate the panels afresh).
 func TestMTDNNWarmRunPacksNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the full-size MT-DNN")
 	}
 	if raceEnabled {
-		t.Skip("race detector makes sync.Pool drop Puts at random; allocation accounting is only meaningful without -race (make check runs a plain pass)")
+		t.Skip("builds the full-size MT-DNN, too slow and memory-hungry under the race detector")
 	}
 	cfg := models.DefaultMTDNN()
 	g, err := models.MTDNN(cfg)

@@ -63,7 +63,7 @@ func TestRunParallelIdleLaneCostsNoCPU(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warm: weight packs, arena pools
+	run() // warm: weight panels, arena free lists
 	run()
 	goruntime.GC()
 	cpu0, wall0 := processCPU(t), time.Now()

@@ -3,6 +3,5 @@
 package runtime
 
 // raceEnabled reports whether this test binary was built with the race
-// detector, which makes sync.Pool randomly drop Puts and so invalidates
-// arena allocation accounting.
+// detector, under which the full-size models are too slow to build.
 const raceEnabled = true

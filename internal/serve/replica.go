@@ -11,9 +11,10 @@ import (
 
 // replica is one engine replica: its own virtual CPU-GPU device pair (so
 // timing noise streams are independent per replica), its own tensor arena,
-// and its own lane set. Compiled modules and the weight pack cache are
-// shared across replicas — weights are read-only — which is what makes
-// replication cheap: a replica costs an arena, not a model copy.
+// and its own lane set. Compiled modules and the weights, which carry their
+// packed panels, are shared across replicas — weights are read-only — which
+// is what makes replication cheap: a replica costs an arena, not a model
+// copy.
 type replica struct {
 	id    int
 	plat  *device.Platform

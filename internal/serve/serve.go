@@ -2,8 +2,8 @@
 // admission queue with deadline-aware (EDF) ordering and backpressure, a
 // dynamic micro-batcher that coalesces compatible requests along the
 // leading batch dimension, and a pool of engine replicas that execute
-// concurrently — sharing compiled modules and the process-wide weight pack
-// cache while owning per-replica tensor arenas and virtual device pairs.
+// concurrently — sharing compiled modules and the weights with their packed
+// panels while owning per-replica tensor arenas and virtual device pairs.
 //
 // Scheduling runs as a deterministic discrete-event loop on the virtual
 // clock (arrivals, batch-window expiries, deadline lapses, completions), so

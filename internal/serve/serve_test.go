@@ -591,17 +591,19 @@ func TestServeShedReasonsTyped(t *testing.T) {
 	}
 }
 
-// poisonArena overwrites every buffer the arena currently pools, in the size
-// classes the test model uses, with NaN: an output that aliases a recycled
-// buffer shows up as NaN in its holder's hands.
+// poisonArena overwrites every buffer on the arena's free lists with NaN:
+// an output that aliases a recycled buffer shows up as NaN in its holder's
+// hands.
 func poisonArena(ar *tensor.Arena) {
 	nan := float32(math.NaN())
 	var held []*tensor.Tensor
-	for bits := 6; bits <= 18; bits++ {
-		for i := 0; i < 4; i++ {
-			t := ar.NewNoZero(1 << bits)
+	for n, k := range ar.Held() {
+		for range k {
+			t := ar.NewNoZero(n)
+			// Filled by doubling copies: the race detector checks a copy once,
+			// an element loop once per element.
 			t.Data()[0] = nan
-			for filled := 1; filled < len(t.Data()); filled *= 2 {
+			for filled := 1; filled < n; filled *= 2 {
 				copy(t.Data()[filled:], t.Data()[:filled])
 			}
 			held = append(held, t)
@@ -616,10 +618,10 @@ func poisonArena(ar *tensor.Arena) {
 // the engine's own rule, so its cross-subgraph intermediates return to the
 // replica arena as the batch runs — exactly the buffers a Run of the batch
 // engine returns — instead of living until finalize. Member outputs stay
-// bit-identical to each request run alone once every pooled buffer has been
-// overwritten, for a batch driven by hand (so the count can be read before
-// finalize) and for depth-2 pipelined batches sharing the replica arena
-// through the device workers.
+// bit-identical to each request run alone once every buffer the arena holds
+// has been overwritten, for a batch driven by hand (so the count can be read
+// before finalize) and for depth-2 pipelined batches sharing the replica
+// arena through the device workers.
 func TestServeBatchRecyclesMidBatch(t *testing.T) {
 	e, cfg := testEngine(t)
 	srv, err := New(Config{

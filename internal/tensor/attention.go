@@ -50,7 +50,8 @@ func AttentionInto(ctx, qkv *Tensor, heads int, scale float32, ar *Arena) *Tenso
 func attentionHeads(ctx, qkv []float32, t, d, heads int, scale float32, n int, next *atomic.Int64, ar *Arena) {
 	hd, ld := d/heads, 3*d
 	kSize := packedSize(hd, t)
-	buf, scratch := ar.grabScratch(t*t + kSize + packedSize(t, hd))
+	scratch := ar.NewNoZero(t*t + kSize + packedSize(t, hd))
+	buf := scratch.data
 	scores, kp, vp := buf[:t*t], buf[t*t:t*t+kSize], buf[t*t+kSize:]
 	for it := int(next.Add(1) - 1); it < n; it = int(next.Add(1) - 1) {
 		bi, h := it/heads, it%heads
@@ -66,5 +67,5 @@ func attentionHeads(ctx, qkv []float32, t, d, heads int, scale float32, n int, n
 		}
 		gemmBlock(c, d, scores, t, vp, 0, t, packedPanels(hd), hd, t)
 	}
-	ar.dropScratch(scratch)
+	ar.Release(scratch)
 }

@@ -42,10 +42,11 @@ func attentionRef(qkv *Tensor, heads int, scale float32) *Tensor {
 // 1, 2 and 8 heads, sequence lengths 1, 7, 64 and 65 (a partial last panel of
 // kₕᵀ and a partial last 4-row tile) and head widths 4, 12 and 64 (a partial
 // panel of vₕ, one panel and a half, whole panels), at batch 2 for the short
-// sequences and 1 for the long ones: from no arena, from a NaN-poisoned
-// arena and again from its recycled buffers, and into a NaN-filled
-// destination, pooled and serial. The operand is a window of a NaN-filled
-// array, so a head read past its columns or its rows would show.
+// sequences and 1 for the long ones: from no arena, from a warm arena whose
+// free buffers are NaN-poisoned and again from its recycled buffers, and
+// into a NaN-filled destination, pooled and serial. The operand is a window
+// of a NaN-filled array, so a head read past its columns or its rows would
+// show.
 func TestAttentionBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	nan := float32(math.NaN())
@@ -71,6 +72,7 @@ func TestAttentionBitExact(t *testing.T) {
 						t.Errorf("heads=%d T=%d hd=%d workers=%d: differs from the per-head reference (max |Δ| %g)", heads, seq, hd, workers, MaxAbsDiff(got, want))
 					}
 					ar := NewArena()
+					ar.Release(AttentionInto(nil, qkv, heads, scale, ar))
 					poisonArena(ar)
 					for pass := 0; pass < 2; pass++ {
 						got := AttentionInto(nil, qkv, heads, scale, ar)

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // An epilogue program is a short op-tape applied elementwise to a value
 // stream. The compiler lowers an unconstrained fusion group (an anchor or
@@ -310,32 +307,29 @@ func (p *Program) NumOuts() int { return p.numOuts }
 // Shape returns the stream shape the program was compiled for.
 func (p *Program) Shape() []int { return p.shape }
 
-// chainScratchPool recycles register rows between runs so reg-bearing
-// programs stay allocation-free in steady state.
-var chainScratchPool = sync.Pool{New: func() any { s := make([]float32, 0); return &s }}
-
 // RunInPlace streams dst through the program. dst must have the compiled
 // stream shape, args the compiled operand shapes, and outs one tensor of
-// the stream shape per Emit slot. The transform is chunk-parallel and
-// bit-deterministic: every element's value depends only on its own index.
-func (p *Program) RunInPlace(dst *Tensor, args, outs []*Tensor) {
-	p.run(dst, nil, args, outs)
+// the stream shape per Emit slot; the tape's registers come from ar. The
+// transform is chunk-parallel and bit-deterministic: every element's value
+// depends only on its own index.
+func (p *Program) RunInPlace(dst *Tensor, args, outs []*Tensor, ar *Arena) {
+	p.run(dst, nil, args, outs, ar)
 }
 
 // run is the one executor of programs and streamed leads: it walks dst in
 // parallel chunks, and each chunk sub-chunk by sub-chunk through lead (when
 // non-nil) and then the tape. A nil p runs the lead alone.
-func (p *Program) run(dst *Tensor, lead leadStep, args, outs []*Tensor) {
+func (p *Program) run(dst *Tensor, lead leadStep, args, outs []*Tensor, ar *Arena) {
 	argData, outData := p.bind(dst, args, outs)
 	n, ns := len(dst.data), nsStream // the lead, or the pass itself
 	if p != nil {
 		ns += p.ns
 	}
 	if parts, grain := fanOut(n, float64(n)*ns); parts > 1 {
-		ParallelForChunked(n, parts, grain, func(lo, hi int) { p.walk(dst.data, lo, hi, lead, argData, outData) })
+		ParallelForChunked(n, parts, grain, func(lo, hi int) { p.walk(dst.data, lo, hi, lead, argData, outData, ar) })
 		return
 	}
-	p.walk(dst.data, 0, n, lead, argData, outData)
+	p.walk(dst.data, 0, n, lead, argData, outData, ar)
 }
 
 // bind checks dst, args and outs against the compiled shapes and returns
@@ -372,19 +366,17 @@ func (p *Program) bind(dst *Tensor, args, outs []*Tensor) (argData, outData [][]
 
 // walk is the sub-chunk walker: it applies lead and then every instruction
 // to stream[lo:hi] tapeBlock elements at a time, registers included, so a
-// sub-chunk is finished before the next is touched.
-func (p *Program) walk(stream []float32, lo, hi int, lead leadStep, args, outs [][]float32) {
+// sub-chunk is finished before the next is touched. Each walk draws its
+// registers from ar and returns them.
+func (p *Program) walk(stream []float32, lo, hi int, lead leadStep, args, outs [][]float32, ar *Arena) {
 	var fns []chainFn
 	var regs []float32
 	if p != nil {
 		fns = p.fns
 		if need := p.numRegs * tapeBlock; need > 0 {
-			sp := chainScratchPool.Get().(*[]float32)
-			if cap(*sp) < need {
-				*sp = make([]float32, need)
-			}
-			regs = (*sp)[:need]
-			defer chainScratchPool.Put(sp)
+			t := ar.NewNoZero(need)
+			defer ar.Release(t)
+			regs = t.data
 		}
 	}
 	for base := lo; base < hi; base += tapeBlock {
@@ -406,7 +398,7 @@ func (p *Program) walk(stream []float32, lo, hi int, lead leadStep, args, outs [
 // avoids the copy.
 func ChainInto(out *Tensor, src *Tensor, p *Program, args, outs []*Tensor, ar *Arena) *Tensor {
 	out = intoShape(out, src.shape, ar, "ChainInto")
-	p.run(out, func(cur []float32, base int) { copy(cur, src.data[base:]) }, args, outs)
+	p.run(out, func(cur []float32, base int) { copy(cur, src.data[base:]) }, args, outs, ar)
 	return out
 }
 
@@ -423,6 +415,6 @@ func LinearChainInto(out *Tensor, x, w, bias *Tensor, p *Program, args, outs []*
 	if bias != nil {
 		lead = func(cur []float32, base int) { rowWalk(addLoop, cur, cur, base, bias.data, false) }
 	}
-	p.run(out, lead, args, outs)
+	p.run(out, lead, args, outs, ar)
 	return out
 }

@@ -82,7 +82,8 @@ func Conv2DInto(out *Tensor, x, w, bias *Tensor, stride, pad int, ar *Arena) *Te
 				b, jt0 := t/blocks, t%blocks*bw
 				pw := min(bw, np-jt0)
 				live := min(pw*nr, cols-jt0*nr)
-				col, scratch := ar.grabScratch(pw * (k*nr + tile))
+				scratch := ar.NewNoZero(pw * (k*nr + tile))
+				col := scratch.data
 				g.packPatches(col, x.data[b*groupIn:(b+1)*groupIn], jt0, jt0+pw)
 				dst, ld, width := out.data[b*groupOut+jt0*nr:(b+1)*groupOut], cols, live
 				if fold > 1 {
@@ -99,13 +100,14 @@ func Conv2DInto(out *Tensor, x, w, bias *Tensor, stride, pad int, ar *Arena) *Te
 				} else {
 					addChannelBias(dst, ld, live, cout, biasData)
 				}
-				ar.dropScratch(scratch)
+				ar.Release(scratch)
 			}
 		})
 		return out
 	}
 
-	col, scratch := ar.grabScratch(np * (k*nr + tile))
+	scratch := ar.NewNoZero(np * (k*nr + tile))
+	col := scratch.data
 	for b := 0; b < groups; b++ {
 		imgs := x.data[b*groupIn : (b+1)*groupIn]
 		if parts, grain := fanOut(np, float64(np*k*nr)*nsStream); parts > 1 {
@@ -127,7 +129,7 @@ func Conv2DInto(out *Tensor, x, w, bias *Tensor, stride, pad int, ar *Arena) *Te
 			addChannelBias(dst, ld, cols, cout, biasData)
 		}
 	}
-	ar.dropScratch(scratch)
+	ar.Release(scratch)
 	return out
 }
 
@@ -385,8 +387,9 @@ type poolGeom struct {
 func (g *poolGeom) planes(dst, src []float32, lo, hi int, ar *Arena) {
 	per := max(1, poolGroup/max(1, g.h*g.w)) // planes per group
 	most := min(per, hi-lo) * g.h            // rows of the largest group
-	scratch, st := ar.grabScratch(most * (g.w + 2*g.ow))
-	defer ar.dropScratch(st)
+	st := ar.NewNoZero(most * (g.w + 2*g.ow))
+	defer ar.Release(st)
+	scratch := st.data
 	negInf := float32(math.Inf(-1))
 	for p0 := lo; p0 < hi; p0 += per {
 		np := min(per, hi-p0)
@@ -553,8 +556,9 @@ func BatchNorm2DChainInto(out *Tensor, x, gamma, beta, mean, variance *Tensor, e
 	out = intoShape(out, x.shape, ar, "BatchNorm2DInto")
 	// The channel's scale is 16 Newton divisions: once per call, not once
 	// per image — on a batch of 2×2 planes it costs what the planes do.
-	inv, scratch := ar.grabScratch(c)
-	defer ar.dropScratch(scratch)
+	scratch := ar.NewNoZero(c)
+	defer ar.Release(scratch)
+	inv := scratch.data
 	for ch := range inv {
 		inv[ch] = gamma.data[ch] / sqrt32(variance.data[ch]+eps)
 	}
@@ -571,7 +575,7 @@ func BatchNorm2DChainInto(out *Tensor, x, gamma, beta, mean, variance *Tensor, e
 				ch = 0
 			}
 		}
-	}, args, outs)
+	}, args, outs, ar)
 	return out
 }
 

@@ -72,25 +72,23 @@ func convRef(x, w, bias *Tensor, stride, pad int) *Tensor {
 	return out
 }
 
-// poisonArena fills every pooled buffer the next kernel could be handed
-// with NaN, so a scratch or destination slot that is read before it is
-// written cannot go unnoticed. Buffers are filled by doubling copies: the
-// race detector instruments every element store, and the ~1.6 M of them
-// dominated -race runs of the conv tests.
+// poisonArena fills every buffer on the arena's free lists with NaN, so a
+// scratch or destination slot that is read before it is written cannot go
+// unnoticed. Callers run the kernel once on the arena first: the free lists
+// then hold exactly the buffers the checked call draws. Buffers are filled
+// by doubling copies: the race detector instruments every element store,
+// and one per element dominated -race runs of the conv tests.
 func poisonArena(ar *Arena) {
-	var held []*Tensor
-	for bits := arenaMinClassBits; bits <= 18; bits++ {
-		for i := 0; i < 3; i++ {
-			t := ar.NewNoZero(1 << bits)
-			t.data[0] = float32(math.NaN())
-			for j := 1; j < len(t.data); j *= 2 {
-				copy(t.data[j:], t.data[:j])
+	ar.mu.Lock()
+	defer ar.mu.Unlock()
+	for _, l := range ar.free {
+		for _, t := range l {
+			d := t.data[:cap(t.data)]
+			d[0] = float32(math.NaN())
+			for j := 1; j < len(d); j *= 2 {
+				copy(d[j:], d[:j])
 			}
-			held = append(held, t)
 		}
-	}
-	for _, t := range held {
-		ar.Release(t)
 	}
 }
 
@@ -261,7 +259,7 @@ func TestFanOutBoundary(t *testing.T) {
 		t.Errorf("65,536 streamed elements split into %d parts, want 1", parts)
 	}
 	gelu := mustCompileChain(t, []Instr{{Op: ChainGELU}}, []int{64, 2048}, nil)
-	if !fannedOut(func() { gelu.RunInPlace(New(64, 2048), nil, nil) }) {
+	if !fannedOut(func() { gelu.RunInPlace(New(64, 2048), nil, nil, nil) }) {
 		t.Error("a 131,072-element GELU tape ran serially")
 	}
 	rng := rand.New(rand.NewSource(17))
@@ -270,7 +268,7 @@ func TestFanOutBoundary(t *testing.T) {
 		t.Error("a 64→64 3×3 conv over 56×56 ran serially")
 	}
 	SetMaxWorkers(1)
-	if fannedOut(func() { gelu.RunInPlace(New(64, 2048), nil, nil) }) {
+	if fannedOut(func() { gelu.RunInPlace(New(64, 2048), nil, nil, nil) }) {
 		t.Error("width 1 fanned out")
 	}
 }
@@ -526,6 +524,7 @@ func TestMaxPoolMatchesOracle(t *testing.T) {
 		maxPoolOracle(want.data, x.data, 0, s.n*s.c, s.h, s.w, oh, ow, s.kernel, s.stride, s.pad)
 		for _, workers := range []int{1, 2} {
 			SetMaxWorkers(workers)
+			ar.Release(MaxPool2DInto(nil, x, s.kernel, s.stride, s.pad, ar))
 			poisonArena(ar)
 			var got *Tensor
 			if pooled := fannedOut(func() { got = MaxPool2DInto(nil, x, s.kernel, s.stride, s.pad, ar) }); workers == 2 && s.c == 16 && !pooled {

@@ -29,7 +29,7 @@ func MatMulInto(out *Tensor, a, b *Tensor, ar *Arena) *Tensor {
 	}
 	bp, scratch := packedB(b, k, n, false, ar)
 	gemmPacked(out.data, a.data, bp, m, n, k)
-	ar.dropScratch(scratch)
+	ar.Release(scratch)
 	return out
 }
 
@@ -75,7 +75,7 @@ func linearGEMM(out *Tensor, x, w, bias *Tensor, ar *Arena) *Tensor {
 	}
 	bp, scratch := packedB(w, k, n, true, ar)
 	gemmPacked(out.data, x.data, bp, m, n, k)
-	ar.dropScratch(scratch)
+	ar.Release(scratch)
 	return out
 }
 
@@ -101,12 +101,12 @@ func BatchMatMulInto(out *Tensor, a, b *Tensor, ar *Arena) *Tensor {
 	if bs == 0 || m == 0 || n == 0 {
 		return out
 	}
-	buf, scratch := ar.grabScratch(packedSize(k, n))
+	buf := ar.NewNoZero(packedSize(k, n))
 	for i := 0; i < bs; i++ {
-		packBRowMajor(buf, b.data[i*k*n:(i+1)*k*n], k, n, n, 0, packedPanels(n))
-		gemmPacked(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], buf, m, n, k)
+		packBRowMajor(buf.data, b.data[i*k*n:(i+1)*k*n], k, n, n, 0, packedPanels(n))
+		gemmPacked(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], buf.data, m, n, k)
 	}
-	ar.dropScratch(scratch)
+	ar.Release(buf)
 	return out
 }
 
@@ -125,9 +125,9 @@ func packedB(b *Tensor, k, n int, trans bool, ar *Arena) ([]float32, *Tensor) {
 	if b.pin != nil && len(b.data) > 0 {
 		return b.pin.packed(b.data, k, n, trans), nil
 	}
-	buf, scratch := ar.grabScratch(packedSize(k, n))
-	packPanels(buf, b.data, k, n, trans, 0, packedPanels(n))
-	return buf, scratch
+	scratch := ar.NewNoZero(packedSize(k, n))
+	packPanels(scratch.data, b.data, k, n, trans, 0, packedPanels(n))
+	return scratch.data, scratch
 }
 
 // packPanels packs column panels [lo, hi) of b in the layout packedB names.

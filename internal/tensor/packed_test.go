@@ -239,13 +239,8 @@ func TestArenaRecycling(t *testing.T) {
 			t.Fatalf("recycled tensor not zeroed at %d: %g", i, v)
 		}
 	}
-	// Exact hit/recycle counts only hold without the race detector, which
-	// makes sync.Pool drop Puts at random.
-	if !raceEnabled {
-		st := ar.Stats()
-		if st.Hits != 1 || st.Recycled != 1 {
-			t.Errorf("want 1 hit / 1 recycle, got %+v", st)
-		}
+	if st := ar.Stats(); st.Hits != 1 || st.Recycled != 1 {
+		t.Errorf("want 1 hit / 1 recycle, got %+v", st)
 	}
 	p := ar.New(16, 16)
 	p.MarkPinned()

@@ -121,7 +121,7 @@ func rnnSeqInto(out *Tensor, cell *rnnCell, x, wx, wh, bias *Tensor, lastOnly bo
 	gx := ar.New(b*t, n)
 	bp, scratch := packedB(wx, in, n, true, ar)
 	gemmPacked(gx.data, x.data, bp, b*t, n, in)
-	ar.dropScratch(scratch)
+	ar.Release(scratch)
 	addBias(gx.data, b*t, n, bias.data)
 
 	// GH = h·whᵀ restarts from zero every step — accumulating it on top of
@@ -154,7 +154,7 @@ func rnnSeqInto(out *Tensor, cell *rnnCell, x, wx, wh, bias *Tensor, lastOnly bo
 		cell.rows(rnnStep{gx: gx.data[step*n:], gh: gh.data, hIn: hIn, hOut: hOut, c: cData,
 			ldx: t * n, ldIn: ldIn, ldOut: ldOut, hd: hd, b: b}, u0, u1)
 	})
-	ar.dropScratch(scratch)
+	ar.Release(scratch)
 	ar.Release(gh)
 	ar.Release(gx)
 	ar.Release(c)

@@ -79,7 +79,7 @@ func TestRNNSeqBitExact(t *testing.T) {
 						}
 					}
 					// One arena per shape: cold for the first call, then every
-					// pooled buffer poisoned once, then recycled with whatever
+					// free buffer poisoned once, then recycled with whatever
 					// the previous call left in it.
 					ar := NewArena()
 					cold := run(nil, x, wx, wh, bias, false, ar)
@@ -148,12 +148,16 @@ func newRNNLayer(rng *rand.Rand, lstm bool, b, steps, in, hd int) rnnLayer {
 // result, h0, c, GX, GH), which is poisonArena narrowed to this one call.
 func (l rnnLayer) at(width int, lastOnly bool) *Tensor {
 	b, steps, hd, n := l.x.shape[0], l.x.shape[1], l.wh.shape[1], l.wx.shape[0]
+	result := b * steps * hd
+	if lastOnly {
+		result = b * hd
+	}
 	ar := NewArena()
 	var held []*Tensor
-	for _, size := range []int{b * steps * hd, b * hd, b * hd, b * steps * n, b * n} {
+	for _, size := range []int{result, b * hd, b * hd, b * steps * n, b * n} {
 		p := ar.NewNoZero(size)
-		for i := range p.data[:cap(p.data)] {
-			p.data[:cap(p.data)][i] = float32(math.NaN())
+		for i := range p.data {
+			p.data[i] = float32(math.NaN())
 		}
 		held = append(held, p)
 	}
@@ -308,9 +312,6 @@ func TestRNNSeqShapeMismatchPanics(t *testing.T) {
 // single-part time loop at every batch size; a split sequence allocates its
 // stepLoop helper once, whatever T.
 func TestRNNSeqTimeLoopAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector makes sync.Pool drop Puts at random")
-	}
 	rng := rand.New(rand.NewSource(20))
 	for _, tc := range []struct {
 		lstm      bool

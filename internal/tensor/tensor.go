@@ -288,11 +288,14 @@ func ShapeEq(a, b []int) bool {
 	return true
 }
 
+// checkedNumel returns the element count of shape, panicking on a negative
+// dimension. The message formats a copy, so shape does not escape and a
+// variadic New(…) call keeps its shape on the stack.
 func checkedNumel(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in shape %v", shape))
+			panic(fmt.Sprintf("tensor: negative dimension in shape %v", cloneInts(shape)))
 		}
 		n *= d
 	}

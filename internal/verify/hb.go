@@ -27,7 +27,7 @@ import (
 // checks); a nil or partial module list degrades to engine-level accesses.
 // Redundant syncs are deliberately not findings: same-device program order
 // and transitive chains make many plan edges redundant in every correct
-// schedule — hb.RedundantSyncs stays available as an advisory query.
+// schedule, and dropping one is a latency question, not a correctness one.
 func CheckHB(p *partition.Partition, place []device.Kind, mods []*compiler.Module) []Finding {
 	var fs []Finding
 	subs := p.Subgraphs()
