@@ -73,31 +73,39 @@ func assertArenaCutsAllocs(t *testing.T, e *Engine, inputs map[string]*tensor.Te
 }
 
 // TestArenaSurvivesGC holds the arena to keeping its buffers through
-// collections: after two GCs a Run allocates no more bytes than a warm Run,
-// where an arena the collector drains re-allocates every activation buffer.
-// The kernels run serially: a pooled kernel's helpers draw scratch only when
-// they join in time, so a warm run can still meet its first concurrent draw
-// of a size and allocate it.
+// collections: a Run after two GCs misses the arena exactly as often as a
+// warm Run and makes no more heap allocations, where an arena the collector
+// drains re-allocates every activation buffer. Both verdicts are counts of
+// what the Run asked for — the arena's own miss counter and the number of
+// heap objects — not process-wide bytes, whose accounting moves by a few
+// bytes with the collector's state. The kernels run serially: a pooled
+// kernel's helpers draw scratch only when they join in time, so a warm run
+// can still meet its first concurrent draw of a size and allocate it.
 func TestArenaSurvivesGC(t *testing.T) {
 	tensor.SetMaxWorkers(1)
 	defer tensor.SetMaxWorkers(0)
 	for _, ze := range zooEngines(t) {
 		place := ze.places["cpu"]
-		runBytes := func() uint64 {
+		run := func() (misses int64, mallocs uint64) {
 			var m0, m1 goruntime.MemStats
+			s0 := ze.e.Arena().Stats()
 			goruntime.ReadMemStats(&m0)
 			if _, err := ze.e.Run(ze.inputs, place, true); err != nil {
 				t.Fatal(err)
 			}
 			goruntime.ReadMemStats(&m1)
-			return m1.TotalAlloc - m0.TotalAlloc
+			return ze.e.Arena().Stats().Misses - s0.Misses, m1.Mallocs - m0.Mallocs
 		}
-		runBytes()
-		warm := max(runBytes(), runBytes())
+		run()
+		warmMisses, warmMallocs := run()
 		goruntime.GC()
 		goruntime.GC()
-		if after := runBytes(); after > warm {
-			t.Errorf("%s: a Run after two collections allocated %d bytes, a warm Run %d", ze.name, after, warm)
+		misses, mallocs := run()
+		if misses != warmMisses {
+			t.Errorf("%s: a Run after two collections missed the arena %d times, a warm Run %d", ze.name, misses, warmMisses)
+		}
+		if mallocs > warmMallocs {
+			t.Errorf("%s: a Run after two collections made %d heap allocations, a warm Run %d", ze.name, mallocs, warmMallocs)
 		}
 	}
 }

@@ -93,34 +93,42 @@ func BenchmarkGEMV(b *testing.B) {
 // four output positions leave only the filter rows to split. The x8 cells
 // are the last three stages at a 64² input and the served batch of 8: planes
 // of 64, 16 and 4 positions, the last two narrower than one block, so their
-// blocks span images.
+// blocks span images. Every other cell reuses one filter, which stays
+// cache-hot; the cold cells rotate over distinct filters totalling at least
+// 64 MB, as a model's layers do, so the filter streams from memory each call.
 func BenchmarkConv2D(b *testing.B) {
 	for _, s := range []struct {
 		name                             string
 		n, cin, hw, cout, k, stride, pad int
+		cold                             bool
 	}{
-		{"stem7x7s2", 1, 3, 224, 64, 7, 2, 3},
-		{"layer1", 1, 64, 56, 64, 3, 1, 1},
-		{"layer2", 1, 128, 28, 128, 3, 1, 1},
-		{"layer2down1x1s2", 1, 64, 56, 128, 1, 2, 0},
-		{"layer3", 1, 256, 14, 256, 3, 1, 1},
-		{"layer4", 1, 512, 7, 512, 3, 1, 1},
-		{"layer4at64", 1, 512, 2, 512, 3, 1, 1},
-		{"layer2at64x8", 8, 128, 8, 128, 3, 1, 1},
-		{"layer3at64x8", 8, 256, 4, 256, 3, 1, 1},
-		{"layer4at64x8", 8, 512, 2, 512, 3, 1, 1},
+		{"stem7x7s2", 1, 3, 224, 64, 7, 2, 3, false},
+		{"layer1", 1, 64, 56, 64, 3, 1, 1, false},
+		{"layer2", 1, 128, 28, 128, 3, 1, 1, false},
+		{"layer2down1x1s2", 1, 64, 56, 128, 1, 2, 0, false},
+		{"layer3", 1, 256, 14, 256, 3, 1, 1, false},
+		{"layer4", 1, 512, 7, 512, 3, 1, 1, false},
+		{"layer4cold", 1, 512, 7, 512, 3, 1, 1, true},
+		{"layer4at64", 1, 512, 2, 512, 3, 1, 1, false},
+		{"layer4at64cold", 1, 512, 2, 512, 3, 1, 1, true},
+		{"layer2at64x8", 8, 128, 8, 128, 3, 1, 1, false},
+		{"layer3at64x8", 8, 256, 4, 256, 3, 1, 1, false},
+		{"layer4at64x8", 8, 512, 2, 512, 3, 1, 1, false},
 	} {
 		rng := rand.New(rand.NewSource(3))
 		x := Rand(rng, 1, s.n, s.cin, s.hw, s.hw)
-		w := Rand(rng, 1, s.cout, s.cin, s.k, s.k)
+		ws := []*Tensor{Rand(rng, 1, s.cout, s.cin, s.k, s.k)}
+		for s.cold && len(ws)*4*ws[0].Numel() < 64<<20 {
+			ws = append(ws, Rand(rng, 1, s.cout, s.cin, s.k, s.k))
+		}
 		ar := NewArena()
-		out := Conv2DInto(nil, x, w, nil, s.stride, s.pad, ar)
+		out := Conv2DInto(nil, x, ws[0], nil, s.stride, s.pad, ar)
 		flops := 2 * float64(out.Numel()) * float64(s.cin*s.k*s.k)
 		for _, t := range hostTiers() {
 			b.Run(s.name+"/"+t.String(), func(b *testing.B) {
 				defer setTier(t)()
 				for i := 0; i < b.N; i++ {
-					Conv2DInto(out, x, w, nil, s.stride, s.pad, ar)
+					Conv2DInto(out, x, ws[i%len(ws)], nil, s.stride, s.pad, ar)
 				}
 				reportGFLOPS(b, flops)
 			})

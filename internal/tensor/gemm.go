@@ -3,11 +3,12 @@ package tensor
 // Packed-GEMM geometry. B is repacked into tile-major panels of nr columns
 // so the innermost loads are contiguous regardless of N. The microkernels
 // update register tiles of C spanning adjacent panels: mr×(2·nr) for the
-// bulk of the rows (mr8×(2·nr) at the AVX-512 tier) and 1×(4·nr) for
-// leftover rows — the M=1 GEMV shape of the RNN and batch-1 dense steps.
-// packKC bounds the K-extent touched per panel sweep (keeps the active A
-// rows and B panels cache-resident) and packMC is the row granularity
-// handed to the worker pool, aligned to whole microkernel tiles.
+// bulk of the rows (mr8×(2·nr) at the AVX-512 tier; one panel wide on a
+// lone trailing panel) and 1×(4·nr) for leftover rows — the M=1 GEMV shape
+// of the RNN and batch-1 dense steps. packKC bounds the K-extent touched
+// per panel sweep of a block wider than one two-panel group (keeps the
+// active A rows and B panels cache-resident) and packMC is the row
+// granularity handed to the worker pool, aligned to whole microkernel tiles.
 const (
 	mr     = 4
 	mr8    = 2 * mr
@@ -70,13 +71,14 @@ func gemmPacked(c, a, bp []float32, m, n, k int) {
 
 // gemmBlock computes C[i0:i1, 0:cols) += A[i0:i1, :] · B, where c starts at
 // the block's first column (row stride ldc), bp holds the block's np packed
-// panels of full K extent and cols ≤ np·nr is its live width. K is swept in
-// packKC slabs; within a slab each panel group stays cache-hot while the
-// rows stream past it. Whole 4-row tiles pair panels two by two, leftover
-// rows take them four by four, and a partial tile at the right edge goes
-// through the same kernel on a stack copy. At the AVX-512 tier a full
-// two-panel group gives its rows to 8-row tiles first and the 4-row tile
-// takes what is left; below it i8 == i0 and the loop is the 4-row one.
+// panels of full K extent and cols ≤ np·nr is its live width. A block of
+// several two-panel column groups sweeps K in packKC slabs, so each slab of
+// A stays cache-hot while every group's rows stream past it; a block of one
+// group has no second group to share a slab with, and sweeps all of K in
+// one kernel call per tile, streaming each A row once. Whole row tiles take
+// the panels two by two (a lone trailing panel alone): 8 rows at a time at
+// the AVX-512 tier, then 4 (below it i8 == i0). Leftover rows take them
+// four by four.
 func gemmBlock(c []float32, ldc int, a []float32, lda int, bp []float32, i0, i1, np, cols, k int) {
 	pstride := k * nr
 	i4 := i0 + (i1-i0)&^(mr-1)
@@ -84,22 +86,22 @@ func gemmBlock(c []float32, ldc int, a []float32, lda int, bp []float32, i0, i1,
 	if tier >= tierAVX512 {
 		i8 += (i1 - i0) &^ (mr8 - 1)
 	}
-	for k0 := 0; k0 < k; k0 += packKC {
-		kc := min(packKC, k-k0)
-		if i4 > i0 {
-			for jt := 0; jt < np; jt += tilePanels4 {
-				g := min(tilePanels4, np-jt)
-				w := min(g*nr, cols-jt*nr)
-				panel := bp[jt*pstride+k0*nr:]
-				i := i0
-				if w == tilePanels4*nr {
-					for ; i < i8; i += mr8 {
-						kern8(c[i*ldc+jt*nr:], ldc, a[i*lda+k0:], lda, panel, pstride, kc)
-					}
-				}
-				for ; i < i4; i += mr {
-					tile4(c[i*ldc+jt*nr:], ldc, a[i*lda+k0:], lda, panel, pstride, kc, g, w)
-				}
+	slab := packKC
+	if np <= tilePanels4 {
+		slab = k
+	}
+	for k0 := 0; k0 < k; k0 += slab {
+		kc := min(slab, k-k0)
+		for jt := 0; jt < np && i4 > i0; jt += tilePanels4 {
+			g := min(tilePanels4, np-jt)
+			w := min(g*nr, cols-jt*nr)
+			panel := bp[jt*pstride+k0*nr:]
+			i := i0
+			for ; i < i8; i += mr8 {
+				tile(mr8, c[i*ldc+jt*nr:], ldc, a[i*lda+k0:], lda, panel, pstride, kc, g, w)
+			}
+			for ; i < i4; i += mr {
+				tile(mr, c[i*ldc+jt*nr:], ldc, a[i*lda+k0:], lda, panel, pstride, kc, g, w)
 			}
 		}
 		for i := i4; i < i1; i++ {
@@ -112,28 +114,29 @@ func gemmBlock(c []float32, ldc int, a []float32, lda int, bp []float32, i0, i1,
 	}
 }
 
-// tile4 advances the 4-row tile of w live columns at c over np panels. A
-// full tile runs in place; a partial one (the zero-padded last panel) is
-// copied to a full-width stack tile, advanced there by the same kernel, and
-// its live columns copied back, so no kernel ever touches memory past the
-// matrix edge.
-func tile4(c []float32, ldc int, a []float32, lda int, p []float32, pstride, kc, np, w int) {
-	tw := np * nr
-	if w == tw {
+// tile advances the rows×(np·nr) tile (rows mr or mr8, np ≤ 2) of w live
+// columns at c. A full tile runs in place; a partial one (the zero-padded
+// last panel) is copied to a full-width stack tile, advanced there by the
+// same kernel, and its live columns copied back, so no kernel ever touches
+// memory past the matrix edge.
+func tile(rows int, c []float32, ldc int, a []float32, lda int, p []float32, pstride, kc, np, w int) {
+	if tw := np * nr; w < tw {
+		var t [mr8 * tilePanels4 * nr]float32
+		for r := 0; r < rows; r++ {
+			copy(t[r*tw:r*tw+w], c[r*ldc:r*ldc+w])
+		}
+		tile(rows, t[:], tw, a, lda, p, pstride, kc, np, tw)
+		for r := 0; r < rows; r++ {
+			copy(c[r*ldc:r*ldc+w], t[r*tw:r*tw+w])
+		}
+	} else if rows == mr8 {
+		kern8(c, ldc, a, lda, p, pstride, kc, np)
+	} else {
 		kern4(c, ldc, a, lda, p, pstride, kc, np)
-		return
-	}
-	var t [mr * tilePanels4 * nr]float32
-	for r := 0; r < mr; r++ {
-		copy(t[r*tw:r*tw+w], c[r*ldc:r*ldc+w])
-	}
-	kern4(t[:], tw, a, lda, p, pstride, kc, np)
-	for r := 0; r < mr; r++ {
-		copy(c[r*ldc:r*ldc+w], t[r*tw:r*tw+w])
 	}
 }
 
-// tile1 is the single-row counterpart of tile4.
+// tile1 is the single-row counterpart of tile.
 func tile1(c, a, p []float32, pstride, kc, np, w int) {
 	if w == np*nr {
 		kern1(c, a, p, pstride, kc, np)
@@ -154,11 +157,11 @@ func kern4Go(c []float32, ldc int, a []float32, lda int, p []float32, pstride, k
 	}
 }
 
-// kern8Go is the 8×(2·nr) tile as its two 4-row halves: the reference of
-// the AVX-512 kernel.
-func kern8Go(c []float32, ldc int, a []float32, lda int, p []float32, pstride, kc int) {
-	kern4Go(c, ldc, a, lda, p, pstride, kc, tilePanels4)
-	kern4Go(c[mr*ldc:], ldc, a[mr*lda:], lda, p, pstride, kc, tilePanels4)
+// kern8Go is the 8-row tile as its two 4-row halves: the reference of the
+// AVX-512 tier's kernels.
+func kern8Go(c []float32, ldc int, a []float32, lda int, p []float32, pstride, kc, np int) {
+	kern4Go(c, ldc, a, lda, p, pstride, kc, np)
+	kern4Go(c[mr*ldc:], ldc, a[mr*lda:], lda, p, pstride, kc, np)
 }
 
 func kern1Go(c, a, p []float32, pstride, kc, np int) {

@@ -50,6 +50,9 @@ func xgetbv() (eax, edx uint32)
 func kern8x16(c *float32, ldc int, a *float32, lda int, p *float32, pstride int, kc int)
 
 //go:noescape
+func kern8x8(c *float32, ldc int, a *float32, lda int, p *float32, kc int)
+
+//go:noescape
 func kern4x16(c *float32, ldc int, a *float32, lda int, p *float32, pstride int, kc int)
 
 //go:noescape
@@ -229,21 +232,26 @@ func reluLoop(dst, src []float32) {
 	maximumScalar(dst, src, 0)
 }
 
-// kern8 updates the full 8×(2·nr) tile at c (row stride ldc) with
-// a[8 rows, :kc] · the two adjacent panels at p (panel stride pstride):
-// the AVX-512 tier's tile, which gemmBlock uses only at that tier.
-func kern8(c []float32, ldc int, a []float32, lda int, p []float32, pstride, kc int) {
+// kern8 updates the full 8×(np·nr) tile at c (row stride ldc) with
+// a[8 rows, :kc] · the np ≤ 2 adjacent panels at p (panel stride pstride):
+// the AVX-512 tier's tiles, which gemmBlock uses only at that tier — the
+// ZMM kernel over a two-panel group, the YMM one over a lone panel.
+func kern8(c []float32, ldc int, a []float32, lda int, p []float32, pstride, kc, np int) {
 	if tier < tierAVX512 {
-		kern8Go(c, ldc, a, lda, p, pstride, kc)
+		kern8Go(c, ldc, a, lda, p, pstride, kc, np)
 		return
 	}
 	if kc <= 0 {
 		return
 	}
-	_ = c[7*ldc+tilePanels4*nr-1]
+	_ = c[7*ldc+np*nr-1]
 	_ = a[7*lda+kc-1]
-	_ = p[pstride+kc*nr-1]
-	kern8x16(&c[0], 4*ldc, &a[0], 4*lda, &p[0], 4*pstride, kc)
+	_ = p[(np-1)*pstride+kc*nr-1]
+	if np == 2 {
+		kern8x16(&c[0], 4*ldc, &a[0], 4*lda, &p[0], 4*pstride, kc)
+	} else {
+		kern8x8(&c[0], 4*ldc, &a[0], 4*lda, &p[0], kc)
+	}
 }
 
 // kern4 updates the full 4×(np·nr) tile at c (row stride ldc) with

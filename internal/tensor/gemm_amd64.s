@@ -2,14 +2,14 @@
 
 #include "textflag.h"
 
-// GEMM microkernels: AVX2, plus one AVX-512F tile. Every kernel updates one
-// full register tile of C with A[rows, k0:k0+kc] · packed-B panels by
-// load-accumulate-store: the tile is loaded from C, advanced kc steps, and
-// stored back. Vector lanes are independent output columns and each step is
-// a separate VMULPS then VADDPS (two roundings, never FMA), so every C
-// element sees exactly the scalar `c += a*b` sequence in ascending k. All
-// strides are in bytes. The kernels touch nothing outside their tile: the
-// Go wrappers in gemm_amd64.go bounds-check the three operands and route
+// GEMM microkernels: AVX2, plus the AVX-512 tier's 8-row tiles. Every kernel
+// updates one full register tile of C with A[rows, k0:k0+kc] · packed-B
+// panels by load-accumulate-store: the tile is loaded from C, advanced kc
+// steps, and stored back. Vector lanes are independent output columns and
+// each step is a separate VMULPS then VADDPS (two roundings, never FMA), so
+// every C element sees exactly the scalar `c += a*b` sequence in ascending
+// k. All strides are in bytes. The kernels touch nothing outside their tile:
+// the Go wrappers in gemm_amd64.go bounds-check the three operands and route
 // partial tiles through a stack tile. R14, R15 and X15 are left alone (g,
 // GOT and the ABIInternal zero register), only Z0–Z14 are used (VZEROUPPER
 // does not clean Z16–Z31), and the upper YMM/ZMM halves are cleared before
@@ -82,6 +82,64 @@ loop8x16:
 	VZEROUPPER
 	RET
 
+// ROW8 broadcasts the A element at amem into tmp, multiplies it by the
+// eight B values in Y8 and accumulates into the row's accumulator.
+#define ROW8(amem, acc, tmp) \
+	VBROADCASTSS amem, tmp;  \
+	VMULPS       Y8, tmp, tmp; \
+	VADDPS       tmp, acc, acc
+
+// func kern8x8(c *float32, ldc int, a *float32, lda int, p *float32, kc int)
+// 8 rows × 1 panel, for a lone trailing panel at the AVX-512 tier: one YMM
+// accumulator per row, so each B vector is loaded once for eight rows. It
+// uses only AVX2 instructions.
+TEXT ·kern8x8(SB), NOSPLIT, $0-48
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), SI
+	MOVQ a+16(FP), AX
+	MOVQ lda+24(FP), BX
+	MOVQ p+32(FP), DX
+	MOVQ kc+40(FP), CX
+	LEAQ (SI)(SI*2), R9  // 3*ldc
+	LEAQ (BX)(BX*2), R10 // 3*lda
+	LEAQ (AX)(BX*4), R11 // A row 4
+	LEAQ (DI)(SI*4), R12 // C row 4
+	VMOVUPS (DI), Y0
+	VMOVUPS (DI)(SI*1), Y1
+	VMOVUPS (DI)(SI*2), Y2
+	VMOVUPS (DI)(R9*1), Y3
+	VMOVUPS (R12), Y4
+	VMOVUPS (R12)(SI*1), Y5
+	VMOVUPS (R12)(SI*2), Y6
+	VMOVUPS (R12)(R9*1), Y7
+
+loop8x8:
+	VMOVUPS (DX), Y8
+	ROW8((AX), Y0, Y9)
+	ROW8((AX)(BX*1), Y1, Y10)
+	ROW8((AX)(BX*2), Y2, Y11)
+	ROW8((AX)(R10*1), Y3, Y12)
+	ROW8((R11), Y4, Y13)
+	ROW8((R11)(BX*1), Y5, Y14)
+	ROW8((R11)(BX*2), Y6, Y9)
+	ROW8((R11)(R10*1), Y7, Y10)
+	ADDQ $4, AX
+	ADDQ $4, R11
+	ADDQ $32, DX
+	DECQ CX
+	JNZ  loop8x8
+
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, (DI)(SI*1)
+	VMOVUPS Y2, (DI)(SI*2)
+	VMOVUPS Y3, (DI)(R9*1)
+	VMOVUPS Y4, (R12)
+	VMOVUPS Y5, (R12)(SI*1)
+	VMOVUPS Y6, (R12)(SI*2)
+	VMOVUPS Y7, (R12)(R9*1)
+	VZEROUPPER
+	RET
+
 // func kern4x16(c *float32, ldc int, a *float32, lda int, p *float32, pstride int, kc int)
 // 4 rows × 2 adjacent panels: 8 independent accumulators.
 TEXT ·kern4x16(SB), NOSPLIT, $0-56
@@ -131,7 +189,8 @@ loop4x16:
 	RET
 
 // func kern4x8(c *float32, ldc int, a *float32, lda int, p *float32, kc int)
-// 4 rows × 1 panel, for an odd trailing panel.
+// 4 rows × 1 panel, for a lone trailing panel's rows below the AVX-512 tier
+// and its last 4-row tile at it.
 TEXT ·kern4x8(SB), NOSPLIT, $0-48
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), SI

@@ -25,6 +25,7 @@ func TestPortableKernelPath(t *testing.T) {
 		fn   func(*testing.T)
 	}{
 		{"MatMulPackedBitExact", TestMatMulPackedBitExact},
+		{"OneSweepBitExact", TestOneSweepBitExact},
 		{"MatMulIntoArenaBitExact", TestMatMulIntoArenaBitExact},
 		{"LinearPackedBitExact", TestLinearPackedBitExact},
 		{"FusedEpiloguesBitExact", TestFusedEpiloguesBitExact},
@@ -148,12 +149,13 @@ func TestFillRule(t *testing.T) {
 }
 
 // TestKernelCanaries drives every assembly kernel on sub-slices cut at odd
-// (unaligned) offsets out of NaN-filled backing arrays. The tile must match
-// the Go kernel bit for bit — for the 8-row tile, kern4Go over its two
-// 4-row halves — every element of C outside the tile — the guard bands and
-// the gaps between its rows — must keep its canary, and a read outside A's
-// rows or the panels would drag a NaN into the result. Each kernel is a
-// subtest; the 8-row one skips below the AVX-512 tier.
+// (unaligned) offsets out of NaN-filled backing arrays, from one K step to
+// the one-sweep K of a 512-channel 3×3 conv. The tile must match the Go
+// kernel bit for bit — for the 8-row tiles, kern4Go over their two 4-row
+// halves — every element of C outside the tile — the guard bands and the
+// gaps between its rows — must keep its canary, and a read outside A's rows
+// or the panels would drag a NaN into the result. Each kernel is a subtest;
+// the 8-row ones skip below the AVX-512 tier.
 func TestKernelCanaries(t *testing.T) {
 	if tier < tierAVX2 {
 		t.Skip("no AVX2: assembly kernels not in use")
@@ -179,17 +181,18 @@ func TestKernelCanaries(t *testing.T) {
 	for np := 1; np <= tilePanels1; np++ {
 		shapes = append(shapes, tileShape{1, np})
 	}
-	for np := 1; np <= tilePanels4; np++ {
-		shapes = append(shapes, tileShape{mr, np})
+	for _, rows := range []int{mr, mr8} {
+		for np := 1; np <= tilePanels4; np++ {
+			shapes = append(shapes, tileShape{rows, np})
+		}
 	}
-	shapes = append(shapes, tileShape{mr8, tilePanels4})
 	for _, sh := range shapes {
 		rows, np := sh.rows, sh.np
 		t.Run(fmt.Sprintf("%dx%d", rows, np*nr), func(t *testing.T) {
 			if rows == mr8 && tier < tierAVX512 {
 				t.Skip("below the AVX-512 tier: the 8-row kernel is not in use")
 			}
-			for _, kc := range []int{1, 2, 7, packKC} {
+			for _, kc := range []int{1, 2, 7, packKC, 512 * 9} {
 				ldc, lda := np*nr+5, kc+3 // rows separated by gaps the kernel must not touch
 				pstride := kc*nr + 24
 				c, cWhole := carve(3, (rows-1)*ldc+np*nr)
@@ -208,7 +211,7 @@ func TestKernelCanaries(t *testing.T) {
 				case mr8:
 					kern4Go(wc, ldc, a, lda, p, pstride, kc, np)
 					kern4Go(wc[mr*ldc:], ldc, a[mr*lda:], lda, p, pstride, kc, np)
-					kern8(c, ldc, a, lda, p, pstride, kc)
+					kern8(c, ldc, a, lda, p, pstride, kc, np)
 				case mr:
 					kern4Go(wc, ldc, a, lda, p, pstride, kc, np)
 					kern4(c, ldc, a, lda, p, pstride, kc, np)
@@ -243,9 +246,12 @@ func TestKernelWrappersBoundsCheck(t *testing.T) {
 		need kernelTier
 		call func()
 	}{
-		{"kern8 short C", tierAVX512, func() { kern8(short(7*16+16), 16, full(7*kc+kc), kc, full(2*kc*nr), kc*nr, kc) }},
-		{"kern8 short A", tierAVX512, func() { kern8(full(7*16+16), 16, short(7*kc+kc), kc, full(2*kc*nr), kc*nr, kc) }},
-		{"kern8 short panel", tierAVX512, func() { kern8(full(7*16+16), 16, full(7*kc+kc), kc, short(2*kc*nr), kc*nr, kc) }},
+		{"kern8 short C", tierAVX512, func() { kern8(short(7*16+16), 16, full(7*kc+kc), kc, full(2*kc*nr), kc*nr, kc, 2) }},
+		{"kern8 short A", tierAVX512, func() { kern8(full(7*16+16), 16, short(7*kc+kc), kc, full(2*kc*nr), kc*nr, kc, 2) }},
+		{"kern8 short panel", tierAVX512, func() { kern8(full(7*16+16), 16, full(7*kc+kc), kc, short(2*kc*nr), kc*nr, kc, 2) }},
+		{"kern8 lone panel short C", tierAVX512, func() { kern8(short(7*16+8), 16, full(7*kc+kc), kc, full(kc*nr), kc*nr, kc, 1) }},
+		{"kern8 lone panel short A", tierAVX512, func() { kern8(full(7*16+8), 16, short(7*kc+kc), kc, full(kc*nr), kc*nr, kc, 1) }},
+		{"kern8 lone panel short panel", tierAVX512, func() { kern8(full(7*16+8), 16, full(7*kc+kc), kc, short(kc*nr), kc*nr, kc, 1) }},
 		{"kern4 short C", tierAVX2, func() { kern4(short(3*16+16), 16, full(3*kc+kc), kc, full(2*kc*nr), kc*nr, kc, 2) }},
 		{"kern4 short A", tierAVX2, func() { kern4(full(3*16+16), 16, short(3*kc+kc), kc, full(2*kc*nr), kc*nr, kc, 2) }},
 		{"kern4 short panel", tierAVX2, func() { kern4(full(3*16+16), 16, full(3*kc+kc), kc, short(2*kc*nr), kc*nr, kc, 2) }},

@@ -32,8 +32,8 @@ func packBTransposed(bp, w []float32, k, n, ld, lo, hi int) {
 	packBTransposedGo(bp, w, k, n, ld, lo, hi)
 }
 
-func kern8(c []float32, ldc int, a []float32, lda int, p []float32, pstride, kc int) {
-	kern8Go(c, ldc, a, lda, p, pstride, kc)
+func kern8(c []float32, ldc int, a []float32, lda int, p []float32, pstride, kc, np int) {
+	kern8Go(c, ldc, a, lda, p, pstride, kc, np)
 }
 
 func kern4(c []float32, ldc int, a []float32, lda int, p []float32, pstride, kc, np int) {

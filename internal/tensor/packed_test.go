@@ -65,6 +65,47 @@ func TestMatMulPackedBitExact(t *testing.T) {
 	}
 }
 
+// TestOneSweepBitExact holds the blocks that sweep K in one pass — at most
+// one two-panel column group — and the lone-panel 8-row tile to the naive
+// references bit for bit, with K past several packKC slabs: MatMul against
+// MatMulNaive and a batch-1 3×3 conv against Conv2DNaive, over 1, 2 and 3
+// panels (3 keeps the slabs, its last panel a lone one) at full and partial
+// width, and 8, 12, 64 and 512 rows (one 8-row tile; 8 + 4; whole packMC
+// blocks), serially and at width 2.
+func TestOneSweepBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	defer SetMaxWorkers(0)
+	for _, rows := range []int{8, 12, 64, 512} {
+		for np := 1; np <= 3; np++ {
+			for _, n := range []int{np * nr, np*nr - 3} {
+				a := Rand(rng, 1, rows, 3*packKC+5)
+				b := Rand(rng, 1, 3*packKC+5, n)
+				want := MatMulNaive(a, b)
+				for _, workers := range []int{1, 2} {
+					SetMaxWorkers(workers)
+					if got := MatMulInto(nil, a, b, nil); !bitEqual(got, want) {
+						t.Errorf("MatMul %dx%dx%d workers=%d differs from naive (max |Δ| %g)", rows, 3*packKC+5, n, workers, MaxAbsDiff(got, want))
+					}
+				}
+			}
+			// 48 channels of 3×3 patches: K = 432. A 1×plane image with
+			// pad 1 gives plane output positions, np·nr or 3 fewer.
+			for _, plane := range []int{np * nr, np*nr - 3} {
+				x := Rand(rng, 1, 1, 48, 1, plane)
+				w := Rand(rng, 1, rows, 48, 3, 3)
+				bias := Rand(rng, 1, rows)
+				want := Conv2DNaive(x, w, bias, 1, 1)
+				for _, workers := range []int{1, 2} {
+					SetMaxWorkers(workers)
+					if got := Conv2DInto(nil, x, w, bias, 1, 1, nil); !bitEqual(got, want) {
+						t.Errorf("Conv2D %d filters over %d positions workers=%d differs from naive (max |Δ| %g)", rows, plane, workers, MaxAbsDiff(got, want))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestMatMulIntoArenaBitExact runs the same comparison through an arena with
 // buffer recycling: a warm (recycled, stale-data) destination must produce
 // the same bits as a cold one.
