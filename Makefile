@@ -11,10 +11,7 @@ build:
 ## Full verification gate: formatting, vet, and the race-enabled test suite.
 ## The race suite runs two test binaries at a time (-p 2): race-instrumented
 ## binaries are memory-hungry, and the unbounded form gets OOM-killed on
-## small hosts. internal/modelio then runs alone: its round trip of every
-## full-size zoo model peaks at ~5.6 GB under the race detector (Save/Load
-## allocate ~2.3 GB for one 148 MB MT-DNN), which next to any other package
-## overruns an 8 GB host. Both bound parallelism only; every package runs.
+## small hosts. It bounds parallelism only; every package runs.
 ## The default `make` target runs this, so concurrency regressions (executor
 ## workers, MPMC queue, metrics registry) cannot slip through
 ## a plain build. The obs package gets an extra high-iteration race pass: it
@@ -71,8 +68,7 @@ build:
 ## the value recorded in BENCH_kernels.json (wall-clock, so don't run other
 ## CPU-heavy work next to it).
 check: fmt-check vet
-	$(GO) test -race -p 2 $$($(GO) list ./... | grep -v internal/modelio)
-	$(GO) test -race ./internal/modelio
+	$(GO) test -race -p 2 ./...
 	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 	$(GO) test -count=1 -tags purego ./internal/tensor/...
 	$(GO) test -race -count=5 -cpu 1,2 -run 'TestRNNSeq' ./internal/tensor/
@@ -127,8 +123,7 @@ test: check
 	$(GO) test ./...
 
 test-race:
-	$(GO) test -race -p 2 $$($(GO) list ./... | grep -v internal/modelio)
-	$(GO) test -race ./internal/modelio
+	$(GO) test -race -p 2 ./...
 
 test-short:
 	$(GO) test -short ./...

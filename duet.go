@@ -35,7 +35,6 @@ import (
 	"duet/internal/core"
 	"duet/internal/device"
 	"duet/internal/graph"
-	"duet/internal/modelio"
 	"duet/internal/obs"
 	"duet/internal/relay"
 	"duet/internal/runtime"
@@ -154,13 +153,15 @@ func FormatRelay(g *Graph) (string, map[string]*Tensor, error) {
 	return m.String(), w, nil
 }
 
-// SaveModel serialises a graph with its weights to w (JSON with base64
-// float32 payloads); LoadModel reads it back. The round trip preserves
-// structure, attributes, and every weight bit.
-func SaveModel(g *Graph, w io.Writer) error { return modelio.Save(g, w) }
+// SaveModel writes a graph with its weights to w: the text FormatRelay
+// prints, then one raw little-endian float32 section per weight (format in
+// internal/relay's package doc). LoadModel reads it back. The round trip
+// preserves names, ops, edges, attributes and every weight bit; node IDs
+// may be renumbered.
+func SaveModel(g *Graph, w io.Writer) error { return relay.WriteModel(g, w) }
 
 // LoadModel reads a graph written by SaveModel.
-func LoadModel(r io.Reader) (*Graph, error) { return modelio.Load(r) }
+func LoadModel(r io.Reader) (*Graph, error) { return relay.ReadModel(r) }
 
 // Tensor constructors, re-exported for building inputs and weights.
 var (

@@ -10,7 +10,6 @@ import (
 	"duet/internal/compiler"
 	"duet/internal/device"
 	"duet/internal/graph"
-	"duet/internal/modelio"
 	"duet/internal/partition"
 	"duet/internal/relay"
 	"duet/internal/runtime"
@@ -225,10 +224,10 @@ func TestRandomDAGsModelIORoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(3000 + trial)))
 		g, inputs := randomDAG(rng)
 		var buf bytes.Buffer
-		if err := modelio.Save(g, &buf); err != nil {
+		if err := duet.SaveModel(g, &buf); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		g2, err := modelio.Load(&buf)
+		g2, err := duet.LoadModel(&buf)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -250,7 +249,7 @@ func TestRandomDAGsModelIORoundTrip(t *testing.T) {
 		}
 		for i := range o1 {
 			if !tensor.AllClose(o1[i], o2[i], 0, 0) {
-				t.Fatalf("trial %d: modelio round trip changed output %d", trial, i)
+				t.Fatalf("trial %d: SaveModel/LoadModel round trip changed output %d", trial, i)
 			}
 		}
 	}
@@ -323,6 +322,33 @@ func TestSavedModelRebuildsIdenticalEngine(t *testing.T) {
 	l2, _ := e2.Measure(1)
 	if l1[0] != l2[0] {
 		t.Fatalf("latency changed after model round trip: %v vs %v", l1[0], l2[0])
+	}
+}
+
+func TestSavedModelTextIsFormatRelay(t *testing.T) {
+	// The model file's text section is FormatRelay's output byte for byte:
+	// one printer serves both.
+	g, err := duet.WideDeep(duet.DefaultWideDeep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _, err := duet.FormatRelay(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := duet.SaveModel(g, &buf); err != nil {
+		t.Fatal(err)
+	}
+	header, err := buf.ReadString('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("duet-model 2 %d %q\n", len(text), g.Name); header != want {
+		t.Fatalf("header %q, want %q", header, want)
+	}
+	if got := string(buf.Next(len(text))); got != text {
+		t.Fatalf("the saved text differs from FormatRelay's")
 	}
 }
 

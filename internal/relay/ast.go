@@ -7,16 +7,26 @@
 //	binding := "%" ident "=" ident "(" args ")" [ attrs ] ";"
 //	arg     := "%" ident | "@" ident            // @ references a weight
 //	attrs   := "{" ident "=" value { "," ... } "}"
-//	value   := int | "[" int { "," int } "]" | string
+//	value   := int | "[" int { "," int } "]" | string  // string: Go-quoted
 //	result  := ref | "(" ref { "," ref } ")"
 //
 // DUET translates this representation to and from the adjacency-list graph
 // IR (graph.Graph) with a visitor, mirroring Fig. 10 of the paper.
+//
+// A model file (WriteModel / ReadModel) is that text plus its weights:
+//
+//	duet-model 2 <text bytes> <Go-quoted graph name>\n
+//	<the Relay text, exactly as Module.String prints it>
+//	per @weight, in the order the text first references it:
+//	  rank uint32, rank × dim uint32, dims' product × float32
+//
+// Every number after the text is little-endian.
 package relay
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"duet/internal/graph"
@@ -59,6 +69,23 @@ func (m *Module) Visit(param func(Param), bind func(Binding)) {
 	for _, b := range m.Bindings {
 		bind(b)
 	}
+}
+
+// weightOrder lists the @weight names in the order the bindings first
+// reference them: the order ToGraph adds their consts and a model file
+// stores them.
+func (m *Module) weightOrder() []string {
+	var names []string
+	seen := make(map[string]bool)
+	for _, b := range m.Bindings {
+		for _, a := range b.Args {
+			if a.IsConst && !seen[a.Name] {
+				seen[a.Name] = true
+				names = append(names, a.Name)
+			}
+		}
+	}
+	return names
 }
 
 // String pretty-prints the module in the grammar above; Parse(m.String())
@@ -114,12 +141,13 @@ func (m *Module) String() string {
 	return b.String()
 }
 
+// formatAttr prints an attribute value; FromGraph admits only these types.
 func formatAttr(v interface{}) string {
 	switch x := v.(type) {
 	case int:
-		return fmt.Sprintf("%d", x)
+		return strconv.Itoa(x)
 	case string:
-		return fmt.Sprintf("%q", x)
+		return strconv.Quote(x)
 	case []int:
 		return "[" + joinInts(x) + "]"
 	default:

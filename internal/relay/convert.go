@@ -56,7 +56,7 @@ func ToGraph(m *Module, name string, weights map[string]*tensor.Tensor) (*graph.
 			}
 			inputs[i] = id
 		}
-		if _, dup := env[b.Name]; dup {
+		if g.NodeByName(b.Name) != nil {
 			err = fmt.Errorf("relay: duplicate name %%%s", b.Name)
 			return
 		}
@@ -84,13 +84,19 @@ func ToGraph(m *Module, name string, weights map[string]*tensor.Tensor) (*graph.
 // FromGraph raises a graph back to a module plus its weight environment —
 // the inverse translation used to hand partitioned subgraphs back to the
 // compiler as Relay programs. Input placeholders become parameters and const
-// nodes become @weights keyed by node name.
+// nodes become @weights keyed by node name. A graph the text cannot express
+// is an error: a name or op that is not an ident, an attribute that is not
+// an int, string or []int, a const without a value, a const no node reads,
+// or a const declared as an output.
 func FromGraph(g *graph.Graph) (*Module, map[string]*tensor.Tensor, error) {
 	m := &Module{}
 	weights := make(map[string]*tensor.Tensor)
-	isConst := make(map[graph.NodeID]bool)
+	unread := make(map[graph.NodeID]bool) // consts no binding has read yet
 
 	for _, n := range g.Nodes() {
+		if !isIdent(n.Name) {
+			return nil, nil, fmt.Errorf("relay: node name %q is not an identifier", n.Name)
+		}
 		switch {
 		case n.IsInput():
 			m.Params = append(m.Params, Param{Name: n.Name, Shape: append([]int(nil), n.Shape...)})
@@ -99,17 +105,39 @@ func FromGraph(g *graph.Graph) (*Module, map[string]*tensor.Tensor, error) {
 				return nil, nil, fmt.Errorf("relay: const node %q has no value", n.Name)
 			}
 			weights[n.Name] = n.Value
-			isConst[n.ID] = true
+			unread[n.ID] = true
 		default:
+			if !isIdent(n.Op) {
+				return nil, nil, fmt.Errorf("relay: node %q has op %q, not an identifier", n.Name, n.Op)
+			}
+			for k, v := range n.Attrs {
+				switch v.(type) {
+				case int, string, []int:
+				default:
+					return nil, nil, fmt.Errorf("relay: node %q attribute %s is a %T; the text holds int, string and []int", n.Name, k, v)
+				}
+				if !isIdent(k) {
+					return nil, nil, fmt.Errorf("relay: node %q attribute key %q is not an identifier", n.Name, k)
+				}
+			}
 			b := Binding{Name: n.Name, Op: n.Op, Attrs: n.Attrs.Clone()}
 			for _, in := range n.Inputs {
-				b.Args = append(b.Args, Arg{Name: g.Node(in).Name, IsConst: isConst[in]})
+				b.Args = append(b.Args, Arg{Name: g.Node(in).Name, IsConst: g.Node(in).IsConst()})
+				delete(unread, in)
 			}
 			m.Bindings = append(m.Bindings, b)
 		}
 	}
 	for _, o := range g.Outputs() {
+		if g.Node(o).IsConst() {
+			return nil, nil, fmt.Errorf("relay: const %q is declared as an output", g.Node(o).Name)
+		}
 		m.Results = append(m.Results, g.Node(o).Name)
+	}
+	for _, n := range g.Nodes() {
+		if unread[n.ID] {
+			return nil, nil, fmt.Errorf("relay: const %q is read by no node", n.Name)
+		}
 	}
 	if len(m.Results) == 0 {
 		return nil, nil, fmt.Errorf("relay: graph %q has no outputs", g.Name)

@@ -17,6 +17,9 @@ func FuzzParse(f *testing.F) {
 		`fn (%x: Tensor[(2)]) { %a = add(%x, @w); %a }`,
 		`fn (%x: Tensor[(2)]) { (%x,) }`,
 		`fn (%x: Tensor[(2)]) { %a = f(%x) {k="v", n=3, l=[1]}; %a }`,
+		`fn (%x: Tensor[(2)]) { %a = f(%x) {k="a\b"}; %a }`,
+		`fn (%x: Tensor[(2)]) { %a = f(%x) {k="say "hi""}; %a }`,
+		`fn (%x: Tensor[(2)]) { %a = f(%x) {k="tab	here"}; %a }`,
 		"fn (%x: Tensor[(2)]) {\n// comment\n %a = relu(%x); %a }",
 		`fn (%x: Tensor[(-1)]) { %x }`,
 		`fn(%x:Tensor[(2)]){%a=relu(%x);%a}`,
@@ -53,11 +56,4 @@ func FuzzParseNoCrashOnMutations(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		_, _ = Parse(src) // must not panic or hang
 	})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -58,13 +58,39 @@ func (p *parser) peek() byte {
 	return 0
 }
 
-func (p *parser) expect(tok string) error {
-	p.skipSpace()
-	if !strings.HasPrefix(p.src[p.pos:], tok) {
-		return p.errf("expected %q", tok)
+// expect consumes each token in turn, skipping whitespace before each.
+func (p *parser) expect(toks ...string) error {
+	for _, tok := range toks {
+		p.skipSpace()
+		if !strings.HasPrefix(p.src[p.pos:], tok) {
+			return p.errf("expected %q", tok)
+		}
+		p.pos += len(tok)
 	}
-	p.pos += len(tok)
 	return nil
+}
+
+// list parses comma-separated items up to and including close.
+func (p *parser) list(close string, item func() error) error {
+	for n := 0; !p.accept(close); n++ {
+		if n > 0 {
+			if err := p.expect(","); err != nil {
+				return err
+			}
+		}
+		if err := item(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ref reads a %name reference.
+func (p *parser) ref() (string, error) {
+	if err := p.expect("%"); err != nil {
+		return "", err
+	}
+	return p.ident()
 }
 
 func (p *parser) accept(tok string) bool {
@@ -79,18 +105,28 @@ func (p *parser) accept(tok string) bool {
 func (p *parser) ident() (string, error) {
 	p.skipSpace()
 	start := p.pos
-	for p.pos < len(p.src) {
-		c := rune(p.src[p.pos])
-		if unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_' || c == '.' {
-			p.pos++
-			continue
-		}
-		break
+	for p.pos < len(p.src) && isIdentByte(p.src[p.pos]) {
+		p.pos++
 	}
 	if p.pos == start {
 		return "", p.errf("expected identifier")
 	}
 	return p.src[start:p.pos], nil
+}
+
+func isIdentByte(c byte) bool {
+	r := rune(c)
+	return unicode.IsLetter(r) || unicode.IsDigit(r) || c == '_' || c == '.'
+}
+
+// isIdent reports whether s reparses as one ident token.
+func isIdent(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !isIdentByte(s[i]) {
+			return false
+		}
+	}
+	return s != ""
 }
 
 func (p *parser) int() (int, error) {
@@ -109,26 +145,19 @@ func (p *parser) int() (int, error) {
 }
 
 func (p *parser) module() (*Module, error) {
-	if err := p.expect("fn"); err != nil {
-		return nil, err
-	}
-	if err := p.expect("("); err != nil {
+	if err := p.expect("fn", "("); err != nil {
 		return nil, err
 	}
 	m := &Module{}
-	for !p.accept(")") {
-		if len(m.Params) > 0 {
-			if err := p.expect(","); err != nil {
-				return nil, err
-			}
-		}
+	err := p.list(")", func() error {
 		param, err := p.param()
-		if err != nil {
-			return nil, err
-		}
 		m.Params = append(m.Params, param)
+		return err
+	})
+	if err == nil {
+		err = p.expect("{")
 	}
-	if err := p.expect("{"); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for {
@@ -171,20 +200,14 @@ func (p *parser) module() (*Module, error) {
 					break
 				}
 			}
-			if err := p.expect("%"); err != nil {
-				return nil, err
-			}
-			name, err := p.ident()
+			name, err := p.ref()
 			if err != nil {
 				return nil, err
 			}
 			m.Results = append(m.Results, name)
 		}
 	} else {
-		if err := p.expect("%"); err != nil {
-			return nil, err
-		}
-		name, err := p.ident()
+		name, err := p.ref()
 		if err != nil {
 			return nil, err
 		}
@@ -200,104 +223,61 @@ func (p *parser) module() (*Module, error) {
 }
 
 func (p *parser) param() (Param, error) {
-	if err := p.expect("%"); err != nil {
-		return Param{}, err
+	name, err := p.ref()
+	if err == nil {
+		err = p.expect(":", "Tensor", "[", "(")
 	}
-	name, err := p.ident()
 	if err != nil {
 		return Param{}, err
 	}
-	if err := p.expect(":"); err != nil {
-		return Param{}, err
-	}
-	if err := p.expect("Tensor"); err != nil {
-		return Param{}, err
-	}
-	if err := p.expect("["); err != nil {
-		return Param{}, err
-	}
-	if err := p.expect("("); err != nil {
-		return Param{}, err
-	}
-	var shape []int
-	for !p.accept(")") {
-		if len(shape) > 0 {
-			if err := p.expect(","); err != nil {
-				return Param{}, err
-			}
-		}
+	param := Param{Name: name}
+	err = p.list(")", func() error {
 		d, err := p.int()
-		if err != nil {
-			return Param{}, err
-		}
-		shape = append(shape, d)
+		param.Shape = append(param.Shape, d)
+		return err
+	})
+	if err == nil {
+		err = p.expect("]")
 	}
-	if err := p.expect("]"); err != nil {
-		return Param{}, err
-	}
-	return Param{Name: name, Shape: shape}, nil
+	return param, err
 }
 
 func (p *parser) bindingTail(name string) (Binding, error) {
 	op, err := p.ident()
+	if err == nil {
+		err = p.expect("(")
+	}
 	if err != nil {
 		return Binding{}, err
 	}
-	if err := p.expect("("); err != nil {
-		return Binding{}, err
-	}
 	b := Binding{Name: name, Op: op, Attrs: graph.Attrs{}}
-	for !p.accept(")") {
-		if len(b.Args) > 0 {
-			if err := p.expect(","); err != nil {
-				return Binding{}, err
-			}
-		}
+	err = p.list(")", func() error {
 		p.skipSpace()
-		var arg Arg
-		switch p.peek() {
-		case '%':
-			p.pos++
-			arg.Name, err = p.ident()
-		case '@':
-			p.pos++
-			arg.IsConst = true
-			arg.Name, err = p.ident()
-		default:
-			return Binding{}, p.errf("expected %%ref or @const argument")
+		c := p.peek()
+		if c != '%' && c != '@' {
+			return p.errf("expected %%ref or @const argument")
 		}
-		if err != nil {
-			return Binding{}, err
-		}
-		b.Args = append(b.Args, arg)
-	}
-	if p.accept("{") {
-		first := true
-		for !p.accept("}") {
-			if !first {
-				if err := p.expect(","); err != nil {
-					return Binding{}, err
-				}
-			}
-			first = false
+		p.pos++
+		arg, err := p.ident()
+		b.Args = append(b.Args, Arg{Name: arg, IsConst: c == '@'})
+		return err
+	})
+	if err == nil && p.accept("{") {
+		err = p.list("}", func() error {
 			key, err := p.ident()
-			if err != nil {
-				return Binding{}, err
+			if err == nil {
+				err = p.expect("=")
 			}
-			if err := p.expect("="); err != nil {
-				return Binding{}, err
+			if err == nil {
+				b.Attrs[key], err = p.attrValue()
 			}
-			val, err := p.attrValue()
-			if err != nil {
-				return Binding{}, err
-			}
-			b.Attrs[key] = val
-		}
+			return err
+		})
 	}
-	if err := p.expect(";"); err != nil {
-		return Binding{}, err
+	if err == nil {
+		err = p.expect(";")
 	}
-	return b, nil
+	return b, err
 }
 
 func (p *parser) attrValue() (interface{}, error) {
@@ -306,31 +286,19 @@ func (p *parser) attrValue() (interface{}, error) {
 	case p.peek() == '[':
 		p.pos++
 		var xs []int
-		for !p.accept("]") {
-			if len(xs) > 0 {
-				if err := p.expect(","); err != nil {
-					return nil, err
-				}
-			}
+		err := p.list("]", func() error {
 			v, err := p.int()
-			if err != nil {
-				return nil, err
-			}
 			xs = append(xs, v)
-		}
-		return xs, nil
+			return err
+		})
+		return xs, err
 	case p.peek() == '"':
-		p.pos++
-		start := p.pos
-		for p.pos < len(p.src) && p.src[p.pos] != '"' {
-			p.pos++
+		q, err := strconv.QuotedPrefix(p.src[p.pos:])
+		if err != nil {
+			return nil, p.errf("bad string literal")
 		}
-		if p.pos == len(p.src) {
-			return nil, p.errf("unterminated string")
-		}
-		s := p.src[start:p.pos]
-		p.pos++
-		return s, nil
+		p.pos += len(q)
+		return strconv.Unquote(q)
 	default:
 		return p.int()
 	}

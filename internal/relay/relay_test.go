@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -231,5 +232,82 @@ func TestToGraphWeightNameCollision(t *testing.T) {
 	_, err = ToGraph(m, "c", map[string]*tensor.Tensor{"w": tensor.Ones(2)})
 	if err == nil || !strings.Contains(err.Error(), "collides") {
 		t.Fatalf("expected collision error, got %v", err)
+	}
+}
+
+func TestStringAttrEscapesRoundTrip(t *testing.T) {
+	// A backslash, a double quote and a tab come back as themselves.
+	vals := []string{`a\b`, `say "hi"`, "tab\there"}
+	g := graph.New("escapes")
+	x := g.AddInput("x", 2)
+	prev := x
+	for i, v := range vals {
+		prev = g.Add("relu", fmt.Sprintf("r%d", i), graph.Attrs{"tag": v}, prev)
+	}
+	g.SetOutputs(prev)
+	m, w, err := FromGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := Parse(m.String())
+	if err != nil {
+		t.Fatalf("reparse failed: %v\n%s", err, m.String())
+	}
+	g2, err := ToGraph(m2, "escapes", w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vals {
+		if got := g2.NodeByName(fmt.Sprintf("r%d", i)).Attrs.Str("tag", ""); got != v {
+			t.Errorf("attr %d: %q, want %q", i, got, v)
+		}
+	}
+}
+
+func TestParseRejectsNonIntAttrs(t *testing.T) {
+	// The text holds int, []int and string attributes and nothing else.
+	for _, attr := range []string{`x=1.5`, `x=["a"]`, `x=true`, `x=[1.5]`, `x="\q"`} {
+		src := `fn (%x: Tensor[(2)]) { %a = relu(%x) {` + attr + `}; %a }`
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse accepted {%s}", attr)
+		}
+	}
+	m, err := Parse(`fn (%x: Tensor[(2)]) { %a = relu(%x); %a }`)
+	if err != nil || len(m.Bindings[0].Attrs) != 0 {
+		t.Fatalf("a binding without attrs should parse to empty attrs: %v", err)
+	}
+}
+
+func TestFromGraphRejectsInexpressible(t *testing.T) {
+	// Each graph holds something the text cannot say; FromGraph (and so
+	// FormatRelay and SaveModel) must refuse it rather than panic or drop it.
+	cases := map[string]func(g *graph.Graph, x graph.NodeID) []graph.NodeID{
+		"float attr": func(g *graph.Graph, x graph.NodeID) []graph.NodeID {
+			return []graph.NodeID{g.Add("leaky_relu", "r", graph.Attrs{"alpha": 0.5}, x)}
+		},
+		"unread const": func(g *graph.Graph, x graph.NodeID) []graph.NodeID {
+			g.AddConst("orphan", tensor.Ones(2))
+			return []graph.NodeID{g.Add("relu", "r", nil, x)}
+		},
+		"const output": func(g *graph.Graph, x graph.NodeID) []graph.NodeID {
+			c := g.AddConst("c", tensor.Ones(2))
+			return []graph.NodeID{g.Add("add", "r", nil, x, c), c}
+		},
+		"name": func(g *graph.Graph, x graph.NodeID) []graph.NodeID {
+			return []graph.NodeID{g.Add("relu", "r 1", nil, x)}
+		},
+		"op": func(g *graph.Graph, x graph.NodeID) []graph.NodeID {
+			return []graph.NodeID{g.Add("re-lu", "r", nil, x)}
+		},
+		"attr key": func(g *graph.Graph, x graph.NodeID) []graph.NodeID {
+			return []graph.NodeID{g.Add("relu", "r", graph.Attrs{"a b": 1}, x)}
+		},
+	}
+	for name, build := range cases {
+		g := graph.New("g")
+		g.SetOutputs(build(g, g.AddInput("x", 2))...)
+		if _, _, err := FromGraph(g); err == nil {
+			t.Errorf("%s: FromGraph accepted a graph its text cannot express", name)
+		}
 	}
 }
